@@ -1,63 +1,23 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
-//! ```text
-//! repro [--scale paper|medium|smoke] [--jobs N] [--csv DIR] [--svg DIR]
-//!       [--trace FILE]
-//!       [table1|fig2|fig3|claims|reduction|falseshare|stale|races|
-//!        flushpolicy|cachelimit|tree|contention|profile|bench|all]
-//! ```
+//! `repro --help` prints the flags and, from the [`SECTIONS`] table,
+//! every section in run order; `all` (the default) runs the sections
+//! marked as part of it. Simulated cycles are this reproduction's
+//! "execution time"; the paper reports wall-clock seconds on a 32-node
+//! CM-5, so compare *shapes* (who wins, by what factor), not absolute
+//! values. Paper reference numbers are printed alongside where the paper
+//! gives them.
 //!
-//! With `--csv DIR`, the table/figure data is also written as CSV files
-//! (`table1.csv`, `fig2.csv`, `fig3.csv`) for external plotting.
-//!
-//! `--jobs N` runs the independent sweep points of each section on a
-//! fixed pool of N worker threads (default: the host's available
-//! parallelism). Every section assembles its output by canonical sweep
-//! key, so stdout and every CSV are byte-identical to a `--jobs 1` run —
-//! the determinism tests pin this. The `bench` section (not part of
-//! `all`) times each section serially and on the pool and writes the
-//! wall-clock trajectory to `BENCH_sweep.json`.
-//!
-//! The `contention` section (also not part of `all`, so `all`'s output
-//! stays pinned) activates the CM-5 fat-tree link-contention model and
-//! sweeps link bandwidth across four benchmarks: messages serialize
-//! onto their routes and queue behind in-flight traffic, and the extra
-//! cycles land in the `net_contention` ledger category. With `--csv
-//! DIR` the grid is written to `contention.csv`.
-//!
-//! The `profile` section runs the cycle-attribution profiler on
-//! Stencil-dyn: a per-node cycle breakdown table (every simulated cycle
-//! attributed to a category, conservation-checked against the node
-//! clocks), the hottest blocks by stall cycles, the message-kind
-//! histogram, and a critical-path drill-down of a captured LCM-mcc run.
-//! `--trace FILE` additionally exports the LCM-mcc run's event stream as
-//! Chrome-trace JSON — load it at `ui.perfetto.dev` or
-//! `chrome://tracing`.
-//!
-//! The `critpath` section (not part of `all`: its captures run at
-//! finite link bandwidth) builds the happens-before DAG of each
-//! benchmark×system capture, extracts the critical path, attributes
-//! slack, and projects causal what-ifs that are validated against
-//! genuine replays under modified cost models. With `--csv DIR` the
-//! analysis is written to `critpath.csv`; `--flow-trace FILE` exports a
-//! Perfetto trace with send→recv flow arrows and a critical-path track.
-//! `repro critpath <file.lcmtrace>` runs the same analysis offline on
-//! any capture.
-//!
-//! The `serve` section (not part of `all`: its grid runs at finite
-//! link bandwidth) self-checks the resident replay server of DESIGN.md
-//! §4k — batched answers vs a fresh sequential engine, differential
-//! re-pricing vs full replay, cached reruns returning the shared
-//! result, a real TCP roundtrip, and a corrupt-frame probe.
-//! `--listen ADDR` stays resident serving `--traces DIR` over TCP;
-//! `--bench` measures the cached / differential / cold-replay cost
-//! ladder plus closed-loop qps and p50/p99 latency, written to
-//! `BENCH_serve.json`. Any serve flag implies the section.
-//!
-//! Simulated cycles are this reproduction's "execution time"; the paper
-//! reports wall-clock seconds on a 32-node CM-5, so compare *shapes*
-//! (who wins, by what factor), not absolute values. Paper reference
-//! numbers are printed alongside where the paper gives them.
+//! One driver ([`run`]) owns the command line, the lazily built shared
+//! [`Suite`], per-section wall time, file output and exit codes (usage
+//! errors exit 2, failures 1). Each section renders its report into a
+//! text sink and returns its files by name; the driver writes them under
+//! `--csv DIR`, and `BENCH_*.json` falls back to the working directory.
+//! Stdout depends only on the arguments minus `--jobs`, `--sim-threads`
+//! and output paths (DESIGN.md §4d): host times, worker counts and file
+//! locations go to stderr. `crates/bench/tests/sections.rs` pins this
+//! for every section, and `repro bench` asserts it for every `all`
+//! section while timing it at `--jobs 1` and on the pool.
 
 use lcm_apps::cache_limit::{chunk_blocks, stencil_on_limited_stache};
 use lcm_apps::experiments::{Benchmark, Scale, Suite};
@@ -66,7 +26,7 @@ use lcm_apps::independent::{run_with_flush, IndependentMap};
 use lcm_apps::nbody::{rms_error, run_nbody, NBody, NBodySystem};
 use lcm_apps::race::{detect_races, RaceKernel};
 use lcm_apps::reduction::{run_reduction, ArraySum, ReductionMethod, ReductionSum};
-use lcm_apps::sensitivity::{sweep_nodes_jobs, sweep_remote_latency_jobs, SweepPoint};
+use lcm_apps::sensitivity::{sweep_nodes_jobs, sweep_remote_latency_jobs};
 use lcm_apps::stale_data::{run_stale, StaleData, StaleSystem};
 use lcm_apps::stencil::Stencil;
 use lcm_apps::threshold::Threshold;
@@ -80,413 +40,410 @@ use lcm_bench::{
     SweepKey,
 };
 use lcm_cstar::{FlushPolicy, Partition, RuntimeConfig};
-use lcm_replay::TraceFile;
-use lcm_sim::{CostModel, CrashPlan, CycleCat, FaultConfig, MachineConfig, NodeId, Stamped};
-use std::path::PathBuf;
+use lcm_replay::{TraceFile, TraceHandle};
+use lcm_sim::{CostModel, CrashPlan, CycleCat, FaultConfig, MachineConfig, NodeId};
+use std::cell::{OnceCell, RefCell};
+use std::fmt::Write;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Every runnable section, in help order. `contention`, `explore` and
-/// `bench` are valid names but not part of `all` (see the comments at
-/// their dispatch sites).
-const SECTIONS: [&str; 24] = [
-    "all",
-    "table1",
-    "fig2",
-    "fig3",
-    "claims",
-    "reduction",
-    "falseshare",
-    "stale",
-    "nbody",
-    "races",
-    "flushpolicy",
-    "cachelimit",
-    "tree",
-    "sweep",
-    "faults",
-    "contention",
-    "profile",
-    "explore",
-    "critpath",
-    "recovery",
-    "scale",
-    "bench",
-    "par",
-    "serve",
-];
-
-/// Known flags, for the unknown-flag error message.
-const FLAGS: &str = "--scale --jobs --sim-threads --csv --svg --faults --crash --trace \
-                     --flow-trace --listen --traces --bench --list-sections -h/--help";
-
-fn list_sections() {
-    eprintln!("sections (default: all):");
-    for s in SECTIONS {
-        eprintln!("  {s}");
-    }
-    eprintln!("subcommands:");
-    eprintln!("  replay <file.lcmtrace>     validate and summarize a captured trace");
-    eprintln!("  critpath <file.lcmtrace>   critical-path analysis of a captured trace");
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::Medium;
-    let mut csv_dir: Option<PathBuf> = None;
-    let mut svg_dir: Option<PathBuf> = None;
-    let mut fault_point: Option<(f64, u64)> = None;
-    let mut crash_point: Option<(f64, u64)> = None;
-    let mut trace_path: Option<PathBuf> = None;
-    let mut flow_trace_path: Option<PathBuf> = None;
-    let mut jobs = lcm_sim::available_jobs();
-    let mut sim_threads = 1usize;
-    let mut serve_listen: Option<String> = None;
-    let mut serve_traces: Option<PathBuf> = None;
-    let mut serve_bench = false;
-    let mut what = Vec::new();
+    if let Err(e) = run(&args) {
+        let (msg, code) = match e {
+            Error::Usage(msg) => (msg, 2),
+            Error::Failed(msg) => (msg, 1),
+        };
+        eprintln!("{msg}");
+        std::process::exit(code);
+    }
+}
+
+// ==================================================================== driver
+
+/// A failure that ends the run: `Usage` (bad flags, specs, section names
+/// or input files) exits 2, `Failed` exits 1.
+enum Error {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for Error {
+    fn from(msg: String) -> Self {
+        Error::Failed(msg)
+    }
+}
+
+impl From<std::fmt::Error> for Error {
+    fn from(_: std::fmt::Error) -> Self {
+        Error::Failed("failed to write stdout".to_string())
+    }
+}
+
+type Res<T> = Result<T, Error>;
+
+/// A section's output files, by name: written under `--csv DIR`, or,
+/// without it, only `BENCH_*.json`, to the working directory.
+type Files = Vec<(String, Vec<u8>)>;
+
+fn file(name: &str, contents: impl Into<Vec<u8>>) -> (String, Vec<u8>) {
+    (name.to_string(), contents.into())
+}
+
+/// One entry of the section table.
+struct Section {
+    name: &'static str,
+    /// Whether `all` runs it. The sections outside `all` would move the
+    /// pinned `all` totals (finite link bandwidth, crashes, 1024-node
+    /// machines), measure host time, or block as a server.
+    in_all: bool,
+    /// Renders the report into the sink and returns the files to write.
+    run: fn(&Ctx, &mut dyn Write) -> Res<Files>,
+    about: &'static str,
+}
+
+const fn section(
+    name: &'static str,
+    in_all: bool,
+    run: fn(&Ctx, &mut dyn Write) -> Res<Files>,
+    about: &'static str,
+) -> Section {
+    Section {
+        name,
+        in_all,
+        run,
+        about,
+    }
+}
+
+/// Every section, in run order.
+#[rustfmt::skip]
+const SECTIONS: &[Section] = &[
+    section("table1",      true,  table1,         "Table 1: cache misses and clean copies"),
+    section("fig2",        true,  fig2,           "Figure 2: Stencil execution time"),
+    section("fig3",        true,  fig3,           "Figure 3: benchmark execution time"),
+    section("claims",      true,  claims,         "§6.3 prose claims, checked"),
+    section("reduction",   true,  reduction,      "§7.1 reduction methods"),
+    section("falseshare",  true,  false_sharing,  "§7.4 false sharing"),
+    section("stale",       true,  stale,          "§7.5 stale data, refresh every k"),
+    section("flushpolicy", true,  flush_policy,   "§5.1 flush elision"),
+    section("cachelimit",  true,  cache_limit,    "§6.3 limited-cache ablation"),
+    section("tree",        true,  tree_reconcile, "§5 tree-structured reconciliation"),
+    section("nbody",       true,  nbody,          "§7.5 N-body, stale far-field positions"),
+    section("sweep",       true,  sweeps,         "remote-latency and processor-count sensitivity"),
+    section("races",       true,  races,          "§7.2/7.3 conflict detection"),
+    section("faults",      true,  faults,         "slowdown vs message drop rate"),
+    section("profile",     true,  cycle_profile,  "cycle-attribution profile of Stencil-dyn"),
+    section("contention",  false, contention,     "time vs fat-tree link bandwidth"),
+    section("explore",     false, design_space,   "capture once, replay a cost-model grid"),
+    section("critpath",    false, critical_path,  "happens-before critical path and what-ifs"),
+    section("recovery",    false, recovery,       "crash rate x checkpoint granularity"),
+    section("scale",       false, scale,          "directory backends from 32 to 1024 nodes"),
+    section("bench",       false, bench,          "each `all` section at --jobs 1 vs the pool"),
+    section("par",         false, par,            "sim-threads 1 vs N on 256-node runs"),
+    section("serve",       false, serve,          "replay-server self-check, --bench, --listen"),
+];
+
+/// The flags, with their help text.
+#[rustfmt::skip]
+const FLAGS: &[(&str, &str)] = &[
+    ("--scale paper|medium|smoke",  "workload size (default: medium)"),
+    ("--jobs N",                    "workers across sweep points (default: host cores)"),
+    ("--sim-threads N",             "threads inside one simulation (DESIGN.md §4j)"),
+    ("--csv DIR",                   "write every section's files under DIR"),
+    ("--svg DIR",                   "write fig2.svg and fig3.svg under DIR"),
+    ("--faults RATE:SEED",          "add a drop-rate point to `faults`"),
+    ("--crash RATE:SEED",           "add a crash-rate point to `recovery`"),
+    ("--trace FILE",                "export profile's LCM-mcc events as Chrome-trace JSON"),
+    ("--flow-trace FILE",           "export critpath's flow-annotated Perfetto trace"),
+    ("--listen ADDR",               "serve: stay resident on ADDR"),
+    ("--traces DIR",                "serve: load the .lcmtrace files in DIR"),
+    ("--bench",                     "serve: run the load bench (BENCH_serve.json)"),
+    ("--list-sections",             "print the sections and exit"),
+    ("-h, --help",                  "print this help and exit"),
+];
+
+fn usage_text() -> String {
+    let mut s = String::from(
+        "usage: repro [FLAGS] [SECTION...] | repro replay FILE | repro critpath FILE\n\
+         flags (--faults, --crash, --trace, --flow-trace and the serve flags also select\n\
+         their section):\n",
+    );
+    for (flag, about) in FLAGS {
+        s.push_str(&format!("  {flag:<28} {about}\n"));
+    }
+    s
+}
+
+fn section_list() -> String {
+    let mut s =
+        String::from("sections, in run order (default: all; * = not part of all):\n  all\n");
+    for sec in SECTIONS {
+        let mark = if sec.in_all { ' ' } else { '*' };
+        s.push_str(&format!("  {:<11} {mark} {}\n", sec.name, sec.about));
+    }
+    s.push_str(
+        "subcommands:\n  \
+         replay <file.lcmtrace>     validate and summarize a captured trace\n  \
+         critpath <file.lcmtrace>   critical-path analysis of a captured trace\n",
+    );
+    s
+}
+
+/// What a section reads: the parsed flags and the shared suite.
+struct Ctx {
+    scale: Scale,
+    jobs: usize,
+    sim_threads: usize,
+    csv: Option<PathBuf>,
+    faults: Option<(f64, u64)>,
+    crash: Option<(f64, u64)>,
+    trace: Option<PathBuf>,
+    flow_trace: Option<PathBuf>,
+    listen: Option<String>,
+    traces: Option<PathBuf>,
+    serve_bench: bool,
+    suite: OnceCell<Suite>,
+    /// Sweep points that failed without stopping their section; any
+    /// fails the run once every section's files are written.
+    failures: RefCell<Vec<String>>,
+}
+
+impl Ctx {
+    fn new(scale: Scale, jobs: usize, sim_threads: usize) -> Ctx {
+        Ctx {
+            scale,
+            jobs,
+            sim_threads,
+            csv: None,
+            faults: None,
+            crash: None,
+            trace: None,
+            flow_trace: None,
+            listen: None,
+            traces: None,
+            serve_bench: false,
+            suite: OnceCell::new(),
+            failures: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// The benchmark suite that `table1`, `fig2`, `fig3` and `claims`
+    /// read, run on first use. `--sim-threads` routes every point through
+    /// the epoch-parallel engine, byte-identical by construction (§4j).
+    fn suite(&self) -> &Suite {
+        self.suite.get_or_init(|| {
+            eprintln!(
+                "running the benchmark suite at scale '{}' ({} processors, {} worker(s), \
+                 {} sim thread(s))…",
+                self.scale,
+                self.scale.nodes(),
+                self.jobs,
+                self.sim_threads
+            );
+            let t0 = Instant::now();
+            let cfg = RuntimeConfig {
+                sim_threads: self.sim_threads,
+                ..RuntimeConfig::default()
+            };
+            let suite = Suite::run_jobs_cfg(self.scale, self.jobs, cfg);
+            eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
+            suite
+        })
+    }
+}
+
+/// Streams section output straight to the process's stdout.
+struct Stdout;
+
+impl Write for Stdout {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        use std::io::Write as _;
+        std::io::stdout()
+            .write_all(s.as_bytes())
+            .map_err(|_| std::fmt::Error)
+    }
+}
+
+/// Parses the command line, then runs the selected sections in table
+/// order, timing each and writing its files.
+fn run(args: &[String]) -> Res<()> {
+    let mut ctx = Ctx::new(Scale::Medium, lcm_sim::available_jobs(), 1);
+    let mut svg: Option<PathBuf> = None;
+    let mut what: Vec<&str> = Vec::new();
+    let mut implied: Vec<&str> = Vec::new();
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => {
-                jobs = match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--jobs requires a worker count >= 1");
-                        std::process::exit(2);
-                    }
-                };
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        let mut value = |want: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| Error::Usage(format!("{flag} requires {want}")))
+        };
+        match flag {
+            "--jobs" | "--sim-threads" => {
+                let n = value("a count >= 1")?
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .ok_or_else(|| Error::Usage(format!("{flag} requires a count >= 1")))?;
+                if flag == "--jobs" {
+                    ctx.jobs = n;
+                } else {
+                    ctx.sim_threads = n;
+                }
             }
-            "--sim-threads" => {
-                sim_threads = match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--sim-threads requires a thread count >= 1");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--faults" => {
-                let Some(spec) = it.next() else {
-                    eprintln!("--faults requires <drop_rate>:<seed>");
-                    std::process::exit(2);
-                };
-                let Some((rate, seed)) = parse_rate_seed(spec) else {
-                    eprintln!("bad --faults spec {spec:?} (want <drop_rate>:<seed>, e.g. 0.01:42)");
-                    std::process::exit(2);
+            "--faults" | "--crash" => {
+                let spec = value("<rate>:<seed>")?;
+                let (rate, seed) = parse_rate_seed(&spec).ok_or_else(|| {
+                    Error::Usage(format!(
+                        "bad {flag} spec {spec:?} (want <rate>:<seed>, e.g. 0.01:42)"
+                    ))
+                })?;
+                let (config, point, section) = if flag == "--faults" {
+                    (FaultConfig::drops(rate, seed), &mut ctx.faults, "faults")
+                } else {
+                    (FaultConfig::crashes(rate, seed), &mut ctx.crash, "recovery")
                 };
                 // Out-of-range rates are the config layer's call, surfaced
-                // here as its named error (exit 2, like unknown flags).
-                if let Err(e) = FaultConfig::drops(rate, seed).validate() {
-                    eprintln!("--faults {spec}: {e}");
-                    std::process::exit(2);
-                }
-                fault_point = Some((rate, seed));
-            }
-            "--crash" => {
-                let Some(spec) = it.next() else {
-                    eprintln!("--crash requires <crash_rate>:<seed>");
-                    std::process::exit(2);
-                };
-                let Some((rate, seed)) = parse_rate_seed(spec) else {
-                    eprintln!("bad --crash spec {spec:?} (want <crash_rate>:<seed>, e.g. 0.1:42)");
-                    std::process::exit(2);
-                };
-                if let Err(e) = FaultConfig::crashes(rate, seed).validate() {
-                    eprintln!("--crash {spec}: {e}");
-                    std::process::exit(2);
-                }
-                crash_point = Some((rate, seed));
+                // here as its named error.
+                config
+                    .validate()
+                    .map_err(|e| Error::Usage(format!("{flag} {spec}: {e}")))?;
+                *point = Some((rate, seed));
+                implied.push(section);
             }
             "--trace" => {
-                let Some(path) = it.next() else {
-                    eprintln!("--trace requires a file path");
-                    std::process::exit(2);
-                };
-                trace_path = Some(PathBuf::from(path));
+                ctx.trace = Some(value("a file path")?.into());
+                implied.push("profile");
             }
             "--flow-trace" => {
-                let Some(path) = it.next() else {
-                    eprintln!("--flow-trace requires a file path");
-                    std::process::exit(2);
-                };
-                flow_trace_path = Some(PathBuf::from(path));
+                ctx.flow_trace = Some(value("a file path")?.into());
+                implied.push("critpath");
             }
             "--listen" => {
-                let Some(addr) = it.next() else {
-                    eprintln!("--listen requires an address (e.g. 127.0.0.1:7199)");
-                    std::process::exit(2);
-                };
-                serve_listen = Some(addr.clone());
+                ctx.listen = Some(value("an address (e.g. 127.0.0.1:7199)")?);
+                implied.push("serve");
             }
             "--traces" => {
-                let Some(dir) = it.next() else {
-                    eprintln!("--traces requires a directory of .lcmtrace files");
-                    std::process::exit(2);
-                };
-                serve_traces = Some(PathBuf::from(dir));
+                ctx.traces = Some(value("a directory of .lcmtrace files")?.into());
+                implied.push("serve");
             }
             "--bench" => {
-                serve_bench = true;
+                ctx.serve_bench = true;
+                implied.push("serve");
             }
-            "--svg" => {
-                let Some(dir) = it.next() else {
-                    eprintln!("--svg requires a directory");
-                    std::process::exit(2);
-                };
-                svg_dir = Some(PathBuf::from(dir));
-            }
-            "--csv" => {
-                let Some(dir) = it.next() else {
-                    eprintln!("--csv requires a directory");
-                    std::process::exit(2);
-                };
-                csv_dir = Some(PathBuf::from(dir));
-            }
+            "--csv" => ctx.csv = Some(value("a directory")?.into()),
+            "--svg" => svg = Some(value("a directory")?.into()),
             "--scale" => {
-                scale = match it.next().map(String::as_str) {
-                    Some("paper") => Scale::Paper,
-                    Some("medium") => Scale::Medium,
-                    Some("smoke") => Scale::Smoke,
+                ctx.scale = match value("paper|medium|smoke")?.as_str() {
+                    "paper" => Scale::Paper,
+                    "medium" => Scale::Medium,
+                    "smoke" => Scale::Smoke,
                     other => {
-                        eprintln!("unknown scale {other:?} (paper|medium|smoke)");
-                        std::process::exit(2);
+                        return Err(Error::Usage(format!(
+                            "unknown scale {other:?} (paper|medium|smoke)"
+                        )))
                     }
                 }
             }
             "--list-sections" => {
-                list_sections();
-                return;
+                eprint!("{}", section_list());
+                return Ok(());
             }
             "-h" | "--help" => {
-                println!(
-                    "repro [--scale paper|medium|smoke] [--jobs N] [--sim-threads N] [--csv DIR] \
-                     [--svg DIR] [--faults RATE:SEED] [--crash RATE:SEED] [--trace FILE] \
-                     [--flow-trace FILE] [--listen ADDR] [--traces DIR] [--bench] \
-                     [--list-sections] [SECTION…] | replay FILE | critpath FILE"
-                );
-                list_sections();
-                return;
+                print!("{}", usage_text());
+                eprint!("{}", section_list());
+                return Ok(());
             }
-            w if w.starts_with('-') => {
-                eprintln!("unknown flag {w:?} (known flags: {FLAGS})");
-                list_sections();
-                std::process::exit(2);
+            _ if flag.starts_with('-') => {
+                return Err(Error::Usage(format!(
+                    "unknown flag {flag:?}\n{}{}",
+                    usage_text(),
+                    section_list()
+                )))
             }
-            w => what.push(w.to_string()),
+            _ => what.push(flag),
         }
     }
     if what.is_empty() {
-        what.push("all".to_string());
+        what.push("all");
     }
-    if what[0] == "replay" {
-        let [_, path] = what.as_slice() else {
-            eprintln!("usage: repro replay <file.lcmtrace>");
-            std::process::exit(2);
-        };
-        run_replay_summary(std::path::Path::new(path));
-        return;
-    }
-    // `critpath FILE` is the offline subcommand; a bare `critpath` (or
-    // `critpath` among other section names) is the capture-and-analyze
-    // section below.
-    if what[0] == "critpath" && what.len() == 2 && !SECTIONS.contains(&what[1].as_str()) {
-        run_critpath_file(std::path::Path::new(&what[1]));
-        return;
-    }
-    if let Some(bad) = what.iter().find(|w| !SECTIONS.contains(&w.as_str())) {
-        eprintln!("unknown section {bad:?}");
-        list_sections();
-        std::process::exit(2);
-    }
-    let all = what.iter().any(|w| w == "all");
-    let wants = |k: &str| all || what.iter().any(|w| w == k);
-
-    // The sections that read the shared suite, and the single place it is
-    // materialized: every consumer below sits inside the `if let`, so a
-    // missing suite is a compile-shape impossibility, not an `unwrap`.
-    const SUITE_SECTIONS: [&str; 4] = ["table1", "fig2", "fig3", "claims"];
-    let needs_suite = all || what.iter().any(|w| SUITE_SECTIONS.contains(&w.as_str()));
-    // `--sim-threads` routes every suite point through the epoch-parallel
-    // engine; the output is byte-identical to `--sim-threads 1` by
-    // construction (DESIGN.md §4j), which CI diffs.
-    let base_cfg = RuntimeConfig {
-        sim_threads,
-        ..RuntimeConfig::default()
-    };
-    let suite = if needs_suite {
-        eprintln!(
-            "running the benchmark suite at scale '{scale}' ({} processors, {jobs} worker(s), \
-             {sim_threads} sim thread(s))…",
-            scale.nodes()
-        );
-        let t0 = Instant::now();
-        let s = Suite::run_jobs_cfg(scale, jobs, base_cfg);
-        eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
-        Some(s)
-    } else {
-        None
-    };
-
-    if let Some(suite) = suite.as_ref() {
-        if wants("table1") {
-            print_table1(suite);
+    let is_section = |w: &str| w == "all" || SECTIONS.iter().any(|s| s.name == w);
+    match what.as_slice() {
+        ["replay", path] => return replay_summary(Path::new(path), &mut Stdout),
+        ["replay", ..] => return Err(Error::Usage("usage: repro replay <file.lcmtrace>".into())),
+        // `critpath FILE` is the offline subcommand; `critpath` among
+        // section names is the capture-and-analyze section.
+        ["critpath", path] if !is_section(path) => {
+            return critpath_file(Path::new(path), &mut Stdout)
         }
-        if wants("fig2") {
-            print_fig(suite, true);
-        }
-        if wants("fig3") {
-            print_fig(suite, false);
-        }
-        if wants("claims") {
-            print_claims(suite);
-        }
+        _ => {}
     }
-    if wants("reduction") {
-        print_reduction(scale, jobs);
+    if let Some(bad) = what.iter().find(|w| !is_section(w)) {
+        return Err(Error::Usage(format!(
+            "unknown section {bad:?}\n{}",
+            section_list()
+        )));
     }
-    if wants("falseshare") {
-        print_false_sharing(jobs);
-    }
-    if wants("stale") {
-        print_stale(jobs);
-    }
-    if wants("flushpolicy") {
-        print_flush_policy(scale, jobs);
-    }
-    if wants("cachelimit") {
-        print_cache_limit(jobs);
-    }
-    if wants("tree") {
-        print_tree_reconcile(scale, jobs);
-    }
-    if wants("nbody") {
-        print_nbody(jobs);
-    }
-    if wants("sweep") {
-        print_sweeps(scale, jobs);
-    }
-    if wants("races") {
-        print_races(jobs);
-    }
-    let mut csvs = SectionCsvs::default();
-    if wants("faults") || fault_point.is_some() {
-        csvs.faults = Some(print_faults(scale, fault_point, jobs));
-    }
-    if wants("profile") || trace_path.is_some() {
-        csvs.profile = Some(print_profile(scale, trace_path.as_deref(), jobs));
-    }
-    // `contention` is deliberately not part of `all`: finite link
-    // bandwidth surfaces a new cycle category and changes every total,
-    // and `all`'s stdout and CSVs are pinned byte-identical across
-    // releases by the determinism tests.
-    if what.iter().any(|w| w == "contention") {
-        csvs.contention = Some(print_contention(scale, jobs));
-    }
-    // `explore` is deliberately not part of `all` for the same reason as
-    // `contention`: its grid spans finite bandwidths, and the byte-
-    // identity determinism tests pin `all`'s output.
-    if what.iter().any(|w| w == "explore") {
-        csvs.explore = Some(print_explore(scale, jobs, csv_dir.as_deref()));
-    }
-    // `critpath` is deliberately not part of `all` for the same reason:
-    // its captures run at finite link bandwidth, so every total differs
-    // from the pinned `all` output.
-    if what.iter().any(|w| w == "critpath") || flow_trace_path.is_some() {
-        csvs.critpath = Some(print_critpath(scale, jobs, flow_trace_path.as_deref()));
-    }
-    // `recovery` is deliberately not part of `all` for the same reason:
-    // active crash plans add checkpoint/rollback cycles to every total.
-    let mut sweep_failures: Vec<String> = Vec::new();
-    if what.iter().any(|w| w == "recovery") || crash_point.is_some() {
-        csvs.recovery = Some(print_recovery(
-            scale,
-            crash_point,
-            jobs,
-            csv_dir.as_deref(),
-            &mut sweep_failures,
-        ));
-    }
-    // `scale` is deliberately not part of `all`: its grid runs machines
-    // of up to 1024 nodes across three directory backends, well outside
-    // the pinned 16/32-node `all` output.
-    if what.iter().any(|w| w == "scale") {
-        csvs.scale = Some(print_scale(jobs, csv_dir.as_deref()));
-    }
-    // `bench` is deliberately not part of `all`: it re-runs whole
-    // sections twice (serially and on the pool) to measure wall-clock.
-    if what.iter().any(|w| w == "bench") {
-        run_bench(scale, jobs, csv_dir.as_deref());
-    }
-    // `par` is deliberately not part of `all`: it re-runs kilonode
-    // simulations twice (sim-threads 1 vs N) to measure wall-clock.
-    if what.iter().any(|w| w == "par") {
-        run_bench_par(scale, sim_threads, csv_dir.as_deref());
-    }
-    // `serve` is deliberately not part of `all`: its self-check replays
-    // a finite-bandwidth grid (like `explore`), and `--listen` blocks
-    // as a resident server. The serve flags imply the section, like
-    // `--trace` implies `profile`.
-    if what.iter().any(|w| w == "serve")
-        || serve_listen.is_some()
-        || serve_bench
-        || serve_traces.is_some()
+    what.extend(implied);
+    let all = what.contains(&"all");
+    for s in SECTIONS
+        .iter()
+        .filter(|s| (all && s.in_all) || what.contains(&s.name))
     {
-        run_serve(
-            scale,
-            jobs,
-            serve_listen.as_deref(),
-            serve_traces.as_deref(),
-            serve_bench,
-            csv_dir.as_deref(),
-        );
+        let t0 = Instant::now();
+        let files = (s.run)(&ctx, &mut Stdout)?;
+        write_files(ctx.csv.as_deref(), files)?;
+        eprintln!("[{}: {:.2}s]", s.name, t0.elapsed().as_secs_f64());
     }
-    if let Some(dir) = csv_dir {
-        if let Err(e) = write_all_csv(&dir, suite.as_ref(), &csvs) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!("CSV written to {}", dir.display());
+    if let (Some(dir), Some(suite)) = (svg, ctx.suite.get()) {
+        write_svg(&dir, suite)?;
+        eprintln!("SVG figures written to {}", dir.display());
     }
-    if let (Some(dir), Some(suite)) = (svg_dir, suite.as_ref()) {
-        if let Err(e) = write_svg(&dir, suite) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!("SVG figures written to {}", dir.display());
+    let failures = ctx.failures.into_inner();
+    if !failures.is_empty() {
+        return Err(format!(
+            "{} sweep point(s) failed:\n  {}",
+            failures.len(),
+            failures.join("\n  ")
+        )
+        .into());
     }
-    // Graceful sweep degradation: failed grid points were reported and
-    // skipped so the rest of the sweep (and its CSV) completed; a failure
-    // still fails the run as a whole.
-    if !sweep_failures.is_empty() {
-        eprintln!("{} sweep point(s) failed:", sweep_failures.len());
-        for f in &sweep_failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    Ok(())
 }
 
-/// Creates `dir` (and parents), naming the directory in the error.
-fn ensure_dir(dir: &std::path::Path) -> Result<(), String> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| format!("failed to create directory {}: {e}", dir.display()))
+/// Writes a section's files (see [`Files`]), naming each on stderr.
+fn write_files(csv: Option<&Path>, files: Files) -> Res<()> {
+    for (name, bytes) in files {
+        let path = match csv {
+            Some(dir) => dir.join(&name),
+            None if name.starts_with("BENCH_") => PathBuf::from(&name),
+            None => continue,
+        };
+        write_path(&path, &bytes)?;
+        eprintln!("   {name} written to {}", path.display());
+    }
+    Ok(())
 }
 
-/// Writes one output file, naming the failing path in the error.
-fn write_file(path: PathBuf, contents: &str) -> Result<(), String> {
-    std::fs::write(&path, contents).map_err(|e| format!("failed to write {}: {e}", path.display()))
+/// Writes one file, creating its directory and naming the path in any
+/// error.
+fn write_path(path: &Path, bytes: &[u8]) -> Res<()> {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)
+            .map_err(|e| format!("failed to create directory {}: {e}", parent.display()))?;
+    }
+    std::fs::write(path, bytes).map_err(|e| format!("failed to write {}: {e}", path.display()))?;
+    Ok(())
 }
 
-fn write_svg(dir: &std::path::Path, suite: &Suite) -> Result<(), String> {
-    ensure_dir(dir)?;
+fn write_svg(dir: &Path, suite: &Suite) -> Res<()> {
     let series = ["LCM-scc", "LCM-mcc", "Stache"];
-    for (file, title, rows) in [
-        ("fig2.svg", "Figure 2: Stencil execution time", suite.fig2()),
-        (
-            "fig3.svg",
-            "Figure 3: benchmark execution time",
-            suite.fig3(),
-        ),
+    for (name, title, rows) in [
+        ("fig2.svg", FIG2_TITLE, suite.fig2()),
+        ("fig3.svg", FIG3_TITLE, suite.fig3()),
     ] {
         let mut chart = BarChart::new(title, "simulated cycles", &series);
         let mut groups: Vec<(Benchmark, [f64; 3])> = Vec::new();
@@ -508,80 +465,8 @@ fn write_svg(dir: &std::path::Path, suite: &Suite) -> Result<(), String> {
         for (b, vs) in groups {
             chart.push_group(b.label(), &vs);
         }
-        write_file(dir.join(file), &chart.to_svg())?;
+        write_path(&dir.join(name), chart.to_svg().as_bytes())?;
     }
-    Ok(())
-}
-
-/// The per-section CSV payloads gathered by `main` for `--csv`, one
-/// field per section that renders a file.
-#[derive(Default)]
-struct SectionCsvs {
-    faults: Option<String>,
-    /// `(profile.csv, phases.csv)`.
-    profile: Option<(String, String)>,
-    contention: Option<String>,
-    explore: Option<String>,
-    recovery: Option<String>,
-    scale: Option<String>,
-    /// `(critpath.csv, messages.csv latency rows)`.
-    critpath: Option<(String, Vec<report::MsgLatencyRow>)>,
-}
-
-fn write_all_csv(
-    dir: &std::path::Path,
-    suite: Option<&Suite>,
-    csvs: &SectionCsvs,
-) -> Result<(), String> {
-    ensure_dir(dir)?;
-    let latency = csvs
-        .critpath
-        .as_ref()
-        .map_or(&[][..], |(_, l)| l.as_slice());
-    if let Some(suite) = suite {
-        write_csv(dir, suite, latency)?;
-    }
-    if let Some(faults) = &csvs.faults {
-        write_file(dir.join("faults.csv"), faults)?;
-    }
-    if let Some((profile, phases)) = &csvs.profile {
-        write_file(dir.join("profile.csv"), profile)?;
-        write_file(dir.join("phases.csv"), phases)?;
-    }
-    if let Some(contention) = &csvs.contention {
-        write_file(dir.join("contention.csv"), contention)?;
-    }
-    if let Some(explore) = &csvs.explore {
-        write_file(dir.join("explore.csv"), explore)?;
-    }
-    if let Some(recovery) = &csvs.recovery {
-        write_file(dir.join("recovery.csv"), recovery)?;
-    }
-    if let Some(scale) = &csvs.scale {
-        write_file(dir.join("scale.csv"), scale)?;
-    }
-    if let Some((critpath, _)) = &csvs.critpath {
-        write_file(dir.join("critpath.csv"), critpath)?;
-    }
-    Ok(())
-}
-
-fn write_csv(
-    dir: &std::path::Path,
-    suite: &Suite,
-    latency: &[report::MsgLatencyRow],
-) -> Result<(), String> {
-    // Rendering lives in `lcm_bench::report` so the determinism tests
-    // check byte-identity against the exact strings written here.
-    ensure_dir(dir)?;
-    write_file(dir.join("table1.csv"), &report::table1_csv(suite))?;
-    write_file(dir.join("fig2.csv"), &report::fig_csv(&suite.fig2()))?;
-    write_file(dir.join("fig3.csv"), &report::fig_csv(&suite.fig3()))?;
-    write_file(
-        dir.join("messages.csv"),
-        &report::messages_csv_with_latency(suite, latency),
-    )?;
-    write_file(dir.join("network.csv"), &report::network_csv(suite))?;
     Ok(())
 }
 
@@ -589,37 +474,486 @@ fn write_csv(
 /// [`FaultConfig::validate`]'s job so the CLI reports its named error.
 fn parse_rate_seed(spec: &str) -> Option<(f64, u64)> {
     let (rate, seed) = spec.split_once(':')?;
-    let rate: f64 = rate.parse().ok()?;
-    let seed: u64 = seed.parse().ok()?;
-    Some((rate, seed))
+    Some((rate.parse().ok()?, seed.parse().ok()?))
 }
 
-/// The stencil workload of the fault sweep at a given scale.
-fn fault_stencil(scale: Scale) -> Stencil {
-    match scale {
-        Scale::Paper => Stencil {
-            rows: 256,
-            cols: 256,
-            iters: 10,
-            partition: Partition::Dynamic,
-        },
-        Scale::Medium => Stencil {
-            rows: 128,
-            cols: 128,
-            iters: 6,
-            partition: Partition::Dynamic,
-        },
-        Scale::Smoke => Stencil {
-            rows: 48,
-            cols: 48,
-            iters: 3,
-            partition: Partition::Dynamic,
-        },
+/// `"unlimited"` for bandwidth 0, else `"N B/cy"`.
+fn bw_label(bw: u64) -> String {
+    if bw == 0 {
+        "unlimited".to_string()
+    } else {
+        format!("{bw} B/cy")
     }
 }
 
-/// The threshold workload of the fault sweep at a given scale.
-fn fault_threshold(scale: Scale) -> Threshold {
+// ============================================================ suite sections
+
+const FIG2_TITLE: &str = "Figure 2: Stencil execution time";
+const FIG3_TITLE: &str = "Figure 3: benchmark execution time";
+
+fn k(x: u64) -> String {
+    format!("{:.0}", x as f64 / 1000.0)
+}
+
+fn table1(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    let suite = ctx.suite();
+    out.write_str(
+        "== Table 1: benchmark cache misses and clean copies (thousands) ==
+   (paper values in parentheses; paper ran 32-node CM-5)
+",
+    )?;
+    writeln!(
+        out,
+        "{:<14} | {:>16} {:>16} {:>16} | {:>14} {:>14}",
+        "Program", "misses scc", "misses mcc", "misses Copying", "clean scc", "clean mcc"
+    )?;
+    writeln!(out, "{}", "-".repeat(102))?;
+    for (b, misses, clean) in suite.table1() {
+        let fmt_ref = |v: Option<f64>| v.map(|x| format!("({x:.0})")).unwrap_or_default();
+        let [r_scc, r_mcc, r_cp, r_cscc, r_cmcc] = match b.paper_table1() {
+            Some((a, b2, c, d, e)) => [a, Some(b2), Some(c), d, Some(e)].map(fmt_ref),
+            None => Default::default(),
+        };
+        writeln!(
+            out,
+            "{:<14} | {:>8} {:>7} {:>8} {:>7} {:>8} {:>7} | {:>6} {:>7} {:>6} {:>7}",
+            b.label(),
+            k(misses[0]),
+            r_scc,
+            k(misses[1]),
+            r_mcc,
+            k(misses[2]),
+            r_cp,
+            k(clean[0]),
+            r_cscc,
+            k(clean[1]),
+            r_cmcc,
+        )?;
+    }
+    writeln!(out)?;
+    Ok(vec![
+        file("table1.csv", report::table1_csv(suite)),
+        file("messages.csv", report::messages_csv(suite)),
+        file("network.csv", report::network_csv(suite)),
+    ])
+}
+
+fn fig2(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    let suite = ctx.suite();
+    fig(suite, FIG2_TITLE, "fig2.csv", suite.fig2(), out)
+}
+
+fn fig3(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    let suite = ctx.suite();
+    fig(suite, FIG3_TITLE, "fig3.csv", suite.fig3(), out)
+}
+
+fn fig(
+    suite: &Suite,
+    title: &str,
+    csv: &str,
+    rows: Vec<(Benchmark, SystemKind, u64)>,
+    out: &mut dyn Write,
+) -> Res<Files> {
+    writeln!(out, "== {title} (simulated cycles) ==")?;
+    let mut last: Option<Benchmark> = None;
+    for &(b, s, time) in &rows {
+        if last != Some(b) {
+            writeln!(out, "{}:", b.label())?;
+            last = Some(b);
+        }
+        let base = suite.result(b, SystemKind::Stache).time as f64;
+        writeln!(
+            out,
+            "  {:<8} {:>14} cycles   ({:.2}x vs Stache)",
+            s.label(),
+            time,
+            time as f64 / base
+        )?;
+    }
+    writeln!(out)?;
+    Ok(vec![file(csv, report::fig_csv(&rows))])
+}
+
+fn claims(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    let suite = ctx.suite();
+    writeln!(out, "== §6.3 prose claims, checked against this run ==")?;
+    let claims = suite.claims();
+    for c in &claims {
+        writeln!(
+            out,
+            "[{}] {}\n        paper: {:<14} measured: {}",
+            if c.holds { "PASS" } else { "FAIL" },
+            c.description,
+            c.paper,
+            c.measured
+        )?;
+    }
+    writeln!(
+        out,
+        "{} of {} claims hold at scale '{}'\n",
+        claims.iter().filter(|c| c.holds).count(),
+        claims.len(),
+        suite.scale()
+    )?;
+    Ok(Vec::new())
+}
+
+// ================================================================ ablations
+
+/// The array-sum workload of the reduction section at a given scale.
+fn reduction_worksize(scale: Scale) -> ArraySum {
+    match scale {
+        Scale::Paper => ArraySum {
+            len: 1 << 20,
+            passes: 2,
+        },
+        Scale::Medium => ArraySum::default_size(),
+        Scale::Smoke => ArraySum::small(),
+    }
+}
+
+fn reduction(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    let nodes = ctx.scale.nodes();
+    writeln!(
+        out,
+        "== §7.1 Reductions: summing an array on {nodes} processors =="
+    )?;
+    let w = reduction_worksize(ctx.scale);
+    let runs = lcm_sim::par_map(ctx.jobs, ReductionMethod::all().to_vec(), |_, method| {
+        run_reduction(method, nodes, &w)
+    });
+    let mut base = None;
+    for (method, (sum, r)) in ReductionMethod::all().into_iter().zip(runs) {
+        let base_time = *base.get_or_insert(r.time) as f64;
+        writeln!(
+            out,
+            "  {:<15} {:>14} cycles ({:>5.2}x vs shared-acc)  sum={}  misses={}",
+            method.label(),
+            r.time,
+            r.time as f64 / base_time,
+            sum,
+            r.misses()
+        )?;
+    }
+    writeln!(out)?;
+    Ok(Vec::new())
+}
+
+fn false_sharing(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    writeln!(
+        out,
+        "== §7.4 False sharing: 8 writers, one block, 200 rounds =="
+    )?;
+    let w = FalseSharing::default_size();
+    let configs = vec![
+        ("Stache packed", SystemKind::Stache, w),
+        ("Stache padded", SystemKind::Stache, w.padded()),
+        ("LCM-mcc packed", SystemKind::LcmMcc, w),
+        ("LCM-scc packed", SystemKind::LcmScc, w),
+    ];
+    let runs = lcm_sim::par_map(ctx.jobs, configs, |_, (label, sys, wl)| {
+        (
+            label,
+            execute(sys, w.writers, RuntimeConfig::default(), &wl).1,
+        )
+    });
+    for (label, r) in runs {
+        writeln!(
+            out,
+            "  {:<15} {:>12} cycles  misses={:<6} invalidations={}",
+            label,
+            r.time,
+            r.misses(),
+            r.totals.invalidations_sent
+        )?;
+    }
+    writeln!(out)?;
+    Ok(Vec::new())
+}
+
+fn stale(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    writeln!(
+        out,
+        "== §7.5 Stale data: producer field, consumers refresh every k =="
+    )?;
+    let base = StaleData::default_size();
+    let (lag, r) = run_stale(StaleSystem::Coherent, 8, &base);
+    writeln!(
+        out,
+        "  {:<22} {:>12} cycles  misses={:<6} staleness={}",
+        "coherent (k=1)",
+        r.time,
+        r.misses(),
+        lag
+    )?;
+    let ks = vec![2usize, 4, 8, 16];
+    let runs = lcm_sim::par_map(ctx.jobs, ks.clone(), |_, k| {
+        let w = StaleData {
+            refresh_every: k,
+            ..base
+        };
+        run_stale(StaleSystem::StaleRegion, 8, &w)
+    });
+    for (k, (lag, r)) in ks.into_iter().zip(runs) {
+        writeln!(
+            out,
+            "  {:<22} {:>12} cycles  misses={:<6} staleness={:.0}  refreshes={}",
+            format!("stale region (k={k})"),
+            r.time,
+            r.misses(),
+            lag,
+            r.totals.stale_refreshes
+        )?;
+    }
+    writeln!(out)?;
+    Ok(Vec::new())
+}
+
+fn flush_policy(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    out.write_str(
+        "== §5.1 flush elision: per-invocation vs at-reconcile flushes ==
+   (sound when the compiler proves invocations touch distinct locations)
+",
+    )?;
+    let nodes = ctx.scale.nodes();
+    let w = match ctx.scale {
+        Scale::Paper => IndependentMap {
+            len: 1 << 18,
+            sweeps: 4,
+        },
+        Scale::Medium => IndependentMap::default_size(),
+        Scale::Smoke => IndependentMap::small(),
+    };
+    let mut runs = lcm_sim::par_map(
+        ctx.jobs,
+        vec![FlushPolicy::PerInvocation, FlushPolicy::AtReconcile],
+        |_, policy| run_with_flush(policy, nodes, &w).1,
+    );
+    let at_rec = runs.pop().expect("two policies ran");
+    let per_inv = runs.pop().expect("two policies ran");
+    writeln!(
+        out,
+        "  per-invocation {:>12} cycles, {:>8} flushes",
+        per_inv.time, per_inv.totals.flushes
+    )?;
+    writeln!(
+        out,
+        "  at-reconcile   {:>12} cycles, {:>8} flushes  ({:.2}x faster)\n",
+        at_rec.time,
+        at_rec.totals.flushes,
+        per_inv.time as f64 / at_rec.time as f64
+    )?;
+    Ok(Vec::new())
+}
+
+fn cache_limit(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    writeln!(
+        out,
+        "== §6.3 limited-cache ablation: Stencil-stat on a bounded Stache =="
+    )?;
+    let w = Stencil {
+        rows: 256,
+        cols: 256,
+        iters: 10,
+        partition: Partition::Static,
+    };
+    let nodes = 16;
+    let chunk = chunk_blocks(&w, nodes);
+    let lcm = execute(SystemKind::LcmMcc, nodes, RuntimeConfig::default(), &w).1;
+    writeln!(out, "  LCM-mcc (reference)         {:>12} cycles", lcm.time)?;
+    let caps = vec![
+        ("Stache unbounded (paper)", None),
+        ("Stache cap = 2x chunk", Some(2 * chunk)),
+        ("Stache cap = chunk/2", Some(chunk / 2)),
+        ("Stache cap = chunk/8", Some(chunk / 8)),
+    ];
+    let runs = lcm_sim::par_map(ctx.jobs, caps, |_, (label, cap)| {
+        (label, stencil_on_limited_stache(cap, nodes, &w))
+    });
+    for (label, r) in runs {
+        writeln!(
+            out,
+            "  {:<27} {:>12} cycles, {:>8} misses, {:>8} evictions",
+            label,
+            r.time,
+            r.misses(),
+            r.totals.evictions
+        )?;
+    }
+    writeln!(out)?;
+    Ok(Vec::new())
+}
+
+fn tree_reconcile(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    use lcm_core::{Lcm, LcmVariant};
+    use lcm_cstar::{Runtime, Strategy};
+    use lcm_rsm::{MemoryProtocol, ReduceOp};
+    use lcm_tempest::Placement;
+    writeln!(
+        out,
+        "== §5 tree-structured reconciliation (reduction bottleneck) =="
+    )?;
+    let nodes = ctx.scale.nodes().max(16);
+    let runs = lcm_sim::par_map(ctx.jobs, vec![false, true], |_, tree| {
+        let mut mem = Lcm::new(MachineConfig::new(nodes), LcmVariant::Mcc);
+        mem.set_tree_reconcile(tree);
+        let mut rt = Runtime::new(mem, Strategy::LcmDirectives);
+        let a = rt.new_aggregate1::<f32>(nodes * 64, Placement::Blocked, "a");
+        rt.init1(a, |i| (i % 5) as f32);
+        let total = rt.new_reduction_f64(ReduceOp::SumF64, 0.0, "total");
+        rt.apply1(a, Partition::Static, |inv, i| {
+            let v = inv.get(a.at(i)) as f64;
+            inv.reduce_f64(total, v);
+        });
+        let machine = &rt.mem().tempest().machine;
+        (
+            machine.time(),
+            machine.stats(NodeId(0)).versions_reconciled,
+            rt.peek_reduction(total),
+        )
+    });
+    for (tree, (time, merged, sum)) in [false, true].into_iter().zip(runs) {
+        writeln!(
+            out,
+            "  {:<8} total time {:>10} cycles; home node merged {:>3} versions (sum={})",
+            if tree { "tree" } else { "direct" },
+            time,
+            merged,
+            sum
+        )?;
+    }
+    writeln!(out)?;
+    Ok(Vec::new())
+}
+
+fn nbody(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    writeln!(out, "== §7.5 N-body: stale far-field positions ==")?;
+    let base = NBody::default_size();
+    let (reference, coherent) = run_nbody(NBodySystem::Coherent, 8, &base);
+    writeln!(
+        out,
+        "  {:<18} {:>12} cycles, {:>6} misses, rms error 0",
+        "coherent",
+        coherent.time,
+        coherent.misses()
+    )?;
+    let ks = vec![2usize, 4, 8, 16];
+    let runs = lcm_sim::par_map(ctx.jobs, ks.clone(), |_, k| {
+        let w = NBody {
+            refresh_every: k,
+            ..base
+        };
+        run_nbody(NBodySystem::StaleRegion, 8, &w)
+    });
+    for (k, (pos, run)) in ks.into_iter().zip(runs) {
+        writeln!(
+            out,
+            "  {:<18} {:>12} cycles, {:>6} misses, rms error {:.4}",
+            format!("refresh every {k}"),
+            run.time,
+            run.misses(),
+            rms_error(&reference, &pos)
+        )?;
+    }
+    writeln!(out)?;
+    Ok(Vec::new())
+}
+
+/// The sensitivity-sweep stencil at a given scale.
+fn sensitivity_stencil(scale: Scale) -> Stencil {
+    let (rows, iters) = match scale {
+        Scale::Paper => (512, 10),
+        Scale::Medium => (256, 8),
+        Scale::Smoke => (64, 4),
+    };
+    Stencil {
+        rows,
+        cols: rows,
+        iters,
+        partition: Partition::Dynamic,
+    }
+}
+
+/// Swept remote latencies (cycles) of the sensitivity section.
+const SWEEP_LATENCIES: [u64; 5] = [500, 1500, 3000, 6000, 12000];
+/// Swept processor counts of the sensitivity section.
+const SWEEP_NODES: [usize; 4] = [4, 8, 16, 32];
+
+fn sweeps(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    writeln!(
+        out,
+        "== Sensitivity: Stencil-dyn LCM-mcc advantage vs machine parameters =="
+    )?;
+    let w = sensitivity_stencil(ctx.scale);
+    let latency = sweep_remote_latency_jobs(&SWEEP_LATENCIES, ctx.scale.nodes(), &w, ctx.jobs);
+    let nodes = sweep_nodes_jobs(&SWEEP_NODES, &w, ctx.jobs);
+    writeln!(
+        out,
+        "remote round-trip latency sweep ({} processors):",
+        ctx.scale.nodes()
+    )?;
+    for p in latency {
+        writeln!(
+            out,
+            "  remote_miss={:>6} cy: LCM-mcc {:>12}, Stache {:>12}  (advantage {:.2}x)",
+            p.x,
+            p.lcm.time,
+            p.stache.time,
+            p.advantage()
+        )?;
+    }
+    writeln!(out, "processor-count sweep (default cost model):")?;
+    for p in nodes {
+        writeln!(
+            out,
+            "  P={:>2}: LCM-mcc {:>12}, Stache {:>12}  (advantage {:.2}x)",
+            p.x,
+            p.lcm.time,
+            p.stache.time,
+            p.advantage()
+        )?;
+    }
+    writeln!(out)?;
+    Ok(Vec::new())
+}
+
+fn races(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    writeln!(out, "== §7.2/7.3 Conflict detection ==")?;
+    let kernels = RaceKernel::all();
+    let found = lcm_sim::par_map(ctx.jobs, kernels.to_vec(), |_, kernel| {
+        detect_races(kernel, 4)
+    });
+    for (kernel, conflicts) in kernels.into_iter().zip(found) {
+        writeln!(out, "  {:?}: {} conflict(s)", kernel, conflicts.len())?;
+        for c in conflicts.iter().take(4) {
+            writeln!(out, "    - {c}")?;
+        }
+    }
+    writeln!(out)?;
+    Ok(Vec::new())
+}
+
+// ===================================================== fault-model sections
+
+/// The Stencil-dyn workload of the fault, contention, explore, recovery,
+/// critpath, profile and serve sections.
+fn stencil_dyn(scale: Scale) -> Stencil {
+    let (rows, iters) = match scale {
+        Scale::Paper => (256, 10),
+        Scale::Medium => (128, 6),
+        Scale::Smoke => (48, 3),
+    };
+    Stencil {
+        rows,
+        cols: rows,
+        iters,
+        partition: Partition::Dynamic,
+    }
+}
+
+/// The Threshold workload of the fault, recovery and critpath sections.
+fn threshold(scale: Scale) -> Threshold {
     match scale {
         Scale::Paper => Threshold {
             size: 256,
@@ -637,157 +971,9 @@ fn fault_threshold(scale: Scale) -> Threshold {
     }
 }
 
-/// The unreliable-network sweep: execution-time slowdown vs message drop
-/// rate, for all three systems on two benchmarks. Returns the CSV rows.
-fn print_faults(scale: Scale, custom: Option<(f64, u64)>, jobs: usize) -> String {
-    let seed = custom.map_or(0xC0FFEE, |(_, s)| s);
-    let mut rates = vec![0.0, 0.001, 0.01, 0.05];
-    if let Some((r, _)) = custom {
-        if !rates.contains(&r) {
-            rates.push(r);
-            rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-        }
-    }
-    println!("== Unreliable network: slowdown vs message drop rate (seed {seed}) ==");
-    println!("   each drop costs a timeout plus an exponentially backed-off retransmit;");
-    println!("   outputs are checked bit-identical to the fault-free run, and every run");
-    println!("   ends with the coherence-invariant sanitizer");
-    let nodes = scale.nodes();
-    let mut csv = String::from(
-        "benchmark,system,drop_rate,seed,cycles,slowdown,msgs_delivered,retries,timeouts,dropped,duplicated\n",
-    );
-    let stencil = fault_stencil(scale);
-    sweep_faults(
-        "Stencil-dyn",
-        scale,
-        nodes,
-        &stencil,
-        &rates,
-        seed,
-        jobs,
-        &mut csv,
-    );
-    let threshold = fault_threshold(scale);
-    sweep_faults(
-        "Threshold",
-        scale,
-        nodes,
-        &threshold,
-        &rates,
-        seed,
-        jobs,
-        &mut csv,
-    );
-    println!();
-    csv
-}
-
-/// Executes one benchmark's `(system × drop rate)` fault grid on the
-/// sweep engine; results come back in canonical [`SweepKey`] order.
-fn compute_fault_sweep<W>(
-    name: &str,
-    scale: Scale,
-    nodes: usize,
-    w: &W,
-    rates: &[f64],
-    seed: u64,
-    jobs: usize,
-) -> Vec<(SweepKey, (W::Output, RunResult))>
-where
-    W: Workload + Sync,
-    W::Output: Send,
-{
-    let scale_label = scale.to_string();
-    let mut points = Vec::with_capacity(3 * rates.len());
-    for system in SystemKind::all() {
-        for &rate in rates {
-            let key = SweepKey::new(name, system.label(), &scale_label).with_fault(rate);
-            points.push((key, (system, rate)));
-        }
-    }
-    SweepEngine::new(jobs).run(points, |_, (system, rate)| {
-        let faults = FaultConfig::drops(rate, seed);
-        execute_with_faults(system, nodes, faults, RuntimeConfig::default(), w)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sweep_faults<W>(
-    name: &str,
-    scale: Scale,
-    nodes: usize,
-    w: &W,
-    rates: &[f64],
-    seed: u64,
-    jobs: usize,
-    csv: &mut String,
-) where
-    W: Workload + Sync,
-    W::Output: PartialEq + std::fmt::Debug + Send,
-{
-    println!("{name}:");
-    // All points run concurrently; printing walks the canonical grid in
-    // the fixed (system, then rate) order, so stdout and the CSV are
-    // byte-identical to the old serial loop whatever `jobs` is.
-    let runs = compute_fault_sweep(name, scale, nodes, w, rates, seed, jobs);
-    let scale_label = scale.to_string();
-    let point = |system: SystemKind, rate: f64| {
-        let key = SweepKey::new(name, system.label(), &scale_label).with_fault(rate);
-        runs.iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, run)| run)
-            .expect("every grid point was computed")
-    };
-    assert_eq!(rates[0], 0.0, "the first rate is the fault-free baseline");
-    for system in SystemKind::all() {
-        let (base_out, base) = point(system, rates[0]);
-        for &rate in rates {
-            let (out, r) = point(system, rate);
-            assert_eq!(
-                base_out, out,
-                "{name}/{system}: faults changed the result at drop rate {rate}"
-            );
-            let slowdown = r.time as f64 / base.time as f64;
-            println!(
-                "  {:<8} drop={:<6} {:>13} cycles ({:>5.2}x)  retries={:<6} timeouts={:<6} dropped={:<6} dup={}",
-                system.label(),
-                rate,
-                r.time,
-                slowdown,
-                r.totals.retries,
-                r.totals.timeouts,
-                r.totals.msgs_dropped,
-                r.totals.msgs_duplicated,
-            );
-            csv.push_str(&format!(
-                "{name},{},{rate},{seed},{},{slowdown:.4},{},{},{},{},{}\n",
-                system.label(),
-                r.time,
-                r.msgs_total(),
-                r.totals.retries,
-                r.totals.timeouts,
-                r.totals.msgs_dropped,
-                r.totals.msgs_duplicated,
-            ));
-        }
-        let last = &point(system, *rates.last().expect("rates nonempty")).1;
-        let mix: Vec<String> = last
-            .msg_kinds
-            .iter()
-            .filter(|(_, n)| *n > 0)
-            .map(|(kind, n)| format!("{}={n}", kind.label()))
-            .collect();
-        println!("           msgs at max rate: {}", mix.join(" "));
-    }
-}
-
-/// Swept link bandwidths in bytes/cycle; 0 means unlimited — the
-/// default (dormant) network model, and the baseline every slowdown in
-/// the section is measured against.
-const CONTENTION_BANDWIDTHS: [u64; 4] = [0, 64, 16, 4];
-
-/// The unstructured-mesh workload of the contention sweep.
-fn contention_unstructured(scale: Scale) -> Unstructured {
+/// The unstructured-mesh workload of the contention, recovery and
+/// critpath sections.
+fn unstructured(scale: Scale) -> Unstructured {
     match scale {
         Scale::Paper => Unstructured::paper(),
         Scale::Medium => Unstructured {
@@ -798,44 +984,210 @@ fn contention_unstructured(scale: Scale) -> Unstructured {
     }
 }
 
-/// One benchmark's `(system × bandwidth)` contention grid on the sweep
-/// engine; results come back in canonical [`SweepKey`] order.
-fn compute_contention_grid<W>(
-    name: &str,
-    scale: Scale,
-    nodes: usize,
-    w: &W,
-    jobs: usize,
-) -> Vec<(SweepKey, (W::Output, RunResult))>
-where
-    W: Workload + Sync,
-    W::Output: Send,
-{
-    let scale_label = scale.to_string();
-    let mut points = Vec::with_capacity(3 * CONTENTION_BANDWIDTHS.len());
-    for system in SystemKind::all() {
-        for &bw in &CONTENTION_BANDWIDTHS {
-            let key = SweepKey::new(name, system.label(), &scale_label).with_sensitivity(bw);
-            points.push((key, (system, bw)));
+/// The unreliable-network sweep: execution-time slowdown vs message drop
+/// rate, for all three systems on two benchmarks.
+fn faults(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    let seed = ctx.faults.map_or(0xC0FFEE, |(_, s)| s);
+    let mut rates = vec![0.0, 0.001, 0.01, 0.05];
+    if let Some((r, _)) = ctx.faults {
+        if !rates.contains(&r) {
+            rates.push(r);
+            rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
         }
     }
-    SweepEngine::new(jobs).run(points, |_, (system, bw)| {
-        let cost = CostModel::cm5().with_link_bandwidth(bw);
-        execute_with_cost(system, nodes, cost, RuntimeConfig::default(), w)
-    })
+    write!(
+        out,
+        "== Unreliable network: slowdown vs message drop rate (seed {seed}) ==
+   each drop costs a timeout plus an exponentially backed-off retransmit;
+   outputs are checked bit-identical to the fault-free run, and every run
+   ends with the coherence-invariant sanitizer
+"
+    )?;
+    let mut csv = String::from(
+        "benchmark,system,drop_rate,seed,cycles,slowdown,msgs_delivered,retries,timeouts,dropped,duplicated\n",
+    );
+    let scale = ctx.scale;
+    sweep_faults(
+        ctx,
+        "Stencil-dyn",
+        &stencil_dyn(scale),
+        &rates,
+        seed,
+        &mut csv,
+        out,
+    )?;
+    sweep_faults(
+        ctx,
+        "Threshold",
+        &threshold(scale),
+        &rates,
+        seed,
+        &mut csv,
+        out,
+    )?;
+    writeln!(out)?;
+    Ok(vec![file("faults.csv", csv)])
 }
 
-/// Prints one benchmark's bandwidth sweep and appends its CSV rows.
-fn sweep_contention<W>(name: &str, scale: Scale, nodes: usize, w: &W, jobs: usize, csv: &mut String)
+/// One benchmark's `(system × drop rate)` grid on the sweep engine.
+/// Printing walks the canonical grid in (system, then rate) order, so
+/// stdout and the CSV are byte-identical whatever `--jobs` is.
+fn sweep_faults<W>(
+    ctx: &Ctx,
+    name: &str,
+    w: &W,
+    rates: &[f64],
+    seed: u64,
+    csv: &mut String,
+    out: &mut dyn Write,
+) -> Res<()>
 where
     W: Workload + Sync,
     W::Output: PartialEq + std::fmt::Debug + Send,
 {
-    println!("{name}:");
-    let runs = compute_contention_grid(name, scale, nodes, w, jobs);
-    let scale_label = scale.to_string();
+    writeln!(out, "{name}:")?;
+    let (nodes, scale_label) = (ctx.scale.nodes(), ctx.scale.to_string());
+    let key = |system: SystemKind, rate: f64| {
+        SweepKey::new(name, system.label(), &scale_label).with_fault(rate)
+    };
+    let points = SystemKind::all()
+        .into_iter()
+        .flat_map(|s| rates.iter().map(move |&r| (key(s, r), (s, r))))
+        .collect();
+    let runs = SweepEngine::new(ctx.jobs).run(points, |_, (system, rate)| {
+        let faults = FaultConfig::drops(rate, seed);
+        execute_with_faults(system, nodes, faults, RuntimeConfig::default(), w)
+    });
+    let point = |system: SystemKind, rate: f64| {
+        let key = key(system, rate);
+        runs.iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, run)| run)
+            .expect("every grid point was computed")
+    };
+    assert_eq!(rates[0], 0.0, "the first rate is the fault-free baseline");
+    for system in SystemKind::all() {
+        let (base_out, base) = point(system, rates[0]);
+        for &rate in rates {
+            let (out_val, r) = point(system, rate);
+            assert_eq!(
+                base_out, out_val,
+                "{name}/{system}: faults changed the result at drop rate {rate}"
+            );
+            let slowdown = r.time as f64 / base.time as f64;
+            writeln!(
+                out,
+                "  {:<8} drop={:<6} {:>13} cycles ({:>5.2}x)  retries={:<6} timeouts={:<6} dropped={:<6} dup={}",
+                system.label(),
+                rate,
+                r.time,
+                slowdown,
+                r.totals.retries,
+                r.totals.timeouts,
+                r.totals.msgs_dropped,
+                r.totals.msgs_duplicated,
+            )?;
+            writeln!(
+                csv,
+                "{name},{},{rate},{seed},{},{slowdown:.4},{},{},{},{},{}",
+                system.label(),
+                r.time,
+                r.msgs_total(),
+                r.totals.retries,
+                r.totals.timeouts,
+                r.totals.msgs_dropped,
+                r.totals.msgs_duplicated,
+            )?;
+        }
+        let last = &point(system, *rates.last().expect("rates nonempty")).1;
+        let mix: Vec<String> = last
+            .msg_kinds
+            .iter()
+            .filter(|(_, n)| *n > 0)
+            .map(|(kind, n)| format!("{}={n}", kind.label()))
+            .collect();
+        writeln!(out, "           msgs at max rate: {}", mix.join(" "))?;
+    }
+    Ok(())
+}
+
+/// Swept link bandwidths in bytes/cycle; 0 means unlimited — the
+/// default (dormant) network model, and the baseline every slowdown in
+/// the section is measured against.
+const CONTENTION_BANDWIDTHS: [u64; 4] = [0, 64, 16, 4];
+
+/// The link-contention sweep: execution time vs fat-tree link bandwidth
+/// for all three systems on four benchmarks.
+fn contention(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    out.write_str(
+        "== Link contention: CM-5 fat-tree fabric, time vs link bandwidth ==
+   finite bandwidth serializes each message onto its fat-tree route and
+   queues it behind in-flight traffic (charged to the receiver as
+   net_contention); bw=unlimited is the dormant default model and the
+   per-system baseline
+",
+    )?;
+    let (scale, nodes) = (ctx.scale, ctx.scale.nodes());
+    let mut csv = String::from(
+        "benchmark,system,bandwidth_bytes_per_cycle,cycles,slowdown,net_contention_cycles,msgs,bytes\n",
+    );
+    let red = ReductionSum(reduction_worksize(scale));
+    sweep_contention(ctx, "Reduction", nodes, &red, &mut csv, out)?;
+    let fs = if matches!(scale, Scale::Smoke) {
+        FalseSharing::small()
+    } else {
+        FalseSharing::default_size()
+    };
+    sweep_contention(ctx, "FalseShare", fs.writers, &fs, &mut csv, out)?;
+    sweep_contention(
+        ctx,
+        "Unstructured",
+        nodes,
+        &unstructured(scale),
+        &mut csv,
+        out,
+    )?;
+    sweep_contention(
+        ctx,
+        "Stencil-dyn",
+        nodes,
+        &stencil_dyn(scale),
+        &mut csv,
+        out,
+    )?;
+    writeln!(out)?;
+    Ok(vec![file("contention.csv", csv)])
+}
+
+/// One benchmark's `(system × bandwidth)` grid on the sweep engine,
+/// printed in canonical order, with its CSV rows appended to `csv`.
+fn sweep_contention<W>(
+    ctx: &Ctx,
+    name: &str,
+    nodes: usize,
+    w: &W,
+    csv: &mut String,
+    out: &mut dyn Write,
+) -> Res<()>
+where
+    W: Workload + Sync,
+    W::Output: PartialEq + std::fmt::Debug + Send,
+{
+    writeln!(out, "{name}:")?;
+    let scale_label = ctx.scale.to_string();
+    let key = |system: SystemKind, bw: u64| {
+        SweepKey::new(name, system.label(), &scale_label).with_sensitivity(bw)
+    };
+    let points = SystemKind::all()
+        .into_iter()
+        .flat_map(|s| CONTENTION_BANDWIDTHS.map(|bw| (key(s, bw), (s, bw))))
+        .collect();
+    let runs = SweepEngine::new(ctx.jobs).run(points, |_, (system, bw)| {
+        let cost = CostModel::cm5().with_link_bandwidth(bw);
+        execute_with_cost(system, nodes, cost, RuntimeConfig::default(), w)
+    });
     let point = |system: SystemKind, bw: u64| {
-        let key = SweepKey::new(name, system.label(), &scale_label).with_sensitivity(bw);
+        let key = key(system, bw);
         runs.iter()
             .find(|(k, _)| *k == key)
             .map(|(_, run)| run)
@@ -843,34 +1195,31 @@ where
     };
     for system in SystemKind::all() {
         let (base_out, base) = point(system, 0);
-        for &bw in &CONTENTION_BANDWIDTHS {
-            let (out, r) = point(system, bw);
+        for bw in CONTENTION_BANDWIDTHS {
+            let (out_val, r) = point(system, bw);
             assert_eq!(
-                base_out, out,
+                base_out, out_val,
                 "{name}/{system}: contention changed the result at bandwidth {bw}"
             );
             let slowdown = r.time as f64 / base.time as f64;
             let queued = r.ledger.totals()[CycleCat::NetContention.index()];
-            let bw_label = if bw == 0 {
-                "unlimited".to_string()
-            } else {
-                format!("{bw} B/cy")
-            };
-            println!(
+            writeln!(
+                out,
                 "  {:<8} bw={:<10} {:>13} cycles ({:>5.2}x)  net_contention={}",
                 system.label(),
-                bw_label,
+                bw_label(bw),
                 r.time,
                 slowdown,
                 queued
-            );
-            csv.push_str(&format!(
-                "{name},{},{bw},{},{slowdown:.4},{queued},{},{}\n",
+            )?;
+            writeln!(
+                csv,
+                "{name},{},{bw},{},{slowdown:.4},{queued},{},{}",
                 system.label(),
                 r.time,
                 r.msgs_total(),
                 r.totals.bytes_sent,
-            ));
+            )?;
         }
     }
     // Where the cycles went: the busiest links of the most contended
@@ -880,219 +1229,464 @@ where
         .filter(|&&b| b > 0)
         .min()
         .expect("the sweep includes a finite bandwidth");
-    let (_, worst) = point(SystemKind::Stache, tightest);
-    let links = profile::hottest_links_table(worst, 5);
+    let links = profile::hottest_links_table(&point(SystemKind::Stache, tightest).1, 5);
     if !links.is_empty() {
-        println!("  hottest links (Stache at {tightest} B/cycle):");
-        print!("{links}");
+        writeln!(out, "  hottest links (Stache at {tightest} B/cycle):")?;
+        write!(out, "{links}")?;
     }
+    Ok(())
 }
 
-/// The link-contention sweep: execution time vs fat-tree link bandwidth
-/// for all three systems on four benchmarks. Returns the CSV rows.
-fn print_contention(scale: Scale, jobs: usize) -> String {
-    println!("== Link contention: CM-5 fat-tree fabric, time vs link bandwidth ==");
-    println!("   finite bandwidth serializes each message onto its fat-tree route and");
-    println!("   queues it behind in-flight traffic (charged to the receiver as");
-    println!("   net_contention); bw=unlimited is the dormant default model and the");
-    println!("   per-system baseline");
-    let nodes = scale.nodes();
-    let mut csv = String::from(
-        "benchmark,system,bandwidth_bytes_per_cycle,cycles,slowdown,net_contention_cycles,msgs,bytes\n",
-    );
-    sweep_contention(
-        "Reduction",
-        scale,
-        nodes,
-        &ReductionSum(reduction_worksize(scale)),
-        jobs,
-        &mut csv,
-    );
-    let fs = if matches!(scale, Scale::Smoke) {
-        FalseSharing::small()
-    } else {
-        FalseSharing::default_size()
-    };
-    sweep_contention("FalseShare", scale, fs.writers, &fs, jobs, &mut csv);
-    sweep_contention(
-        "Unstructured",
-        scale,
-        nodes,
-        &contention_unstructured(scale),
-        jobs,
-        &mut csv,
-    );
-    sweep_contention(
-        "Stencil-dyn",
-        scale,
-        nodes,
-        &fault_stencil(scale),
-        jobs,
-        &mut csv,
-    );
-    println!();
-    csv
-}
+// ========================================================= capture sections
 
 /// Swept link bandwidths of the explore grid (bytes/cycle; 0 = unlimited).
 const EXPLORE_BANDWIDTHS: [u64; 4] = [0, 64, 16, 4];
 /// Swept remote-miss latencies of the explore grid (cycles).
 const EXPLORE_LATENCIES: [u64; 3] = [500, 3000, 12000];
+/// The benchmarks of the explore and serve trace set, each captured on
+/// all three systems.
+const TRACE_SET: [&str; 2] = ["Reduction", "Stencil-dyn"];
 
-/// Rolling state of the explore section: grid rows plus timing totals,
-/// accumulated one capture at a time so only a single trace is ever
-/// resident (medium-scale captures run to millions of events).
-#[derive(Default)]
-struct ExploreAcc {
-    rows: Vec<explore::ExploreRow>,
-    traces: usize,
-    events: usize,
-    capture_secs: f64,
-    replay_secs: f64,
+/// A trace-set capture's name, e.g. `stencil-dyn-lcm-mcc`.
+fn trace_name(bench: &str, system: SystemKind) -> String {
+    format!("{}-{}", bench.to_lowercase(), system.label().to_lowercase())
 }
 
-/// Captures one (benchmark, system) pair, validates the capture,
-/// optionally saves it as a `.lcmtrace`, replays the grid over it, and
-/// folds everything into `acc`.
-#[allow(clippy::too_many_arguments)]
-fn explore_one<W: Workload>(
-    benchmark: &str,
-    scale_label: &str,
-    system: SystemKind,
-    nodes: usize,
-    w: &W,
-    jobs: usize,
-    trace_dir: Option<&std::path::Path>,
-    acc: &mut ExploreAcc,
-) {
-    let t0 = Instant::now();
-    let file = explore::capture_workload(
-        benchmark,
-        scale_label,
-        system,
-        nodes,
-        RuntimeConfig::default(),
-        w,
-        explore::CAPTURE_CAPACITY,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    if let Err(e) = lcm_replay::validate(&file) {
-        eprintln!("capture {benchmark}/{system} failed validation: {e}");
-        std::process::exit(1);
-    }
-    acc.capture_secs += t0.elapsed().as_secs_f64();
-    if let Some(dir) = trace_dir {
-        let name = format!(
-            "{}-{}.lcmtrace",
-            benchmark.to_lowercase(),
-            system.label().to_lowercase()
-        );
-        if let Err(e) = file.write_to(&dir.join(&name)) {
-            eprintln!("{e}");
-            std::process::exit(1);
+/// Captures one trace-set member and validates it against its
+/// execution-driven run.
+fn capture_validated(bench: &str, scale: Scale, system: SystemKind) -> Result<TraceFile, String> {
+    let (label, nodes) = (scale.to_string(), scale.nodes());
+    let (config, cap) = (RuntimeConfig::default(), explore::CAPTURE_CAPACITY);
+    let file = match bench {
+        "Reduction" => {
+            let w = ReductionSum(reduction_worksize(scale));
+            explore::capture_workload(bench, &label, system, nodes, config, &w, cap)
         }
-    }
-    acc.traces += 1;
-    acc.events += file.events.len();
-    let t1 = Instant::now();
-    let handle = std::sync::Arc::new(file);
-    acc.rows.extend(explore::explore_grid(
-        std::slice::from_ref(&handle),
-        &EXPLORE_BANDWIDTHS,
-        &EXPLORE_LATENCIES,
-        jobs,
-    ));
-    acc.replay_secs += t1.elapsed().as_secs_f64();
+        _ => explore::capture_workload(
+            bench,
+            &label,
+            system,
+            nodes,
+            config,
+            &stencil_dyn(scale),
+            cap,
+        ),
+    }?;
+    lcm_replay::validate(&file)
+        .map_err(|e| format!("capture {bench}/{system} failed validation: {e}"))?;
+    Ok(file)
 }
 
-/// The design-space exploration: capture each (benchmark, system) pair
-/// once, validate the captures, then re-price them across the bandwidth
-/// × latency grid with the replay engine. Returns the CSV rows.
-fn print_explore(scale: Scale, jobs: usize, trace_dir: Option<&std::path::Path>) -> String {
-    println!("== Design-space exploration: replayed cost-model grid (scale '{scale}') ==");
-    println!("   each (benchmark, system) pair executes once in capture mode; every grid");
-    println!("   point below is the trace re-priced by lcm-replay, not a re-execution,");
-    println!("   and each capture is validated to reproduce its execution-driven run");
-    if let Some(dir) = trace_dir {
-        if let Err(e) = ensure_dir(dir) {
-            eprintln!("{e}");
-            std::process::exit(1);
+/// The design-space exploration: capture each trace-set pair once (one
+/// at a time: medium captures run to millions of events), validate it,
+/// then re-price it across the bandwidth × latency grid with the replay
+/// engine. With `--csv`, every capture is also saved as a `.lcmtrace`.
+fn design_space(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    writeln!(
+        out,
+        "== Design-space exploration: replayed cost-model grid (scale '{}') ==",
+        ctx.scale
+    )?;
+    out.write_str(
+        "   each (benchmark, system) pair executes once in capture mode; every grid
+   point below is the trace re-priced by lcm-replay, not a re-execution,
+   and each capture is validated to reproduce its execution-driven run
+",
+    )?;
+    let mut files = Files::new();
+    let mut rows = Vec::new();
+    let (mut events, mut capture_secs, mut replay_secs) = (0, 0.0, 0.0);
+    for bench in TRACE_SET {
+        for system in SystemKind::all() {
+            let t0 = Instant::now();
+            let trace = capture_validated(bench, ctx.scale, system)?;
+            capture_secs += t0.elapsed().as_secs_f64();
+            if ctx.csv.is_some() {
+                let name = format!("{}.lcmtrace", trace_name(bench, system));
+                files.push(file(&name, trace.to_bytes()));
+            }
+            events += trace.events.len();
+            let t1 = Instant::now();
+            rows.extend(explore::explore_grid(
+                &[Arc::new(trace)],
+                &EXPLORE_BANDWIDTHS,
+                &EXPLORE_LATENCIES,
+                ctx.jobs,
+            ));
+            replay_secs += t1.elapsed().as_secs_f64();
         }
     }
-    let nodes = scale.nodes();
-    let scale_label = scale.to_string();
-    let red = ReductionSum(reduction_worksize(scale));
-    let sten = fault_stencil(scale);
-    let mut acc = ExploreAcc::default();
-    for system in SystemKind::all() {
-        explore_one(
-            "Reduction",
-            &scale_label,
-            system,
-            nodes,
-            &red,
-            jobs,
-            trace_dir,
-            &mut acc,
-        );
-    }
-    for system in SystemKind::all() {
-        explore_one(
-            "Stencil-dyn",
-            &scale_label,
-            system,
-            nodes,
-            &sten,
-            jobs,
-            trace_dir,
-            &mut acc,
-        );
-    }
-    // Wall-clock times and the trace directory vary between runs, so
-    // they go to stderr: stdout stays byte-identical at any --jobs
-    // (the §4d contract, diffed in CI).
-    if let Some(dir) = trace_dir {
-        eprintln!(
-            "   {} .lcmtrace capture files written to {}",
-            acc.traces,
-            dir.display()
-        );
-    }
-    let ExploreAcc {
-        rows,
-        traces,
-        events,
-        capture_secs,
-        replay_secs,
-    } = acc;
-    println!(
-        "   {traces} traces ({events} events) captured+validated; {} grid points replayed",
+    writeln!(
+        out,
+        "   {} traces ({events} events) captured+validated; {} grid points replayed",
+        TRACE_SET.len() * SystemKind::all().len(),
         rows.len()
-    );
+    )?;
     eprintln!("   (wall-clock: capture+validate {capture_secs:.1}s, replay {replay_secs:.2}s)");
-    println!(
+    writeln!(
+        out,
         "  {:<12} {:<9} {:>10} | {:>13} {:>13} {:>13}",
         "benchmark", "system", "bandwidth", "lat=500", "lat=3000", "lat=12000"
-    );
+    )?;
     for chunk in rows.chunks(EXPLORE_LATENCIES.len()) {
         let r = &chunk[0];
-        let bw_label = if r.bandwidth == 0 {
-            "unlimited".to_string()
-        } else {
-            format!("{} B/cy", r.bandwidth)
-        };
         let times: Vec<String> = chunk.iter().map(|r| r.time.to_string()).collect();
-        println!(
+        writeln!(
+            out,
             "  {:<12} {:<9} {:>10} | {:>13} {:>13} {:>13}",
-            r.benchmark, r.system, bw_label, times[0], times[1], times[2]
-        );
+            r.benchmark,
+            r.system,
+            bw_label(r.bandwidth),
+            times[0],
+            times[1],
+            times[2]
+        )?;
     }
-    println!();
-    explore::explore_csv(&rows)
+    writeln!(out)?;
+    files.push(file("explore.csv", explore::explore_csv(&rows)));
+    Ok(files)
 }
+
+/// Link bandwidth (bytes/cycle) of the `critpath` section's captures:
+/// finite, so network contention exists and the on-path vs slack-hidden
+/// split has something to say about it.
+const CRITPATH_BANDWIDTH: u64 = 16;
+
+/// Chrome-trace export cap for `--flow-trace`: beyond this many capture
+/// events the JSON becomes unloadable, so the export keeps a prefix and
+/// says so on stderr.
+const FLOW_EXPORT_EVENTS: usize = 4_000_000;
+
+/// One analyzed capture of the `critpath` section. The edge list is
+/// already summarized (latency rows, optional flow JSON) and dropped by
+/// the worker, so nine captures' edges never coexist in memory.
+struct CritOut {
+    benchmark: &'static str,
+    system: SystemKind,
+    cp: lcm_replay::CritPath,
+    whatifs: Vec<critpath::WhatIfRow>,
+    latency: Vec<report::MsgLatencyRow>,
+    flow_json: Option<(String, usize)>,
+}
+
+/// Captures one benchmark×system execution at finite bandwidth, runs the
+/// happens-before analysis, and validates its what-if projections
+/// against genuine replays under modified cost models.
+fn critpath_one(
+    bench: usize,
+    system: SystemKind,
+    scale: Scale,
+    want_flow: bool,
+) -> Result<CritOut, String> {
+    let cost = CostModel::cm5().with_link_bandwidth(CRITPATH_BANDWIDTH);
+    let mc = MachineConfig::new(scale.nodes()).with_cost(cost);
+    let (label, config, cap) = (
+        scale.to_string(),
+        RuntimeConfig::default(),
+        explore::CAPTURE_CAPACITY,
+    );
+    let (benchmark, file) = match bench {
+        0 => (
+            "Stencil-dyn",
+            explore::capture_with_machine(
+                "Stencil-dyn",
+                &label,
+                system,
+                mc,
+                config,
+                &stencil_dyn(scale),
+                cap,
+            )?,
+        ),
+        1 => (
+            "Threshold",
+            explore::capture_with_machine(
+                "Threshold",
+                &label,
+                system,
+                mc,
+                config,
+                &threshold(scale),
+                cap,
+            )?,
+        ),
+        _ => (
+            "Unstructured",
+            explore::capture_with_machine(
+                "Unstructured",
+                &label,
+                system,
+                mc,
+                config,
+                &unstructured(scale),
+                cap,
+            )?,
+        ),
+    };
+    let system_label = system.label();
+    lcm_replay::validate(&file)
+        .map_err(|e| format!("{benchmark}/{system_label}: capture failed validation: {e}"))?;
+    let mut cp = lcm_replay::analyze(&file);
+    if cp.path_length() != cp.makespan {
+        return Err(format!(
+            "{benchmark}/{system_label}: path length {} != makespan {}",
+            cp.path_length(),
+            cp.makespan
+        ));
+    }
+    let mut whatifs = critpath::top_whatifs(&cp, 10);
+    // Exactly-checkable projection: zeroing `net_contention` must equal a
+    // genuine replay of the same trace at unlimited bandwidth, because no
+    // other charge in the stream depends on the link model. A mismatch
+    // means the analyzer's cost arithmetic diverged from the engine's —
+    // fail the section rather than print a wrong projection.
+    let mut bw0 = file.cost;
+    bw0.link_bandwidth_bytes_per_cycle = 0;
+    let r0 = lcm_replay::replay(&file, &bw0, file.topology);
+    let nc0 = cp.whatif(&[CycleCat::NetContention], 0);
+    if nc0 != r0.time {
+        return Err(format!(
+            "{benchmark}/{system_label}: what-if net_contention x0% projects {nc0} cycles but \
+             a zero-bandwidth replay takes {}",
+            r0.time
+        ));
+    }
+    let note = format!("exact;replay={}", r0.time);
+    match whatifs.iter_mut().find(|w| w.item == "net_contention x0%") {
+        Some(w) => w.note = note,
+        None => whatifs.push(critpath::WhatIfRow {
+            item: "net_contention x0%".to_string(),
+            predicted: nc0,
+            note,
+        }),
+    }
+    // Tolerance-checked projection: doubling the remote-stall categories
+    // vs a genuine replay with `remote_miss` doubled. These diverge where
+    // the engine prices a charge by `remote_miss - msg_send` rather than
+    // proportionally (§4h documents the limit); the measured error is
+    // reported in the row's note.
+    let mut rm2 = file.cost;
+    rm2.remote_miss *= 2;
+    let r2 = lcm_replay::replay(&file, &rm2, file.topology);
+    let pred2 = cp.whatif(
+        &[CycleCat::ReadStallRemote, CycleCat::WriteStallRemote],
+        200,
+    );
+    let err2 = 100.0 * (pred2 as f64 - r2.time as f64) / r2.time as f64;
+    whatifs.push(critpath::WhatIfRow {
+        item: "remote_stalls x200%".to_string(),
+        predicted: pred2,
+        note: format!("replay={};err={err2:+.2}%", r2.time),
+    });
+    let latency = critpath::msg_latency_rows(benchmark, system_label, &cp);
+    let flow_json =
+        (want_flow && benchmark == "Stencil-dyn" && system == SystemKind::LcmMcc).then(|| {
+            let cut = file.events.len().min(FLOW_EXPORT_EVENTS);
+            if cut < file.events.len() {
+                let max_seq = file.events[cut - 1].seq;
+                cp.edges
+                    .retain(|e| e.send_seq <= max_seq && e.recv_seq <= max_seq);
+            }
+            let (flows, path) = critpath::flow_annotations(&cp);
+            (
+                profile::chrome_trace_json_with_flows(
+                    &file.events[..cut],
+                    file.nodes,
+                    &[],
+                    &flows,
+                    &path,
+                ),
+                file.events.len() - cut,
+            )
+        });
+    cp.edges = Vec::new();
+    Ok(CritOut {
+        benchmark,
+        system,
+        cp,
+        whatifs,
+        latency,
+        flow_json,
+    })
+}
+
+/// The `critpath` section: capture every benchmark×system pair at finite
+/// bandwidth, run the happens-before analysis, print per-pair reports
+/// and the on-path vs slack-hidden headline table.
+fn critical_path(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    write!(
+        out,
+        "== Critical path: happens-before analysis of captured executions ==
+   each benchmark×system pair executes once in capture mode with
+   {CRITPATH_BANDWIDTH} B/cy links; the happens-before walk reproduces the makespan
+   bit-exactly, splits every ledger category into on-path vs slack-
+   hidden cycles, and projects causal what-ifs (validated against
+   genuine replays under modified cost models)
+"
+    )?;
+    let (scale, want_flow) = (ctx.scale, ctx.flow_trace.is_some());
+    let t0 = Instant::now();
+    let items: Vec<(usize, SystemKind)> = (0..3)
+        .flat_map(|b| SystemKind::all().into_iter().map(move |s| (b, s)))
+        .collect();
+    let outs = lcm_sim::par_map(ctx.jobs, items, |_, (bench, system)| {
+        critpath_one(bench, system, scale, want_flow)
+    })
+    .into_iter()
+    .collect::<Result<Vec<CritOut>, String>>()
+    .map_err(|e| format!("critpath: {e}"))?;
+    eprintln!(
+        "   (wall-clock: capture+analyze {:.1}s)",
+        t0.elapsed().as_secs_f64()
+    );
+    for o in &outs {
+        writeln!(out, "-- {} / {} --", o.benchmark, o.system.label())?;
+        writeln!(out, "{}", critpath::critpath_report(&o.cp, &o.whatifs))?;
+    }
+    out.write_str(
+        "net contention, on-path share (the flat ledger counts every stall;
+only the on-path fraction actually bounds the run):
+",
+    )?;
+    writeln!(
+        out,
+        "  {:<14} {:>24} {:>24}",
+        "benchmark", "Stache", "LCM-mcc"
+    )?;
+    let cell = |bench: &str, sys: SystemKind| -> String {
+        outs.iter()
+            .find(|o| o.benchmark == bench && o.system == sys)
+            .map_or("-".to_string(), |o| {
+                let i = CycleCat::NetContention.index();
+                let (on, tot) = (o.cp.on_path_by_cat()[i], o.cp.total_by_cat()[i]);
+                if tot == 0 {
+                    "none".to_string()
+                } else {
+                    format!("{:.1}% of {tot}", 100.0 * on as f64 / tot as f64)
+                }
+            })
+    };
+    for bench in ["Stencil-dyn", "Threshold", "Unstructured"] {
+        writeln!(
+            out,
+            "  {bench:<14} {:>24} {:>24}",
+            cell(bench, SystemKind::Stache),
+            cell(bench, SystemKind::LcmMcc)
+        )?;
+    }
+    writeln!(out)?;
+    let mut latency: Vec<report::MsgLatencyRow> = Vec::new();
+    let mut entries = Vec::new();
+    for o in outs {
+        if let (Some(path), Some((json, truncated))) = (&ctx.flow_trace, &o.flow_json) {
+            write_path(path, json.as_bytes())?;
+            eprintln!(
+                "   flow-annotated Chrome-trace JSON written to {} — load it at \
+                 ui.perfetto.dev and follow the send→recv arrows",
+                path.display()
+            );
+            if *truncated > 0 {
+                eprintln!(
+                    "   (export truncated: {truncated} events past the first \
+                     {FLOW_EXPORT_EVENTS} were dropped, with their flow arrows)"
+                );
+            }
+        }
+        latency.extend(o.latency);
+        entries.push((
+            o.benchmark.to_string(),
+            o.system.label().to_string(),
+            o.cp,
+            o.whatifs,
+        ));
+    }
+    let mut files = vec![file("critpath.csv", critpath::critpath_csv(&entries))];
+    // The one cross-section coupling: when this run also built the suite,
+    // `messages.csv` (written plain by `table1`, earlier in run order)
+    // gains the captures' delivery-latency columns.
+    if let Some(suite) = ctx.suite.get() {
+        let messages = report::messages_csv_with_latency(suite, &latency);
+        files.push(file("messages.csv", messages));
+    }
+    Ok(files)
+}
+
+/// The cycle-attribution profile: Stencil-dyn on all three systems with
+/// tracing on, per-node cycle breakdowns, hottest blocks, and message
+/// histograms. `--trace FILE` also exports the LCM-mcc event stream as
+/// Chrome-trace JSON.
+fn cycle_profile(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    out.write_str(
+        "== Cycle-attribution profile: Stencil-dyn, every cycle to a category ==
+   (per-node category sums are conservation-checked against the clocks
+   by the sanitizer on every harvest)
+",
+    )?;
+    let nodes = ctx.scale.nodes();
+    let w = stencil_dyn(ctx.scale);
+    // The three traced runs execute concurrently; reports print in the
+    // fixed system order afterwards.
+    let traced = lcm_sim::par_map(ctx.jobs, SystemKind::all().to_vec(), |_, system| {
+        let mc = MachineConfig::new(nodes).with_trace(2_000_000);
+        let (_, r, events) = execute_traced(system, mc, RuntimeConfig::default(), &w);
+        (r, events)
+    });
+    let cost = CostModel::cm5();
+    let mut results = Vec::new();
+    for (system, (r, events)) in SystemKind::all().into_iter().zip(traced) {
+        writeln!(out, "{}", profile::profile_report(&r, &events, &cost))?;
+        if let (SystemKind::LcmMcc, Some(path)) = (system, &ctx.trace) {
+            write_path(path, profile::chrome_trace_json(&events, nodes).as_bytes())?;
+            eprintln!(
+                "Chrome-trace JSON ({} events) written to {} — load it at \
+                 ui.perfetto.dev or chrome://tracing",
+                events.len(),
+                path.display()
+            );
+        }
+        results.push(r);
+    }
+    // Critical-path drill-down: one more LCM-mcc execution in capture
+    // mode, analyzed by the happens-before walk. The flat breakdown above
+    // counts every charged cycle; this splits each category into cycles
+    // on the critical path vs cycles hidden behind a slower node.
+    writeln!(
+        out,
+        "-- critical-path drill-down (LCM-mcc, captured execution) --"
+    )?;
+    match explore::capture_workload(
+        "Stencil-dyn",
+        &ctx.scale.to_string(),
+        SystemKind::LcmMcc,
+        nodes,
+        RuntimeConfig::default(),
+        &w,
+        explore::CAPTURE_CAPACITY,
+    ) {
+        Ok(file) => {
+            let cp = lcm_replay::analyze(&file);
+            write!(out, "{}", critpath::drilldown_table(&cp))?;
+            writeln!(
+                out,
+                "  path length {} == makespan {} ({} epochs); run the `critpath` \
+                 section for slack histograms and what-ifs",
+                cp.path_length(),
+                cp.makespan,
+                cp.epochs.len()
+            )?;
+        }
+        // Deterministic for a given scale, so stdout stays --jobs-stable.
+        Err(e) => writeln!(out, "  drill-down unavailable: {e}")?,
+    }
+    writeln!(out)?;
+    let entries: Vec<(&str, &RunResult)> = results.iter().map(|r| ("Stencil-dyn", r)).collect();
+    Ok(vec![
+        file("profile.csv", profile::profile_csv(&entries)),
+        file("phases.csv", profile::phases_csv(&entries)),
+    ])
+}
+
+// ========================================================= recovery & scale
 
 /// Default crash rates of the recovery sweep (0 is run separately as the
 /// per-system baseline every slowdown and output check measures against).
@@ -1129,40 +1723,140 @@ fn recovery_adaptive(scale: Scale) -> lcm_apps::adaptive::Adaptive {
     }
 }
 
-/// One benchmark's `(system × crash rate × checkpoint granularity)` grid.
-///
-/// Runs on [`lcm_sim::try_par_map`] so a failing grid point is reported
-/// and skipped while the rest of the sweep completes; printing walks the
-/// canonical point order, so stdout and the CSV stay byte-identical at
-/// any `--jobs`.
-#[allow(clippy::too_many_arguments)]
+/// The fail-stop recovery sweep: crash rate × checkpoint granularity over
+/// the Fig-3 benchmarks (plus Reduction and Stencil) × 3 systems. A
+/// failing grid point is recorded in [`Ctx::failures`] and skipped, so
+/// the rest of the sweep and its files still complete.
+fn recovery(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    let seed = ctx.crash.map_or(RECOVERY_SEED, |(_, s)| s);
+    let mut rates = RECOVERY_RATES.to_vec();
+    if let Some((r, _)) = ctx.crash {
+        if r > 0.0 && !rates.contains(&r) {
+            rates.push(r);
+            rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
+        }
+    }
+    write!(
+        out,
+        "== Fail-stop recovery: crash rate x checkpoint granularity (seed {seed}) ==
+   every phase boundary may checkpoint; a crashed node rolls back to the
+   last checkpoint and re-executes, so crashes change cycles and statistics
+   only — outputs are checked bit-identical to the crash-free run. LCM
+   checkpoints only unreconciled modified words; Stache must capture its
+   directory plus every dirty line — that asymmetry is the point.
+"
+    )?;
+    let scale = ctx.scale;
+    let mut tally = RecoveryTally {
+        csv: String::from(
+            "benchmark,system,crash_rate,crash_seed,checkpoint_every,cycles,slowdown,crashes,checkpoints,checkpoint_bytes,checkpoint_cycles,rollback_cycles,crash_detect_cycles\n",
+        ),
+        aggs: [RecoveryAgg::default(); 3],
+    };
+    let red = ReductionSum(reduction_worksize(scale));
+    sweep_recovery(ctx, "Reduction", &red, &rates, seed, &mut tally, out)?;
+    sweep_recovery(
+        ctx,
+        "Stencil-dyn",
+        &stencil_dyn(scale),
+        &rates,
+        seed,
+        &mut tally,
+        out,
+    )?;
+    let adaptive = recovery_adaptive(scale);
+    sweep_recovery(
+        ctx,
+        "Adaptive-dyn",
+        &adaptive,
+        &rates,
+        seed,
+        &mut tally,
+        out,
+    )?;
+    sweep_recovery(
+        ctx,
+        "Threshold",
+        &threshold(scale),
+        &rates,
+        seed,
+        &mut tally,
+        out,
+    )?;
+    sweep_recovery(
+        ctx,
+        "Unstructured",
+        &unstructured(scale),
+        &rates,
+        seed,
+        &mut tally,
+        out,
+    )?;
+    let mut json =
+        format!("{{\n  \"scale\": \"{scale}\",\n  \"crash_seed\": {seed},\n  \"systems\": [\n");
+    for (si, system) in SystemKind::all().into_iter().enumerate() {
+        let a = &tally.aggs[si];
+        writeln!(
+            json,
+            "    {{\"system\": \"{}\", \"runs\": {}, \"checkpoints\": {}, \
+             \"checkpoint_bytes\": {}, \"crashes\": {}, \"checkpoint_cycles\": {}, \
+             \"rollback_cycles\": {}, \"crash_detect_cycles\": {}}}{}",
+            system.label(),
+            a.runs,
+            a.checkpoints,
+            a.checkpoint_bytes,
+            a.crashes,
+            a.checkpoint_cycles,
+            a.rollback_cycles,
+            a.crash_detect_cycles,
+            if si + 1 < 3 { "," } else { "" },
+        )?;
+    }
+    json.push_str("  ]\n}\n");
+    writeln!(out)?;
+    Ok(vec![
+        file("recovery.csv", tally.csv),
+        file("BENCH_recovery.json", json),
+    ])
+}
+
+/// The recovery sweep's CSV rows and per-system totals.
+struct RecoveryTally {
+    csv: String,
+    aggs: [RecoveryAgg; 3],
+}
+
+/// One benchmark's `(system × crash rate × checkpoint granularity)` grid
+/// on [`lcm_sim::try_par_map`]; printing walks the canonical point order,
+/// so stdout and the CSV stay byte-identical at any `--jobs`.
 fn sweep_recovery<W>(
+    ctx: &Ctx,
     name: &str,
-    nodes: usize,
     w: &W,
     rates: &[f64],
     seed: u64,
-    jobs: usize,
-    csv: &mut String,
-    aggs: &mut [RecoveryAgg; 3],
-    failures: &mut Vec<String>,
-) where
+    tally: &mut RecoveryTally,
+    out: &mut dyn Write,
+) -> Res<()>
+where
     W: Workload + Sync,
     W::Output: PartialEq + std::fmt::Debug + Send,
 {
-    println!("{name}:");
+    writeln!(out, "{name}:")?;
+    let mut failures = ctx.failures.borrow_mut();
     let mut points = Vec::new();
     for system in SystemKind::all() {
         // The crash-free baseline first; an inactive plan never
         // checkpoints, so its granularity does not matter.
         points.push((system, 0.0f64, 1u64));
         for &rate in rates {
-            for &every in &RECOVERY_EVERY {
+            for every in RECOVERY_EVERY {
                 points.push((system, rate, every));
             }
         }
     }
-    let runs = lcm_sim::try_par_map(jobs, points.clone(), |_, (system, rate, every)| {
+    let nodes = ctx.scale.nodes();
+    let runs = lcm_sim::try_par_map(ctx.jobs, points.clone(), |_, (system, rate, every)| {
         let cfg = RuntimeConfig {
             crash: CrashPlan::new(rate, seed),
             checkpoint_every: every,
@@ -1185,7 +1879,7 @@ fn sweep_recovery<W>(
             }
         };
         for ((_, rate, every), run) in keys.iter().zip(slot) {
-            let (out, r) = match run {
+            let (out_val, r) = match run {
                 Ok(run) => run,
                 Err(e) => {
                     failures.push(format!(
@@ -1198,7 +1892,7 @@ fn sweep_recovery<W>(
             let mut slowdown = 0.0;
             if let Some((base_out, base)) = baseline {
                 // The §4d contract: crashes move cycles, never values.
-                if out != base_out {
+                if out_val != base_out {
                     failures.push(format!(
                         "{name}/{} crash={rate} every={every}: output diverged from \
                          the crash-free run",
@@ -1212,7 +1906,8 @@ fn sweep_recovery<W>(
             let ck_cycles = cats[CycleCat::Checkpoint.index()];
             let rb_cycles = cats[CycleCat::Rollback.index()];
             let det_cycles = cats[CycleCat::CrashDetect.index()];
-            println!(
+            writeln!(
+                out,
                 "  {:<8} crash={:<5} every={} {:>13} cycles ({:>5.2}x)  crashes={:<3} ckpts={:<4} ckpt_bytes={:<9} rollback_cy={}",
                 system.label(),
                 rate,
@@ -1223,16 +1918,17 @@ fn sweep_recovery<W>(
                 r.totals.checkpoints,
                 r.totals.checkpoint_bytes,
                 rb_cycles,
-            );
-            csv.push_str(&format!(
-                "{name},{},{rate},{seed},{every},{},{slowdown:.4},{},{},{},{ck_cycles},{rb_cycles},{det_cycles}\n",
+            )?;
+            writeln!(
+                tally.csv,
+                "{name},{},{rate},{seed},{every},{},{slowdown:.4},{},{},{},{ck_cycles},{rb_cycles},{det_cycles}",
                 system.label(),
                 r.time,
                 r.totals.crashes,
                 r.totals.checkpoints,
                 r.totals.checkpoint_bytes,
-            ));
-            let agg = &mut aggs[si];
+            )?;
+            let agg = &mut tally.aggs[si];
             agg.runs += 1;
             agg.checkpoints += r.totals.checkpoints;
             agg.checkpoint_bytes += r.totals.checkpoint_bytes;
@@ -1249,188 +1945,55 @@ fn sweep_recovery<W>(
         Err(_) => None,
     };
     if let (Some(mcc), Some(stache)) = (probe(1), probe(2)) {
-        println!(
+        writeln!(
+            out,
             "  checkpoint bytes at crash={} every=1: LCM-mcc {} vs Stache {} ({:.2}x)",
             rates.last().expect("rates nonempty"),
             mcc,
             stache,
             stache as f64 / mcc.max(1) as f64
-        );
+        )?;
     }
-}
-
-/// The fail-stop recovery sweep: crash rate × checkpoint granularity over
-/// the Fig-3 benchmarks (plus Reduction and Stencil) × 3 systems.
-/// Returns the CSV rows and writes `BENCH_recovery.json`.
-fn print_recovery(
-    scale: Scale,
-    custom: Option<(f64, u64)>,
-    jobs: usize,
-    csv_dir: Option<&std::path::Path>,
-    failures: &mut Vec<String>,
-) -> String {
-    let seed = custom.map_or(RECOVERY_SEED, |(_, s)| s);
-    let mut rates = RECOVERY_RATES.to_vec();
-    if let Some((r, _)) = custom {
-        if r > 0.0 && !rates.contains(&r) {
-            rates.push(r);
-            rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-        }
-    }
-    println!("== Fail-stop recovery: crash rate x checkpoint granularity (seed {seed}) ==");
-    println!("   every phase boundary may checkpoint; a crashed node rolls back to the");
-    println!("   last checkpoint and re-executes, so crashes change cycles and statistics");
-    println!("   only — outputs are checked bit-identical to the crash-free run. LCM");
-    println!("   checkpoints only unreconciled modified words; Stache must capture its");
-    println!("   directory plus every dirty line — that asymmetry is the point.");
-    let nodes = scale.nodes();
-    let mut csv = String::from(
-        "benchmark,system,crash_rate,crash_seed,checkpoint_every,cycles,slowdown,crashes,checkpoints,checkpoint_bytes,checkpoint_cycles,rollback_cycles,crash_detect_cycles\n",
-    );
-    let mut aggs = [RecoveryAgg::default(); 3];
-    sweep_recovery(
-        "Reduction",
-        nodes,
-        &ReductionSum(reduction_worksize(scale)),
-        &rates,
-        seed,
-        jobs,
-        &mut csv,
-        &mut aggs,
-        failures,
-    );
-    sweep_recovery(
-        "Stencil-dyn",
-        nodes,
-        &fault_stencil(scale),
-        &rates,
-        seed,
-        jobs,
-        &mut csv,
-        &mut aggs,
-        failures,
-    );
-    sweep_recovery(
-        "Adaptive-dyn",
-        nodes,
-        &recovery_adaptive(scale),
-        &rates,
-        seed,
-        jobs,
-        &mut csv,
-        &mut aggs,
-        failures,
-    );
-    sweep_recovery(
-        "Threshold",
-        nodes,
-        &fault_threshold(scale),
-        &rates,
-        seed,
-        jobs,
-        &mut csv,
-        &mut aggs,
-        failures,
-    );
-    sweep_recovery(
-        "Unstructured",
-        nodes,
-        &contention_unstructured(scale),
-        &rates,
-        seed,
-        jobs,
-        &mut csv,
-        &mut aggs,
-        failures,
-    );
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    json.push_str(&format!("  \"crash_seed\": {seed},\n"));
-    json.push_str("  \"systems\": [\n");
-    for (si, system) in SystemKind::all().into_iter().enumerate() {
-        let a = &aggs[si];
-        json.push_str(&format!(
-            "    {{\"system\": \"{}\", \"runs\": {}, \"checkpoints\": {}, \
-             \"checkpoint_bytes\": {}, \"crashes\": {}, \"checkpoint_cycles\": {}, \
-             \"rollback_cycles\": {}, \"crash_detect_cycles\": {}}}{}\n",
-            system.label(),
-            a.runs,
-            a.checkpoints,
-            a.checkpoint_bytes,
-            a.crashes,
-            a.checkpoint_cycles,
-            a.rollback_cycles,
-            a.crash_detect_cycles,
-            if si + 1 < 3 { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = csv_dir
-        .map(|d| d.join("BENCH_recovery.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_recovery.json"));
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(e) = ensure_dir(parent) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("recovery overhead summary written to {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
-    println!();
-    csv
+    Ok(())
 }
 
 /// The kilonode scale sweep: five benchmarks × 3 systems × 3 directory
-/// backends across machines of 32→1024 nodes. Prints the divergence and
-/// backend-overhead summaries, writes `BENCH_scale.json`, and returns
-/// the CSV rows (byte-identical at any `--jobs`).
-fn print_scale(jobs: usize, csv_dir: Option<&std::path::Path>) -> String {
+/// backends across machines of 32→1024 nodes, whatever `--scale` is.
+/// Prints the divergence and backend-overhead summaries.
+fn scale(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
     use lcm_apps::scale_sweep::{scale_benchmarks, try_sweep_scale, ScaleRow, SCALE_NODE_COUNTS};
     use lcm_sim::DirBackend;
-    println!("== Scale: directory backends from the paper's 32 nodes to 1024 ==");
-    println!("   full-map invalidates exactly; limited-ptr entries that overflow their");
-    println!("   pointers broadcast to the whole machine; coarse-vec invalidates whole");
-    println!("   node groups. The defaults re-spend the old 64-bit budget, so all three");
-    println!("   are bit-identical up to 64 nodes and diverge only beyond the old wall.");
-    let t0 = Instant::now();
+    out.write_str(
+        "== Scale: directory backends from the paper's 32 nodes to 1024 ==
+   full-map invalidates exactly; limited-ptr entries that overflow their
+   pointers broadcast to the whole machine; coarse-vec invalidates whole
+   node groups. The defaults re-spend the old 64-bit budget, so all three
+   are bit-identical up to 64 nodes and diverge only beyond the old wall.\n
+",
+    )?;
     // Failures come back tagged with their sweep key, so one bad grid
-    // point names itself instead of tearing the whole section down with
-    // an anonymous panic.
-    let rows = match try_sweep_scale(&SCALE_NODE_COUNTS, jobs) {
-        Ok(rows) => rows,
-        Err(failures) => {
-            eprintln!("scale: {} grid point(s) failed:", failures.len());
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "   {} grid points in {:.1}s ({jobs} worker(s))\n",
-        rows.len(),
-        t0.elapsed().as_secs_f64()
-    );
+    // point names itself instead of an anonymous panic.
+    let rows = try_sweep_scale(&SCALE_NODE_COUNTS, ctx.jobs).map_err(|failures| {
+        format!(
+            "scale: {} grid point(s) failed:\n  {}",
+            failures.len(),
+            failures.join("\n  ")
+        )
+    })?;
 
     let mut csv = String::from(
         "benchmark,system,backend,nodes,cycles,misses,msgs,invalidations_sent,\
          dir_overflows,spurious_invals,msg_overhead_cycles,digest\n",
     );
-    let msg_overhead = |r: &lcm_apps::RunResult, nodes: usize| -> u64 {
-        (0..nodes)
-            .map(|n| r.ledger.get(NodeId(n as u16), CycleCat::MsgOverhead))
-            .sum()
-    };
     for row in &rows {
         let r = &row.result;
         let msgs: u64 = r.msg_kinds.iter().map(|(_, c)| c).sum();
-        csv.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{:016x}\n",
+        let msg_overhead: u64 = (0..row.nodes)
+            .map(|n| r.ledger.get(NodeId(n as u16), CycleCat::MsgOverhead))
+            .sum();
+        writeln!(
+            csv,
+            "{},{},{},{},{},{},{},{},{},{},{},{:016x}",
             row.benchmark.label(),
             r.system.label(),
             row.backend.label(),
@@ -1441,9 +2004,9 @@ fn print_scale(jobs: usize, csv_dir: Option<&std::path::Path>) -> String {
             r.totals.invalidations_sent,
             r.totals.dir_overflows,
             r.totals.spurious_invals,
-            msg_overhead(r, row.nodes),
+            msg_overhead,
             r.digest(),
-        ));
+        )?;
     }
 
     let find = |b, nodes, sys, backend: DirBackend| -> &ScaleRow {
@@ -1456,1237 +2019,194 @@ fn print_scale(jobs: usize, csv_dir: Option<&std::path::Path>) -> String {
             })
             .expect("grid is complete")
     };
+    let time = |b, nodes, sys, backend| find(b, nodes, sys, backend).result.time;
 
-    println!("   Stache vs LCM-mcc, full-map (cycles, ratio):");
-    println!(
+    writeln!(out, "   Stache vs LCM-mcc, full-map (cycles, ratio):")?;
+    writeln!(
+        out,
         "   {:<14} {:>6} {:>12} {:>12} {:>7}",
         "benchmark", "nodes", "stache", "lcm-mcc", "ratio"
-    );
+    )?;
     for b in scale_benchmarks() {
-        for &nodes in &SCALE_NODE_COUNTS {
-            let st = find(b, nodes, SystemKind::Stache, DirBackend::FullMap)
-                .result
-                .time;
-            let mcc = find(b, nodes, SystemKind::LcmMcc, DirBackend::FullMap)
-                .result
-                .time;
-            println!(
+        for nodes in SCALE_NODE_COUNTS {
+            let st = time(b, nodes, SystemKind::Stache, DirBackend::FullMap);
+            let mcc = time(b, nodes, SystemKind::LcmMcc, DirBackend::FullMap);
+            writeln!(
+                out,
                 "   {:<14} {:>6} {:>12} {:>12} {:>6.2}x",
                 b.label(),
                 nodes,
                 st,
                 mcc,
                 st as f64 / mcc.max(1) as f64
-            );
+            )?;
         }
     }
-    println!();
-    println!("   backend overhead under Stache (cycles vs full-map; overflow costs):");
-    println!(
+    out.write_str(
+        "
+   backend overhead under Stache (cycles vs full-map; overflow costs):
+",
+    )?;
+    writeln!(
+        out,
         "   {:<14} {:>6} {:<12} {:>12} {:>8} {:>10} {:>12}",
         "benchmark", "nodes", "backend", "cycles", "vs full", "overflows", "spurious"
-    );
+    )?;
+    let backends = [
+        DirBackend::LimitedPtr { ptrs: 64 },
+        DirBackend::CoarseVec { bits: 64 },
+    ];
     for b in scale_benchmarks() {
-        for &nodes in &SCALE_NODE_COUNTS {
-            let full = find(b, nodes, SystemKind::Stache, DirBackend::FullMap)
-                .result
-                .time;
-            for backend in [
-                DirBackend::LimitedPtr { ptrs: 64 },
-                DirBackend::CoarseVec { bits: 64 },
-            ] {
-                let row = find(b, nodes, SystemKind::Stache, backend);
-                println!(
+        for nodes in SCALE_NODE_COUNTS {
+            let full = time(b, nodes, SystemKind::Stache, DirBackend::FullMap);
+            for backend in backends {
+                let r = &find(b, nodes, SystemKind::Stache, backend).result;
+                writeln!(
+                    out,
                     "   {:<14} {:>6} {:<12} {:>12} {:>7.2}x {:>10} {:>12}",
                     b.label(),
                     nodes,
                     backend.label(),
-                    row.result.time,
-                    row.result.time as f64 / full.max(1) as f64,
-                    row.result.totals.dir_overflows,
-                    row.result.totals.spurious_invals,
-                );
+                    r.time,
+                    r.time as f64 / full.max(1) as f64,
+                    r.totals.dir_overflows,
+                    r.totals.spurious_invals,
+                )?;
             }
         }
     }
+    writeln!(out)?;
 
     // BENCH_scale.json: the divergence trend and overflow totals, summed
     // over benchmarks, for trend-tracking across releases.
-    let mut json = String::from("{\n  \"node_counts\": [");
-    json.push_str(
-        &SCALE_NODE_COUNTS
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
+    let counts: Vec<String> = SCALE_NODE_COUNTS.iter().map(|n| n.to_string()).collect();
+    let mut json = format!(
+        "{{\n  \"node_counts\": [{}],\n  \"divergence_full_map\": [\n",
+        counts.join(", ")
     );
-    json.push_str("],\n  \"divergence_full_map\": [\n");
-    for (i, &nodes) in SCALE_NODE_COUNTS.iter().enumerate() {
+    for (i, nodes) in SCALE_NODE_COUNTS.into_iter().enumerate() {
         let sum = |sys| -> u64 {
             scale_benchmarks()
                 .into_iter()
-                .map(|b| find(b, nodes, sys, DirBackend::FullMap).result.time)
+                .map(|b| time(b, nodes, sys, DirBackend::FullMap))
                 .sum()
         };
-        let st = sum(SystemKind::Stache);
-        let mcc = sum(SystemKind::LcmMcc);
-        json.push_str(&format!(
+        let (st, mcc) = (sum(SystemKind::Stache), sum(SystemKind::LcmMcc));
+        writeln!(
+            json,
             "    {{\"nodes\": {nodes}, \"stache_cycles\": {st}, \"lcm_mcc_cycles\": {mcc}, \
-             \"ratio\": {:.4}}}{}\n",
+             \"ratio\": {:.4}}}{}",
             st as f64 / mcc.max(1) as f64,
             if i + 1 < SCALE_NODE_COUNTS.len() {
                 ","
             } else {
                 ""
             },
-        ));
+        )?;
     }
     json.push_str("  ],\n  \"backend_overhead_stache\": [\n");
-    let backends = [
-        DirBackend::LimitedPtr { ptrs: 64 },
-        DirBackend::CoarseVec { bits: 64 },
-    ];
-    for (bi, &backend) in backends.iter().enumerate() {
-        for (i, &nodes) in SCALE_NODE_COUNTS.iter().enumerate() {
-            let mut cycles = 0u64;
-            let mut full = 0u64;
-            let mut ovf = 0u64;
-            let mut spur = 0u64;
+    for (bi, backend) in backends.into_iter().enumerate() {
+        for (i, nodes) in SCALE_NODE_COUNTS.into_iter().enumerate() {
+            let (mut cycles, mut full, mut ovf, mut spur) = (0u64, 0u64, 0u64, 0u64);
             for b in scale_benchmarks() {
-                let row = find(b, nodes, SystemKind::Stache, backend);
-                cycles += row.result.time;
-                ovf += row.result.totals.dir_overflows;
-                spur += row.result.totals.spurious_invals;
-                full += find(b, nodes, SystemKind::Stache, DirBackend::FullMap)
-                    .result
-                    .time;
+                let r = &find(b, nodes, SystemKind::Stache, backend).result;
+                cycles += r.time;
+                ovf += r.totals.dir_overflows;
+                spur += r.totals.spurious_invals;
+                full += time(b, nodes, SystemKind::Stache, DirBackend::FullMap);
             }
             let last = bi + 1 == backends.len() && i + 1 == SCALE_NODE_COUNTS.len();
-            json.push_str(&format!(
+            writeln!(
+                json,
                 "    {{\"backend\": \"{}\", \"nodes\": {nodes}, \"cycles\": {cycles}, \
-                 \"vs_full_map\": {:.4}, \"dir_overflows\": {ovf}, \"spurious_invals\": {spur}}}{}\n",
+                 \"vs_full_map\": {:.4}, \"dir_overflows\": {ovf}, \"spurious_invals\": {spur}}}{}",
                 backend.label(),
                 cycles as f64 / full.max(1) as f64,
                 if last { "" } else { "," },
-            ));
+            )?;
         }
     }
     json.push_str("  ]\n}\n");
-    let path = csv_dir
-        .map(|d| d.join("BENCH_scale.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_scale.json"));
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(e) = ensure_dir(parent) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nscale summary written to {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
-    println!();
-    csv
+    Ok(vec![file("scale.csv", csv), file("BENCH_scale.json", json)])
 }
 
-/// The `replay` subcommand: parse a `.lcmtrace`, validate it against its
-/// own footer, and summarize what it holds.
-fn run_replay_summary(path: &std::path::Path) {
-    // `open` shares one decoded handle per path: a summary of a trace
-    // already resident (e.g. loaded by a server in this process) costs
-    // no second decode.
-    let file = match TraceFile::open(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{} (.lcmtrace v{})", path.display(), lcm_replay::VERSION);
-    for (k, v) in &file.metadata {
-        println!("  {k}: {v}");
-    }
-    println!("  nodes: {}   topology: {}", file.nodes, file.topology);
-    println!("  fingerprint: {:#018x}", file.fingerprint());
-    println!(
-        "  events: {}   phase marks: {}",
-        file.events.len(),
-        file.phase_index.len()
-    );
-    match lcm_replay::validate(&file) {
-        Ok(r) => {
-            println!("  validation: OK (replay reproduces the execution-driven run exactly)");
-            println!(
-                "  time: {} cycles   barriers: {}   msgs: {}   bytes sent: {}",
-                r.time, r.barriers, file.totals.msgs_sent, file.totals.bytes_sent
-            );
-            println!("  cycles by category (all nodes):");
-            for cat in CycleCat::all() {
-                let total: u64 = (0..file.nodes)
-                    .map(|n| r.ledger.get(NodeId(n as u16), cat))
-                    .sum();
-                if total > 0 {
-                    println!("    {:<18} {total}", cat.label());
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("  validation FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
-}
+// ================================================================ host time
 
-/// The `critpath` subcommand: parse a `.lcmtrace` and run the
-/// happens-before analysis offline. Unreadable or corrupt files are a
-/// usage-level failure (exit 2, like bad flags): the named format error
-/// goes to stderr.
-fn run_critpath_file(path: &std::path::Path) {
-    let file = match TraceFile::open(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("critpath: {e}");
-            std::process::exit(2);
-        }
-    };
-    println!("{} (.lcmtrace v{})", path.display(), lcm_replay::VERSION);
-    for (k, v) in &file.metadata {
-        println!("  {k}: {v}");
-    }
-    println!("  nodes: {}   topology: {}", file.nodes, file.topology);
-    let cp = lcm_replay::analyze(&file);
-    if cp.path_length() != cp.makespan {
-        eprintln!(
-            "critpath: path length {} != makespan {} — the happens-before walk \
-             does not reproduce this capture",
-            cp.path_length(),
-            cp.makespan
-        );
-        std::process::exit(1);
-    }
-    if cp.unmatched_recvs > 0 || cp.unmatched_sends > 0 {
-        eprintln!(
-            "  note: {} recv(s) and {} send(s) had no FIFO partner (faulty capture?); \
-             program-order and barrier edges still cover the path",
-            cp.unmatched_recvs, cp.unmatched_sends
-        );
-    }
-    let whatifs = critpath::top_whatifs(&cp, 10);
-    print!("{}", critpath::critpath_report(&cp, &whatifs));
-}
-
-/// Link bandwidth (bytes/cycle) of the `critpath` section's captures:
-/// finite, so network contention exists and the on-path vs slack-hidden
-/// split has something to say about it.
-const CRITPATH_BANDWIDTH: u64 = 16;
-
-/// Chrome-trace export cap for `--flow-trace`: beyond this many capture
-/// events the JSON becomes unloadable, so the export keeps a prefix and
-/// says so on stderr.
-const FLOW_EXPORT_EVENTS: usize = 4_000_000;
-
-/// One analyzed capture of the `critpath` section. The edge list is
-/// already summarized (latency rows, optional flow JSON) and dropped by
-/// the worker, so nine captures' edges never coexist in memory.
-struct CritOut {
-    benchmark: &'static str,
-    system: SystemKind,
-    cp: lcm_replay::CritPath,
-    whatifs: Vec<critpath::WhatIfRow>,
-    latency: Vec<report::MsgLatencyRow>,
-    flow_json: Option<(String, usize)>,
-}
-
-/// Captures one benchmark×system execution at finite bandwidth, runs the
-/// happens-before analysis, and validates its what-if projections
-/// against genuine replays under modified cost models.
-fn compute_critpath_one(
-    bench: usize,
-    system: SystemKind,
-    scale: Scale,
-    nodes: usize,
-    scale_label: &str,
-    want_flow: bool,
-) -> Result<CritOut, String> {
-    let cost = CostModel::cm5().with_link_bandwidth(CRITPATH_BANDWIDTH);
-    let mc = MachineConfig::new(nodes).with_cost(cost);
-    let config = RuntimeConfig::default();
-    let cap = explore::CAPTURE_CAPACITY;
-    let (benchmark, file) = match bench {
-        0 => (
-            "Stencil-dyn",
-            explore::capture_with_machine(
-                "Stencil-dyn",
-                scale_label,
-                system,
-                mc,
-                config,
-                &fault_stencil(scale),
-                cap,
-            )?,
-        ),
-        1 => (
-            "Threshold",
-            explore::capture_with_machine(
-                "Threshold",
-                scale_label,
-                system,
-                mc,
-                config,
-                &fault_threshold(scale),
-                cap,
-            )?,
-        ),
-        _ => (
-            "Unstructured",
-            explore::capture_with_machine(
-                "Unstructured",
-                scale_label,
-                system,
-                mc,
-                config,
-                &contention_unstructured(scale),
-                cap,
-            )?,
-        ),
-    };
-    lcm_replay::validate(&file).map_err(|e| {
-        format!(
-            "{benchmark}/{}: capture failed validation: {e}",
-            system.label()
-        )
-    })?;
-    let mut cp = lcm_replay::analyze(&file);
-    if cp.path_length() != cp.makespan {
-        return Err(format!(
-            "{benchmark}/{}: path length {} != makespan {}",
-            system.label(),
-            cp.path_length(),
-            cp.makespan
-        ));
-    }
-    let mut whatifs = critpath::top_whatifs(&cp, 10);
-    // Exactly-checkable projection: zeroing `net_contention` must equal a
-    // genuine replay of the same trace at unlimited bandwidth, because no
-    // other charge in the stream depends on the link model. A mismatch
-    // means the analyzer's cost arithmetic diverged from the engine's —
-    // fail the section rather than print a wrong projection.
-    let mut bw0 = file.cost;
-    bw0.link_bandwidth_bytes_per_cycle = 0;
-    let r0 = lcm_replay::replay(&file, &bw0, file.topology);
-    let nc0 = cp.whatif(&[CycleCat::NetContention], 0);
-    if nc0 != r0.time {
-        return Err(format!(
-            "{benchmark}/{}: what-if net_contention x0% projects {nc0} cycles but a \
-             zero-bandwidth replay takes {}",
-            system.label(),
-            r0.time
-        ));
-    }
-    let note = format!("exact;replay={}", r0.time);
-    match whatifs.iter_mut().find(|w| w.item == "net_contention x0%") {
-        Some(w) => w.note = note,
-        None => whatifs.push(critpath::WhatIfRow {
-            item: "net_contention x0%".to_string(),
-            predicted: nc0,
-            note,
-        }),
-    }
-    // Tolerance-checked projection: doubling the remote-stall categories
-    // vs a genuine replay with `remote_miss` doubled. These diverge where
-    // the engine prices a charge by `remote_miss - msg_send` rather than
-    // proportionally (§4h documents the limit); the measured error is
-    // reported in the row's note.
-    let mut rm2 = file.cost;
-    rm2.remote_miss *= 2;
-    let r2 = lcm_replay::replay(&file, &rm2, file.topology);
-    let pred2 = cp.whatif(
-        &[CycleCat::ReadStallRemote, CycleCat::WriteStallRemote],
-        200,
-    );
-    let err2 = 100.0 * (pred2 as f64 - r2.time as f64) / r2.time as f64;
-    whatifs.push(critpath::WhatIfRow {
-        item: "remote_stalls x200%".to_string(),
-        predicted: pred2,
-        note: format!("replay={};err={err2:+.2}%", r2.time),
-    });
-    let latency = critpath::msg_latency_rows(benchmark, system.label(), &cp);
-    let flow_json =
-        (want_flow && benchmark == "Stencil-dyn" && system == SystemKind::LcmMcc).then(|| {
-            let cut = file.events.len().min(FLOW_EXPORT_EVENTS);
-            if cut < file.events.len() {
-                let max_seq = file.events[cut - 1].seq;
-                cp.edges
-                    .retain(|e| e.send_seq <= max_seq && e.recv_seq <= max_seq);
-            }
-            let (flows, path) = critpath::flow_annotations(&cp);
-            (
-                profile::chrome_trace_json_with_flows(
-                    &file.events[..cut],
-                    file.nodes,
-                    &[],
-                    &flows,
-                    &path,
-                ),
-                file.events.len() - cut,
-            )
-        });
-    cp.edges = Vec::new();
-    cp.edges.shrink_to_fit();
-    Ok(CritOut {
-        benchmark,
-        system,
-        cp,
-        whatifs,
-        latency,
-        flow_json,
-    })
-}
-
-/// The `critpath` section: capture every benchmark×system pair at finite
-/// bandwidth, run the happens-before analysis, print per-pair reports
-/// and the on-path vs slack-hidden headline table. Returns
-/// `(critpath.csv, messages.csv latency rows)`.
-fn print_critpath(
-    scale: Scale,
-    jobs: usize,
-    flow_path: Option<&std::path::Path>,
-) -> (String, Vec<report::MsgLatencyRow>) {
-    println!("== Critical path: happens-before analysis of captured executions ==");
-    println!("   each benchmark×system pair executes once in capture mode with");
-    println!("   {CRITPATH_BANDWIDTH} B/cy links; the happens-before walk reproduces the makespan");
-    println!("   bit-exactly, splits every ledger category into on-path vs slack-");
-    println!("   hidden cycles, and projects causal what-ifs (validated against");
-    println!("   genuine replays under modified cost models)");
-    let nodes = scale.nodes();
-    let scale_label = scale.to_string();
-    let want_flow = flow_path.is_some();
-    let t0 = Instant::now();
-    let items: Vec<(usize, SystemKind)> = (0..3)
-        .flat_map(|b| SystemKind::all().into_iter().map(move |s| (b, s)))
-        .collect();
-    let results = lcm_sim::par_map(jobs, items, |_, (bench, system)| {
-        compute_critpath_one(bench, system, scale, nodes, &scale_label, want_flow)
-    });
-    let mut outs: Vec<CritOut> = Vec::new();
-    for r in results {
-        match r {
-            Ok(o) => outs.push(o),
-            Err(e) => {
-                eprintln!("critpath: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    eprintln!(
-        "   (wall-clock: capture+analyze {:.1}s)",
-        t0.elapsed().as_secs_f64()
-    );
-    for o in &outs {
-        println!("-- {} / {} --", o.benchmark, o.system.label());
-        print!("{}", critpath::critpath_report(&o.cp, &o.whatifs));
-        println!();
-    }
-    println!("net contention, on-path share (the flat ledger counts every stall;");
-    println!("only the on-path fraction actually bounds the run):");
-    println!("  {:<14} {:>24} {:>24}", "benchmark", "Stache", "LCM-mcc");
-    let cell = |bench: &str, sys: SystemKind| -> String {
-        outs.iter()
-            .find(|o| o.benchmark == bench && o.system == sys)
-            .map_or("-".to_string(), |o| {
-                let i = CycleCat::NetContention.index();
-                let (on, tot) = (o.cp.on_path_by_cat()[i], o.cp.total_by_cat()[i]);
-                if tot == 0 {
-                    "none".to_string()
-                } else {
-                    format!("{:.1}% of {tot}", 100.0 * on as f64 / tot as f64)
-                }
-            })
-    };
-    for bench in ["Stencil-dyn", "Threshold", "Unstructured"] {
-        println!(
-            "  {bench:<14} {:>24} {:>24}",
-            cell(bench, SystemKind::Stache),
-            cell(bench, SystemKind::LcmMcc)
-        );
-    }
-    println!();
-    let mut latency: Vec<report::MsgLatencyRow> = Vec::new();
-    let mut entries = Vec::new();
-    for o in outs {
-        if let (Some(path), Some((json, truncated))) = (flow_path, &o.flow_json) {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                if let Err(e) = ensure_dir(parent) {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
-            }
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("failed to write flow trace to {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            // The path varies between runs, so this goes to stderr like
-            // the other wall-clock/location notes (§4d byte-identity).
-            eprintln!(
-                "   flow-annotated Chrome-trace JSON written to {} — load it at \
-                 ui.perfetto.dev and follow the send→recv arrows",
-                path.display()
-            );
-            if *truncated > 0 {
-                eprintln!(
-                    "   (export truncated: {truncated} events past the first \
-                     {FLOW_EXPORT_EVENTS} were dropped, with their flow arrows)"
-                );
-            }
-        }
-        latency.extend(o.latency);
-        entries.push((
-            o.benchmark.to_string(),
-            o.system.label().to_string(),
-            o.cp,
-            o.whatifs,
-        ));
-    }
-    (critpath::critpath_csv(&entries), latency)
-}
-
-/// The cycle-attribution profile: Stencil-dyn on all three systems with
-/// tracing on, per-node cycle breakdowns, hottest blocks, and message
-/// histograms. Returns `(profile.csv, phases.csv)` contents; with
-/// `trace_path` set, also exports the LCM-mcc event stream as
-/// Chrome-trace JSON.
-fn print_profile(
-    scale: Scale,
-    trace_path: Option<&std::path::Path>,
-    jobs: usize,
-) -> (String, String) {
-    println!("== Cycle-attribution profile: Stencil-dyn, every cycle to a category ==");
-    println!("   (per-node category sums are conservation-checked against the clocks");
-    println!("   by the sanitizer on every harvest)");
-    let nodes = scale.nodes();
-    let cost = CostModel::cm5();
-    // The three traced runs execute concurrently; reports print in the
-    // fixed system order afterwards.
-    let traced = compute_profile_runs(scale, jobs);
-    let mut results = Vec::new();
-    for (system, (r, events)) in SystemKind::all().into_iter().zip(traced) {
-        println!("{}", profile::profile_report(&r, &events, &cost));
-        if system == SystemKind::LcmMcc {
-            if let Some(path) = trace_path {
-                let json = profile::chrome_trace_json(&events, nodes);
-                if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                    if let Err(e) = ensure_dir(parent) {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    }
-                }
-                match std::fs::write(path, &json) {
-                    Ok(()) => println!(
-                        "Chrome-trace JSON ({} events) written to {} — load it at \
-                         ui.perfetto.dev or chrome://tracing\n",
-                        events.len(),
-                        path.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("failed to write trace to {}: {e}", path.display());
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-        results.push(r);
-    }
-    // Critical-path drill-down: one more LCM-mcc execution in capture
-    // mode, analyzed by the happens-before walk. The flat breakdown above
-    // counts every charged cycle; this splits each category into cycles
-    // on the critical path vs cycles hidden behind a slower node.
-    println!("-- critical-path drill-down (LCM-mcc, captured execution) --");
-    match explore::capture_workload(
-        "Stencil-dyn",
-        &scale.to_string(),
-        SystemKind::LcmMcc,
-        nodes,
-        RuntimeConfig::default(),
-        &profile_stencil(scale),
-        explore::CAPTURE_CAPACITY,
-    ) {
-        Ok(file) => {
-            let cp = lcm_replay::analyze(&file);
-            print!("{}", critpath::drilldown_table(&cp));
-            println!(
-                "  path length {} == makespan {} ({} epochs); run the `critpath` \
-                 section for slack histograms and what-ifs",
-                cp.path_length(),
-                cp.makespan,
-                cp.epochs.len()
-            );
-        }
-        // Deterministic for a given scale, so stdout stays --jobs-stable.
-        Err(e) => println!("  drill-down unavailable: {e}"),
-    }
-    println!();
-    let entries: Vec<(&str, &RunResult)> = results.iter().map(|r| ("Stencil-dyn", r)).collect();
-    (
-        profile::profile_csv(&entries),
-        profile::phases_csv(&entries),
-    )
-}
-
-/// The profiled stencil workload at a given scale.
-fn profile_stencil(scale: Scale) -> Stencil {
-    match scale {
-        Scale::Paper => Stencil {
-            rows: 256,
-            cols: 256,
-            iters: 10,
-            partition: Partition::Dynamic,
-        },
-        Scale::Medium => Stencil {
-            rows: 128,
-            cols: 128,
-            iters: 6,
-            partition: Partition::Dynamic,
-        },
-        Scale::Smoke => Stencil {
-            rows: 48,
-            cols: 48,
-            iters: 3,
-            partition: Partition::Dynamic,
-        },
-    }
-}
-
-/// Runs the three traced profile simulations (one per system) on the
-/// worker pool, returning `(result, events)` in system order.
-fn compute_profile_runs(scale: Scale, jobs: usize) -> Vec<(RunResult, Vec<Stamped>)> {
-    let nodes = scale.nodes();
-    let w = profile_stencil(scale);
-    lcm_sim::par_map(jobs, SystemKind::all().to_vec(), |_, system| {
-        let mc = MachineConfig::new(nodes).with_trace(2_000_000);
-        let (_, r, events) = execute_traced(system, mc, RuntimeConfig::default(), &w);
-        (r, events)
-    })
-}
-
-fn print_flush_policy(scale: Scale, jobs: usize) {
-    println!("== §5.1 flush elision: per-invocation vs at-reconcile flushes ==");
-    println!("   (sound when the compiler proves invocations touch distinct locations)");
-    let w = match scale {
-        Scale::Paper => IndependentMap {
-            len: 1 << 18,
-            sweeps: 4,
-        },
-        Scale::Medium => IndependentMap::default_size(),
-        Scale::Smoke => IndependentMap::small(),
-    };
-    let mut runs = lcm_sim::par_map(
-        jobs,
-        vec![FlushPolicy::PerInvocation, FlushPolicy::AtReconcile],
-        |_, policy| run_with_flush(policy, scale.nodes(), &w).1,
-    );
-    let at_rec = runs.pop().expect("two policies ran");
-    let per_inv = runs.pop().expect("two policies ran");
-    println!(
-        "  per-invocation {:>12} cycles, {:>8} flushes",
-        per_inv.time, per_inv.totals.flushes
-    );
-    println!(
-        "  at-reconcile   {:>12} cycles, {:>8} flushes  ({:.2}x faster)",
-        at_rec.time,
-        at_rec.totals.flushes,
-        per_inv.time as f64 / at_rec.time as f64
-    );
-    println!();
-}
-
-fn print_cache_limit(jobs: usize) {
-    println!("== §6.3 limited-cache ablation: Stencil-stat on a bounded Stache ==");
-    let w = Stencil {
-        rows: 256,
-        cols: 256,
-        iters: 10,
-        partition: Partition::Static,
-    };
-    let nodes = 16;
-    let chunk = chunk_blocks(&w, nodes);
-    let lcm = execute(SystemKind::LcmMcc, nodes, RuntimeConfig::default(), &w).1;
-    println!("  LCM-mcc (reference)         {:>12} cycles", lcm.time);
-    let caps = vec![
-        ("Stache unbounded (paper)", None),
-        ("Stache cap = 2x chunk", Some(2 * chunk)),
-        ("Stache cap = chunk/2", Some(chunk / 2)),
-        ("Stache cap = chunk/8", Some(chunk / 8)),
-    ];
-    let runs = lcm_sim::par_map(jobs, caps, |_, (label, cap)| {
-        (label, stencil_on_limited_stache(cap, nodes, &w))
-    });
-    for (label, r) in runs {
-        println!(
-            "  {:<27} {:>12} cycles, {:>8} misses, {:>8} evictions",
-            label,
-            r.time,
-            r.misses(),
-            r.totals.evictions
-        );
-    }
-    println!();
-}
-
-fn print_tree_reconcile(scale: Scale, jobs: usize) {
-    use lcm_core::{Lcm, LcmVariant};
-    use lcm_cstar::{Runtime, Strategy};
-    use lcm_rsm::{MemoryProtocol, ReduceOp};
-    use lcm_sim::MachineConfig;
-    use lcm_tempest::Placement;
-    println!("== §5 tree-structured reconciliation (reduction bottleneck) ==");
-    let nodes = scale.nodes().max(16);
-    let runs = lcm_sim::par_map(jobs, vec![false, true], |_, tree| {
-        let mut mem = Lcm::new(MachineConfig::new(nodes), LcmVariant::Mcc);
-        mem.set_tree_reconcile(tree);
-        let mut rt = Runtime::new(mem, Strategy::LcmDirectives);
-        let a = rt.new_aggregate1::<f32>(nodes * 64, Placement::Blocked, "a");
-        rt.init1(a, |i| (i % 5) as f32);
-        let total = rt.new_reduction_f64(ReduceOp::SumF64, 0.0, "total");
-        rt.apply1(a, Partition::Static, |inv, i| {
-            let v = inv.get(a.at(i)) as f64;
-            inv.reduce_f64(total, v);
-        });
-        let home = lcm_sim::NodeId(0);
-        let machine = &rt.mem().tempest().machine;
-        (
-            machine.time(),
-            machine.stats(home).versions_reconciled,
-            rt.peek_reduction(total),
-        )
-    });
-    for (tree, (time, merged, sum)) in [false, true].into_iter().zip(runs) {
-        println!(
-            "  {:<8} total time {:>10} cycles; home node merged {:>3} versions (sum={})",
-            if tree { "tree" } else { "direct" },
-            time,
-            merged,
-            sum
-        );
-    }
-    println!();
-}
-
-fn k(x: u64) -> String {
-    format!("{:.0}", x as f64 / 1000.0)
-}
-
-fn print_table1(suite: &Suite) {
-    println!("== Table 1: benchmark cache misses and clean copies (thousands) ==");
-    println!("   (paper values in parentheses; paper ran 32-node CM-5)");
-    println!(
-        "{:<14} | {:>16} {:>16} {:>16} | {:>14} {:>14}",
-        "Program", "misses scc", "misses mcc", "misses Copying", "clean scc", "clean mcc"
-    );
-    println!("{}", "-".repeat(102));
-    for (b, misses, clean) in suite.table1() {
-        let refs = b.paper_table1();
-        let fmt_ref = |v: Option<f64>| v.map(|x| format!("({x:.0})")).unwrap_or_default();
-        let (r_scc, r_mcc, r_cp, r_cscc, r_cmcc) = match refs {
-            Some((a, b2, c, d, e)) => (
-                fmt_ref(a),
-                fmt_ref(Some(b2)),
-                fmt_ref(Some(c)),
-                fmt_ref(d),
-                fmt_ref(Some(e)),
-            ),
-            None => (
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ),
-        };
-        println!(
-            "{:<14} | {:>8} {:>7} {:>8} {:>7} {:>8} {:>7} | {:>6} {:>7} {:>6} {:>7}",
-            b.label(),
-            k(misses[0]),
-            r_scc,
-            k(misses[1]),
-            r_mcc,
-            k(misses[2]),
-            r_cp,
-            k(clean[0]),
-            r_cscc,
-            k(clean[1]),
-            r_cmcc,
-        );
-    }
-    println!();
-}
-
-fn print_fig(suite: &Suite, fig2: bool) {
-    if fig2 {
-        println!("== Figure 2: Stencil execution time (simulated cycles) ==");
-    } else {
-        println!("== Figure 3: benchmark execution time (simulated cycles) ==");
-    }
-    let rows = if fig2 { suite.fig2() } else { suite.fig3() };
-    let mut last: Option<Benchmark> = None;
-    for (b, s, time) in rows {
-        if last != Some(b) {
-            println!("{}:", b.label());
-            last = Some(b);
-        }
-        let base = suite.result(b, SystemKind::Stache).time as f64;
-        println!(
-            "  {:<8} {:>14} cycles   ({:.2}x vs Stache)",
-            s.label(),
-            time,
-            time as f64 / base
-        );
-    }
-    println!();
-}
-
-fn print_claims(suite: &Suite) {
-    println!("== §6.3 prose claims, checked against this run ==");
-    let claims = suite.claims();
-    let mut ok = 0;
-    for c in &claims {
-        println!(
-            "[{}] {}\n        paper: {:<14} measured: {}",
-            if c.holds { "PASS" } else { "FAIL" },
-            c.description,
-            c.paper,
-            c.measured
-        );
-        if c.holds {
-            ok += 1;
-        }
-    }
-    println!(
-        "{} of {} claims hold at scale '{}'\n",
-        ok,
-        claims.len(),
-        suite.scale()
-    );
-}
-
-/// The array-sum workload of the reduction section at a given scale.
-fn reduction_worksize(scale: Scale) -> ArraySum {
-    match scale {
-        Scale::Paper => ArraySum {
-            len: 1 << 20,
-            passes: 2,
-        },
-        Scale::Medium => ArraySum::default_size(),
-        Scale::Smoke => ArraySum::small(),
-    }
-}
-
-/// Runs every reduction method on the worker pool, in method order.
-fn compute_reduction_runs(scale: Scale, jobs: usize) -> Vec<(f64, RunResult)> {
-    let w = reduction_worksize(scale);
-    lcm_sim::par_map(jobs, ReductionMethod::all().to_vec(), |_, method| {
-        run_reduction(method, scale.nodes(), &w)
-    })
-}
-
-fn print_reduction(scale: Scale, jobs: usize) {
-    println!(
-        "== §7.1 Reductions: summing an array on {} processors ==",
-        scale.nodes()
-    );
-    let runs = compute_reduction_runs(scale, jobs);
-    let mut base = None;
-    for (method, (sum, r)) in ReductionMethod::all().into_iter().zip(runs) {
-        let base_time = *base.get_or_insert(r.time) as f64;
-        println!(
-            "  {:<15} {:>14} cycles ({:>5.2}x vs shared-acc)  sum={}  misses={}",
-            method.label(),
-            r.time,
-            r.time as f64 / base_time,
-            sum,
-            r.misses()
-        );
-    }
-    println!();
-}
-
-fn print_false_sharing(jobs: usize) {
-    println!("== §7.4 False sharing: 8 writers, one block, 200 rounds ==");
-    let w = FalseSharing::default_size();
-    let writers = w.writers;
-    let cfg = RuntimeConfig::default();
-    let configs = vec![
-        ("Stache packed", SystemKind::Stache, w),
-        ("Stache padded", SystemKind::Stache, w.padded()),
-        ("LCM-mcc packed", SystemKind::LcmMcc, w),
-        ("LCM-scc packed", SystemKind::LcmScc, w),
-    ];
-    let runs = lcm_sim::par_map(jobs, configs, |_, (label, sys, wl)| {
-        (label, execute(sys, writers, cfg, &wl).1)
-    });
-    for (label, r) in runs {
-        println!(
-            "  {:<15} {:>12} cycles  misses={:<6} invalidations={}",
-            label,
-            r.time,
-            r.misses(),
-            r.totals.invalidations_sent
-        );
-    }
-    println!();
-}
-
-fn print_stale(jobs: usize) {
-    println!("== §7.5 Stale data: producer field, consumers refresh every k ==");
-    let base = StaleData::default_size();
-    let (lag, r) = run_stale(StaleSystem::Coherent, 8, &base);
-    println!(
-        "  {:<22} {:>12} cycles  misses={:<6} staleness={}",
-        "coherent (k=1)",
-        r.time,
-        r.misses(),
-        lag
-    );
-    let ks = vec![2usize, 4, 8, 16];
-    let runs = lcm_sim::par_map(jobs, ks.clone(), |_, k| {
-        let w = StaleData {
-            refresh_every: k,
-            ..base
-        };
-        run_stale(StaleSystem::StaleRegion, 8, &w)
-    });
-    for (k, (lag, r)) in ks.into_iter().zip(runs) {
-        println!(
-            "  {:<22} {:>12} cycles  misses={:<6} staleness={:.0}  refreshes={}",
-            format!("stale region (k={k})"),
-            r.time,
-            r.misses(),
-            lag,
-            r.totals.stale_refreshes
-        );
-    }
-    println!();
-}
-
-fn print_nbody(jobs: usize) {
-    println!("== §7.5 N-body: stale far-field positions ==");
-    let base = NBody::default_size();
-    let (reference, coherent) = run_nbody(NBodySystem::Coherent, 8, &base);
-    println!(
-        "  {:<18} {:>12} cycles, {:>6} misses, rms error 0",
-        "coherent",
-        coherent.time,
-        coherent.misses()
-    );
-    let ks = vec![2usize, 4, 8, 16];
-    let runs = lcm_sim::par_map(jobs, ks.clone(), |_, k| {
-        let w = NBody {
-            refresh_every: k,
-            ..base
-        };
-        run_nbody(NBodySystem::StaleRegion, 8, &w)
-    });
-    for (k, (pos, run)) in ks.into_iter().zip(runs) {
-        println!(
-            "  {:<18} {:>12} cycles, {:>6} misses, rms error {:.4}",
-            format!("refresh every {k}"),
-            run.time,
-            run.misses(),
-            rms_error(&reference, &pos)
-        );
-    }
-    println!();
-}
-
-/// The sensitivity-sweep stencil at a given scale.
-fn sensitivity_stencil(scale: Scale) -> Stencil {
-    match scale {
-        Scale::Paper => Stencil {
-            rows: 512,
-            cols: 512,
-            iters: 10,
-            partition: Partition::Dynamic,
-        },
-        Scale::Medium => Stencil {
-            rows: 256,
-            cols: 256,
-            iters: 8,
-            partition: Partition::Dynamic,
-        },
-        Scale::Smoke => Stencil {
-            rows: 64,
-            cols: 64,
-            iters: 4,
-            partition: Partition::Dynamic,
-        },
-    }
-}
-
-/// Swept remote latencies (cycles) of the sensitivity section.
-const SWEEP_LATENCIES: [u64; 5] = [500, 1500, 3000, 6000, 12000];
-/// Swept processor counts of the sensitivity section.
-const SWEEP_NODES: [usize; 4] = [4, 8, 16, 32];
-
-/// Both sensitivity sweeps on the worker pool.
-fn compute_sweeps(scale: Scale, jobs: usize) -> (Vec<SweepPoint>, Vec<SweepPoint>) {
-    let w = sensitivity_stencil(scale);
-    (
-        sweep_remote_latency_jobs(&SWEEP_LATENCIES, scale.nodes(), &w, jobs),
-        sweep_nodes_jobs(&SWEEP_NODES, &w, jobs),
-    )
-}
-
-fn print_sweeps(scale: Scale, jobs: usize) {
-    println!("== Sensitivity: Stencil-dyn LCM-mcc advantage vs machine parameters ==");
-    let (latency, nodes) = compute_sweeps(scale, jobs);
-    println!(
-        "remote round-trip latency sweep ({} processors):",
-        scale.nodes()
-    );
-    for p in latency {
-        println!(
-            "  remote_miss={:>6} cy: LCM-mcc {:>12}, Stache {:>12}  (advantage {:.2}x)",
-            p.x,
-            p.lcm.time,
-            p.stache.time,
-            p.advantage()
-        );
-    }
-    println!("processor-count sweep (default cost model):");
-    for p in nodes {
-        println!(
-            "  P={:>2}: LCM-mcc {:>12}, Stache {:>12}  (advantage {:.2}x)",
-            p.x,
-            p.lcm.time,
-            p.stache.time,
-            p.advantage()
-        );
-    }
-    println!();
-}
-
-fn print_races(jobs: usize) {
-    println!("== §7.2/7.3 Conflict detection ==");
-    let kernels = RaceKernel::all();
-    let found = lcm_sim::par_map(jobs, kernels.to_vec(), |_, kernel| detect_races(kernel, 4));
-    for (kernel, conflicts) in kernels.into_iter().zip(found) {
-        println!("  {:?}: {} conflict(s)", kernel, conflicts.len());
-        for c in conflicts.iter().take(4) {
-            println!("    - {c}");
-        }
-    }
-    println!();
-}
-
-/// The `bench` section: times representative sections with `--jobs 1`
-/// and with the requested pool, cross-checks that both executions agree
-/// digest-for-digest, and writes the trajectory to `BENCH_sweep.json`
-/// (in `--csv DIR` when given, else the working directory).
-fn run_bench(scale: Scale, requested_jobs: usize, csv_dir: Option<&std::path::Path>) {
-    let mut report = BenchReport::new(&scale.to_string(), requested_jobs);
-    // Time the parallel legs at the *effective* worker count: running
-    // more workers than the host has cores measures oversubscription,
-    // not pool speedup, and used to report fictitious slowdowns on
-    // small hosts. Both counts land in BENCH_sweep.json.
+/// The `bench` section: runs every `all` section at `--jobs 1` and at
+/// the effective pool size into buffers, fails unless both legs print
+/// the same stdout and files byte for byte, and writes the wall-clock
+/// trajectory to `BENCH_sweep.json`. Each leg builds its own suite,
+/// timed under `table1`, the first section that reads it.
+fn bench(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    let mut report = BenchReport::new(&ctx.scale.to_string(), ctx.jobs);
+    // Time the pooled legs at the *effective* worker count: more workers
+    // than cores measures oversubscription, not pool speedup. Both counts
+    // land in BENCH_sweep.json.
     let jobs = report.effective_jobs;
     if report.oversubscribed() {
         eprintln!(
-            "warning: --jobs {requested_jobs} exceeds the host's {} core(s); timing the \
-             parallel legs at {jobs} worker(s) (requested and effective counts are both \
-             recorded in BENCH_sweep.json)",
-            report.host_cores
+            "warning: --jobs {} exceeds the host's {} core(s); timing the pooled legs at \
+             {jobs} worker(s)",
+            ctx.jobs, report.host_cores
         );
     }
-    println!("== Wall-clock bench: serial vs --jobs {jobs}, scale '{scale}' ==");
-
-    let (serial_suite, pooled_suite) = report.time_section(
-        "suite",
-        || Suite::run_jobs(scale, 1),
-        || Suite::run_jobs(scale, jobs),
-    );
-    for b in Benchmark::all() {
-        for s in SystemKind::all() {
-            assert_eq!(
-                serial_suite.result(b, s).digest(),
-                pooled_suite.result(b, s).digest(),
-                "suite point {}/{} diverged between jobs=1 and jobs={jobs}",
-                b.label(),
-                s.label()
-            );
+    writeln!(
+        out,
+        "== Wall-clock bench: each `all` section serially and on the pool, scale '{}' ==",
+        ctx.scale
+    )?;
+    let serial = Ctx::new(ctx.scale, 1, ctx.sim_threads);
+    let pooled = Ctx::new(ctx.scale, jobs, ctx.sim_threads);
+    let mut sections = 0;
+    for s in SECTIONS.iter().filter(|s| s.in_all) {
+        let leg = |c: &Ctx| -> Res<(String, Files)> {
+            let mut text = String::new();
+            let files = (s.run)(c, &mut text)?;
+            Ok((text, files))
+        };
+        let (a, b) = report.time_section(s.name, || leg(&serial), || leg(&pooled));
+        let ((text_a, files_a), (text_b, files_b)) = (a?, b?);
+        let names = |f: &Files| f.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+        let differs = if text_a != text_b {
+            Some("stdout".to_string())
+        } else if names(&files_a) != names(&files_b) {
+            Some("the set of files".to_string())
+        } else {
+            files_a
+                .iter()
+                .zip(&files_b)
+                .find(|(x, y)| x.1 != y.1)
+                .map(|(x, _)| x.0.clone())
+        };
+        if let Some(what) = differs {
+            return Err(format!(
+                "bench: section `{}` differs in {what} between --jobs 1 and --jobs {jobs}",
+                s.name
+            )
+            .into());
         }
-    }
-
-    let stencil = fault_stencil(scale);
-    let rates = [0.0, 0.001, 0.01, 0.05];
-    let nodes = scale.nodes();
-    let (serial_faults, pooled_faults) = report.time_section(
-        "faults",
-        || compute_fault_sweep("Stencil-dyn", scale, nodes, &stencil, &rates, 0xC0FFEE, 1),
-        || {
-            compute_fault_sweep(
-                "Stencil-dyn",
-                scale,
-                nodes,
-                &stencil,
-                &rates,
-                0xC0FFEE,
-                jobs,
-            )
-        },
-    );
-    for ((k1, (_, r1)), (k2, (_, r2))) in serial_faults.iter().zip(&pooled_faults) {
-        assert_eq!(k1, k2, "fault grids assemble in one canonical order");
-        assert_eq!(r1.digest(), r2.digest(), "fault point {k1:?} diverged");
-    }
-
-    let (serial_sweeps, pooled_sweeps) = report.time_section(
-        "sweep",
-        || compute_sweeps(scale, 1),
-        || compute_sweeps(scale, jobs),
-    );
-    for (a, b) in serial_sweeps
-        .0
-        .iter()
-        .chain(&serial_sweeps.1)
-        .zip(pooled_sweeps.0.iter().chain(&pooled_sweeps.1))
-    {
-        assert_eq!(a.x, b.x, "sweep points assemble in input order");
-        assert_eq!(
-            a.lcm.digest(),
-            b.lcm.digest(),
-            "sweep point x={} diverged",
-            a.x
+        let t = report.sections.last().expect("just timed");
+        eprintln!(
+            "  {:<11} serial {:>8.2}s   jobs={jobs} {:>8.2}s   speedup {:.2}x",
+            t.section,
+            t.serial_secs,
+            t.parallel_secs,
+            t.speedup()
         );
-        assert_eq!(
-            a.stache.digest(),
-            b.stache.digest(),
-            "sweep point x={} diverged",
-            a.x
-        );
+        sections += 1;
     }
-
-    let red = ReductionSum(reduction_worksize(scale));
-    let (serial_cont, pooled_cont) = report.time_section(
-        "contention",
-        || compute_contention_grid("Reduction", scale, nodes, &red, 1),
-        || compute_contention_grid("Reduction", scale, nodes, &red, jobs),
-    );
-    for ((k1, (_, r1)), (k2, (_, r2))) in serial_cont.iter().zip(&pooled_cont) {
-        assert_eq!(k1, k2, "contention grids assemble in one canonical order");
-        assert_eq!(r1.digest(), r2.digest(), "contention point {k1:?} diverged");
-    }
-
-    let (reexec_rows, replay_rows) = report.time_section(
-        "explore",
-        || {
-            explore::reexecute_grid(
-                "Stencil-dyn",
-                SystemKind::LcmMcc,
-                nodes,
-                RuntimeConfig::default(),
-                &stencil,
-                &EXPLORE_BANDWIDTHS,
-                &EXPLORE_LATENCIES,
-            )
-        },
-        || {
-            let file = explore::capture_workload(
-                "Stencil-dyn",
-                &scale.to_string(),
-                SystemKind::LcmMcc,
-                nodes,
-                RuntimeConfig::default(),
-                &stencil,
-                explore::CAPTURE_CAPACITY,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            explore::explore_grid(
-                std::slice::from_ref(&std::sync::Arc::new(file)),
-                &EXPLORE_BANDWIDTHS,
-                &EXPLORE_LATENCIES,
-                jobs,
-            )
-        },
-    );
-    for (x, r) in reexec_rows
-        .iter()
-        .zip(&replay_rows)
-        .filter(|(x, _)| x.bandwidth == 0)
-    {
-        assert_eq!(
-            x.time, r.time,
-            "explore point bw=0 lat={} diverged between re-execution and replay",
-            x.latency
-        );
-    }
-
-    // Reduce to digests *inside* the timed closures: holding the first
-    // leg's multi-million-event trace buffers alive while the second leg
-    // allocates its own used to charge the pooled leg a fictitious
-    // memory-pressure slowdown (~4x on this section).
-    let profile_digests = |jobs: usize| {
-        compute_profile_runs(scale, jobs)
-            .iter()
-            .map(|(r, events)| (r.digest(), events.len()))
-            .collect::<Vec<_>>()
-    };
-    let (serial_prof, pooled_prof) =
-        report.time_section("profile", || profile_digests(1), || profile_digests(jobs));
-    assert_eq!(
-        serial_prof, pooled_prof,
-        "profile runs diverged between jobs=1 and jobs={jobs}"
-    );
-    report.time_section(
-        "reduction",
-        || compute_reduction_runs(scale, 1),
-        || compute_reduction_runs(scale, jobs),
-    );
-
-    for s in &report.sections {
-        println!(
-            "  {:<10} serial {:>8.2}s   jobs={jobs} {:>8.2}s   speedup {:.2}x",
-            s.section,
-            s.serial_secs,
-            s.parallel_secs,
-            s.speedup()
-        );
-    }
-    println!(
-        "  {:<10} serial {:>8.2}s   jobs={jobs} {:>8.2}s   speedup {:.2}x",
+    eprintln!(
+        "  {:<11} serial {:>8.2}s   jobs={jobs} {:>8.2}s   speedup {:.2}x",
         "total",
         report.total_serial(),
         report.total_parallel(),
         report.speedup()
     );
-    println!("  parallel runs agreed with serial runs digest-for-digest");
-    if let Some(s) = report.sections.iter().find(|s| s.section == "explore") {
-        println!(
-            "  (explore compares re-executing the cost-model grid against capturing \
-             once + replaying it: replay is {:.1}x faster)",
-            s.speedup()
-        );
-    }
-    let path = csv_dir
-        .map(|d| d.join("BENCH_sweep.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"));
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("failed to create {}: {e}", parent.display());
-            std::process::exit(1);
-        }
-    }
-    match std::fs::write(&path, report.to_json()) {
-        Ok(()) => println!("bench trajectory written to {}\n", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    writeln!(
+        out,
+        "  {sections} sections: stdout and files byte-identical between the two legs\n"
+    )?;
+    Ok(vec![file("BENCH_sweep.json", report.to_json())])
 }
 
 /// The `par` section: intra-run epoch parallelism on kilonode machines.
@@ -2699,10 +2219,11 @@ fn run_bench(scale: Scale, requested_jobs: usize, csv_dir: Option<&std::path::Pa
 /// the engine's byte-identity contract — and the wall-clock trajectory
 /// is written to `BENCH_par.json`. On a single-core host the effective
 /// count clamps to 1 and the speedup honestly reads ~1.0x.
-fn run_bench_par(scale: Scale, sim_threads: usize, csv_dir: Option<&std::path::Path>) {
+fn par(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    let scale = ctx.scale;
     // A bare `repro par` (no --sim-threads) measures at the host's width.
-    let requested = if sim_threads > 1 {
-        sim_threads
+    let requested = if ctx.sim_threads > 1 {
+        ctx.sim_threads
     } else {
         lcm_sim::available_jobs()
     };
@@ -2716,13 +2237,20 @@ fn run_bench_par(scale: Scale, sim_threads: usize, csv_dir: Option<&std::path::P
             report.host_cores
         );
     }
-    println!("== Intra-run parallelism: sim-threads 1 vs {eff}, scale '{scale}' ==");
-    println!("   one simulation, many host threads: the epoch-parallel engine runs each");
-    println!("   barrier epoch's invocations on a worker pool (shadow pass) and merges");
-    println!("   them in a deterministic replay — clocks, ledgers and digests are");
-    println!("   byte-identical to the sequential path, which this section asserts.");
+    write!(
+        out,
+        "== Intra-run parallelism: sim-threads 1 vs {eff}, scale '{scale}' ==
+   one simulation, many host threads: the epoch-parallel engine runs each
+   barrier epoch's invocations on a worker pool (shadow pass) and merges
+   them in a deterministic replay — clocks, ledgers and digests are
+   byte-identical to the sequential path, which this section asserts.
+"
+    )?;
     if eff == 1 {
-        println!("   (single-core host: no parallelism available, expect ~1.0x)");
+        writeln!(
+            out,
+            "   (single-core host: no parallelism available, expect ~1.0x)"
+        )?;
     }
 
     fn leg<W: Workload>(w: &W, nodes: usize, threads: usize) -> (u64, f64) {
@@ -2784,7 +2312,7 @@ fn run_bench_par(scale: Scale, sim_threads: usize, csv_dir: Option<&std::path::P
     );
 
     for r in &report.runs {
-        println!(
+        eprintln!(
             "  {:<14} {:>5} nodes   1-thread {:>8.2}s   {eff}-thread {:>8.2}s   speedup {:.2}x",
             r.benchmark,
             r.nodes,
@@ -2793,98 +2321,43 @@ fn run_bench_par(scale: Scale, sim_threads: usize, csv_dir: Option<&std::path::P
             r.speedup()
         );
     }
-    println!("  parallel runs agreed with sequential runs digest-for-digest");
-    let path = csv_dir
-        .map(|d| d.join("BENCH_par.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_par.json"));
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("failed to create {}: {e}", parent.display());
-            std::process::exit(1);
-        }
-    }
-    match std::fs::write(&path, report.to_json()) {
-        Ok(()) => println!("par trajectory written to {}\n", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    writeln!(
+        out,
+        "  parallel runs agreed with sequential runs digest-for-digest\n"
+    )?;
+    Ok(vec![file("BENCH_par.json", report.to_json())])
 }
 
-// ===================================================================== serve
+// ==================================================================== serve
 
-/// Captures the serve section's default trace set — the explore
-/// benchmarks (Reduction and Stencil-dyn across all three systems) —
-/// validating each capture, on `jobs` workers.
-fn serve_trace_set(scale: Scale, jobs: usize) -> Vec<(String, lcm_replay::TraceHandle)> {
-    let nodes = scale.nodes();
-    let scale_label = scale.to_string();
-    let red = ReductionSum(reduction_worksize(scale));
-    let sten = fault_stencil(scale);
-    let mut specs: Vec<(&str, SystemKind)> = Vec::new();
-    for system in SystemKind::all() {
-        specs.push(("Reduction", system));
-    }
-    for system in SystemKind::all() {
-        specs.push(("Stencil-dyn", system));
-    }
+/// Captures the serve section's default trace set on `jobs` workers.
+fn serve_trace_set(scale: Scale, jobs: usize) -> Result<Vec<(String, TraceHandle)>, String> {
+    let specs: Vec<(&str, SystemKind)> = TRACE_SET
+        .into_iter()
+        .flat_map(|b| SystemKind::all().map(|s| (b, s)))
+        .collect();
     lcm_sim::par_map(jobs, specs, |_, (bench, system)| {
-        let capture = |w: &dyn Fn() -> Result<TraceFile, String>| {
-            w().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            })
-        };
-        let file = if bench == "Reduction" {
-            capture(&|| {
-                explore::capture_workload(
-                    bench,
-                    &scale_label,
-                    system,
-                    nodes,
-                    RuntimeConfig::default(),
-                    &red,
-                    explore::CAPTURE_CAPACITY,
-                )
-            })
-        } else {
-            capture(&|| {
-                explore::capture_workload(
-                    bench,
-                    &scale_label,
-                    system,
-                    nodes,
-                    RuntimeConfig::default(),
-                    &sten,
-                    explore::CAPTURE_CAPACITY,
-                )
-            })
-        };
-        if let Err(e) = lcm_replay::validate(&file) {
-            eprintln!("capture {bench}/{system} failed validation: {e}");
-            std::process::exit(1);
-        }
-        let name = format!("{}-{}", bench.to_lowercase(), system.label().to_lowercase());
-        (name, std::sync::Arc::new(file))
+        let file = capture_validated(bench, scale, system)?;
+        Ok((trace_name(bench, system), Arc::new(file)))
     })
+    .into_iter()
+    .collect()
 }
 
 /// Loads every `.lcmtrace` in `dir` (sorted by name) through the shared
 /// decode-once handle cache.
-fn serve_load_dir(dir: &std::path::Path) -> Vec<(String, lcm_replay::TraceHandle)> {
-    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| {
-        eprintln!("--traces {}: {e}", dir.display());
-        std::process::exit(1);
-    });
+fn serve_load_dir(dir: &Path) -> Result<Vec<(String, TraceHandle)>, String> {
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("--traces {}: {e}", dir.display()))?;
     let mut paths: Vec<PathBuf> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "lcmtrace"))
         .collect();
     paths.sort();
     if paths.is_empty() {
-        eprintln!("--traces {}: no .lcmtrace files found", dir.display());
-        std::process::exit(1);
+        return Err(format!(
+            "--traces {}: no .lcmtrace files found",
+            dir.display()
+        ));
     }
     paths
         .into_iter()
@@ -2893,11 +2366,7 @@ fn serve_load_dir(dir: &std::path::Path) -> Vec<(String, lcm_replay::TraceHandle
                 .file_stem()
                 .map(|s| s.to_string_lossy().into_owned())
                 .unwrap_or_else(|| p.display().to_string());
-            let handle = TraceFile::open(&p).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            (name, handle)
+            Ok((name, TraceFile::open(&p)?))
         })
         .collect()
 }
@@ -2907,8 +2376,8 @@ fn serve_load_dir(dir: &std::path::Path) -> Vec<(String, lcm_replay::TraceHandle
 fn serve_grid(engine: &lcm_serve::ServeEngine) -> Vec<lcm_serve::Query> {
     let mut queries = Vec::new();
     for t in engine.traces() {
-        for &bw in &EXPLORE_BANDWIDTHS {
-            for &lat in &EXPLORE_LATENCIES {
+        for bw in EXPLORE_BANDWIDTHS {
+            for lat in EXPLORE_LATENCIES {
                 queries.push(lcm_serve::Query {
                     trace: t.name.clone(),
                     cost: explore::grid_cost(bw, lat),
@@ -2919,6 +2388,14 @@ fn serve_grid(engine: &lcm_serve::ServeEngine) -> Vec<lcm_serve::Query> {
         }
     }
     queries
+}
+
+/// Names a grid query in self-check failures.
+fn query_label(q: &lcm_serve::Query) -> String {
+    format!(
+        "{} bw={} lat={}",
+        q.trace, q.cost.link_bandwidth_bytes_per_cycle, q.cost.remote_miss
+    )
 }
 
 /// The `serve` section. Three modes:
@@ -2934,18 +2411,12 @@ fn serve_grid(engine: &lcm_serve::ServeEngine) -> Vec<lcm_serve::Query> {
 ///
 /// `--traces DIR` serves captured `.lcmtrace` files instead of
 /// capturing the default explore set.
-fn run_serve(
-    scale: Scale,
-    jobs: usize,
-    listen: Option<&str>,
-    traces_dir: Option<&std::path::Path>,
-    bench: bool,
-    csv_dir: Option<&std::path::Path>,
-) {
+fn serve(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
+    let (scale, jobs) = (ctx.scale, ctx.jobs);
     let t0 = Instant::now();
-    let traces = match traces_dir {
-        Some(dir) => serve_load_dir(dir),
-        None => serve_trace_set(scale, jobs),
+    let traces = match &ctx.traces {
+        Some(dir) => serve_load_dir(dir)?,
+        None => serve_trace_set(scale, jobs)?,
     };
     let mut engine = lcm_serve::ServeEngine::new();
     let mut events = 0usize;
@@ -2953,60 +2424,60 @@ fn run_serve(
         events += handle.events.len();
         engine.load(&name, handle);
     }
-    let engine = std::sync::Arc::new(engine);
+    let engine = Arc::new(engine);
     eprintln!(
         "   (wall-clock: {} trace(s) loaded+indexed in {:.1}s)",
         engine.traces().len(),
         t0.elapsed().as_secs_f64()
     );
+    let serve_err = |e: String| format!("serve: {e}");
 
-    if let Some(addr) = listen {
-        let server = lcm_serve::Server::start(addr, std::sync::Arc::clone(&engine), jobs)
-            .unwrap_or_else(|e| {
-                eprintln!("serve: {e}");
-                std::process::exit(1);
-            });
-        println!(
+    if let Some(addr) = &ctx.listen {
+        let server =
+            lcm_serve::Server::start(addr, Arc::clone(&engine), jobs).map_err(serve_err)?;
+        writeln!(
+            out,
             "lcm-serve: {} trace(s) ({events} events) resident on {}",
             engine.traces().len(),
             server.addr
-        );
+        )?;
         for t in engine.traces() {
-            println!(
+            writeln!(
+                out,
                 "  {:<24} {:>3} nodes   fingerprint {:#018x}",
                 t.name, t.handle.nodes, t.fingerprint
-            );
+            )?;
         }
-        println!("(send a SHUTDOWN request to stop; protocol: crates/serve/src/proto.rs)");
+        writeln!(
+            out,
+            "(send a SHUTDOWN request to stop; protocol: crates/serve/src/proto.rs)"
+        )?;
         server.wait();
-        return;
+        return Ok(Vec::new());
     }
-
-    if bench {
-        run_serve_bench(scale, jobs, &engine, csv_dir);
-        return;
+    if ctx.serve_bench {
+        return serve_bench(scale, jobs, &engine, out);
     }
 
     // ---- self-check: every identity the server's answers rest on.
-    println!("== lcm-serve self-check (scale '{scale}') ==");
+    writeln!(out, "== lcm-serve self-check (scale '{scale}') ==")?;
     let queries = serve_grid(&engine);
-    println!(
+    writeln!(
+        out,
         "   {} trace(s), {} grid queries (bandwidth x latency explore grid)",
         engine.traces().len(),
         queries.len()
-    );
+    )?;
+    let failed = |what: &str, q: &lcm_serve::Query| {
+        format!("serve self-check FAILED: {what} for {}", query_label(q))
+    };
 
     let t1 = Instant::now();
-    let batched: Vec<_> = engine
+    let batched = engine
         .query_batch(jobs, &queries)
         .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|e| {
-                eprintln!("serve: {e}");
-                std::process::exit(1);
-            })
-        })
-        .collect();
+        .collect::<Result<Vec<_>, String>>()
+        .map_err(serve_err)?;
     eprintln!(
         "   (wall-clock: cold batch {:.2}s)",
         t1.elapsed().as_secs_f64()
@@ -3015,154 +2486,121 @@ fn run_serve(
     // Batched == sequential, on a fresh engine so nothing is pre-cached.
     let mut sequential = lcm_serve::ServeEngine::new();
     for t in engine.traces() {
-        sequential.load(&t.name, std::sync::Arc::clone(&t.handle));
+        sequential.load(&t.name, Arc::clone(&t.handle));
     }
     for (q, (br, _)) in queries.iter().zip(&batched) {
-        let (sr, _) = sequential.query(q).unwrap_or_else(|e| {
-            eprintln!("serve: {e}");
-            std::process::exit(1);
-        });
+        let (sr, _) = sequential.query(q).map_err(serve_err)?;
         if **br != *sr {
-            eprintln!(
-                "serve self-check FAILED: batched result diverges from sequential \
-                 for {} bw={} lat={}",
-                q.trace, q.cost.link_bandwidth_bytes_per_cycle, q.cost.remote_miss
-            );
-            std::process::exit(1);
+            return Err(failed("batched result diverges from sequential", q).into());
         }
     }
-    println!(
+    writeln!(
+        out,
         "   batched == sequential: {} points byte-identical",
         queries.len()
-    );
+    )?;
 
     // Differential == full event-walk replay, on every grid point.
     let failures: Vec<String> = lcm_sim::par_map(jobs, queries.clone(), |_, q| {
-        engine.verify(&q).err().map(|e| {
-            format!(
-                "{} bw={} lat={}: {e}",
-                q.trace, q.cost.link_bandwidth_bytes_per_cycle, q.cost.remote_miss
-            )
-        })
+        engine
+            .verify(&q)
+            .err()
+            .map(|e| format!("{}: {e}", query_label(&q)))
     })
     .into_iter()
     .flatten()
     .collect();
     if !failures.is_empty() {
-        eprintln!("serve self-check FAILED: differential replay diverged:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
+        return Err(format!(
+            "serve self-check FAILED: differential replay diverged:\n  {}",
+            failures.join("\n  ")
+        )
+        .into());
     }
-    println!(
+    writeln!(
+        out,
         "   differential == full replay: {} points byte-identical",
         queries.len()
-    );
+    )?;
 
     // A cached rerun answers every point from the cache, byte-for-byte.
     let rerun = engine.query_batch(jobs, &queries);
     for ((q, (first, _)), again) in queries.iter().zip(&batched).zip(rerun) {
-        let (cached, class) = again.unwrap_or_else(|e| {
-            eprintln!("serve: {e}");
-            std::process::exit(1);
-        });
-        if class != lcm_serve::QueryClass::Cached || !std::sync::Arc::ptr_eq(first, &cached) {
-            eprintln!(
-                "serve self-check FAILED: rerun of {} bw={} lat={} was not a cache hit",
-                q.trace, q.cost.link_bandwidth_bytes_per_cycle, q.cost.remote_miss
-            );
-            std::process::exit(1);
+        let (cached, class) = again.map_err(serve_err)?;
+        if class != lcm_serve::QueryClass::Cached || !Arc::ptr_eq(first, &cached) {
+            return Err(failed("rerun was not a cache hit", q).into());
         }
     }
-    println!("   cached rerun: {} points, all exact hits", queries.len());
+    writeln!(
+        out,
+        "   cached rerun: {} points, all exact hits",
+        queries.len()
+    )?;
 
     // A real TCP roundtrip must agree with the in-process engine, and a
     // corrupt frame must come back as a named error, not a panic.
-    let server = lcm_serve::Server::start("127.0.0.1:0", std::sync::Arc::clone(&engine), jobs)
-        .unwrap_or_else(|e| {
-            eprintln!("serve: {e}");
-            std::process::exit(1);
-        });
+    let server =
+        lcm_serve::Server::start("127.0.0.1:0", Arc::clone(&engine), jobs).map_err(serve_err)?;
     let addr = server.addr.to_string();
-    let mut client = lcm_serve::Client::connect(&addr).unwrap_or_else(|e| {
-        eprintln!("serve: {e}");
-        std::process::exit(1);
-    });
-    let listed = client.list().unwrap_or_else(|e| {
-        eprintln!("serve: LIST failed: {e}");
-        std::process::exit(1);
-    });
+    let mut client = lcm_serve::Client::connect(&addr).map_err(serve_err)?;
+    let listed = client
+        .list()
+        .map_err(|e| format!("serve: LIST failed: {e}"))?;
     if listed.len() != engine.traces().len() {
-        eprintln!(
+        return Err(format!(
             "serve self-check FAILED: LIST returned {} traces, engine holds {}",
             listed.len(),
             engine.traces().len()
-        );
-        std::process::exit(1);
+        )
+        .into());
     }
-    let over_wire = client.query_batch(&queries).unwrap_or_else(|e| {
-        eprintln!("serve: QUERY failed: {e}");
-        std::process::exit(1);
-    });
+    let over_wire = client
+        .query_batch(&queries)
+        .map_err(|e| format!("serve: QUERY failed: {e}"))?;
     for ((q, (local, _)), wire) in queries.iter().zip(&batched).zip(&over_wire) {
         if **local != wire.result {
-            eprintln!(
-                "serve self-check FAILED: TCP result diverges from in-process \
-                 for {} bw={} lat={}",
-                q.trace, q.cost.link_bandwidth_bytes_per_cycle, q.cost.remote_miss
-            );
-            std::process::exit(1);
+            return Err(failed("TCP result diverges from in-process", q).into());
         }
     }
-    println!(
+    writeln!(
+        out,
         "   TCP roundtrip: LIST + {}-query batch byte-identical to in-process",
         queries.len()
-    );
+    )?;
     // Corrupt request on a raw socket: opcode 9 does not exist.
     {
         use std::io::Write as _;
-        let mut raw = std::net::TcpStream::connect(&addr).unwrap_or_else(|e| {
-            eprintln!("serve: raw connect failed: {e}");
-            std::process::exit(1);
-        });
+        let mut raw = std::net::TcpStream::connect(&addr)
+            .map_err(|e| format!("serve: raw connect failed: {e}"))?;
         raw.write_all(&1u32.to_le_bytes())
             .and_then(|()| raw.write_all(&[9u8]))
-            .unwrap_or_else(|e| {
-                eprintln!("serve: raw write failed: {e}");
-                std::process::exit(1);
-            });
+            .map_err(|e| format!("serve: raw write failed: {e}"))?;
         let frame = lcm_serve::proto::read_frame(&mut raw)
-            .unwrap_or_else(|e| {
-                eprintln!("serve: corrupt-frame probe got no response: {e}");
-                std::process::exit(1);
-            })
-            .unwrap_or_else(|| {
-                eprintln!("serve: corrupt-frame probe: connection closed without a response");
-                std::process::exit(1);
-            });
+            .map_err(|e| format!("serve: corrupt-frame probe got no response: {e}"))?
+            .ok_or_else(|| {
+                "serve: corrupt-frame probe: connection closed without a response".to_string()
+            })?;
         match lcm_serve::proto::decode_query_response(&frame) {
             Err(e) if e.contains("malformed request") => {
-                println!("   corrupt request: named error response ({e})");
+                writeln!(out, "   corrupt request: named error response ({e})")?;
             }
             other => {
-                eprintln!("serve self-check FAILED: corrupt frame got {other:?}");
-                std::process::exit(1);
+                return Err(format!("serve self-check FAILED: corrupt frame got {other:?}").into())
             }
         }
     }
-    client.shutdown().unwrap_or_else(|e| {
-        eprintln!("serve: SHUTDOWN failed: {e}");
-        std::process::exit(1);
-    });
+    client
+        .shutdown()
+        .map_err(|e| format!("serve: SHUTDOWN failed: {e}"))?;
     server.wait();
-    println!("   shutdown: acknowledged and drained");
+    writeln!(out, "   shutdown: acknowledged and drained")?;
     let (cached, neighbor, differential) = engine.stats.snapshot();
     eprintln!(
         "   (engine counters: {cached} cached, {neighbor} neighbor, \
          {differential} differential)"
     );
-    println!();
+    writeln!(out)?;
+    Ok(Vec::new())
 }
 
 /// Percentile of a sorted latency sample (nearest-rank).
@@ -3176,31 +2614,30 @@ fn percentile_us(sorted: &[u64], p: f64) -> u64 {
 
 /// The `serve --bench` load generator: per-query engine-path costs plus
 /// a closed-loop TCP sweep across client counts, written to
-/// `BENCH_serve.json`.
-fn run_serve_bench(
+/// `BENCH_serve.json`. Every timing goes to stderr and the JSON.
+fn serve_bench(
     scale: Scale,
     jobs: usize,
-    engine: &std::sync::Arc<lcm_serve::ServeEngine>,
-    csv_dir: Option<&std::path::Path>,
-) {
-    println!("== lcm-serve load bench (scale '{scale}', {jobs} pool worker(s)) ==");
+    engine: &Arc<lcm_serve::ServeEngine>,
+    out: &mut dyn Write,
+) -> Res<Files> {
+    writeln!(
+        out,
+        "== lcm-serve load bench (scale '{scale}', {jobs} pool worker(s)) =="
+    )?;
     let queries = serve_grid(engine);
     let n = queries.len();
+    let bench_err = |e: String| format!("serve bench: {e}");
 
     // Per-query engine paths, each averaged over the whole grid.
-    let time_pass = |f: &dyn Fn(&lcm_serve::Query)| {
+    let time_pass = |f: &dyn Fn(&lcm_serve::Query) -> Result<(), String>| {
         let t = Instant::now();
         for q in &queries {
-            f(q);
+            f(q).map_err(bench_err)?;
         }
-        t.elapsed().as_secs_f64() * 1e6 / n as f64
+        Ok::<f64, String>(t.elapsed().as_secs_f64() * 1e6 / n as f64)
     };
-    let cold_full_us = time_pass(&|q| {
-        engine.query_full(q).unwrap_or_else(|e| {
-            eprintln!("serve bench: {e}");
-            std::process::exit(1);
-        });
-    });
+    let cold_full_us = time_pass(&|q| engine.query_full(q).map(drop))?;
     let entry_of = |q: &lcm_serve::Query| {
         engine
             .traces()
@@ -3210,76 +2647,56 @@ fn run_serve_bench(
     };
     let differential_us = time_pass(&|q| {
         engine.replay_differential(entry_of(q), q);
-    });
+        Ok(())
+    })?;
     // Prime the cache, then time pure hits.
-    for q in &queries {
-        engine.query(q).unwrap_or_else(|e| {
-            eprintln!("serve bench: {e}");
-            std::process::exit(1);
-        });
-    }
-    let cached_us = time_pass(&|q| {
-        engine.query(q).unwrap_or_else(|e| {
-            eprintln!("serve bench: {e}");
-            std::process::exit(1);
-        });
-    });
-    println!(
+    time_pass(&|q| engine.query(q).map(drop))?;
+    let cached_us = time_pass(&|q| engine.query(q).map(drop))?;
+    eprintln!(
         "  per query: cold full replay {cold_full_us:.0}us   differential \
          {differential_us:.0}us   cached {cached_us:.1}us"
     );
 
     // Closed-loop TCP sweep: N clients, each issuing single-query
     // requests back-to-back over its own connection.
-    let server = lcm_serve::Server::start("127.0.0.1:0", std::sync::Arc::clone(engine), jobs)
-        .unwrap_or_else(|e| {
-            eprintln!("serve bench: {e}");
-            std::process::exit(1);
-        });
+    let server =
+        lcm_serve::Server::start("127.0.0.1:0", Arc::clone(engine), jobs).map_err(bench_err)?;
     let addr = server.addr.to_string();
     let reqs_per_client = match scale {
         Scale::Smoke => 60,
         _ => 240,
     };
     let mut sweep_rows = Vec::new();
-    for &clients in &[1usize, 2, 4, 8] {
+    for clients in [1usize, 2, 4, 8] {
         let t = Instant::now();
-        let mut all_lat: Vec<u64> = Vec::with_capacity(clients * reqs_per_client);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    let addr = addr.clone();
-                    let queries = &queries;
-                    s.spawn(move || {
-                        let mut cl = lcm_serve::Client::connect(&addr).unwrap_or_else(|e| {
-                            eprintln!("serve bench client: {e}");
-                            std::process::exit(1);
-                        });
-                        let mut lat = Vec::with_capacity(reqs_per_client);
-                        for i in 0..reqs_per_client {
-                            let q = &queries[(c + i) % queries.len()];
-                            let t = Instant::now();
-                            cl.query(q).unwrap_or_else(|e| {
-                                eprintln!("serve bench client: {e}");
-                                std::process::exit(1);
-                            });
-                            lat.push(t.elapsed().as_micros() as u64);
-                        }
-                        lat
-                    })
+        let client = |c: usize| -> Result<Vec<u64>, String> {
+            let mut cl = lcm_serve::Client::connect(&addr)?;
+            (0..reqs_per_client)
+                .map(|i| {
+                    let t = Instant::now();
+                    cl.query(&queries[(c + i) % n])?;
+                    Ok(t.elapsed().as_micros() as u64)
                 })
-                .collect();
-            for h in handles {
-                all_lat.extend(h.join().expect("bench client panicked"));
-            }
+                .collect()
+        };
+        let per_client: Vec<Result<Vec<u64>, String>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..clients).map(|c| s.spawn(move || client(c))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("bench client panicked"))
+                .collect()
         });
+        let mut all_lat = Vec::with_capacity(clients * reqs_per_client);
+        for lat in per_client {
+            all_lat.extend(lat.map_err(|e| format!("serve bench client: {e}"))?);
+        }
         let wall = t.elapsed().as_secs_f64();
         all_lat.sort_unstable();
         let total = clients * reqs_per_client;
         let qps = total as f64 / wall;
         let p50 = percentile_us(&all_lat, 50.0);
         let p99 = percentile_us(&all_lat, 99.0);
-        println!(
+        eprintln!(
             "  {clients} client(s): {total} requests in {wall:.2}s   {qps:>8.0} q/s   \
              p50 {p50}us   p99 {p99}us"
         );
@@ -3290,7 +2707,6 @@ fn run_serve_bench(
     }
     server.stop();
     let (cached, neighbor, differential) = engine.stats.snapshot();
-
     let json = format!(
         "{{\n  \"scale\": \"{scale}\",\n  \"jobs\": {jobs},\n  \"traces\": {},\n  \
          \"grid_points\": {n},\n  \"per_query_us\": {{\"cold_full\": {cold_full_us:.1}, \
@@ -3300,20 +2716,92 @@ fn run_serve_bench(
         engine.traces().len(),
         sweep_rows.join(",\n"),
     );
-    let path = csv_dir
-        .map(|d| d.join("BENCH_serve.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_serve.json"));
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("failed to create {}: {e}", parent.display());
-            std::process::exit(1);
+    writeln!(out)?;
+    Ok(vec![file("BENCH_serve.json", json)])
+}
+
+// ============================================================== subcommands
+
+/// The `replay` subcommand: parse a `.lcmtrace`, validate it against its
+/// own footer, and summarize what it holds. Unreadable files and failed
+/// validation exit 1.
+fn replay_summary(path: &Path, out: &mut dyn Write) -> Res<()> {
+    // `open` shares one decoded handle per path: a summary of a trace
+    // already resident (e.g. loaded by a server in this process) costs
+    // no second decode.
+    let file = TraceFile::open(path)?;
+    writeln!(
+        out,
+        "{} (.lcmtrace v{})",
+        path.display(),
+        lcm_replay::VERSION
+    )?;
+    for (k, v) in &file.metadata {
+        writeln!(out, "  {k}: {v}")?;
+    }
+    writeln!(out, "  nodes: {}   topology: {}", file.nodes, file.topology)?;
+    writeln!(out, "  fingerprint: {:#018x}", file.fingerprint())?;
+    writeln!(
+        out,
+        "  events: {}   phase marks: {}",
+        file.events.len(),
+        file.phase_index.len()
+    )?;
+    let r = lcm_replay::validate(&file).map_err(|e| format!("  validation FAILED: {e}"))?;
+    writeln!(
+        out,
+        "  validation: OK (replay reproduces the execution-driven run exactly)"
+    )?;
+    writeln!(
+        out,
+        "  time: {} cycles   barriers: {}   msgs: {}   bytes sent: {}",
+        r.time, r.barriers, file.totals.msgs_sent, file.totals.bytes_sent
+    )?;
+    writeln!(out, "  cycles by category (all nodes):")?;
+    for cat in CycleCat::all() {
+        let total: u64 = (0..file.nodes)
+            .map(|n| r.ledger.get(NodeId(n as u16), cat))
+            .sum();
+        if total > 0 {
+            writeln!(out, "    {:<18} {total}", cat.label())?;
         }
     }
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("serve bench written to {}\n", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+    Ok(())
+}
+
+/// The `critpath` subcommand: parse a `.lcmtrace` and run the
+/// happens-before analysis offline. Unreadable or corrupt files are a
+/// usage-level failure (exit 2, like bad flags) naming the format error.
+fn critpath_file(path: &Path, out: &mut dyn Write) -> Res<()> {
+    let file = TraceFile::open(path).map_err(|e| Error::Usage(format!("critpath: {e}")))?;
+    writeln!(
+        out,
+        "{} (.lcmtrace v{})",
+        path.display(),
+        lcm_replay::VERSION
+    )?;
+    for (k, v) in &file.metadata {
+        writeln!(out, "  {k}: {v}")?;
     }
+    writeln!(out, "  nodes: {}   topology: {}", file.nodes, file.topology)?;
+    let cp = lcm_replay::analyze(&file);
+    if cp.path_length() != cp.makespan {
+        return Err(format!(
+            "critpath: path length {} != makespan {} — the happens-before walk \
+             does not reproduce this capture",
+            cp.path_length(),
+            cp.makespan
+        )
+        .into());
+    }
+    if cp.unmatched_recvs > 0 || cp.unmatched_sends > 0 {
+        eprintln!(
+            "  note: {} recv(s) and {} send(s) had no FIFO partner (faulty capture?); \
+             program-order and barrier edges still cover the path",
+            cp.unmatched_recvs, cp.unmatched_sends
+        );
+    }
+    let whatifs = critpath::top_whatifs(&cp, 10);
+    write!(out, "{}", critpath::critpath_report(&cp, &whatifs))?;
+    Ok(())
 }
