@@ -166,10 +166,6 @@ impl Workload for Adaptive {
                 });
             }
             let cfg = *self;
-            // Adaptive cannot use the epoch-parallel engine: the closure
-            // advances the shared `next_free` allocation cursor (and the
-            // copy pass above walks trees through nested reads), so it is
-            // inherently `FnMut`. The classic apply keeps it correct.
             rt.apply2(mesh.base, self.partition, |inv, r, c| {
                 let v = inv.get(mesh.base.at(r, c));
                 if r > 0 && r + 1 < n && c > 0 && c + 1 < n {

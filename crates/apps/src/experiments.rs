@@ -96,17 +96,10 @@ impl Benchmark {
         }
     }
 
-    /// Runs this benchmark on one system at the given scale with the
-    /// default runtime configuration.
+    /// Runs this benchmark on one system at the given scale.
     pub fn run(self, scale: Scale, system: SystemKind) -> RunResult {
-        self.run_cfg(scale, system, RuntimeConfig::default())
-    }
-
-    /// Runs this benchmark on one system at the given scale under `cfg`
-    /// (e.g. with `sim_threads` raised — the output is byte-identical
-    /// either way; see `DESIGN.md` §4j).
-    pub fn run_cfg(self, scale: Scale, system: SystemKind, cfg: RuntimeConfig) -> RunResult {
         let nodes = scale.nodes();
+        let cfg = RuntimeConfig::default();
         fn go<W: Workload>(
             system: SystemKind,
             nodes: usize,
@@ -290,13 +283,6 @@ impl Suite {
     /// is an independent simulation (own machine, own protocol, own
     /// seeded RNG); a sanitizer panic in a worker propagates here.
     pub fn run_jobs(scale: Scale, jobs: usize) -> Suite {
-        Suite::run_jobs_cfg(scale, jobs, RuntimeConfig::default())
-    }
-
-    /// [`Suite::run_jobs`] under an explicit runtime configuration —
-    /// the hook `repro --sim-threads` uses to route every suite point
-    /// through the epoch-parallel engine (byte-identical output).
-    pub fn run_jobs_cfg(scale: Scale, jobs: usize, cfg: RuntimeConfig) -> Suite {
         let mut points = Vec::with_capacity(18);
         for b in Benchmark::all() {
             for s in SystemKind::all() {
@@ -304,7 +290,7 @@ impl Suite {
             }
         }
         let keys: Vec<(Benchmark, u8)> = points.iter().map(|&(b, s)| (b, sys_index(s))).collect();
-        let runs = lcm_sim::par_map(jobs, points, |_, (b, s)| b.run_cfg(scale, s, cfg));
+        let runs = lcm_sim::par_map(jobs, points, |_, (b, s)| b.run(scale, s));
         let results: BTreeMap<(Benchmark, u8), RunResult> = keys.into_iter().zip(runs).collect();
         Suite { scale, results }
     }

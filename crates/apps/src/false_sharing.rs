@@ -75,7 +75,7 @@ impl Workload for FalseSharing {
         rt.init1(counters, |_| 0);
         let work = rt.new_aggregate1::<i32>(self.writers, Placement::Blocked, "work");
         for _ in 0..self.rounds {
-            rt.par_apply1(work, Partition::Static, |inv, i| {
+            rt.apply1(work, Partition::Static, |inv, i| {
                 let slot = counters.at(i * stride);
                 let v = inv.get(slot);
                 inv.set(slot, v + 1);

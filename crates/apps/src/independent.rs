@@ -50,7 +50,7 @@ impl Workload for IndependentMap {
         let a = rt.new_aggregate1::<i32>(self.len, Placement::Blocked, "a");
         rt.init1(a, |i| i as i32);
         for _ in 0..self.sweeps {
-            rt.par_apply1(a, Partition::Static, |inv, i| {
+            rt.apply1(a, Partition::Static, |inv, i| {
                 let v = inv.get(a.at(i));
                 inv.set(a.at(i), v.wrapping_mul(3).wrapping_add(1));
             });

@@ -67,7 +67,7 @@ impl Workload for Jacobi {
         let mut last_residual = f64::INFINITY;
         while iters < self.max_iters {
             rt.set_reduction(residual, 0.0);
-            rt.par_apply2(m, Partition::Static, |inv, r, c| {
+            rt.apply2(m, Partition::Static, |inv, r, c| {
                 if r > 0 && r + 1 < n && c > 0 && c + 1 < n {
                     let v = inv.get(m.at(r, c));
                     let avg = 0.25

@@ -5,6 +5,7 @@
 //! runnable on all three memory systems, and the experiment runner that
 //! regenerates every table and figure.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;

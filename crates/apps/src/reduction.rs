@@ -96,22 +96,20 @@ fn generic_run<P: MemoryProtocol>(
             ReductionMethod::RsmReduce | ReductionMethod::SharedAccumulator => {
                 // Identical source code: `total %+= a[#0]`. The memory
                 // system makes it cheap (LCM) or a ping-pong (coherent).
-                rt.par_apply1(a, Partition::Static, |inv, i| {
+                rt.apply1(a, Partition::Static, |inv, i| {
                     let v = inv.get(a.at(i)) as f64;
                     inv.reduce_f64(total, v);
                 });
             }
             ReductionMethod::ManualPartials => {
                 // The hand-rewrite: register accumulation per processor…
-                // (mutates captured state, so it stays on the classic
-                // sequential apply — `par_apply1` needs a `Fn` closure).
                 let mut partials = vec![0.0f64; nodes];
                 rt.apply1(a, Partition::Static, |inv, i| {
                     partials[inv.node().index()] += inv.get(a.at(i)) as f64;
                 });
                 // …then one combining update per processor.
                 let p = rt.new_aggregate1::<u32>(nodes, Placement::Blocked, "p");
-                rt.par_apply1(p, Partition::Static, |inv, k| {
+                rt.apply1(p, Partition::Static, |inv, k| {
                     inv.reduce_f64(total, partials[k]);
                 });
             }

@@ -123,22 +123,10 @@ pub fn run_scale_point(
     backend: DirBackend,
     system: SystemKind,
 ) -> RunResult {
-    run_scale_point_cfg(b, nodes, backend, system, RuntimeConfig::default())
-}
-
-/// [`run_scale_point`] under an explicit runtime configuration — the
-/// hook the epoch-parallelism byte-identity tests use to run the same
-/// grid cell at several `sim_threads` settings.
-pub fn run_scale_point_cfg(
-    b: Benchmark,
-    nodes: usize,
-    backend: DirBackend,
-    system: SystemKind,
-    cfg: RuntimeConfig,
-) -> RunResult {
     let mc = MachineConfig::new(nodes)
         .with_cost(lcm_sim::CostModel::default())
         .with_directory(backend);
+    let cfg = RuntimeConfig::default();
     match scale_workload(b, nodes) {
         ScaleWorkload::Stencil(w) => execute_with_machine(system, mc, cfg, &w).1,
         ScaleWorkload::Adaptive(w) => execute_with_machine(system, mc, cfg, &w).1,

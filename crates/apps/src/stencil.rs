@@ -60,7 +60,7 @@ impl Workload for Stencil {
 
         let (rows, cols) = (self.rows, self.cols);
         for _ in 0..self.iters {
-            rt.par_apply2(m, self.partition, |inv, r, c| {
+            rt.apply2(m, self.partition, |inv, r, c| {
                 if r > 0 && r + 1 < rows && c > 0 && c + 1 < cols {
                     let sum = inv.get(m.at(r - 1, c))
                         + inv.get(m.at(r + 1, c))

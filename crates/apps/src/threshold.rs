@@ -79,9 +79,6 @@ impl Workload for Threshold {
         let mut updates = 0u64;
         let thresh = self.threshold;
         for _ in 0..self.iters {
-            // Stays on the classic sequential apply: the closure counts
-            // its updates through captured `&mut` state, which the
-            // epoch-parallel engine's `Fn` closures cannot hold.
             rt.apply2(m, Partition::Static, |inv, r, c| {
                 let v = inv.get(m.at(r, c));
                 if sources.contains(&(r, c)) {

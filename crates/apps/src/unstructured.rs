@@ -102,7 +102,7 @@ impl Workload for Unstructured {
 
         let work = rt.new_aggregate1::<u32>(self.nodes, Placement::Blocked, "work");
         for _ in 0..self.iters {
-            rt.par_apply1(work, Partition::Static, |inv, g| {
+            rt.apply1(work, Partition::Static, |inv, g| {
                 let me = slot_of[g] as usize;
                 let v = inv.get(vals.at(me));
                 let start = inv.get(offs.at(g)) as usize;

@@ -13,11 +13,13 @@
 //! errors exit 2, failures 1). Each section renders its report into a
 //! text sink and returns its files by name; the driver writes them under
 //! `--csv DIR`, and `BENCH_*.json` falls back to the working directory.
-//! Stdout depends only on the arguments minus `--jobs`, `--sim-threads`
-//! and output paths (DESIGN.md §4d): host times, worker counts and file
-//! locations go to stderr. `crates/bench/tests/sections.rs` pins this
-//! for every section, and `repro bench` asserts it for every `all`
-//! section while timing it at `--jobs 1` and on the pool.
+//! Stdout depends only on the arguments minus `--jobs` and output paths
+//! (DESIGN.md §4d): host times, worker counts and file locations go to
+//! stderr. `crates/bench/tests/sections.rs` pins this for every section,
+//! and `repro bench` asserts it for every `all` section while timing it
+//! at `--jobs 1` and on the pool.
+
+#![forbid(unsafe_code)]
 
 use lcm_apps::cache_limit::{chunk_blocks, stencil_on_limited_stache};
 use lcm_apps::experiments::{Benchmark, Scale, Suite};
@@ -35,10 +37,7 @@ use lcm_apps::{
     execute, execute_traced, execute_with_cost, execute_with_faults, RunResult, SystemKind,
     Workload,
 };
-use lcm_bench::{
-    critpath, explore, profile, report, BarChart, BenchReport, ParReport, ParTiming, SweepEngine,
-    SweepKey,
-};
+use lcm_bench::{critpath, explore, profile, report, BarChart, BenchReport, SweepEngine, SweepKey};
 use lcm_cstar::{FlushPolicy, Partition, RuntimeConfig};
 use lcm_replay::{TraceFile, TraceHandle};
 use lcm_sim::{CostModel, CrashPlan, CycleCat, FaultConfig, MachineConfig, NodeId};
@@ -141,7 +140,6 @@ const SECTIONS: &[Section] = &[
     section("recovery",    false, recovery,       "crash rate x checkpoint granularity"),
     section("scale",       false, scale,          "directory backends from 32 to 1024 nodes"),
     section("bench",       false, bench,          "each `all` section at --jobs 1 vs the pool"),
-    section("par",         false, par,            "sim-threads 1 vs N on 256-node runs"),
     section("serve",       false, serve,          "replay-server self-check, --bench, --listen"),
 ];
 
@@ -150,7 +148,6 @@ const SECTIONS: &[Section] = &[
 const FLAGS: &[(&str, &str)] = &[
     ("--scale paper|medium|smoke",  "workload size (default: medium)"),
     ("--jobs N",                    "workers across sweep points (default: host cores)"),
-    ("--sim-threads N",             "threads inside one simulation (DESIGN.md §4j)"),
     ("--csv DIR",                   "write every section's files under DIR"),
     ("--svg DIR",                   "write fig2.svg and fig3.svg under DIR"),
     ("--faults RATE:SEED",          "add a drop-rate point to `faults`"),
@@ -195,7 +192,6 @@ fn section_list() -> String {
 struct Ctx {
     scale: Scale,
     jobs: usize,
-    sim_threads: usize,
     csv: Option<PathBuf>,
     faults: Option<(f64, u64)>,
     crash: Option<(f64, u64)>,
@@ -211,11 +207,10 @@ struct Ctx {
 }
 
 impl Ctx {
-    fn new(scale: Scale, jobs: usize, sim_threads: usize) -> Ctx {
+    fn new(scale: Scale, jobs: usize) -> Ctx {
         Ctx {
             scale,
             jobs,
-            sim_threads,
             csv: None,
             faults: None,
             crash: None,
@@ -230,24 +225,17 @@ impl Ctx {
     }
 
     /// The benchmark suite that `table1`, `fig2`, `fig3` and `claims`
-    /// read, run on first use. `--sim-threads` routes every point through
-    /// the epoch-parallel engine, byte-identical by construction (§4j).
+    /// read, run on first use.
     fn suite(&self) -> &Suite {
         self.suite.get_or_init(|| {
             eprintln!(
-                "running the benchmark suite at scale '{}' ({} processors, {} worker(s), \
-                 {} sim thread(s))…",
+                "running the benchmark suite at scale '{}' ({} processors, {} worker(s))…",
                 self.scale,
                 self.scale.nodes(),
-                self.jobs,
-                self.sim_threads
+                self.jobs
             );
             let t0 = Instant::now();
-            let cfg = RuntimeConfig {
-                sim_threads: self.sim_threads,
-                ..RuntimeConfig::default()
-            };
-            let suite = Suite::run_jobs_cfg(self.scale, self.jobs, cfg);
+            let suite = Suite::run_jobs(self.scale, self.jobs);
             eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
             suite
         })
@@ -269,7 +257,7 @@ impl Write for Stdout {
 /// Parses the command line, then runs the selected sections in table
 /// order, timing each and writing its files.
 fn run(args: &[String]) -> Res<()> {
-    let mut ctx = Ctx::new(Scale::Medium, lcm_sim::available_jobs(), 1);
+    let mut ctx = Ctx::new(Scale::Medium, lcm_sim::available_jobs());
     let mut svg: Option<PathBuf> = None;
     let mut what: Vec<&str> = Vec::new();
     let mut implied: Vec<&str> = Vec::new();
@@ -282,17 +270,12 @@ fn run(args: &[String]) -> Res<()> {
                 .ok_or_else(|| Error::Usage(format!("{flag} requires {want}")))
         };
         match flag {
-            "--jobs" | "--sim-threads" => {
-                let n = value("a count >= 1")?
+            "--jobs" => {
+                ctx.jobs = value("a count >= 1")?
                     .parse::<usize>()
                     .ok()
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| Error::Usage(format!("{flag} requires a count >= 1")))?;
-                if flag == "--jobs" {
-                    ctx.jobs = n;
-                } else {
-                    ctx.sim_threads = n;
-                }
             }
             "--faults" | "--crash" => {
                 let spec = value("<rate>:<seed>")?;
@@ -2155,8 +2138,8 @@ fn bench(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
         "== Wall-clock bench: each `all` section serially and on the pool, scale '{}' ==",
         ctx.scale
     )?;
-    let serial = Ctx::new(ctx.scale, 1, ctx.sim_threads);
-    let pooled = Ctx::new(ctx.scale, jobs, ctx.sim_threads);
+    let serial = Ctx::new(ctx.scale, 1);
+    let pooled = Ctx::new(ctx.scale, jobs);
     let mut sections = 0;
     for s in SECTIONS.iter().filter(|s| s.in_all) {
         let leg = |c: &Ctx| -> Res<(String, Files)> {
@@ -2207,125 +2190,6 @@ fn bench(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
         "  {sections} sections: stdout and files byte-identical between the two legs\n"
     )?;
     Ok(vec![file("BENCH_sweep.json", report.to_json())])
-}
-
-/// The `par` section: intra-run epoch parallelism on kilonode machines.
-///
-/// Where `bench` parallelizes *across* independent sweep points
-/// (`--jobs`), this measures `--sim-threads`: host threads cooperating
-/// inside one simulation through the epoch-parallel engine (DESIGN.md
-/// §4j). Each benchmark runs once at `sim_threads = 1` and once at the
-/// effective thread count; the two runs must agree digest-for-digest —
-/// the engine's byte-identity contract — and the wall-clock trajectory
-/// is written to `BENCH_par.json`. On a single-core host the effective
-/// count clamps to 1 and the speedup honestly reads ~1.0x.
-fn par(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
-    let scale = ctx.scale;
-    // A bare `repro par` (no --sim-threads) measures at the host's width.
-    let requested = if ctx.sim_threads > 1 {
-        ctx.sim_threads
-    } else {
-        lcm_sim::available_jobs()
-    };
-    let mut report = ParReport::new(&scale.to_string(), requested);
-    let eff = report.effective_sim_threads;
-    if report.oversubscribed() {
-        eprintln!(
-            "warning: --sim-threads {requested} exceeds the host's {} core(s); timing the \
-             parallel legs at {eff} thread(s) (requested and effective counts are both \
-             recorded in BENCH_par.json)",
-            report.host_cores
-        );
-    }
-    write!(
-        out,
-        "== Intra-run parallelism: sim-threads 1 vs {eff}, scale '{scale}' ==
-   one simulation, many host threads: the epoch-parallel engine runs each
-   barrier epoch's invocations on a worker pool (shadow pass) and merges
-   them in a deterministic replay — clocks, ledgers and digests are
-   byte-identical to the sequential path, which this section asserts.
-"
-    )?;
-    if eff == 1 {
-        writeln!(
-            out,
-            "   (single-core host: no parallelism available, expect ~1.0x)"
-        )?;
-    }
-
-    fn leg<W: Workload>(w: &W, nodes: usize, threads: usize) -> (u64, f64) {
-        let cfg = RuntimeConfig {
-            sim_threads: threads,
-            ..RuntimeConfig::default()
-        };
-        let t0 = Instant::now();
-        let (_, r) = execute(SystemKind::LcmMcc, nodes, cfg, w);
-        (r.digest(), t0.elapsed().as_secs_f64())
-    }
-
-    let mut record = |label: &str, nodes: usize, serial: (u64, f64), par: (u64, f64)| {
-        assert_eq!(
-            serial.0, par.0,
-            "par point {label}/{nodes} diverged between sim-threads 1 and {eff}"
-        );
-        report.runs.push(ParTiming {
-            benchmark: label.to_string(),
-            nodes,
-            serial_secs: serial.1,
-            parallel_secs: par.1,
-            digest_match: serial.0 == par.0,
-        });
-    };
-
-    // Kilonode points: big enough that per-epoch node-local work (not
-    // the sequential replay) dominates, as the engine needs to show a
-    // speedup; weak-scaled like the `scale` section.
-    let nodes = 256;
-    let iters = match scale {
-        Scale::Paper => 20,
-        Scale::Medium => 10,
-        Scale::Smoke => 3,
-    };
-    let st = Stencil {
-        rows: nodes,
-        cols: 256,
-        iters,
-        partition: Partition::Dynamic,
-    };
-    record(
-        "Stencil-dyn",
-        nodes,
-        leg(&st, nodes, 1),
-        leg(&st, nodes, eff),
-    );
-    let un = Unstructured {
-        nodes: 4 * nodes,
-        edges: 16 * nodes,
-        iters: 2 * iters,
-        seed: 42,
-    };
-    record(
-        "Unstructured",
-        nodes,
-        leg(&un, nodes, 1),
-        leg(&un, nodes, eff),
-    );
-
-    for r in &report.runs {
-        eprintln!(
-            "  {:<14} {:>5} nodes   1-thread {:>8.2}s   {eff}-thread {:>8.2}s   speedup {:.2}x",
-            r.benchmark,
-            r.nodes,
-            r.serial_secs,
-            r.parallel_secs,
-            r.speedup()
-        );
-    }
-    writeln!(
-        out,
-        "  parallel runs agreed with sequential runs digest-for-digest\n"
-    )?;
-    Ok(vec![file("BENCH_par.json", report.to_json())])
 }
 
 // ==================================================================== serve
@@ -2621,10 +2485,8 @@ fn serve_bench(
     engine: &Arc<lcm_serve::ServeEngine>,
     out: &mut dyn Write,
 ) -> Res<Files> {
-    writeln!(
-        out,
-        "== lcm-serve load bench (scale '{scale}', {jobs} pool worker(s)) =="
-    )?;
+    writeln!(out, "== lcm-serve load bench (scale '{scale}') ==")?;
+    eprintln!("  {jobs} pool worker(s)");
     let queries = serve_grid(engine);
     let n = queries.len();
     let bench_err = |e: String| format!("serve bench: {e}");

@@ -10,6 +10,7 @@
 //!   host-side cost of the simulator on the same workloads, one bench
 //!   per table/figure, for tracking the reproduction itself.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod critpath;
@@ -20,7 +21,7 @@ pub mod svg;
 pub mod sweep;
 
 pub use svg::BarChart;
-pub use sweep::{BenchReport, ParReport, ParTiming, SectionTiming, SweepEngine, SweepKey};
+pub use sweep::{BenchReport, SectionTiming, SweepEngine, SweepKey};
 
 /// Formats a cycle count with thousands separators for bench output.
 pub fn cycles(x: u64) -> String {

@@ -249,101 +249,6 @@ impl BenchReport {
     }
 }
 
-/// One benchmark's wall-clock under the epoch-parallel engine:
-/// `--sim-threads 1` vs `--sim-threads N` on the *same* simulation.
-#[derive(Clone, Debug)]
-pub struct ParTiming {
-    /// Benchmark label (e.g. `"Stencil-dyn/256"`).
-    pub benchmark: String,
-    /// Simulated machine nodes.
-    pub nodes: usize,
-    /// Wall-clock seconds at `sim_threads = 1`.
-    pub serial_secs: f64,
-    /// Wall-clock seconds at the report's effective thread count.
-    pub parallel_secs: f64,
-    /// Whether the two runs produced identical digests (they must).
-    pub digest_match: bool,
-}
-
-impl ParTiming {
-    /// Serial over parallel wall-clock (> 1 means the pool helped).
-    pub fn speedup(&self) -> f64 {
-        self.serial_secs / self.parallel_secs.max(1e-9)
-    }
-}
-
-/// The `repro par` trajectory: intra-run epoch parallelism, serialized
-/// as `BENCH_par.json`.
-///
-/// Unlike [`BenchReport`] (which parallelizes *across* independent sweep
-/// points with `--jobs`), this measures `--sim-threads` — host threads
-/// cooperating *inside one simulation* — and records both the requested
-/// and the effective thread count so single-core hosts report an honest
-/// ~1.0x rather than a fictitious slowdown.
-#[derive(Clone, Debug)]
-pub struct ParReport {
-    /// Scale label the runs used.
-    pub scale: String,
-    /// Thread count the user asked for (`--sim-threads N`).
-    pub sim_threads: usize,
-    /// Thread count the parallel legs actually ran on:
-    /// `min(sim_threads, host_cores)`, at least 1.
-    pub effective_sim_threads: usize,
-    /// `available_parallelism` of the measuring host.
-    pub host_cores: usize,
-    /// One entry per timed benchmark.
-    pub runs: Vec<ParTiming>,
-}
-
-impl ParReport {
-    /// An empty report for `sim_threads` requested workers.
-    pub fn new(scale: &str, sim_threads: usize) -> Self {
-        let host_cores = lcm_sim::available_jobs();
-        ParReport {
-            scale: scale.to_string(),
-            sim_threads,
-            effective_sim_threads: sim_threads.min(host_cores).max(1),
-            host_cores,
-            runs: Vec::new(),
-        }
-    }
-
-    /// True when the requested thread count exceeded the host's cores.
-    pub fn oversubscribed(&self) -> bool {
-        self.sim_threads > self.effective_sim_threads
-    }
-
-    /// The `BENCH_par.json` document (stable key order, no deps).
-    pub fn to_json(&self) -> String {
-        let mut j = String::from("{\n");
-        let _ = writeln!(j, "  \"scale\": \"{}\",", self.scale);
-        let _ = writeln!(j, "  \"sim_threads_requested\": {},", self.sim_threads);
-        let _ = writeln!(
-            j,
-            "  \"sim_threads_effective\": {},",
-            self.effective_sim_threads
-        );
-        let _ = writeln!(j, "  \"host_cores\": {},", self.host_cores);
-        j.push_str("  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            let _ = write!(
-                j,
-                "    {{\"benchmark\": \"{}\", \"nodes\": {}, \"serial_secs\": {:.4}, \
-                 \"parallel_secs\": {:.4}, \"speedup\": {:.3}, \"digest_match\": {}}}",
-                r.benchmark,
-                r.nodes,
-                r.serial_secs,
-                r.parallel_secs,
-                r.speedup(),
-                r.digest_match
-            );
-            j.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
-        }
-        j.push_str("  ]\n}\n");
-        j
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,14 @@
 //! The one determinism check of the `repro` CLI (DESIGN.md §4d): every
-//! section listed by `--list-sections` prints the same stdout and writes
-//! the same files at `--jobs 1` and `--jobs 4`, `all` does so at
-//! `--sim-threads 1` and `4`, stdout never names the output directory,
-//! and unknown sections and flags are usage errors (exit 2).
+//! section listed by `--list-sections`, and `serve --bench`, prints the
+//! same stdout and writes the same files at `--jobs 1` and `--jobs 4`,
+//! stdout never names the output directory, and unknown sections and
+//! flags are usage errors (exit 2).
 
 use std::collections::BTreeMap;
 use std::process::{Command, Output};
 
 /// Files that hold host timings: only their presence is compared.
-const HOST_TIMED: [&str; 3] = ["BENCH_sweep.json", "BENCH_par.json", "BENCH_serve.json"];
+const HOST_TIMED: [&str; 2] = ["BENCH_sweep.json", "BENCH_serve.json"];
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -99,18 +99,16 @@ fn listed_sections() -> Vec<String> {
 fn every_section_is_byte_identical_across_worker_counts() {
     let sections = listed_sections();
     assert!(sections.len() > 20, "sections listed: {sections:?}");
-    for section in &sections {
-        let serial = run(section, &["--jobs", "1"]);
-        let pooled = run(section, &["--jobs", "4"]);
-        assert_same(&format!("{section} at --jobs 1 vs 4"), &serial, &pooled);
+    let legs = sections
+        .iter()
+        .map(|s| (s.as_str(), &[][..]))
+        .chain([("serve", &["--bench"][..])]);
+    for (section, extra) in legs {
+        let serial = run(section, &[&["--jobs", "1"], extra].concat());
+        let pooled = run(section, &[&["--jobs", "4"], extra].concat());
+        let label = format!("{section} {} at --jobs 1 vs 4", extra.join(" "));
+        assert_same(&label, &serial, &pooled);
     }
-}
-
-#[test]
-fn all_is_byte_identical_across_sim_threads() {
-    let one = run("all", &["--jobs", "1", "--sim-threads", "1"]);
-    let four = run("all", &["--jobs", "1", "--sim-threads", "4"]);
-    assert_same("all at --sim-threads 1 vs 4", &one, &four);
 }
 
 #[test]
@@ -119,6 +117,8 @@ fn unknown_sections_and_flags_exit_2_with_the_section_list() {
         &["no-such-section"][..],
         &["--no-such-flag"],
         &["--jobs", "0"],
+        &["--sim-threads", "2"],
+        &["par"],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?}");

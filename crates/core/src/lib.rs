@@ -15,6 +15,7 @@
 //! See the crate-level docs of `lcm-rsm` for the model and `DESIGN.md` at
 //! the repository root for how this maps onto the paper.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cow;

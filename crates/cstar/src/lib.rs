@@ -41,6 +41,7 @@
 //! assert!(rt.peek2(m, 1, 1) > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod advisor;

@@ -11,46 +11,12 @@
 //! chunk at a time, with all costs charged to per-node logical clocks.
 //! C\*\* semantics make the order unobservable: invocations cannot see
 //! each other's modifications.
-//!
-//! ## The epoch-parallel engine (`par_apply1` / `par_apply2`)
-//!
-//! With `RuntimeConfig::sim_threads > 1`, [`Runtime::par_apply1`] and
-//! [`Runtime::par_apply2`] execute one parallel call (one barrier
-//! epoch) in two passes:
-//!
-//! 1. **Shadow** (host-parallel): each plan entry (one simulated node's
-//!    chunk) runs on a persistent [`SimPool`] worker against a purely
-//!    functional view of memory — reads come from the node's private
-//!    write-set, falling back to home memory (stable for the addresses
-//!    an invocation may read until the epoch merges); writes go only
-//!    into the write-set. Every operation is recorded in a per-node op
-//!    log. No protocol state, clock, ledger or trace is touched.
-//! 2. **Replay** (sequential): the logs are replayed slot-major — the
-//!    exact interleaving the classic path uses — issuing the identical
-//!    `read_word`/`write_word`/`reduce`/`compute`/`flush_copies` call
-//!    sequence into the unmodified protocol machinery. Clocks, ledger
-//!    cells, stats, digests and traces are therefore byte-identical to
-//!    `sim_threads == 1` *by construction*, under faults, crashes,
-//!    finite bandwidth and every directory backend.
-//!
-//! The C\*\* contract is what makes the shadow sound: invocations read
-//! pre-call global state plus their own (per-node) modifications, so a
-//! write-set over stable home memory reproduces live visibility. Where
-//! the shadow cannot model a construct — a nested parallel call, or a
-//! read of a location that was the target of a reduction this phase —
-//! it bails out with a quiet panic and the epoch reruns on the classic
-//! sequential path (the shadow made no protocol mutations, so state is
-//! pristine; genuine user panics then resurface exactly as they would
-//! have at `sim_threads == 1`).
 
 use crate::aggregate::Cell;
 use crate::runtime::{chunk_plan, FlushPolicy, ReduceVar, Runtime, Strategy};
 use crate::scalar::Scalar;
-use lcm_rsm::{MemoryProtocol, ReduceOp};
-use lcm_sim::hash::FastMap;
-use lcm_sim::mem::{Addr, BlockId};
-use lcm_sim::{NodeId, QuietPanic, SimPool};
-use std::cell::UnsafeCell;
+use lcm_rsm::MemoryProtocol;
+use lcm_sim::NodeId;
 use std::ops::Range;
 
 /// How invocation chunks map to processors.
@@ -66,101 +32,13 @@ pub enum Partition {
     Dynamic,
 }
 
-/// One operation recorded by a shadow invocation, replayed verbatim
-/// through the protocol on the sequential merge pass.
-#[derive(Copy, Clone, Debug)]
-enum Op {
-    /// `read_word` at this address; the value carried along is what the
-    /// shadow observed, cross-checked against the live read in debug
-    /// builds (a mismatch means the shadow visibility rules diverged).
-    Read(Addr, u32),
-    /// `write_word`: owning aggregate (for the written flag), address,
-    /// value bits.
-    Write(usize, Addr, u32),
-    /// A reduction assignment.
-    Reduce(Addr, ReduceOp, u64),
-    /// Extra application compute.
-    Compute(u64),
-}
-
-/// Per-invocation shadow record: how many ops it logged, and whether it
-/// modified data (drives the per-invocation flush on replay).
-#[derive(Copy, Clone, Debug)]
-struct InvRec {
-    ops: u32,
-    dirty: bool,
-}
-
-/// One plan entry's (simulated node's) shadow log for an epoch.
-#[derive(Default)]
-struct NodeLog {
-    ops: Vec<Op>,
-    invs: Vec<InvRec>,
-}
-
-/// Lock-free output slot for the shadow pass: each pool task index is
-/// claimed exactly once, so cell accesses are disjoint, and the pool's
-/// job-completion handshake orders them before the collecting read.
-struct LogCell(UnsafeCell<NodeLog>);
-
-// SAFETY: see above — index-disjoint, handshake-ordered.
-unsafe impl Sync for LogCell {}
-
-/// The shadow invocation's functional view of memory.
-struct Shadow<'a, P> {
-    rt: &'a Runtime<P>,
-    /// This node's private modifications (live: its priv copies / back
-    /// buffer), keyed by the address actually written.
-    writes: &'a mut FastMap<Addr, u32>,
-    ops: &'a mut Vec<Op>,
-    /// Blocks targeted by a reduction this phase: their live contents
-    /// depend on protocol internals the shadow does not model, so a
-    /// read of one bails out to the sequential path.
-    reduced: &'a mut Vec<BlockId>,
-}
-
-impl<P: MemoryProtocol> Shadow<'_, P> {
-    fn read(&mut self, addr: Addr) -> u32 {
-        if self.reduced.contains(&addr.block()) {
-            std::panic::panic_any(QuietPanic);
-        }
-        let v = match self.writes.get(&addr) {
-            Some(v) => *v,
-            None => self.rt.mem.tempest().mem.read_word(addr),
-        };
-        self.ops.push(Op::Read(addr, v));
-        v
-    }
-
-    fn write(&mut self, id: usize, addr: Addr, bits: u32) {
-        self.writes.insert(addr, bits);
-        self.ops.push(Op::Write(id, addr, bits));
-    }
-
-    fn reduce(&mut self, addr: Addr, op: ReduceOp, bits: u64) {
-        let b = addr.block();
-        if !self.reduced.contains(&b) {
-            self.reduced.push(b);
-        }
-        self.ops.push(Op::Reduce(addr, op, bits));
-    }
-}
-
-/// What an [`Invocation`] is backed by: the real runtime (classic
-/// sequential execution and the replay pass), or a shadow view (the
-/// epoch engine's parallel first pass).
-enum Inner<'a, P> {
-    Live(&'a mut Runtime<P>),
-    Shadow(Shadow<'a, P>),
-}
-
 /// The context handed to each parallel-function invocation.
 ///
 /// Provides the element accessors (reads see the pre-call global state
 /// plus the invocation's own writes; writes are private until the call
 /// completes) and the reduction assignments.
 pub struct Invocation<'a, P> {
-    inner: Inner<'a, P>,
+    rt: &'a mut Runtime<P>,
     node: NodeId,
     dirty: bool,
 }
@@ -173,33 +51,17 @@ impl<P: MemoryProtocol> Invocation<'_, P> {
 
     /// Reads an aggregate element.
     pub fn get<T: Scalar>(&mut self, cell: Cell<T>) -> T {
-        match &mut self.inner {
-            Inner::Live(rt) => {
-                let addr = rt.aggs[cell.id].read_addr(cell.idx);
-                T::from_bits(rt.mem.read_word(self.node, addr))
-            }
-            Inner::Shadow(sh) => {
-                let addr = sh.rt.aggs[cell.id].read_addr(cell.idx);
-                T::from_bits(sh.read(addr))
-            }
-        }
+        let addr = self.rt.aggs[cell.id].read_addr(cell.idx);
+        T::from_bits(self.rt.mem.read_word(self.node, addr))
     }
 
     /// Writes an aggregate element. Private to this invocation until the
     /// parallel call completes.
     pub fn set<T: Scalar>(&mut self, cell: Cell<T>, v: T) {
         self.dirty = true;
-        match &mut self.inner {
-            Inner::Live(rt) => {
-                rt.written[cell.id] = true;
-                let addr = rt.aggs[cell.id].write_addr(cell.idx);
-                rt.mem.write_word(self.node, addr, v.to_bits());
-            }
-            Inner::Shadow(sh) => {
-                let addr = sh.rt.aggs[cell.id].write_addr(cell.idx);
-                sh.write(cell.id, addr, v.to_bits());
-            }
-        }
+        self.rt.written[cell.id] = true;
+        let addr = self.rt.aggs[cell.id].write_addr(cell.idx);
+        self.rt.mem.write_word(self.node, addr, v.to_bits());
     }
 
     /// The write the *explicit-copying* compilation must perform to carry
@@ -207,11 +69,7 @@ impl<P: MemoryProtocol> Invocation<'_, P> {
     /// "program itself copies values that are not updated"). A no-op
     /// under LCM, where unmodified locations simply keep their value.
     pub fn copy_through<T: Scalar>(&mut self, cell: Cell<T>, v: T) {
-        let strategy = match &self.inner {
-            Inner::Live(rt) => rt.strategy,
-            Inner::Shadow(sh) => sh.rt.strategy,
-        };
-        if strategy == Strategy::ExplicitCopy {
+        if self.rt.strategy == Strategy::ExplicitCopy {
             self.set(cell, v);
         }
     }
@@ -219,19 +77,13 @@ impl<P: MemoryProtocol> Invocation<'_, P> {
     /// A reduction assignment (`total %op= v`).
     pub fn reduce_f64(&mut self, var: ReduceVar, v: f64) {
         self.dirty = true;
-        match &mut self.inner {
-            Inner::Live(rt) => rt.mem.reduce(self.node, var.addr, var.op, v.to_bits()),
-            Inner::Shadow(sh) => sh.reduce(var.addr, var.op, v.to_bits()),
-        }
+        self.rt.mem.reduce(self.node, var.addr, var.op, v.to_bits());
     }
 
     /// Charges extra application compute (beyond the per-invocation
     /// overhead) to this invocation's processor.
     pub fn compute(&mut self, cycles: u64) {
-        match &mut self.inner {
-            Inner::Live(rt) => rt.mem.compute(self.node, cycles),
-            Inner::Shadow(sh) => sh.ops.push(Op::Compute(cycles)),
-        }
+        self.rt.mem.compute(self.node, cycles);
     }
 }
 
@@ -254,22 +106,15 @@ impl<P: MemoryProtocol + lcm_rsm::NestedProtocol> Invocation<'_, P> {
     where
         F: FnMut(&mut Invocation<'_, P>, usize),
     {
-        // The shadow pass cannot model a nested phase (inner invocations
-        // observe the parent's private copies through the protocol);
-        // bail out so the epoch reruns on the classic sequential path.
-        let rt: &mut Runtime<P> = match &mut self.inner {
-            Inner::Live(rt) => rt,
-            Inner::Shadow(_) => std::panic::panic_any(QuietPanic),
-        };
         assert_eq!(
-            rt.strategy,
+            self.rt.strategy,
             Strategy::LcmDirectives,
             "nested parallel calls require the LCM-directive strategy"
         );
-        let per_invocation_flush = rt.flush == FlushPolicy::PerInvocation;
-        let overhead = rt.overhead;
-        let nodes = rt.nodes();
-        rt.mem.begin_nested_phase(self.node);
+        let per_invocation_flush = self.rt.flush == FlushPolicy::PerInvocation;
+        let overhead = self.rt.overhead;
+        let nodes = self.rt.nodes();
+        self.rt.mem.begin_nested_phase(self.node);
         let plan = chunk_plan(agg.len, nodes);
         let longest = plan.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
         for s in 0..longest {
@@ -278,20 +123,20 @@ impl<P: MemoryProtocol + lcm_rsm::NestedProtocol> Invocation<'_, P> {
                 if i >= range.end {
                     continue;
                 }
-                rt.mem.compute(*node, overhead);
+                self.rt.mem.compute(*node, overhead);
                 let mut inv = Invocation {
-                    inner: Inner::Live(&mut *rt),
+                    rt: &mut *self.rt,
                     node: *node,
                     dirty: false,
                 };
                 f(&mut inv, i);
                 let dirty = inv.dirty;
                 if dirty && per_invocation_flush {
-                    rt.mem.flush_copies(*node);
+                    self.rt.mem.flush_copies(*node);
                 }
             }
         }
-        rt.mem.reconcile_nested();
+        self.rt.mem.reconcile_nested();
         // The parent invocation now carries the inner call's modifications.
         self.dirty = true;
     }
@@ -345,7 +190,7 @@ impl<P: MemoryProtocol> Runtime<P> {
     fn run_invocation<F: FnOnce(&mut Invocation<'_, P>)>(&mut self, node: NodeId, f: F) {
         self.mem.compute(node, self.overhead);
         let mut inv = Invocation {
-            inner: Inner::Live(self),
+            rt: self,
             node,
             dirty: false,
         };
@@ -383,7 +228,15 @@ impl<P: MemoryProtocol> Runtime<P> {
     {
         let plan = self.plan(agg.len, partition);
         self.begin_apply();
-        self.seq_epoch1(&plan, &mut f);
+        let longest = plan.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
+        for s in 0..longest {
+            for (node, range) in &plan {
+                let i = range.start + s;
+                if i < range.end {
+                    self.run_invocation(*node, |inv| f(inv, i));
+                }
+            }
+        }
         self.end_apply();
     }
 
@@ -402,34 +255,9 @@ impl<P: MemoryProtocol> Runtime<P> {
         let cols = agg.cols;
         let plan = self.plan(agg.rows, partition);
         self.begin_apply();
-        self.seq_epoch2(&plan, cols, &mut f);
-        self.end_apply();
-    }
-
-    /// The classic sequential epoch body of [`Runtime::apply1`].
-    fn seq_epoch1<F>(&mut self, plan: &[(NodeId, Range<usize>)], f: &mut F)
-    where
-        F: FnMut(&mut Invocation<'_, P>, usize),
-    {
-        let longest = plan.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
-        for s in 0..longest {
-            for (node, range) in plan {
-                let i = range.start + s;
-                if i < range.end {
-                    self.run_invocation(*node, |inv| f(inv, i));
-                }
-            }
-        }
-    }
-
-    /// The classic sequential epoch body of [`Runtime::apply2`].
-    fn seq_epoch2<F>(&mut self, plan: &[(NodeId, Range<usize>)], cols: usize, f: &mut F)
-    where
-        F: FnMut(&mut Invocation<'_, P>, usize, usize),
-    {
         let longest = plan.iter().map(|(_, r)| r.len() * cols).max().unwrap_or(0);
         for s in 0..longest {
-            for (node, rows) in plan {
+            for (node, rows) in &plan {
                 if s < rows.len() * cols {
                     let r = rows.start + s / cols;
                     let c = s % cols;
@@ -437,198 +265,7 @@ impl<P: MemoryProtocol> Runtime<P> {
                 }
             }
         }
-    }
-
-    /// [`Runtime::apply1`] through the epoch-parallel engine: identical
-    /// semantics and byte-identical outputs, but with
-    /// `RuntimeConfig::sim_threads > 1` the invocations execute on a
-    /// persistent host worker pool (shadow pass) before a deterministic
-    /// sequential replay merges them (see the module docs). Requires a
-    /// shareable closure; workloads whose closures need `FnMut` state
-    /// (e.g. Adaptive's allocation cursor) stay on [`Runtime::apply1`].
-    pub fn par_apply1<T: Scalar, F>(
-        &mut self,
-        agg: crate::aggregate::Agg1<T>,
-        partition: Partition,
-        mut f: F,
-    ) where
-        F: Fn(&mut Invocation<'_, P>, usize) + Sync,
-        P: Sync,
-    {
-        let plan = self.plan(agg.len, partition);
-        self.begin_apply();
-        let slots = |r: &Range<usize>| r.len();
-        let mut shadowed = false;
-        if self.sim_threads > 1 {
-            let call =
-                |inv: &mut Invocation<'_, P>, pi: usize, s: usize| f(inv, plan[pi].1.start + s);
-            if let Some(logs) = self.epoch_shadow(&plan, &slots, &call) {
-                self.epoch_replay(&plan, &slots, &logs);
-                shadowed = true;
-            }
-        }
-        if !shadowed {
-            self.seq_epoch1(&plan, &mut f);
-        }
         self.end_apply();
-    }
-
-    /// [`Runtime::apply2`] through the epoch-parallel engine (see
-    /// [`Runtime::par_apply1`]).
-    pub fn par_apply2<T: Scalar, F>(
-        &mut self,
-        agg: crate::aggregate::Agg2<T>,
-        partition: Partition,
-        f: F,
-    ) where
-        F: Fn(&mut Invocation<'_, P>, usize, usize) + Sync,
-        P: Sync,
-    {
-        let cols = agg.cols;
-        let plan = self.plan(agg.rows, partition);
-        self.begin_apply();
-        let slots = move |r: &Range<usize>| r.len() * cols;
-        let mut shadowed = false;
-        if self.sim_threads > 1 {
-            let call = |inv: &mut Invocation<'_, P>, pi: usize, s: usize| {
-                let rows = &plan[pi].1;
-                f(inv, rows.start + s / cols, s % cols)
-            };
-            if let Some(logs) = self.epoch_shadow(&plan, &slots, &call) {
-                self.epoch_replay(&plan, &slots, &logs);
-                shadowed = true;
-            }
-        }
-        if !shadowed {
-            let mut g = |inv: &mut Invocation<'_, P>, r: usize, c: usize| f(inv, r, c);
-            self.seq_epoch2(&plan, cols, &mut g);
-        }
-        self.end_apply();
-    }
-
-    /// The parallel first pass: runs every plan entry's invocations (in
-    /// local slot order) against shadow memory on the worker pool,
-    /// producing per-node op logs. Returns `None` if any shadow
-    /// invocation bailed out or panicked — nothing was mutated, so the
-    /// caller falls back to the sequential path.
-    ///
-    /// `slots(range)` is the entry's local slot count and
-    /// `call(inv, pi, s)` dispatches slot `s` of plan entry `pi`.
-    fn epoch_shadow<F>(
-        &mut self,
-        plan: &[(NodeId, Range<usize>)],
-        slots: &(dyn Fn(&Range<usize>) -> usize + Sync),
-        call: &F,
-    ) -> Option<Vec<NodeLog>>
-    where
-        F: Fn(&mut Invocation<'_, P>, usize, usize) + Sync,
-        P: Sync,
-    {
-        let pool = self
-            .pool
-            .take()
-            .unwrap_or_else(|| SimPool::new(self.sim_threads));
-        let cells: Vec<LogCell> = plan
-            .iter()
-            .map(|_| LogCell(UnsafeCell::new(NodeLog::default())))
-            .collect();
-        let rt: &Runtime<P> = self;
-        let per_inv_flush =
-            rt.strategy == Strategy::LcmDirectives && rt.flush == FlushPolicy::PerInvocation;
-        let outcome = pool.run(plan.len(), &|pi| {
-            let (node, range) = &plan[pi];
-            let mut log = NodeLog::default();
-            let mut writes: FastMap<Addr, u32> = FastMap::default();
-            let mut reduced: Vec<BlockId> = Vec::new();
-            for s in 0..slots(range) {
-                let before = log.ops.len();
-                let mut inv = Invocation {
-                    inner: Inner::Shadow(Shadow {
-                        rt,
-                        writes: &mut writes,
-                        ops: &mut log.ops,
-                        reduced: &mut reduced,
-                    }),
-                    node: *node,
-                    dirty: false,
-                };
-                call(&mut inv, pi, s);
-                let dirty = inv.dirty;
-                log.invs.push(InvRec {
-                    ops: (log.ops.len() - before) as u32,
-                    dirty,
-                });
-                if dirty && per_inv_flush {
-                    // Live, the per-invocation flush ships this node's
-                    // private copies home: later invocations on the node
-                    // see pre-phase values again.
-                    writes.clear();
-                }
-            }
-            // SAFETY: pool claim discipline — `pi` is handled by exactly
-            // one participant, and `run` returns only after all of them
-            // finish.
-            unsafe { *cells[pi].0.get() = log };
-        });
-        self.pool = Some(pool);
-        match outcome {
-            Ok(()) => {
-                self.shadow_epochs += 1;
-                Some(cells.into_iter().map(|c| c.0.into_inner()).collect())
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// The sequential merge pass: replays the shadow logs slot-major —
-    /// invocation `s` of every chunk before invocation `s + 1` of any —
-    /// issuing the byte-identical protocol call sequence the classic
-    /// path would have issued.
-    fn epoch_replay(
-        &mut self,
-        plan: &[(NodeId, Range<usize>)],
-        slots: &(dyn Fn(&Range<usize>) -> usize + Sync),
-        logs: &[NodeLog],
-    ) {
-        let per_inv_flush =
-            self.strategy == Strategy::LcmDirectives && self.flush == FlushPolicy::PerInvocation;
-        let longest = plan.iter().map(|(_, r)| slots(r)).max().unwrap_or(0);
-        let mut op_at = vec![0usize; plan.len()];
-        let mut inv_at = vec![0usize; plan.len()];
-        for s in 0..longest {
-            for (pi, (node, range)) in plan.iter().enumerate() {
-                if s >= slots(range) {
-                    continue;
-                }
-                let rec = logs[pi].invs[inv_at[pi]];
-                inv_at[pi] += 1;
-                self.mem.compute(*node, self.overhead);
-                let end = op_at[pi] + rec.ops as usize;
-                for op in &logs[pi].ops[op_at[pi]..end] {
-                    match *op {
-                        Op::Read(addr, shadow_v) => {
-                            let live_v = self.mem.read_word(*node, addr);
-                            debug_assert_eq!(
-                                live_v, shadow_v,
-                                "shadow/live visibility divergence at {addr:?} on node {}",
-                                node.0
-                            );
-                            let _ = live_v;
-                        }
-                        Op::Write(id, addr, bits) => {
-                            self.written[id] = true;
-                            self.mem.write_word(*node, addr, bits);
-                        }
-                        Op::Reduce(addr, op, bits) => self.mem.reduce(*node, addr, op, bits),
-                        Op::Compute(cycles) => self.mem.compute(*node, cycles),
-                    }
-                }
-                op_at[pi] = end;
-                if rec.dirty && per_inv_flush {
-                    self.mem.flush_copies(*node);
-                }
-            }
-        }
     }
 }
 
@@ -967,213 +604,6 @@ mod tests {
                 .verify_ledger()
                 .expect("ledger conserves");
         }
-    }
-
-    /// Everything observable about a finished run: values are checked by
-    /// the callers; this adds time, per-node clocks and the aggregated
-    /// protocol counters.
-    fn machine_digest<P: MemoryProtocol>(rt: &Runtime<P>) -> String {
-        let m = &rt.mem().tempest().machine;
-        let clocks: Vec<u64> = (0..rt.nodes()).map(|i| m.clock(NodeId(i as u16))).collect();
-        format!(
-            "t={} clocks={:?} stats={:?}",
-            rt.time(),
-            clocks,
-            m.total_stats()
-        )
-    }
-
-    #[test]
-    fn par_apply_is_byte_identical_under_lcm() {
-        let run = |threads: usize, par: bool| {
-            let cfg = RuntimeConfig {
-                sim_threads: threads,
-                ..RuntimeConfig::default()
-            };
-            let mem = Lcm::new(MachineConfig::new(4), LcmVariant::Mcc);
-            let mut rt = Runtime::with_config(mem, Strategy::LcmDirectives, cfg);
-            let a = rt.new_aggregate2::<f32>(12, 12, Placement::Blocked, "m");
-            rt.init2(a, |r, c| (r * 17 + c * 3) as f32);
-            let total = rt.new_reduction_f64(ReduceOp::SumF64, 0.0, "t");
-            for _ in 0..4 {
-                let body = |inv: &mut Invocation<'_, Lcm>, r: usize, c: usize| {
-                    if r > 0 && r < 11 && c > 0 && c < 11 {
-                        let s = inv.get(a.at(r - 1, c))
-                            + inv.get(a.at(r + 1, c))
-                            + inv.get(a.at(r, c - 1))
-                            + inv.get(a.at(r, c + 1));
-                        inv.set(a.at(r, c), s * 0.25);
-                        inv.reduce_f64(total, s as f64);
-                    }
-                };
-                if par {
-                    rt.par_apply2(a, Partition::Dynamic, body);
-                } else {
-                    rt.apply2(a, Partition::Dynamic, body);
-                }
-            }
-            let mut vals = Vec::new();
-            for r in 0..12 {
-                for c in 0..12 {
-                    vals.push(rt.peek2(a, r, c).to_bits());
-                }
-            }
-            // Byte-identity is only meaningful if the engine actually
-            // ran: all four epochs must have taken the shadow path when
-            // more than one sim thread was configured.
-            let expect = if par && threads > 1 { 4 } else { 0 };
-            assert_eq!(
-                rt.shadow_epochs(),
-                expect,
-                "engagement at {threads} threads"
-            );
-            (vals, rt.peek_reduction(total), machine_digest(&rt))
-        };
-        let base = run(1, false);
-        for threads in [1, 2, 8] {
-            assert_eq!(run(threads, true), base, "sim_threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_apply_is_byte_identical_under_explicit_copy() {
-        let run = |threads: usize, par: bool| {
-            let cfg = RuntimeConfig {
-                sim_threads: threads,
-                ..RuntimeConfig::default()
-            };
-            let mut rt = Runtime::with_config(
-                Stache::new(MachineConfig::new(4)),
-                Strategy::ExplicitCopy,
-                cfg,
-            );
-            let a = rt.new_aggregate1::<i32>(50, Placement::Blocked, "v");
-            rt.init1(a, |i| i as i32);
-            let total = rt.new_reduction_f64(ReduceOp::SumF64, 0.0, "t");
-            for _ in 0..3 {
-                let body = |inv: &mut Invocation<'_, Stache>, i: usize| {
-                    let v = inv.get(a.at(i));
-                    if i.is_multiple_of(2) {
-                        inv.set(a.at(i), v.wrapping_mul(3) + 1);
-                    } else {
-                        inv.copy_through(a.at(i), v);
-                    }
-                    inv.reduce_f64(total, v as f64);
-                };
-                if par {
-                    rt.par_apply1(a, Partition::Static, body);
-                } else {
-                    rt.apply1(a, Partition::Static, body);
-                }
-            }
-            let vals: Vec<i32> = (0..50).map(|i| rt.peek1(a, i)).collect();
-            let expect = if par && threads > 1 { 3 } else { 0 };
-            assert_eq!(
-                rt.shadow_epochs(),
-                expect,
-                "engagement at {threads} threads"
-            );
-            (vals, rt.peek_reduction(total), machine_digest(&rt))
-        };
-        let base = run(1, false);
-        for threads in [1, 2, 8] {
-            assert_eq!(run(threads, true), base, "sim_threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_apply_with_crashes_and_at_reconcile_matches() {
-        let run = |threads: usize, par: bool| {
-            let cfg = RuntimeConfig {
-                sim_threads: threads,
-                flush: FlushPolicy::AtReconcile,
-                crash: lcm_sim::CrashPlan::new(0.5, 11),
-                ..RuntimeConfig::default()
-            };
-            let mem = Lcm::new(MachineConfig::new(4), LcmVariant::Scc);
-            let mut rt = Runtime::with_config(mem, Strategy::LcmDirectives, cfg);
-            let a = rt.new_aggregate1::<i32>(32, Placement::Blocked, "v");
-            rt.init1(a, |i| i as i32);
-            for _ in 0..5 {
-                let body = |inv: &mut Invocation<'_, Lcm>, i: usize| {
-                    let v = inv.get(a.at(i));
-                    inv.set(a.at(i), v + 7);
-                };
-                if par {
-                    rt.par_apply1(a, Partition::Static, body);
-                } else {
-                    rt.apply1(a, Partition::Static, body);
-                }
-            }
-            let vals: Vec<i32> = (0..32).map(|i| rt.peek1(a, i)).collect();
-            if par && threads > 1 {
-                assert!(
-                    rt.shadow_epochs() > 0,
-                    "engine never engaged at {threads} threads"
-                );
-            } else {
-                assert_eq!(rt.shadow_epochs(), 0);
-            }
-            (vals, machine_digest(&rt))
-        };
-        let base = run(1, false);
-        for threads in [1, 2, 8] {
-            assert_eq!(run(threads, true), base, "sim_threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_apply_falls_back_for_nested_calls_and_still_matches() {
-        let run = |threads: usize, par: bool| {
-            let cfg = RuntimeConfig {
-                sim_threads: threads,
-                ..RuntimeConfig::default()
-            };
-            let mem = Lcm::new(MachineConfig::new(4), LcmVariant::Mcc);
-            let mut rt = Runtime::with_config(mem, Strategy::LcmDirectives, cfg);
-            let control = rt.new_aggregate1::<i32>(4, Placement::Blocked, "ctl");
-            let data = rt.new_aggregate1::<i32>(32, Placement::Blocked, "data");
-            rt.init1(data, |i| i as i32);
-            let body = |inv: &mut Invocation<'_, Lcm>, k: usize| {
-                if k == 0 {
-                    inv.apply_nested1(data, |inner, i| {
-                        let v = inner.get(data.at(i));
-                        inner.set(data.at(i), v + 100);
-                    });
-                }
-            };
-            if par {
-                rt.par_apply1(control, Partition::Static, body);
-            } else {
-                rt.apply1(control, Partition::Static, body);
-            }
-            let vals: Vec<i32> = (0..32).map(|i| rt.peek1(data, i)).collect();
-            // The nested call bails the shadow pass out, so the epoch
-            // must never count as shadow-executed at any thread count.
-            assert_eq!(rt.shadow_epochs(), 0, "fallback epoch counted as shadowed");
-            (vals, machine_digest(&rt))
-        };
-        let base = run(1, false);
-        for threads in [1, 2, 8] {
-            // The shadow pass bails out on the nested call; the epoch
-            // reruns sequentially and remains byte-identical.
-            assert_eq!(run(threads, true), base, "sim_threads={threads}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "user assert fired")]
-    fn user_panics_resurface_identically_through_the_fallback() {
-        let cfg = RuntimeConfig {
-            sim_threads: 2,
-            ..RuntimeConfig::default()
-        };
-        let mem = Lcm::new(MachineConfig::new(2), LcmVariant::Mcc);
-        let mut rt = Runtime::with_config(mem, Strategy::LcmDirectives, cfg);
-        let a = rt.new_aggregate1::<i32>(8, Placement::Blocked, "v");
-        rt.par_apply1(a, Partition::Static, |_inv, i| {
-            assert!(i != 5, "user assert fired");
-        });
     }
 
     #[test]

@@ -70,13 +70,10 @@ pub struct RuntimeConfig {
     /// capture state less often but lose more re-executed work per
     /// crash — the granularity axis of the recovery sweep.
     pub checkpoint_every: u64,
-    /// Host threads executing *one* simulation's parallel calls (the
-    /// `--sim-threads` knob, orthogonal to `--jobs` which spreads
-    /// *independent* sweep points). With `1` (the default) parallel
-    /// calls run on the classic sequential path; with more, the
-    /// epoch-parallel engine shadows invocations across a persistent
-    /// worker pool and replays them deterministically — outputs are
-    /// byte-identical either way (see `DESIGN.md` §4j).
+    /// Ignored: nothing reads it, and every simulation runs on one host
+    /// thread. Kept, at its default of 1, only because the host-time
+    /// benchmark (`hostbench/src/sim.rs`) names it in a struct literal;
+    /// it goes with the next change to that benchmark.
     pub sim_threads: usize,
 }
 
@@ -148,16 +145,6 @@ pub struct Runtime<P> {
     /// Bytes each node persisted at its last checkpoint — the state a
     /// crashed node must re-read to restart.
     ckpt_bytes: Vec<u64>,
-    /// Host threads for the epoch-parallel engine (>= 1).
-    pub(crate) sim_threads: usize,
-    /// The persistent worker pool, created on the first parallel call
-    /// that wants it. Host-side machinery only: it never touches
-    /// simulated state, so it has no bearing on determinism.
-    pub(crate) pool: Option<lcm_sim::SimPool>,
-    /// Epochs whose shadow pass completed (no bailout): host-side
-    /// bookkeeping the byte-identity tests use to prove the engine
-    /// engaged instead of silently falling back to the classic path.
-    pub(crate) shadow_epochs: u64,
 }
 
 impl<P: MemoryProtocol> Runtime<P> {
@@ -190,9 +177,6 @@ impl<P: MemoryProtocol> Runtime<P> {
             phase: 0,
             ckpt_clocks: vec![0; nodes],
             ckpt_bytes: vec![0; nodes],
-            sim_threads: config.sim_threads.max(1),
-            pool: None,
-            shadow_epochs: 0,
         }
     }
 
@@ -235,19 +219,6 @@ impl<P: MemoryProtocol> Runtime<P> {
     /// The crash schedule in force.
     pub fn crash_plan(&self) -> CrashPlan {
         self.crash
-    }
-
-    /// Host threads the epoch-parallel engine may use (>= 1).
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// Epochs the epoch-parallel engine actually shadowed (as opposed to
-    /// running through the classic sequential path). Host-side telemetry:
-    /// it lets tests assert the engine engaged; it never affects the
-    /// simulation.
-    pub fn shadow_epochs(&self) -> u64 {
-        self.shadow_epochs
     }
 
     /// Closes a profiler phase and, when a crash schedule is active,

@@ -22,6 +22,7 @@
 //!   critical path with per-category/node/block/phase attribution,
 //!   computes slack, and projects causal what-ifs (see [`critpath`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod critpath;

@@ -20,6 +20,7 @@
 //! * [`MemoryProtocol`]: the trait the Stache baseline and LCM both
 //!   implement, so programs relink between memory systems.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conflict;

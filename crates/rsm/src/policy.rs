@@ -9,7 +9,7 @@
 
 use crate::reconcile::MergePolicy;
 use lcm_sim::mem::BlockId;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// How requests for blocks of a region are served.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -92,23 +92,10 @@ struct Entry {
 /// assert_eq!(t.get(BlockId(15)).coherence, CoherenceKind::CopyOnWrite);
 /// assert_eq!(t.get(BlockId(20)).coherence, CoherenceKind::Coherent); // end is exclusive
 /// ```
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct PolicyTable {
     entries: Vec<Entry>, // sorted by `first`
-    /// One-entry lookaside for [`PolicyTable::find`]. Pure memo — it can
-    /// never change a lookup's result — so relaxed atomics suffice, and
-    /// shared (`&self`) lookups from the epoch engine's shadow workers
-    /// are sound and deterministic.
-    last_hit: AtomicUsize,
-}
-
-impl Clone for PolicyTable {
-    fn clone(&self) -> PolicyTable {
-        PolicyTable {
-            entries: self.entries.clone(),
-            last_hit: AtomicUsize::new(self.last_hit.load(Ordering::Relaxed)),
-        }
-    }
+    last_hit: Cell<usize>,
 }
 
 impl PolicyTable {
@@ -159,7 +146,7 @@ impl PolicyTable {
             "range mismatch on remove"
         );
         self.entries.remove(i);
-        self.last_hit.store(0, Ordering::Relaxed);
+        self.last_hit.set(0);
     }
 
     /// The policy of `block` (default coherent when unmapped).
@@ -178,7 +165,7 @@ impl PolicyTable {
 
     /// Index of the entry containing `block`, with a one-entry lookaside.
     fn find(&self, block: BlockId) -> Option<usize> {
-        let hint = self.last_hit.load(Ordering::Relaxed);
+        let hint = self.last_hit.get();
         if let Some(e) = self.entries.get(hint) {
             if block >= e.first && block < e.end {
                 return Some(hint);
@@ -187,7 +174,7 @@ impl PolicyTable {
         let pos = self.entries.partition_point(|e| e.end <= block);
         let e = self.entries.get(pos)?;
         if block >= e.first && block < e.end {
-            self.last_hit.store(pos, Ordering::Relaxed);
+            self.last_hit.set(pos);
             Some(pos)
         } else {
             None

@@ -66,12 +66,7 @@ impl CheckpointImage {
 /// Word accesses are the protocol-visible unit (the CM-5's single-
 /// precision float); `f64` conveniences issue two word accesses, which is
 /// also how the 32-bit-word Blizzard-E handles doubles.
-///
-/// `Sync` is a supertrait so the epoch-parallel engine can hand shared
-/// protocol references to its shadow workers; protocols hold no interior
-/// mutability beyond relaxed-atomic lookaside memos, so shared reads are
-/// deterministic.
-pub trait MemoryProtocol: Sync {
+pub trait MemoryProtocol {
     /// A short, stable system name ("stache", "lcm-scc", "lcm-mcc").
     fn name(&self) -> &'static str;
 

@@ -29,6 +29,7 @@
 //! resident server (`--listen`); `repro explore` is a thin client of
 //! the same engine.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod client;

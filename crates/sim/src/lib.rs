@@ -32,10 +32,10 @@
 //! assert!(m.time() >= 100);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod epoch;
 pub mod fault;
 pub mod hash;
 pub mod machine;
@@ -48,13 +48,12 @@ pub mod topology;
 pub mod trace;
 
 pub use cost::{CostModel, Knob};
-pub use epoch::{PoolPanic, SimPool};
 pub use fault::{
     CrashPlan, CrashPoint, DeliveryError, FaultConfig, FaultConfigError, FaultOutcome, FaultPlan,
 };
 pub use machine::{DirBackend, Machine, MachineConfig, NodeId, MAX_NODES};
 pub use mem::{Addr, BlockBuf, BlockId, PageId, WordMask};
-pub use par::{available_jobs, par_map, try_par_map, QuietPanic};
+pub use par::{available_jobs, par_map, try_par_map};
 pub use profile::{CycleCat, CycleLedger, PhaseSnapshot};
 pub use rng::Pcg32;
 pub use stats::NodeStats;

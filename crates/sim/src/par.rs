@@ -18,18 +18,10 @@
 //! by a process-wide hook (installed once, chaining any previous hook)
 //! into a thread-local, because the location is only reachable from
 //! inside the hook, never from the `catch_unwind` payload.
-//!
-//! Result slots are plain `UnsafeCell`s, not mutexes: the claim counter
-//! hands each index to exactly one worker, so slot accesses are disjoint
-//! by construction, and the scope join orders every write before the
-//! collecting read. At sweep granularity the locks never mattered; the
-//! epoch-parallel engine ([`crate::epoch`]) dispatches thousands of
-//! short node batches per barrier epoch through the same claim
-//! discipline, where two lock round-trips per item would.
 
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Once;
+use std::sync::{Mutex, Once};
 
 /// The host's available parallelism (the `--jobs` default), at least 1.
 pub fn available_jobs() -> usize {
@@ -45,14 +37,6 @@ thread_local! {
     static LAST_PANIC_LOCATION: RefCell<Option<String>> = const { RefCell::new(None) };
 }
 
-/// A panic payload the location hook swallows silently: thrown (with
-/// [`std::panic::panic_any`]) and always caught by infrastructure that
-/// uses unwinding as control flow — e.g. the epoch engine's shadow pass
-/// bailing out of a construct it cannot model — where the default
-/// hook's backtrace spew would be pure noise on a handled, expected
-/// path.
-pub struct QuietPanic;
-
 /// Installs the location-capturing panic hook, once per process,
 /// chaining whatever hook was installed before it (the default printer,
 /// or the test harness's capture hook).
@@ -61,9 +45,6 @@ fn install_location_hook() {
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<QuietPanic>().is_some() {
-                return;
-            }
             let loc = info
                 .location()
                 .map(|l| format!("{}:{}", l.file(), l.line()));
@@ -75,15 +56,15 @@ fn install_location_hook() {
 
 /// A caught worker panic: the original payload (for re-raising with
 /// [`std::panic::resume_unwind`]) plus the `file:line` the hook captured.
-pub(crate) struct Caught {
-    pub(crate) payload: Box<dyn std::any::Any + Send + 'static>,
-    pub(crate) location: Option<String>,
+struct Caught {
+    payload: Box<dyn std::any::Any + Send + 'static>,
+    location: Option<String>,
 }
 
 impl Caught {
     /// The human-readable report: `file.rs:line: message` when the hook
     /// saw the panic, bare message otherwise.
-    pub(crate) fn message(&self) -> String {
+    fn message(&self) -> String {
         let msg = panic_message(self.payload.as_ref());
         match &self.location {
             Some(loc) => format!("{loc}: {msg}"),
@@ -94,7 +75,7 @@ impl Caught {
 
 /// Runs `f`, converting a panic into a [`Caught`] carrying the payload
 /// and the panic site.
-pub(crate) fn call_caught<R>(f: impl FnOnce() -> R) -> Result<R, Caught> {
+fn call_caught<R>(f: impl FnOnce() -> R) -> Result<R, Caught> {
     install_location_hook();
     LAST_PANIC_LOCATION.with(|c| c.borrow_mut().take());
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| Caught {
@@ -165,25 +146,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 type Outcome<R> = Result<R, Caught>;
 
-/// A result/task slot writable from worker threads without a lock.
-///
-/// Safety contract: the claim counter assigns each index to exactly one
-/// worker, so at most one thread ever touches a given cell during the
-/// scope, and the scope join (or, in [`crate::epoch::SimPool`], the
-/// job-completion handshake) orders those accesses before the owner's
-/// collecting read.
-pub(crate) struct SlotCell<T>(pub(crate) UnsafeCell<T>);
-
-// SAFETY: see the contract above — access is index-disjoint and
-// join-ordered, never concurrent on one cell.
-unsafe impl<T: Send> Sync for SlotCell<T> {}
-
-impl<T> SlotCell<T> {
-    pub(crate) fn new(v: T) -> SlotCell<T> {
-        SlotCell(UnsafeCell::new(v))
-    }
-}
-
 /// The shared pool: applies `f` to every item, capturing each result or
 /// panic in input order.
 fn run_pool<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<Outcome<R>>
@@ -201,9 +163,10 @@ where
             .map(|(i, item)| call_caught(|| f(i, item)))
             .collect();
     }
-    let tasks: Vec<SlotCell<Option<T>>> =
-        items.into_iter().map(|t| SlotCell::new(Some(t))).collect();
-    let slots: Vec<SlotCell<Option<Outcome<R>>>> = (0..n).map(|_| SlotCell::new(None)).collect();
+    // Tasks and result slots are indexed; the per-slot mutexes are taken
+    // once each, far off any hot path (a sweep point runs for ms–s).
+    let tasks: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let slots: Vec<Mutex<Option<Outcome<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..jobs {
@@ -212,20 +175,23 @@ where
                 if i >= n {
                     break;
                 }
-                // SAFETY: `fetch_add` hands out index `i` to this worker
-                // alone, so these are the only accesses to `tasks[i]` and
-                // `slots[i]` until the scope joins.
-                let item = unsafe { (*tasks[i].0.get()).take() }
+                let item = tasks[i]
+                    .lock()
+                    .expect("task mutex never poisoned: held only to take")
+                    .take()
                     .expect("each index is claimed exactly once");
                 let r = call_caught(|| f(i, item));
-                unsafe { *slots[i].0.get() = Some(r) };
+                *slots[i]
+                    .lock()
+                    .expect("slot mutex never poisoned: held only to store") = Some(r);
             });
         }
     });
     slots
         .into_iter()
         .map(|s| {
-            s.0.into_inner()
+            s.into_inner()
+                .expect("slot mutex unlocked after scope join")
                 .expect("every slot filled: workers drained the counter")
         })
         .collect()

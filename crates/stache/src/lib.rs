@@ -23,6 +23,7 @@
 //! assert_eq!(mem.read_f32(NodeId(6), a), 1.0); // recall + downgrade
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod directory;

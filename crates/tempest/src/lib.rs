@@ -27,6 +27,7 @@
 //! assert_eq!(t.mem.read_f32(mesh), 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod membership;

@@ -8,8 +8,8 @@
 
 use lcm_sim::mem::{Addr, BlockId, BLOCK_BYTES, PAGE_BYTES};
 use lcm_sim::NodeId;
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How the blocks of a segment are distributed across home nodes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -112,27 +112,12 @@ impl Segment {
 /// let home1 = space.home_of(a.offset(32).block());
 /// assert_ne!(home0, home1); // consecutive blocks interleave
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct AddressSpace {
     nodes: usize,
     segments: Vec<Segment>,
     next: u64,
-    /// One-entry lookaside for [`AddressSpace::segment_of`]. Pure memo —
-    /// it can never change a lookup's result — so relaxed atomics
-    /// suffice, and shared (`&self`) lookups from the epoch engine's
-    /// shadow workers are sound and deterministic.
-    last_hit: AtomicUsize,
-}
-
-impl Clone for AddressSpace {
-    fn clone(&self) -> AddressSpace {
-        AddressSpace {
-            nodes: self.nodes,
-            segments: self.segments.clone(),
-            next: self.next,
-            last_hit: AtomicUsize::new(self.last_hit.load(Ordering::Relaxed)),
-        }
-    }
+    last_hit: Cell<usize>,
 }
 
 /// Allocations begin above zero so that address 0 is never valid — a null
@@ -151,7 +136,7 @@ impl AddressSpace {
             nodes,
             segments: Vec::new(),
             next: BASE,
-            last_hit: AtomicUsize::new(0),
+            last_hit: Cell::new(0),
         }
     }
 
@@ -183,7 +168,7 @@ impl AddressSpace {
     /// The segment containing `block`, if any.
     pub fn segment_of(&self, block: BlockId) -> Option<&Segment> {
         // Fast path: most lookups hit the same segment repeatedly.
-        let hint = self.last_hit.load(Ordering::Relaxed);
+        let hint = self.last_hit.get();
         if let Some(seg) = self.segments.get(hint) {
             if seg.contains_block(block) {
                 return Some(seg);
@@ -201,7 +186,7 @@ impl AddressSpace {
                 }
             })
             .ok()?;
-        self.last_hit.store(idx, Ordering::Relaxed);
+        self.last_hit.set(idx);
         Some(&self.segments[idx])
     }
 

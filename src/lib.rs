@@ -46,6 +46,7 @@
 //! assert_eq!(rt.peek2(mesh, 1, 3), 25.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use lcm_apps as apps;
