@@ -20,7 +20,7 @@ use lcm_apps::RunResult;
 use lcm_sim::mem::BlockId;
 use lcm_sim::trace::Event;
 use lcm_sim::{CostModel, CycleCat, LinkUtil, NodeId, Stamped};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// The cycle categories a run actually exercises: every category, minus
@@ -388,49 +388,27 @@ pub fn percentile(sorted: &[i64], p: u64) -> i64 {
 /// Send→recv delivery latency samples per message kind, ascending-
 /// sorted, kinds in label order. Each [`Event::MsgRecv`] is paired FIFO
 /// with the earlier [`Event::MsgSend`] on the same `(from, to, kind)`
-/// channel; the delta of their cycle stamps is the delivery latency.
+/// channel ([`lcm_replay::match_messages`], the critical path's
+/// matcher); the delta of their cycle stamps is the delivery latency.
 /// Signed: the stamps are per-node logical clocks, so a fast receiver
 /// can handle a slow sender's message at an earlier clock reading.
 pub fn message_latencies(events: &[Stamped]) -> Vec<(&'static str, Vec<i64>)> {
-    let mut inflight: HashMap<(u16, u16, &'static str), std::collections::VecDeque<u64>> =
-        HashMap::new();
-    let mut by_kind: HashMap<&'static str, Vec<i64>> = HashMap::new();
-    for e in events {
-        let (Some((from, to)), Some(kind)) = (e.event.endpoints(), e.event.msg_kind()) else {
-            continue;
-        };
-        match e.event {
-            Event::MsgSend { .. } => {
-                inflight
-                    .entry((from.0, to.0, kind))
-                    .or_default()
-                    .push_back(e.cycle);
-            }
-            Event::MsgRecv { .. } => {
-                if let Some(send) = inflight
-                    .get_mut(&(from.0, to.0, kind))
-                    .and_then(|q| q.pop_front())
-                {
-                    by_kind
-                        .entry(kind)
-                        .or_default()
-                        .push(e.cycle as i64 - send as i64);
-                }
-            }
-            _ => {}
-        }
+    let mut by_kind: BTreeMap<&'static str, Vec<i64>> = BTreeMap::new();
+    for edge in lcm_replay::match_messages(events).0 {
+        by_kind.entry(edge.kind).or_default().push(edge.latency());
     }
-    let mut out: Vec<(&'static str, Vec<i64>)> = by_kind.into_iter().collect();
-    for (_, v) in &mut out {
-        v.sort_unstable();
-    }
-    out.sort_by_key(|&(k, _)| k);
-    out
+    by_kind
+        .into_iter()
+        .map(|(kind, mut v)| {
+            v.sort_unstable();
+            (kind, v)
+        })
+        .collect()
 }
 
 /// [`message_histogram`] with p50/p95/p99 delivery-latency columns when
 /// the cycle-stamped event stream is available. Kinds whose messages
-/// were not captured (e.g. a ring-mode trace that dropped them) show
+/// were not captured (e.g. a trace that filled and dropped them) show
 /// `-`. With `events` empty — traces absent — the output is
 /// byte-identical to [`message_histogram`].
 pub fn message_histogram_with_latency(r: &RunResult, events: &[Stamped]) -> String {

@@ -1,6 +1,7 @@
 //! The `repro critpath <file.lcmtrace>` CLI contract: corrupt or
 //! truncated inputs are usage-level failures — exit code 2 with the
-//! format layer's named error on stderr, never a panic.
+//! format layer's named error on stderr, never a panic. `repro replay`
+//! reports the same errors as a failed validation (exit 1).
 
 use lcm_apps::unstructured::Unstructured;
 use lcm_apps::SystemKind;
@@ -103,4 +104,33 @@ fn critpath_exits_2_on_a_missing_file() {
         stderr.contains("never.lcmtrace"),
         "error names the path: {stderr}"
     );
+}
+
+/// A finite-bandwidth capture declaring a fat tree of arity 1 has no
+/// contention fabric to price it on: both subcommands must report the
+/// decoder's named error, not panic (exit 101) building the fabric.
+#[test]
+fn degenerate_fat_tree_is_a_named_error_not_a_panic() {
+    let dir = scratch_dir("arity");
+    let path = dir.join("arity1.lcmtrace");
+    let mut file = explore::capture_workload(
+        "Unstructured",
+        "smoke",
+        SystemKind::LcmMcc,
+        4,
+        RuntimeConfig::default(),
+        &Unstructured::small(),
+        1 << 20,
+    )
+    .expect("capture holds the whole stream");
+    file.topology = lcm_sim::Topology::FatTree { arity: 1 };
+    file.cost.link_bandwidth_bytes_per_cycle = 16;
+    file.write_to(&path).expect("writes");
+    for (cmd, code) in [("replay", 1), ("critpath", 2)] {
+        let out = repro().arg(cmd).arg(&path).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{cmd}: {stderr}");
+        assert!(stderr.contains("arity 1 is below 2"), "{cmd}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,11 +16,11 @@
 //! between two consecutive barriers every node accrues work
 //! independently from the common release time, the slowest arrival sets
 //! the next release, and the critical path is the chain of per-epoch
-//! slowest nodes plus the barrier costs joining them. The walk folds the
-//! stream with *identical* arithmetic to [`crate::engine::replay`] —
-//! same clock updates, same contention fabric — so the extracted path
-//! length equals the replayed makespan bit-for-bit, which is the
-//! module's testable contract.
+//! slowest nodes plus the barrier costs joining them. The walk *is* the
+//! replay fold ([`crate::replay`]): [`analyze`] runs that fold with a
+//! tap that cuts the stream into epochs, so the extracted path length
+//! equals the replayed makespan bit-for-bit by construction, and the
+//! tests check it.
 //!
 //! Everything off the path is **slack**: a node `n` arriving `s` cycles
 //! before the epoch's slowest node can grow by `s` cycles for free, so
@@ -38,8 +38,9 @@
 //! change reprices composite charges non-proportionally (see the
 //! `RemoteMissLessSend` knob).
 
+use crate::engine::{fold, Tap};
 use crate::format::TraceFile;
-use lcm_sim::{CostModel, CycleCat, Event, Fabric, NodeId, Topology};
+use lcm_sim::{CycleCat, Event, NodeId, Stamped};
 use std::collections::{HashMap, VecDeque};
 
 /// One barrier-to-barrier segment of the happens-before DAG.
@@ -306,158 +307,18 @@ impl CritPath {
     }
 }
 
-/// Analyzes `file` under its own cost model and topology, so the
-/// extracted path prices the execution-driven run itself.
-pub fn analyze(file: &TraceFile) -> CritPath {
-    analyze_under(file, &file.cost, file.topology)
-}
-
-/// Analyzes `file` under an arbitrary cost model and topology. The fold
-/// mirrors [`crate::engine::replay`] exactly — same clock arithmetic,
-/// same contention fabric — while additionally segmenting the stream
-/// into barrier epochs, attributing charges to open spans, and matching
-/// message edges FIFO per `(from, to, kind)` channel.
-pub fn analyze_under(file: &TraceFile, cost: &CostModel, topology: Topology) -> CritPath {
-    let nodes = file.nodes;
-    let mut clocks = vec![0u64; nodes];
-    let mut fabric =
-        (cost.link_bandwidth_bytes_per_cycle > 0).then(|| Fabric::new(topology, nodes, cost));
-    let bc = cost.barrier_cost(nodes);
-
-    let mut epochs: Vec<EpochSeg> = Vec::new();
-    let mut start = 0u64;
-    let mut work = vec![[0u64; CycleCat::COUNT]; nodes];
-    let mut blocks: HashMap<(u16, u64), u64> = HashMap::new();
-    let mut spans: Vec<Vec<u64>> = vec![Vec::new(); nodes];
-    // Epochs closed but not yet labeled: the runtime stamps the phase
-    // mark just *after* the barrier it describes.
-    let mut pending_label: Vec<usize> = Vec::new();
-    let mut saw_mark = false;
-
-    // Pending sends per FIFO channel: (bytes, seq, cycle) in send order.
+/// Matches every [`Event::MsgRecv`] in `events` FIFO with the earliest
+/// pending [`Event::MsgSend`] on the same `(from, to, kind)` channel.
+/// Returns the matched edges in recv order, then the number of recvs
+/// with no pending send and of sends never received.
+pub fn match_messages(events: &[Stamped]) -> (Vec<MsgEdge>, u64, u64) {
+    // Pending sends per FIFO channel: (seq, cycle, bytes) in send order.
     type Channel = (u16, u16, &'static str);
     let mut inflight: HashMap<Channel, VecDeque<(u64, u64, u64)>> = HashMap::new();
     let mut edges: Vec<MsgEdge> = Vec::new();
     let mut unmatched_recvs = 0u64;
-
-    fn charge_epoch(
-        work: &mut [[u64; CycleCat::COUNT]],
-        blocks: &mut HashMap<(u16, u64), u64>,
-        spans: &[Vec<u64>],
-        node: NodeId,
-        cat: CycleCat,
-        cycles: u64,
-    ) {
-        if cycles == 0 {
-            return;
-        }
-        work[node.index()][cat.index()] += cycles;
-        if let Some(&b) = spans[node.index()].last() {
-            *blocks.entry((node.0, b)).or_default() += cycles;
-        }
-    }
-
-    fn close_epoch(
-        epochs: &mut Vec<EpochSeg>,
-        clocks: &[u64],
-        start: u64,
-        barrier_cost: u64,
-        closed_by_barrier: bool,
-        work: Vec<[u64; CycleCat::COUNT]>,
-        blocks: &mut HashMap<(u16, u64), u64>,
-    ) {
-        let end = clocks.iter().copied().max().unwrap_or(0);
-        let critical = clocks
-            .iter()
-            .enumerate()
-            .rev()
-            .max_by_key(|(_, c)| **c)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let mut blk: Vec<(u16, u64, u64)> = blocks.drain().map(|((n, b), c)| (n, b, c)).collect();
-        blk.sort_unstable();
-        epochs.push(EpochSeg {
-            index: epochs.len(),
-            label: "(run)",
-            start,
-            end,
-            barrier_cost,
-            closed_by_barrier,
-            critical,
-            work,
-            blocks: blk,
-        });
-    }
-
-    for ev in &file.events {
+    for ev in events {
         match ev.event {
-            Event::Work { node, cycles, hits } => {
-                let total = cycles + hits.saturating_mul(cost.cache_hit);
-                clocks[node.index()] += total;
-                charge_epoch(
-                    &mut work,
-                    &mut blocks,
-                    &spans,
-                    node,
-                    CycleCat::Compute,
-                    total,
-                );
-            }
-            Event::Charge {
-                node,
-                cat,
-                knob,
-                units,
-            } => {
-                let cycles = knob.eval(cost).saturating_mul(u64::from(units));
-                clocks[node.index()] += cycles;
-                charge_epoch(&mut work, &mut blocks, &spans, node, cat, cycles);
-            }
-            Event::ChargeRaw { node, cat, cycles } => {
-                clocks[node.index()] += cycles;
-                charge_epoch(&mut work, &mut blocks, &spans, node, cat, cycles);
-            }
-            Event::Xfer { from, to, bytes } => {
-                let wire = bytes
-                    .saturating_sub(file.cost.msg_header_bytes)
-                    .saturating_add(cost.msg_header_bytes);
-                if let Some(fabric) = &mut fabric {
-                    let now = clocks[from.index()];
-                    let (queue, ser) = fabric.transfer(from, to, wire, now);
-                    let extra = queue + ser;
-                    if extra > 0 {
-                        clocks[to.index()] += extra;
-                        charge_epoch(
-                            &mut work,
-                            &mut blocks,
-                            &spans,
-                            to,
-                            CycleCat::NetContention,
-                            extra,
-                        );
-                    }
-                }
-            }
-            Event::Barrier { .. } => {
-                let taken = std::mem::replace(&mut work, vec![[0u64; CycleCat::COUNT]; nodes]);
-                close_epoch(&mut epochs, &clocks, start, bc, true, taken, &mut blocks);
-                pending_label.push(epochs.len() - 1);
-                let after = epochs.last().unwrap().end + bc;
-                for c in clocks.iter_mut() {
-                    *c = after;
-                }
-                start = after;
-            }
-            Event::PhaseMark { label } => {
-                saw_mark = true;
-                for i in pending_label.drain(..) {
-                    epochs[i].label = label;
-                }
-            }
-            Event::SpanBegin { node, block, .. } => spans[node.index()].push(block.0),
-            Event::SpanEnd { node, .. } => {
-                spans[node.index()].pop();
-            }
             Event::MsgSend {
                 from,
                 to,
@@ -492,22 +353,115 @@ pub fn analyze_under(file: &TraceFile, cost: &CostModel, topology: Topology) -> 
             _ => {}
         }
     }
-
-    // Tail segment: work after the last barrier (or a barrierless run).
-    if work.iter().any(|w| w.iter().any(|&v| v > 0)) || epochs.is_empty() {
-        close_epoch(&mut epochs, &clocks, start, 0, false, work, &mut blocks);
-        pending_label.push(epochs.len() - 1);
-    }
-    let tail_label = if saw_mark { "(end)" } else { "(run)" };
-    for i in pending_label.drain(..) {
-        epochs[i].label = tail_label;
-    }
-
     let unmatched_sends = inflight.values().map(|q| q.len() as u64).sum();
+    (edges, unmatched_recvs, unmatched_sends)
+}
+
+/// The fold tap that cuts a replay into barrier epochs, attributing
+/// each charge to its node's epoch work and innermost open span.
+struct Epochs {
+    epochs: Vec<EpochSeg>,
+    /// Common start of the open epoch (the last barrier's release).
+    start: u64,
+    work: Vec<[u64; CycleCat::COUNT]>,
+    blocks: HashMap<(u16, u64), u64>,
+    /// Open spans per node, innermost last.
+    spans: Vec<Vec<u64>>,
+    /// Epochs closed but not yet labeled: the runtime stamps the phase
+    /// mark just *after* the barrier it describes.
+    pending_label: Vec<usize>,
+    saw_mark: bool,
+}
+
+impl Epochs {
+    /// Closes the open epoch at `clocks` (each node's arrival).
+    fn close(&mut self, clocks: &[u64], barrier_cost: u64, closed_by_barrier: bool) {
+        let end = clocks.iter().copied().max().unwrap_or(0);
+        let critical = clocks
+            .iter()
+            .enumerate()
+            .rev()
+            .max_by_key(|(_, c)| **c)
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        let work = vec![[0u64; CycleCat::COUNT]; clocks.len()];
+        let mut blocks: Vec<(u16, u64, u64)> =
+            self.blocks.drain().map(|((n, b), c)| (n, b, c)).collect();
+        blocks.sort_unstable();
+        self.pending_label.push(self.epochs.len());
+        self.epochs.push(EpochSeg {
+            index: self.epochs.len(),
+            label: "(run)",
+            start: self.start,
+            end,
+            barrier_cost,
+            closed_by_barrier,
+            critical,
+            work: std::mem::replace(&mut self.work, work),
+            blocks,
+        });
+    }
+}
+
+impl Tap for Epochs {
+    fn charge(&mut self, node: NodeId, cat: CycleCat, cycles: u64) {
+        self.work[node.index()][cat.index()] += cycles;
+        if let Some(&b) = self.spans[node.index()].last() {
+            *self.blocks.entry((node.0, b)).or_default() += cycles;
+        }
+    }
+
+    fn barrier(&mut self, clocks: &[u64], cost: u64) {
+        self.close(clocks, cost, true);
+        self.start = self.epochs.last().expect("just closed").end + cost;
+    }
+
+    fn other(&mut self, ev: &Stamped) {
+        match ev.event {
+            Event::PhaseMark { label } => {
+                self.saw_mark = true;
+                for i in self.pending_label.drain(..) {
+                    self.epochs[i].label = label;
+                }
+            }
+            Event::SpanBegin { node, block, .. } => self.spans[node.index()].push(block.0),
+            Event::SpanEnd { node, .. } => {
+                self.spans[node.index()].pop();
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Analyzes `file` under its own cost model and topology, so the
+/// extracted path prices the execution-driven run itself: the replay
+/// fold segments the stream into barrier epochs and attributes charges
+/// to open spans, and [`match_messages`] pairs the message edges.
+pub fn analyze(file: &TraceFile) -> CritPath {
+    let nodes = file.nodes;
+    let mut tap = Epochs {
+        epochs: Vec::new(),
+        start: 0,
+        work: vec![[0u64; CycleCat::COUNT]; nodes],
+        blocks: HashMap::new(),
+        spans: vec![Vec::new(); nodes],
+        pending_label: Vec::new(),
+        saw_mark: false,
+    };
+    let r = fold(file, &file.cost, file.topology, &mut tap);
+    // Tail segment: work after the last barrier (or a barrierless run).
+    if tap.work.iter().any(|w| w.iter().any(|&v| v > 0)) || tap.epochs.is_empty() {
+        tap.close(&r.clocks, 0, false);
+    }
+    let tail_label = if tap.saw_mark { "(end)" } else { "(run)" };
+    for i in tap.pending_label.drain(..) {
+        tap.epochs[i].label = tail_label;
+    }
+    let (edges, unmatched_recvs, unmatched_sends) = match_messages(&file.events);
     CritPath {
         nodes,
-        makespan: clocks.iter().copied().max().unwrap_or(0),
-        epochs,
+        makespan: r.time,
+        epochs: tap.epochs,
         edges,
         unmatched_recvs,
         unmatched_sends,
@@ -518,7 +472,7 @@ pub fn analyze_under(file: &TraceFile, cost: &CostModel, topology: Topology) -> 
 mod tests {
     use super::*;
     use crate::engine;
-    use lcm_sim::{CycleLedger, Knob, NodeStats, Stamped};
+    use lcm_sim::{CostModel, CycleLedger, Knob, NodeStats, Topology};
 
     /// A hand-built three-node, two-epoch capture: epoch 0's slowest
     /// node is 1 (a remote-miss stall inside a span), epoch 1's is 2

@@ -3,8 +3,8 @@
 //!
 //! The capture stream is a complete account of every clock mutation the
 //! execution-driven machine performed, in execution order, with
-//! cost-model-derived charges kept *symbolic* (knob × units). Replay
-//! folds the stream once:
+//! cost-model-derived charges kept *symbolic* (knob × units). One
+//! private fold walks the stream and owns the six pricing rules:
 //!
 //! * [`Event::Work`] — coalesced compute plus cache hits; re-priced as
 //!   `cycles + hits × cache_hit`.
@@ -21,12 +21,21 @@
 //! * [`Event::PhaseMark`] — recorded as a phase boundary at the
 //!   replayed time.
 //!
+//! [`replay`] is the fold with no observer. [`crate::analyze`] is the
+//! same fold with an observer (a *tap*) that cuts the stream into
+//! barrier epochs, so the critical path prices a run with this code,
+//! not a copy of it. The differential index ([`crate::reprice`])
+//! aggregates the stream symbolically and re-prices through the same
+//! `Pricer` steps.
+//!
 //! What replay *cannot* reconstruct: protocol control flow. A cost model
 //! never changes which faults, invalidations or retries happen — those
 //! are fixed by the capture — so replay explores pricing, not policy.
 
 use crate::format::TraceFile;
-use lcm_sim::{CostModel, CycleCat, CycleLedger, Event, Fabric, LinkUtil, NodeStats, Topology};
+use lcm_sim::{
+    CostModel, CycleCat, CycleLedger, Event, Fabric, LinkUtil, NodeId, NodeStats, Stamped, Topology,
+};
 
 /// The outcome of re-pricing one captured run.
 #[derive(Clone, Debug)]
@@ -50,93 +59,186 @@ pub struct Replayed {
     pub phases: Vec<(&'static str, u64)>,
 }
 
-/// Replays `file`'s event stream under `cost` and `topology`, returning
-/// the re-priced clocks, ledger and statistics.
-///
-/// Replaying under the file's own cost model and topology reproduces the
-/// execution-driven run exactly (see [`validate`]); any other model
-/// yields the run's cost under that model, at a fraction of the price of
-/// re-executing it.
-pub fn replay(file: &TraceFile, cost: &CostModel, topology: Topology) -> Replayed {
-    let nodes = file.nodes;
-    let mut clocks = vec![0u64; nodes];
-    let mut ledger = CycleLedger::new(nodes);
-    let mut fabric =
-        (cost.link_bandwidth_bytes_per_cycle > 0).then(|| Fabric::new(topology, nodes, cost));
-    let mut barriers = 0u64;
-    let mut bytes_sent = 0u64;
-    let mut bytes_recv = 0u64;
-    let mut phases = Vec::with_capacity(file.phase_index.len());
+/// The replayed machine state every pricing path advances: the run so
+/// far plus the contention fabric. The event fold below and the
+/// differential index ([`crate::reprice`]) both price through it, so a
+/// charge, a transfer, a barrier jump and a phase stamp are each
+/// written once.
+pub(crate) struct Pricer {
+    /// The run so far. `totals.bytes_sent` accumulates wire bytes;
+    /// `time`, `links` and `bytes_recv` are set by [`Pricer::finish`].
+    pub(crate) run: Replayed,
+    fabric: Option<Fabric>,
+    barrier_cost: u64,
+}
 
+impl Pricer {
+    pub(crate) fn new(file: &TraceFile, cost: &CostModel, topology: Topology) -> Pricer {
+        let nodes = file.nodes;
+        let mut totals = file.totals.clone();
+        totals.bytes_sent = 0;
+        Pricer {
+            run: Replayed {
+                time: 0,
+                clocks: vec![0; nodes],
+                ledger: CycleLedger::new(nodes),
+                barriers: 0,
+                totals,
+                links: Vec::new(),
+                phases: Vec::with_capacity(file.phase_index.len()),
+            },
+            fabric: (cost.link_bandwidth_bytes_per_cycle > 0)
+                .then(|| Fabric::new(topology, nodes, cost)),
+            barrier_cost: cost.barrier_cost(nodes),
+        }
+    }
+
+    /// Whether transfers enter a contention fabric.
+    pub(crate) fn has_fabric(&self) -> bool {
+        self.fabric.is_some()
+    }
+
+    /// Advances `node`'s clock by `cycles`, attributed to `cat`.
+    #[inline]
+    pub(crate) fn charge(&mut self, node: NodeId, cat: CycleCat, cycles: u64) {
+        self.run.clocks[node.index()] += cycles;
+        self.run.ledger.charge(node, cat, cycles);
+    }
+
+    /// Sends `wire` bytes `from -> to` at the sender's clock `now`: the
+    /// fabric's queueing plus serialization delay is charged to the
+    /// receiver as contention and returned.
+    #[inline]
+    pub(crate) fn xfer(&mut self, from: NodeId, to: NodeId, wire: u64, now: u64) -> u64 {
+        self.run.totals.bytes_sent += wire;
+        let Some(fabric) = &mut self.fabric else {
+            return 0;
+        };
+        let (queue, ser) = fabric.transfer(from, to, wire, now);
+        let extra = queue + ser;
+        if extra > 0 {
+            self.charge(to, CycleCat::NetContention, extra);
+        }
+        extra
+    }
+
+    /// The slowest clock.
+    fn max_clock(&self) -> u64 {
+        self.run.clocks.iter().copied().max().unwrap_or(0)
+    }
+
+    /// A global barrier: every clock jumps to `max + barrier_cost`, each
+    /// node's jump charged as barrier wait.
+    pub(crate) fn barrier(&mut self) {
+        let after = self.max_clock() + self.barrier_cost;
+        let run = &mut self.run;
+        for (i, c) in run.clocks.iter_mut().enumerate() {
+            run.ledger
+                .charge(NodeId(i as u16), CycleCat::BarrierWait, after - *c);
+            *c = after;
+        }
+        run.barriers += 1;
+    }
+
+    /// A phase boundary, stamped with the slowest clock.
+    pub(crate) fn phase(&mut self, label: &'static str) {
+        let t = self.max_clock();
+        self.run.phases.push((label, t));
+    }
+
+    /// The replayed run.
+    pub(crate) fn finish(mut self) -> Replayed {
+        self.run.time = self.max_clock();
+        self.run.totals.bytes_recv = self.run.totals.bytes_sent;
+        self.run.links = self.fabric.map(|f| f.utilization()).unwrap_or_default();
+        self.run
+    }
+}
+
+/// An observer of the pricing fold (see [`fold`]).
+pub(crate) trait Tap {
+    /// `node`'s clock just advanced by a nonzero `cycles` under `cat`.
+    fn charge(&mut self, _node: NodeId, _cat: CycleCat, _cycles: u64) {}
+    /// A barrier is about to jump every clock to `max(clocks) + cost`.
+    fn barrier(&mut self, _clocks: &[u64], _cost: u64) {}
+    /// Any event that is neither a charge nor a barrier (phase marks
+    /// included, after their stamp is recorded).
+    fn other(&mut self, _ev: &Stamped) {}
+}
+
+/// The no-op tap: plain replay.
+impl Tap for () {}
+
+/// The one event fold: prices `file`'s stream under `cost` and
+/// `topology`, telling `tap` about every step. The six pricing rules
+/// live here and nowhere else (module docs).
+pub(crate) fn fold(
+    file: &TraceFile,
+    cost: &CostModel,
+    topology: Topology,
+    tap: &mut impl Tap,
+) -> Replayed {
+    let mut p = Pricer::new(file, cost, topology);
     for ev in &file.events {
-        match ev.event {
-            Event::Work { node, cycles, hits } => {
-                let total = cycles + hits.saturating_mul(cost.cache_hit);
-                clocks[node.index()] += total;
-                ledger.charge(node, CycleCat::Compute, total);
-            }
+        let (node, cat, cycles) = match ev.event {
+            Event::Work { node, cycles, hits } => (
+                node,
+                CycleCat::Compute,
+                cycles + hits.saturating_mul(cost.cache_hit),
+            ),
             Event::Charge {
                 node,
                 cat,
                 knob,
                 units,
-            } => {
-                let cycles = knob.eval(cost).saturating_mul(u64::from(units));
-                clocks[node.index()] += cycles;
-                ledger.charge(node, cat, cycles);
-            }
-            Event::ChargeRaw { node, cat, cycles } => {
-                clocks[node.index()] += cycles;
-                ledger.charge(node, cat, cycles);
-            }
+            } => (node, cat, knob.eval(cost).saturating_mul(u64::from(units))),
+            Event::ChargeRaw { node, cat, cycles } => (node, cat, cycles),
             Event::Xfer { from, to, bytes } => {
                 // The captured size includes the capture-time header;
                 // swap it for the replay model's header.
                 let wire = bytes
                     .saturating_sub(file.cost.msg_header_bytes)
                     .saturating_add(cost.msg_header_bytes);
-                bytes_sent += wire;
-                bytes_recv += wire;
-                if let Some(fabric) = &mut fabric {
-                    let now = clocks[from.index()];
-                    let (queue, ser) = fabric.transfer(from, to, wire, now);
-                    let extra = queue + ser;
-                    if extra > 0 {
-                        clocks[to.index()] += extra;
-                        ledger.charge(to, CycleCat::NetContention, extra);
-                    }
+                let extra = p.xfer(from, to, wire, p.run.clocks[from.index()]);
+                if extra > 0 {
+                    tap.charge(to, CycleCat::NetContention, extra);
                 }
+                continue;
             }
             Event::Barrier { .. } => {
-                let max = clocks.iter().copied().max().unwrap_or(0);
-                let after = max + cost.barrier_cost(nodes);
-                for (i, c) in clocks.iter_mut().enumerate() {
-                    ledger.charge(lcm_sim::NodeId(i as u16), CycleCat::BarrierWait, after - *c);
-                    *c = after;
-                }
-                barriers += 1;
+                tap.barrier(&p.run.clocks, p.barrier_cost);
+                p.barrier();
+                continue;
             }
             Event::PhaseMark { label } => {
-                phases.push((label, clocks.iter().copied().max().unwrap_or(0)));
+                p.phase(label);
+                tap.other(ev);
+                continue;
             }
             // Observability records: they shape statistics, not clocks.
-            _ => {}
+            _ => {
+                tap.other(ev);
+                continue;
+            }
+        };
+        p.charge(node, cat, cycles);
+        if cycles > 0 {
+            tap.charge(node, cat, cycles);
         }
     }
+    p.finish()
+}
 
-    let mut totals = file.totals.clone();
-    totals.bytes_sent = bytes_sent;
-    totals.bytes_recv = bytes_recv;
-    let links = fabric.map(|f| f.utilization()).unwrap_or_default();
-    Replayed {
-        time: clocks.iter().copied().max().unwrap_or(0),
-        clocks,
-        ledger,
-        barriers,
-        totals,
-        links,
-        phases,
-    }
+/// Replays `file`'s event stream under `cost` and `topology`, returning
+/// the re-priced clocks, ledger and statistics.
+///
+/// Replaying under the file's own cost model and topology reproduces the
+/// execution-driven run exactly (see [`validate`]); any other model
+/// yields the run's cost under that model, at a fraction of the price of
+/// re-executing it. [`crate::reprice`] returns the same answer from the
+/// file's differential index without walking every event.
+pub fn replay(file: &TraceFile, cost: &CostModel, topology: Topology) -> Replayed {
+    fold(file, cost, topology, &mut ())
 }
 
 /// Replays `file` under its *own* cost model and topology and checks the
@@ -150,32 +252,17 @@ pub fn replay(file: &TraceFile, cost: &CostModel, topology: Topology) -> Replaye
 /// mismatch names the first divergent quantity.
 pub fn validate(file: &TraceFile) -> Result<Replayed, String> {
     let r = replay(file, &file.cost, file.topology);
-    for (i, (got, want)) in r.clocks.iter().zip(&file.clocks).enumerate() {
-        if got != want {
-            return Err(format!(
-                "node {i} clock diverges: replay {got}, execution {want}"
-            ));
-        }
-    }
-    for n in 0..file.nodes {
-        let node = lcm_sim::NodeId(n as u16);
-        let mut sum = 0u64;
-        for cat in CycleCat::all() {
-            let got = r.ledger.get(node, cat);
-            let want = file.ledger.get(node, cat);
-            if got != want {
-                return Err(format!(
-                    "node {n} {} cycles diverge: replay {got}, execution {want}",
-                    cat.label()
-                ));
-            }
-            sum += got;
-        }
-        if sum != r.clocks[n] {
+    first_divergence(
+        ("replay", &r.clocks, &r.ledger),
+        ("execution", &file.clocks, &file.ledger),
+    )?;
+    for (n, &clock) in r.clocks.iter().enumerate() {
+        let node = NodeId(n as u16);
+        let sum: u64 = CycleCat::all().iter().map(|&c| r.ledger.get(node, c)).sum();
+        if sum != clock {
             return Err(format!(
                 "node {n} ledger does not conserve cycles: categories sum to \
-                 {sum} but the clock reads {}",
-                r.clocks[n]
+                 {sum} but the clock reads {clock}"
             ));
         }
     }
@@ -215,6 +302,77 @@ pub fn validate(file: &TraceFile) -> Result<Replayed, String> {
         ));
     }
     Ok(r)
+}
+
+/// A run's name, per-node clocks and cycle ledger, for
+/// [`first_divergence`].
+type Run<'a> = (&'a str, &'a [u64], &'a CycleLedger);
+
+/// Names the first node clock, then the first ledger cell, where two
+/// runs disagree.
+fn first_divergence(
+    (na, clocks_a, ledger_a): Run,
+    (nb, clocks_b, ledger_b): Run,
+) -> Result<(), String> {
+    for (n, (x, y)) in clocks_a.iter().zip(clocks_b).enumerate() {
+        if x != y {
+            return Err(format!("node {n} clock diverges: {na} {x}, {nb} {y}"));
+        }
+    }
+    for n in 0..clocks_a.len() {
+        let node = NodeId(n as u16);
+        for cat in CycleCat::all() {
+            let (x, y) = (ledger_a.get(node, cat), ledger_b.get(node, cat));
+            if x != y {
+                return Err(format!(
+                    "node {n} {} cycles diverge: {na} {x}, {nb} {y}",
+                    cat.label()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Field-by-field comparison of a differential re-pricing
+/// ([`crate::reprice`]) with the full event walk ([`replay`]), naming
+/// the first divergence: the byte-identity contract of the index.
+pub fn compare_replayed(diff: &Replayed, full: &Replayed) -> Result<(), String> {
+    if diff.time != full.time {
+        return Err(format!(
+            "time diverges: differential {}, full {}",
+            diff.time, full.time
+        ));
+    }
+    first_divergence(
+        ("differential", &diff.clocks, &diff.ledger),
+        ("full", &full.clocks, &full.ledger),
+    )?;
+    if diff.barriers != full.barriers {
+        return Err(format!(
+            "barrier count diverges: differential {}, full {}",
+            diff.barriers, full.barriers
+        ));
+    }
+    if diff.totals != full.totals {
+        return Err(format!(
+            "stats diverge: differential sent/recv {}/{}, full {}/{}",
+            diff.totals.bytes_sent,
+            diff.totals.bytes_recv,
+            full.totals.bytes_sent,
+            full.totals.bytes_recv
+        ));
+    }
+    if diff.phases != full.phases {
+        return Err(format!(
+            "phases diverge: differential {:?}, full {:?}",
+            diff.phases, full.phases
+        ));
+    }
+    if diff.links != full.links {
+        return Err("link utilization diverges".to_string());
+    }
+    Ok(())
 }
 
 #[cfg(test)]

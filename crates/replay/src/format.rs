@@ -28,12 +28,19 @@
 //! array order are wire format — extend them at the end, never renumber.
 //! Any change that would misread an old file bumps `VERSION`; the reader
 //! rejects files whose version it does not know.
+//!
+//! Varints, strings, the cost model and the topology go through
+//! [`crate::codec`], which the `lcm-serve` wire protocol shares.
 
+use crate::codec::{
+    cost_fields, put_cost_model, put_str, put_topology, put_varint, Cursor, COST_FIELDS,
+};
+use crate::index::DiffIndex;
 use lcm_sim::{
     CostModel, CycleCat, CycleLedger, Event, Knob, NodeId, NodeStats, Stamped, Topology,
 };
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::SystemTime;
 
 /// File magic: the first eight bytes of every `.lcmtrace`.
@@ -62,113 +69,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A byte cursor over the serialized file.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    /// Bytes left between the cursor and the end of the buffer.
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Validates a length prefix that announces `n` elements of at least
-    /// `min_bytes` bytes each. A corrupt (or malicious) count larger than
-    /// the remaining buffer could otherwise drive `Vec::with_capacity`
-    /// into a multi-gigabyte allocation before the first element read
-    /// fails; rejecting it up front turns that into a named error.
-    fn element_count(&self, n: usize, min_bytes: usize, what: &str) -> Result<usize, String> {
-        if n.saturating_mul(min_bytes) > self.remaining() {
-            return Err(format!(
-                "implausible {what} count {n}: needs at least {} bytes but only {} remain",
-                n.saturating_mul(min_bytes),
-                self.remaining()
-            ));
-        }
-        Ok(n)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(format!(
-                "truncated .lcmtrace: wanted {n} bytes at offset {}",
-                self.pos
-            )),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16_le(&mut self) -> Result<u16, String> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u64_le(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err("varint overflows u64".to_string());
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let len = self.varint()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| format!("non-UTF-8 string in trace: {e}"))
-    }
 }
 
 /// Resolves a string read from a trace file to a `&'static str`, so the
@@ -229,6 +135,12 @@ pub struct PhaseIndexEntry {
 /// An in-memory `.lcmtrace`: the captured charge stream with its machine
 /// configuration, plus the execution-driven outcome (clocks, ledger,
 /// summed statistics) replay validates against.
+///
+/// The file owns its differential-pricing [`DiffIndex`], built at most
+/// once, on first use ([`TraceFile::index`]). The index summarizes
+/// `events` and the capture-time `cost.msg_header_bytes`: neither may
+/// be mutated after the index is built, or [`crate::reprice`] prices
+/// the old stream.
 #[derive(Clone, Debug)]
 pub struct TraceFile {
     /// Number of simulated nodes.
@@ -249,6 +161,7 @@ pub struct TraceFile {
     pub ledger: CycleLedger,
     /// Summed protocol counters of the run.
     pub totals: NodeStats,
+    index: OnceLock<DiffIndex>,
 }
 
 impl TraceFile {
@@ -308,7 +221,19 @@ impl TraceFile {
             clocks,
             ledger: ledger.clone(),
             totals,
+            index: OnceLock::new(),
         })
+    }
+
+    /// The differential-pricing index of this trace, built by the first
+    /// call (one pass over the stream) and shared by every later one.
+    pub fn index(&self) -> &DiffIndex {
+        self.index.get_or_init(|| DiffIndex::build(self))
+    }
+
+    /// The index if some earlier call to [`TraceFile::index`] built it.
+    pub fn index_if_built(&self) -> Option<&DiffIndex> {
+        self.index.get()
     }
 
     /// Looks up a metadata value by key.
@@ -324,17 +249,8 @@ impl TraceFile {
     fn header_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_varint(&mut out, self.nodes as u64);
-        match self.topology {
-            Topology::FatTree { arity } => {
-                out.push(0);
-                put_varint(&mut out, arity as u64);
-            }
-            Topology::Crossbar => out.push(1),
-            Topology::Flat => out.push(2),
-        }
-        for v in cost_fields(&self.cost) {
-            put_varint(&mut out, v);
-        }
+        put_topology(&mut out, self.topology);
+        put_cost_model(&mut out, &self.cost);
         put_varint(&mut out, self.metadata.len() as u64);
         for (k, v) in &self.metadata {
             put_str(&mut out, k);
@@ -612,22 +528,10 @@ impl TraceFile {
         if nodes == 0 || nodes > lcm_sim::MAX_NODES {
             return Err(format!("implausible node count {nodes}"));
         }
-        let topology = match c.u8()? {
-            0 => Topology::FatTree {
-                arity: c.varint()? as usize,
-            },
-            1 => Topology::Crossbar,
-            2 => Topology::Flat,
-            t => return Err(format!("unknown topology tag {t}")),
-        };
-        let mut fields = [0u64; COST_FIELDS];
-        for f in &mut fields {
-            *f = c.varint()?;
-        }
-        let cost = cost_from_fields(&fields);
+        let topology = c.topology()?;
+        let cost = c.cost_model()?;
         // Each metadata pair is two strings of at least one byte each.
-        let n_meta = c.varint()? as usize;
-        let n_meta = c.element_count(n_meta, 2, "metadata")?;
+        let n_meta = c.element_count(2, "metadata")?;
         let mut metadata = Vec::with_capacity(n_meta);
         for _ in 0..n_meta {
             let k = c.string()?;
@@ -636,8 +540,7 @@ impl TraceFile {
         }
         let _fingerprint = c.u64_le()?;
 
-        let n_strings = c.varint()? as usize;
-        let n_strings = c.element_count(n_strings, 1, "string-table")?;
+        let n_strings = c.element_count(1, "string-table")?;
         let mut strings: Vec<&'static str> = Vec::with_capacity(n_strings);
         for _ in 0..n_strings {
             strings.push(intern(&c.string()?));
@@ -663,8 +566,7 @@ impl TraceFile {
         };
 
         // Every event carries at least an opcode byte and a cycle delta.
-        let n_events = c.varint()? as usize;
-        let n_events = c.element_count(n_events, 2, "event")?;
+        let n_events = c.element_count(2, "event")?;
         let mut events = Vec::with_capacity(n_events);
         let mut prev_cycle: u64 = 0;
         for seq in 0..n_events {
@@ -775,8 +677,7 @@ impl TraceFile {
             });
         }
 
-        let n_phases = c.varint()? as usize;
-        let n_phases = c.element_count(n_phases, 3, "phase-index")?;
+        let n_phases = c.element_count(3, "phase-index")?;
         let mut phase_index = Vec::with_capacity(n_phases);
         for _ in 0..n_phases {
             phase_index.push(PhaseIndexEntry {
@@ -808,11 +709,8 @@ impl TraceFile {
                 events.len()
             ));
         }
-        if c.pos != body.len() {
-            return Err(format!(
-                "{} trailing bytes after the footer",
-                body.len() - c.pos
-            ));
+        if c.remaining() != 0 {
+            return Err(format!("{} trailing bytes after the footer", c.remaining()));
         }
         Ok(TraceFile {
             nodes,
@@ -824,6 +722,7 @@ impl TraceFile {
             clocks,
             ledger,
             totals,
+            index: OnceLock::new(),
         })
     }
 
@@ -903,60 +802,10 @@ pub fn cost_model_hash(cost: &CostModel) -> u64 {
     fnv1a(&bytes)
 }
 
-/// Number of cost-model fields on the wire.
-const COST_FIELDS: usize = 18;
-
-/// The cost model's fields in declaration order — wire format, extend at
-/// the end only (with a version bump, since the count is not prefixed).
-fn cost_fields(c: &CostModel) -> [u64; COST_FIELDS] {
-    [
-        c.cache_hit,
-        c.local_fill,
-        c.local_refill,
-        c.remote_miss,
-        c.msg_send,
-        c.msg_recv,
-        c.block_flush,
-        c.clean_copy_create,
-        c.reconcile_per_version,
-        c.barrier_base,
-        c.barrier_per_level,
-        c.invalidate,
-        c.upgrade,
-        c.retry_timeout,
-        c.msg_header_bytes,
-        c.link_bandwidth_bytes_per_cycle,
-        c.ni_occupancy,
-        c.contention_window,
-    ]
-}
-
-fn cost_from_fields(f: &[u64; COST_FIELDS]) -> CostModel {
-    CostModel {
-        cache_hit: f[0],
-        local_fill: f[1],
-        local_refill: f[2],
-        remote_miss: f[3],
-        msg_send: f[4],
-        msg_recv: f[5],
-        block_flush: f[6],
-        clean_copy_create: f[7],
-        reconcile_per_version: f[8],
-        barrier_base: f[9],
-        barrier_per_level: f[10],
-        invalidate: f[11],
-        upgrade: f[12],
-        retry_timeout: f[13],
-        msg_header_bytes: f[14],
-        link_bandwidth_bytes_per_cycle: f[15],
-        ni_occupancy: f[16],
-        contention_window: f[17],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::cost_from_fields;
     use lcm_sim::BlockId;
 
     fn sample_file() -> TraceFile {

@@ -1,5 +1,6 @@
 //! Differential re-pricing: a per-trace index that lets repeated
-//! what-if queries skip the full event walk.
+//! what-if queries skip the full event walk. Each [`TraceFile`] owns its
+//! index, built once on first use ([`TraceFile::index`]).
 //!
 //! A full replay folds every captured event — for a medium-scale
 //! capture, millions of records — even though most of the stream is
@@ -21,22 +22,24 @@
 //!   sender clock the contention fabric saw without walking the
 //!   non-transfer events at all.
 //!
-//! [`replay_diff`] evaluates the index under an arbitrary cost model
-//! and topology and returns a [`Replayed`] that is byte-identical to
-//! [`lcm_replay::replay`] on the same inputs — clocks, every ledger
-//! cell, wire bytes, barrier count, phases and link utilization. The
-//! identity holds because every aggregation the index performs is a
-//! re-association of additions and shared multiplications the full
-//! engine performs term by term; tests and CI assert it on every grid
-//! point rather than trusting the argument.
+//! [`reprice`] evaluates the index under an arbitrary cost model and
+//! topology and returns a [`Replayed`] that is byte-identical to
+//! [`crate::replay`] on the same inputs — clocks, every ledger cell,
+//! wire bytes, barrier count, phases and link utilization. It advances
+//! the same `Pricer` state as the event fold (charges, transfers,
+//! barrier jumps, phase stamps), and every aggregation the index
+//! performs is a re-association of additions and shared
+//! multiplications the fold performs term by term; tests assert the
+//! identity on every grid point rather than trusting the argument.
 //!
-//! The index also records which knobs the trace actually exercises
-//! ([`DiffIndex::knob_units`]), which lets the serve cache answer a
-//! query that differs from a cached neighbor only in knobs this trace
-//! never charges — see [`DiffIndex::field_sensitive`].
+//! The index also records which knobs the trace actually exercises,
+//! which lets the serve cache answer a query that differs from a cached
+//! neighbor only in knobs this trace never charges — see
+//! [`DiffIndex::field_sensitive`].
 
-use lcm_replay::{Replayed, TraceFile};
-use lcm_sim::{CostModel, CycleCat, CycleLedger, Event, Fabric, Knob, NodeId, Topology};
+use crate::engine::{Pricer, Replayed};
+use crate::format::TraceFile;
+use lcm_sim::{CostModel, CycleCat, Event, Knob, NodeId, Topology};
 
 /// How a segment ends: the event that forced clocks to materialize.
 #[derive(Clone, Debug)]
@@ -83,10 +86,6 @@ struct Segment {
 /// module docs).
 #[derive(Clone, Debug)]
 pub struct DiffIndex {
-    nodes: usize,
-    /// `msg_header_bytes` of the capture-time model (already subtracted
-    /// from every [`SegXfer::adj_bytes`]).
-    capture_header: u64,
     segments: Vec<Segment>,
     /// Total transfers in the stream.
     xfer_count: u64,
@@ -226,8 +225,7 @@ impl Builder {
 impl DiffIndex {
     /// Builds the index from a decoded trace. One pass over the stream.
     pub fn build(file: &TraceFile) -> DiffIndex {
-        let nodes = file.nodes;
-        let mut b = Builder::new(nodes);
+        let mut b = Builder::new(file.nodes);
         let mut segments = Vec::with_capacity(file.phase_index.len() + 1);
         let mut knob_units = [0u64; Knob::COUNT];
         let mut xfer_count = 0u64;
@@ -280,8 +278,6 @@ impl DiffIndex {
         }
         segments.push(b.finish_segment(SegEnd::Stream));
         DiffIndex {
-            nodes,
-            capture_header: file.cost.msg_header_bytes,
             segments,
             xfer_count,
             sum_adj_bytes,
@@ -290,23 +286,8 @@ impl DiffIndex {
         }
     }
 
-    /// Total symbolic units charged per knob across the trace.
-    pub fn knob_units(&self) -> &[u64; Knob::COUNT] {
-        &self.knob_units
-    }
-
-    /// Number of transfers in the stream.
-    pub fn xfer_count(&self) -> u64 {
-        self.xfer_count
-    }
-
-    /// Number of global barriers in the stream.
-    pub fn barriers(&self) -> u64 {
-        self.barriers
-    }
-
     /// Whether changing cost-model field `field` (in `.lcmtrace` wire
-    /// order — the order of [`lcm_replay::cost_model_hash`]) can change
+    /// order — [`crate::codec::cost_fields`]) can change
     /// *any* replay output for this trace, given the query's link
     /// bandwidth. A field is insensitive when the trace charges zero
     /// units on every knob that reads it and the structural consumers
@@ -349,127 +330,64 @@ impl DiffIndex {
     }
 }
 
-/// Re-prices the trace under `cost`/`topology` from the index alone —
-/// byte-identical to [`lcm_replay::replay`] on the same trace (module
-/// docs), without walking non-transfer events.
-pub fn replay_diff(
-    file: &TraceFile,
-    idx: &DiffIndex,
-    cost: &CostModel,
-    topology: Topology,
-) -> Replayed {
-    let nodes = idx.nodes;
-    debug_assert_eq!(nodes, file.nodes, "index built from a different trace");
-    debug_assert_eq!(
-        idx.capture_header, file.cost.msg_header_bytes,
-        "index built from a different trace"
-    );
+/// Re-prices `file` under `cost`/`topology` from its index alone —
+/// byte-identical to [`crate::replay`] on the same inputs (module docs),
+/// without walking non-transfer events. The first call on a file builds
+/// its index.
+pub fn reprice(file: &TraceFile, cost: &CostModel, topology: Topology) -> Replayed {
+    let idx = file.index();
     let mut eval = [0u64; Knob::COUNT];
     for k in Knob::all() {
         eval[k.index()] = k.eval(cost);
     }
-    let mut clocks = vec![0u64; nodes];
-    let mut ledger = CycleLedger::new(nodes);
-    let mut fabric =
-        (cost.link_bandwidth_bytes_per_cycle > 0).then(|| Fabric::new(topology, nodes, cost));
-    let mut barriers = 0u64;
-    let mut phases = Vec::with_capacity(file.phase_index.len());
-    let mut walked_bytes = 0u64;
-    let barrier_cost = cost.barrier_cost(nodes);
+    let mut p = Pricer::new(file, cost, topology);
     // Per-segment scratch for the fabric walk: the sender's evaluated
-    // in-segment charge prefix (`a_run`) and the contention accrued so
-    // far (`cont`). Only nodes in `touched` are dirty, so resetting
-    // between segments is O(touched), not O(nodes).
-    let mut a_run = vec![0u64; nodes];
-    let mut cont = vec![0u64; nodes];
-    let mut seen = vec![false; nodes];
+    // in-segment charge prefix. During the walk a clock holds the
+    // segment start plus the contention received so far, so the
+    // sender's clock at a transfer is `clock + a_run`. Only nodes in
+    // `touched` are dirty, so resetting between segments is
+    // O(touched), not O(nodes).
+    let mut a_run = vec![0u64; file.nodes];
     let mut touched: Vec<usize> = Vec::new();
 
     for seg in &idx.segments {
-        if let Some(fabric) = &mut fabric {
+        if p.has_fabric() {
             for x in &seg.xfers {
-                let (from, to) = (x.from as usize, x.to as usize);
-                if !seen[from] {
-                    seen[from] = true;
-                    touched.push(from);
-                }
-                // The sender's clock at this transfer: segment start +
-                // evaluated charges since start + contention received.
+                let from = x.from as usize;
                 let mut a = a_run[from] + x.d_raw;
                 for &(k, units) in &x.d_sym {
                     a += eval[k as usize].saturating_mul(units);
                 }
-                a_run[from] = a;
-                let now = clocks[from] + a + cont[from];
-                let wire = x.adj_bytes.saturating_add(cost.msg_header_bytes);
-                walked_bytes += wire;
-                let (queue, ser) =
-                    fabric.transfer(NodeId(from as u16), NodeId(to as u16), wire, now);
-                let extra = queue + ser;
-                if extra > 0 {
-                    if !seen[to] {
-                        seen[to] = true;
-                        touched.push(to);
-                    }
-                    cont[to] += extra;
-                    ledger.charge(NodeId(to as u16), CycleCat::NetContention, extra);
+                if a_run[from] == 0 && a > 0 {
+                    touched.push(from);
                 }
+                a_run[from] = a;
+                let now = p.run.clocks[from] + a;
+                let wire = x.adj_bytes.saturating_add(cost.msg_header_bytes);
+                p.xfer(NodeId(x.from), NodeId(x.to), wire, now);
             }
-            // Fold the contention into the clocks before materializing,
-            // and reset the scratch for the next segment.
-            for &n in &touched {
-                clocks[n] += cont[n];
+            for n in touched.drain(..) {
                 a_run[n] = 0;
-                cont[n] = 0;
-                seen[n] = false;
             }
-            touched.clear();
         }
         // Fold the segment's aggregated charges.
         for &(node, cat, cycles) in &seg.raw {
-            clocks[node as usize] += cycles;
-            ledger.charge(NodeId(node), CycleCat::all()[cat as usize], cycles);
+            p.charge(NodeId(node), CycleCat::all()[cat as usize], cycles);
         }
         for &(node, cat, knob, units) in &seg.sym {
             let cycles = eval[knob as usize].saturating_mul(units);
-            clocks[node as usize] += cycles;
-            ledger.charge(NodeId(node), CycleCat::all()[cat as usize], cycles);
+            p.charge(NodeId(node), CycleCat::all()[cat as usize], cycles);
         }
         match seg.end {
-            SegEnd::Barrier => {
-                let max = clocks.iter().copied().max().unwrap_or(0);
-                let after = max + barrier_cost;
-                for (i, c) in clocks.iter_mut().enumerate() {
-                    ledger.charge(NodeId(i as u16), CycleCat::BarrierWait, after - *c);
-                    *c = after;
-                }
-                barriers += 1;
-            }
-            SegEnd::Phase(label) => {
-                phases.push((label, clocks.iter().copied().max().unwrap_or(0)));
-            }
+            SegEnd::Barrier => p.barrier(),
+            SegEnd::Phase(label) => p.phase(label),
             SegEnd::Stream => {}
         }
     }
 
-    // Wire bytes: re-headered per transfer. With no fabric the walk was
-    // skipped, so use the closed form over the precomputed sums.
-    let bytes = if fabric.is_some() {
-        walked_bytes
-    } else {
-        idx.sum_adj_bytes + idx.xfer_count * cost.msg_header_bytes
-    };
-    let mut totals = file.totals.clone();
-    totals.bytes_sent = bytes;
-    totals.bytes_recv = bytes;
-    let links = fabric.map(|f| f.utilization()).unwrap_or_default();
-    Replayed {
-        time: clocks.iter().copied().max().unwrap_or(0),
-        clocks,
-        ledger,
-        barriers,
-        totals,
-        links,
-        phases,
+    // With no fabric the walk was skipped: wire bytes in closed form.
+    if !p.has_fabric() {
+        p.run.totals.bytes_sent = idx.sum_adj_bytes + idx.xfer_count * cost.msg_header_bytes;
     }
+    p.finish()
 }

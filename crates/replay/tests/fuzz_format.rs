@@ -400,6 +400,28 @@ fn out_of_range_indices_are_named_errors() {
     assert!(err.contains("unknown event opcode 77"), "{err}");
 }
 
+/// A fat tree of arity below 2 cannot be built into a contention fabric,
+/// so a finite-bandwidth trace declaring one would decode and then
+/// panic in every replay. The reader rejects it by name instead.
+#[test]
+fn degenerate_fat_tree_arity_is_a_named_error() {
+    for arity in [0usize, 1] {
+        let mut f = sample_file();
+        f.topology = Topology::FatTree { arity };
+        f.cost.link_bandwidth_bytes_per_cycle = 16;
+        let err = TraceFile::from_bytes(&f.to_bytes()).expect_err("degenerate arity");
+        assert!(
+            err.contains(&format!("fat-tree arity {arity} is below 2")),
+            "{err}"
+        );
+    }
+    let mut f = sample_file();
+    f.topology = Topology::FatTree { arity: 2 };
+    f.cost.link_bandwidth_bytes_per_cycle = 16;
+    let back = TraceFile::from_bytes(&f.to_bytes()).expect("arity 2 is a fabric");
+    lcm_replay::replay(&back, &back.cost, back.topology);
+}
+
 #[test]
 fn footer_cross_checks_are_enforced() {
     // Footer event count disagreeing with the stream.

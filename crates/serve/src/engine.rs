@@ -2,8 +2,8 @@
 //! batched what-if execution path shared by the in-process API, the
 //! explore sweep and the TCP server.
 
-use crate::diff::{replay_diff, DiffIndex};
-use lcm_replay::{cost_model_hash, replay, Replayed, TraceHandle};
+use lcm_replay::codec::cost_fields;
+use lcm_replay::{compare_replayed, cost_model_hash, replay, reprice, Replayed, TraceHandle};
 use lcm_sim::{par_map, CostModel, CycleCat, DirBackend, NodeId, NodeStats, Topology};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +26,7 @@ pub struct Query {
 }
 
 /// The serve-cache key: one entry per distinct
-/// `(trace fingerprint, cost model, topology, backend)`.
+/// `(loaded trace, cost model, topology, backend)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     trace: u64,
@@ -38,11 +38,11 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// Builds the key for `query` against a trace with header
-    /// fingerprint `fingerprint`. The cost-model half is an FNV-1a hash
-    /// over *all* fields ([`lcm_replay::cost_model_hash`]), so any
-    /// single knob change misses.
-    pub fn new(fingerprint: u64, query: &Query) -> CacheKey {
+    /// Builds the key for `query` against the loaded trace `trace` (the
+    /// id [`ServeEngine::load`] assigned it). The cost-model half is an
+    /// FNV-1a hash over *all* fields ([`lcm_replay::cost_model_hash`]),
+    /// so any single knob change misses.
+    pub fn new(trace: u64, query: &Query) -> CacheKey {
         let (topo_tag, topo_param) = match query.topology {
             Topology::FatTree { arity } => (0u8, arity as u64),
             Topology::Crossbar => (1, 0),
@@ -54,7 +54,7 @@ impl CacheKey {
             DirBackend::CoarseVec { bits } => (2, u64::from(bits)),
         };
         CacheKey {
-            trace: fingerprint,
+            trace,
             cost: cost_model_hash(&query.cost),
             topo_tag,
             topo_param,
@@ -91,7 +91,9 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    fn from_replayed(benchmark: &str, system: &str, nodes: usize, r: &Replayed) -> QueryResult {
+    fn from_replayed(entry: &TraceEntry, r: &Replayed) -> QueryResult {
+        let file = &entry.handle;
+        let nodes = file.nodes;
         let mut ledger = Vec::with_capacity(nodes * CycleCat::COUNT);
         for n in 0..nodes {
             for cat in CycleCat::all() {
@@ -99,8 +101,8 @@ impl QueryResult {
             }
         }
         QueryResult {
-            benchmark: benchmark.to_string(),
-            system: system.to_string(),
+            benchmark: file.meta("benchmark").unwrap_or("?").to_string(),
+            system: file.meta("system").unwrap_or("?").to_string(),
             nodes,
             time: r.time,
             barriers: r.barriers,
@@ -185,16 +187,18 @@ impl EngineStats {
     }
 }
 
-/// One loaded trace: the shared decoded file plus its differential
-/// index, built once at load time.
+/// One loaded trace: the shared decoded file, which owns its
+/// differential index.
 pub struct TraceEntry {
     /// Name queries address the trace by.
     pub name: String,
     /// The decoded trace (shared, decode-once — [`lcm_replay::TraceFile::open`]).
     pub handle: TraceHandle,
     /// Header fingerprint (machine config + cost model + metadata).
+    /// Listing only: two captures can share a header, never an `id`.
     pub fingerprint: u64,
-    diff: DiffIndex,
+    /// Cache identity: unique per [`ServeEngine::load`] call.
+    id: u64,
 }
 
 struct CachedEntry {
@@ -208,6 +212,8 @@ struct CachedEntry {
 #[derive(Default)]
 pub struct ServeEngine {
     traces: Vec<TraceEntry>,
+    /// Traces loaded so far: the next [`TraceEntry`] id.
+    loads: u64,
     cache: Mutex<HashMap<CacheKey, CachedEntry>>,
     /// Serve counters.
     pub stats: EngineStats,
@@ -219,18 +225,20 @@ impl ServeEngine {
         ServeEngine::default()
     }
 
-    /// Loads a decoded trace under `name`, building its differential
-    /// index. Replaces any previous trace of the same name.
+    /// Loads a decoded trace under `name`, replacing any previous trace
+    /// of the same name. Builds the trace's differential index now
+    /// unless an earlier load of the same handle already did, so no
+    /// query pays for it.
     pub fn load(&mut self, name: &str, handle: TraceHandle) {
-        let diff = DiffIndex::build(&handle);
-        let fingerprint = handle.fingerprint();
+        handle.index();
         self.traces.retain(|t| t.name != name);
         self.traces.push(TraceEntry {
             name: name.to_string(),
+            fingerprint: handle.fingerprint(),
             handle,
-            fingerprint,
-            diff,
+            id: self.loads,
         });
+        self.loads += 1;
     }
 
     /// The loaded traces, in load order.
@@ -257,40 +265,33 @@ impl ServeEngine {
     /// byte-identical regardless of which path served it.
     pub fn query(&self, q: &Query) -> Result<(Arc<QueryResult>, QueryClass), String> {
         let entry = self.entry(&q.trace)?;
-        let key = CacheKey::new(entry.fingerprint, q);
-        {
-            let cache = self.cache.lock().expect("serve cache poisoned");
-            if let Some(hit) = cache.get(&key) {
-                self.stats.cached.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(&hit.result), QueryClass::Cached));
-            }
-            if let Some(result) = self.find_neighbor(&cache, entry, q) {
-                self.stats.neighbor.fetch_add(1, Ordering::Relaxed);
-                drop(cache);
-                let mut cache = self.cache.lock().expect("serve cache poisoned");
-                cache.insert(
-                    key,
-                    CachedEntry {
-                        cost: q.cost,
-                        topology: q.topology,
-                        result: Arc::clone(&result),
-                    },
-                );
-                return Ok((result, QueryClass::Neighbor));
-            }
+        let key = CacheKey::new(entry.id, q);
+        let cache = self.cache.lock().expect("serve cache poisoned");
+        if let Some(hit) = cache.get(&key) {
+            self.stats.cached.fetch_add(1, Ordering::Relaxed);
+            return Ok((Arc::clone(&hit.result), QueryClass::Cached));
         }
-        let result = Arc::new(self.replay_differential(entry, q));
-        self.stats.differential.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.cache.lock().expect("serve cache poisoned");
-        cache.insert(
-            key,
-            CachedEntry {
-                cost: q.cost,
-                topology: q.topology,
-                result: Arc::clone(&result),
-            },
-        );
-        Ok((result, QueryClass::Differential))
+        let neighbor = self.find_neighbor(&cache, entry, q);
+        drop(cache);
+        let (result, class, counter) = match neighbor {
+            Some(result) => (result, QueryClass::Neighbor, &self.stats.neighbor),
+            None => (
+                Arc::new(self.replay_differential(entry, q)),
+                QueryClass::Differential,
+                &self.stats.differential,
+            ),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let cached = CachedEntry {
+            cost: q.cost,
+            topology: q.topology,
+            result: Arc::clone(&result),
+        };
+        self.cache
+            .lock()
+            .expect("serve cache poisoned")
+            .insert(key, cached);
+        Ok((result, class))
     }
 
     /// A cached result whose pricing provably agrees with `q` on this
@@ -303,52 +304,40 @@ impl ServeEngine {
         entry: &TraceEntry,
         q: &Query,
     ) -> Option<Arc<QueryResult>> {
+        let idx = entry.handle.index();
+        let wanted = cost_fields(&q.cost);
         for (k, c) in cache.iter() {
-            if k.trace != entry.fingerprint {
+            if k.trace != entry.id {
                 continue;
             }
-            let fields_agree = cost_fields_wire(&c.cost)
-                .iter()
-                .zip(&cost_fields_wire(&q.cost))
-                .enumerate()
-                .all(|(i, (a, b))| {
-                    a == b
-                        || (!entry
-                            .diff
-                            .field_sensitive(i, c.cost.link_bandwidth_bytes_per_cycle)
-                            && !entry
-                                .diff
-                                .field_sensitive(i, q.cost.link_bandwidth_bytes_per_cycle))
-                });
-            if !fields_agree {
-                continue;
-            }
+            let (bw_c, bw_q) = (
+                c.cost.link_bandwidth_bytes_per_cycle,
+                q.cost.link_bandwidth_bytes_per_cycle,
+            );
+            let fields_agree =
+                cost_fields(&c.cost)
+                    .iter()
+                    .zip(&wanted)
+                    .enumerate()
+                    .all(|(i, (a, b))| {
+                        a == b || (!idx.field_sensitive(i, bw_c) && !idx.field_sensitive(i, bw_q))
+                    });
             let topo_agrees = c.topology == q.topology
-                || (!entry
-                    .diff
-                    .topology_sensitive(c.cost.link_bandwidth_bytes_per_cycle)
-                    && !entry
-                        .diff
-                        .topology_sensitive(q.cost.link_bandwidth_bytes_per_cycle));
-            if topo_agrees {
+                || (!idx.topology_sensitive(bw_c) && !idx.topology_sensitive(bw_q));
+            if fields_agree && topo_agrees {
                 return Some(Arc::clone(&c.result));
             }
         }
         None
     }
 
-    /// Re-prices through the differential index, skipping the cache. In
-    /// debug builds the result is asserted byte-identical to a full
-    /// event-walk replay (release tests and CI assert the same over the
-    /// whole explore grid).
+    /// Re-prices through the trace's differential index
+    /// ([`lcm_replay::reprice`]), skipping the cache. In debug builds the
+    /// result is asserted byte-identical to a full event-walk replay
+    /// (release tests assert the same over the whole explore grid).
     pub fn replay_differential(&self, entry: &TraceEntry, q: &Query) -> QueryResult {
-        let r = replay_diff(&entry.handle, &entry.diff, &q.cost, q.topology);
-        let result = QueryResult::from_replayed(
-            entry.handle.meta("benchmark").unwrap_or("?"),
-            entry.handle.meta("system").unwrap_or("?"),
-            entry.handle.nodes,
-            &r,
-        );
+        let result =
+            QueryResult::from_replayed(entry, &reprice(&entry.handle, &q.cost, q.topology));
         debug_assert_eq!(
             result,
             self.replay_full(entry, q),
@@ -361,13 +350,7 @@ impl ServeEngine {
     /// The bench harness measures differential and cached queries
     /// against this.
     pub fn replay_full(&self, entry: &TraceEntry, q: &Query) -> QueryResult {
-        let r = replay(&entry.handle, &q.cost, q.topology);
-        QueryResult::from_replayed(
-            entry.handle.meta("benchmark").unwrap_or("?"),
-            entry.handle.meta("system").unwrap_or("?"),
-            entry.handle.nodes,
-            &r,
-        )
+        QueryResult::from_replayed(entry, &replay(&entry.handle, &q.cost, q.topology))
     }
 
     /// Full-replay control for a named trace (cold path, cache
@@ -380,10 +363,9 @@ impl ServeEngine {
     /// the first divergence as an error.
     pub fn verify(&self, q: &Query) -> Result<(), String> {
         let entry = self.entry(&q.trace)?;
-        let diff = replay_diff(&entry.handle, &entry.diff, &q.cost, q.topology);
+        let diff = reprice(&entry.handle, &q.cost, q.topology);
         let full = replay(&entry.handle, &q.cost, q.topology);
-        compare_replayed(&diff, &full, entry.handle.nodes)
-            .map_err(|e| format!("trace {:?}: {e}", q.trace))
+        compare_replayed(&diff, &full).map_err(|e| format!("trace {:?}: {e}", q.trace))
     }
 
     /// Answers a batch on `jobs` workers via the shared `par_map` pool.
@@ -397,93 +379,6 @@ impl ServeEngine {
     ) -> Vec<Result<(Arc<QueryResult>, QueryClass), String>> {
         par_map(jobs, queries.to_vec(), |_, q| self.query(&q))
     }
-}
-
-/// The cost model's fields in `.lcmtrace` wire order (the order
-/// [`DiffIndex::field_sensitive`] indexes by).
-fn cost_fields_wire(c: &CostModel) -> [u64; 18] {
-    [
-        c.cache_hit,
-        c.local_fill,
-        c.local_refill,
-        c.remote_miss,
-        c.msg_send,
-        c.msg_recv,
-        c.block_flush,
-        c.clean_copy_create,
-        c.reconcile_per_version,
-        c.barrier_base,
-        c.barrier_per_level,
-        c.invalidate,
-        c.upgrade,
-        c.retry_timeout,
-        c.msg_header_bytes,
-        c.link_bandwidth_bytes_per_cycle,
-        c.ni_occupancy,
-        c.contention_window,
-    ]
-}
-
-/// Field-by-field comparison of two replays, naming the first
-/// divergence (byte-identity contract of the differential engine).
-pub fn compare_replayed(diff: &Replayed, full: &Replayed, nodes: usize) -> Result<(), String> {
-    if diff.time != full.time {
-        return Err(format!(
-            "time diverges: differential {}, full {}",
-            diff.time, full.time
-        ));
-    }
-    if diff.clocks != full.clocks {
-        let n = diff
-            .clocks
-            .iter()
-            .zip(&full.clocks)
-            .position(|(a, b)| a != b)
-            .unwrap_or(0);
-        return Err(format!(
-            "node {n} clock diverges: differential {}, full {}",
-            diff.clocks[n], full.clocks[n]
-        ));
-    }
-    for n in 0..nodes {
-        for cat in CycleCat::all() {
-            let (a, b) = (
-                diff.ledger.get(NodeId(n as u16), cat),
-                full.ledger.get(NodeId(n as u16), cat),
-            );
-            if a != b {
-                return Err(format!(
-                    "node {n} {} cycles diverge: differential {a}, full {b}",
-                    cat.label()
-                ));
-            }
-        }
-    }
-    if diff.barriers != full.barriers {
-        return Err(format!(
-            "barrier count diverges: differential {}, full {}",
-            diff.barriers, full.barriers
-        ));
-    }
-    if diff.totals != full.totals {
-        return Err(format!(
-            "stats diverge: differential sent/recv {}/{}, full {}/{}",
-            diff.totals.bytes_sent,
-            diff.totals.bytes_recv,
-            full.totals.bytes_sent,
-            full.totals.bytes_recv
-        ));
-    }
-    if diff.phases != full.phases {
-        return Err(format!(
-            "phases diverge: differential {:?}, full {:?}",
-            diff.phases, full.phases
-        ));
-    }
-    if diff.links != full.links {
-        return Err("link utilization diverges".to_string());
-    }
-    Ok(())
 }
 
 /// Convenience: a [`Query`] under default topology and backend.

@@ -2,15 +2,17 @@
 //! byte stream (TCP in practice, any `Read + Write` in tests).
 //!
 //! Every frame is a little-endian `u32` payload length followed by the
-//! payload. Integers inside payloads are LEB128 varints (the same
-//! encoding `.lcmtrace` uses); strings are varint-length-prefixed UTF-8.
+//! payload. Payloads are written and read with [`lcm_replay::codec`],
+//! the codec `.lcmtrace` files use: LEB128 varints, varint-length-
+//! prefixed UTF-8 strings, the wire-order cost model and the topology.
 //! Requests open with an opcode byte, responses with a status byte —
 //! `0` carries a result, `1` carries an error message. A malformed
 //! frame is a *named* decode error, never a panic: the server reports
 //! it in an error response and keeps serving.
 
 use crate::engine::{Query, QueryClass, QueryResult};
-use lcm_sim::{CostModel, DirBackend, Topology};
+use lcm_replay::codec::{put_cost_model, put_str, put_topology, put_varint, Cursor};
+use lcm_sim::DirBackend;
 use std::io::{Read, Write};
 
 /// Opcode: list the loaded traces.
@@ -60,120 +62,12 @@ pub struct TraceInfo {
     pub fingerprint: u64,
 }
 
-// ---------------------------------------------------------------- varints
-
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf
-            .get(*pos)
-            .ok_or_else(|| "truncated varint".to_string())?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err("varint overflows u64".to_string());
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, String> {
-    let len = get_varint(buf, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| "truncated string".to_string())?;
-    let s = std::str::from_utf8(&buf[*pos..end])
-        .map_err(|_| "string is not UTF-8".to_string())?
-        .to_string();
-    *pos = end;
-    Ok(s)
-}
-
-// ------------------------------------------------------------ cost model
-
-/// The cost model's fields in wire order (the `.lcmtrace` header order).
-pub fn cost_to_fields(c: &CostModel) -> [u64; 18] {
-    [
-        c.cache_hit,
-        c.local_fill,
-        c.local_refill,
-        c.remote_miss,
-        c.msg_send,
-        c.msg_recv,
-        c.block_flush,
-        c.clean_copy_create,
-        c.reconcile_per_version,
-        c.barrier_base,
-        c.barrier_per_level,
-        c.invalidate,
-        c.upgrade,
-        c.retry_timeout,
-        c.msg_header_bytes,
-        c.link_bandwidth_bytes_per_cycle,
-        c.ni_occupancy,
-        c.contention_window,
-    ]
-}
-
-/// Rebuilds a cost model from its wire-order fields.
-pub fn cost_from_fields(f: &[u64; 18]) -> CostModel {
-    let mut c = CostModel::cm5();
-    c.cache_hit = f[0];
-    c.local_fill = f[1];
-    c.local_refill = f[2];
-    c.remote_miss = f[3];
-    c.msg_send = f[4];
-    c.msg_recv = f[5];
-    c.block_flush = f[6];
-    c.clean_copy_create = f[7];
-    c.reconcile_per_version = f[8];
-    c.barrier_base = f[9];
-    c.barrier_per_level = f[10];
-    c.invalidate = f[11];
-    c.upgrade = f[12];
-    c.retry_timeout = f[13];
-    c.msg_header_bytes = f[14];
-    c.link_bandwidth_bytes_per_cycle = f[15];
-    c.ni_occupancy = f[16];
-    c.contention_window = f[17];
-    c
-}
+// --------------------------------------------------------------- queries
 
 fn put_query(buf: &mut Vec<u8>, q: &Query) {
     put_str(buf, &q.trace);
-    for v in cost_to_fields(&q.cost) {
-        put_varint(buf, v);
-    }
-    match q.topology {
-        Topology::FatTree { arity } => {
-            buf.push(0);
-            put_varint(buf, arity as u64);
-        }
-        Topology::Crossbar => buf.push(1),
-        Topology::Flat => buf.push(2),
-    }
+    put_cost_model(buf, &q.cost);
+    put_topology(buf, q.topology);
     match q.backend {
         DirBackend::FullMap => buf.push(0),
         DirBackend::LimitedPtr { ptrs } => {
@@ -187,45 +81,41 @@ fn put_query(buf: &mut Vec<u8>, q: &Query) {
     }
 }
 
-fn get_byte(buf: &[u8], pos: &mut usize) -> Result<u8, String> {
-    let b = *buf.get(*pos).ok_or_else(|| "truncated frame".to_string())?;
-    *pos += 1;
-    Ok(b)
+/// Most queries, results, phases or listing rows one frame may carry.
+const MAX_LIST: usize = 1 << 20;
+
+/// Reads a list length: at most [`MAX_LIST`], and no more elements of
+/// at least `min_bytes` each than the rest of the frame can hold, so a
+/// corrupt count fails before anything is allocated for it.
+fn list_len(c: &mut Cursor, min_bytes: usize, what: &str) -> Result<usize, String> {
+    let n = c.element_count(min_bytes, what)?;
+    if n > MAX_LIST {
+        return Err(format!(
+            "{what} of {n} exceeds the {MAX_LIST}-element limit"
+        ));
+    }
+    Ok(n)
 }
 
-fn get_query(buf: &[u8], pos: &mut usize) -> Result<Query, String> {
-    let trace = get_str(buf, pos)?;
-    let mut fields = [0u64; 18];
-    for f in &mut fields {
-        *f = get_varint(buf, pos)?;
-    }
-    let topology = match get_byte(buf, pos)? {
-        0 => {
-            let arity = get_varint(buf, pos)? as usize;
-            if arity < 2 {
-                return Err(format!("fat-tree arity {arity} is below 2"));
-            }
-            Topology::FatTree { arity }
-        }
-        1 => Topology::Crossbar,
-        2 => Topology::Flat,
-        t => return Err(format!("unknown topology tag {t}")),
-    };
-    let backend = match get_byte(buf, pos)? {
-        0 => DirBackend::FullMap,
-        1 => DirBackend::LimitedPtr {
-            ptrs: get_varint(buf, pos)? as u16,
-        },
-        2 => DirBackend::CoarseVec {
-            bits: get_varint(buf, pos)? as u16,
-        },
-        t => return Err(format!("unknown backend tag {t}")),
-    };
+/// Smallest encoded query: empty name, 18 one-byte cost fields, and
+/// the topology and backend tags.
+const MIN_QUERY_BYTES: usize = 21;
+
+fn get_query(c: &mut Cursor) -> Result<Query, String> {
     Ok(Query {
-        trace,
-        cost: cost_from_fields(&fields),
-        topology,
-        backend,
+        trace: c.string()?,
+        cost: c.cost_model()?,
+        topology: c.topology()?,
+        backend: match c.u8()? {
+            0 => DirBackend::FullMap,
+            1 => DirBackend::LimitedPtr {
+                ptrs: c.varint_u16("limited-pointer count")?,
+            },
+            2 => DirBackend::CoarseVec {
+                bits: c.varint_u16("coarse-vector width")?,
+            },
+            t => return Err(format!("unknown backend tag {t}")),
+        },
     })
 }
 
@@ -250,27 +140,24 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// Decodes a request payload; any malformation is a named error.
 pub fn decode_request(buf: &[u8]) -> Result<Request, String> {
-    let mut pos = 0usize;
-    let req = match get_byte(buf, &mut pos)? {
+    let mut c = Cursor::new(buf);
+    let req = match c.u8()? {
         OP_LIST => Request::List,
         OP_QUERY => {
-            let count = get_varint(buf, &mut pos)? as usize;
-            if count > 1 << 20 {
-                return Err(format!("query batch of {count} exceeds the frame limit"));
-            }
+            let count = list_len(&mut c, MIN_QUERY_BYTES, "query batch")?;
             let mut queries = Vec::with_capacity(count);
             for _ in 0..count {
-                queries.push(get_query(buf, &mut pos)?);
+                queries.push(get_query(&mut c)?);
             }
             Request::Query(queries)
         }
         OP_SHUTDOWN => Request::Shutdown,
         op => return Err(format!("unknown opcode {op}")),
     };
-    if pos != buf.len() {
+    if c.remaining() != 0 {
         return Err(format!(
             "{} trailing bytes after a complete request",
-            buf.len() - pos
+            c.remaining()
         ));
     }
     Ok(req)
@@ -307,47 +194,36 @@ fn put_result(buf: &mut Vec<u8>, w: &WireResult) {
     });
 }
 
-fn get_result(buf: &[u8], pos: &mut usize) -> Result<WireResult, String> {
-    let benchmark = get_str(buf, pos)?;
-    let system = get_str(buf, pos)?;
-    let nodes = get_varint(buf, pos)? as usize;
+/// Smallest encoded result: two empty strings, nodes, time, barriers,
+/// the stats and phase counts, and the class byte.
+const MIN_RESULT_BYTES: usize = 8;
+
+fn get_result(c: &mut Cursor) -> Result<WireResult, String> {
+    let benchmark = c.string()?;
+    let system = c.string()?;
+    let nodes = c.varint()? as usize;
     if nodes > lcm_sim::MAX_NODES {
         return Err(format!("node count {nodes} exceeds MAX_NODES"));
     }
-    let time = get_varint(buf, pos)?;
-    let barriers = get_varint(buf, pos)?;
-    let mut clocks = Vec::with_capacity(nodes);
-    for _ in 0..nodes {
-        clocks.push(get_varint(buf, pos)?);
-    }
+    let time = c.varint()?;
+    let barriers = c.varint()?;
+    let clocks = (0..nodes).map(|_| c.varint()).collect::<Result<_, _>>()?;
     let cells = nodes * lcm_sim::CycleCat::COUNT;
-    let mut ledger = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        ledger.push(get_varint(buf, pos)?);
-    }
-    let nstats = get_varint(buf, pos)? as usize;
+    let ledger = (0..cells).map(|_| c.varint()).collect::<Result<_, _>>()?;
+    let nstats = c.varint()? as usize;
     if nstats > 256 {
         return Err(format!("stats vector of {nstats} is malformed"));
     }
-    let mut stats = Vec::with_capacity(nstats);
-    for _ in 0..nstats {
-        stats.push(get_varint(buf, pos)?);
-    }
-    let nphases = get_varint(buf, pos)? as usize;
-    if nphases > 1 << 20 {
-        return Err(format!("phase list of {nphases} is malformed"));
-    }
-    let mut phases = Vec::with_capacity(nphases);
-    for _ in 0..nphases {
-        let label = get_str(buf, pos)?;
-        let t = get_varint(buf, pos)?;
-        phases.push((label, t));
-    }
-    let class = match get_byte(buf, pos)? {
+    let stats = (0..nstats).map(|_| c.varint()).collect::<Result<_, _>>()?;
+    let nphases = list_len(c, 2, "phase list")?;
+    let phases = (0..nphases)
+        .map(|_| Ok((c.string()?, c.varint()?)))
+        .collect::<Result<_, String>>()?;
+    let class = match c.u8()? {
         0 => QueryClass::Cached,
         1 => QueryClass::Neighbor,
         2 => QueryClass::Differential,
-        c => return Err(format!("unknown query class {c}")),
+        t => return Err(format!("unknown query class {t}")),
     };
     Ok(WireResult {
         result: QueryResult {
@@ -399,55 +275,42 @@ pub fn encode_err(msg: &str) -> Vec<u8> {
     buf
 }
 
-fn check_status(buf: &[u8], pos: &mut usize) -> Result<(), String> {
-    match get_byte(buf, pos)? {
-        ST_OK => Ok(()),
-        ST_ERR => Err(format!("server error: {}", get_str(buf, pos)?)),
+/// A cursor past the status byte of an OK response, or the server's
+/// error.
+fn check_status(buf: &[u8]) -> Result<Cursor<'_>, String> {
+    let mut c = Cursor::new(buf);
+    match c.u8()? {
+        ST_OK => Ok(c),
+        ST_ERR => Err(format!("server error: {}", c.string()?)),
         s => Err(format!("unknown response status {s}")),
     }
 }
 
 /// Decodes a query response into wire results (or the server's error).
 pub fn decode_query_response(buf: &[u8]) -> Result<Vec<WireResult>, String> {
-    let mut pos = 0usize;
-    check_status(buf, &mut pos)?;
-    let count = get_varint(buf, &mut pos)? as usize;
-    if count > 1 << 20 {
-        return Err(format!("result batch of {count} is malformed"));
-    }
-    let mut results = Vec::with_capacity(count);
-    for _ in 0..count {
-        results.push(get_result(buf, &mut pos)?);
-    }
-    Ok(results)
+    let mut c = check_status(buf)?;
+    let count = list_len(&mut c, MIN_RESULT_BYTES, "result batch")?;
+    (0..count).map(|_| get_result(&mut c)).collect()
 }
 
 /// Decodes a listing response.
 pub fn decode_list_response(buf: &[u8]) -> Result<Vec<TraceInfo>, String> {
-    let mut pos = 0usize;
-    check_status(buf, &mut pos)?;
-    let count = get_varint(buf, &mut pos)? as usize;
-    if count > 1 << 20 {
-        return Err(format!("trace listing of {count} is malformed"));
-    }
-    let mut traces = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name = get_str(buf, &mut pos)?;
-        let nodes = get_varint(buf, &mut pos)?;
-        let fingerprint = get_varint(buf, &mut pos)?;
-        traces.push(TraceInfo {
-            name,
-            nodes,
-            fingerprint,
-        });
-    }
-    Ok(traces)
+    let mut c = check_status(buf)?;
+    let count = list_len(&mut c, 3, "trace listing")?;
+    (0..count)
+        .map(|_| {
+            Ok(TraceInfo {
+                name: c.string()?,
+                nodes: c.varint()?,
+                fingerprint: c.varint()?,
+            })
+        })
+        .collect()
 }
 
 /// Decodes an empty OK response (shutdown acknowledgement).
 pub fn decode_ok_response(buf: &[u8]) -> Result<(), String> {
-    let mut pos = 0usize;
-    check_status(buf, &mut pos)
+    check_status(buf).map(|_| ())
 }
 
 // ---------------------------------------------------------------- frames
@@ -490,6 +353,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcm_sim::{CostModel, Topology};
 
     fn sample_query() -> Query {
         Query {
@@ -567,8 +431,19 @@ mod tests {
     }
 
     #[test]
-    fn cost_fields_roundtrip_wire_order() {
-        let cost = CostModel::cm5_grid(64, 500);
-        assert_eq!(cost_from_fields(&cost_to_fields(&cost)), cost);
+    fn degenerate_machines_are_named_errors() {
+        let mut q = sample_query();
+        q.topology = Topology::FatTree { arity: 1 };
+        let err = decode_request(&encode_request(&Request::Query(vec![q]))).unwrap_err();
+        assert!(err.contains("arity 1 is below 2"), "unexpected: {err}");
+        // A pointer count past u16 is rejected, not truncated.
+        let mut buf = encode_request(&Request::Query(vec![sample_query()]));
+        buf.truncate(buf.len() - 1);
+        put_varint(&mut buf, 70_000);
+        let err = decode_request(&buf).unwrap_err();
+        assert!(
+            err.contains("limited-pointer count 70000"),
+            "unexpected: {err}"
+        );
     }
 }

@@ -8,10 +8,10 @@
 //! sequences; the experiment harness leaves tracing off, which makes
 //! recording a no-op.
 //!
-//! The buffer is bounded. On overflow, keep-first traces discard the new
-//! event and ring traces discard their oldest; either way the discard is
-//! counted in [`Trace::dropped`] and visible as a gap in the sequence
-//! numbers, so a consumer can tell an incomplete stream from a quiet one.
+//! The buffer is bounded and keeps the opening of the run: on overflow
+//! the new event is discarded, counted in [`Trace::dropped`] and visible
+//! as a gap in the sequence numbers, so a consumer can tell an
+//! incomplete stream from a quiet one.
 
 use crate::cost::Knob;
 use crate::machine::NodeId;
@@ -327,15 +327,10 @@ pub struct Stamped {
 }
 
 /// A bounded in-memory event trace.
-///
-/// Storage is a [`VecDeque`] so ring-mode overflow is a constant-time
-/// pop/push with no reallocation once the buffer is full — recording must
-/// stay O(1) per event on the simulation's stepping path.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     enabled: bool,
     capacity: usize,
-    ring: bool,
     events: VecDeque<Stamped>,
     seq: u64,
     dropped: u64,
@@ -353,30 +348,7 @@ impl Trace {
         Trace {
             enabled: true,
             capacity,
-            ring: false,
             events: VecDeque::new(),
-            seq: 0,
-            dropped: 0,
-        }
-    }
-
-    /// An enabled trace retaining the *last* `capacity` events: on
-    /// overflow the oldest event is discarded (and counted in
-    /// [`Trace::dropped`]). Diagnostics — the coherence sanitizer's
-    /// violation reports — use this mode, where the events leading up to
-    /// a failure matter more than the program's opening.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn ring(capacity: usize) -> Trace {
-        assert!(capacity > 0, "a ring trace needs capacity");
-        Trace {
-            enabled: true,
-            capacity,
-            ring: true,
-            // Diagnostic ring capacities are small; reserving up front
-            // makes every subsequent record allocation-free.
-            events: VecDeque::with_capacity(capacity),
             seq: 0,
             dropped: 0,
         }
@@ -387,15 +359,9 @@ impl Trace {
         self.enabled
     }
 
-    /// True for keep-last ([`Trace::ring`]) traces.
-    pub fn is_ring(&self) -> bool {
-        self.ring
-    }
-
-    /// Records `event` stamped with `cycle` if enabled; on overflow,
-    /// keep-first traces discard `event` and ring traces discard their
-    /// oldest entry. The sequence number advances either way, so drops
-    /// are visible as gaps.
+    /// Records `event` stamped with `cycle` if enabled; on overflow the
+    /// trace discards `event`. The sequence number advances either way,
+    /// so drops are visible as gaps.
     #[inline]
     pub fn record_at(&mut self, cycle: u64, event: Event) {
         if !self.enabled {
@@ -409,10 +375,6 @@ impl Trace {
         self.seq += 1;
         if self.events.len() < self.capacity {
             self.events.push_back(stamped);
-        } else if self.ring {
-            self.events.pop_front();
-            self.events.push_back(stamped);
-            self.dropped += 1;
         } else {
             self.dropped += 1;
         }
@@ -621,26 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_overflow_keeps_the_last_events() {
-        let mut t = Trace::ring(3);
-        assert!(t.is_ring());
-        for i in 0..10 {
-            t.record(Event::Barrier { at: i });
-        }
-        assert_eq!(t.events().len(), 3);
-        assert_eq!(t.dropped(), 7);
-        let stored: Vec<u64> = t
-            .events()
-            .iter()
-            .map(|e| match e.event {
-                Event::Barrier { at } => at,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(stored, vec![7, 8, 9], "ring retains the tail, oldest first");
-    }
-
-    #[test]
     fn sequence_numbers_expose_drops_as_gaps() {
         let mut t = Trace::with_capacity(2);
         for i in 0..4 {
@@ -650,34 +592,12 @@ mod tests {
         assert_eq!(seqs, vec![0, 1], "keep-first stores the opening seqs");
         assert_eq!(t.recorded(), 4);
         assert_eq!(t.dropped(), 2);
-
-        let mut r = Trace::ring(2);
-        for i in 0..4 {
-            r.record_at(i * 10, Event::Barrier { at: i });
-        }
-        let seqs: Vec<u64> = r.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![2, 3], "ring keeps the trailing seqs");
-        assert_eq!(r.events()[0].cycle, 20, "cycle stamps travel with events");
-    }
-
-    #[test]
-    fn ring_overflow_never_reallocates() {
-        let mut t = Trace::ring(8);
-        for i in 0..8 {
-            t.record(Event::Barrier { at: i });
-        }
-        let cap = t.events.capacity();
-        for i in 8..10_000 {
-            t.record(Event::Barrier { at: i });
-        }
-        assert_eq!(t.events.capacity(), cap, "pop/push cycles stay in place");
-        assert_eq!(t.events().len(), 8);
-        assert_eq!(t.dropped(), 10_000 - 8);
+        assert_eq!(t.events()[1].cycle, 10, "cycle stamps travel with events");
     }
 
     #[test]
     fn to_vec_preserves_order() {
-        let mut t = Trace::ring(3);
+        let mut t = Trace::with_capacity(3);
         for i in 0..5 {
             t.record(Event::Barrier { at: i });
         }
@@ -689,54 +609,7 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(ats, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn ring_under_capacity_behaves_like_plain_trace() {
-        let mut t = Trace::ring(8);
-        t.record(Event::Barrier { at: 1 });
-        t.record(Event::Barrier { at: 2 });
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs capacity")]
-    fn zero_capacity_ring_rejected() {
-        Trace::ring(0);
-    }
-
-    #[test]
-    fn summarize_on_a_wrapped_ring_counts_only_retained_events() {
-        use crate::machine::NodeId;
-        // Three read misses on block 1, then four write misses on block
-        // 2: a ring of 4 wraps and sheds all the reads plus the first
-        // write, so the summary must describe only the surviving tail.
-        let mut t = Trace::ring(4);
-        for _ in 0..3 {
-            t.record(Event::ReadMiss {
-                node: NodeId(0),
-                block: BlockId(1),
-                remote: true,
-            });
-        }
-        for _ in 0..4 {
-            t.record(Event::WriteMiss {
-                node: NodeId(0),
-                block: BlockId(2),
-                remote: false,
-            });
-        }
-        assert_eq!(t.dropped(), 3);
-        let s = t.summarize();
-        assert_eq!(s.read_misses, 0, "wrapped-out reads are gone");
-        assert_eq!(s.write_misses, 4);
-        assert_eq!(
-            s.hottest_blocks,
-            vec![(BlockId(2), 4)],
-            "hot-block ranking sees only retained events"
-        );
+        assert_eq!(ats, vec![0, 1, 2]);
     }
 
     #[test]
@@ -746,22 +619,11 @@ mod tests {
         // must keep record order and never sort.
         let cycles = [10u64, 5, 20, 1];
         let mut t = Trace::with_capacity(8);
-        let mut r = Trace::ring(8);
         for (i, &c) in cycles.iter().enumerate() {
             t.record_at(c, Event::Barrier { at: i as u64 });
-            r.record_at(c, Event::Barrier { at: i as u64 });
         }
-        for trace in [&t, &r] {
-            let got: Vec<(u64, u64)> = trace.events().iter().map(|e| (e.seq, e.cycle)).collect();
-            assert_eq!(got, vec![(0, 10), (1, 5), (2, 20), (3, 1)]);
-        }
-        // A wrapped ring still reports the tail in record order.
-        let mut w = Trace::ring(2);
-        for (i, &c) in cycles.iter().enumerate() {
-            w.record_at(c, Event::Barrier { at: i as u64 });
-        }
-        let got: Vec<(u64, u64)> = w.events().iter().map(|e| (e.seq, e.cycle)).collect();
-        assert_eq!(got, vec![(2, 20), (3, 1)]);
+        let got: Vec<(u64, u64)> = t.events().iter().map(|e| (e.seq, e.cycle)).collect();
+        assert_eq!(got, vec![(0, 10), (1, 5), (2, 20), (3, 1)]);
     }
 
     #[test]

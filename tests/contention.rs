@@ -166,7 +166,7 @@ fn contention_grid_is_identical_across_worker_counts() {
     );
 }
 
-/// The acceptance criterion: as link bandwidth shrinks, Stache degrades
+/// The acceptance check: as link bandwidth shrinks, Stache degrades
 /// faster than LCM-mcc on the reduction benchmark. Stache's shared
 /// accumulator ping-pongs Exclusive ownership through the home node on
 /// every update, so its recall chains funnel through one NI and queue;

@@ -16,6 +16,10 @@
 //!   cannot change the answer.
 //! * **Protocol robustness** — a real TCP roundtrip agrees with the
 //!   in-process engine, and corrupt frames come back as named errors.
+//!
+//! Two structural checks ride along: the cache keys a trace by its load,
+//! not its header, and a trace's differential index is built once, at
+//! the first load, and shared by every engine that loads the handle.
 
 use lcm_apps::threshold::Threshold;
 use lcm_apps::{SystemKind, Workload};
@@ -23,7 +27,9 @@ use lcm_bench::explore;
 use lcm_cstar::RuntimeConfig;
 use lcm_replay::{TraceFile, TraceHandle};
 use lcm_serve::{query, CacheKey, Client, Query, QueryClass, ServeEngine, Server};
-use lcm_sim::{CostModel, DirBackend, Topology};
+use lcm_sim::{
+    CostModel, CycleCat, CycleLedger, DirBackend, Event, NodeId, NodeStats, Stamped, Topology,
+};
 use std::sync::Arc;
 
 const NODES: usize = 8;
@@ -341,4 +347,76 @@ fn open_shares_one_decoded_handle_with_the_server() {
         .expect("query");
     assert_eq!(r.nodes, NODES);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A one-node capture of `cycles` compute cycles. Every such capture
+/// has the same header (nodes, topology, cost model, metadata), so the
+/// header fingerprint cannot tell two of them apart.
+fn same_header_capture(cycles: u64) -> TraceHandle {
+    let mut ledger = CycleLedger::new(1);
+    ledger.charge(NodeId(0), CycleCat::Compute, cycles);
+    let events = vec![Stamped {
+        seq: 0,
+        cycle: cycles,
+        event: Event::Work {
+            node: NodeId(0),
+            cycles,
+            hits: 0,
+        },
+    }];
+    let meta = vec![("benchmark".to_string(), "same".to_string())];
+    let file = TraceFile::from_capture(
+        1,
+        Topology::default(),
+        CostModel::cm5(),
+        meta,
+        events,
+        vec![cycles],
+        &ledger,
+        NodeStats::default(),
+    )
+    .expect("gap-free capture");
+    Arc::new(file)
+}
+
+#[test]
+fn traces_with_equal_headers_never_share_cache_entries() {
+    let (a, b) = (same_header_capture(100), same_header_capture(999));
+    assert_eq!(a.fingerprint(), b.fingerprint(), "headers match");
+    let mut e = ServeEngine::new();
+    e.load("a", a);
+    e.load("b", b);
+    let (ra, _) = e.query(&query("a", CostModel::cm5())).expect("a");
+    assert_eq!(ra.time, 100);
+    let (rb, class) = e.query(&query("b", CostModel::cm5())).expect("b");
+    assert_eq!(class, QueryClass::Differential, "b must not hit a's entry");
+    assert_eq!(rb.time, 999);
+    assert_eq!(*rb, e.query_full(&query("b", CostModel::cm5())).unwrap());
+    // A neighbor of b's query must not be served from a's entries either.
+    let mut near = query("b", CostModel::cm5());
+    near.cost.invalidate += 1;
+    let (rn, class) = e.query(&near).expect("b neighbor");
+    assert_eq!((class, rn.time), (QueryClass::Neighbor, 999));
+}
+
+#[test]
+fn engines_loading_one_handle_share_its_index_built_at_load() {
+    let handle = capture("Threshold", SystemKind::LcmMcc, &Threshold::small());
+    assert!(
+        handle.index_if_built().is_none(),
+        "a fresh capture has no index"
+    );
+    let mut first = ServeEngine::new();
+    first.load("t", Arc::clone(&handle));
+    let built = handle.index_if_built().expect("load builds the index") as *const _;
+    let mut second = ServeEngine::new();
+    second.load("t", Arc::clone(&handle));
+    for e in [&first, &second] {
+        e.query(&query("t", CostModel::cm5_grid(16, 3_000)))
+            .expect("query");
+        assert!(
+            std::ptr::eq(e.traces()[0].handle.index(), built),
+            "every engine prices through the one index built at the first load"
+        );
+    }
 }
