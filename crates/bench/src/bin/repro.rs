@@ -1941,14 +1941,22 @@ where
 }
 
 /// The kilonode scale sweep: five benchmarks × 3 systems × 3 directory
-/// backends across machines of 32→1024 nodes, whatever `--scale` is.
-/// Prints the divergence and backend-overhead summaries.
+/// backends across machines of 32→1024 nodes (32 and 64 at `--scale
+/// smoke`). Prints the divergence and backend-overhead summaries.
 fn scale(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
     use lcm_apps::scale_sweep::{scale_benchmarks, try_sweep_scale, ScaleRow, SCALE_NODE_COUNTS};
     use lcm_sim::DirBackend;
+    let node_counts: &[usize] = match ctx.scale {
+        Scale::Smoke => &SCALE_NODE_COUNTS[..2],
+        Scale::Medium | Scale::Paper => &SCALE_NODE_COUNTS,
+    };
+    writeln!(
+        out,
+        "== Scale: directory backends from the paper's 32 nodes to {} ==",
+        node_counts[node_counts.len() - 1]
+    )?;
     out.write_str(
-        "== Scale: directory backends from the paper's 32 nodes to 1024 ==
-   full-map invalidates exactly; limited-ptr entries that overflow their
+        "   full-map invalidates exactly; limited-ptr entries that overflow their
    pointers broadcast to the whole machine; coarse-vec invalidates whole
    node groups. The defaults re-spend the old 64-bit budget, so all three
    are bit-identical up to 64 nodes and diverge only beyond the old wall.\n
@@ -1956,7 +1964,7 @@ fn scale(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
     )?;
     // Failures come back tagged with their sweep key, so one bad grid
     // point names itself instead of an anonymous panic.
-    let rows = try_sweep_scale(&SCALE_NODE_COUNTS, ctx.jobs).map_err(|failures| {
+    let rows = try_sweep_scale(node_counts, ctx.jobs).map_err(|failures| {
         format!(
             "scale: {} grid point(s) failed:\n  {}",
             failures.len(),
@@ -2011,7 +2019,7 @@ fn scale(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
         "benchmark", "nodes", "stache", "lcm-mcc", "ratio"
     )?;
     for b in scale_benchmarks() {
-        for nodes in SCALE_NODE_COUNTS {
+        for &nodes in node_counts {
             let st = time(b, nodes, SystemKind::Stache, DirBackend::FullMap);
             let mcc = time(b, nodes, SystemKind::LcmMcc, DirBackend::FullMap);
             writeln!(
@@ -2040,7 +2048,7 @@ fn scale(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
         DirBackend::CoarseVec { bits: 64 },
     ];
     for b in scale_benchmarks() {
-        for nodes in SCALE_NODE_COUNTS {
+        for &nodes in node_counts {
             let full = time(b, nodes, SystemKind::Stache, DirBackend::FullMap);
             for backend in backends {
                 let r = &find(b, nodes, SystemKind::Stache, backend).result;
@@ -2062,12 +2070,12 @@ fn scale(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
 
     // BENCH_scale.json: the divergence trend and overflow totals, summed
     // over benchmarks, for trend-tracking across releases.
-    let counts: Vec<String> = SCALE_NODE_COUNTS.iter().map(|n| n.to_string()).collect();
+    let counts: Vec<String> = node_counts.iter().map(|n| n.to_string()).collect();
     let mut json = format!(
         "{{\n  \"node_counts\": [{}],\n  \"divergence_full_map\": [\n",
         counts.join(", ")
     );
-    for (i, nodes) in SCALE_NODE_COUNTS.into_iter().enumerate() {
+    for (i, &nodes) in node_counts.iter().enumerate() {
         let sum = |sys| -> u64 {
             scale_benchmarks()
                 .into_iter()
@@ -2080,16 +2088,12 @@ fn scale(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
             "    {{\"nodes\": {nodes}, \"stache_cycles\": {st}, \"lcm_mcc_cycles\": {mcc}, \
              \"ratio\": {:.4}}}{}",
             st as f64 / mcc.max(1) as f64,
-            if i + 1 < SCALE_NODE_COUNTS.len() {
-                ","
-            } else {
-                ""
-            },
+            if i + 1 < node_counts.len() { "," } else { "" },
         )?;
     }
     json.push_str("  ],\n  \"backend_overhead_stache\": [\n");
     for (bi, backend) in backends.into_iter().enumerate() {
-        for (i, nodes) in SCALE_NODE_COUNTS.into_iter().enumerate() {
+        for (i, &nodes) in node_counts.iter().enumerate() {
             let (mut cycles, mut full, mut ovf, mut spur) = (0u64, 0u64, 0u64, 0u64);
             for b in scale_benchmarks() {
                 let r = &find(b, nodes, SystemKind::Stache, backend).result;
@@ -2098,7 +2102,7 @@ fn scale(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
                 spur += r.totals.spurious_invals;
                 full += time(b, nodes, SystemKind::Stache, DirBackend::FullMap);
             }
-            let last = bi + 1 == backends.len() && i + 1 == SCALE_NODE_COUNTS.len();
+            let last = bi + 1 == backends.len() && i + 1 == node_counts.len();
             writeln!(
                 json,
                 "    {{\"backend\": \"{}\", \"nodes\": {nodes}, \"cycles\": {cycles}, \

@@ -16,11 +16,18 @@
 //! * each segment stores sparse per-`(node, category)` raw-cycle sums
 //!   and per-`(node, category, knob)` unit sums — re-pricing a segment
 //!   is one multiply per touched knob instead of one per event;
-//! * each segment keeps its [`Event::Xfer`]s in order, each annotated
-//!   with the *sender's* charge delta since that sender's previous
-//!   transfer, so a finite-bandwidth query can reconstruct the exact
-//!   sender clock the contention fabric saw without walking the
-//!   non-transfer events at all.
+//! * every [`Event::Xfer`] is annotated with the *sender's* charge delta
+//!   since that sender's previous transfer, so a finite-bandwidth query
+//!   can reconstruct the exact sender clock the contention fabric saw
+//!   without walking the non-transfer events at all.
+//!
+//! The transfers are the bulk of the index — millions on a medium
+//! capture — so they are stored flat: one exactly-sized array of
+//! 24-byte records in stream order, each segment holding only its end
+//! offset into it. A record's symbolic delta (a few `(knob, units)`
+//! pairs) is not a per-transfer allocation but a count into one `syms`
+//! arena, which the fabric walk consumes front to back alongside the
+//! transfers.
 //!
 //! [`reprice`] evaluates the index under an arbitrary cost model and
 //! topology and returns a [`Replayed`] that is byte-identical to
@@ -52,23 +59,26 @@ enum SegEnd {
     Stream,
 }
 
-/// One transfer inside a segment, with the sender-side charge delta
-/// accumulated since the same sender's previous transfer (or the
-/// segment start).
+/// One transfer, with the sender-side charge delta accumulated since
+/// the same sender's previous transfer (or the segment start). 24 bytes,
+/// no heap: the symbolic part of the delta lives in the index's `syms`
+/// arena.
 #[derive(Clone, Debug)]
 struct SegXfer {
     from: u16,
     to: u16,
+    /// How many `(knob, units)` entries of the `syms` arena belong to
+    /// this transfer: the next ones after its predecessor's.
+    syms: u32,
     /// Captured wire bytes minus the capture-time header: the
     /// model-independent part of the re-headered size.
     adj_bytes: u64,
     /// Raw (model-independent) cycles the sender accrued since its
     /// previous transfer in this segment.
     d_raw: u64,
-    /// Symbolic `(knob index, units)` the sender accrued since its
-    /// previous transfer in this segment.
-    d_sym: Vec<(u8, u64)>,
 }
+
+const _: () = assert!(std::mem::size_of::<SegXfer>() == 24);
 
 /// One barrier/phase-delimited slice of the stream, fully aggregated.
 #[derive(Clone, Debug)]
@@ -77,8 +87,9 @@ struct Segment {
     raw: Vec<(u16, u8, u64)>,
     /// Sparse `(node, category, knob, units)` symbolic-charge sums.
     sym: Vec<(u16, u8, u8, u64)>,
-    /// The segment's transfers, in stream order.
-    xfers: Vec<SegXfer>,
+    /// End offset of this segment's transfers in [`DiffIndex`]'s
+    /// `xfers` (they start where the previous segment's end).
+    xfer_end: usize,
     end: SegEnd,
 }
 
@@ -87,8 +98,12 @@ struct Segment {
 #[derive(Clone, Debug)]
 pub struct DiffIndex {
     segments: Vec<Segment>,
-    /// Total transfers in the stream.
-    xfer_count: u64,
+    /// Every transfer in stream order, exactly sized.
+    xfers: Vec<SegXfer>,
+    /// The transfers' symbolic sender deltas, `(knob index, units)`, in
+    /// transfer order: transfer `i` owns the `xfers[i].syms` entries
+    /// after those of transfers `0..i`.
+    syms: Vec<(u8, u64)>,
     /// `Σ adj_bytes` over the whole stream (closed-form byte counters
     /// for unlimited-bandwidth queries).
     sum_adj_bytes: u64,
@@ -112,10 +127,11 @@ struct Builder {
     pend_sym: Vec<u64>,
     pend_dirty: Vec<u16>,
     xfers: Vec<SegXfer>,
+    syms: Vec<(u8, u64)>,
 }
 
 impl Builder {
-    fn new(nodes: usize) -> Builder {
+    fn new(nodes: usize, xfers: usize) -> Builder {
         Builder {
             raw_acc: vec![0; nodes * CycleCat::COUNT],
             raw_touched: Vec::new(),
@@ -124,7 +140,8 @@ impl Builder {
             pend_raw: vec![0; nodes],
             pend_sym: vec![0; nodes * Knob::COUNT],
             pend_dirty: Vec::new(),
-            xfers: Vec::new(),
+            xfers: Vec::with_capacity(xfers),
+            syms: Vec::new(),
         }
     }
 
@@ -165,19 +182,26 @@ impl Builder {
             .all(|&u| u == 0)
     }
 
-    /// Drains the sender's pending delta into a transfer annotation.
-    fn take_pending(&mut self, node: u16) -> (u64, Vec<(u8, u64)>) {
-        let raw = std::mem::take(&mut self.pend_raw[node as usize]);
-        let base = node as usize * Knob::COUNT;
-        let mut sym = Vec::new();
+    /// Drains the sender's pending delta into a transfer annotation,
+    /// its symbolic part onto the `syms` arena.
+    fn push_xfer(&mut self, from: u16, to: u16, adj_bytes: u64) {
+        let d_raw = std::mem::take(&mut self.pend_raw[from as usize]);
+        let base = from as usize * Knob::COUNT;
+        let before = self.syms.len();
         for k in 0..Knob::COUNT {
             let u = std::mem::take(&mut self.pend_sym[base + k]);
             if u > 0 {
-                sym.push((k as u8, u));
+                self.syms.push((k as u8, u));
             }
         }
-        self.pend_dirty.retain(|&n| n != node);
-        (raw, sym)
+        self.pend_dirty.retain(|&n| n != from);
+        self.xfers.push(SegXfer {
+            from,
+            to,
+            syms: (self.syms.len() - before) as u32,
+            adj_bytes,
+            d_raw,
+        });
     }
 
     /// Closes the current segment, returning it and resetting every
@@ -216,7 +240,7 @@ impl Builder {
         Segment {
             raw,
             sym,
-            xfers: std::mem::take(&mut self.xfers),
+            xfer_end: self.xfers.len(),
             end,
         }
     }
@@ -225,10 +249,14 @@ impl Builder {
 impl DiffIndex {
     /// Builds the index from a decoded trace. One pass over the stream.
     pub fn build(file: &TraceFile) -> DiffIndex {
-        let mut b = Builder::new(file.nodes);
+        let xfers = file
+            .events
+            .iter()
+            .filter(|ev| matches!(ev.event, Event::Xfer { .. }))
+            .count();
+        let mut b = Builder::new(file.nodes, xfers);
         let mut segments = Vec::with_capacity(file.phase_index.len() + 1);
         let mut knob_units = [0u64; Knob::COUNT];
-        let mut xfer_count = 0u64;
         let mut sum_adj_bytes = 0u64;
         let mut barriers = 0u64;
         for ev in &file.events {
@@ -254,15 +282,7 @@ impl DiffIndex {
                 }
                 Event::Xfer { from, to, bytes } => {
                     let adj = bytes.saturating_sub(file.cost.msg_header_bytes);
-                    let (d_raw, d_sym) = b.take_pending(from.0);
-                    b.xfers.push(SegXfer {
-                        from: from.0,
-                        to: to.0,
-                        adj_bytes: adj,
-                        d_raw,
-                        d_sym,
-                    });
-                    xfer_count += 1;
+                    b.push_xfer(from.0, to.0, adj);
                     sum_adj_bytes += adj;
                 }
                 Event::Barrier { .. } => {
@@ -277,9 +297,12 @@ impl DiffIndex {
             }
         }
         segments.push(b.finish_segment(SegEnd::Stream));
+        debug_assert_eq!(b.xfers.len(), xfers);
+        b.syms.shrink_to_fit();
         DiffIndex {
             segments,
-            xfer_count,
+            xfers: b.xfers,
+            syms: b.syms,
             sum_adj_bytes,
             knob_units,
             barriers,
@@ -312,12 +335,12 @@ impl DiffIndex {
             13 => &[Knob::RetryTimeout],
             // msg_header_bytes re-headers every wire byte counter (and,
             // under finite bandwidth, every serialization delay).
-            14 => return self.xfer_count > 0,
+            14 => return !self.xfers.is_empty(),
             // link_bandwidth toggles/rescales the contention fabric.
-            15 => return self.xfer_count > 0,
+            15 => return !self.xfers.is_empty(),
             // NI occupancy and the backlog window only matter while a
             // fabric exists and messages cross it.
-            16 | 17 => return bandwidth > 0 && self.xfer_count > 0,
+            16 | 17 => return bandwidth > 0 && !self.xfers.is_empty(),
             _ => return true, // unknown field: assume sensitive
         };
         knobs.iter().any(|k| self.knob_units[k.index()] > 0)
@@ -326,7 +349,7 @@ impl DiffIndex {
     /// Whether the topology can change any replay output under the
     /// given link bandwidth (it only shapes the contention fabric).
     pub fn topology_sensitive(&self, bandwidth: u64) -> bool {
-        bandwidth > 0 && self.xfer_count > 0
+        bandwidth > 0 && !self.xfers.is_empty()
     }
 }
 
@@ -349,13 +372,18 @@ pub fn reprice(file: &TraceFile, cost: &CostModel, topology: Topology) -> Replay
     // O(touched), not O(nodes).
     let mut a_run = vec![0u64; file.nodes];
     let mut touched: Vec<usize> = Vec::new();
+    // Cursors into the flat transfer array and the syms arena, both
+    // consumed in stream order.
+    let (mut xi, mut si) = (0, 0);
 
     for seg in &idx.segments {
         if p.has_fabric() {
-            for x in &seg.xfers {
+            for x in &idx.xfers[xi..seg.xfer_end] {
                 let from = x.from as usize;
                 let mut a = a_run[from] + x.d_raw;
-                for &(k, units) in &x.d_sym {
+                let syms = &idx.syms[si..si + x.syms as usize];
+                si += syms.len();
+                for &(k, units) in syms {
                     a += eval[k as usize].saturating_mul(units);
                 }
                 if a_run[from] == 0 && a > 0 {
@@ -370,6 +398,7 @@ pub fn reprice(file: &TraceFile, cost: &CostModel, topology: Topology) -> Replay
                 a_run[n] = 0;
             }
         }
+        xi = seg.xfer_end;
         // Fold the segment's aggregated charges.
         for &(node, cat, cycles) in &seg.raw {
             p.charge(NodeId(node), CycleCat::all()[cat as usize], cycles);
@@ -387,7 +416,8 @@ pub fn reprice(file: &TraceFile, cost: &CostModel, topology: Topology) -> Replay
 
     // With no fabric the walk was skipped: wire bytes in closed form.
     if !p.has_fabric() {
-        p.run.totals.bytes_sent = idx.sum_adj_bytes + idx.xfer_count * cost.msg_header_bytes;
+        p.run.totals.bytes_sent =
+            idx.sum_adj_bytes + idx.xfers.len() as u64 * cost.msg_header_bytes;
     }
     p.finish()
 }

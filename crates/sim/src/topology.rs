@@ -24,6 +24,19 @@
 //!   fixed [`CostModel::ni_occupancy`] handling charge per message, so
 //!   an NI is a contention point even on an otherwise uncontended path.
 //!
+//! Serialization divides once per message. With
+//! `base = ceil(bytes / bandwidth)`, a link `2^k` times the base width
+//! pays `ceil(base / 2^k)` — a shift, and exact, because
+//! `ceil(ceil(a / b) / c) == ceil(a / (b * c))` — so no
+//! `bandwidth * width` product can overflow. An NI pays
+//! `ni_occupancy + base`, which is also the largest per-hop
+//! serialization of the message. Fat-tree routing divides not at all: a
+//! per-level group table (`(levels + 1) × nodes` u32 entries, node `x`'s
+//! level-`l` group `x / arity^l`), built in [`Fabric::new`], gives the
+//! lowest common level and every hop's link. Links carry only their hot
+//! counters; [`Fabric::utilization`] derives their labels from the
+//! table index.
+//!
 //! The model is **off by default**: with
 //! [`CostModel::link_bandwidth_bytes_per_cycle`] `== 0` (unlimited
 //! bandwidth, the [`CostModel::cm5`] default) no [`Fabric`] is built,
@@ -45,12 +58,6 @@
 use crate::cost::CostModel;
 use crate::machine::NodeId;
 use std::fmt;
-
-/// Longest possible route: NI-tx, then up/down a binary tree over
-/// [`crate::MAX_NODES`] nodes (`ceil(log2(MAX_NODES))` levels each
-/// way), then NI-rx. Derived from the machine-size cap so kilonode
-/// fat trees route without truncation.
-const MAX_PATH: usize = 2 + 2 * (usize::BITS - (crate::MAX_NODES - 1).leading_zeros()) as usize;
 
 /// How node pairs map onto network links.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -111,13 +118,10 @@ pub struct LinkUtil {
     pub queue_cycles: u64,
 }
 
-/// One link's backlog state and counters.
-#[derive(Clone, Debug)]
+/// One link's backlog state and counters. Its label and serialization
+/// width follow from its index in the link table (see [`Fabric`]).
+#[derive(Clone, Debug, Default)]
 struct Link {
-    label: String,
-    /// Serialization width multiplier; 0 marks an NI pseudo-link
-    /// (width-1 byte rate plus the fixed `ni_occupancy` per message).
-    width: u64,
     /// Undrained serialization work, in cycles.
     backlog: u64,
     /// Latest message timestamp seen; backlog drains by the timestamp
@@ -128,24 +132,13 @@ struct Link {
     queue_cycles: u64,
 }
 
-impl Link {
-    fn new(label: String, width: u64) -> Link {
-        Link {
-            label,
-            width,
-            backlog: 0,
-            last_seen: 0,
-            msgs: 0,
-            busy_cycles: 0,
-            queue_cycles: 0,
-        }
-    }
-}
-
 /// The contention-tracking network fabric of one simulated machine.
 ///
 /// Built only when the cost model sets a finite link bandwidth; see the
-/// module docs for the charging model.
+/// module docs for the charging model. The link table holds the NI
+/// pseudo-links first (tx then rx per node), then the fabric links:
+/// fat-tree levels in order, each level's links by child group, or the
+/// crossbar's pair links by `(from, to)`, or the single bus.
 #[derive(Clone, Debug)]
 pub struct Fabric {
     topo: Topology,
@@ -157,6 +150,10 @@ pub struct Fabric {
     levels: u32,
     /// Fabric-link index offset per fat-tree level (1-based levels).
     level_offsets: Vec<usize>,
+    /// Fat trees only: `groups[l * nodes + x]` is node `x`'s level-`l`
+    /// group, `x / arity^l`, for `l` in `0..=levels` — so a hop reads
+    /// its link instead of dividing by the arity.
+    groups: Vec<u32>,
     links: Vec<Link>,
 }
 
@@ -173,13 +170,10 @@ impl Fabric {
             "a contention fabric needs a finite link bandwidth"
         );
         // NI pseudo-links first: tx then rx per node.
-        let mut links = Vec::new();
-        for n in 0..nodes {
-            links.push(Link::new(format!("ni-tx n{n}"), 0));
-            links.push(Link::new(format!("ni-rx n{n}"), 0));
-        }
+        let mut link_count = 2 * nodes;
         let mut levels = 0u32;
         let mut level_offsets = vec![0];
+        let mut groups = Vec::new();
         match topo {
             Topology::FatTree { arity } => {
                 assert!(arity >= 2, "a fat tree needs arity >= 2");
@@ -191,26 +185,23 @@ impl Fabric {
                 }
                 // Link (l, g) joins child group g (a level-(l-1) group)
                 // to its level-l parent; width doubles per level.
-                let mut child_groups = nodes;
-                for l in 1..=levels {
-                    level_offsets.push(links.len());
-                    for c in 0..child_groups {
-                        links.push(Link::new(format!("fabric L{l} g{c}"), 1 << (l - 1)));
+                groups.extend(0..nodes as u32);
+                for l in 1..=levels as usize {
+                    let child = (l - 1) * nodes;
+                    level_offsets.push(link_count);
+                    link_count += groups[child + nodes - 1] as usize + 1;
+                    for x in child..child + nodes {
+                        groups.push((groups[x] as usize / arity) as u32);
                     }
-                    child_groups = child_groups.div_ceil(arity);
                 }
             }
             Topology::Crossbar => {
-                level_offsets.push(links.len());
-                for a in 0..nodes {
-                    for b in 0..nodes {
-                        links.push(Link::new(format!("xbar n{a}->n{b}"), 1));
-                    }
-                }
+                level_offsets.push(link_count);
+                link_count += nodes * nodes;
             }
             Topology::Flat => {
-                level_offsets.push(links.len());
-                links.push(Link::new("bus".to_string(), 1));
+                level_offsets.push(link_count);
+                link_count += 1;
             }
         }
         Fabric {
@@ -221,7 +212,8 @@ impl Fabric {
             window: cost.contention_window,
             levels,
             level_offsets,
-            links,
+            groups,
+            links: vec![Link::default(); link_count],
         }
     }
 
@@ -240,68 +232,41 @@ impl Fabric {
         self.links.len()
     }
 
-    /// Writes the link indices of the `from -> to` route into `path`,
-    /// returning how many were written. NI-tx first, fabric hops, NI-rx
-    /// last.
-    fn route(&self, from: NodeId, to: NodeId, path: &mut [usize; MAX_PATH]) -> usize {
+    /// Walks the `from -> to` route — NI-tx, fabric hops, NI-rx — calling
+    /// `hop(link, serialization)` for each link in order, where `base` is
+    /// the message's width-1 serialization `ceil(bytes / bandwidth)`.
+    /// An NI pays `ni_occupancy + base`; a width-`2^k` link pays
+    /// `ceil(base / 2^k)`, a shift (module docs).
+    #[inline(always)]
+    fn walk(&self, from: NodeId, to: NodeId, base: u64, mut hop: impl FnMut(usize, u64)) {
         let (a, b) = (from.index(), to.index());
-        let mut n = 0;
-        path[n] = 2 * a; // ni-tx
-        n += 1;
+        let ni = self.ni_occupancy + base;
+        hop(2 * a, ni); // ni-tx
         match self.topo {
-            Topology::FatTree { arity } => {
-                // Lowest common level: smallest l with equal level-l groups.
-                let (mut ga, mut gb) = (a, b);
-                let mut h = 0u32;
-                while ga != gb {
-                    ga /= arity;
-                    gb /= arity;
+            Topology::FatTree { .. } => {
+                // Lowest common level: smallest h with equal level-h
+                // groups (level 0 is the node itself). The root level is
+                // one group, so h <= levels.
+                let n = self.nodes;
+                let mut h = 0;
+                while self.groups[h * n + a] != self.groups[h * n + b] {
                     h += 1;
                 }
                 // Up from a, then down to b. The level-l link of node x
-                // is (l, x / arity^(l-1)).
-                let mut g = a;
+                // is (l, x's level-(l-1) group), of width 2^(l-1).
                 for l in 1..=h {
-                    path[n] = self.level_offsets[l as usize] + g;
-                    n += 1;
-                    g /= arity;
+                    let g = self.groups[(l - 1) * n + a] as usize;
+                    hop(self.level_offsets[l] + g, ceil_shr(base, l - 1));
                 }
-                let mut down = [0usize; MAX_PATH];
-                let mut dn = 0;
-                let mut g = b;
-                for l in 1..=h {
-                    down[dn] = self.level_offsets[l as usize] + g;
-                    dn += 1;
-                    g /= arity;
-                }
-                for i in (0..dn).rev() {
-                    path[n] = down[i];
-                    n += 1;
+                for l in (1..=h).rev() {
+                    let g = self.groups[(l - 1) * n + b] as usize;
+                    hop(self.level_offsets[l] + g, ceil_shr(base, l - 1));
                 }
             }
-            Topology::Crossbar => {
-                path[n] = self.level_offsets[1] + a * self.nodes + b;
-                n += 1;
-            }
-            Topology::Flat => {
-                path[n] = self.level_offsets[1];
-                n += 1;
-            }
+            Topology::Crossbar => hop(self.level_offsets[1] + a * self.nodes + b, base),
+            Topology::Flat => hop(self.level_offsets[1], base),
         }
-        path[n] = 2 * b + 1; // ni-rx
-        n + 1
-    }
-
-    /// Cycles `bytes` occupy link `li`.
-    fn serialization(&self, li: usize, bytes: u64) -> u64 {
-        let width = self.links[li].width;
-        if width == 0 {
-            // NI pseudo-link: width-1 injection rate plus the fixed
-            // per-message handling charge.
-            self.ni_occupancy + bytes.div_ceil(self.bandwidth)
-        } else {
-            bytes.div_ceil(self.bandwidth * width)
-        }
+        hop(2 * b + 1, ni); // ni-rx
     }
 
     /// Routes one `bytes`-sized message `from -> to` entering the
@@ -309,17 +274,17 @@ impl Fabric {
     /// link on the path. Returns `(queue_cycles, serialization_cycles)`:
     /// the backlog waited out, summed over hops, and the single largest
     /// per-hop serialization (wormhole pipelining counts the narrowest
-    /// hop once, not the sum).
+    /// hop once, not the sum) — always an NI's, `ni_occupancy + base`.
     pub fn transfer(&mut self, from: NodeId, to: NodeId, bytes: u64, now: u64) -> (u64, u64) {
         debug_assert_ne!(from, to, "self-sends never enter the network");
-        let mut path = [0usize; MAX_PATH];
-        let hops = self.route(from, to, &mut path);
+        let base = bytes.div_ceil(self.bandwidth);
+        let window = self.window;
+        // Moved out while `walk` borrows the route tables.
+        let mut links = std::mem::take(&mut self.links);
         let mut t = now;
         let mut queue = 0u64;
-        let mut ser_max = 0u64;
-        for &li in &path[..hops] {
-            let ser = self.serialization(li, bytes);
-            let link = &mut self.links[li];
+        self.walk(from, to, base, |li, ser| {
+            let link = &mut links[li];
             // Backlog drains one cycle per cycle of timestamp advance.
             // A message whose clock lags the last one seen (skewed node
             // clocks) neither drains nor pays for the skew.
@@ -327,16 +292,35 @@ impl Fabric {
                 link.backlog = link.backlog.saturating_sub(t - link.last_seen);
                 link.last_seen = t;
             }
-            let wait = link.backlog.min(self.window);
+            let wait = link.backlog.min(window);
             link.backlog += ser;
             link.msgs += 1;
             link.busy_cycles += ser;
             link.queue_cycles += wait;
             queue += wait;
             t += wait;
-            ser_max = ser_max.max(ser);
+        });
+        self.links = links;
+        (queue, self.ni_occupancy + base)
+    }
+
+    /// The label of link `li`, derived from its place in the table.
+    fn label(&self, li: usize) -> String {
+        if li < 2 * self.nodes {
+            let dir = ["tx", "rx"][li % 2];
+            return format!("ni-{dir} n{}", li / 2);
         }
-        (queue, ser_max)
+        match self.topo {
+            Topology::FatTree { .. } => {
+                let l = self.level_offsets.partition_point(|&off| off <= li) - 1;
+                format!("fabric L{l} g{}", li - self.level_offsets[l])
+            }
+            Topology::Crossbar => {
+                let pair = li - self.level_offsets[1];
+                format!("xbar n{}->n{}", pair / self.nodes, pair % self.nodes)
+            }
+            Topology::Flat => "bus".to_string(),
+        }
     }
 
     /// Per-link utilization, links with traffic only, table order
@@ -344,9 +328,10 @@ impl Fabric {
     pub fn utilization(&self) -> Vec<LinkUtil> {
         self.links
             .iter()
-            .filter(|l| l.msgs > 0)
-            .map(|l| LinkUtil {
-                label: l.label.clone(),
+            .enumerate()
+            .filter(|(_, l)| l.msgs > 0)
+            .map(|(li, l)| LinkUtil {
+                label: self.label(li),
                 msgs: l.msgs,
                 busy_cycles: l.busy_cycles,
                 queue_cycles: l.queue_cycles,
@@ -357,14 +342,16 @@ impl Fabric {
     /// Zeroes backlogs and counters (clocks restart from zero between
     /// warm-up and measurement).
     pub fn reset(&mut self) {
-        for l in &mut self.links {
-            l.backlog = 0;
-            l.last_seen = 0;
-            l.msgs = 0;
-            l.busy_cycles = 0;
-            l.queue_cycles = 0;
-        }
+        self.links.fill(Link::default());
     }
+}
+
+/// `ceil(x / 2^k)` without a division. Since
+/// `ceil(ceil(a / b) / c) == ceil(a / (b * c))`, this is exactly the
+/// serialization of `bytes` on a link `2^k` times the base width.
+#[inline(always)]
+fn ceil_shr(x: u64, k: usize) -> u64 {
+    (x >> k) + u64::from(x & ((1 << k) - 1) != 0)
 }
 
 #[cfg(test)]
@@ -395,28 +382,31 @@ mod tests {
         assert_eq!(f.link_count(), 32 + 16 + 4);
     }
 
+    /// The link indices of the `from -> to` route, in hop order.
+    fn route(f: &Fabric, from: u16, to: u16) -> Vec<usize> {
+        let mut path = Vec::new();
+        f.walk(NodeId(from), NodeId(to), 0, |li, _| path.push(li));
+        path
+    }
+
     #[test]
     fn fat_tree_routes_via_lowest_common_ancestor() {
         let mut f = Fabric::new(Topology::FatTree { arity: 4 }, 16, &cost(4, 0, 1000));
-        let mut path = [0usize; MAX_PATH];
         // Same level-1 group (0 and 3): one hop up, one down.
-        let n = f.route(NodeId(0), NodeId(3), &mut path);
-        assert_eq!(n, 4, "ni-tx, L1 up, L1 down, ni-rx");
+        let path = route(&f, 0, 3);
+        assert_eq!(path.len(), 4, "ni-tx, L1 up, L1 down, ni-rx");
         assert_eq!(path[0], 0, "ni-tx n0");
-        assert_eq!(path[n - 1], 7, "ni-rx n3");
+        assert_eq!(path[3], 7, "ni-rx n3");
         // Distant pair (0 and 15): climbs both levels.
-        let n = f.route(NodeId(0), NodeId(15), &mut path);
-        assert_eq!(n, 6, "ni-tx, L1, L2, L2, L1, ni-rx");
+        assert_eq!(route(&f, 0, 15).len(), 6, "ni-tx, L1, L2, L2, L1, ni-rx");
         // The two directions of one pair share fabric links.
-        let mut fwd = [0usize; MAX_PATH];
-        let mut rev = [0usize; MAX_PATH];
-        let nf = f.route(NodeId(2), NodeId(9), &mut fwd);
-        let nr = f.route(NodeId(9), NodeId(2), &mut rev);
-        let mid_f: Vec<usize> = fwd[1..nf - 1].to_vec();
-        let mut mid_r: Vec<usize> = rev[1..nr - 1].to_vec();
+        let fwd = route(&f, 2, 9);
+        let rev = route(&f, 9, 2);
+        let mid_f: Vec<usize> = fwd[1..fwd.len() - 1].to_vec();
+        let mut mid_r: Vec<usize> = rev[1..rev.len() - 1].to_vec();
         mid_r.reverse();
         assert_eq!(mid_f, mid_r, "fabric path is symmetric");
-        // Route never mutates reservations.
+        // Routing never mutates reservations.
         assert_eq!(f.transfer(NodeId(0), NodeId(3), 64, 0).0, 0);
     }
 
@@ -519,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_fat_tree_over_64_nodes_fits_max_path() {
+    fn binary_fat_tree_over_64_nodes_routes_the_deepest_pair() {
         let mut f = Fabric::new(Topology::FatTree { arity: 2 }, 64, &cost(1, 1, 1000));
         assert_eq!(f.levels(), 6);
         // The most distant pair exercises the deepest route.
@@ -529,17 +519,16 @@ mod tests {
     }
 
     #[test]
-    fn binary_fat_tree_over_1024_nodes_fits_max_path() {
+    fn binary_fat_tree_over_1024_nodes_routes_every_level() {
         // The deepest tree the machine cap allows: arity 2 over
-        // MAX_NODES leaves needs 10 levels each way, and MAX_PATH is
-        // derived to fit exactly that plus the NI pair.
-        assert_eq!(MAX_PATH, 22);
+        // MAX_NODES leaves climbs 10 levels each way, plus the NI pair.
         let mut f = Fabric::new(
             Topology::FatTree { arity: 2 },
             crate::MAX_NODES,
             &cost(1, 1, 1000),
         );
         assert_eq!(f.levels(), 10);
+        assert_eq!(route(&f, 0, 1023).len(), 22);
         let (q, s) = f.transfer(NodeId(0), NodeId(1023), 48, 0);
         assert_eq!(q, 0);
         assert!(s >= 1);
@@ -556,5 +545,152 @@ mod tests {
         // A second message right behind it queues.
         let (q2, _) = f.transfer(NodeId(3), NodeId(997), 64, 0);
         assert!(q2 > 0);
+    }
+
+    /// A test-local reference fabric: routes by dividing by the arity at
+    /// every hop, keys links by label, and prices each hop as
+    /// `ceil(bytes / (bandwidth * width))` with a saturating product —
+    /// the textbook form `Fabric::transfer` must agree with.
+    struct Reference {
+        topo: Topology,
+        cost: CostModel,
+        links: std::collections::BTreeMap<String, [u64; 5]>,
+    }
+
+    impl Reference {
+        /// `(label, width)` per hop; width 0 marks an NI.
+        fn route(&self, a: usize, b: usize) -> Vec<(String, u64)> {
+            let mut path = vec![(format!("ni-tx n{a}"), 0)];
+            match self.topo {
+                Topology::FatTree { arity } => {
+                    let (mut ga, mut gb, mut h) = (a, b, 0);
+                    while ga != gb {
+                        (ga, gb, h) = (ga / arity, gb / arity, h + 1);
+                    }
+                    let hop = |x: usize, l: u32| {
+                        let g = x / arity.pow(l - 1);
+                        (format!("fabric L{l} g{g}"), 1u64 << (l - 1))
+                    };
+                    path.extend((1..=h).map(|l| hop(a, l)));
+                    path.extend((1..=h).rev().map(|l| hop(b, l)));
+                }
+                Topology::Crossbar => path.push((format!("xbar n{a}->n{b}"), 1)),
+                Topology::Flat => path.push(("bus".to_string(), 1)),
+            }
+            path.push((format!("ni-rx n{b}"), 0));
+            path
+        }
+
+        fn transfer(&mut self, a: usize, b: usize, bytes: u64, now: u64) -> (u64, u64) {
+            let bw = self.cost.link_bandwidth_bytes_per_cycle;
+            let (mut t, mut queue, mut ser_max) = (now, 0, 0);
+            for (label, width) in self.route(a, b) {
+                let ser = if width == 0 {
+                    self.cost.ni_occupancy + bytes.div_ceil(bw)
+                } else {
+                    bytes.div_ceil(bw.saturating_mul(width))
+                };
+                let [backlog, last_seen, msgs, busy, queued] = self.links.entry(label).or_default();
+                if t > *last_seen {
+                    *backlog = backlog.saturating_sub(t - *last_seen);
+                    *last_seen = t;
+                }
+                let wait = (*backlog).min(self.cost.contention_window);
+                *backlog += ser;
+                *msgs += 1;
+                *busy += ser;
+                *queued += wait;
+                queue += wait;
+                t += wait;
+                ser_max = ser_max.max(ser);
+            }
+            (queue, ser_max)
+        }
+    }
+
+    #[test]
+    fn transfer_matches_a_per_hop_division_reference() {
+        let mut rng = crate::Pcg32::new(0x1c3_fab, 7);
+        let mut topos = vec![Topology::Crossbar, Topology::Flat];
+        topos.extend([2, 3, 4, 8].map(|arity| Topology::FatTree { arity }));
+        let huge = [1 << 62, 1 << 63, u64::MAX - 1, u64::MAX, u64::MAX / 3];
+        for topo in topos {
+            for nodes in [2usize, 5, 16, 17, 100, 1024] {
+                for round in 0..4 {
+                    // Bandwidths 1-64, then ones whose per-hop product
+                    // overflows (the reference saturates).
+                    let bw = if round < 3 {
+                        1 + rng.below(64)
+                    } else {
+                        huge[rng.below(huge.len() as u64) as usize]
+                    };
+                    let c = cost(bw, rng.below(20), 1 + rng.below(5_000));
+                    let mut f = Fabric::new(topo, nodes, &c);
+                    let mut r = Reference {
+                        topo,
+                        cost: c,
+                        links: Default::default(),
+                    };
+                    let mut now = 0u64;
+                    for _ in 0..200 {
+                        let a = rng.below(nodes as u64) as usize;
+                        let b = (a + 1 + rng.below(nodes as u64 - 1) as usize) % nodes;
+                        // 1 B to 1 MiB, log-uniform; clocks advance with
+                        // occasional lagging (skewed) senders.
+                        let span = 1 << (1 + rng.below(20));
+                        let bytes = 1 + rng.below(span);
+                        now += rng.below(300);
+                        let at = now.saturating_sub(rng.below(4) * rng.below(2_000));
+                        let got = f.transfer(NodeId(a as u16), NodeId(b as u16), bytes, at);
+                        let want = r.transfer(a, b, bytes, at);
+                        assert_eq!(got, want, "{topo} n={nodes} bw={bw}: {a}->{b} {bytes}B");
+                    }
+                    let mut got: Vec<(String, [u64; 3])> = f
+                        .utilization()
+                        .into_iter()
+                        .map(|u| (u.label, [u.msgs, u.busy_cycles, u.queue_cycles]))
+                        .collect();
+                    got.sort();
+                    let want: Vec<(String, [u64; 3])> = r
+                        .links
+                        .into_iter()
+                        .map(|(label, [_, _, msgs, busy, queued])| (label, [msgs, busy, queued]))
+                        .collect();
+                    assert_eq!(got, want, "{topo} n={nodes} bw={bw}: link state");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn link_labels_follow_table_order() {
+        let labels = |topo, nodes| -> Vec<String> {
+            let mut f = Fabric::new(topo, nodes, &cost(1, 0, 1000));
+            // Touch every link: all ordered pairs.
+            for a in 0..nodes as u16 {
+                for b in (0..nodes as u16).filter(|&b| b != a) {
+                    f.transfer(NodeId(a), NodeId(b), 8, 0);
+                }
+            }
+            f.utilization().into_iter().map(|u| u.label).collect()
+        };
+        let ni = |nodes: usize| -> Vec<String> {
+            (0..nodes)
+                .flat_map(|n| [format!("ni-tx n{n}"), format!("ni-rx n{n}")])
+                .collect()
+        };
+        let mut want = ni(5);
+        want.extend((0..5).map(|g| format!("fabric L1 g{g}")));
+        want.extend((0..3).map(|g| format!("fabric L2 g{g}")));
+        want.extend((0..2).map(|g| format!("fabric L3 g{g}")));
+        assert_eq!(labels(Topology::FatTree { arity: 2 }, 5), want);
+        let mut want = ni(3);
+        for (a, b) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
+            want.push(format!("xbar n{a}->n{b}"));
+        }
+        assert_eq!(labels(Topology::Crossbar, 3), want);
+        let mut want = ni(2);
+        want.push("bus".to_string());
+        assert_eq!(labels(Topology::Flat, 2), want);
     }
 }

@@ -9,7 +9,9 @@
 //!   rebuilds every per-node clock and every cycle-ledger cell of the
 //!   execution-driven run, for all four Figure-3 benchmarks on all
 //!   three memory systems, including a capture taken under finite link
-//!   bandwidth (so contention charges replay exactly too).
+//!   bandwidth (so contention charges replay exactly too). Re-pricing
+//!   at a link bandwidth of 2^63 or more agrees between the event walk
+//!   and the differential index instead of panicking.
 //! * **Explorer determinism and speed** — the design-space explorer
 //!   produces byte-identical CSV at any worker count, and re-pricing a
 //!   grid by replay beats re-executing it.
@@ -21,8 +23,8 @@ use lcm_apps::unstructured::Unstructured;
 use lcm_apps::{SystemKind, Workload};
 use lcm_bench::explore;
 use lcm_cstar::{Partition, RuntimeConfig};
-use lcm_replay::{replay, validate, TraceFile};
-use lcm_sim::{CostModel, CycleCat, MachineConfig, NodeId};
+use lcm_replay::{compare_replayed, replay, reprice, validate, TraceFile};
+use lcm_sim::{CostModel, CycleCat, MachineConfig, NodeId, Topology};
 
 const NODES: usize = 8;
 const CAPACITY: usize = 1 << 20;
@@ -109,6 +111,38 @@ fn replay_is_exact_under_a_finite_bandwidth_capture() {
             "{system}: the 8 B/cycle capture must have seen contention"
         );
         assert_exact(&file, &format!("Stencil-dyn/{system} @ 8 B/cycle"));
+    }
+}
+
+#[test]
+fn huge_link_bandwidths_price_without_panicking() {
+    // A per-hop `bandwidth * width` product would wrap to zero at 2^63 on
+    // a width-2 link; pricing must divide once and agree across paths.
+    let file = capture("Threshold", SystemKind::LcmMcc, &Threshold::small());
+    let topologies = [
+        Topology::default(),
+        Topology::FatTree { arity: 2 },
+        Topology::Crossbar,
+        Topology::Flat,
+    ];
+    for bw in [1u64 << 63, u64::MAX] {
+        let mut cost = file.cost;
+        cost.link_bandwidth_bytes_per_cycle = bw;
+        for topology in topologies {
+            let full = replay(&file, &cost, topology);
+            let diff = reprice(&file, &cost, topology);
+            compare_replayed(&diff, &full).unwrap_or_else(|e| panic!("bw={bw} {topology}: {e}"));
+            assert!(!full.links.is_empty(), "bw={bw} {topology}: fabric is live");
+            // Every message fits one cycle of serialization per hop.
+            for l in &full.links {
+                assert!(
+                    l.busy_cycles <= l.msgs * (1 + cost.ni_occupancy),
+                    "bw={bw} {topology}: {} busy {} cycles",
+                    l.label,
+                    l.busy_cycles
+                );
+            }
+        }
     }
 }
 

@@ -9,13 +9,14 @@
 //!   byte-identical to a full event-walk replay on every point of the
 //!   explore grid (clocks, every ledger cell, stats, phases, links),
 //!   for all three memory systems, including finite-bandwidth points
-//!   where the contention fabric is live.
+//!   where the contention fabric is live, on every topology.
 //! * **Serving determinism** — batched answers equal sequential
 //!   answers byte-for-byte at any worker count, cached reruns return
 //!   the shared result, and neighbor reuse only fires when it provably
 //!   cannot change the answer.
 //! * **Protocol robustness** — a real TCP roundtrip agrees with the
-//!   in-process engine, and corrupt frames come back as named errors.
+//!   in-process engine, corrupt frames come back as named errors, and
+//!   a link bandwidth of 2^63 or more gets an answer.
 //!
 //! Two structural checks ride along: the cache keys a trace by its load,
 //! not its header, and a trace's differential index is built once, at
@@ -178,6 +179,29 @@ fn differential_replay_is_byte_identical_across_the_grid() {
 }
 
 #[test]
+fn differential_replay_is_byte_identical_on_every_topology() {
+    let e = engine();
+    let topologies = [
+        Topology::FatTree { arity: 2 },
+        Topology::FatTree { arity: 8 },
+        Topology::Crossbar,
+        Topology::Flat,
+    ];
+    for t in e.traces() {
+        for topology in topologies {
+            for bw in [64u64, 16, 4] {
+                let q = Query {
+                    topology,
+                    ..query(&t.name, explore::grid_cost(bw, 3_000))
+                };
+                e.verify(&q)
+                    .unwrap_or_else(|err| panic!("{} {topology} bw={bw}: {err}", t.name));
+            }
+        }
+    }
+}
+
+#[test]
 fn batched_equals_sequential_at_any_worker_count() {
     let queries = grid(&engine());
     let sequential = engine();
@@ -267,6 +291,33 @@ fn tcp_roundtrip_agrees_with_the_in_process_engine() {
     // The connection still works after the error.
     assert_eq!(client.list().expect("LIST after error").len(), 3);
 
+    client.shutdown().expect("SHUTDOWN");
+    server.wait();
+}
+
+#[test]
+fn huge_link_bandwidths_get_answers_over_tcp() {
+    let engine = Arc::new(engine());
+    let server = Server::start("127.0.0.1:0", Arc::clone(&engine), 2).expect("bind");
+    let mut client = Client::connect(&server.addr.to_string()).expect("connect");
+    let name = engine.traces()[0].name.clone();
+    for bw in [1u64 << 63, u64::MAX] {
+        let mut cost = explore::grid_cost(64, 3_000);
+        cost.link_bandwidth_bytes_per_cycle = bw;
+        let huge = query(&name, cost);
+        let got = client
+            .query(&huge)
+            .expect("an answer, not a dead connection");
+        assert_eq!(
+            got.result,
+            engine.query_full(&huge).expect("full"),
+            "bw={bw}"
+        );
+        // The same connection then answers a normal query.
+        let normal = query(&name, explore::grid_cost(16, 3_000));
+        let got = client.query(&normal).expect("connection survives");
+        assert_eq!(got.result, engine.query_full(&normal).expect("full"));
+    }
     client.shutdown().expect("SHUTDOWN");
     server.wait();
 }
