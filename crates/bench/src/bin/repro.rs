@@ -516,7 +516,7 @@ fn table1(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
     writeln!(out)?;
     Ok(vec![
         file("table1.csv", report::table1_csv(suite)),
-        file("messages.csv", report::messages_csv(suite)),
+        file("messages.csv", report::messages_csv(suite, &[])),
         file("network.csv", report::network_csv(suite)),
     ])
 }
@@ -1472,13 +1472,7 @@ fn critpath_one(
             }
             let (flows, path) = critpath::flow_annotations(&cp);
             (
-                profile::chrome_trace_json_with_flows(
-                    &file.events[..cut],
-                    file.nodes,
-                    &[],
-                    &flows,
-                    &path,
-                ),
+                profile::chrome_trace_json(&file.events[..cut], file.nodes, &[], &flows, &path),
                 file.events.len() - cut,
             )
         });
@@ -1588,7 +1582,7 @@ only the on-path fraction actually bounds the run):
     // `messages.csv` (written plain by `table1`, earlier in run order)
     // gains the captures' delivery-latency columns.
     if let Some(suite) = ctx.suite.get() {
-        let messages = report::messages_csv_with_latency(suite, &latency);
+        let messages = report::messages_csv(suite, &latency);
         files.push(file("messages.csv", messages));
     }
     Ok(files)
@@ -1619,7 +1613,10 @@ fn cycle_profile(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
     for (system, (r, events)) in SystemKind::all().into_iter().zip(traced) {
         writeln!(out, "{}", profile::profile_report(&r, &events, &cost))?;
         if let (SystemKind::LcmMcc, Some(path)) = (system, &ctx.trace) {
-            write_path(path, profile::chrome_trace_json(&events, nodes).as_bytes())?;
+            write_path(
+                path,
+                profile::chrome_trace_json(&events, nodes, &[], &[], &[]).as_bytes(),
+            )?;
             eprintln!(
                 "Chrome-trace JSON ({} events) written to {} — load it at \
                  ui.perfetto.dev or chrome://tracing",
@@ -2212,8 +2209,7 @@ fn serve_trace_set(scale: Scale, jobs: usize) -> Result<Vec<(String, TraceHandle
     .collect()
 }
 
-/// Loads every `.lcmtrace` in `dir` (sorted by name) through the shared
-/// decode-once handle cache.
+/// Loads every `.lcmtrace` in `dir` (sorted by name) as shared handles.
 fn serve_load_dir(dir: &Path) -> Result<Vec<(String, TraceHandle)>, String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("--traces {}: {e}", dir.display()))?;
     let mut paths: Vec<PathBuf> = entries
@@ -2234,7 +2230,7 @@ fn serve_load_dir(dir: &Path) -> Result<Vec<(String, TraceHandle)>, String> {
                 .file_stem()
                 .map(|s| s.to_string_lossy().into_owned())
                 .unwrap_or_else(|| p.display().to_string());
-            Ok((name, TraceFile::open(&p)?))
+            Ok((name, Arc::new(TraceFile::read_from(&p)?)))
         })
         .collect()
 }
@@ -2592,10 +2588,7 @@ fn serve_bench(
 /// own footer, and summarize what it holds. Unreadable files and failed
 /// validation exit 1.
 fn replay_summary(path: &Path, out: &mut dyn Write) -> Res<()> {
-    // `open` shares one decoded handle per path: a summary of a trace
-    // already resident (e.g. loaded by a server in this process) costs
-    // no second decode.
-    let file = TraceFile::open(path)?;
+    let file = TraceFile::read_from(path)?;
     writeln!(
         out,
         "{} (.lcmtrace v{})",
@@ -2639,7 +2632,7 @@ fn replay_summary(path: &Path, out: &mut dyn Write) -> Res<()> {
 /// happens-before analysis offline. Unreadable or corrupt files are a
 /// usage-level failure (exit 2, like bad flags) naming the format error.
 fn critpath_file(path: &Path, out: &mut dyn Write) -> Res<()> {
-    let file = TraceFile::open(path).map_err(|e| Error::Usage(format!("critpath: {e}")))?;
+    let file = TraceFile::read_from(path).map_err(|e| Error::Usage(format!("critpath: {e}")))?;
     writeln!(
         out,
         "{} (.lcmtrace v{})",

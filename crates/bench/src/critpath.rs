@@ -6,11 +6,10 @@
 //! `repro` binary and the determinism tests go through the same bytes,
 //! so `critpath.csv` stays byte-identical at any `--jobs`.
 
-use crate::profile::{percentile, FlowArrow, PathSlice};
+use crate::profile::{message_latencies, percentile, FlowArrow, PathSlice};
 use crate::report::MsgLatencyRow;
 use lcm_replay::CritPath;
 use lcm_sim::CycleCat;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// One ranked causal what-if projection.
@@ -230,7 +229,7 @@ pub fn drilldown_table(cp: &CritPath) -> String {
     out
 }
 
-/// Perfetto annotations for [`crate::profile::chrome_trace_json_with_flows`]:
+/// Perfetto annotations for [`crate::profile::chrome_trace_json`]:
 /// one [`FlowArrow`] per matched send→recv edge, and one [`PathSlice`]
 /// per path-resident epoch segment plus one per barrier join.
 pub fn flow_annotations(cp: &CritPath) -> (Vec<FlowArrow>, Vec<PathSlice>) {
@@ -276,24 +275,15 @@ pub fn flow_annotations(cp: &CritPath) -> (Vec<FlowArrow>, Vec<PathSlice>) {
 /// `messages.csv` latency rows from an analysis' matched edges: per
 /// kind, the p50/p95/p99 send→recv cycle deltas.
 pub fn msg_latency_rows(program: &str, system: &str, cp: &CritPath) -> Vec<MsgLatencyRow> {
-    let mut by_kind: HashMap<&'static str, Vec<i64>> = HashMap::new();
-    for e in &cp.edges {
-        by_kind.entry(e.kind).or_default().push(e.latency());
-    }
-    let mut kinds: Vec<(&'static str, Vec<i64>)> = by_kind.into_iter().collect();
-    kinds.sort_by_key(|&(k, _)| k);
-    kinds
+    message_latencies(&cp.edges)
         .into_iter()
-        .map(|(kind, mut v)| {
-            v.sort_unstable();
-            MsgLatencyRow {
-                program: program.to_string(),
-                system: system.to_string(),
-                kind: kind.to_string(),
-                p50: percentile(&v, 50),
-                p95: percentile(&v, 95),
-                p99: percentile(&v, 99),
-            }
+        .map(|(kind, v)| MsgLatencyRow {
+            program: program.to_string(),
+            system: system.to_string(),
+            kind: kind.to_string(),
+            p50: percentile(&v, 50),
+            p95: percentile(&v, 95),
+            p99: percentile(&v, 99),
         })
         .collect()
 }

@@ -17,6 +17,7 @@
 //!   external plotting.
 
 use lcm_apps::RunResult;
+use lcm_replay::MsgEdge;
 use lcm_sim::mem::BlockId;
 use lcm_sim::trace::Event;
 use lcm_sim::{CostModel, CycleCat, LinkUtil, NodeId, Stamped};
@@ -96,34 +97,22 @@ pub struct PathSlice {
 /// "machine" track with pid `nodes`. Cycle stamps map 1:1 to the
 /// format's microsecond timestamps, so one displayed microsecond is one
 /// simulated cycle.
-pub fn chrome_trace_json(events: &[Stamped], nodes: usize) -> String {
-    chrome_trace_json_with_links(events, nodes, &[])
-}
-
-/// [`chrome_trace_json`] plus the fabric's per-link utilization
-/// (harvested in [`RunResult::links`] when the contention-aware network
-/// model is active). Links land on a synthetic "fabric" track with pid
-/// `nodes + 1`, one instant per link at ts 0 carrying the message
-/// count, busy (serialization) cycles, and queue cycles as args. With
-/// `links` empty the output is byte-identical to [`chrome_trace_json`].
-pub fn chrome_trace_json_with_links(
-    events: &[Stamped],
-    nodes: usize,
-    links: &[LinkUtil],
-) -> String {
-    chrome_trace_json_with_flows(events, nodes, links, &[], &[])
-}
-
-/// The full exporter: [`chrome_trace_json_with_links`] plus happens-
-/// before annotations from the critical-path analyzer. Each
-/// [`FlowArrow`] becomes a pair of 1-cycle slices on the endpoints'
-/// message rows (`tid` 1) joined by an `s`/`f` flow — Perfetto draws
-/// the arrow between them — and [`PathSlice`]s land on a dedicated
-/// "critical path" track with pid `nodes + 2`, so the path-resident
-/// segments read as one highlighted lane above the node tracks. With
-/// `flows` and `path` empty the output is byte-identical to
-/// [`chrome_trace_json_with_links`].
-pub fn chrome_trace_json_with_flows(
+///
+/// Three optional extras, each absent from the output when its slice is
+/// empty:
+/// * `links` — the fabric's per-link utilization (harvested in
+///   [`RunResult::links`] when the contention-aware network model is
+///   active) on a synthetic "fabric" track with pid `nodes + 1`, one
+///   instant per link at ts 0 carrying the message count, busy
+///   (serialization) cycles, and queue cycles as args;
+/// * `flows` — happens-before arrows from the critical-path analyzer:
+///   each [`FlowArrow`] becomes a pair of 1-cycle slices on the
+///   endpoints' message rows (`tid` 1) joined by an `s`/`f` flow, which
+///   Perfetto draws as an arrow;
+/// * `path` — [`PathSlice`]s on a dedicated "critical path" track with
+///   pid `nodes + 2`, so the path-resident segments read as one
+///   highlighted lane above the node tracks.
+pub fn chrome_trace_json(
     events: &[Stamped],
     nodes: usize,
     links: &[LinkUtil],
@@ -371,12 +360,6 @@ pub fn hottest_blocks(events: &[Stamped], cost: &CostModel, n: usize) -> Vec<(Bl
     hot
 }
 
-/// The delivered-message histogram: count and wire bytes per kind, with
-/// a proportional bar. Kinds with zero traffic are omitted.
-pub fn message_histogram(r: &RunResult) -> String {
-    message_histogram_with_latency(r, &[])
-}
-
 /// Nearest-rank percentile of an ascending-sorted sample: the smallest
 /// element with at least `p`% of the sample at or below it. `sorted`
 /// must be non-empty.
@@ -386,15 +369,14 @@ pub fn percentile(sorted: &[i64], p: u64) -> i64 {
 }
 
 /// Send→recv delivery latency samples per message kind, ascending-
-/// sorted, kinds in label order. Each [`Event::MsgRecv`] is paired FIFO
-/// with the earlier [`Event::MsgSend`] on the same `(from, to, kind)`
-/// channel ([`lcm_replay::match_messages`], the critical path's
-/// matcher); the delta of their cycle stamps is the delivery latency.
-/// Signed: the stamps are per-node logical clocks, so a fast receiver
-/// can handle a slow sender's message at an earlier clock reading.
-pub fn message_latencies(events: &[Stamped]) -> Vec<(&'static str, Vec<i64>)> {
+/// sorted, kinds in label order, from matched message edges (the
+/// critical path's, or [`lcm_replay::match_messages`] over a captured
+/// stream). Signed: the stamps are per-node logical clocks, so a fast
+/// receiver can handle a slow sender's message at an earlier clock
+/// reading.
+pub fn message_latencies(edges: &[MsgEdge]) -> Vec<(&'static str, Vec<i64>)> {
     let mut by_kind: BTreeMap<&'static str, Vec<i64>> = BTreeMap::new();
-    for edge in lcm_replay::match_messages(events).0 {
+    for edge in edges {
         by_kind.entry(edge.kind).or_default().push(edge.latency());
     }
     by_kind
@@ -406,13 +388,16 @@ pub fn message_latencies(events: &[Stamped]) -> Vec<(&'static str, Vec<i64>)> {
         .collect()
 }
 
-/// [`message_histogram`] with p50/p95/p99 delivery-latency columns when
-/// the cycle-stamped event stream is available. Kinds whose messages
-/// were not captured (e.g. a trace that filled and dropped them) show
-/// `-`. With `events` empty — traces absent — the output is
-/// byte-identical to [`message_histogram`].
-pub fn message_histogram_with_latency(r: &RunResult, events: &[Stamped]) -> String {
-    let lat = message_latencies(events);
+/// The delivered-message histogram: count and wire bytes per kind, with
+/// a proportional bar. Kinds with zero traffic are omitted. When the
+/// cycle-stamped event stream is available, p50/p95/p99 delivery-latency
+/// columns (sends and recvs paired FIFO per channel by
+/// [`lcm_replay::match_messages`]) sit before the bar; kinds whose
+/// messages were not captured (e.g. a trace that filled and dropped
+/// them) show `-`. With `events` empty — traces absent — there are no
+/// latency columns.
+pub fn message_histogram(r: &RunResult, events: &[Stamped]) -> String {
+    let lat = message_latencies(&lcm_replay::match_messages(events).0);
     let max = r.msg_kinds.iter().map(|&(_, n)| n).max().unwrap_or(0);
     let mut out = String::new();
     for (&(kind, count), &(_, bytes)) in r.msg_kinds.iter().zip(&r.msg_bytes) {
@@ -486,7 +471,7 @@ pub fn profile_report(r: &RunResult, events: &[Stamped], cost: &CostModel) -> St
             let _ = writeln!(out, "  block {:>8}: {cycles:>12} cycles", block.0);
         }
     }
-    let hist = message_histogram_with_latency(r, events);
+    let hist = message_histogram(r, events);
     if !hist.is_empty() {
         let _ = writeln!(out, "messages by kind:");
         out.push_str(&hist);
@@ -618,7 +603,7 @@ mod tests {
     fn chrome_trace_is_valid_json_with_node_tracks_and_spans() {
         let (_, events) = traced_run(SystemKind::LcmMcc);
         assert!(!events.is_empty());
-        let json = chrome_trace_json(&events, 4);
+        let json = chrome_trace_json(&events, 4, &[], &[], &[]);
         check_json(&json);
         assert!(json.starts_with("{\"traceEvents\":["));
         for n in 0..4 {
@@ -650,7 +635,7 @@ mod tests {
                 block: BlockId(3),
             },
         }];
-        let json = chrome_trace_json(&events, 2);
+        let json = chrome_trace_json(&events, 2, &[], &[], &[]);
         check_json(&json);
         assert!(json.contains("\"dur\":0"));
         assert!(json.contains("\"ts\":40"));
@@ -855,7 +840,7 @@ mod tests {
         let mut events = Vec::new();
         events.extend(msg_pair(0, 100, 150));
         events.extend(msg_pair(2, 200, 180)); // receiver's clock ran behind
-        let lat = message_latencies(&events);
+        let lat = message_latencies(&lcm_replay::match_messages(&events).0);
         assert_eq!(lat.len(), 1);
         assert_eq!(lat[0].0, "GetShared");
         assert_eq!(lat[0].1, vec![-20, 50], "sorted, signed");
@@ -864,13 +849,16 @@ mod tests {
     #[test]
     fn histogram_gains_latency_columns_only_with_events() {
         let (r, events) = traced_run(SystemKind::LcmMcc);
-        let plain = message_histogram(&r);
-        assert_eq!(
-            message_histogram_with_latency(&r, &[]),
-            plain,
-            "traces absent: byte-identical"
-        );
-        let with = message_histogram_with_latency(&r, &events);
+        let plain = message_histogram(&r, &[]);
+        // Traces absent: `kind count msgs bytes B  bar`, no latency.
+        assert!(!plain.is_empty());
+        for line in plain.lines() {
+            let f: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(f.len(), 6, "plain histogram row: {line}");
+            assert_eq!((f[2], f[4]), ("msgs", "B"), "plain histogram row: {line}");
+            assert!(line.contains(" B  #"), "plain histogram row: {line}");
+        }
+        let with = message_histogram(&r, &events);
         assert_ne!(with, plain);
         assert!(with.contains("p50"), "latency columns present");
         assert!(with.contains("p99"));
@@ -895,32 +883,33 @@ mod tests {
             dur: 500,
             args: "\"epoch\":0,\"node\":1".to_string(),
         }];
-        let json = chrome_trace_json_with_flows(&[], 4, &[], &flows, &path);
+        let json = chrome_trace_json(&[], 4, &[], &flows, &path);
         check_json(&json);
         assert!(json.contains("\"ph\":\"s\""), "flow start");
         assert!(json.contains("\"ph\":\"f\""), "flow finish");
         assert!(json.contains("\"name\":\"critical path\""));
         assert!(json.contains("apply @node1"));
         assert!(json.contains("\"tid\":1"), "message rows");
-        // Empty annotations leave the exporter byte-identical.
+        // Without extras the export is the node and machine tracks only.
         assert_eq!(
-            chrome_trace_json_with_flows(&[], 4, &[], &[], &[]),
-            chrome_trace_json(&[], 4)
+            chrome_trace_json(&[], 1, &[], &[], &[]),
+            "{\"traceEvents\":[\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"node 0\"}},\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"machine\"}}\
+             ],\"displayTimeUnit\":\"ms\"}"
         );
     }
 
     #[test]
     fn link_utilization_rides_a_fabric_trace_track() {
         let r = contended_run();
-        let json = chrome_trace_json_with_links(&[], 4, &r.links);
+        let json = chrome_trace_json(&[], 4, &r.links, &[], &[]);
         check_json(&json);
         assert!(json.contains("\"name\":\"fabric\""));
         assert!(json.contains("queue_cycles"));
-        // With no links the wrapper is exactly the plain exporter, so
-        // existing traces stay byte-identical.
-        assert_eq!(
-            chrome_trace_json_with_links(&[], 4, &[]),
-            chrome_trace_json(&[], 4)
-        );
+        // With no links there is no fabric track, so existing traces
+        // stay byte-identical.
+        let plain = chrome_trace_json(&[], 4, &[], &[], &[]);
+        assert!(!plain.contains("fabric") && !plain.contains("\"pid\":5"));
     }
 }

@@ -56,17 +56,12 @@ pub struct MsgLatencyRow {
     pub p99: i64,
 }
 
-/// `messages.csv`: per-kind message counts and bytes for every run.
-pub fn messages_csv(suite: &Suite) -> String {
-    messages_csv_with_latency(suite, &[])
-}
-
-/// [`messages_csv`] with p50/p95/p99 delivery-latency columns filled in
-/// for the rows a captured trace covers (other rows keep the fields
-/// empty). With `latency` empty — no traces captured — the header and
-/// every row are byte-identical to [`messages_csv`], keeping committed
+/// `messages.csv`: per-kind message counts and bytes for every run, plus
+/// p50/p95/p99 delivery-latency columns for the rows a captured trace
+/// covers (other rows keep the fields empty). With `latency` empty — no
+/// traces captured — there are no latency columns, which keeps committed
 /// artifacts stable.
-pub fn messages_csv_with_latency(suite: &Suite, latency: &[MsgLatencyRow]) -> String {
+pub fn messages_csv(suite: &Suite, latency: &[MsgLatencyRow]) -> String {
     let mut csv = String::from("program,system,kind,count,bytes");
     if !latency.is_empty() {
         csv.push_str(",p50_latency,p95_latency,p99_latency");
@@ -144,17 +139,18 @@ mod tests {
         assert_eq!(fig_csv(&fig2).lines().count(), 1 + fig2.len());
         // Every (benchmark, system) pair contributes exactly one network row.
         assert_eq!(network_csv(&suite).lines().count(), 1 + 6 * 3);
-        assert!(messages_csv(&suite).len() > "program,system,kind,count,bytes\n".len());
+        assert!(messages_csv(&suite, &[]).len() > "program,system,kind,count,bytes\n".len());
     }
 
     #[test]
     fn latency_columns_appear_only_when_rows_are_supplied() {
         let suite = Suite::run(Scale::Smoke);
-        let plain = messages_csv(&suite);
-        assert_eq!(
-            messages_csv_with_latency(&suite, &[]),
-            plain,
-            "no traces: byte-identical"
+        let plain = messages_csv(&suite, &[]);
+        // No traces: the five count columns only.
+        assert!(plain.starts_with("program,system,kind,count,bytes\n"));
+        assert!(
+            plain.lines().all(|l| l.split(',').count() == 5),
+            "no latency columns without rows"
         );
         // Build a latency row for whatever data line the table emits
         // first, so the test tracks the suite rather than guessing at
@@ -169,7 +165,7 @@ mod tests {
             p95: 20,
             p99: -5,
         }];
-        let with = messages_csv_with_latency(&suite, &rows);
+        let with = messages_csv(&suite, &rows);
         assert!(with
             .starts_with("program,system,kind,count,bytes,p50_latency,p95_latency,p99_latency\n"));
         assert_eq!(with.lines().count(), plain.lines().count());

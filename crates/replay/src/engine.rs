@@ -99,9 +99,13 @@ impl Pricer {
     }
 
     /// Advances `node`'s clock by `cycles`, attributed to `cat`.
+    /// Every sum in pricing saturates: a query may set any price up to
+    /// `u64::MAX`, and a saturating sum of non-negative terms is the
+    /// same in any order, so all pricing paths still agree.
     #[inline]
     pub(crate) fn charge(&mut self, node: NodeId, cat: CycleCat, cycles: u64) {
-        self.run.clocks[node.index()] += cycles;
+        let clock = &mut self.run.clocks[node.index()];
+        *clock = clock.saturating_add(cycles);
         self.run.ledger.charge(node, cat, cycles);
     }
 
@@ -110,12 +114,12 @@ impl Pricer {
     /// receiver as contention and returned.
     #[inline]
     pub(crate) fn xfer(&mut self, from: NodeId, to: NodeId, wire: u64, now: u64) -> u64 {
-        self.run.totals.bytes_sent += wire;
+        self.run.totals.bytes_sent = self.run.totals.bytes_sent.saturating_add(wire);
         let Some(fabric) = &mut self.fabric else {
             return 0;
         };
         let (queue, ser) = fabric.transfer(from, to, wire, now);
-        let extra = queue + ser;
+        let extra = queue.saturating_add(ser);
         if extra > 0 {
             self.charge(to, CycleCat::NetContention, extra);
         }
@@ -130,7 +134,7 @@ impl Pricer {
     /// A global barrier: every clock jumps to `max + barrier_cost`, each
     /// node's jump charged as barrier wait.
     pub(crate) fn barrier(&mut self) {
-        let after = self.max_clock() + self.barrier_cost;
+        let after = self.max_clock().saturating_add(self.barrier_cost);
         let run = &mut self.run;
         for (i, c) in run.clocks.iter_mut().enumerate() {
             run.ledger
@@ -184,7 +188,7 @@ pub(crate) fn fold(
             Event::Work { node, cycles, hits } => (
                 node,
                 CycleCat::Compute,
-                cycles + hits.saturating_mul(cost.cache_hit),
+                cycles.saturating_add(hits.saturating_mul(cost.cache_hit)),
             ),
             Event::Charge {
                 node,

@@ -32,16 +32,13 @@
 //! Varints, strings, the cost model and the topology go through
 //! [`crate::codec`], which the `lcm-serve` wire protocol shares.
 
-use crate::codec::{
-    cost_fields, put_cost_model, put_str, put_topology, put_varint, Cursor, COST_FIELDS,
-};
+use crate::codec::{put_cost_model, put_str, put_topology, put_varint, Cursor};
 use crate::index::DiffIndex;
 use lcm_sim::{
     CostModel, CycleCat, CycleLedger, Event, Knob, NodeId, NodeStats, Stamped, Topology,
 };
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
-use std::time::SystemTime;
+use std::path::Path;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// File magic: the first eight bytes of every `.lcmtrace`.
 pub const MAGIC: &[u8; 8] = b"LCMTRACE";
@@ -743,69 +740,15 @@ impl TraceFile {
             std::fs::read(path).map_err(|e| format!("failed to read {}: {e}", path.display()))?;
         TraceFile::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))
     }
-
-    /// Opens a `.lcmtrace` as a shared handle, decoding each file once
-    /// per process.
-    ///
-    /// [`TraceFile::read_from`] copies and fully re-decodes the file on
-    /// every call, which a resident query server (or any loop replaying
-    /// one capture many times) cannot afford: a medium-scale capture
-    /// holds millions of events. `open` keeps a process-wide cache of
-    /// weak handles keyed by path — a second open of the same unchanged
-    /// file (same length and modification time) returns the already-
-    /// decoded [`TraceFile`] for the cost of a map lookup. Weak entries
-    /// let the memory go when the last consumer drops its handle, and a
-    /// rewritten file (length or mtime changed) is re-decoded rather
-    /// than served stale.
-    pub fn open(path: &Path) -> Result<TraceHandle, String> {
-        // One cached decode: canonical path, length, mtime, weak handle.
-        type CachedDecode = (PathBuf, u64, SystemTime, Weak<TraceFile>);
-        static CACHE: Mutex<Vec<CachedDecode>> = Mutex::new(Vec::new());
-        let meta = std::fs::metadata(path)
-            .map_err(|e| format!("failed to read {}: {e}", path.display()))?;
-        let len = meta.len();
-        let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-        // Canonicalize so `./a.lcmtrace` and `a.lcmtrace` share an entry.
-        let key = path.canonicalize().unwrap_or_else(|_| path.to_path_buf());
-        {
-            let cache = CACHE.lock().expect("trace-handle cache poisoned");
-            if let Some((_, l, m, weak)) = cache.iter().find(|(p, ..)| *p == key) {
-                if *l == len && *m == mtime {
-                    if let Some(handle) = weak.upgrade() {
-                        return Ok(handle);
-                    }
-                }
-            }
-        }
-        let handle = Arc::new(TraceFile::read_from(path)?);
-        let mut cache = CACHE.lock().expect("trace-handle cache poisoned");
-        cache.retain(|(p, .., w)| *p != key && w.strong_count() > 0);
-        cache.push((key, len, mtime, Arc::downgrade(&handle)));
-        Ok(handle)
-    }
 }
 
 /// A cheap shared handle to a decoded trace: clone it freely, the event
-/// stream is decoded once (see [`TraceFile::open`]).
+/// stream is not copied.
 pub type TraceHandle = Arc<TraceFile>;
-
-/// FNV-1a over all [`CostModel`] fields in wire order: the cost-model
-/// half of a serve-cache key. Any single field change — including the
-/// bandwidth/contention knobs that don't move any symbolic charge —
-/// changes the hash, so no stale cache entry can be served for a
-/// different pricing.
-pub fn cost_model_hash(cost: &CostModel) -> u64 {
-    let mut bytes = Vec::with_capacity(COST_FIELDS * 8);
-    for v in cost_fields(cost) {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    fnv1a(&bytes)
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::cost_from_fields;
     use lcm_sim::BlockId;
 
     fn sample_file() -> TraceFile {
@@ -926,48 +869,6 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         b.cost.remote_miss += 1;
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn open_decodes_once_and_tracks_rewrites() {
-        let dir = std::env::temp_dir().join(format!("lcmtrace-open-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("sample.lcmtrace");
-        let f = sample_file();
-        f.write_to(&path).expect("write");
-        let a = TraceFile::open(&path).expect("open");
-        let b = TraceFile::open(&path).expect("reopen");
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "a second open of an unchanged file shares the decoded trace"
-        );
-        assert_eq!(a.fingerprint(), f.fingerprint());
-        // A rewritten file must not be served stale.
-        let mut g = sample_file();
-        g.metadata.push(("rewritten".into(), "yes".into()));
-        g.write_to(&path).expect("rewrite");
-        let c = TraceFile::open(&path).expect("open rewritten");
-        assert!(
-            !Arc::ptr_eq(&a, &c),
-            "rewrite invalidates the cached handle"
-        );
-        assert_eq!(c.meta("rewritten"), Some("yes"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cost_model_hash_tracks_every_field() {
-        let base = cost_model_hash(&CostModel::cm5());
-        for i in 0..COST_FIELDS {
-            let mut f = cost_fields(&CostModel::cm5());
-            f[i] += 1;
-            assert_ne!(
-                cost_model_hash(&cost_from_fields(&f)),
-                base,
-                "changing cost field {i} must change the hash"
-            );
-        }
-        assert_eq!(base, cost_model_hash(&CostModel::cm5()), "hash is stable");
     }
 
     #[test]

@@ -380,17 +380,17 @@ pub fn reprice(file: &TraceFile, cost: &CostModel, topology: Topology) -> Replay
         if p.has_fabric() {
             for x in &idx.xfers[xi..seg.xfer_end] {
                 let from = x.from as usize;
-                let mut a = a_run[from] + x.d_raw;
+                let mut a = a_run[from].saturating_add(x.d_raw);
                 let syms = &idx.syms[si..si + x.syms as usize];
                 si += syms.len();
                 for &(k, units) in syms {
-                    a += eval[k as usize].saturating_mul(units);
+                    a = a.saturating_add(eval[k as usize].saturating_mul(units));
                 }
                 if a_run[from] == 0 && a > 0 {
                     touched.push(from);
                 }
                 a_run[from] = a;
-                let now = p.run.clocks[from] + a;
+                let now = p.run.clocks[from].saturating_add(a);
                 let wire = x.adj_bytes.saturating_add(cost.msg_header_bytes);
                 p.xfer(NodeId(x.from), NodeId(x.to), wire, now);
             }
@@ -416,8 +416,9 @@ pub fn reprice(file: &TraceFile, cost: &CostModel, topology: Topology) -> Replay
 
     // With no fabric the walk was skipped: wire bytes in closed form.
     if !p.has_fabric() {
-        p.run.totals.bytes_sent =
-            idx.sum_adj_bytes + idx.xfers.len() as u64 * cost.msg_header_bytes;
+        p.run.totals.bytes_sent = (idx.xfers.len() as u64)
+            .saturating_mul(cost.msg_header_bytes)
+            .saturating_add(idx.sum_adj_bytes);
     }
     p.finish()
 }

@@ -2,8 +2,8 @@
 //! batched what-if execution path shared by the in-process API, the
 //! explore sweep and the TCP server.
 
-use lcm_replay::codec::cost_fields;
-use lcm_replay::{compare_replayed, cost_model_hash, replay, reprice, Replayed, TraceHandle};
+use lcm_replay::codec::{cost_fields, COST_FIELDS};
+use lcm_replay::{compare_replayed, replay, reprice, DiffIndex, Replayed, TraceHandle};
 use lcm_sim::{par_map, CostModel, CycleCat, DirBackend, NodeId, NodeStats, Topology};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,41 +25,61 @@ pub struct Query {
     pub backend: DirBackend,
 }
 
-/// The serve-cache key: one entry per distinct
-/// `(loaded trace, cost model, topology, backend)`.
+/// The serve-cache key: the loaded trace, every cost-model field, the
+/// topology and the backend, compared exactly.
+///
+/// [`CacheKey::new`] is the *raw* key of a query, with every component
+/// present, so any single knob change misses. The engine also files
+/// each result under a private *canonical* key that drops what the
+/// trace cannot observe; queries with equal canonical keys price
+/// identically, which is what neighbor reuse serves from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     trace: u64,
-    cost: u64,
-    topo_tag: u8,
-    topo_param: u64,
-    backend_tag: u8,
-    backend_param: u64,
+    cost: [u64; COST_FIELDS],
+    topology: Option<Topology>,
+    backend: Option<DirBackend>,
 }
 
 impl CacheKey {
-    /// Builds the key for `query` against the loaded trace `trace` (the
-    /// id [`ServeEngine::load`] assigned it). The cost-model half is an
-    /// FNV-1a hash over *all* fields ([`lcm_replay::cost_model_hash`]),
-    /// so any single knob change misses.
+    /// The raw key for `query` against the loaded trace `trace` (the id
+    /// [`ServeEngine::load`] assigned it).
     pub fn new(trace: u64, query: &Query) -> CacheKey {
-        let (topo_tag, topo_param) = match query.topology {
-            Topology::FatTree { arity } => (0u8, arity as u64),
-            Topology::Crossbar => (1, 0),
-            Topology::Flat => (2, 0),
-        };
-        let (backend_tag, backend_param) = match query.backend {
-            DirBackend::FullMap => (0u8, 0u64),
-            DirBackend::LimitedPtr { ptrs } => (1, u64::from(ptrs)),
-            DirBackend::CoarseVec { bits } => (2, u64::from(bits)),
-        };
         CacheKey {
             trace,
-            cost: cost_model_hash(&query.cost),
-            topo_tag,
-            topo_param,
-            backend_tag,
-            backend_param,
+            cost: cost_fields(&query.cost),
+            topology: Some(query.topology),
+            backend: Some(query.backend),
+        }
+    }
+
+    /// The canonical key for `query` against a trace whose differential
+    /// index is `idx`: every cost field the trace is insensitive to at
+    /// the query's bandwidth is zeroed, the topology is dropped when no
+    /// fabric carries a transfer, and the backend is always dropped
+    /// (replay ignores it, and its absence keeps canonical keys apart
+    /// from raw ones).
+    ///
+    /// Sensitivity depends on the bandwidth only through `ni_occupancy`
+    /// and `contention_window`, which matter only when the trace has
+    /// transfers, and then the bandwidth itself is kept. So equal
+    /// canonical keys imply equal bandwidths, hence one sensitive set:
+    /// two queries share a canonical key exactly when every field they
+    /// differ in, and the topology if they differ in it, is one neither
+    /// can observe.
+    fn canonical(trace: u64, query: &Query, idx: &DiffIndex) -> CacheKey {
+        let bw = query.cost.link_bandwidth_bytes_per_cycle;
+        let mut cost = cost_fields(&query.cost);
+        for (i, v) in cost.iter_mut().enumerate() {
+            if !idx.field_sensitive(i, bw) {
+                *v = 0;
+            }
+        }
+        CacheKey {
+            trace,
+            cost,
+            topology: idx.topology_sensitive(bw).then_some(query.topology),
+            backend: None,
         }
     }
 }
@@ -156,10 +176,10 @@ impl QueryResult {
 /// differing knobs provably cannot move any output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryClass {
-    /// Exact cache-key hit.
+    /// Raw cache-key hit.
     Cached,
-    /// Served from a cached neighbor that differs only in knobs this
-    /// trace never charges.
+    /// Canonical cache-key hit: served from a cached neighbor that
+    /// differs only in knobs this trace never charges.
     Neighbor,
     /// Re-priced through the differential index.
     Differential,
@@ -192,19 +212,13 @@ impl EngineStats {
 pub struct TraceEntry {
     /// Name queries address the trace by.
     pub name: String,
-    /// The decoded trace (shared, decode-once — [`lcm_replay::TraceFile::open`]).
+    /// The decoded trace, shared with every other holder of the handle.
     pub handle: TraceHandle,
     /// Header fingerprint (machine config + cost model + metadata).
     /// Listing only: two captures can share a header, never an `id`.
     pub fingerprint: u64,
     /// Cache identity: unique per [`ServeEngine::load`] call.
     id: u64,
-}
-
-struct CachedEntry {
-    cost: CostModel,
-    topology: Topology,
-    result: Arc<QueryResult>,
 }
 
 /// The resident engine: loaded traces, the result cache and counters.
@@ -214,7 +228,8 @@ pub struct ServeEngine {
     traces: Vec<TraceEntry>,
     /// Traces loaded so far: the next [`TraceEntry`] id.
     loads: u64,
-    cache: Mutex<HashMap<CacheKey, CachedEntry>>,
+    /// Every result, under its raw key and its canonical key.
+    cache: Mutex<HashMap<CacheKey, Arc<QueryResult>>>,
     /// Serve counters.
     pub stats: EngineStats,
 }
@@ -260,75 +275,30 @@ impl ServeEngine {
         })
     }
 
-    /// Answers one query: exact cache hit, neighbor reuse, or a
-    /// differential re-pricing (in that order). The returned result is
-    /// byte-identical regardless of which path served it.
+    /// Answers one query: a raw-key hit, a canonical-key hit (neighbor
+    /// reuse), or a differential re-pricing, in that order. The returned
+    /// result is byte-identical regardless of which path served it.
     pub fn query(&self, q: &Query) -> Result<(Arc<QueryResult>, QueryClass), String> {
         let entry = self.entry(&q.trace)?;
-        let key = CacheKey::new(entry.id, q);
-        let cache = self.cache.lock().expect("serve cache poisoned");
-        if let Some(hit) = cache.get(&key) {
+        let raw = CacheKey::new(entry.id, q);
+        let canonical = CacheKey::canonical(entry.id, q, entry.handle.index());
+        let mut cache = self.cache.lock().expect("serve cache poisoned");
+        if let Some(hit) = cache.get(&raw) {
             self.stats.cached.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(&hit.result), QueryClass::Cached));
+            return Ok((Arc::clone(hit), QueryClass::Cached));
         }
-        let neighbor = self.find_neighbor(&cache, entry, q);
+        if let Some(hit) = cache.get(&canonical).cloned() {
+            cache.insert(raw, Arc::clone(&hit));
+            self.stats.neighbor.fetch_add(1, Ordering::Relaxed);
+            return Ok((hit, QueryClass::Neighbor));
+        }
         drop(cache);
-        let (result, class, counter) = match neighbor {
-            Some(result) => (result, QueryClass::Neighbor, &self.stats.neighbor),
-            None => (
-                Arc::new(self.replay_differential(entry, q)),
-                QueryClass::Differential,
-                &self.stats.differential,
-            ),
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        let cached = CachedEntry {
-            cost: q.cost,
-            topology: q.topology,
-            result: Arc::clone(&result),
-        };
-        self.cache
-            .lock()
-            .expect("serve cache poisoned")
-            .insert(key, cached);
-        Ok((result, class))
-    }
-
-    /// A cached result whose pricing provably agrees with `q` on this
-    /// trace: every differing cost field is one the trace charges zero
-    /// units on (and whose structural consumers are absent), and the
-    /// topology either matches or cannot matter.
-    fn find_neighbor(
-        &self,
-        cache: &HashMap<CacheKey, CachedEntry>,
-        entry: &TraceEntry,
-        q: &Query,
-    ) -> Option<Arc<QueryResult>> {
-        let idx = entry.handle.index();
-        let wanted = cost_fields(&q.cost);
-        for (k, c) in cache.iter() {
-            if k.trace != entry.id {
-                continue;
-            }
-            let (bw_c, bw_q) = (
-                c.cost.link_bandwidth_bytes_per_cycle,
-                q.cost.link_bandwidth_bytes_per_cycle,
-            );
-            let fields_agree =
-                cost_fields(&c.cost)
-                    .iter()
-                    .zip(&wanted)
-                    .enumerate()
-                    .all(|(i, (a, b))| {
-                        a == b || (!idx.field_sensitive(i, bw_c) && !idx.field_sensitive(i, bw_q))
-                    });
-            let topo_agrees = c.topology == q.topology
-                || (!idx.topology_sensitive(bw_c) && !idx.topology_sensitive(bw_q));
-            if fields_agree && topo_agrees {
-                return Some(Arc::clone(&c.result));
-            }
-        }
-        None
+        let result = Arc::new(self.replay_differential(entry, q));
+        self.stats.differential.fetch_add(1, Ordering::Relaxed);
+        let mut cache = self.cache.lock().expect("serve cache poisoned");
+        cache.insert(raw, Arc::clone(&result));
+        cache.insert(canonical, Arc::clone(&result));
+        Ok((result, QueryClass::Differential))
     }
 
     /// Re-prices through the trace's differential index
@@ -394,8 +364,9 @@ pub fn query(trace: &str, cost: CostModel) -> Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcm_replay::codec::cost_from_fields;
     use lcm_replay::TraceFile;
-    use lcm_sim::{CycleLedger, Event, Knob, Stamped};
+    use lcm_sim::{CycleLedger, Event, Knob, Pcg32, Stamped};
 
     /// A four-node synthetic capture exercising every differential
     /// mechanism: raw and symbolic charges, repeat-sender transfers
@@ -640,6 +611,128 @@ mod tests {
         narrow_flat.topology = Topology::Flat;
         let (_, class) = e.query(&narrow_flat).expect("re-priced");
         assert_eq!(class, QueryClass::Differential);
+    }
+
+    /// The pairwise neighbor rule the engine used before canonical keys:
+    /// every differing cost field is insensitive under both queries'
+    /// bandwidths, and the topologies match or neither can matter.
+    fn reference_neighbors(idx: &DiffIndex, a: &Query, b: &Query) -> bool {
+        let (bw_a, bw_b) = (
+            a.cost.link_bandwidth_bytes_per_cycle,
+            b.cost.link_bandwidth_bytes_per_cycle,
+        );
+        let fields_agree = cost_fields(&a.cost)
+            .iter()
+            .zip(&cost_fields(&b.cost))
+            .enumerate()
+            .all(|(i, (x, y))| {
+                x == y || (!idx.field_sensitive(i, bw_a) && !idx.field_sensitive(i, bw_b))
+            });
+        let topo_agrees = a.topology == b.topology
+            || (!idx.topology_sensitive(bw_a) && !idx.topology_sensitive(bw_b));
+        fields_agree && topo_agrees
+    }
+
+    /// An 8-node Threshold capture, as the integration tests take.
+    fn threshold_capture() -> TraceHandle {
+        use lcm_apps::{execute_captured, threshold::Threshold, SystemKind};
+        let mc = lcm_sim::MachineConfig::new(8).with_cost(CostModel::cm5());
+        let (nodes, topology, cost) = (mc.nodes, mc.topology, mc.cost);
+        let (_, result, events) = execute_captured(
+            SystemKind::LcmMcc,
+            mc,
+            1 << 20,
+            lcm_cstar::RuntimeConfig::default(),
+            &Threshold::small(),
+        );
+        assert_eq!(result.trace_dropped, 0, "the buffer holds the stream");
+        let file = TraceFile::from_capture(
+            nodes,
+            topology,
+            cost,
+            vec![("benchmark".to_string(), "Threshold".to_string())],
+            events,
+            result.clocks.clone(),
+            &result.ledger,
+            result.totals.clone(),
+        )
+        .expect("gap-free stream");
+        Arc::new(file)
+    }
+
+    #[test]
+    fn canonical_keys_agree_with_the_pairwise_neighbor_rule() {
+        const TOPOLOGIES: [Topology; 4] = [
+            Topology::FatTree { arity: 2 },
+            Topology::FatTree { arity: 4 },
+            Topology::Crossbar,
+            Topology::Flat,
+        ];
+        let cm5 = cost_fields(&CostModel::cm5());
+        let bandwidth = 15;
+        let draw_field = |rng: &mut Pcg32, i: usize| -> u64 {
+            if i == bandwidth {
+                [0, 4, 64][rng.below(3) as usize]
+            } else {
+                [0, cm5[i], cm5[i] + 1][rng.below(3) as usize]
+            }
+        };
+        let mut rng = Pcg32::new(17, 0);
+        for handle in [synthetic(), threshold_capture()] {
+            let mut e = ServeEngine::new();
+            e.load("t", handle);
+            let (id, idx) = (e.traces[0].id, e.traces[0].handle.index());
+            let (mut alike, mut apart) = (0, 0);
+            for _ in 0..150 {
+                let mut f = cm5;
+                for (i, v) in f.iter_mut().enumerate() {
+                    *v = draw_field(&mut rng, i);
+                }
+                let a = Query {
+                    trace: "t".to_string(),
+                    cost: cost_from_fields(&f),
+                    topology: TOPOLOGIES[rng.below(4) as usize],
+                    backend: DirBackend::all()[rng.below(3) as usize],
+                };
+                // b differs from a in a few fields, maybe the topology,
+                // maybe the backend.
+                for (i, v) in f.iter_mut().enumerate() {
+                    if rng.below(6) == 0 {
+                        *v = draw_field(&mut rng, i);
+                    }
+                }
+                let b = Query {
+                    cost: cost_from_fields(&f),
+                    topology: if rng.below(3) == 0 {
+                        TOPOLOGIES[rng.below(4) as usize]
+                    } else {
+                        a.topology
+                    },
+                    backend: DirBackend::all()[rng.below(3) as usize],
+                    ..a.clone()
+                };
+                let reference = reference_neighbors(idx, &a, &b);
+                assert_eq!(
+                    CacheKey::canonical(id, &a, idx) == CacheKey::canonical(id, &b, idx),
+                    reference,
+                    "canonical keys disagree with the pairwise rule:\n{a:?}\n{b:?}"
+                );
+                if reference {
+                    alike += 1;
+                } else {
+                    apart += 1;
+                }
+                e.query(&a).expect("a");
+                let (got, class) = e.query(&b).expect("b");
+                if reference {
+                    assert_ne!(class, QueryClass::Differential, "{b:?}");
+                }
+                if class == QueryClass::Neighbor {
+                    assert_eq!(*got, e.query_full(&b).expect("full"), "{b:?}");
+                }
+            }
+            assert!(alike > 10 && apart > 10, "{alike} alike, {apart} apart");
+        }
     }
 
     #[test]

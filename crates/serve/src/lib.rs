@@ -6,24 +6,25 @@
 //! and each trace's differential index, and this crate keeps the
 //! result cache, the three-tier query ladder and the TCP front end:
 //!
-//! * [`ServeEngine`] — loads each trace once (shared
-//!   [`lcm_replay::TraceHandle`]s via the decode-once
-//!   [`lcm_replay::TraceFile::open`] cache), forces the build of the
-//!   trace's own [`DiffIndex`] (shared by every engine that loads the
-//!   same handle), and answers batched what-if queries
+//! * [`ServeEngine`] — loads each trace once as a shared
+//!   [`lcm_replay::TraceHandle`], forces the build of the trace's own
+//!   [`DiffIndex`] (shared by every engine that loads the same handle),
+//!   and answers batched what-if queries
 //!   (cost model × topology × directory backend → clocks, the full
 //!   cycle ledger, node statistics, CSV rows) on the `lcm-sim`
 //!   `par_map` pool.
-//! * **Result cache** — keyed by `(per-load trace id, FNV-1a over every
-//!   cost-model field, topology, backend)`; an exact repeat returns the
-//!   shared [`QueryResult`] without touching the stream.
+//! * **Result cache** — one map keyed exactly by `(per-load trace id,
+//!   every cost-model field, topology, backend)`; an exact repeat
+//!   returns the shared [`QueryResult`] without touching the stream.
+//!   Each result is also filed under a canonical key that drops every
+//!   field the trace cannot observe, so a query differing from a cached
+//!   neighbor only in prices this trace never charges is one more
+//!   lookup.
 //! * **Differential re-pricing** — cold queries re-price from the
 //!   segment-aggregated index ([`lcm_replay::reprice`]) instead of the
-//!   raw event stream, and a query differing from a cached neighbor
-//!   only in prices this trace never charges is answered from that
-//!   neighbor. Both shortcuts are *byte-identical* to a full replay —
-//!   asserted by debug assertions and the test suite on every explore
-//!   grid point, not assumed.
+//!   raw event stream. Both shortcuts are *byte-identical* to a full
+//!   replay — asserted by debug assertions and the test suite on every
+//!   explore grid point, not assumed.
 //! * [`Server`]/[`Client`] — a length-prefixed TCP protocol
 //!   ([`proto`], encoded with [`lcm_replay::codec`]) exposing the same
 //!   engine to external tools; malformed frames get named error

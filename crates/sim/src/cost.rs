@@ -208,7 +208,9 @@ impl CostModel {
     /// same as one over 4 — non-power-of-two machines round *up*.
     pub fn barrier_cost(&self, nodes: usize) -> u64 {
         let levels = usize::BITS - (nodes.max(1) - 1).leading_zeros(); // ceil(log2)
-        self.barrier_base + self.barrier_per_level * u64::from(levels)
+        self.barrier_per_level
+            .saturating_mul(u64::from(levels))
+            .saturating_add(self.barrier_base)
     }
 }
 

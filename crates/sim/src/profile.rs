@@ -160,7 +160,8 @@ impl CycleLedger {
     /// Attributes `cycles` on `node` to `cat`.
     #[inline]
     pub fn charge(&mut self, node: NodeId, cat: CycleCat, cycles: u64) {
-        self.cells[node.index()][cat.index()] += cycles;
+        let cell = &mut self.cells[node.index()][cat.index()];
+        *cell = cell.saturating_add(cycles);
     }
 
     /// Cycles attributed to `cat` on `node`.

@@ -60,7 +60,7 @@ use crate::machine::NodeId;
 use std::fmt;
 
 /// How node pairs map onto network links.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// A CM-5-style fat tree of the given arity: leaves are nodes,
     /// groups of `arity` share an up-link, and link width doubles per
@@ -154,6 +154,10 @@ pub struct Fabric {
     /// group, `x / arity^l`, for `l` in `0..=levels` — so a hop reads
     /// its link instead of dividing by the arity.
     groups: Vec<u32>,
+    /// An upper bound on every link's counters and backlog: the
+    /// serialization deposited plus the cycles queued, over all links
+    /// ([`Fabric::transfer`]).
+    load: u64,
     links: Vec<Link>,
 }
 
@@ -183,6 +187,10 @@ impl Fabric {
                     span = span.saturating_mul(arity);
                     levels += 1;
                 }
+                assert!(
+                    2 + 2 * levels < 1 << HOP_BITS,
+                    "routes must cross fewer than 2^{HOP_BITS} links"
+                );
                 // Link (l, g) joins child group g (a level-(l-1) group)
                 // to its level-l parent; width doubles per level.
                 groups.extend(0..nodes as u32);
@@ -213,6 +221,7 @@ impl Fabric {
             levels,
             level_offsets,
             groups,
+            load: 0,
             links: vec![Link::default(); link_count],
         }
     }
@@ -240,7 +249,7 @@ impl Fabric {
     #[inline(always)]
     fn walk(&self, from: NodeId, to: NodeId, base: u64, mut hop: impl FnMut(usize, u64)) {
         let (a, b) = (from.index(), to.index());
-        let ni = self.ni_occupancy + base;
+        let ni = self.ni_occupancy.saturating_add(base);
         hop(2 * a, ni); // ni-tx
         match self.topo {
             Topology::FatTree { .. } => {
@@ -278,6 +287,36 @@ impl Fabric {
     pub fn transfer(&mut self, from: NodeId, to: NodeId, bytes: u64, now: u64) -> (u64, u64) {
         debug_assert_ne!(from, to, "self-sends never enter the network");
         let base = bytes.div_ceil(self.bandwidth);
+        let ni = self.ni_occupancy.saturating_add(base);
+        // Sums saturate rather than overflow under prices near
+        // `u64::MAX`, but saturating every hop slows the walk. Below
+        // these limits no sum of this message can reach 2^63 — a route
+        // has fewer than 2^HOP_BITS hops, each depositing at most `ni`
+        // and waiting at most `window`, and `load` bounds every backlog
+        // and counter — so plain sums are exact.
+        let queue = if (self.load | now) < 1 << 62 && ni.max(self.window) < 1 << 55 {
+            let queue = self.deposit::<false>(from, to, base, now);
+            self.load += (ni << HOP_BITS) + queue;
+            queue
+        } else {
+            self.load = u64::MAX;
+            self.deposit::<true>(from, to, base, now)
+        };
+        (queue, ni)
+    }
+
+    /// Deposits one message's serialization on every link of its route
+    /// and returns the backlog it waited out, summed over hops; its sums
+    /// saturate when `SATURATE`.
+    #[inline(always)]
+    fn deposit<const SATURATE: bool>(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        base: u64,
+        now: u64,
+    ) -> u64 {
+        let add = |a: u64, b: u64| if SATURATE { a.saturating_add(b) } else { a + b };
         let window = self.window;
         // Moved out while `walk` borrows the route tables.
         let mut links = std::mem::take(&mut self.links);
@@ -293,15 +332,15 @@ impl Fabric {
                 link.last_seen = t;
             }
             let wait = link.backlog.min(window);
-            link.backlog += ser;
+            link.backlog = add(link.backlog, ser);
             link.msgs += 1;
-            link.busy_cycles += ser;
-            link.queue_cycles += wait;
-            queue += wait;
-            t += wait;
+            link.busy_cycles = add(link.busy_cycles, ser);
+            link.queue_cycles = add(link.queue_cycles, wait);
+            queue = add(queue, wait);
+            t = add(t, wait);
         });
         self.links = links;
-        (queue, self.ni_occupancy + base)
+        queue
     }
 
     /// The label of link `li`, derived from its place in the table.
@@ -342,9 +381,14 @@ impl Fabric {
     /// Zeroes backlogs and counters (clocks restart from zero between
     /// warm-up and measurement).
     pub fn reset(&mut self) {
+        self.load = 0;
         self.links.fill(Link::default());
     }
 }
+
+/// Every route crosses fewer than `2^HOP_BITS` links: two NIs and at
+/// most `2 × levels` fabric hops, 22 at 1,024 nodes on a binary tree.
+const HOP_BITS: u32 = 6;
 
 /// `ceil(x / 2^k)` without a division. Since
 /// `ceil(ceil(a / b) / c) == ceil(a / (b * c))`, this is exactly the
@@ -549,8 +593,9 @@ mod tests {
 
     /// A test-local reference fabric: routes by dividing by the arity at
     /// every hop, keys links by label, and prices each hop as
-    /// `ceil(bytes / (bandwidth * width))` with a saturating product —
-    /// the textbook form `Fabric::transfer` must agree with.
+    /// `ceil(bytes / (bandwidth * width))` with a saturating product,
+    /// and saturates every sum — the textbook form `Fabric::transfer`
+    /// must agree with.
     struct Reference {
         topo: Topology,
         cost: CostModel,
@@ -583,10 +628,10 @@ mod tests {
 
         fn transfer(&mut self, a: usize, b: usize, bytes: u64, now: u64) -> (u64, u64) {
             let bw = self.cost.link_bandwidth_bytes_per_cycle;
-            let (mut t, mut queue, mut ser_max) = (now, 0, 0);
+            let (mut t, mut queue, mut ser_max) = (now, 0u64, 0);
             for (label, width) in self.route(a, b) {
                 let ser = if width == 0 {
-                    self.cost.ni_occupancy + bytes.div_ceil(bw)
+                    self.cost.ni_occupancy.saturating_add(bytes.div_ceil(bw))
                 } else {
                     bytes.div_ceil(bw.saturating_mul(width))
                 };
@@ -596,12 +641,12 @@ mod tests {
                     *last_seen = t;
                 }
                 let wait = (*backlog).min(self.cost.contention_window);
-                *backlog += ser;
+                *backlog = backlog.saturating_add(ser);
                 *msgs += 1;
-                *busy += ser;
-                *queued += wait;
-                queue += wait;
-                t += wait;
+                *busy = busy.saturating_add(ser);
+                *queued = queued.saturating_add(wait);
+                queue = queue.saturating_add(wait);
+                t = t.saturating_add(wait);
                 ser_max = ser_max.max(ser);
             }
             (queue, ser_max)
@@ -624,7 +669,20 @@ mod tests {
                     } else {
                         huge[rng.below(huge.len() as u64) as usize]
                     };
-                    let c = cost(bw, rng.below(20), 1 + rng.below(5_000));
+                    // Some rounds leave the backlog window unbounded or
+                    // make the NI slow enough to outgrow the plain-sum
+                    // bound mid-round or to overflow u64; all of them
+                    // take the saturating sums.
+                    let window = match rng.below(4) {
+                        0 => u64::MAX,
+                        _ => 1 + rng.below(5_000),
+                    };
+                    let ni = match rng.below(6) {
+                        0 => 1 << 54,
+                        1 => 1 << 62,
+                        _ => rng.below(20),
+                    };
+                    let c = cost(bw, ni, window);
                     let mut f = Fabric::new(topo, nodes, &c);
                     let mut r = Reference {
                         topo,

@@ -46,7 +46,10 @@ fn rendered_csv_bytes_are_identical_across_worker_counts() {
         report::fig_csv(&serial.fig3()),
         report::fig_csv(&pooled.fig3())
     );
-    assert_eq!(report::messages_csv(&serial), report::messages_csv(&pooled));
+    assert_eq!(
+        report::messages_csv(&serial, &[]),
+        report::messages_csv(&pooled, &[])
+    );
     assert_eq!(report::network_csv(&serial), report::network_csv(&pooled));
 }
 

@@ -10,8 +10,9 @@
 //!   execution-driven run, for all four Figure-3 benchmarks on all
 //!   three memory systems, including a capture taken under finite link
 //!   bandwidth (so contention charges replay exactly too). Re-pricing
-//!   at a link bandwidth of 2^63 or more agrees between the event walk
-//!   and the differential index instead of panicking.
+//!   at a link bandwidth of 2^63 or more, or at prices near `u64::MAX`,
+//!   agrees between the event walk and the differential index instead
+//!   of panicking or wrapping.
 //! * **Explorer determinism and speed** — the design-space explorer
 //!   produces byte-identical CSV at any worker count, and re-pricing a
 //!   grid by replay beats re-executing it.
@@ -141,6 +142,46 @@ fn huge_link_bandwidths_price_without_panicking() {
                     l.label,
                     l.busy_cycles
                 );
+            }
+        }
+    }
+}
+
+/// Sets one cost-model price.
+type SetPrice = fn(&mut CostModel, u64);
+
+/// The prices whose sums can reach `u64::MAX` in one query: a setter
+/// per field, with its index in wire order.
+const HUGE_FIELDS: [(&str, usize, SetPrice); 4] = [
+    ("remote_miss", 3, |c, v| c.remote_miss = v),
+    ("barrier_base", 9, |c, v| c.barrier_base = v),
+    ("msg_header_bytes", 14, |c, v| c.msg_header_bytes = v),
+    ("ni_occupancy", 16, |c, v| c.ni_occupancy = v),
+];
+
+#[test]
+fn huge_prices_saturate_identically_on_every_path() {
+    // Clock, ledger, fabric and byte sums must saturate rather than
+    // overflow; saturating sums of non-negative terms agree in any
+    // order, so the event walk and the index still match exactly.
+    let file = capture("Threshold", SystemKind::LcmMcc, &Threshold::small());
+    for bw in [0u64, 16] {
+        for (name, field, set) in HUGE_FIELDS {
+            for v in [u64::MAX / 2, u64::MAX] {
+                let mut cost = explore::grid_cost(bw, 3_000);
+                set(&mut cost, v);
+                for topology in [Topology::default(), Topology::Crossbar] {
+                    let full = replay(&file, &cost, topology);
+                    let diff = reprice(&file, &cost, topology);
+                    compare_replayed(&diff, &full)
+                        .unwrap_or_else(|e| panic!("{name}={v} bw={bw} {topology}: {e}"));
+                    if v == u64::MAX && file.index().field_sensitive(field, bw) {
+                        assert!(
+                            full.time == u64::MAX || full.totals.bytes_sent == u64::MAX,
+                            "{name}={v} bw={bw} {topology}: a charged huge price saturates"
+                        );
+                    }
+                }
             }
         }
     }

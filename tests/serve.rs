@@ -16,7 +16,8 @@
 //!   cannot change the answer.
 //! * **Protocol robustness** — a real TCP roundtrip agrees with the
 //!   in-process engine, corrupt frames come back as named errors, and
-//!   a link bandwidth of 2^63 or more gets an answer.
+//!   a link bandwidth of 2^63 or more, or a price of `u64::MAX`, gets
+//!   an answer.
 //!
 //! Two structural checks ride along: the cache keys a trace by its load,
 //! not its header, and a trace's differential index is built once, at
@@ -323,6 +324,38 @@ fn huge_link_bandwidths_get_answers_over_tcp() {
 }
 
 #[test]
+fn huge_prices_get_answers_over_tcp() {
+    let engine = Arc::new(engine());
+    let server = Server::start("127.0.0.1:0", Arc::clone(&engine), 2).expect("bind");
+    let mut client = Client::connect(&server.addr.to_string()).expect("connect");
+    let name = engine.traces()[0].name.clone();
+    type Set = fn(&mut CostModel);
+    let huge: [(&str, Set); 4] = [
+        ("remote_miss", |c| c.remote_miss = u64::MAX),
+        ("ni_occupancy", |c| c.ni_occupancy = u64::MAX),
+        ("msg_header_bytes", |c| c.msg_header_bytes = u64::MAX),
+        ("barrier_base", |c| c.barrier_base = u64::MAX),
+    ];
+    for (field, set) in huge {
+        let mut cost = explore::grid_cost(16, 3_000);
+        set(&mut cost);
+        let q = query(&name, cost);
+        let got = client.query(&q).expect("an answer, not a dead connection");
+        assert_eq!(
+            got.result,
+            engine.query_full(&q).expect("full"),
+            "{field} = u64::MAX"
+        );
+        // The same connection then answers a normal query.
+        let normal = query(&name, explore::grid_cost(16, 3_000));
+        let got = client.query(&normal).expect("connection survives");
+        assert_eq!(got.result, engine.query_full(&normal).expect("full"));
+    }
+    client.shutdown().expect("SHUTDOWN");
+    server.wait();
+}
+
+#[test]
 fn corrupt_frames_get_named_errors_not_panics() {
     use std::io::Write as _;
     let engine = Arc::new(engine());
@@ -380,19 +413,16 @@ fn corrupt_frames_get_named_errors_not_panics() {
 }
 
 #[test]
-fn open_shares_one_decoded_handle_with_the_server() {
-    let dir = std::env::temp_dir().join(format!("lcm-serve-open-{}", std::process::id()));
+fn a_trace_read_from_disk_serves_queries() {
+    let dir = std::env::temp_dir().join(format!("lcm-serve-read-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("threshold.lcmtrace");
     let file = capture("Threshold", SystemKind::LcmMcc, &Threshold::small());
     file.write_to(&path).expect("write");
 
-    let a = TraceFile::open(&path).expect("open");
-    let b = TraceFile::open(&path).expect("reopen");
-    assert!(Arc::ptr_eq(&a, &b), "open must share one decoded handle");
-
+    let read = Arc::new(TraceFile::read_from(&path).expect("read"));
     let mut e = ServeEngine::new();
-    e.load("threshold", Arc::clone(&a));
+    e.load("threshold", read);
     let (r, _) = e
         .query(&query("threshold", CostModel::cm5()))
         .expect("query");
