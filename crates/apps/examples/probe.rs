@@ -2,6 +2,7 @@ use lcm_apps::common::{execute, SystemKind};
 use lcm_apps::threshold::Threshold;
 use lcm_apps::unstructured::Unstructured;
 use lcm_cstar::RuntimeConfig;
+use lcm_sim::MachineConfig;
 
 fn main() {
     let cfg = RuntimeConfig::default();
@@ -13,7 +14,7 @@ fn main() {
         seed: 42,
     };
     for sys in SystemKind::all() {
-        let (_, r) = execute(sys, 32, cfg, &w);
+        let (_, r, _) = execute(sys, MachineConfig::new(32), cfg, &w);
         println!("{:8} time={:>12} misses={:>8} (rr={} rl={} wr={} wl={} up={}) msgs={} inval={} flush={} cc={}",
             r.system.label(), r.time, r.misses(),
             r.totals.read_miss_remote, r.totals.read_miss_local,
@@ -28,7 +29,7 @@ fn main() {
         sources: 6,
     };
     for sys in SystemKind::all() {
-        let (out, r) = execute(sys, 16, cfg, &w);
+        let (out, r, _) = execute(sys, MachineConfig::new(16), cfg, &w);
         println!("{:8} time={:>12} misses={:>8} (rr={} rl={} wr={} wl={} up={}) msgs={} inval={} flush={} cc={} updates={}",
             r.system.label(), r.time, r.misses(),
             r.totals.read_miss_remote, r.totals.read_miss_local,

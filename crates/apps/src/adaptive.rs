@@ -221,6 +221,7 @@ mod tests {
     use super::*;
     use crate::common::{execute, execute_all, SystemKind};
     use lcm_cstar::RuntimeConfig;
+    use lcm_sim::MachineConfig;
 
     #[test]
     fn all_systems_agree_static() {
@@ -243,9 +244,9 @@ mod tests {
 
     #[test]
     fn mesh_actually_refines() {
-        let ((_, allocated), _) = execute(
+        let ((_, allocated), _, _) = execute(
             SystemKind::LcmMcc,
-            4,
+            MachineConfig::new(4),
             RuntimeConfig::default(),
             &Adaptive::small(Partition::Static),
         );
@@ -262,8 +263,18 @@ mod tests {
             iters: 12,
             ..Adaptive::small(Partition::Static)
         };
-        let ((_, a1), _) = execute(SystemKind::LcmMcc, 4, RuntimeConfig::default(), &w1);
-        let ((_, a2), _) = execute(SystemKind::LcmMcc, 4, RuntimeConfig::default(), &w2);
+        let ((_, a1), _, _) = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(4),
+            RuntimeConfig::default(),
+            &w1,
+        );
+        let ((_, a2), _, _) = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(4),
+            RuntimeConfig::default(),
+            &w2,
+        );
         assert!(a2 >= a1, "refinement should not shrink: {a1} -> {a2}");
     }
 
@@ -274,8 +285,8 @@ mod tests {
         // must copy the whole dynamic structure every iteration.
         let cfg = RuntimeConfig::default();
         let w = Adaptive::small(Partition::Dynamic);
-        let mcc = execute(SystemKind::LcmMcc, 4, cfg, &w).1;
-        let stache = execute(SystemKind::Stache, 4, cfg, &w).1;
+        let mcc = execute(SystemKind::LcmMcc, MachineConfig::new(4), cfg, &w).1;
+        let stache = execute(SystemKind::Stache, MachineConfig::new(4), cfg, &w).1;
         assert!(
             stache.time > mcc.time,
             "Stache {} should be slower than LCM-mcc {}",

@@ -79,7 +79,13 @@ mod tests {
         let chunk = chunk_blocks(&w, nodes);
         let stache_unbounded = stencil_on_limited_stache(None, nodes, &w);
         let stache_tight = stencil_on_limited_stache(Some(chunk / 4), nodes, &w);
-        let lcm = execute(SystemKind::LcmMcc, nodes, RuntimeConfig::default(), &w).1;
+        let lcm = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(nodes),
+            RuntimeConfig::default(),
+            &w,
+        )
+        .1;
         let advantage_unbounded = lcm.time as f64 / stache_unbounded.time as f64;
         let advantage_tight = lcm.time as f64 / stache_tight.time as f64;
         assert!(

@@ -4,14 +4,13 @@
 //! [`Workload`] is written once, generically over [`MemoryProtocol`]; a
 //! [`SystemKind`] picks the protocol and matching compilation strategy
 //! (explicit copying for Stache, LCM directives for LCM) and
-//! [`execute`] returns the measured [`RunResult`].
+//! [`execute`] — the one way to run a simulation — returns the measured
+//! [`RunResult`].
 
 use lcm_core::{Lcm, LcmVariant};
 use lcm_cstar::{Runtime, RuntimeConfig, Strategy};
 use lcm_rsm::MemoryProtocol;
-use lcm_sim::{
-    CrashPlan, CycleLedger, FaultConfig, MachineConfig, NodeStats, PhaseSnapshot, Stamped,
-};
+use lcm_sim::{CycleLedger, MachineConfig, NodeStats, PhaseSnapshot, Stamped};
 use lcm_stache::Stache;
 use lcm_tempest::MsgKind;
 use std::fmt;
@@ -32,6 +31,15 @@ impl SystemKind {
     /// All systems, in the paper's presentation order.
     pub fn all() -> [SystemKind; 3] {
         [SystemKind::LcmScc, SystemKind::LcmMcc, SystemKind::Stache]
+    }
+
+    /// This system's position in [`SystemKind::all`].
+    pub fn index(self) -> usize {
+        match self {
+            SystemKind::LcmScc => 0,
+            SystemKind::LcmMcc => 1,
+            SystemKind::Stache => 2,
+        }
     }
 
     /// The short name used in tables ("LCM-scc", "LCM-mcc", "Stache").
@@ -163,167 +171,28 @@ impl RunResult {
     }
 }
 
-/// Runs `workload` on `system` with `nodes` processors, returning the
-/// program output and the measurements.
+/// Runs `workload` on `system` over the machine `mc`: the one place a
+/// [`SystemKind`] becomes a protocol and its compilation strategy.
+/// Returns the program output, the measurements, and the recorded event
+/// trace — empty unless `mc` enables tracing
+/// ([`MachineConfig::with_trace`]) or capture
+/// ([`MachineConfig::with_capture`]).
+///
+/// In capture mode the pending coalesced work records are flushed
+/// before harvest, so the events account for every charged cycle; the
+/// `lcm-replay` crate serializes that stream to a `.lcmtrace` file and
+/// re-prices it under any cost model without re-executing the program.
+/// A capture whose buffer overflowed (`trace_dropped > 0`) is unusable
+/// for replay, so size it generously.
+///
+/// Faults ([`MachineConfig::with_faults`]) and crashes
+/// ([`RuntimeConfig::crash`]) change costs and statistics only — the
+/// output is bit-identical to the clean run. Every run ends with the
+/// coherence-invariant sanitizer ([`lcm_rsm::sanitizer`]); a violation
+/// panics with a cycle-stamped diagnostic.
 pub fn execute<W: Workload>(
     system: SystemKind,
-    nodes: usize,
-    config: RuntimeConfig,
-    workload: &W,
-) -> (W::Output, RunResult) {
-    execute_with_cost(
-        system,
-        nodes,
-        lcm_sim::CostModel::default(),
-        config,
-        workload,
-    )
-}
-
-/// [`execute`] under an explicit [`lcm_sim::CostModel`] — for sensitivity
-/// sweeps over the machine parameters.
-pub fn execute_with_cost<W: Workload>(
-    system: SystemKind,
-    nodes: usize,
-    cost: lcm_sim::CostModel,
-    config: RuntimeConfig,
-    workload: &W,
-) -> (W::Output, RunResult) {
-    execute_with_machine(
-        system,
-        MachineConfig::new(nodes).with_cost(cost),
-        config,
-        workload,
-    )
-}
-
-/// [`execute`] over an unreliable network: the [`FaultConfig`] schedules
-/// deterministic message drops, duplicates, delays and barrier stalls —
-/// and, when `crash_rate > 0`, fail-stop node crashes with checkpoint
-/// rollback (wired into the runtime's [`RuntimeConfig::crash`] plan
-/// unless the caller already supplied one). Faults change costs and
-/// statistics only — the output is bit-identical to the fault-free run
-/// (the fault and recovery property tests assert this).
-pub fn execute_with_faults<W: Workload>(
-    system: SystemKind,
-    nodes: usize,
-    faults: FaultConfig,
-    config: RuntimeConfig,
-    workload: &W,
-) -> (W::Output, RunResult) {
-    let mut config = config;
-    if faults.crashes_active() && !config.crash.is_active() {
-        config.crash = CrashPlan::from_config(&faults);
-    }
-    let mc = MachineConfig::new(nodes)
-        .with_cost(lcm_sim::CostModel::default())
-        .with_faults(faults);
-    execute_with_machine(system, mc, config, workload)
-}
-
-/// [`execute`] under a fully-specified [`MachineConfig`].
-///
-/// Every run ends with a coherence-invariant sanitizer pass
-/// ([`lcm_rsm::sanitizer`]); a violation — e.g. protocol state corrupted
-/// by mishandled fault injection — panics with a cycle-stamped
-/// diagnostic.
-pub fn execute_with_machine<W: Workload>(
-    system: SystemKind,
     mc: MachineConfig,
-    config: RuntimeConfig,
-    workload: &W,
-) -> (W::Output, RunResult) {
-    match system {
-        SystemKind::Stache => {
-            let mut rt = Runtime::with_config(Stache::new(mc), Strategy::ExplicitCopy, config);
-            let out = workload.run(&mut rt);
-            let result = harvest(system, rt.mem());
-            (out, result)
-        }
-        SystemKind::LcmScc => {
-            let mut rt = Runtime::with_config(
-                Lcm::new(mc, LcmVariant::Scc),
-                Strategy::LcmDirectives,
-                config,
-            );
-            let out = workload.run(&mut rt);
-            let result = harvest(system, rt.mem());
-            (out, result)
-        }
-        SystemKind::LcmMcc => {
-            let mut rt = Runtime::with_config(
-                Lcm::new(mc, LcmVariant::Mcc),
-                Strategy::LcmDirectives,
-                config,
-            );
-            let out = workload.run(&mut rt);
-            let result = harvest(system, rt.mem());
-            (out, result)
-        }
-    }
-}
-
-/// [`execute_with_machine`], additionally returning the captured protocol
-/// event trace. Enable capture with [`MachineConfig::with_trace`]; with
-/// tracing off the returned stream is empty.
-pub fn execute_traced<W: Workload>(
-    system: SystemKind,
-    mc: MachineConfig,
-    config: RuntimeConfig,
-    workload: &W,
-) -> (W::Output, RunResult, Vec<Stamped>) {
-    fn go<P: MemoryProtocol, W: Workload>(
-        system: SystemKind,
-        mut rt: Runtime<P>,
-        workload: &W,
-    ) -> (W::Output, RunResult, Vec<Stamped>) {
-        let out = workload.run(&mut rt);
-        let result = RunResult::harvest(system, rt.mem());
-        let events = rt.mem().tempest().machine.trace().to_vec();
-        (out, result, events)
-    }
-    match system {
-        SystemKind::Stache => go(
-            system,
-            Runtime::with_config(Stache::new(mc), Strategy::ExplicitCopy, config),
-            workload,
-        ),
-        SystemKind::LcmScc => go(
-            system,
-            Runtime::with_config(
-                Lcm::new(mc, LcmVariant::Scc),
-                Strategy::LcmDirectives,
-                config,
-            ),
-            workload,
-        ),
-        SystemKind::LcmMcc => go(
-            system,
-            Runtime::with_config(
-                Lcm::new(mc, LcmVariant::Mcc),
-                Strategy::LcmDirectives,
-                config,
-            ),
-            workload,
-        ),
-    }
-}
-
-/// [`execute_with_machine`] in *capture* mode: the machine records the
-/// complete, re-priceable charge stream (see
-/// [`MachineConfig::with_capture`]) and the pending coalesced work
-/// records are flushed before harvest, so the returned events account
-/// for every charged cycle. The `lcm-replay` crate serializes this
-/// stream to a `.lcmtrace` file and re-prices it under arbitrary cost
-/// models without re-executing the program.
-///
-/// `capacity` bounds the capture buffer; a capture that overflows it is
-/// unusable for replay (the writer rejects traces with drops), so size
-/// it generously — captures are one-shot, not steady-state.
-pub fn execute_captured<W: Workload>(
-    system: SystemKind,
-    mut mc: MachineConfig,
-    capacity: usize,
     config: RuntimeConfig,
     workload: &W,
 ) -> (W::Output, RunResult, Vec<Stamped>) {
@@ -338,7 +207,6 @@ pub fn execute_captured<W: Workload>(
         let events = rt.mem().tempest().machine.trace().to_vec();
         (out, result, events)
     }
-    mc = mc.with_capture(capacity);
     match system {
         SystemKind::Stache => go(
             system,
@@ -375,7 +243,7 @@ where
     let mut results = Vec::new();
     let mut reference: Option<W::Output> = None;
     for system in SystemKind::all() {
-        let (out, result) = execute(system, nodes, config, workload);
+        let (out, result, _) = execute(system, MachineConfig::new(nodes), config, workload);
         match &reference {
             None => reference = Some(out),
             Some(r) => assert_eq!(r, &out, "{system} computed a different result"),
@@ -385,14 +253,11 @@ where
     results
 }
 
-fn harvest<P: MemoryProtocol>(system: SystemKind, mem: &P) -> RunResult {
-    RunResult::harvest(system, mem)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lcm_cstar::Partition;
+    use lcm_sim::FaultConfig;
     use lcm_tempest::Placement;
 
     /// A trivial workload: every element incremented once.
@@ -437,15 +302,16 @@ mod tests {
     fn faulty_runs_compute_identical_answers_at_higher_cost() {
         let w = Increment { len: 64 };
         for system in SystemKind::all() {
-            let (clean_out, clean) = execute(system, 4, RuntimeConfig::default(), &w);
+            let (clean_out, clean, _) =
+                execute(system, MachineConfig::new(4), RuntimeConfig::default(), &w);
             let faults = FaultConfig {
                 drop_rate: 0.05,
                 dup_rate: 0.02,
                 seed: 11,
                 ..FaultConfig::default()
             };
-            let (faulty_out, faulty) =
-                execute_with_faults(system, 4, faults, RuntimeConfig::default(), &w);
+            let mc = MachineConfig::new(4).with_faults(faults);
+            let (faulty_out, faulty, _) = execute(system, mc, RuntimeConfig::default(), &w);
             assert_eq!(clean_out, faulty_out, "{system}: faults changed the answer");
             assert!(
                 faulty.time >= clean.time,
@@ -474,7 +340,8 @@ mod tests {
                     ..FaultConfig::default()
                 },
             ] {
-                let (_, r) = execute_with_faults(system, 4, faults, RuntimeConfig::default(), &w);
+                let mc = MachineConfig::new(4).with_faults(faults);
+                let (_, r, _) = execute(system, mc, RuntimeConfig::default(), &w);
                 assert_eq!(
                     r.totals.msgs_sent, r.totals.msgs_recv,
                     "{system}: conservation"
@@ -490,9 +357,9 @@ mod tests {
 
     #[test]
     fn harvest_captures_ledger_phases_and_bytes() {
-        let (_, r) = execute(
+        let (_, r, _) = execute(
             SystemKind::LcmMcc,
-            4,
+            MachineConfig::new(4),
             RuntimeConfig::default(),
             &Increment { len: 64 },
         );
@@ -518,5 +385,8 @@ mod tests {
         assert_eq!(SystemKind::Stache.to_string(), "Stache");
         assert_eq!(SystemKind::LcmScc.label(), "LCM-scc");
         assert_eq!(SystemKind::all().len(), 3);
+        for (i, s) in SystemKind::all().into_iter().enumerate() {
+            assert_eq!(s.index(), i, "{s}");
+        }
     }
 }

@@ -17,7 +17,7 @@ use crate::stencil::Stencil;
 use crate::threshold::Threshold;
 use crate::unstructured::Unstructured;
 use lcm_cstar::{Partition, RuntimeConfig};
-use std::collections::BTreeMap;
+use lcm_sim::MachineConfig;
 use std::fmt;
 
 /// Problem-size scaling.
@@ -98,110 +98,63 @@ impl Benchmark {
 
     /// Runs this benchmark on one system at the given scale.
     pub fn run(self, scale: Scale, system: SystemKind) -> RunResult {
-        let nodes = scale.nodes();
-        let cfg = RuntimeConfig::default();
-        fn go<W: Workload>(
-            system: SystemKind,
-            nodes: usize,
-            cfg: RuntimeConfig,
-            w: &W,
-        ) -> RunResult {
-            execute(system, nodes, cfg, w).1
+        fn go<W: Workload>(system: SystemKind, scale: Scale, w: &W) -> RunResult {
+            let mc = MachineConfig::new(scale.nodes());
+            execute(system, mc, RuntimeConfig::default(), w).1
         }
-        match (self, scale) {
-            (Benchmark::StencilStat, Scale::Paper) => {
-                go(system, nodes, cfg, &Stencil::paper(Partition::Static))
+        let partition = match self {
+            Benchmark::StencilStat | Benchmark::AdaptiveStat => Partition::Static,
+            _ => Partition::Dynamic,
+        };
+        match self {
+            Benchmark::StencilStat | Benchmark::StencilDyn => {
+                let w = match scale {
+                    Scale::Paper => Stencil::paper(partition),
+                    Scale::Medium => Stencil {
+                        rows: 256,
+                        cols: 256,
+                        iters: 15,
+                        partition,
+                    },
+                    Scale::Smoke => Stencil::small(partition),
+                };
+                go(system, scale, &w)
             }
-            (Benchmark::StencilStat, Scale::Medium) => go(
-                system,
-                nodes,
-                cfg,
-                &Stencil {
-                    rows: 256,
-                    cols: 256,
-                    iters: 15,
-                    partition: Partition::Static,
-                },
-            ),
-            (Benchmark::StencilStat, Scale::Smoke) => {
-                go(system, nodes, cfg, &Stencil::small(Partition::Static))
+            Benchmark::AdaptiveStat | Benchmark::AdaptiveDyn => {
+                let w = match scale {
+                    Scale::Paper => Adaptive::paper(partition),
+                    Scale::Medium => Adaptive {
+                        size: 64,
+                        iters: 40,
+                        ..Adaptive::paper(partition)
+                    },
+                    Scale::Smoke => Adaptive::small(partition),
+                };
+                go(system, scale, &w)
             }
-            (Benchmark::StencilDyn, Scale::Paper) => {
-                go(system, nodes, cfg, &Stencil::paper(Partition::Dynamic))
+            Benchmark::Threshold => {
+                let w = match scale {
+                    Scale::Paper => Threshold::paper(),
+                    Scale::Medium => Threshold {
+                        size: 256,
+                        iters: 15,
+                        threshold: 1.0,
+                        sources: 6,
+                    },
+                    Scale::Smoke => Threshold::small(),
+                };
+                go(system, scale, &w)
             }
-            (Benchmark::StencilDyn, Scale::Medium) => go(
-                system,
-                nodes,
-                cfg,
-                &Stencil {
-                    rows: 256,
-                    cols: 256,
-                    iters: 15,
-                    partition: Partition::Dynamic,
-                },
-            ),
-            (Benchmark::StencilDyn, Scale::Smoke) => {
-                go(system, nodes, cfg, &Stencil::small(Partition::Dynamic))
-            }
-            (Benchmark::AdaptiveStat, Scale::Paper) => {
-                go(system, nodes, cfg, &Adaptive::paper(Partition::Static))
-            }
-            (Benchmark::AdaptiveStat, Scale::Medium) => go(
-                system,
-                nodes,
-                cfg,
-                &Adaptive {
-                    size: 64,
-                    iters: 40,
-                    ..Adaptive::paper(Partition::Static)
-                },
-            ),
-            (Benchmark::AdaptiveStat, Scale::Smoke) => {
-                go(system, nodes, cfg, &Adaptive::small(Partition::Static))
-            }
-            (Benchmark::AdaptiveDyn, Scale::Paper) => {
-                go(system, nodes, cfg, &Adaptive::paper(Partition::Dynamic))
-            }
-            (Benchmark::AdaptiveDyn, Scale::Medium) => go(
-                system,
-                nodes,
-                cfg,
-                &Adaptive {
-                    size: 64,
-                    iters: 40,
-                    ..Adaptive::paper(Partition::Dynamic)
-                },
-            ),
-            (Benchmark::AdaptiveDyn, Scale::Smoke) => {
-                go(system, nodes, cfg, &Adaptive::small(Partition::Dynamic))
-            }
-            (Benchmark::Threshold, Scale::Paper) => go(system, nodes, cfg, &Threshold::paper()),
-            (Benchmark::Threshold, Scale::Medium) => go(
-                system,
-                nodes,
-                cfg,
-                &Threshold {
-                    size: 256,
-                    iters: 15,
-                    threshold: 1.0,
-                    sources: 6,
-                },
-            ),
-            (Benchmark::Threshold, Scale::Smoke) => go(system, nodes, cfg, &Threshold::small()),
-            (Benchmark::Unstructured, Scale::Paper) => {
-                go(system, nodes, cfg, &Unstructured::paper())
-            }
-            (Benchmark::Unstructured, Scale::Medium) => go(
-                system,
-                nodes,
-                cfg,
-                &Unstructured {
-                    iters: 100,
-                    ..Unstructured::paper()
-                },
-            ),
-            (Benchmark::Unstructured, Scale::Smoke) => {
-                go(system, nodes, cfg, &Unstructured::small())
+            Benchmark::Unstructured => {
+                let w = match scale {
+                    Scale::Paper => Unstructured::paper(),
+                    Scale::Medium => Unstructured {
+                        iters: 100,
+                        ..Unstructured::paper()
+                    },
+                    Scale::Smoke => Unstructured::small(),
+                };
+                go(system, scale, &w)
             }
         }
     }
@@ -256,42 +209,27 @@ pub struct Claim {
 #[derive(Clone, Debug)]
 pub struct Suite {
     scale: Scale,
-    results: BTreeMap<(Benchmark, u8), RunResult>,
-}
-
-fn sys_index(system: SystemKind) -> u8 {
-    match system {
-        SystemKind::LcmScc => 0,
-        SystemKind::LcmMcc => 1,
-        SystemKind::Stache => 2,
-    }
+    /// One run per point of [`Benchmark::all`] × [`SystemKind::all`], in
+    /// that order.
+    results: Vec<RunResult>,
 }
 
 impl Suite {
-    /// Runs every benchmark on every system at `scale`, serially.
-    pub fn run(scale: Scale) -> Suite {
-        Suite::run_jobs(scale, 1)
-    }
-
     /// Runs every benchmark on every system at `scale` on a pool of at
     /// most `jobs` worker threads.
     ///
-    /// The sweep points are enumerated in canonical order —
-    /// [`Benchmark::all`] × [`SystemKind::all`] — and results are
-    /// assembled by that index, so the suite is byte-identical to a
+    /// The points are enumerated in canonical order —
+    /// [`Benchmark::all`] × [`SystemKind::all`] — and `par_map` returns
+    /// results in input order, so the suite is byte-identical to a
     /// serial run no matter how the pool schedules the work. Each point
     /// is an independent simulation (own machine, own protocol, own
     /// seeded RNG); a sanitizer panic in a worker propagates here.
-    pub fn run_jobs(scale: Scale, jobs: usize) -> Suite {
-        let mut points = Vec::with_capacity(18);
-        for b in Benchmark::all() {
-            for s in SystemKind::all() {
-                points.push((b, s));
-            }
-        }
-        let keys: Vec<(Benchmark, u8)> = points.iter().map(|&(b, s)| (b, sys_index(s))).collect();
-        let runs = lcm_sim::par_map(jobs, points, |_, (b, s)| b.run(scale, s));
-        let results: BTreeMap<(Benchmark, u8), RunResult> = keys.into_iter().zip(runs).collect();
+    pub fn run(scale: Scale, jobs: usize) -> Suite {
+        let points = Benchmark::all()
+            .into_iter()
+            .flat_map(|b| SystemKind::all().map(|s| (b, s)))
+            .collect();
+        let results = lcm_sim::par_map(jobs, points, |_, (b, s)| b.run(scale, s));
         Suite { scale, results }
     }
 
@@ -300,15 +238,10 @@ impl Suite {
         self.scale
     }
 
-    /// The result of one benchmark on one system.
-    ///
-    /// # Panics
-    /// Panics if the suite somehow lacks the combination (it cannot,
-    /// after [`Suite::run`]).
+    /// The result of one benchmark on one system ([`Benchmark::all`]
+    /// lists the variants in declaration order).
     pub fn result(&self, b: Benchmark, s: SystemKind) -> &RunResult {
-        self.results
-            .get(&(b, sys_index(s)))
-            .expect("suite ran all combinations")
+        &self.results[b as usize * SystemKind::all().len() + s.index()]
     }
 
     /// Table 1: `(benchmark, [misses scc, mcc, copying], [clean scc, mcc])`.
@@ -448,7 +381,7 @@ mod tests {
 
     #[test]
     fn smoke_suite_runs_everything() {
-        let suite = Suite::run(Scale::Smoke);
+        let suite = Suite::run(Scale::Smoke, 1);
         assert_eq!(suite.table1().len(), 6);
         assert_eq!(suite.fig2().len(), 6);
         assert_eq!(suite.fig3().len(), 12);

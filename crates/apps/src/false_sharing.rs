@@ -92,6 +92,7 @@ mod tests {
     use super::*;
     use crate::common::{execute, execute_all, SystemKind};
     use lcm_cstar::RuntimeConfig;
+    use lcm_sim::MachineConfig;
 
     #[test]
     fn counters_are_correct_on_all_systems() {
@@ -99,7 +100,12 @@ mod tests {
         let results = execute_all(w.writers, RuntimeConfig::default(), &w);
         assert_eq!(results.len(), 3);
         // execute_all already asserted the outputs match; check the value.
-        let (out, _) = execute(SystemKind::LcmMcc, w.writers, RuntimeConfig::default(), &w);
+        let (out, _, _) = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(w.writers),
+            RuntimeConfig::default(),
+            &w,
+        );
         assert_eq!(out, vec![w.rounds as i32; w.writers]);
     }
 
@@ -107,8 +113,8 @@ mod tests {
     fn lcm_relieves_the_ping_pong() {
         let w = FalseSharing::default_size();
         let cfg = RuntimeConfig::default();
-        let mcc = execute(SystemKind::LcmMcc, w.writers, cfg, &w).1;
-        let stache = execute(SystemKind::Stache, w.writers, cfg, &w).1;
+        let mcc = execute(SystemKind::LcmMcc, MachineConfig::new(w.writers), cfg, &w).1;
+        let stache = execute(SystemKind::Stache, MachineConfig::new(w.writers), cfg, &w).1;
         assert!(
             stache.time as f64 > 1.3 * mcc.time as f64,
             "false sharing should hammer Stache: {} vs {}",
@@ -127,9 +133,15 @@ mod tests {
     fn padding_fixes_stache_but_lcm_needs_no_padding() {
         let w = FalseSharing::default_size();
         let cfg = RuntimeConfig::default();
-        let packed = execute(SystemKind::Stache, w.writers, cfg, &w).1;
-        let padded = execute(SystemKind::Stache, w.writers, cfg, &w.padded()).1;
-        let lcm_packed = execute(SystemKind::LcmMcc, w.writers, cfg, &w).1;
+        let packed = execute(SystemKind::Stache, MachineConfig::new(w.writers), cfg, &w).1;
+        let padded = execute(
+            SystemKind::Stache,
+            MachineConfig::new(w.writers),
+            cfg,
+            &w.padded(),
+        )
+        .1;
+        let lcm_packed = execute(SystemKind::LcmMcc, MachineConfig::new(w.writers), cfg, &w).1;
         assert!(
             packed.time as f64 > 1.5 * padded.time as f64,
             "padding should fix Stache: packed {} vs padded {}",
@@ -149,7 +161,12 @@ mod tests {
         // Distinct words of one block are not a C** conflict; LCM's
         // word-granularity merge must not count them as one.
         let w = FalseSharing::small();
-        let (_, r) = execute(SystemKind::LcmMcc, w.writers, RuntimeConfig::default(), &w);
+        let (_, r, _) = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(w.writers),
+            RuntimeConfig::default(),
+            &w,
+        );
         assert_eq!(r.totals.ww_conflicts, 0);
     }
 }

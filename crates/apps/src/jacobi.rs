@@ -108,6 +108,7 @@ mod tests {
     use super::*;
     use crate::common::{execute, execute_all, SystemKind};
     use lcm_cstar::RuntimeConfig;
+    use lcm_sim::MachineConfig;
 
     #[test]
     fn all_systems_converge_identically() {
@@ -118,8 +119,12 @@ mod tests {
     #[test]
     fn solver_actually_converges() {
         let w = Jacobi::small();
-        let ((iters, residual_bits, _), _) =
-            execute(SystemKind::LcmMcc, 4, RuntimeConfig::default(), &w);
+        let ((iters, residual_bits, _), _, _) = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(4),
+            RuntimeConfig::default(),
+            &w,
+        );
         assert!(
             iters < w.max_iters,
             "should converge before the cap, took {iters}"
@@ -138,8 +143,18 @@ mod tests {
             tolerance: 0.5,
             ..Jacobi::small()
         };
-        let ((i_loose, ..), _) = execute(SystemKind::LcmMcc, 4, RuntimeConfig::default(), &loose);
-        let ((i_tight, ..), _) = execute(SystemKind::LcmMcc, 4, RuntimeConfig::default(), &tight);
+        let ((i_loose, ..), _, _) = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(4),
+            RuntimeConfig::default(),
+            &loose,
+        );
+        let ((i_tight, ..), _, _) = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(4),
+            RuntimeConfig::default(),
+            &tight,
+        );
         assert!(i_tight > i_loose, "{i_tight} vs {i_loose}");
     }
 

@@ -25,8 +25,5 @@ pub mod stencil;
 pub mod threshold;
 pub mod unstructured;
 
-pub use common::{
-    execute, execute_all, execute_captured, execute_traced, execute_with_cost, execute_with_faults,
-    execute_with_machine, RunResult, SystemKind, Workload,
-};
+pub use common::{execute, execute_all, RunResult, SystemKind, Workload};
 pub use experiments::{Benchmark, Claim, Scale, Suite};

@@ -16,7 +16,7 @@
 //! the node axis measures coherence and synchronization growth, not
 //! shrinking per-node work.
 
-use crate::common::{execute_with_machine, RunResult, SystemKind};
+use crate::common::{execute, RunResult, SystemKind};
 use crate::experiments::Benchmark;
 use crate::stencil::Stencil;
 use crate::threshold::Threshold;
@@ -123,15 +123,13 @@ pub fn run_scale_point(
     backend: DirBackend,
     system: SystemKind,
 ) -> RunResult {
-    let mc = MachineConfig::new(nodes)
-        .with_cost(lcm_sim::CostModel::default())
-        .with_directory(backend);
+    let mc = MachineConfig::new(nodes).with_directory(backend);
     let cfg = RuntimeConfig::default();
     match scale_workload(b, nodes) {
-        ScaleWorkload::Stencil(w) => execute_with_machine(system, mc, cfg, &w).1,
-        ScaleWorkload::Adaptive(w) => execute_with_machine(system, mc, cfg, &w).1,
-        ScaleWorkload::Threshold(w) => execute_with_machine(system, mc, cfg, &w).1,
-        ScaleWorkload::Unstructured(w) => execute_with_machine(system, mc, cfg, &w).1,
+        ScaleWorkload::Stencil(w) => execute(system, mc, cfg, &w).1,
+        ScaleWorkload::Adaptive(w) => execute(system, mc, cfg, &w).1,
+        ScaleWorkload::Threshold(w) => execute(system, mc, cfg, &w).1,
+        ScaleWorkload::Unstructured(w) => execute(system, mc, cfg, &w).1,
     }
 }
 
@@ -140,22 +138,12 @@ pub fn run_scale_point(
 /// `jobs` workers. Points are enumerated and assembled in canonical
 /// order (benchmark, nodes, system, backend), so the result — and any
 /// CSV rendered from it — is byte-identical at every `jobs` value.
-pub fn sweep_scale(node_counts: &[usize], jobs: usize) -> Vec<ScaleRow> {
-    try_sweep_scale(node_counts, jobs).unwrap_or_else(|failures| {
-        panic!(
-            "{} scale point(s) failed:\n  {}",
-            failures.len(),
-            failures.join("\n  ")
-        )
-    })
-}
-
-/// [`sweep_scale`], but a failed grid point does not tear down the
-/// sweep: every failure comes back tagged with its sweep key
-/// (`benchmark/system/backend@nodes`) and the `file:line`-prefixed
-/// panic message, so the offending configuration is identifiable from
-/// stderr alone.
-pub fn try_sweep_scale(node_counts: &[usize], jobs: usize) -> Result<Vec<ScaleRow>, Vec<String>> {
+///
+/// A failed grid point does not tear down the sweep: every failure comes
+/// back tagged with its sweep key (`benchmark/system/backend@nodes`) and
+/// the `file:line`-prefixed panic message, so the offending configuration
+/// is identifiable from stderr alone.
+pub fn sweep_scale(node_counts: &[usize], jobs: usize) -> Result<Vec<ScaleRow>, Vec<String>> {
     let mut points = Vec::new();
     for b in scale_benchmarks() {
         for &nodes in node_counts {
@@ -205,8 +193,8 @@ mod tests {
 
     #[test]
     fn grid_is_canonically_ordered_and_deterministic() {
-        let serial = sweep_scale(&[8], 1);
-        let pooled = sweep_scale(&[8], 4);
+        let serial = sweep_scale(&[8], 1).expect("healthy grid");
+        let pooled = sweep_scale(&[8], 4).expect("healthy grid");
         assert_eq!(serial.len(), 5 * 3 * 3);
         for (a, b) in serial.iter().zip(&pooled) {
             assert_eq!(a.benchmark, b.benchmark);

@@ -8,10 +8,10 @@
 //! pay a miss-dominated bill, LCM-mcc's is smaller, and scaling the
 //! network cost scales both sides. It also sweeps the processor count.
 
-use crate::common::{execute_with_cost, RunResult, SystemKind};
+use crate::common::{execute, RunResult, SystemKind};
 use crate::stencil::Stencil;
 use lcm_cstar::{Partition, RuntimeConfig};
-use lcm_sim::CostModel;
+use lcm_sim::{CostModel, MachineConfig};
 
 /// One sweep point: Stencil-dyn times under both systems.
 #[derive(Clone, Debug)]
@@ -31,16 +31,24 @@ impl SweepPoint {
     }
 }
 
-/// Sweeps the remote round-trip latency (cycles) for the dynamic stencil.
-pub fn sweep_remote_latency(latencies: &[u64], nodes: usize, w: &Stencil) -> Vec<SweepPoint> {
-    sweep_remote_latency_jobs(latencies, nodes, w, 1)
+/// One sweep point: LCM-mcc then Stache under `cost` on `nodes` nodes.
+fn point(x: u64, nodes: usize, cost: CostModel, w: &Stencil) -> SweepPoint {
+    let run = |system| {
+        let mc = MachineConfig::new(nodes).with_cost(cost);
+        execute(system, mc, RuntimeConfig::default(), w).1
+    };
+    SweepPoint {
+        x,
+        lcm: run(SystemKind::LcmMcc),
+        stache: run(SystemKind::Stache),
+    }
 }
 
-/// [`sweep_remote_latency`] on a pool of at most `jobs` worker threads.
-/// Points are keyed by their position in `latencies`, and each latency's
-/// two runs (LCM-mcc, then Stache) execute within one task, so the
-/// returned vector is identical to the serial sweep's.
-pub fn sweep_remote_latency_jobs(
+/// Sweeps the remote round-trip latency (cycles) for the dynamic stencil
+/// on a pool of at most `jobs` worker threads. Each latency's two runs
+/// execute within one task and `par_map` returns points in input order,
+/// so the result is the serial sweep's at any `jobs`.
+pub fn sweep_remote_latency(
     latencies: &[u64],
     nodes: usize,
     w: &Stencil,
@@ -52,35 +60,15 @@ pub fn sweep_remote_latency_jobs(
         "the sweep studies the dynamic contest"
     );
     lcm_sim::par_map(jobs, latencies.to_vec(), |_, lat| {
-        let cost = CostModel::cm5().with_remote_latency(lat);
-        let cfg = RuntimeConfig::default();
-        let lcm = execute_with_cost(SystemKind::LcmMcc, nodes, cost, cfg, w).1;
-        let stache = execute_with_cost(SystemKind::Stache, nodes, cost, cfg, w).1;
-        SweepPoint {
-            x: lat,
-            lcm,
-            stache,
-        }
+        point(lat, nodes, CostModel::cm5().with_remote_latency(lat), w)
     })
 }
 
-/// Sweeps the processor count at the default cost model.
-pub fn sweep_nodes(node_counts: &[usize], w: &Stencil) -> Vec<SweepPoint> {
-    sweep_nodes_jobs(node_counts, w, 1)
-}
-
-/// [`sweep_nodes`] on a pool of at most `jobs` worker threads; results
-/// come back in `node_counts` order regardless of scheduling.
-pub fn sweep_nodes_jobs(node_counts: &[usize], w: &Stencil, jobs: usize) -> Vec<SweepPoint> {
+/// Sweeps the processor count under the cm5 cost model on a pool of at
+/// most `jobs` worker threads; points come back in `node_counts` order.
+pub fn sweep_nodes(node_counts: &[usize], w: &Stencil, jobs: usize) -> Vec<SweepPoint> {
     lcm_sim::par_map(jobs, node_counts.to_vec(), |_, n| {
-        let cfg = RuntimeConfig::default();
-        let lcm = execute_with_cost(SystemKind::LcmMcc, n, CostModel::cm5(), cfg, w).1;
-        let stache = execute_with_cost(SystemKind::Stache, n, CostModel::cm5(), cfg, w).1;
-        SweepPoint {
-            x: n as u64,
-            lcm,
-            stache,
-        }
+        point(n as u64, n, CostModel::cm5(), w)
     })
 }
 
@@ -99,7 +87,7 @@ mod tests {
 
     #[test]
     fn lcm_advantage_grows_with_network_latency() {
-        let points = sweep_remote_latency(&[500, 3000, 12000], 8, &workload());
+        let points = sweep_remote_latency(&[500, 3000, 12000], 8, &workload(), 2);
         assert_eq!(points.len(), 3);
         // LCM-mcc misses less; costlier misses widen its win.
         assert!(
@@ -115,14 +103,14 @@ mod tests {
     #[test]
     fn miss_counts_are_latency_invariant() {
         // Latency changes time, never the protocol event stream.
-        let points = sweep_remote_latency(&[500, 12000], 8, &workload());
+        let points = sweep_remote_latency(&[500, 12000], 8, &workload(), 1);
         assert_eq!(points[0].lcm.misses(), points[1].lcm.misses());
         assert_eq!(points[0].stache.misses(), points[1].stache.misses());
     }
 
     #[test]
     fn node_sweep_runs_and_scales() {
-        let points = sweep_nodes(&[2, 8], &workload());
+        let points = sweep_nodes(&[2, 8], &workload(), 2);
         // More processors -> shorter per-node chunks -> less time.
         assert!(points[1].lcm.time < points[0].lcm.time);
         assert!(points[1].stache.time < points[0].stache.time);
@@ -135,6 +123,6 @@ mod tests {
             partition: Partition::Static,
             ..workload()
         };
-        sweep_remote_latency(&[100], 4, &w);
+        sweep_remote_latency(&[100], 4, &w, 1);
     }
 }

@@ -93,6 +93,7 @@ mod tests {
     use super::*;
     use crate::common::{execute, execute_all, SystemKind};
     use lcm_cstar::RuntimeConfig;
+    use lcm_sim::MachineConfig;
 
     #[test]
     fn all_systems_agree_static() {
@@ -145,14 +146,14 @@ mod tests {
         let cfg = RuntimeConfig::default();
         let stat = execute(
             SystemKind::Stache,
-            8,
+            MachineConfig::new(8),
             cfg,
             &Stencil::small(Partition::Static),
         )
         .1;
         let dyn_ = execute(
             SystemKind::Stache,
-            8,
+            MachineConfig::new(8),
             cfg,
             &Stencil::small(Partition::Dynamic),
         )
@@ -170,8 +171,8 @@ mod tests {
     fn mcc_has_far_fewer_misses_than_scc() {
         let cfg = RuntimeConfig::default();
         let w = Stencil::small(Partition::Static);
-        let scc = execute(SystemKind::LcmScc, 8, cfg, &w).1;
-        let mcc = execute(SystemKind::LcmMcc, 8, cfg, &w).1;
+        let scc = execute(SystemKind::LcmScc, MachineConfig::new(8), cfg, &w).1;
+        let mcc = execute(SystemKind::LcmMcc, MachineConfig::new(8), cfg, &w).1;
         assert!(
             scc.misses() > mcc.misses() * 3,
             "scc refetches after every flush: {} vs {}",

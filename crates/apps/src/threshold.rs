@@ -133,6 +133,7 @@ mod tests {
     use super::*;
     use crate::common::{execute, execute_all, SystemKind};
     use lcm_cstar::RuntimeConfig;
+    use lcm_sim::MachineConfig;
 
     #[test]
     fn all_systems_agree() {
@@ -142,7 +143,12 @@ mod tests {
     #[test]
     fn update_ratio_is_small() {
         let w = Threshold::small();
-        let ((_, updates), _) = execute(SystemKind::LcmMcc, 4, RuntimeConfig::default(), &w);
+        let ((_, updates), _, _) = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(4),
+            RuntimeConfig::default(),
+            &w,
+        );
         let total = (w.size * w.size * w.iters) as u64;
         assert!(updates > 0, "some cells must update");
         assert!(
@@ -163,9 +169,9 @@ mod tests {
             threshold: 1.0,
             sources: 4,
         };
-        let mcc = execute(SystemKind::LcmMcc, 8, cfg, &w).1;
-        let scc = execute(SystemKind::LcmScc, 8, cfg, &w).1;
-        let stache = execute(SystemKind::Stache, 8, cfg, &w).1;
+        let mcc = execute(SystemKind::LcmMcc, MachineConfig::new(8), cfg, &w).1;
+        let scc = execute(SystemKind::LcmScc, MachineConfig::new(8), cfg, &w).1;
+        let stache = execute(SystemKind::Stache, MachineConfig::new(8), cfg, &w).1;
         assert!(
             stache.time > mcc.time,
             "Stache {} vs LCM-mcc {}",
@@ -184,8 +190,18 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let w = Threshold::small();
-        let once = execute(SystemKind::LcmMcc, 4, RuntimeConfig::default(), &w);
-        let twice = execute(SystemKind::LcmMcc, 4, RuntimeConfig::default(), &w);
+        let once = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(4),
+            RuntimeConfig::default(),
+            &w,
+        );
+        let twice = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(4),
+            RuntimeConfig::default(),
+            &w,
+        );
         assert_eq!(once.0, twice.0, "identical outputs");
         assert_eq!(once.1.time, twice.1.time, "identical timing");
         assert_eq!(once.1.totals, twice.1.totals, "identical counters");

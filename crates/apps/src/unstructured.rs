@@ -138,6 +138,7 @@ mod tests {
     use super::*;
     use crate::common::{execute, execute_all, SystemKind};
     use lcm_cstar::RuntimeConfig;
+    use lcm_sim::MachineConfig;
 
     #[test]
     fn all_systems_agree() {
@@ -161,10 +162,20 @@ mod tests {
             iters: 200,
             ..Unstructured::small()
         };
-        let (checksum_long, _) = execute(SystemKind::LcmMcc, 4, RuntimeConfig::default(), &w);
+        let (checksum_long, _, _) = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(4),
+            RuntimeConfig::default(),
+            &w,
+        );
         // After long relaxation the values converge: the run is stable and
         // deterministic (same checksum when repeated).
-        let (checksum_again, _) = execute(SystemKind::LcmMcc, 4, RuntimeConfig::default(), &w);
+        let (checksum_again, _, _) = execute(
+            SystemKind::LcmMcc,
+            MachineConfig::new(4),
+            RuntimeConfig::default(),
+            &w,
+        );
         assert_eq!(checksum_long, checksum_again);
     }
 
@@ -181,8 +192,8 @@ mod tests {
             iters: 20,
             seed: 42,
         };
-        let mcc = execute(SystemKind::LcmMcc, 16, cfg, &w).1;
-        let stache = execute(SystemKind::Stache, 16, cfg, &w).1;
+        let mcc = execute(SystemKind::LcmMcc, MachineConfig::new(16), cfg, &w).1;
+        let stache = execute(SystemKind::Stache, MachineConfig::new(16), cfg, &w).1;
         assert!(
             stache.time > mcc.time,
             "Stache {} vs LCM-mcc {}",

@@ -28,16 +28,13 @@ use lcm_apps::independent::{run_with_flush, IndependentMap};
 use lcm_apps::nbody::{rms_error, run_nbody, NBody, NBodySystem};
 use lcm_apps::race::{detect_races, RaceKernel};
 use lcm_apps::reduction::{run_reduction, ArraySum, ReductionMethod, ReductionSum};
-use lcm_apps::sensitivity::{sweep_nodes_jobs, sweep_remote_latency_jobs};
+use lcm_apps::sensitivity::{sweep_nodes, sweep_remote_latency};
 use lcm_apps::stale_data::{run_stale, StaleData, StaleSystem};
 use lcm_apps::stencil::Stencil;
 use lcm_apps::threshold::Threshold;
 use lcm_apps::unstructured::Unstructured;
-use lcm_apps::{
-    execute, execute_traced, execute_with_cost, execute_with_faults, RunResult, SystemKind,
-    Workload,
-};
-use lcm_bench::{critpath, explore, profile, report, BarChart, BenchReport, SweepEngine, SweepKey};
+use lcm_apps::{execute, RunResult, SystemKind, Workload};
+use lcm_bench::{critpath, explore, profile, report, BarChart, BenchReport};
 use lcm_cstar::{FlushPolicy, Partition, RuntimeConfig};
 use lcm_replay::{TraceFile, TraceHandle};
 use lcm_sim::{CostModel, CrashPlan, CycleCat, FaultConfig, MachineConfig, NodeId};
@@ -235,7 +232,7 @@ impl Ctx {
                 self.jobs
             );
             let t0 = Instant::now();
-            let suite = Suite::run_jobs(self.scale, self.jobs);
+            let suite = Suite::run(self.scale, self.jobs);
             eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
             suite
         })
@@ -284,16 +281,16 @@ fn run(args: &[String]) -> Res<()> {
                         "bad {flag} spec {spec:?} (want <rate>:<seed>, e.g. 0.01:42)"
                     ))
                 })?;
-                let (config, point, section) = if flag == "--faults" {
-                    (FaultConfig::drops(rate, seed), &mut ctx.faults, "faults")
-                } else {
-                    (FaultConfig::crashes(rate, seed), &mut ctx.crash, "recovery")
-                };
                 // Out-of-range rates are the config layer's call, surfaced
                 // here as its named error.
-                config
-                    .validate()
-                    .map_err(|e| Error::Usage(format!("{flag} {spec}: {e}")))?;
+                let (checked, point, section) = if flag == "--faults" {
+                    let checked = FaultConfig::drops(rate, seed).validate();
+                    (checked, &mut ctx.faults, "faults")
+                } else {
+                    let checked = CrashPlan::try_new(rate, seed).map(|_| ());
+                    (checked, &mut ctx.crash, "recovery")
+                };
+                checked.map_err(|e| Error::Usage(format!("{flag} {spec}: {e}")))?;
                 *point = Some((rate, seed));
                 implied.push(section);
             }
@@ -431,16 +428,11 @@ fn write_svg(dir: &Path, suite: &Suite) -> Res<()> {
         let mut chart = BarChart::new(title, "simulated cycles", &series);
         let mut groups: Vec<(Benchmark, [f64; 3])> = Vec::new();
         for (b, s, t) in rows {
-            let slot = match s {
-                SystemKind::LcmScc => 0,
-                SystemKind::LcmMcc => 1,
-                SystemKind::Stache => 2,
-            };
             match groups.iter_mut().find(|(gb, _)| *gb == b) {
-                Some((_, vs)) => vs[slot] = t as f64,
+                Some((_, vs)) => vs[s.index()] = t as f64,
                 None => {
                     let mut vs = [0.0; 3];
-                    vs[slot] = t as f64;
+                    vs[s.index()] = t as f64;
                     groups.push((b, vs));
                 }
             }
@@ -454,7 +446,8 @@ fn write_svg(dir: &Path, suite: &Suite) -> Res<()> {
 }
 
 /// Parses a `<rate>:<seed>` spec's *shape*; range checking is
-/// [`FaultConfig::validate`]'s job so the CLI reports its named error.
+/// [`FaultConfig::validate`]'s and [`CrashPlan::try_new`]'s job so the
+/// CLI reports their named errors.
 fn parse_rate_seed(spec: &str) -> Option<(f64, u64)> {
     let (rate, seed) = spec.split_once(':')?;
     Some((rate.parse().ok()?, seed.parse().ok()?))
@@ -636,10 +629,8 @@ fn false_sharing(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
         ("LCM-scc packed", SystemKind::LcmScc, w),
     ];
     let runs = lcm_sim::par_map(ctx.jobs, configs, |_, (label, sys, wl)| {
-        (
-            label,
-            execute(sys, w.writers, RuntimeConfig::default(), &wl).1,
-        )
+        let mc = MachineConfig::new(w.writers);
+        (label, execute(sys, mc, RuntimeConfig::default(), &wl).1)
     });
     for (label, r) in runs {
         writeln!(
@@ -743,7 +734,8 @@ fn cache_limit(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
     };
     let nodes = 16;
     let chunk = chunk_blocks(&w, nodes);
-    let lcm = execute(SystemKind::LcmMcc, nodes, RuntimeConfig::default(), &w).1;
+    let mc = MachineConfig::new(nodes);
+    let lcm = execute(SystemKind::LcmMcc, mc, RuntimeConfig::default(), &w).1;
     writeln!(out, "  LCM-mcc (reference)         {:>12} cycles", lcm.time)?;
     let caps = vec![
         ("Stache unbounded (paper)", None),
@@ -869,8 +861,8 @@ fn sweeps(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
         "== Sensitivity: Stencil-dyn LCM-mcc advantage vs machine parameters =="
     )?;
     let w = sensitivity_stencil(ctx.scale);
-    let latency = sweep_remote_latency_jobs(&SWEEP_LATENCIES, ctx.scale.nodes(), &w, ctx.jobs);
-    let nodes = sweep_nodes_jobs(&SWEEP_NODES, &w, ctx.jobs);
+    let latency = sweep_remote_latency(&SWEEP_LATENCIES, ctx.scale.nodes(), &w, ctx.jobs);
+    let nodes = sweep_nodes(&SWEEP_NODES, &w, ctx.jobs);
     writeln!(
         out,
         "remote round-trip latency sweep ({} processors):",
@@ -967,17 +959,31 @@ fn unstructured(scale: Scale) -> Unstructured {
     }
 }
 
+/// A sweep's rates: the section's `defaults` plus the custom
+/// `--faults`/`--crash` point's rate, ascending, and that point's seed
+/// (else `seed`).
+fn swept_rates(defaults: &[f64], point: Option<(f64, u64)>, seed: u64) -> (Vec<f64>, u64) {
+    let mut rates = defaults.to_vec();
+    let Some((rate, seed)) = point else {
+        return (rates, seed);
+    };
+    if rate > 0.0 && !rates.contains(&rate) {
+        rates.push(rate);
+        rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
+    }
+    (rates, seed)
+}
+
+/// Drop rates and seed of the `faults` sweep; the first rate, 0, is
+/// the fault-free baseline.
+fn fault_rates(ctx: &Ctx) -> (Vec<f64>, u64) {
+    swept_rates(&[0.0, 0.001, 0.01, 0.05], ctx.faults, 0xC0FFEE)
+}
+
 /// The unreliable-network sweep: execution-time slowdown vs message drop
 /// rate, for all three systems on two benchmarks.
 fn faults(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
-    let seed = ctx.faults.map_or(0xC0FFEE, |(_, s)| s);
-    let mut rates = vec![0.0, 0.001, 0.01, 0.05];
-    if let Some((r, _)) = ctx.faults {
-        if !rates.contains(&r) {
-            rates.push(r);
-            rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-        }
-    }
+    let (_, seed) = fault_rates(ctx);
     write!(
         out,
         "== Unreliable network: slowdown vs message drop rate (seed {seed}) ==
@@ -986,111 +992,56 @@ fn faults(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
    ends with the coherence-invariant sanitizer
 "
     )?;
-    let mut csv = String::from(
-        "benchmark,system,drop_rate,seed,cycles,slowdown,msgs_delivered,retries,timeouts,dropped,duplicated\n",
-    );
-    let scale = ctx.scale;
-    sweep_faults(
+    let mut g = Grid {
         ctx,
-        "Stencil-dyn",
-        &stencil_dyn(scale),
-        &rates,
-        seed,
-        &mut csv,
         out,
-    )?;
-    sweep_faults(
-        ctx,
-        "Threshold",
-        &threshold(scale),
-        &rates,
-        seed,
-        &mut csv,
-        out,
-    )?;
-    writeln!(out)?;
-    Ok(vec![file("faults.csv", csv)])
+        csv: "benchmark,system,drop_rate,seed,cycles,slowdown,msgs_delivered,retries,timeouts,dropped,duplicated\n".to_string(),
+    };
+    faults_grid(&mut g, "Stencil-dyn", &stencil_dyn(ctx.scale))?;
+    faults_grid(&mut g, "Threshold", &threshold(ctx.scale))?;
+    writeln!(g.out)?;
+    Ok(vec![file("faults.csv", g.csv)])
 }
 
-/// One benchmark's `(system × drop rate)` grid on the sweep engine.
-/// Printing walks the canonical grid in (system, then rate) order, so
-/// stdout and the CSV are byte-identical whatever `--jobs` is.
-fn sweep_faults<W>(
-    ctx: &Ctx,
-    name: &str,
-    w: &W,
-    rates: &[f64],
-    seed: u64,
-    csv: &mut String,
-    out: &mut dyn Write,
-) -> Res<()>
+/// One benchmark's `(system × drop rate)` grid; each system's block
+/// ends with its message mix at the maximum rate.
+fn faults_grid<W>(g: &mut Grid, name: &str, w: &W) -> Res<()>
 where
     W: Workload + Sync,
-    W::Output: PartialEq + std::fmt::Debug + Send,
+    W::Output: PartialEq + Send,
 {
-    writeln!(out, "{name}:")?;
-    let (nodes, scale_label) = (ctx.scale.nodes(), ctx.scale.to_string());
-    let key = |system: SystemKind, rate: f64| {
-        SweepKey::new(name, system.label(), &scale_label).with_fault(rate)
-    };
-    let points = SystemKind::all()
-        .into_iter()
-        .flat_map(|s| rates.iter().map(move |&r| (key(s, r), (s, r))))
-        .collect();
-    let runs = SweepEngine::new(ctx.jobs).run(points, |_, (system, rate)| {
-        let faults = FaultConfig::drops(rate, seed);
-        execute_with_faults(system, nodes, faults, RuntimeConfig::default(), w)
-    });
-    let point = |system: SystemKind, rate: f64| {
-        let key = key(system, rate);
-        runs.iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, run)| run)
-            .expect("every grid point was computed")
-    };
-    assert_eq!(rates[0], 0.0, "the first rate is the fault-free baseline");
-    for system in SystemKind::all() {
-        let (base_out, base) = point(system, rates[0]);
-        for &rate in rates {
-            let (out_val, r) = point(system, rate);
-            assert_eq!(
-                base_out, out_val,
-                "{name}/{system}: faults changed the result at drop rate {rate}"
+    let (rates, seed) = fault_rates(g.ctx);
+    let (nodes, max_rate) = (g.ctx.scale.nodes(), rates[rates.len() - 1]);
+    g.run(
+        name,
+        w,
+        &rates,
+        |&rate| {
+            let faults = FaultConfig::drops(rate, seed);
+            let mc = MachineConfig::new(nodes).with_faults(faults);
+            (mc, RuntimeConfig::default())
+        },
+        |rate| (format!("drop={rate:<6}"), format!("{rate},{seed}")),
+        |_, &rate, r| {
+            let t = &r.totals;
+            let (retries, timeouts) = (t.retries, t.timeouts);
+            let (dropped, dup) = (t.msgs_dropped, t.msgs_duplicated);
+            let mut cols = format!(
+                "retries={retries:<6} timeouts={timeouts:<6} dropped={dropped:<6} dup={dup}"
             );
-            let slowdown = r.time as f64 / base.time as f64;
-            writeln!(
-                out,
-                "  {:<8} drop={:<6} {:>13} cycles ({:>5.2}x)  retries={:<6} timeouts={:<6} dropped={:<6} dup={}",
-                system.label(),
-                rate,
-                r.time,
-                slowdown,
-                r.totals.retries,
-                r.totals.timeouts,
-                r.totals.msgs_dropped,
-                r.totals.msgs_duplicated,
-            )?;
-            writeln!(
-                csv,
-                "{name},{},{rate},{seed},{},{slowdown:.4},{},{},{},{},{}",
-                system.label(),
-                r.time,
-                r.msgs_total(),
-                r.totals.retries,
-                r.totals.timeouts,
-                r.totals.msgs_dropped,
-                r.totals.msgs_duplicated,
-            )?;
-        }
-        let last = &point(system, *rates.last().expect("rates nonempty")).1;
-        let mix: Vec<String> = last
-            .msg_kinds
-            .iter()
-            .filter(|(_, n)| *n > 0)
-            .map(|(kind, n)| format!("{}={n}", kind.label()))
-            .collect();
-        writeln!(out, "           msgs at max rate: {}", mix.join(" "))?;
-    }
+            if rate == max_rate {
+                let mix: Vec<String> = r
+                    .msg_kinds
+                    .iter()
+                    .filter(|(_, n)| *n > 0)
+                    .map(|(kind, n)| format!("{}={n}", kind.label()))
+                    .collect();
+                cols += &format!("\n           msgs at max rate: {}", mix.join(" "));
+            }
+            let msgs = r.msgs_total();
+            (cols, format!("{msgs},{retries},{timeouts},{dropped},{dup}"))
+        },
+    )?;
     Ok(())
 }
 
@@ -1111,113 +1062,156 @@ fn contention(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
 ",
     )?;
     let (scale, nodes) = (ctx.scale, ctx.scale.nodes());
-    let mut csv = String::from(
-        "benchmark,system,bandwidth_bytes_per_cycle,cycles,slowdown,net_contention_cycles,msgs,bytes\n",
-    );
+    let mut g = Grid {
+        ctx,
+        out,
+        csv: "benchmark,system,bandwidth_bytes_per_cycle,cycles,slowdown,net_contention_cycles,msgs,bytes\n".to_string(),
+    };
     let red = ReductionSum(reduction_worksize(scale));
-    sweep_contention(ctx, "Reduction", nodes, &red, &mut csv, out)?;
+    contention_grid(&mut g, "Reduction", nodes, &red)?;
     let fs = if matches!(scale, Scale::Smoke) {
         FalseSharing::small()
     } else {
         FalseSharing::default_size()
     };
-    sweep_contention(ctx, "FalseShare", fs.writers, &fs, &mut csv, out)?;
-    sweep_contention(
-        ctx,
-        "Unstructured",
-        nodes,
-        &unstructured(scale),
-        &mut csv,
-        out,
-    )?;
-    sweep_contention(
-        ctx,
-        "Stencil-dyn",
-        nodes,
-        &stencil_dyn(scale),
-        &mut csv,
-        out,
-    )?;
-    writeln!(out)?;
-    Ok(vec![file("contention.csv", csv)])
+    contention_grid(&mut g, "FalseShare", fs.writers, &fs)?;
+    contention_grid(&mut g, "Unstructured", nodes, &unstructured(scale))?;
+    contention_grid(&mut g, "Stencil-dyn", nodes, &stencil_dyn(scale))?;
+    writeln!(g.out)?;
+    Ok(vec![file("contention.csv", g.csv)])
 }
 
-/// One benchmark's `(system × bandwidth)` grid on the sweep engine,
-/// printed in canonical order, with its CSV rows appended to `csv`.
-fn sweep_contention<W>(
-    ctx: &Ctx,
-    name: &str,
-    nodes: usize,
-    w: &W,
-    csv: &mut String,
-    out: &mut dyn Write,
-) -> Res<()>
+/// One benchmark's `(system × bandwidth)` grid, then the busiest links
+/// of its most contended Stache run.
+fn contention_grid<W>(g: &mut Grid, name: &str, nodes: usize, w: &W) -> Res<()>
 where
     W: Workload + Sync,
-    W::Output: PartialEq + std::fmt::Debug + Send,
+    W::Output: PartialEq + Send,
 {
-    writeln!(out, "{name}:")?;
-    let scale_label = ctx.scale.to_string();
-    let key = |system: SystemKind, bw: u64| {
-        SweepKey::new(name, system.label(), &scale_label).with_sensitivity(bw)
-    };
-    let points = SystemKind::all()
-        .into_iter()
-        .flat_map(|s| CONTENTION_BANDWIDTHS.map(|bw| (key(s, bw), (s, bw))))
-        .collect();
-    let runs = SweepEngine::new(ctx.jobs).run(points, |_, (system, bw)| {
-        let cost = CostModel::cm5().with_link_bandwidth(bw);
-        execute_with_cost(system, nodes, cost, RuntimeConfig::default(), w)
-    });
-    let point = |system: SystemKind, bw: u64| {
-        let key = key(system, bw);
-        runs.iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, run)| run)
-            .expect("every grid point was computed")
-    };
-    for system in SystemKind::all() {
-        let (base_out, base) = point(system, 0);
-        for bw in CONTENTION_BANDWIDTHS {
-            let (out_val, r) = point(system, bw);
-            assert_eq!(
-                base_out, out_val,
-                "{name}/{system}: contention changed the result at bandwidth {bw}"
-            );
-            let slowdown = r.time as f64 / base.time as f64;
+    let runs = g.run(
+        name,
+        w,
+        &CONTENTION_BANDWIDTHS,
+        |&bw| {
+            let cost = CostModel::cm5().with_link_bandwidth(bw);
+            let mc = MachineConfig::new(nodes).with_cost(cost);
+            (mc, RuntimeConfig::default())
+        },
+        |&bw| (format!("bw={:<10}", bw_label(bw)), bw.to_string()),
+        |_, _, r| {
             let queued = r.ledger.totals()[CycleCat::NetContention.index()];
-            writeln!(
-                out,
-                "  {:<8} bw={:<10} {:>13} cycles ({:>5.2}x)  net_contention={}",
-                system.label(),
-                bw_label(bw),
-                r.time,
-                slowdown,
-                queued
-            )?;
-            writeln!(
-                csv,
-                "{name},{},{bw},{},{slowdown:.4},{queued},{},{}",
-                system.label(),
-                r.time,
-                r.msgs_total(),
-                r.totals.bytes_sent,
-            )?;
+            let (msgs, bytes) = (r.msgs_total(), r.totals.bytes_sent);
+            (
+                format!("net_contention={queued}"),
+                format!("{queued},{msgs},{bytes}"),
+            )
+        },
+    )?;
+    let (tightest, bw) = CONTENTION_BANDWIDTHS
+        .iter()
+        .enumerate()
+        .filter(|(_, &bw)| bw > 0)
+        .min_by_key(|(_, &bw)| bw)
+        .expect("the sweep includes a finite bandwidth");
+    if let Some(r) = &runs[SystemKind::Stache.index()][tightest] {
+        let links = profile::hottest_links_table(r, 5);
+        if !links.is_empty() {
+            writeln!(g.out, "  hottest links (Stache at {bw} B/cycle):")?;
+            write!(g.out, "{links}")?;
         }
     }
-    // Where the cycles went: the busiest links of the most contended
-    // baseline-system run.
-    let tightest = *CONTENTION_BANDWIDTHS
-        .iter()
-        .filter(|&&b| b > 0)
-        .min()
-        .expect("the sweep includes a finite bandwidth");
-    let links = profile::hottest_links_table(&point(SystemKind::Stache, tightest).1, 5);
-    if !links.is_empty() {
-        writeln!(out, "  hottest links (Stache at {tightest} B/cycle):")?;
-        write!(out, "{links}")?;
-    }
     Ok(())
+}
+
+// ==================================================== perturbation grids
+
+/// The one driver of the perturbation-grid sections (`faults`,
+/// `contention`, `recovery`): where their rows go.
+struct Grid<'a> {
+    ctx: &'a Ctx,
+    out: &'a mut dyn Write,
+    csv: String,
+}
+
+impl Grid<'_> {
+    /// Runs one benchmark `w` over [`SystemKind::all`] × `points` on
+    /// [`lcm_sim::try_par_map`], then renders the grid in that order.
+    /// `setup` builds a point's machine and runtime; `points[0]` is the
+    /// baseline each system's outputs and slowdowns are measured
+    /// against. A row is `coords` (the point's stdout and CSV columns),
+    /// cycles, slowdown, then `cols` (the section's own columns). A point
+    /// that panics, diverges from its baseline (perturbations move
+    /// cycles, never values — DESIGN.md §4d) or lost its baseline is
+    /// recorded in [`Ctx::failures`] and skipped; the rest still render.
+    ///
+    /// Returns `runs[system.index()][point]`, `None` where skipped.
+    fn run<W, P>(
+        &mut self,
+        name: &str,
+        w: &W,
+        points: &[P],
+        setup: impl Fn(&P) -> (MachineConfig, RuntimeConfig) + Sync,
+        coords: impl Fn(&P) -> (String, String),
+        mut cols: impl FnMut(SystemKind, &P, &RunResult) -> (String, String),
+    ) -> Res<Vec<Vec<Option<RunResult>>>>
+    where
+        W: Workload + Sync,
+        W::Output: PartialEq + Send,
+        P: Sync,
+    {
+        writeln!(self.out, "{name}:")?;
+        let cells: Vec<(SystemKind, &P)> = SystemKind::all()
+            .into_iter()
+            .flat_map(|system| points.iter().map(move |p| (system, p)))
+            .collect();
+        let results = lcm_sim::try_par_map(self.ctx.jobs, cells, |_, (system, p)| {
+            let (mc, config) = setup(p);
+            let (output, r, _) = execute(system, mc, config, w);
+            (output, r)
+        });
+        let mut runs = Vec::new();
+        for (system, slot) in SystemKind::all()
+            .into_iter()
+            .zip(results.chunks(points.len()))
+        {
+            let baseline = slot[0].as_ref().ok();
+            let mut kept = Vec::with_capacity(points.len());
+            for (p, result) in points.iter().zip(slot) {
+                let (at, at_csv) = coords(p);
+                let checked = match (result, baseline) {
+                    (Err(e), _) => Err(e.clone()),
+                    (Ok(_), None) => Err("no baseline to check against".to_string()),
+                    (Ok((output, _)), Some((base, _))) if output != base => {
+                        Err("output diverged from the baseline".to_string())
+                    }
+                    (Ok((_, r)), Some((_, base))) => Ok((r, r.time as f64 / base.time as f64)),
+                };
+                let (r, slowdown) = match checked {
+                    Ok(run) => run,
+                    Err(why) => {
+                        let at = at.trim_end();
+                        let failure = format!("{name}/{system} {at}: {why}");
+                        self.ctx.failures.borrow_mut().push(failure);
+                        kept.push(None);
+                        continue;
+                    }
+                };
+                let (extra, extra_csv) = cols(system, p, r);
+                let (label, time) = (system.label(), r.time);
+                writeln!(
+                    self.out,
+                    "  {label:<8} {at} {time:>13} cycles ({slowdown:>5.2}x)  {extra}"
+                )?;
+                writeln!(
+                    self.csv,
+                    "{name},{system},{at_csv},{time},{slowdown:.4},{extra_csv}"
+                )?;
+                kept.push(Some(r.clone()));
+            }
+            runs.push(kept);
+        }
+        Ok(runs)
+    }
 }
 
 // ========================================================= capture sections
@@ -1238,22 +1232,18 @@ fn trace_name(bench: &str, system: SystemKind) -> String {
 /// Captures one trace-set member and validates it against its
 /// execution-driven run.
 fn capture_validated(bench: &str, scale: Scale, system: SystemKind) -> Result<TraceFile, String> {
-    let (label, nodes) = (scale.to_string(), scale.nodes());
+    let label = scale.to_string();
+    let mc = MachineConfig::new(scale.nodes()).with_cost(CostModel::cm5());
     let (config, cap) = (RuntimeConfig::default(), explore::CAPTURE_CAPACITY);
     let file = match bench {
         "Reduction" => {
             let w = ReductionSum(reduction_worksize(scale));
-            explore::capture_workload(bench, &label, system, nodes, config, &w, cap)
+            explore::capture_workload(bench, &label, system, mc, config, &w, cap)
         }
-        _ => explore::capture_workload(
-            bench,
-            &label,
-            system,
-            nodes,
-            config,
-            &stencil_dyn(scale),
-            cap,
-        ),
+        _ => {
+            let w = stencil_dyn(scale);
+            explore::capture_workload(bench, &label, system, mc, config, &w, cap)
+        }
     }?;
     lcm_replay::validate(&file)
         .map_err(|e| format!("capture {bench}/{system} failed validation: {e}"))?;
@@ -1371,7 +1361,7 @@ fn critpath_one(
     let (benchmark, file) = match bench {
         0 => (
             "Stencil-dyn",
-            explore::capture_with_machine(
+            explore::capture_workload(
                 "Stencil-dyn",
                 &label,
                 system,
@@ -1383,7 +1373,7 @@ fn critpath_one(
         ),
         1 => (
             "Threshold",
-            explore::capture_with_machine(
+            explore::capture_workload(
                 "Threshold",
                 &label,
                 system,
@@ -1395,7 +1385,7 @@ fn critpath_one(
         ),
         _ => (
             "Unstructured",
-            explore::capture_with_machine(
+            explore::capture_workload(
                 "Unstructured",
                 &label,
                 system,
@@ -1605,7 +1595,7 @@ fn cycle_profile(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
     // fixed system order afterwards.
     let traced = lcm_sim::par_map(ctx.jobs, SystemKind::all().to_vec(), |_, system| {
         let mc = MachineConfig::new(nodes).with_trace(2_000_000);
-        let (_, r, events) = execute_traced(system, mc, RuntimeConfig::default(), &w);
+        let (_, r, events) = execute(system, mc, RuntimeConfig::default(), &w);
         (r, events)
     });
     let cost = CostModel::cm5();
@@ -1638,7 +1628,7 @@ fn cycle_profile(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
         "Stencil-dyn",
         &ctx.scale.to_string(),
         SystemKind::LcmMcc,
-        nodes,
+        MachineConfig::new(nodes).with_cost(CostModel::cm5()),
         RuntimeConfig::default(),
         &w,
         explore::CAPTURE_CAPACITY,
@@ -1703,19 +1693,18 @@ fn recovery_adaptive(scale: Scale) -> lcm_apps::adaptive::Adaptive {
     }
 }
 
+/// Crash rates and seed of the `recovery` sweep (the crash-free
+/// baseline is not among the rates).
+fn crash_rates(ctx: &Ctx) -> (Vec<f64>, u64) {
+    swept_rates(&RECOVERY_RATES, ctx.crash, RECOVERY_SEED)
+}
+
 /// The fail-stop recovery sweep: crash rate × checkpoint granularity over
 /// the Fig-3 benchmarks (plus Reduction and Stencil) × 3 systems. A
 /// failing grid point is recorded in [`Ctx::failures`] and skipped, so
 /// the rest of the sweep and its files still complete.
 fn recovery(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
-    let seed = ctx.crash.map_or(RECOVERY_SEED, |(_, s)| s);
-    let mut rates = RECOVERY_RATES.to_vec();
-    if let Some((r, _)) = ctx.crash {
-        if r > 0.0 && !rates.contains(&r) {
-            rates.push(r);
-            rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-        }
-    }
+    let (_, seed) = crash_rates(ctx);
     write!(
         out,
         "== Fail-stop recovery: crash rate x checkpoint granularity (seed {seed}) ==
@@ -1727,55 +1716,23 @@ fn recovery(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
 "
     )?;
     let scale = ctx.scale;
-    let mut tally = RecoveryTally {
-        csv: String::from(
-            "benchmark,system,crash_rate,crash_seed,checkpoint_every,cycles,slowdown,crashes,checkpoints,checkpoint_bytes,checkpoint_cycles,rollback_cycles,crash_detect_cycles\n",
-        ),
-        aggs: [RecoveryAgg::default(); 3],
+    let mut g = Grid {
+        ctx,
+        out,
+        csv: "benchmark,system,crash_rate,crash_seed,checkpoint_every,cycles,slowdown,crashes,checkpoints,checkpoint_bytes,checkpoint_cycles,rollback_cycles,crash_detect_cycles\n".to_string(),
     };
+    let mut aggs = [RecoveryAgg::default(); 3];
     let red = ReductionSum(reduction_worksize(scale));
-    sweep_recovery(ctx, "Reduction", &red, &rates, seed, &mut tally, out)?;
-    sweep_recovery(
-        ctx,
-        "Stencil-dyn",
-        &stencil_dyn(scale),
-        &rates,
-        seed,
-        &mut tally,
-        out,
-    )?;
+    recovery_grid(&mut g, "Reduction", &red, &mut aggs)?;
+    recovery_grid(&mut g, "Stencil-dyn", &stencil_dyn(scale), &mut aggs)?;
     let adaptive = recovery_adaptive(scale);
-    sweep_recovery(
-        ctx,
-        "Adaptive-dyn",
-        &adaptive,
-        &rates,
-        seed,
-        &mut tally,
-        out,
-    )?;
-    sweep_recovery(
-        ctx,
-        "Threshold",
-        &threshold(scale),
-        &rates,
-        seed,
-        &mut tally,
-        out,
-    )?;
-    sweep_recovery(
-        ctx,
-        "Unstructured",
-        &unstructured(scale),
-        &rates,
-        seed,
-        &mut tally,
-        out,
-    )?;
+    recovery_grid(&mut g, "Adaptive-dyn", &adaptive, &mut aggs)?;
+    recovery_grid(&mut g, "Threshold", &threshold(scale), &mut aggs)?;
+    recovery_grid(&mut g, "Unstructured", &unstructured(scale), &mut aggs)?;
     let mut json =
         format!("{{\n  \"scale\": \"{scale}\",\n  \"crash_seed\": {seed},\n  \"systems\": [\n");
     for (si, system) in SystemKind::all().into_iter().enumerate() {
-        let a = &tally.aggs[si];
+        let a = &aggs[si];
         writeln!(
             json,
             "    {{\"system\": \"{}\", \"runs\": {}, \"checkpoints\": {}, \
@@ -1793,142 +1750,83 @@ fn recovery(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
         )?;
     }
     json.push_str("  ]\n}\n");
-    writeln!(out)?;
+    writeln!(g.out)?;
     Ok(vec![
-        file("recovery.csv", tally.csv),
+        file("recovery.csv", g.csv),
         file("BENCH_recovery.json", json),
     ])
 }
 
-/// The recovery sweep's CSV rows and per-system totals.
-struct RecoveryTally {
-    csv: String,
-    aggs: [RecoveryAgg; 3],
-}
-
-/// One benchmark's `(system × crash rate × checkpoint granularity)` grid
-/// on [`lcm_sim::try_par_map`]; printing walks the canonical point order,
-/// so stdout and the CSV stay byte-identical at any `--jobs`.
-fn sweep_recovery<W>(
-    ctx: &Ctx,
-    name: &str,
-    w: &W,
-    rates: &[f64],
-    seed: u64,
-    tally: &mut RecoveryTally,
-    out: &mut dyn Write,
-) -> Res<()>
+/// One benchmark's `(system × crash rate × checkpoint granularity)`
+/// grid, then the checkpoint-size asymmetry at the highest rate.
+fn recovery_grid<W>(g: &mut Grid, name: &str, w: &W, aggs: &mut [RecoveryAgg; 3]) -> Res<()>
 where
     W: Workload + Sync,
-    W::Output: PartialEq + std::fmt::Debug + Send,
+    W::Output: PartialEq + Send,
 {
-    writeln!(out, "{name}:")?;
-    let mut failures = ctx.failures.borrow_mut();
-    let mut points = Vec::new();
-    for system in SystemKind::all() {
-        // The crash-free baseline first; an inactive plan never
-        // checkpoints, so its granularity does not matter.
-        points.push((system, 0.0f64, 1u64));
-        for &rate in rates {
-            for every in RECOVERY_EVERY {
-                points.push((system, rate, every));
-            }
-        }
-    }
-    let nodes = ctx.scale.nodes();
-    let runs = lcm_sim::try_par_map(ctx.jobs, points.clone(), |_, (system, rate, every)| {
-        let cfg = RuntimeConfig {
-            crash: CrashPlan::new(rate, seed),
-            checkpoint_every: every,
-            ..RuntimeConfig::default()
-        };
-        execute(system, nodes, cfg, w)
-    });
-    let per_system = 1 + rates.len() * RECOVERY_EVERY.len();
-    for (si, system) in SystemKind::all().into_iter().enumerate() {
-        let keys = &points[si * per_system..(si + 1) * per_system];
-        let slot = &runs[si * per_system..(si + 1) * per_system];
-        let baseline = match &slot[0] {
-            Ok(run) => Some(run),
-            Err(e) => {
-                failures.push(format!(
-                    "{name}/{}: crash-free baseline failed: {e}",
-                    system.label()
-                ));
-                None
-            }
-        };
-        for ((_, rate, every), run) in keys.iter().zip(slot) {
-            let (out_val, r) = match run {
-                Ok(run) => run,
-                Err(e) => {
-                    failures.push(format!(
-                        "{name}/{} crash={rate} every={every}: {e}",
-                        system.label()
-                    ));
-                    continue;
-                }
+    let (rates, seed) = crash_rates(g.ctx);
+    // The crash-free baseline first; an inactive plan never checkpoints,
+    // so its granularity does not matter.
+    let points: Vec<(f64, u64)> = std::iter::once((0.0, 1))
+        .chain(
+            rates
+                .iter()
+                .flat_map(|&r| RECOVERY_EVERY.map(|every| (r, every))),
+        )
+        .collect();
+    let nodes = g.ctx.scale.nodes();
+    let runs = g.run(
+        name,
+        w,
+        &points,
+        |&(rate, every)| {
+            let config = RuntimeConfig {
+                crash: CrashPlan::new(rate, seed),
+                checkpoint_every: every,
+                ..RuntimeConfig::default()
             };
-            let mut slowdown = 0.0;
-            if let Some((base_out, base)) = baseline {
-                // The §4d contract: crashes move cycles, never values.
-                if out_val != base_out {
-                    failures.push(format!(
-                        "{name}/{} crash={rate} every={every}: output diverged from \
-                         the crash-free run",
-                        system.label()
-                    ));
-                    continue;
-                }
-                slowdown = r.time as f64 / base.time as f64;
-            }
+            (MachineConfig::new(nodes), config)
+        },
+        |(rate, every)| {
+            let at = format!("crash={rate:<5} every={every}");
+            (at, format!("{rate},{seed},{every}"))
+        },
+        |system, _, r| {
+            let t = &r.totals;
             let cats = r.ledger.totals();
             let ck_cycles = cats[CycleCat::Checkpoint.index()];
             let rb_cycles = cats[CycleCat::Rollback.index()];
             let det_cycles = cats[CycleCat::CrashDetect.index()];
-            writeln!(
-                out,
-                "  {:<8} crash={:<5} every={} {:>13} cycles ({:>5.2}x)  crashes={:<3} ckpts={:<4} ckpt_bytes={:<9} rollback_cy={}",
-                system.label(),
-                rate,
-                every,
-                r.time,
-                slowdown,
-                r.totals.crashes,
-                r.totals.checkpoints,
-                r.totals.checkpoint_bytes,
-                rb_cycles,
-            )?;
-            writeln!(
-                tally.csv,
-                "{name},{},{rate},{seed},{every},{},{slowdown:.4},{},{},{},{ck_cycles},{rb_cycles},{det_cycles}",
-                system.label(),
-                r.time,
-                r.totals.crashes,
-                r.totals.checkpoints,
-                r.totals.checkpoint_bytes,
-            )?;
-            let agg = &mut tally.aggs[si];
+            let agg = &mut aggs[system.index()];
             agg.runs += 1;
-            agg.checkpoints += r.totals.checkpoints;
-            agg.checkpoint_bytes += r.totals.checkpoint_bytes;
-            agg.crashes += r.totals.crashes;
+            agg.checkpoints += t.checkpoints;
+            agg.checkpoint_bytes += t.checkpoint_bytes;
+            agg.crashes += t.crashes;
             agg.checkpoint_cycles += ck_cycles;
             agg.rollback_cycles += rb_cycles;
             agg.crash_detect_cycles += det_cycles;
-        }
-    }
+            let (crashes, ckpts, bytes) = (t.crashes, t.checkpoints, t.checkpoint_bytes);
+            (
+                format!(
+                    "crashes={crashes:<3} ckpts={ckpts:<4} ckpt_bytes={bytes:<9} rollback_cy={rb_cycles}"
+                ),
+                format!("{crashes},{ckpts},{bytes},{ck_cycles},{rb_cycles},{det_cycles}"),
+            )
+        },
+    )?;
     // The headline asymmetry, per benchmark: what one full checkpoint
     // schedule costs each protocol at the highest swept rate.
-    let probe = |si: usize| match &runs[si * per_system + per_system - RECOVERY_EVERY.len()] {
-        Ok((_, r)) => Some(r.totals.checkpoint_bytes),
-        Err(_) => None,
+    let at_max = points.len() - RECOVERY_EVERY.len();
+    let bytes = |s: SystemKind| {
+        runs[s.index()][at_max]
+            .as_ref()
+            .map(|r| r.totals.checkpoint_bytes)
     };
-    if let (Some(mcc), Some(stache)) = (probe(1), probe(2)) {
+    if let (Some(mcc), Some(stache)) = (bytes(SystemKind::LcmMcc), bytes(SystemKind::Stache)) {
         writeln!(
-            out,
+            g.out,
             "  checkpoint bytes at crash={} every=1: LCM-mcc {} vs Stache {} ({:.2}x)",
-            rates.last().expect("rates nonempty"),
+            rates[rates.len() - 1],
             mcc,
             stache,
             stache as f64 / mcc.max(1) as f64
@@ -1941,7 +1839,7 @@ where
 /// backends across machines of 32→1024 nodes (32 and 64 at `--scale
 /// smoke`). Prints the divergence and backend-overhead summaries.
 fn scale(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
-    use lcm_apps::scale_sweep::{scale_benchmarks, try_sweep_scale, ScaleRow, SCALE_NODE_COUNTS};
+    use lcm_apps::scale_sweep::{scale_benchmarks, sweep_scale, ScaleRow, SCALE_NODE_COUNTS};
     use lcm_sim::DirBackend;
     let node_counts: &[usize] = match ctx.scale {
         Scale::Smoke => &SCALE_NODE_COUNTS[..2],
@@ -1961,7 +1859,7 @@ fn scale(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
     )?;
     // Failures come back tagged with their sweep key, so one bad grid
     // point names itself instead of an anonymous panic.
-    let rows = try_sweep_scale(node_counts, ctx.jobs).map_err(|failures| {
+    let rows = sweep_scale(node_counts, ctx.jobs).map_err(|failures| {
         format!(
             "scale: {} grid point(s) failed:\n  {}",
             failures.len(),
@@ -2244,7 +2142,7 @@ fn serve_grid(engine: &lcm_serve::ServeEngine) -> Vec<lcm_serve::Query> {
             for lat in EXPLORE_LATENCIES {
                 queries.push(lcm_serve::Query {
                     trace: t.name.clone(),
-                    cost: explore::grid_cost(bw, lat),
+                    cost: CostModel::cm5_grid(bw, lat),
                     topology: t.handle.topology,
                     backend: lcm_sim::DirBackend::FullMap,
                 });
@@ -2663,4 +2561,88 @@ fn critpath_file(path: &Path, out: &mut dyn Write) -> Res<()> {
     let whatifs = critpath::top_whatifs(&cp, 10);
     write!(out, "{}", critpath::critpath_report(&cp, &whatifs))?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lcm_cstar::Runtime;
+    use lcm_rsm::MemoryProtocol;
+
+    /// Answers 0, except on a 3-node machine, where Stache panics and
+    /// LCM-mcc answers 1.
+    struct Toy;
+
+    impl Workload for Toy {
+        type Output = u32;
+
+        fn run<P: MemoryProtocol>(&self, rt: &mut Runtime<P>) -> u32 {
+            match (rt.mem().name(), rt.nodes()) {
+                ("stache", 3) => panic!("toy failure"),
+                ("lcm-mcc", 3) => 1,
+                _ => 0,
+            }
+        }
+    }
+
+    #[test]
+    fn grid_names_failing_points_and_renders_the_rest() {
+        let ctx = Ctx::new(Scale::Smoke, 2);
+        let mut out = String::new();
+        let mut g = Grid {
+            ctx: &ctx,
+            out: &mut out,
+            csv: String::new(),
+        };
+        let runs = g
+            .run(
+                "Toy",
+                &Toy,
+                &[2usize, 3, 4],
+                |&n| (MachineConfig::new(n), RuntimeConfig::default()),
+                |n| (format!("nodes={n:<3}"), n.to_string()),
+                |_, _, r| (format!("clocks={}", r.clocks.len()), String::new()),
+            )
+            .unwrap_or_else(|_| panic!("rendering into a String never fails"));
+        let csv = g.csv;
+        let rendered: Vec<(&str, &str)> = out
+            .lines()
+            .skip(1)
+            .map(|l| {
+                let mut words = l.split_whitespace();
+                (words.next().unwrap(), words.next().unwrap())
+            })
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                ("LCM-scc", "nodes=2"),
+                ("LCM-scc", "nodes=3"),
+                ("LCM-scc", "nodes=4"),
+                ("LCM-mcc", "nodes=2"),
+                ("LCM-mcc", "nodes=4"),
+                ("Stache", "nodes=2"),
+                ("Stache", "nodes=4"),
+            ],
+            "{out}"
+        );
+        assert!(out.starts_with("Toy:\n"));
+        assert_eq!(csv.lines().count(), 7, "{csv}");
+        assert!(csv.contains("\nToy,Stache,4,"), "{csv}");
+        let failures = ctx.failures.into_inner();
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert_eq!(
+            failures[0],
+            "Toy/LCM-mcc nodes=3: output diverged from the baseline"
+        );
+        assert!(
+            failures[1].starts_with("Toy/Stache nodes=3: ") && failures[1].ends_with("toy failure"),
+            "{}",
+            failures[1]
+        );
+        let stache = &runs[SystemKind::Stache.index()];
+        assert!(runs[SystemKind::LcmMcc.index()][1].is_none());
+        assert!(stache[1].is_none());
+        assert_eq!(stache[2].as_ref().map(|r| r.clocks.len()), Some(4));
+    }
 }

@@ -7,14 +7,14 @@
 //! of the grid by the `lcm-replay` engine — same clocks and ledgers,
 //! a fraction of the cost.
 //!
-//! The grid follows the sensitivity and contention sections: remote
-//! latency maps onto `remote_miss` (with `upgrade` scaled to ⅔ of it,
-//! as in the latency sweep) and bandwidth onto
-//! `link_bandwidth_bytes_per_cycle` (0 = unlimited). Results are
+//! The grid ([`CostModel::cm5_grid`]) follows the sensitivity and
+//! contention sections: remote latency maps onto `remote_miss` (with
+//! `upgrade` scaled to ⅔ of it, as in the latency sweep) and bandwidth
+//! onto `link_bandwidth_bytes_per_cycle` (0 = unlimited). Results are
 //! returned in fixed grid order regardless of the worker count, so the
 //! CSV is byte-identical at any `--jobs`.
 
-use lcm_apps::{execute_captured, execute_with_machine, RunResult, SystemKind, Workload};
+use lcm_apps::{execute, SystemKind, Workload};
 use lcm_cstar::RuntimeConfig;
 use lcm_replay::{TraceFile, TraceHandle};
 use lcm_serve::{Query, ServeEngine};
@@ -26,28 +26,13 @@ use std::sync::Arc;
 /// The trace grows on demand, so an unused cap costs nothing.
 pub const CAPTURE_CAPACITY: usize = 1 << 24;
 
-/// Captures one (benchmark, system) execution as a replayable trace
-/// file under the cm5 cost model at the default topology.
+/// Captures one (benchmark, system) execution on the machine `mc` as a
+/// replayable trace file — under a finite-bandwidth cost model too,
+/// whose contention charges replay must also reproduce.
 ///
-/// Fails if the capture buffer overflowed — a truncated stream cannot
-/// account for every charged cycle.
+/// Fails if the capture buffer of `capacity` events overflowed — a
+/// truncated stream cannot account for every charged cycle.
 pub fn capture_workload<W: Workload>(
-    benchmark: &str,
-    scale: &str,
-    system: SystemKind,
-    nodes: usize,
-    config: RuntimeConfig,
-    workload: &W,
-    capacity: usize,
-) -> Result<TraceFile, String> {
-    let mc = MachineConfig::new(nodes).with_cost(CostModel::cm5());
-    capture_with_machine(benchmark, scale, system, mc, config, workload, capacity)
-}
-
-/// [`capture_workload`] under an explicit machine configuration — e.g.
-/// a finite-bandwidth cost model, whose contention charges replay must
-/// also reproduce.
-pub fn capture_with_machine<W: Workload>(
     benchmark: &str,
     scale: &str,
     system: SystemKind,
@@ -56,10 +41,8 @@ pub fn capture_with_machine<W: Workload>(
     workload: &W,
     capacity: usize,
 ) -> Result<TraceFile, String> {
-    let nodes = mc.nodes;
-    let topology = mc.topology;
-    let cost = mc.cost;
-    let (_, result, events) = execute_captured(system, mc, capacity, config, workload);
+    let (nodes, topology, cost) = (mc.nodes, mc.topology, mc.cost);
+    let (_, result, events) = execute(system, mc.with_capture(capacity), config, workload);
     if result.trace_dropped > 0 {
         return Err(format!(
             "{benchmark}/{system}: capture dropped {} events (buffer of \
@@ -81,13 +64,6 @@ pub fn capture_with_machine<W: Workload>(
         &result.ledger,
         result.totals.clone(),
     )
-}
-
-/// The cost model at one grid point: cm5 with the remote latency and
-/// link bandwidth replaced (the latency scales `upgrade` with it, as in
-/// the sensitivity sweep).
-pub fn grid_cost(bandwidth: u64, latency: u64) -> CostModel {
-    CostModel::cm5_grid(bandwidth, latency)
 }
 
 /// One re-priced grid point.
@@ -165,7 +141,7 @@ pub fn explore_grid(
             for &lat in latencies {
                 queries.push(Query {
                     trace: format!("trace-{i}"),
-                    cost: grid_cost(bw, lat),
+                    cost: CostModel::cm5_grid(bw, lat),
                     topology: file.topology,
                     backend: DirBackend::FullMap,
                 });
@@ -213,8 +189,8 @@ pub fn reexecute_grid<W: Workload>(
     let mut rows = Vec::with_capacity(bandwidths.len() * latencies.len());
     for &bw in bandwidths {
         for &lat in latencies {
-            let mc = MachineConfig::new(nodes).with_cost(grid_cost(bw, lat));
-            let result: RunResult = execute_with_machine(system, mc, config, workload).1;
+            let mc = MachineConfig::new(nodes).with_cost(CostModel::cm5_grid(bw, lat));
+            let result = execute(system, mc, config, workload).1;
             rows.push(row(
                 benchmark,
                 system.label(),

@@ -21,7 +21,7 @@ pub mod svg;
 pub mod sweep;
 
 pub use svg::BarChart;
-pub use sweep::{BenchReport, SectionTiming, SweepEngine, SweepKey};
+pub use sweep::{BenchReport, SectionTiming};
 
 /// Formats a cycle count with thousands separators for bench output.
 pub fn cycles(x: u64) -> String {

@@ -3,8 +3,8 @@
 //! The cycle-attribution profiler has three consumers, all fed from the
 //! same two sources — the conservation-checked
 //! [`CycleLedger`](lcm_sim::CycleLedger) carried by every
-//! [`RunResult`], and the cycle-stamped event stream captured by
-//! [`lcm_apps::execute_traced`]:
+//! [`RunResult`], and the cycle-stamped event stream [`lcm_apps::execute`]
+//! returns when the machine traces:
 //!
 //! * [`chrome_trace_json`] renders the event stream in the Chrome
 //!   trace-event format (load the file at `ui.perfetto.dev` or
@@ -549,7 +549,7 @@ pub fn phases_csv(entries: &[(&str, &RunResult)]) -> String {
 mod tests {
     use super::*;
     use lcm_apps::stencil::Stencil;
-    use lcm_apps::{execute_traced, SystemKind};
+    use lcm_apps::{execute, SystemKind};
     use lcm_cstar::{Partition, RuntimeConfig};
     use lcm_sim::MachineConfig;
 
@@ -561,7 +561,7 @@ mod tests {
             partition: Partition::Dynamic,
         };
         let mc = MachineConfig::new(4).with_trace(1 << 20);
-        let (_, r, events) = execute_traced(system, mc, RuntimeConfig::default(), &w);
+        let (_, r, events) = execute(system, mc, RuntimeConfig::default(), &w);
         assert_eq!(r.trace_dropped, 0, "trace capacity must hold the run");
         (r, events)
     }
@@ -735,11 +735,8 @@ mod tests {
             iters: 2,
             partition: Partition::Dynamic,
         };
-        let mut cost = CostModel::cm5();
-        cost.link_bandwidth_bytes_per_cycle = 2;
-        let (_, r) =
-            lcm_apps::execute_with_cost(SystemKind::Stache, 4, cost, RuntimeConfig::default(), &w);
-        r
+        let mc = MachineConfig::new(4).with_cost(CostModel::cm5().with_link_bandwidth(2));
+        execute(SystemKind::Stache, mc, RuntimeConfig::default(), &w).1
     }
 
     #[test]
@@ -768,13 +765,11 @@ mod tests {
             iters: 2,
             partition: Partition::Dynamic,
         };
-        let (_, r) = lcm_apps::execute_with_faults(
-            SystemKind::Stache,
-            4,
-            lcm_sim::FaultConfig::crashes(0.5, 0xDEAD),
-            RuntimeConfig::default(),
-            &w,
-        );
+        let cfg = RuntimeConfig {
+            crash: lcm_sim::CrashPlan::new(0.5, 0xDEAD),
+            ..RuntimeConfig::default()
+        };
+        let (_, r, _) = execute(SystemKind::Stache, MachineConfig::new(4), cfg, &w);
         assert!(r.totals.crashes > 0, "the schedule crashed nodes");
         let table = cycle_breakdown_table(&r);
         assert!(table.contains("checkpoint"));

@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn renderers_are_pure_functions_of_the_suite() {
-        let suite = Suite::run(Scale::Smoke);
+        let suite = Suite::run(Scale::Smoke, 1);
         assert_eq!(table1_csv(&suite), table1_csv(&suite));
         let fig2 = suite.fig2();
         assert!(fig_csv(&fig2).starts_with("program,system,cycles\n"));
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn latency_columns_appear_only_when_rows_are_supplied() {
-        let suite = Suite::run(Scale::Smoke);
+        let suite = Suite::run(Scale::Smoke, 1);
         let plain = messages_csv(&suite, &[]);
         // No traces: the five count columns only.
         assert!(plain.starts_with("program,system,kind,count,bytes\n"));

@@ -1,116 +1,16 @@
-//! The parallel sweep engine and the wall-clock bench trajectory.
+//! The wall-clock bench trajectory.
 //!
-//! Every evaluation artifact is assembled from *sweep points* — one
-//! independent simulation per `(benchmark, system, scale, fault,
-//! sensitivity)` configuration. [`SweepKey`] is that configuration's
-//! canonical identity: its derived `Ord` fixes one global order
-//! (benchmark, then system, then scale, then fault rate, then swept
-//! parameter), and [`SweepEngine::run`] executes the points on a
-//! fixed-size worker pool ([`lcm_sim::par_map`]) while returning results
-//! in exactly that order. Tables, figures and CSVs built from the
-//! returned vector are therefore byte-identical no matter how many
-//! worker threads ran the points or which finished first.
-//!
-//! [`BenchReport`] is the other half of the story: the `repro bench`
-//! mode times each section serially and on the pool and serializes the
+//! Every evaluation artifact is assembled from independent sweep points,
+//! built in print order and run on [`lcm_sim::par_map`], which returns
+//! results in input order: tables, figures and CSVs are byte-identical
+//! no matter how many worker threads ran the points (DESIGN.md §4d).
+//! [`BenchReport`] measures what the pool buys: the `repro bench` mode
+//! times each section serially and on the pool and serializes the
 //! trajectory as `BENCH_sweep.json` (hand-rolled writer — the workspace
 //! takes no serialization dependency).
 
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Canonical identity of one sweep point.
-///
-/// Fault rates are stored in parts-per-million so the key is totally
-/// ordered (`f64` is not `Ord`); `sensitivity` carries the swept machine
-/// parameter (remote latency, processor count, …) or 0 when the point
-/// isn't part of a sensitivity sweep.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SweepKey {
-    /// Benchmark label, e.g. `"Stencil-dyn"`.
-    pub benchmark: String,
-    /// System label, e.g. `"LCM-mcc"`.
-    pub system: String,
-    /// Scale label, e.g. `"medium"`.
-    pub scale: String,
-    /// Message-drop probability in parts-per-million (0 = reliable).
-    pub fault_ppm: u32,
-    /// Swept parameter value (latency cycles, node count, …), 0 if none.
-    pub sensitivity: u64,
-}
-
-impl SweepKey {
-    /// A reliable-network, non-sensitivity point.
-    pub fn new(benchmark: &str, system: &str, scale: &str) -> Self {
-        SweepKey {
-            benchmark: benchmark.to_string(),
-            system: system.to_string(),
-            scale: scale.to_string(),
-            fault_ppm: 0,
-            sensitivity: 0,
-        }
-    }
-
-    /// Sets the fault coordinate from a drop probability in `[0, 1]`.
-    pub fn with_fault(mut self, drop_rate: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&drop_rate),
-            "drop rate is a probability"
-        );
-        self.fault_ppm = (drop_rate * 1_000_000.0).round() as u32;
-        self
-    }
-
-    /// Sets the swept-parameter coordinate.
-    pub fn with_sensitivity(mut self, x: u64) -> Self {
-        self.sensitivity = x;
-        self
-    }
-
-    /// The fault coordinate back as a drop probability.
-    pub fn fault_rate(&self) -> f64 {
-        f64::from(self.fault_ppm) / 1_000_000.0
-    }
-}
-
-/// Executes keyed sweep points on a fixed-size worker pool, assembling
-/// results in canonical key order.
-#[derive(Clone, Copy, Debug)]
-pub struct SweepEngine {
-    jobs: usize,
-}
-
-impl SweepEngine {
-    /// An engine dispatching on at most `jobs` workers (min 1).
-    pub fn new(jobs: usize) -> Self {
-        SweepEngine { jobs: jobs.max(1) }
-    }
-
-    /// The worker count this engine dispatches on.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Runs `f` over every point concurrently and returns the results
-    /// sorted by [`SweepKey`] — the same vector a `jobs = 1` engine
-    /// produces, whatever the input order or thread schedule. Duplicate
-    /// keys are rejected: two points with one identity would make the
-    /// assembled output ambiguous.
-    pub fn run<T, R, F>(&self, mut points: Vec<(SweepKey, T)>, f: F) -> Vec<(SweepKey, R)>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&SweepKey, T) -> R + Sync,
-    {
-        points.sort_by(|a, b| a.0.cmp(&b.0));
-        for w in points.windows(2) {
-            assert_ne!(w[0].0, w[1].0, "duplicate sweep point {:?}", w[0].0);
-        }
-        let (keys, items): (Vec<SweepKey>, Vec<T>) = points.into_iter().unzip();
-        let results = lcm_sim::par_map(self.jobs, items, |i, item| f(&keys[i], item));
-        keys.into_iter().zip(results).collect()
-    }
-}
 
 /// Wall-clock timing of one repro section, serial vs pooled.
 #[derive(Clone, Debug)]
@@ -252,79 +152,6 @@ impl BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn key(b: &str, s: &str, fault: f64, x: u64) -> SweepKey {
-        SweepKey::new(b, s, "smoke")
-            .with_fault(fault)
-            .with_sensitivity(x)
-    }
-
-    #[test]
-    fn key_order_is_benchmark_system_scale_fault_sensitivity() {
-        let mut keys = vec![
-            key("Stencil", "Stache", 0.0, 0),
-            key("Stencil", "LCM-mcc", 0.01, 0),
-            key("Stencil", "LCM-mcc", 0.001, 0),
-            key("Barnes", "Stache", 0.05, 9),
-            key("Stencil", "LCM-mcc", 0.001, 500),
-        ];
-        keys.sort();
-        let labels: Vec<(String, String, u32, u64)> = keys
-            .into_iter()
-            .map(|k| (k.benchmark, k.system, k.fault_ppm, k.sensitivity))
-            .collect();
-        assert_eq!(
-            labels,
-            vec![
-                ("Barnes".into(), "Stache".into(), 50_000, 9),
-                ("Stencil".into(), "LCM-mcc".into(), 1_000, 0),
-                ("Stencil".into(), "LCM-mcc".into(), 1_000, 500),
-                ("Stencil".into(), "LCM-mcc".into(), 10_000, 0),
-                ("Stencil".into(), "Stache".into(), 0, 0),
-            ]
-        );
-    }
-
-    #[test]
-    fn fault_ppm_round_trips() {
-        assert_eq!(key("b", "s", 0.001, 0).fault_ppm, 1000);
-        assert!((key("b", "s", 0.05, 0).fault_rate() - 0.05).abs() < 1e-9);
-    }
-
-    #[test]
-    fn engine_output_is_canonical_regardless_of_input_order_and_jobs() {
-        let scrambled: Vec<(SweepKey, u64)> = [(0.01, 3), (0.0, 1), (0.05, 9), (0.001, 2)]
-            .iter()
-            .map(|&(f, v)| (key("Stencil", "LCM-mcc", f, 0), v))
-            .collect();
-        let serial =
-            SweepEngine::new(1).run(scrambled.clone(), |k, v| (u64::from(k.fault_ppm), v * v));
-        for jobs in [2, 8] {
-            let par = SweepEngine::new(jobs)
-                .run(scrambled.clone(), |k, v| (u64::from(k.fault_ppm), v * v));
-            assert_eq!(
-                serial
-                    .iter()
-                    .map(|(k, r)| (k.clone(), *r))
-                    .collect::<Vec<_>>(),
-                par.iter().map(|(k, r)| (k.clone(), *r)).collect::<Vec<_>>(),
-                "jobs={jobs}"
-            );
-        }
-        let ppms: Vec<u32> = serial.iter().map(|(k, _)| k.fault_ppm).collect();
-        assert_eq!(
-            ppms,
-            vec![0, 1_000, 10_000, 50_000],
-            "canonical fault order"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate sweep point")]
-    fn duplicate_keys_are_rejected() {
-        let pts = vec![(key("b", "s", 0.0, 0), 1), (key("b", "s", 0.0, 0), 2)];
-        SweepEngine::new(2).run(pts, |_, v| v);
-    }
 
     #[test]
     fn bench_report_serializes_sections_and_totals() {

@@ -7,6 +7,7 @@ use lcm_apps::unstructured::Unstructured;
 use lcm_apps::SystemKind;
 use lcm_bench::explore;
 use lcm_cstar::RuntimeConfig;
+use lcm_sim::{CostModel, MachineConfig};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -26,7 +27,7 @@ fn write_capture(path: &std::path::Path) {
         "Unstructured",
         "smoke",
         SystemKind::LcmMcc,
-        4,
+        MachineConfig::new(4).with_cost(CostModel::cm5()),
         RuntimeConfig::default(),
         &Unstructured::small(),
         1 << 20,
@@ -117,7 +118,7 @@ fn degenerate_fat_tree_is_a_named_error_not_a_panic() {
         "Unstructured",
         "smoke",
         SystemKind::LcmMcc,
-        4,
+        MachineConfig::new(4).with_cost(CostModel::cm5()),
         RuntimeConfig::default(),
         &Unstructured::small(),
         1 << 20,

@@ -2,7 +2,7 @@
 //! section listed by `--list-sections`, and `serve --bench`, prints the
 //! same stdout and writes the same files at `--jobs 1` and `--jobs 4`,
 //! stdout never names the output directory, and unknown sections and
-//! flags are usage errors (exit 2).
+//! flags and out-of-range crash specs are usage errors (exit 2).
 
 use std::collections::BTreeMap;
 use std::process::{Command, Output};
@@ -126,5 +126,18 @@ fn unknown_sections_and_flags_exit_2_with_the_section_list() {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(stderr.contains("table1"), "repro {args:?} lists sections");
         }
+    }
+}
+
+#[test]
+fn out_of_range_crash_rates_exit_2_with_the_named_error() {
+    for spec in ["1.5:7", "NaN:7"] {
+        let out = repro(&["--crash", spec, "recovery"]);
+        assert_eq!(out.status.code(), Some(2), "--crash {spec}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("invalid fault config: crash_rate"),
+            "--crash {spec}: {stderr}"
+        );
     }
 }

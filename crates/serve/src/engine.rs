@@ -635,13 +635,12 @@ mod tests {
 
     /// An 8-node Threshold capture, as the integration tests take.
     fn threshold_capture() -> TraceHandle {
-        use lcm_apps::{execute_captured, threshold::Threshold, SystemKind};
+        use lcm_apps::{execute, threshold::Threshold, SystemKind};
         let mc = lcm_sim::MachineConfig::new(8).with_cost(CostModel::cm5());
         let (nodes, topology, cost) = (mc.nodes, mc.topology, mc.cost);
-        let (_, result, events) = execute_captured(
+        let (_, result, events) = execute(
             SystemKind::LcmMcc,
-            mc,
-            1 << 20,
+            mc.with_capture(1 << 20),
             lcm_cstar::RuntimeConfig::default(),
             &Threshold::small(),
         );

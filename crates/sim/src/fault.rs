@@ -44,13 +44,6 @@ pub struct FaultConfig {
     pub stall_rate: f64,
     /// Cycles a stalled node falls behind before recovering.
     pub stall_cycles: u64,
-    /// Probability that a node fail-stop crashes during a parallel phase
-    /// (per node, per phase). Crashes are scheduled by [`CrashPlan`] from
-    /// `crash_seed`, independent of the per-message stream.
-    pub crash_rate: f64,
-    /// Seed of the crash schedule (distinct from `seed` so crash sweeps
-    /// never perturb the message-fault schedule).
-    pub crash_seed: u64,
 }
 
 impl Default for FaultConfig {
@@ -65,8 +58,6 @@ impl Default for FaultConfig {
             max_retries: 10,
             stall_rate: 0.0,
             stall_cycles: 0,
-            crash_rate: 0.0,
-            crash_seed: 0,
         }
     }
 }
@@ -81,27 +72,13 @@ impl FaultConfig {
         }
     }
 
-    /// A crash-only plan — the `--crash <rate>:<seed>` sweep shape.
-    pub fn crashes(crash_rate: f64, crash_seed: u64) -> FaultConfig {
-        FaultConfig {
-            crash_rate,
-            crash_seed,
-            ..FaultConfig::default()
-        }
-    }
-
     /// True when any *network* fault can actually occur (crashes are
-    /// scheduled separately; see [`FaultConfig::crashes_active`]).
+    /// scheduled separately, by a [`CrashPlan`]).
     pub fn is_active(&self) -> bool {
         self.drop_rate > 0.0
             || self.dup_rate > 0.0
             || self.delay_rate > 0.0
             || (self.stall_rate > 0.0 && self.stall_cycles > 0)
-    }
-
-    /// True when the crash schedule can fire.
-    pub fn crashes_active(&self) -> bool {
-        self.crash_rate > 0.0
     }
 
     /// Validates the rates, naming the first offending field.
@@ -111,13 +88,8 @@ impl FaultConfig {
             ("dup_rate", self.dup_rate),
             ("delay_rate", self.delay_rate),
             ("stall_rate", self.stall_rate),
-            ("crash_rate", self.crash_rate),
         ] {
-            if !(0.0..=1.0).contains(&r) {
-                return Err(FaultConfigError {
-                    message: format!("{name} {r} outside [0, 1]"),
-                });
-            }
+            check_rate(name, r)?;
         }
         let combined = self.drop_rate + self.dup_rate + self.delay_rate;
         if combined.is_nan() || combined > 1.0 {
@@ -129,9 +101,20 @@ impl FaultConfig {
     }
 }
 
-/// An invalid [`FaultConfig`]: a rate outside `[0, 1]` (or NaN), or a
-/// combined per-message rate above 1. Carried as a value so the CLI can
-/// surface it as a named error instead of a panic.
+/// Rejects a probability outside `[0, 1]` (or NaN), naming the field.
+fn check_rate(name: &str, r: f64) -> Result<(), FaultConfigError> {
+    if (0.0..=1.0).contains(&r) {
+        Ok(())
+    } else {
+        Err(FaultConfigError {
+            message: format!("{name} {r} outside [0, 1]"),
+        })
+    }
+}
+
+/// An invalid [`FaultConfig`] or [`CrashPlan`]: a rate outside `[0, 1]`
+/// (or NaN), or a combined per-message rate above 1. Carried as a value
+/// so the CLI can surface it as a named error instead of a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultConfigError {
     message: String,
@@ -281,9 +264,11 @@ pub struct CrashPoint {
 /// A deterministic per-node, per-phase fail-stop crash schedule.
 ///
 /// Each `(node, phase)` pair draws from its own generator seeded by
-/// `(crash_seed, node, phase)`, so the schedule is a pure function of the
-/// config — independent of query order, of how many messages the run
-/// sent, and of every other fault stream. An inactive plan (rate zero)
+/// `(seed, node, phase)`, so the schedule is a pure function of
+/// `(rate, seed)` — independent of query order, of how many messages the
+/// run sent, and of every other fault stream (the crash seed is its own,
+/// never [`FaultConfig::seed`]). A run's plan is `RuntimeConfig::crash`,
+/// the one place crashes are configured. An inactive plan (rate zero)
 /// performs no draws, so crash-free runs are bit-identical to a build
 /// without this type.
 #[derive(Copy, Clone, Debug)]
@@ -307,22 +292,24 @@ impl CrashPlan {
     /// scheduled from `seed`.
     ///
     /// # Panics
-    /// Panics if `rate` is outside `[0, 1]` or NaN.
+    /// Panics if `rate` is outside `[0, 1]` or NaN; use
+    /// [`CrashPlan::try_new`] to handle the error.
     pub fn new(rate: f64, seed: u64) -> CrashPlan {
-        assert!(
-            (0.0..=1.0).contains(&rate),
-            "crash_rate {rate} outside [0, 1]"
-        );
-        CrashPlan {
-            rate,
-            seed,
-            active: rate > 0.0,
+        match CrashPlan::try_new(rate, seed) {
+            Ok(plan) => plan,
+            Err(e) => panic!("{e}"),
         }
     }
 
-    /// The schedule carried by a [`FaultConfig`].
-    pub fn from_config(config: &FaultConfig) -> CrashPlan {
-        CrashPlan::new(config.crash_rate, config.crash_seed)
+    /// [`CrashPlan::new`], rejecting an out-of-range `rate` as a value
+    /// instead of a panic.
+    pub fn try_new(rate: f64, seed: u64) -> Result<CrashPlan, FaultConfigError> {
+        check_rate("crash_rate", rate)?;
+        Ok(CrashPlan {
+            rate,
+            seed,
+            active: rate > 0.0,
+        })
     }
 
     /// True when this plan can crash anything.
@@ -520,9 +507,12 @@ mod tests {
         let e = FaultPlan::try_new(over).expect_err("combined rate over 1");
         assert!(e.to_string().contains("combined per-message"), "{e}");
 
-        let bad_crash = FaultConfig::crashes(-0.1, 0);
-        let e = FaultPlan::try_new(bad_crash).expect_err("negative crash rate");
-        assert!(e.to_string().contains("crash_rate"), "{e}");
+        let e = CrashPlan::try_new(-0.1, 0).expect_err("negative crash rate");
+        assert!(
+            e.to_string().contains("crash_rate -0.1 outside [0, 1]"),
+            "{e}"
+        );
+        assert!(CrashPlan::try_new(f64::NAN, 0).is_err(), "NaN crash rate");
 
         assert!(FaultPlan::try_new(FaultConfig::default()).is_ok());
     }
@@ -560,14 +550,10 @@ mod tests {
         for ph in 0..32 {
             assert!(p.scheduled(64, ph).is_empty());
         }
-        let cfg = FaultConfig::default();
-        assert!(!cfg.crashes_active());
-        assert!(!CrashPlan::from_config(&cfg).is_active());
-        let crashy = FaultConfig::crashes(0.5, 9);
-        assert!(crashy.crashes_active());
-        assert!(!crashy.is_active(), "crashes are not network faults");
-        assert!(CrashPlan::from_config(&crashy).is_active());
-        assert_eq!(CrashPlan::from_config(&crashy).rate(), 0.5);
+        assert!(!CrashPlan::new(0.0, 9).is_active());
+        let crashy = CrashPlan::new(0.5, 9);
+        assert!(crashy.is_active());
+        assert_eq!(crashy.rate(), 0.5);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::cost::Knob;
 use crate::machine::NodeId;
 use crate::mem::BlockId;
 use crate::profile::CycleCat;
-use std::collections::VecDeque;
 
 /// One protocol event.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -331,7 +330,7 @@ pub struct Stamped {
 pub struct Trace {
     enabled: bool,
     capacity: usize,
-    events: VecDeque<Stamped>,
+    events: Vec<Stamped>,
     seq: u64,
     dropped: u64,
 }
@@ -348,7 +347,7 @@ impl Trace {
         Trace {
             enabled: true,
             capacity,
-            events: VecDeque::new(),
+            events: Vec::new(),
             seq: 0,
             dropped: 0,
         }
@@ -374,7 +373,7 @@ impl Trace {
         };
         self.seq += 1;
         if self.events.len() < self.capacity {
-            self.events.push_back(stamped);
+            self.events.push(stamped);
         } else {
             self.dropped += 1;
         }
@@ -389,13 +388,13 @@ impl Trace {
     }
 
     /// The recorded events, oldest first.
-    pub fn events(&self) -> &VecDeque<Stamped> {
+    pub fn events(&self) -> &[Stamped] {
         &self.events
     }
 
-    /// The recorded events copied into a contiguous vector, oldest first.
+    /// The recorded events copied into a vector, oldest first.
     pub fn to_vec(&self) -> Vec<Stamped> {
-        self.events.iter().copied().collect()
+        self.events.clone()
     }
 
     /// Number of record attempts so far (stored plus dropped).

@@ -21,7 +21,7 @@ fn main() {
     println!("dynamic partitioning (a load-balancing runtime's schedule):");
     let mut baseline = 0u64;
     for sys in SystemKind::all() {
-        let ((_, quads), r) = execute(sys, 16, cfg, &w);
+        let ((_, quads), r, _) = execute(sys, MachineConfig::new(16), cfg, &w);
         if sys == SystemKind::LcmScc {
             baseline = r.time;
         }
@@ -41,7 +41,7 @@ fn main() {
     };
     println!("\nstatic partitioning (repeatable schedule):");
     for sys in SystemKind::all() {
-        let (_, r) = execute(sys, 16, cfg, &w);
+        let (_, r, _) = execute(sys, MachineConfig::new(16), cfg, &w);
         println!(
             "  {:8} {:>12} cycles  misses={}",
             sys.label(),

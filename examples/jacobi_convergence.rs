@@ -15,7 +15,8 @@ fn main() {
         w.size, w.tolerance
     );
     for sys in SystemKind::all() {
-        let ((iters, residual_bits, _), r) = execute(sys, 8, RuntimeConfig::default(), &w);
+        let ((iters, residual_bits, _), r, _) =
+            execute(sys, MachineConfig::new(8), RuntimeConfig::default(), &w);
         println!(
             "  {:8} converged in {:>3} iterations (residual {:.3}) — {:>12} cycles, {:>7} misses",
             sys.label(),

@@ -60,8 +60,7 @@ pub use lcm_tempest as tempest;
 /// The names most programs need, in one import.
 pub mod prelude {
     pub use lcm_apps::{
-        execute, execute_all, execute_traced, execute_with_cost, execute_with_faults, Benchmark,
-        RunResult, Scale, Suite, SystemKind, Workload,
+        execute, execute_all, Benchmark, RunResult, Scale, Suite, SystemKind, Workload,
     };
     pub use lcm_core::{Lcm, LcmVariant};
     pub use lcm_cstar::{

@@ -1,24 +1,23 @@
 //! The contention-aware network model (DESIGN.md §4e), end to end.
 //!
-//! Four contracts: (1) with unlimited bandwidth the model is a no-op —
+//! Three contracts: (1) with unlimited bandwidth the model is a no-op —
 //! the fabric is never built and results are byte-identical whatever
 //! the dormant knobs say; (2) with finite bandwidth every benchmark
 //! still conserves cycles (the ledger sums to the clocks, node by
-//! node — `harvest` runs the sanitizer, so a violation panics); (3)
-//! the contention sweep obeys the §4d determinism contract across
-//! worker counts; and (4) the headline result — shrinking bandwidth
-//! hurts Stache's invalidation storms more than LCM-mcc's deferred
-//! reconciliation on the reduction hotspot.
+//! node — `harvest` runs the sanitizer, so a violation panics); and (3)
+//! the headline result — shrinking bandwidth hurts Stache's
+//! invalidation storms more than LCM-mcc's deferred reconciliation on
+//! the reduction hotspot. The contention section's determinism across
+//! worker counts is pinned by `crates/bench/tests/sections.rs`.
 
 use lcm_apps::experiments::{Benchmark, Scale, Suite};
 use lcm_apps::false_sharing::FalseSharing;
 use lcm_apps::reduction::{ArraySum, ReductionSum};
 use lcm_apps::stencil::Stencil;
 use lcm_apps::unstructured::Unstructured;
-use lcm_apps::{execute_with_cost, RunResult, SystemKind, Workload};
-use lcm_bench::{SweepEngine, SweepKey};
+use lcm_apps::{execute, RunResult, SystemKind, Workload};
 use lcm_cstar::{Partition, RuntimeConfig};
-use lcm_sim::{CostModel, CycleCat};
+use lcm_sim::{CostModel, CycleCat, MachineConfig};
 use proptest::prelude::*;
 
 /// The CM-5 model with contention enabled at `bw` bytes/cycle
@@ -30,7 +29,8 @@ fn contended(bw: u64) -> CostModel {
 }
 
 fn run<W: Workload>(system: SystemKind, nodes: usize, cost: CostModel, w: &W) -> RunResult {
-    execute_with_cost(system, nodes, cost, RuntimeConfig::default(), w).1
+    let mc = MachineConfig::new(nodes).with_cost(cost);
+    execute(system, mc, RuntimeConfig::default(), w).1
 }
 
 /// Cycles the run spent queued behind fabric serialization.
@@ -74,7 +74,7 @@ proptest! {
 /// `tests/golden_suite.rs` and committed under `results/`.
 #[test]
 fn default_smoke_suite_never_builds_the_fabric() {
-    let suite = Suite::run_jobs(Scale::Smoke, 2);
+    let suite = Suite::run(Scale::Smoke, 2);
     for b in Benchmark::all() {
         for s in SystemKind::all() {
             let r = suite.result(b, s);
@@ -134,36 +134,6 @@ fn finite_bandwidth_conserves_cycles_on_every_benchmark() {
     check("false-sharing", fs.writers, &fs);
     check("unstructured", 8, &Unstructured::small());
     check("stencil-dyn", 8, &Stencil::small(Partition::Dynamic));
-}
-
-/// The contention grid honors the §4d determinism contract: any worker
-/// count produces the serial run's keys and digests, byte for byte.
-#[test]
-fn contention_grid_is_identical_across_worker_counts() {
-    let w = ReductionSum(ArraySum {
-        len: 1024,
-        passes: 2,
-    });
-    let grid = |jobs: usize| {
-        let points: Vec<_> = SystemKind::all()
-            .into_iter()
-            .flat_map(|s| {
-                [0u64, 16, 4].into_iter().map(move |bw| {
-                    let key = SweepKey::new("Reduction", s.label(), "test").with_sensitivity(bw);
-                    (key, (s, bw))
-                })
-            })
-            .collect();
-        SweepEngine::new(jobs).run(points, |_, (system, bw)| {
-            run(system, 8, contended(bw), &w).digest()
-        })
-    };
-    let serial = grid(1);
-    let pooled = grid(4);
-    assert_eq!(
-        serial, pooled,
-        "contention grid diverged across worker counts"
-    );
 }
 
 /// The acceptance check: as link bandwidth shrinks, Stache degrades

@@ -34,7 +34,7 @@ fn capture<W: Workload>(benchmark: &str, system: SystemKind, w: &W) -> TraceFile
         benchmark,
         "smoke",
         system,
-        NODES,
+        MachineConfig::new(NODES).with_cost(CostModel::cm5()),
         RuntimeConfig::default(),
         w,
         CAPACITY,
@@ -99,7 +99,7 @@ fn path_holds_under_finite_bandwidth_and_whatif_is_exact() {
     let mut cost = CostModel::cm5();
     cost.link_bandwidth_bytes_per_cycle = 8;
     for system in SystemKind::all() {
-        let file = explore::capture_with_machine(
+        let file = explore::capture_workload(
             "Stencil-dyn",
             "smoke",
             system,
@@ -139,7 +139,7 @@ fn path_holds_under_finite_bandwidth_and_whatif_is_exact() {
 fn path_holds_on_a_faulty_capture() {
     // Message drops trigger timeouts and retries; the retry charges land
     // in the stream like any other, so the path identity must survive.
-    let file = explore::capture_with_machine(
+    let file = explore::capture_workload(
         "Threshold",
         "smoke",
         SystemKind::LcmMcc,

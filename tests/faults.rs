@@ -22,6 +22,17 @@ fn stencil() -> lcm::apps::stencil::Stencil {
     }
 }
 
+/// Runs `w` on `system` over a 4-node machine injecting `faults`.
+fn run_faulty<W: Workload>(
+    system: SystemKind,
+    faults: FaultConfig,
+    w: &W,
+) -> (W::Output, RunResult) {
+    let mc = MachineConfig::new(4).with_faults(faults);
+    let (out, r, _) = execute(system, mc, RuntimeConfig::default(), w);
+    (out, r)
+}
+
 /// A reduction workload: exercises the combining path and `reduce` RMWs.
 fn array_sum_output(system: SystemKind, faults: FaultConfig) -> (f64, RunResult) {
     struct Sum;
@@ -38,7 +49,7 @@ fn array_sum_output(system: SystemKind, faults: FaultConfig) -> (f64, RunResult)
             rt.peek_reduction(total)
         }
     }
-    execute_with_faults(system, 4, faults, RuntimeConfig::default(), &Sum)
+    run_faulty(system, faults, &Sum)
 }
 
 /// An arbitrary mixed fault schedule, bounded so runs stay fast.
@@ -63,8 +74,6 @@ fn fault_schedule() -> impl proptest::strategy::Strategy<Value = FaultConfig> {
                 max_retries: 40,
                 stall_rate: stall_pc as f64 / 100.0,
                 stall_cycles,
-                crash_rate: 0.0,
-                crash_seed: 0,
             },
         )
 }
@@ -81,9 +90,9 @@ proptest! {
         let w = stencil();
         for system in SystemKind::all() {
             let (clean_out, clean) =
-                execute_with_faults(system, 4, FaultConfig::default(), RuntimeConfig::default(), &w);
+                run_faulty(system, FaultConfig::default(), &w);
             let (faulty_out, faulty) =
-                execute_with_faults(system, 4, faults, RuntimeConfig::default(), &w);
+                run_faulty(system, faults, &w);
             prop_assert_eq!(&clean_out, &faulty_out);
             prop_assert!(faulty.time >= clean.time);
             // Fault-free protocol work is unchanged: same misses, same
@@ -111,7 +120,7 @@ proptest! {
     fn message_accounting_is_conserved(faults in fault_schedule()) {
         let w = stencil();
         for system in SystemKind::all() {
-            let (_, r) = execute_with_faults(system, 4, faults, RuntimeConfig::default(), &w);
+            let (_, r) = run_faulty(system, faults, &w);
             prop_assert_eq!(r.totals.msgs_sent, r.totals.msgs_recv);
             prop_assert_eq!(r.msgs_total(), r.totals.msgs_sent);
             prop_assert_eq!(r.totals.msgs_dropped, r.net_dropped);
@@ -127,8 +136,8 @@ proptest! {
     fn identical_seeds_reproduce_identical_runs(faults in fault_schedule()) {
         let w = stencil();
         for system in SystemKind::all() {
-            let (out_a, a) = execute_with_faults(system, 4, faults, RuntimeConfig::default(), &w);
-            let (out_b, b) = execute_with_faults(system, 4, faults, RuntimeConfig::default(), &w);
+            let (out_a, a) = run_faulty(system, faults, &w);
+            let (out_b, b) = run_faulty(system, faults, &w);
             prop_assert_eq!(out_a, out_b);
             prop_assert_eq!(a.time, b.time);
             prop_assert_eq!(&a.totals, &b.totals);
@@ -147,7 +156,7 @@ fn acceptance_drop_rate_sweep_is_bit_identical() {
         let mut last_time = 0u64;
         for rate in [0.0, 0.001, 0.01, 0.05] {
             let faults = FaultConfig::drops(rate, 0xC0FFEE);
-            let (out, r) = execute_with_faults(system, 4, faults, RuntimeConfig::default(), &w);
+            let (out, r) = run_faulty(system, faults, &w);
             match &reference {
                 None => reference = Some(out),
                 Some(expected) => assert_eq!(expected, &out, "{system} at drop rate {rate}"),
@@ -181,15 +190,8 @@ fn barrier_stalls_change_time_not_results() {
         ..FaultConfig::default()
     };
     for system in SystemKind::all() {
-        let (clean_out, clean) = execute_with_faults(
-            system,
-            4,
-            FaultConfig::default(),
-            RuntimeConfig::default(),
-            &w,
-        );
-        let (stalled_out, stalled) =
-            execute_with_faults(system, 4, stalls, RuntimeConfig::default(), &w);
+        let (clean_out, clean) = run_faulty(system, FaultConfig::default(), &w);
+        let (stalled_out, stalled) = run_faulty(system, stalls, &w);
         assert_eq!(clean_out, stalled_out);
         assert!(stalled.totals.stall_cycles > 0, "{system}: stalls occurred");
         assert!(stalled.time > clean.time, "{system}: stalls cost time");

@@ -32,7 +32,7 @@ fn render(suite: &Suite) -> String {
 #[test]
 fn smoke_suite_reproduces_the_committed_fixture() {
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suite_smoke.txt");
-    let rendered = render(&Suite::run_jobs(Scale::Smoke, 2));
+    let rendered = render(&Suite::run(Scale::Smoke, 2));
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::write(&fixture, &rendered).expect("write fixture");
         return;

@@ -41,7 +41,7 @@ fn assert_conserved(label: &str, r: &RunResult) {
 /// harvest wiring changes.)
 #[test]
 fn cycle_ledger_conserves_on_every_benchmark() {
-    let suite = Suite::run(Scale::Smoke);
+    let suite = Suite::run(Scale::Smoke, 1);
     for b in Benchmark::all() {
         for s in SystemKind::all() {
             let r = suite.result(b, s);
@@ -59,7 +59,8 @@ fn cycle_ledger_conserves_under_faults() {
     let w = stencil();
     for s in SystemKind::all() {
         let faults = FaultConfig::drops(0.02, 0xC0FFEE);
-        let (_, r) = execute_with_faults(s, 4, faults, RuntimeConfig::default(), &w);
+        let mc = MachineConfig::new(4).with_faults(faults);
+        let (_, r, _) = execute(s, mc, RuntimeConfig::default(), &w);
         assert_conserved(&format!("faulty/{}", s.label()), &r);
         assert!(
             r.ledger.cat_total(CycleCat::RetryBackoff) > 0,
@@ -78,7 +79,7 @@ fn trace_events_reconcile_with_node_stats() {
     let w = stencil();
     for s in SystemKind::all() {
         let mc = MachineConfig::new(4).with_trace(1 << 22);
-        let (_, r, events) = execute_traced(s, mc, RuntimeConfig::default(), &w);
+        let (_, r, events) = execute(s, mc, RuntimeConfig::default(), &w);
         let label = s.label();
         assert_eq!(r.trace_dropped, 0, "{label}: buffer must hold the run");
         assert_eq!(r.trace_events, events.len(), "{label}: event count");
@@ -183,7 +184,9 @@ fn trace_events_reconcile_with_node_stats() {
 /// zero-cost-when-off contract, checked through the public path.
 #[test]
 fn tracing_off_records_nothing() {
-    let (_, r) = execute(SystemKind::LcmMcc, 4, RuntimeConfig::default(), &stencil());
+    let mc = MachineConfig::new(4);
+    let (_, r, events) = execute(SystemKind::LcmMcc, mc, RuntimeConfig::default(), &stencil());
+    assert!(events.is_empty());
     assert_eq!(r.trace_events, 0);
     assert_eq!(r.trace_dropped, 0);
     // The ledger and phases still work with tracing off.

@@ -10,7 +10,7 @@ use lcm::prelude::*;
 
 #[test]
 fn all_section_6_3_claims_hold_at_medium_scale() {
-    let suite = Suite::run(Scale::Medium);
+    let suite = Suite::run(Scale::Medium, 1);
     let claims = suite.claims();
     assert_eq!(claims.len(), 11);
     let failing: Vec<String> = claims

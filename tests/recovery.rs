@@ -22,23 +22,43 @@ fn stencil() -> lcm::apps::stencil::Stencil {
     }
 }
 
-/// Runs the stencil with both a network-fault schedule and a crash plan
-/// (wired from the config's `crash_rate`/`crash_seed` fields).
+/// A network-fault schedule (on the machine) plus a fail-stop crash
+/// plan (on the runtime).
+#[derive(Copy, Clone, Debug)]
+struct Schedule {
+    faults: FaultConfig,
+    crash: CrashPlan,
+}
+
+impl Schedule {
+    /// Crashes at `rate` from `seed` over a reliable network.
+    fn crashes(rate: f64, seed: u64) -> Schedule {
+        Schedule {
+            faults: FaultConfig::default(),
+            crash: CrashPlan::new(rate, seed),
+        }
+    }
+}
+
+/// Runs the stencil under a schedule's network faults and crash plan.
 fn run_with_recovery(
     system: SystemKind,
-    faults: FaultConfig,
+    schedule: Schedule,
     checkpoint_every: u64,
 ) -> (u64, RunResult) {
     let cfg = RuntimeConfig {
+        crash: schedule.crash,
         checkpoint_every,
         ..RuntimeConfig::default()
     };
-    execute_with_faults(system, 4, faults, cfg, &stencil())
+    let mc = MachineConfig::new(4).with_faults(schedule.faults);
+    let (out, r, _) = execute(system, mc, cfg, &stencil());
+    (out, r)
 }
 
 /// A mixed schedule: every network-fault class active at once, plus
 /// fail-stop crashes.
-fn crash_schedule() -> impl proptest::strategy::Strategy<Value = FaultConfig> {
+fn crash_schedule() -> impl proptest::strategy::Strategy<Value = Schedule> {
     (
         (0u32..=60, 0u32..=30, 0u32..=30, 1u64..400, 0u64..u64::MAX),
         (0u32..=40, 1u64..20_000, 1u32..=400, 0u64..u64::MAX),
@@ -48,17 +68,18 @@ fn crash_schedule() -> impl proptest::strategy::Strategy<Value = FaultConfig> {
                 (drop_pm, dup_pm, delay_pm, max_delay, seed),
                 (stall_pc, stall_cycles, crash_pm, crash_seed),
             )| {
-                FaultConfig {
-                    drop_rate: drop_pm as f64 / 1000.0,
-                    dup_rate: dup_pm as f64 / 1000.0,
-                    delay_rate: delay_pm as f64 / 1000.0,
-                    max_delay,
-                    seed,
-                    max_retries: 40,
-                    stall_rate: stall_pc as f64 / 100.0,
-                    stall_cycles,
-                    crash_rate: crash_pm as f64 / 1000.0,
-                    crash_seed,
+                Schedule {
+                    faults: FaultConfig {
+                        drop_rate: drop_pm as f64 / 1000.0,
+                        dup_rate: dup_pm as f64 / 1000.0,
+                        delay_rate: delay_pm as f64 / 1000.0,
+                        max_delay,
+                        seed,
+                        max_retries: 40,
+                        stall_rate: stall_pc as f64 / 100.0,
+                        stall_cycles,
+                    },
+                    crash: CrashPlan::new(crash_pm as f64 / 1000.0, crash_seed),
                 }
             },
         )
@@ -72,11 +93,11 @@ proptest! {
     /// system, only ever cost cycles, and keep the ledger conserved (the
     /// sanitizer runs inside every harvest).
     #[test]
-    fn crashes_with_any_fault_schedule_preserve_results(faults in crash_schedule()) {
+    fn crashes_with_any_fault_schedule_preserve_results(schedule in crash_schedule()) {
         for system in SystemKind::all() {
             let (clean_out, clean) =
-                run_with_recovery(system, FaultConfig::default(), 1);
-            let (faulty_out, faulty) = run_with_recovery(system, faults, 1);
+                run_with_recovery(system, Schedule::crashes(0.0, 0), 1);
+            let (faulty_out, faulty) = run_with_recovery(system, schedule, 1);
             prop_assert_eq!(&clean_out, &faulty_out);
             prop_assert!(faulty.time >= clean.time);
             // A clean run never checkpoints and never crashes.
@@ -88,11 +109,11 @@ proptest! {
     /// Checkpoint granularity is a pure cost axis: coarser checkpoints
     /// under the same crash-and-fault schedule change cycles only.
     #[test]
-    fn checkpoint_granularity_never_changes_results(faults in crash_schedule()) {
+    fn checkpoint_granularity_never_changes_results(schedule in crash_schedule()) {
         for system in SystemKind::all() {
-            let (out_1, _) = run_with_recovery(system, faults, 1);
-            let (out_2, _) = run_with_recovery(system, faults, 2);
-            let (out_8, _) = run_with_recovery(system, faults, 8);
+            let (out_1, _) = run_with_recovery(system, schedule, 1);
+            let (out_2, _) = run_with_recovery(system, schedule, 2);
+            let (out_8, _) = run_with_recovery(system, schedule, 8);
             prop_assert_eq!(&out_1, &out_2);
             prop_assert_eq!(&out_1, &out_8);
         }
@@ -101,10 +122,10 @@ proptest! {
     /// Identical `(schedule, crash seed)` pairs reproduce identical runs:
     /// cycle counts, crash counts, checkpoint bytes and all.
     #[test]
-    fn identical_crash_seeds_reproduce_identical_runs(faults in crash_schedule()) {
+    fn identical_crash_seeds_reproduce_identical_runs(schedule in crash_schedule()) {
         for system in SystemKind::all() {
-            let (out_a, a) = run_with_recovery(system, faults, 1);
-            let (out_b, b) = run_with_recovery(system, faults, 1);
+            let (out_a, a) = run_with_recovery(system, schedule, 1);
+            let (out_b, b) = run_with_recovery(system, schedule, 1);
             prop_assert_eq!(out_a, out_b);
             prop_assert_eq!(a.time, b.time);
             prop_assert_eq!(&a.totals, &b.totals);
@@ -115,9 +136,9 @@ proptest! {
     /// cycles, not messages, so every delivered message is still counted
     /// at both ends and the per-kind sum still matches the network total.
     #[test]
-    fn message_accounting_is_conserved_under_crashes(faults in crash_schedule()) {
+    fn message_accounting_is_conserved_under_crashes(schedule in crash_schedule()) {
         for system in SystemKind::all() {
-            let (_, r) = run_with_recovery(system, faults, 1);
+            let (_, r) = run_with_recovery(system, schedule, 1);
             prop_assert_eq!(r.totals.msgs_sent, r.totals.msgs_recv);
             prop_assert_eq!(r.msgs_total(), r.totals.msgs_sent);
             prop_assert_eq!(r.totals.msgs_dropped, r.net_dropped);
@@ -132,20 +153,21 @@ proptest! {
 /// demonstrably engaged.
 #[test]
 fn crash_during_retry_storm_and_barrier_stalls_recovers() {
-    let hostile = FaultConfig {
-        drop_rate: 0.05,
-        dup_rate: 0.02,
-        delay_rate: 0.02,
-        max_delay: 200,
-        seed: 11,
-        max_retries: 40,
-        stall_rate: 0.5,
-        stall_cycles: 5_000,
-        crash_rate: 0.5,
-        crash_seed: 0xDEAD,
+    let hostile = Schedule {
+        faults: FaultConfig {
+            drop_rate: 0.05,
+            dup_rate: 0.02,
+            delay_rate: 0.02,
+            max_delay: 200,
+            seed: 11,
+            max_retries: 40,
+            stall_rate: 0.5,
+            stall_cycles: 5_000,
+        },
+        crash: CrashPlan::new(0.5, 0xDEAD),
     };
     for system in SystemKind::all() {
-        let (clean_out, clean) = run_with_recovery(system, FaultConfig::default(), 1);
+        let (clean_out, clean) = run_with_recovery(system, Schedule::crashes(0.0, 0), 1);
         let (out, r) = run_with_recovery(system, hostile, 1);
         assert_eq!(clean_out, out, "{system}: recovery changed the answer");
         assert!(r.totals.crashes > 0, "{system}: the schedule crashed nodes");
@@ -174,9 +196,14 @@ fn crash_during_retry_storm_and_barrier_stalls_recovers() {
 #[test]
 fn inactive_crash_plan_is_invisible() {
     for system in SystemKind::all() {
-        let (out_a, a) = run_with_recovery(system, FaultConfig::default(), 1);
+        let (out_a, a) = run_with_recovery(system, Schedule::crashes(0.0, 0), 1);
         // Same run through the plain (non-fault) path.
-        let (out_b, b) = execute(system, 4, RuntimeConfig::default(), &stencil());
+        let (out_b, b, _) = execute(
+            system,
+            MachineConfig::new(4),
+            RuntimeConfig::default(),
+            &stencil(),
+        );
         assert_eq!(out_a, out_b);
         assert_eq!(a.time, b.time, "{system}: dormant recovery cost cycles");
         let cats = a.ledger.totals();
@@ -197,8 +224,8 @@ fn acceptance_crash_rate_sweep_is_bit_identical() {
         let mut reference = None;
         for rate in [0.0, 0.1, 0.3, 0.6] {
             for every in [1, 4] {
-                let faults = FaultConfig::crashes(rate, 0xC0FFEE);
-                let (out, _) = run_with_recovery(system, faults, every);
+                let schedule = Schedule::crashes(rate, 0xC0FFEE);
+                let (out, _) = run_with_recovery(system, schedule, every);
                 match &reference {
                     None => reference = Some(out),
                     Some(expected) => {
@@ -212,7 +239,7 @@ fn acceptance_crash_rate_sweep_is_bit_identical() {
         }
     }
     let bytes = |system: SystemKind| {
-        let (_, r) = run_with_recovery(system, FaultConfig::crashes(0.3, 7), 1);
+        let (_, r) = run_with_recovery(system, Schedule::crashes(0.3, 7), 1);
         r.totals.checkpoint_bytes
     };
     let (mcc, stache) = (bytes(SystemKind::LcmMcc), bytes(SystemKind::Stache));
@@ -243,8 +270,11 @@ fn reductions_survive_crashes_exactly() {
     let mut sums = std::collections::BTreeSet::new();
     for system in SystemKind::all() {
         for rate in [0.0, 0.2, 0.6] {
-            let cfg = RuntimeConfig::default();
-            let (sum, _) = execute_with_faults(system, 4, FaultConfig::crashes(rate, 3), cfg, &Sum);
+            let cfg = RuntimeConfig {
+                crash: CrashPlan::new(rate, 3),
+                ..RuntimeConfig::default()
+            };
+            let (sum, _, _) = execute(system, MachineConfig::new(4), cfg, &Sum);
             sums.insert((system.label(), sum.to_bits()));
         }
     }
@@ -261,28 +291,25 @@ fn reductions_survive_crashes_exactly() {
 /// healthy points, and the failure report must carry both the sweep key
 /// and the panic site (`file:line`) so the offending configuration is
 /// identifiable from stderr alone. This drives a *real* simulator panic
-/// (an invalid crash rate rejected inside `FaultPlan::new`) through the
-/// same `try_par_map` + key-tagging contract the scale and bench sweep
+/// (an invalid crash rate rejected inside `CrashPlan::new`) through the
+/// same `try_par_map` + key-tagging contract the scale and `repro` grid
 /// drivers use.
 #[test]
 fn sweep_failures_carry_sweep_key_and_panic_location() {
-    let mut points: Vec<FaultConfig> = [0.0, 0.1, 0.4]
-        .into_iter()
-        .map(|rate| FaultConfig::crashes(rate, 9))
-        .collect();
-    // crash_rate 2.0 fails fault-plan validation inside the run itself.
-    points.push(FaultConfig::crashes(2.0, 9));
+    // crash_rate 2.0 fails the crash plan's range check inside the point.
+    let points = vec![0.0, 0.1, 0.4, 2.0];
     let keys: Vec<String> = points
         .iter()
-        .map(|f| format!("stencil/LCM-mcc/crash-rate={}", f.crash_rate))
+        .map(|rate| format!("stencil/LCM-mcc/crash-rate={rate}"))
         .collect();
-    let baseline = run_with_recovery(SystemKind::LcmMcc, points[0], 2)
-        .1
-        .digest();
+    let run = |rate| {
+        run_with_recovery(SystemKind::LcmMcc, Schedule::crashes(rate, 9), 2)
+            .1
+            .digest()
+    };
+    let baseline = run(points[0]);
     for jobs in [1, 4] {
-        let results = lcm::sim::try_par_map(jobs, points.clone(), |_, faults| {
-            run_with_recovery(SystemKind::LcmMcc, faults, 2).1.digest()
-        });
+        let results = lcm::sim::try_par_map(jobs, points.clone(), |_, rate| run(rate));
         let mut failures = Vec::new();
         for (key, r) in keys.iter().zip(&results) {
             match r {

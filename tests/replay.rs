@@ -35,7 +35,7 @@ fn capture<W: Workload>(benchmark: &str, system: SystemKind, w: &W) -> TraceFile
         benchmark,
         "smoke",
         system,
-        NODES,
+        MachineConfig::new(NODES).with_cost(CostModel::cm5()),
         RuntimeConfig::default(),
         w,
         CAPACITY,
@@ -94,7 +94,7 @@ fn replay_is_exact_under_a_finite_bandwidth_capture() {
     let mut cost = CostModel::cm5();
     cost.link_bandwidth_bytes_per_cycle = 8;
     for system in SystemKind::all() {
-        let file = explore::capture_with_machine(
+        let file = explore::capture_workload(
             "Stencil-dyn",
             "smoke",
             system,
@@ -168,7 +168,7 @@ fn huge_prices_saturate_identically_on_every_path() {
     for bw in [0u64, 16] {
         for (name, field, set) in HUGE_FIELDS {
             for v in [u64::MAX / 2, u64::MAX] {
-                let mut cost = explore::grid_cost(bw, 3_000);
+                let mut cost = CostModel::cm5_grid(bw, 3_000);
                 set(&mut cost, v);
                 for topology in [Topology::default(), Topology::Crossbar] {
                     let full = replay(&file, &cost, topology);
@@ -291,10 +291,10 @@ fn replay_repricing_matches_reexecution_without_contention() {
     for system in SystemKind::all() {
         let file = capture("Threshold", system, &w);
         for &lat in &[500u64, 12000] {
-            let cost = explore::grid_cost(0, lat);
+            let cost = CostModel::cm5_grid(0, lat);
             let r = replay(&file, &cost, file.topology);
             let mc = MachineConfig::new(NODES).with_cost(cost);
-            let exec = lcm_apps::execute_with_machine(system, mc, RuntimeConfig::default(), &w).1;
+            let exec = lcm_apps::execute(system, mc, RuntimeConfig::default(), &w).1;
             assert_eq!(
                 r.time, exec.time,
                 "{system} @ latency {lat}: replay vs re-execution"

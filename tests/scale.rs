@@ -219,8 +219,8 @@ fn backends_are_bit_identical_to_full_map_oracle_up_to_64_nodes() {
 #[test]
 fn kilonode_sweep_is_deterministic_across_worker_counts() {
     for nodes in [256usize, 1024] {
-        let serial = sweep_scale(&[nodes], 1);
-        let pooled = sweep_scale(&[nodes], 8);
+        let serial = sweep_scale(&[nodes], 1).expect("healthy grid");
+        let pooled = sweep_scale(&[nodes], 8).expect("healthy grid");
         assert_eq!(serial.len(), pooled.len());
         for (a, b) in serial.iter().zip(&pooled) {
             assert_eq!(a.benchmark, b.benchmark);

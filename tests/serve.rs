@@ -30,7 +30,8 @@ use lcm_cstar::RuntimeConfig;
 use lcm_replay::{TraceFile, TraceHandle};
 use lcm_serve::{query, CacheKey, Client, Query, QueryClass, ServeEngine, Server};
 use lcm_sim::{
-    CostModel, CycleCat, CycleLedger, DirBackend, Event, NodeId, NodeStats, Stamped, Topology,
+    CostModel, CycleCat, CycleLedger, DirBackend, Event, MachineConfig, NodeId, NodeStats, Stamped,
+    Topology,
 };
 use std::sync::Arc;
 
@@ -43,7 +44,7 @@ fn capture<W: Workload>(benchmark: &str, system: SystemKind, w: &W) -> TraceHand
             benchmark,
             "smoke",
             system,
-            NODES,
+            MachineConfig::new(NODES).with_cost(CostModel::cm5()),
             RuntimeConfig::default(),
             w,
             CAPACITY,
@@ -72,7 +73,7 @@ fn grid(e: &ServeEngine) -> Vec<Query> {
             for lat in [500u64, 3_000, 12_000] {
                 queries.push(Query {
                     trace: t.name.clone(),
-                    cost: explore::grid_cost(bw, lat),
+                    cost: CostModel::cm5_grid(bw, lat),
                     topology: t.handle.topology,
                     backend: DirBackend::FullMap,
                 });
@@ -193,7 +194,7 @@ fn differential_replay_is_byte_identical_on_every_topology() {
             for bw in [64u64, 16, 4] {
                 let q = Query {
                     topology,
-                    ..query(&t.name, explore::grid_cost(bw, 3_000))
+                    ..query(&t.name, CostModel::cm5_grid(bw, 3_000))
                 };
                 e.verify(&q)
                     .unwrap_or_else(|err| panic!("{} {topology} bw={bw}: {err}", t.name));
@@ -303,7 +304,7 @@ fn huge_link_bandwidths_get_answers_over_tcp() {
     let mut client = Client::connect(&server.addr.to_string()).expect("connect");
     let name = engine.traces()[0].name.clone();
     for bw in [1u64 << 63, u64::MAX] {
-        let mut cost = explore::grid_cost(64, 3_000);
+        let mut cost = CostModel::cm5_grid(64, 3_000);
         cost.link_bandwidth_bytes_per_cycle = bw;
         let huge = query(&name, cost);
         let got = client
@@ -315,7 +316,7 @@ fn huge_link_bandwidths_get_answers_over_tcp() {
             "bw={bw}"
         );
         // The same connection then answers a normal query.
-        let normal = query(&name, explore::grid_cost(16, 3_000));
+        let normal = query(&name, CostModel::cm5_grid(16, 3_000));
         let got = client.query(&normal).expect("connection survives");
         assert_eq!(got.result, engine.query_full(&normal).expect("full"));
     }
@@ -337,7 +338,7 @@ fn huge_prices_get_answers_over_tcp() {
         ("barrier_base", |c| c.barrier_base = u64::MAX),
     ];
     for (field, set) in huge {
-        let mut cost = explore::grid_cost(16, 3_000);
+        let mut cost = CostModel::cm5_grid(16, 3_000);
         set(&mut cost);
         let q = query(&name, cost);
         let got = client.query(&q).expect("an answer, not a dead connection");
@@ -347,7 +348,7 @@ fn huge_prices_get_answers_over_tcp() {
             "{field} = u64::MAX"
         );
         // The same connection then answers a normal query.
-        let normal = query(&name, explore::grid_cost(16, 3_000));
+        let normal = query(&name, CostModel::cm5_grid(16, 3_000));
         let got = client.query(&normal).expect("connection survives");
         assert_eq!(got.result, engine.query_full(&normal).expect("full"));
     }
