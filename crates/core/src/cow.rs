@@ -7,7 +7,7 @@
 //! written, the merged value of all flushed versions, and enough per-word
 //! provenance to detect conflicting claims.
 
-use lcm_rsm::{ConflictKind, ConflictRecord, KeepOrder, MergePolicy, RegionPolicy, ValueWidth};
+use lcm_rsm::{ConflictKind, ConflictRecord, KeepOrder, MergePolicy, RegionPolicy};
 use lcm_sim::mem::{BlockBuf, BlockId, WordMask, WORDS_PER_BLOCK};
 use lcm_sim::NodeId;
 use lcm_stache::SharerSet;
@@ -147,43 +147,14 @@ impl CowEntry {
                 ww
             }
             MergePolicy::Reduce(op) => {
-                match op.width() {
-                    ValueWidth::W4 => {
-                        for w in dirty.iter_set() {
-                            let incoming = data.word(w) as u64;
-                            let cur = if self.pending_mask.get(w) {
-                                self.pending.word(w) as u64
-                            } else {
-                                op.identity_bits()
-                            };
-                            self.pending
-                                .set_word(w, op.combine_bits(cur, incoming) as u32);
-                            self.word_writer[w] = node.0;
-                        }
-                    }
-                    ValueWidth::W8 => {
-                        for w in (0..WORDS_PER_BLOCK).step_by(2) {
-                            if !dirty.get(w) && !dirty.get(w + 1) {
-                                continue;
-                            }
-                            assert!(
-                                dirty.get(w) && dirty.get(w + 1),
-                                "torn 8-byte reduction version on {block:?} word {w}"
-                            );
-                            let incoming = data.word(w) as u64 | ((data.word(w + 1) as u64) << 32);
-                            let cur = if self.pending_mask.get(w) {
-                                self.pending.word(w) as u64
-                                    | ((self.pending.word(w + 1) as u64) << 32)
-                            } else {
-                                op.identity_bits()
-                            };
-                            let combined = op.combine_bits(cur, incoming);
-                            self.pending.set_word(w, combined as u32);
-                            self.pending.set_word(w + 1, (combined >> 32) as u32);
-                            self.word_writer[w] = node.0;
-                            self.word_writer[w + 1] = node.0;
-                        }
-                    }
+                // Every contribution combines with what the home holds,
+                // and an unclaimed word holds the identity.
+                if self.pending_mask.is_empty() {
+                    self.pending = op.identity_block();
+                }
+                op.combine_masked(&mut self.pending, WordMask::full(), data, dirty);
+                for w in dirty.iter_set() {
+                    self.word_writer[w] = node.0;
                 }
                 self.pending_mask = self.pending_mask.union(dirty);
                 0 // reductions combine; concurrent contributions are not conflicts

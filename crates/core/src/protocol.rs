@@ -29,13 +29,13 @@ use crate::nested::NestedPhase;
 use crate::stale::StaleState;
 use lcm_rsm::{
     CheckpointImage, CoherenceKind, ConflictKind, ConflictRecord, MemoryProtocol, MergePolicy,
-    NestedProtocol, PolicyTable, ReduceOp, RegionPolicy, ValueWidth,
+    NestedProtocol, PolicyTable, ReduceOp, RegionPolicy,
 };
 use lcm_sim::hash::FastMap;
-use lcm_sim::mem::{Addr, BlockId, WORDS_PER_BLOCK, WORD_BYTES};
+use lcm_sim::mem::{Addr, BlockId, WordMask, WORD_BYTES};
 use lcm_sim::trace::Event;
-use lcm_sim::{CycleCat, Knob, MachineConfig, NodeId};
-use lcm_stache::Stache;
+use lcm_sim::{Access, CycleCat, Knob, MachineConfig, NodeId};
+use lcm_stache::{SharerSet, Stache};
 use lcm_tempest::{MsgKind, Tag, Tempest};
 
 /// Clean-copy placement variant (paper §6.3).
@@ -219,14 +219,9 @@ impl Lcm {
                 let (left, right) = group.split_at_mut(k + stride);
                 let (_, ln, lp) = &mut left[k];
                 let (_, rn, rp) = &right[0];
-                let (ln, rn) = (*ln, *rn);
-                let t = self.inner.tempest_mut();
-                t.net.send(&mut t.machine, rn, ln, MsgKind::Flush, true);
-                t.machine
-                    .charge(ln, CycleCat::FlushReconcile, Knob::ReconcilePerVersion, 1);
-                t.machine.stats_mut(ln).versions_reconciled += 1;
-                t.machine.stats_mut(rn).flushes += 1;
-                combine_into(op, lp, rp);
+                ship_version(self.inner.tempest_mut(), *rn, *ln);
+                op.combine_masked(&mut lp.data, lp.dirty, &rp.data, rp.dirty);
+                lp.dirty = lp.dirty.union(rp.dirty);
                 k += 2 * stride;
             }
             stride *= 2;
@@ -235,15 +230,7 @@ impl Lcm {
         let (_, root, p) = &group[0];
         let root = *root;
         let entry = Self::ensure_entry(&mut self.cow, &mut self.inner, block);
-        let t = self.inner.tempest_mut();
-        let home = t.home_of(block);
-        t.machine.stats_mut(root).flushes += 1;
-        t.machine
-            .charge(root, CycleCat::FlushReconcile, Knob::BlockFlush, 1);
-        t.net.send(&mut t.machine, root, home, MsgKind::Flush, true);
-        t.machine
-            .charge(home, CycleCat::FlushReconcile, Knob::ReconcilePerVersion, 1);
-        t.machine.stats_mut(home).versions_reconciled += 1;
+        flush_home(self.inner.tempest_mut(), root, block);
         entry.merge_version(root, &p.data, p.dirty, policy, block, &mut self.conflicts);
         // The contributors drop their (identity-initialized) copies.
         let has_local_clean = self.variant == LcmVariant::Mcc;
@@ -418,49 +405,14 @@ impl Lcm {
         });
 
         let init = match policy.merge.reduce_op() {
-            Some(op) => {
-                // Reduction accumulators start at the identity; no clean
-                // data is needed, so marking is purely local.
-                let mut buf = lcm_sim::BlockBuf::zeroed();
-                match op.width() {
-                    ValueWidth::W4 => {
-                        for w in 0..WORDS_PER_BLOCK {
-                            buf.set_word(w, op.identity_bits() as u32);
-                        }
-                    }
-                    ValueWidth::W8 => {
-                        for w in (0..WORDS_PER_BLOCK).step_by(2) {
-                            let id = op.identity_bits();
-                            buf.set_word(w, id as u32);
-                            buf.set_word(w + 1, (id >> 32) as u32);
-                        }
-                    }
-                }
-                buf
-            }
+            // Reduction accumulators start at the identity; no clean
+            // data is needed, so marking is purely local.
+            Some(op) => op.identity_block(),
             None => {
                 // Keep-one copies start from the clean value; fetch it if
                 // the node has no readable copy (this is the scc refetch).
                 if !t.tags[node.index()].get(block).readable() {
-                    if node == home {
-                        t.machine
-                            .charge(node, CycleCat::WriteStallLocal, Knob::LocalFill, 1);
-                        t.machine.stats_mut(node).write_miss_local += 1;
-                        t.machine.record(Event::WriteMiss {
-                            node,
-                            block,
-                            remote: false,
-                        });
-                    } else {
-                        t.net
-                            .request_reply(&mut t.machine, node, home, MsgKind::CleanFill, true);
-                        t.machine.stats_mut(node).write_miss_remote += 1;
-                        t.machine.record(Event::WriteMiss {
-                            node,
-                            block,
-                            remote: true,
-                        });
-                    }
+                    t.fill(node, block, Access::Write, MsgKind::CleanFill);
                 }
                 t.mem.read_block(block)
             }
@@ -501,8 +453,7 @@ impl Lcm {
         if let Some(p) = self.privs[node.index()].get(&block) {
             // An invocation sees its own modifications.
             let t = self.inner.tempest_mut();
-            t.machine.hit(node);
-            t.machine.stats_mut(node).read_hits += 1;
+            t.machine.hit(node, Access::Read);
             return p.data.word(addr.word_in_block());
         }
         if self.inner.tempest().tags[node.index()]
@@ -517,34 +468,14 @@ impl Lcm {
                 }
             }
             let t = self.inner.tempest_mut();
-            t.machine.hit(node);
-            t.machine.stats_mut(node).read_hits += 1;
+            t.machine.hit(node, Access::Read);
             return t.mem.read_word(addr);
         }
         // Clean-copy fetch.
         let entry = Self::ensure_entry(&mut self.cow, &mut self.inner, block);
         entry.readers.add(node);
         let t = self.inner.tempest_mut();
-        let home = t.home_of(block);
-        if node == home {
-            t.machine
-                .charge(node, CycleCat::ReadStallLocal, Knob::LocalFill, 1);
-            t.machine.stats_mut(node).read_miss_local += 1;
-            t.machine.record(Event::ReadMiss {
-                node,
-                block,
-                remote: false,
-            });
-        } else {
-            t.net
-                .request_reply(&mut t.machine, node, home, MsgKind::CleanFill, true);
-            t.machine.stats_mut(node).read_miss_remote += 1;
-            t.machine.record(Event::ReadMiss {
-                node,
-                block,
-                remote: true,
-            });
-        }
+        t.fill(node, block, Access::Read, MsgKind::CleanFill);
         t.tags[node.index()].set(block, Tag::ReadOnly);
         t.mem.read_word(addr)
     }
@@ -555,81 +486,57 @@ impl Lcm {
             policy.merge.reduce_op().is_none(),
             "plain store to a reduction region at {addr}; use MemoryProtocol::reduce"
         );
-        if !self.privs[node.index()].contains_key(&block_of(addr)) {
+        let block = addr.block();
+        if !self.privs[node.index()].contains_key(&block) {
             // The compiler marks possibly-conflicting stores; the memory
             // system itself catches the rest (copy *at the reference*).
-            self.mark_block(node, block_of(addr), policy);
+            self.mark_block(node, block, policy);
         }
         let p = self.privs[node.index()]
-            .get_mut(&block_of(addr))
+            .get_mut(&block)
             .expect("just marked");
         let w = addr.word_in_block();
         p.data.set_word(w, bits);
         p.dirty.set(w);
-        let t = self.inner.tempest_mut();
-        t.machine.hit(node);
-        t.machine.stats_mut(node).write_hits += 1;
+        self.inner.tempest_mut().machine.hit(node, Access::Write);
     }
 
     /// Applies one reconciled entry to global state and invalidates the
     /// outstanding copies of the block.
     fn apply_entry(&mut self, block: BlockId, entry: CowEntry, policy: RegionPolicy) {
+        let home = self.inner.tempest().home_of(block);
         if entry.is_unwritten() {
+            let holders = entry.absorbed.union(entry.readers);
             if self.strict_detection && policy.detect_conflicts {
                 // Strict mode: read-only copies do not survive the
                 // synchronization point, so next-phase reads re-fault and
                 // every reference is observed (§7.2).
-                let home = self.inner.tempest().home_of(block);
-                for p in entry.absorbed.union(entry.readers).iter() {
-                    if self.inner.tempest().tag(p, block) != Tag::Invalid {
-                        self.inner.invalidate_copy(home, p, block);
-                    }
-                }
-                return;
+                self.invalidate_outstanding(home, block, holders);
+            } else {
+                // Nothing was modified: holders keep their (still clean)
+                // copies and return to ordinary directory management.
+                self.inner.restore_shared(block, holders);
             }
-            // Nothing was modified: holders keep their (still clean)
-            // copies and return to ordinary directory management.
-            let holders = entry.absorbed.union(entry.readers);
-            self.inner.restore_shared(block, holders);
             return;
         }
 
-        let home = self.inner.tempest().home_of(block);
-
-        // Install the merged value as the new global state.
-        match policy.merge.reduce_op() {
-            None => {
-                let t = self.inner.tempest_mut();
-                t.mem.merge_block(block, &entry.pending, entry.pending_mask);
-            }
+        // Install the merged value as the new global state; reduction
+        // contributions combine with the location's initial value.
+        let t = self.inner.tempest_mut();
+        let merged = match policy.merge.reduce_op() {
+            None => entry.pending,
             Some(op) => {
-                // Contributions combine with the location's initial value.
-                let t = self.inner.tempest_mut();
-                match op.width() {
-                    ValueWidth::W4 => {
-                        for w in entry.pending_mask.iter_set() {
-                            let a = block.word_addr(w);
-                            let cur = t.mem.read_word(a) as u64;
-                            let contrib = entry.pending.word(w) as u64;
-                            t.mem.write_word(a, op.combine_bits(cur, contrib) as u32);
-                        }
-                    }
-                    ValueWidth::W8 => {
-                        for w in (0..WORDS_PER_BLOCK).step_by(2) {
-                            if !entry.pending_mask.get(w) {
-                                continue;
-                            }
-                            let a = block.word_addr(w);
-                            let cur = t.mem.read_f64(a).to_bits();
-                            let contrib = entry.pending.word(w) as u64
-                                | ((entry.pending.word(w + 1) as u64) << 32);
-                            t.mem
-                                .write_f64(a, f64::from_bits(op.combine_bits(cur, contrib)));
-                        }
-                    }
-                }
+                let mut cur = t.mem.read_block(block);
+                op.combine_masked(
+                    &mut cur,
+                    WordMask::full(),
+                    &entry.pending,
+                    entry.pending_mask,
+                );
+                cur
             }
-        }
+        };
+        t.mem.merge_block(block, &merged, entry.pending_mask);
         self.inner.tempest_mut().machine.record(Event::Reconcile {
             block,
             versions: entry.versions,
@@ -675,7 +582,12 @@ impl Lcm {
         }
 
         // Invalidate every outstanding copy of the modified block.
-        for p in entry.participants().iter() {
+        self.invalidate_outstanding(home, block, entry.participants());
+    }
+
+    /// Invalidates the copy of `block` that each of `nodes` still holds.
+    fn invalidate_outstanding(&mut self, home: NodeId, block: BlockId, nodes: SharerSet) {
+        for p in nodes.iter() {
             if self.inner.tempest().tag(p, block) != Tag::Invalid {
                 self.inner.invalidate_copy(home, p, block);
             }
@@ -686,40 +598,14 @@ impl Lcm {
 impl Lcm {
     /// Charges `node`'s first touch of `block` in the nested phase (a
     /// fill from the layered pre-call state) or a hit thereafter.
-    fn nested_touch_cost(&mut self, node: NodeId, block: BlockId, is_write: bool) {
+    fn nested_touch_cost(&mut self, node: NodeId, block: BlockId, access: Access) {
         let np = self.nested.as_mut().expect("nested phase open");
         let first = np.touched[node.index()].insert(block);
         let t = self.inner.tempest_mut();
         if first {
-            let home = t.home_of(block);
-            if node == home {
-                let cat = if is_write {
-                    CycleCat::WriteStallLocal
-                } else {
-                    CycleCat::ReadStallLocal
-                };
-                t.machine.charge(node, cat, Knob::LocalFill, 1);
-                if is_write {
-                    t.machine.stats_mut(node).write_miss_local += 1;
-                } else {
-                    t.machine.stats_mut(node).read_miss_local += 1;
-                }
-            } else {
-                t.net
-                    .request_reply(&mut t.machine, node, home, MsgKind::CleanFill, true);
-                if is_write {
-                    t.machine.stats_mut(node).write_miss_remote += 1;
-                } else {
-                    t.machine.stats_mut(node).read_miss_remote += 1;
-                }
-            }
+            t.fill(node, block, access, MsgKind::CleanFill);
         } else {
-            t.machine.hit(node);
-            if is_write {
-                t.machine.stats_mut(node).write_hits += 1;
-            } else {
-                t.machine.stats_mut(node).read_hits += 1;
-            }
+            t.machine.hit(node, access);
         }
     }
 
@@ -741,12 +627,10 @@ impl Lcm {
             self.nested.as_ref().expect("nested phase open").privs[node.index()].get(&block)
         {
             let word = p.data.word(w);
-            let t = self.inner.tempest_mut();
-            t.machine.hit(node);
-            t.machine.stats_mut(node).read_hits += 1;
+            self.inner.tempest_mut().machine.hit(node, Access::Read);
             return word;
         }
-        self.nested_touch_cost(node, block, false);
+        self.nested_touch_cost(node, block, Access::Read);
         self.nested_base(block).word(w)
     }
 
@@ -758,9 +642,9 @@ impl Lcm {
         {
             return;
         }
-        self.nested_touch_cost(node, block, true);
+        self.nested_touch_cost(node, block, Access::Write);
         let init = match policy.merge.reduce_op() {
-            Some(op) => identity_block(op),
+            Some(op) => op.identity_block(),
             None => self.nested_base(block),
         };
         let t = self.inner.tempest_mut();
@@ -786,9 +670,7 @@ impl Lcm {
         let w = addr.word_in_block();
         p.data.set_word(w, bits);
         p.dirty.set(w);
-        let t = self.inner.tempest_mut();
-        t.machine.hit(node);
-        t.machine.stats_mut(node).write_hits += 1;
+        self.inner.tempest_mut().machine.hit(node, Access::Write);
     }
 
     /// A reduction assignment during a nested phase.
@@ -810,26 +692,8 @@ impl Lcm {
         self.nested_mark(node, block, policy);
         let np = self.nested.as_mut().expect("nested phase open");
         let p = np.privs[node.index()].get_mut(&block).expect("just marked");
-        let w = addr.word_in_block();
-        match op.width() {
-            ValueWidth::W4 => {
-                let cur = p.data.word(w) as u64;
-                p.data.set_word(w, op.combine_bits(cur, bits) as u32);
-                p.dirty.set(w);
-            }
-            ValueWidth::W8 => {
-                assert!(w.is_multiple_of(2), "unaligned f64 reduction at {addr}");
-                let cur = p.data.word(w) as u64 | ((p.data.word(w + 1) as u64) << 32);
-                let new = op.combine_bits(cur, bits);
-                p.data.set_word(w, new as u32);
-                p.data.set_word(w + 1, (new >> 32) as u32);
-                p.dirty.set(w);
-                p.dirty.set(w + 1);
-            }
-        }
-        let t = self.inner.tempest_mut();
-        t.machine.hit(node);
-        t.machine.stats_mut(node).write_hits += 1;
+        op.accumulate(&mut p.data, &mut p.dirty, addr.word_in_block(), bits);
+        self.inner.tempest_mut().machine.hit(node, Access::Write);
     }
 
     /// Ships one inner version home and merges it into the nested entry.
@@ -843,16 +707,8 @@ impl Lcm {
         let np = self.nested.as_mut().expect("nested phase open");
         np.entries
             .entry(block)
-            .or_insert_with(|| CowEntry::new(lcm_stache::SharerSet::empty()));
-        let t = self.inner.tempest_mut();
-        let home = t.home_of(block);
-        t.machine
-            .charge(node, CycleCat::FlushReconcile, Knob::BlockFlush, 1);
-        t.machine.stats_mut(node).flushes += 1;
-        t.net.send(&mut t.machine, node, home, MsgKind::Flush, true);
-        t.machine
-            .charge(home, CycleCat::FlushReconcile, Knob::ReconcilePerVersion, 1);
-        t.machine.stats_mut(home).versions_reconciled += 1;
+            .or_insert_with(|| CowEntry::new(SharerSet::empty()));
+        let home = flush_home(self.inner.tempest_mut(), node, block);
         let np = self.nested.as_mut().expect("nested phase open");
         let entry = np.entries.get_mut(&block).expect("just inserted");
         let ww = entry.merge_version(node, &p.data, p.dirty, policy, block, &mut self.conflicts);
@@ -939,31 +795,13 @@ impl NestedProtocol for Lcm {
                 .get_mut(&block)
                 .expect("just marked");
             match policy.merge.reduce_op() {
-                None => {
-                    pp.data.merge_words(&entry.pending, entry.pending_mask);
-                }
-                Some(op) => match op.width() {
-                    ValueWidth::W4 => {
-                        for w in entry.pending_mask.iter_set() {
-                            let cur = pp.data.word(w) as u64;
-                            let contrib = entry.pending.word(w) as u64;
-                            pp.data.set_word(w, op.combine_bits(cur, contrib) as u32);
-                        }
-                    }
-                    ValueWidth::W8 => {
-                        for w in (0..WORDS_PER_BLOCK).step_by(2) {
-                            if !entry.pending_mask.get(w) {
-                                continue;
-                            }
-                            let cur = pp.data.word(w) as u64 | ((pp.data.word(w + 1) as u64) << 32);
-                            let contrib = entry.pending.word(w) as u64
-                                | ((entry.pending.word(w + 1) as u64) << 32);
-                            let new = op.combine_bits(cur, contrib);
-                            pp.data.set_word(w, new as u32);
-                            pp.data.set_word(w + 1, (new >> 32) as u32);
-                        }
-                    }
-                },
+                None => pp.data.merge_words(&entry.pending, entry.pending_mask),
+                Some(op) => op.combine_masked(
+                    &mut pp.data,
+                    WordMask::full(),
+                    &entry.pending,
+                    entry.pending_mask,
+                ),
             }
             pp.dirty = pp.dirty.union(entry.pending_mask);
         }
@@ -975,65 +813,25 @@ impl NestedProtocol for Lcm {
     }
 }
 
-/// A block buffer filled with the operator's identity.
-fn identity_block(op: ReduceOp) -> lcm_sim::BlockBuf {
-    let mut buf = lcm_sim::BlockBuf::zeroed();
-    match op.width() {
-        ValueWidth::W4 => {
-            for w in 0..WORDS_PER_BLOCK {
-                buf.set_word(w, op.identity_bits() as u32);
-            }
-        }
-        ValueWidth::W8 => {
-            for w in (0..WORDS_PER_BLOCK).step_by(2) {
-                let id = op.identity_bits();
-                buf.set_word(w, id as u32);
-                buf.set_word(w + 1, (id >> 32) as u32);
-            }
-        }
-    }
-    buf
+/// Ships a modified version from `from` to `to` for merging: the flush
+/// message, the receiver's per-version reconcile work, and both ends'
+/// counters.
+fn ship_version(t: &mut Tempest, from: NodeId, to: NodeId) {
+    t.net.send(&mut t.machine, from, to, MsgKind::Flush, true);
+    t.machine
+        .charge(to, CycleCat::FlushReconcile, Knob::ReconcilePerVersion, 1);
+    t.machine.stats_mut(to).versions_reconciled += 1;
+    t.machine.stats_mut(from).flushes += 1;
 }
 
-#[inline]
-fn block_of(addr: Addr) -> BlockId {
-    addr.block()
-}
-
-/// Combines the dirty contributions of `right` into `left` under `op`
-/// (tree-reconciliation inner step). Words dirty in only one side carry
-/// over unchanged; words dirty in both combine.
-fn combine_into(op: ReduceOp, left: &mut PrivCopy, right: &PrivCopy) {
-    match op.width() {
-        ValueWidth::W4 => {
-            for w in right.dirty.iter_set() {
-                let incoming = right.data.word(w) as u64;
-                let merged = if left.dirty.get(w) {
-                    op.combine_bits(left.data.word(w) as u64, incoming)
-                } else {
-                    incoming
-                };
-                left.data.set_word(w, merged as u32);
-            }
-        }
-        ValueWidth::W8 => {
-            for w in (0..WORDS_PER_BLOCK).step_by(2) {
-                if !right.dirty.get(w) {
-                    continue;
-                }
-                let incoming = right.data.word(w) as u64 | ((right.data.word(w + 1) as u64) << 32);
-                let merged = if left.dirty.get(w) {
-                    let cur = left.data.word(w) as u64 | ((left.data.word(w + 1) as u64) << 32);
-                    op.combine_bits(cur, incoming)
-                } else {
-                    incoming
-                };
-                left.data.set_word(w, merged as u32);
-                left.data.set_word(w + 1, (merged >> 32) as u32);
-            }
-        }
-    }
-    left.dirty = left.dirty.union(right.dirty);
+/// Flushes `node`'s version of `block` home: the block copy out of the
+/// node's cache, then [`ship_version`] to the home, which it returns.
+fn flush_home(t: &mut Tempest, node: NodeId, block: BlockId) -> NodeId {
+    let home = t.home_of(block);
+    t.machine
+        .charge(node, CycleCat::FlushReconcile, Knob::BlockFlush, 1);
+    ship_version(t, node, home);
+    home
 }
 
 impl MemoryProtocol for Lcm {
@@ -1147,7 +945,6 @@ impl MemoryProtocol for Lcm {
                 .get_mut(&block)
                 .expect("private copy has a phase entry");
             let t = self.inner.tempest_mut();
-            let home = t.home_of(block);
 
             // Ship the version home and merge it there.
             t.machine.record(Event::SpanBegin {
@@ -1155,13 +952,7 @@ impl MemoryProtocol for Lcm {
                 what: "flush",
                 block,
             });
-            t.machine.stats_mut(node).flushes += 1;
-            t.machine
-                .charge(node, CycleCat::FlushReconcile, Knob::BlockFlush, 1);
-            t.net.send(&mut t.machine, node, home, MsgKind::Flush, true);
-            t.machine
-                .charge(home, CycleCat::FlushReconcile, Knob::ReconcilePerVersion, 1);
-            t.machine.stats_mut(home).versions_reconciled += 1;
+            let home = flush_home(t, node, block);
             t.machine.record(Event::Flush { node, block });
             let ww =
                 entry.merge_version(node, &p.data, p.dirty, policy, block, &mut self.conflicts);
@@ -1255,17 +1046,7 @@ impl MemoryProtocol for Lcm {
         if !(self.in_phase && policy.coherence == CoherenceKind::CopyOnWrite) {
             // Outside a phase (or an unregistered location): fall back to
             // coherent read-modify-write, like any conventional system.
-            match op.width() {
-                ValueWidth::W4 => {
-                    let cur = self.read_word(node, addr) as u64;
-                    self.write_word(node, addr, op.combine_bits(cur, bits) as u32);
-                }
-                ValueWidth::W8 => {
-                    let cur = self.read_f64(node, addr).to_bits();
-                    let new = op.combine_bits(cur, bits);
-                    self.write_f64(node, addr, f64::from_bits(new));
-                }
-            }
+            self.reduce_coherent(node, addr, op, bits);
             return;
         }
         assert_eq!(
@@ -1278,26 +1059,8 @@ impl MemoryProtocol for Lcm {
         let p = self.privs[node.index()]
             .get_mut(&block)
             .expect("just marked");
-        let w = addr.word_in_block();
-        match op.width() {
-            ValueWidth::W4 => {
-                let cur = p.data.word(w) as u64;
-                p.data.set_word(w, op.combine_bits(cur, bits) as u32);
-                p.dirty.set(w);
-            }
-            ValueWidth::W8 => {
-                assert!(w.is_multiple_of(2), "unaligned f64 reduction at {addr}");
-                let cur = p.data.word(w) as u64 | ((p.data.word(w + 1) as u64) << 32);
-                let new = op.combine_bits(cur, bits);
-                p.data.set_word(w, new as u32);
-                p.data.set_word(w + 1, (new >> 32) as u32);
-                p.dirty.set(w);
-                p.dirty.set(w + 1);
-            }
-        }
-        let t = self.inner.tempest_mut();
-        t.machine.hit(node);
-        t.machine.stats_mut(node).write_hits += 1;
+        op.accumulate(&mut p.data, &mut p.dirty, addr.word_in_block(), bits);
+        self.inner.tempest_mut().machine.hit(node, Access::Write);
     }
 
     fn refresh_stale(&mut self, node: NodeId, addr: Addr) {

@@ -11,8 +11,7 @@
 
 use lcm_sim::hash::{FastMap, FastSet};
 use lcm_sim::mem::{Addr, BlockBuf, BlockId};
-use lcm_sim::trace::Event;
-use lcm_sim::{CycleCat, Knob, NodeId};
+use lcm_sim::{Access, CycleCat, Knob, NodeId};
 use lcm_tempest::{MsgKind, Tempest};
 
 /// Per-node snapshot and write-permission state for stale regions.
@@ -36,30 +35,10 @@ impl StaleState {
     pub fn read(&mut self, t: &mut Tempest, node: NodeId, addr: Addr, block: BlockId) -> u32 {
         let w = addr.word_in_block();
         if let Some(snap) = self.snaps[node.index()].get(&block) {
-            t.machine.hit(node);
-            t.machine.stats_mut(node).read_hits += 1;
+            t.machine.hit(node, Access::Read);
             return snap.word(w);
         }
-        let home = t.home_of(block);
-        if node == home {
-            t.machine
-                .charge(node, CycleCat::ReadStallLocal, Knob::LocalFill, 1);
-            t.machine.stats_mut(node).read_miss_local += 1;
-            t.machine.record(Event::ReadMiss {
-                node,
-                block,
-                remote: false,
-            });
-        } else {
-            t.net
-                .request_reply(&mut t.machine, node, home, MsgKind::StaleRefresh, true);
-            t.machine.stats_mut(node).read_miss_remote += 1;
-            t.machine.record(Event::ReadMiss {
-                node,
-                block,
-                remote: true,
-            });
-        }
+        t.fill(node, block, Access::Read, MsgKind::StaleRefresh);
         let buf = t.mem.read_block(block);
         self.snaps[node.index()].insert(block, buf);
         buf.word(w)
@@ -71,29 +50,9 @@ impl StaleState {
     pub fn write(&mut self, t: &mut Tempest, node: NodeId, addr: Addr, bits: u32, block: BlockId) {
         let w = addr.word_in_block();
         if self.own[node.index()].contains(&block) {
-            t.machine.hit(node);
-            t.machine.stats_mut(node).write_hits += 1;
+            t.machine.hit(node, Access::Write);
         } else {
-            let home = t.home_of(block);
-            if node == home {
-                t.machine
-                    .charge(node, CycleCat::WriteStallLocal, Knob::LocalFill, 1);
-                t.machine.stats_mut(node).write_miss_local += 1;
-                t.machine.record(Event::WriteMiss {
-                    node,
-                    block,
-                    remote: false,
-                });
-            } else {
-                t.net
-                    .request_reply(&mut t.machine, node, home, MsgKind::GetExclusive, true);
-                t.machine.stats_mut(node).write_miss_remote += 1;
-                t.machine.record(Event::WriteMiss {
-                    node,
-                    block,
-                    remote: true,
-                });
-            }
+            t.fill(node, block, Access::Write, MsgKind::GetExclusive);
             self.own[node.index()].insert(block);
         }
         t.mem.write_word(addr, bits);

@@ -184,3 +184,41 @@ fn reconcile_nested_without_phase_panics() {
     m.begin_parallel_phase();
     m.reconcile_nested();
 }
+
+#[test]
+fn nested_first_touches_record_miss_events_matching_their_counters() {
+    use lcm_sim::Event;
+    let mut m = Lcm::new(MachineConfig::new(4).with_trace(1 << 12), LcmVariant::Mcc);
+    let a = m.tempest_mut().alloc(4096, Placement::Interleaved, "data");
+    m.register_cow_region(a, 4096, MergePolicy::KeepOne);
+    m.begin_parallel_phase();
+    m.begin_nested_phase(N1);
+    let before = m.tempest().machine.total_stats();
+    let seen = m.tempest().machine.trace().events().len();
+    // Interleaved: block 0 homes on N0, block 1 on N1.
+    m.read_f32(N0, a); // local read fill
+    m.read_f32(N2, a); // remote read fill
+    m.read_f32(N2, a); // hit
+    m.write_f32(N1, a.offset(32), 1.0); // local write fill
+    m.write_f32(N3, a, 2.0); // remote write fill
+    let after = m.tempest().machine.total_stats();
+    // [read local, read remote, write local, write remote]
+    let mut events = [0u64; 4];
+    for s in &m.tempest().machine.trace().events()[seen..] {
+        match s.event {
+            Event::ReadMiss { remote, .. } => events[remote as usize] += 1,
+            Event::WriteMiss { remote, .. } => events[2 + remote as usize] += 1,
+            _ => {}
+        }
+    }
+    let counters = [
+        after.read_miss_local - before.read_miss_local,
+        after.read_miss_remote - before.read_miss_remote,
+        after.write_miss_local - before.write_miss_local,
+        after.write_miss_remote - before.write_miss_remote,
+    ];
+    assert_eq!(counters, [1, 1, 1, 1], "one fill of each shape");
+    assert_eq!(events, counters, "every counted fill records its event");
+    m.reconcile_nested();
+    m.reconcile_copies();
+}

@@ -214,3 +214,86 @@ fn repeated_phases_reuse_the_scratch_identically() {
         m.sanity_check().expect("clean between phases");
     }
 }
+
+/// Runs one phase of `f32` reductions under `op` on every combination of
+/// clean-copy variant and reconcile shape, and returns, per combination,
+/// the bits of the first four words of the region afterwards. Word `w`
+/// starts at `initial[w]`; node `n` contributes `contribution(n, w)` to
+/// word `w` where that is `Some`.
+fn f32_reduction_bits(
+    op: ReduceOp,
+    initial: [f32; 4],
+    contribution: impl Fn(usize, usize) -> Option<f32>,
+) -> Vec<(LcmVariant, bool, [u32; 4])> {
+    let mut out = Vec::new();
+    for variant in [LcmVariant::Scc, LcmVariant::Mcc] {
+        for tree in [false, true] {
+            let mut m = Lcm::new(MachineConfig::new(NODES), variant);
+            m.set_tree_reconcile(tree);
+            let a = m.tempest_mut().alloc(4096, Placement::Interleaved, "acc");
+            m.register_cow_region(a, 4096, MergePolicy::Reduce(op));
+            for (w, v) in initial.iter().enumerate() {
+                m.write_f32(NodeId(0), a.offset(4 * w as u64), *v);
+            }
+            m.begin_parallel_phase();
+            for n in 0..NODES {
+                for w in 0..4 {
+                    if let Some(v) = contribution(n, w) {
+                        m.reduce_f32(NodeId(n as u16), a.offset(4 * w as u64), op, v);
+                    }
+                }
+            }
+            m.reconcile_copies();
+            m.sanity_check().expect("invariants hold");
+            let bits = std::array::from_fn(|w| m.read_word(NodeId(0), a.offset(4 * w as u64)));
+            out.push((variant, tree, bits));
+        }
+    }
+    out
+}
+
+#[test]
+fn negative_zero_sum_contributions_pin_their_result_bits() {
+    // Word 0: every node adds -0.0 to a -0.0 location. Word 1: the same
+    // contributions onto +0.0. Word 2: one node adds -0.0 to 1.5. Word 3:
+    // untouched; its -0.0 must survive the masked home install.
+    let runs = f32_reduction_bits(ReduceOp::SumF32, [-0.0, 0.0, 1.5, -0.0], |n, w| match w {
+        0 | 1 => Some(-0.0),
+        2 if n == 3 => Some(-0.0),
+        _ => None,
+    });
+    for (variant, tree, bits) in runs {
+        assert_eq!(
+            bits,
+            [0x0000_0000, 0x0000_0000, 1.5f32.to_bits(), 0x8000_0000],
+            "{variant:?} tree={tree}"
+        );
+    }
+}
+
+#[test]
+fn nan_min_contributions_pin_their_result_bits() {
+    // Word 0: node 0 contributes NaN, the others 1.5, 2.5, ... around
+    // the initial 2.0. Word 1: NaN is the only contribution.
+    // Word 2: a NaN location meets finite contributions. Word 3: untouched.
+    let runs = f32_reduction_bits(ReduceOp::MinF32, [2.0, 2.0, f32::NAN, 7.0], |n, w| {
+        match (w, n) {
+            (0, 0) | (1, 5) => Some(f32::NAN),
+            (0, _) => Some(n as f32 + 0.5),
+            (2, _) => Some(4.0 + n as f32),
+            _ => None,
+        }
+    });
+    for (variant, tree, bits) in runs {
+        assert_eq!(
+            bits,
+            [
+                1.5f32.to_bits(),
+                2.0f32.to_bits(),
+                4.0f32.to_bits(),
+                7.0f32.to_bits()
+            ],
+            "{variant:?} tree={tree}"
+        );
+    }
+}

@@ -120,10 +120,17 @@ pub trait MemoryProtocol {
     }
 
     /// A reduction assignment: combine `bits` into the location at `addr`
-    /// under `op` (C\*\*'s `%+=` family). The default is a plain
-    /// read-modify-write through coherent memory — the expensive shared
-    /// accumulator of §7.1 that RSM's message-based reconciliation beats.
+    /// under `op` (C\*\*'s `%+=` family). The default is
+    /// [`MemoryProtocol::reduce_coherent`].
     fn reduce(&mut self, node: NodeId, addr: Addr, op: ReduceOp, bits: u64) {
+        self.reduce_coherent(node, addr, op, bits);
+    }
+
+    /// A reduction assignment as a plain read-modify-write through
+    /// coherent memory — the expensive shared accumulator of §7.1 that
+    /// RSM's message-based reconciliation beats, and the fallback of a
+    /// protocol's [`MemoryProtocol::reduce`] outside copy-on-write phases.
+    fn reduce_coherent(&mut self, node: NodeId, addr: Addr, op: ReduceOp, bits: u64) {
         match op.width() {
             ValueWidth::W4 => {
                 let cur = self.read_word(node, addr) as u64;

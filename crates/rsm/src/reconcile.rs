@@ -11,6 +11,7 @@
 //!   written into a location combine under a binary associative operator
 //!   with the location's initial value.
 
+use lcm_sim::mem::{BlockBuf, WordMask, WORDS_PER_BLOCK};
 use std::fmt;
 
 /// Whether an operand is one 4-byte word or an aligned 8-byte pair.
@@ -108,6 +109,88 @@ impl ReduceOp {
             ReduceOp::AndU32 => ((a as u32) & (b as u32)) as u64,
             ReduceOp::OrU32 => ((a as u32) | (b as u32)) as u64,
             ReduceOp::XorU32 => ((a as u32) ^ (b as u32)) as u64,
+        }
+    }
+
+    /// Words per operand slot: 1 for `W4`, 2 for `W8`.
+    fn slot_words(self) -> usize {
+        match self.width() {
+            ValueWidth::W4 => 1,
+            ValueWidth::W8 => 2,
+        }
+    }
+
+    /// The operand in the slot starting at word `w` of `buf`.
+    fn slot(self, buf: &BlockBuf, w: usize) -> u64 {
+        match self.width() {
+            ValueWidth::W4 => buf.word(w) as u64,
+            ValueWidth::W8 => buf.word(w) as u64 | ((buf.word(w + 1) as u64) << 32),
+        }
+    }
+
+    /// Stores `bits` into the slot starting at word `w` of `buf`.
+    fn set_slot(self, buf: &mut BlockBuf, w: usize, bits: u64) {
+        buf.set_word(w, bits as u32);
+        if self.width() == ValueWidth::W8 {
+            buf.set_word(w + 1, (bits >> 32) as u32);
+        }
+    }
+
+    /// A block whose every slot holds the identity: the starting value
+    /// of a private reduction accumulator.
+    pub fn identity_block(self) -> BlockBuf {
+        let mut buf = BlockBuf::zeroed();
+        for w in (0..WORDS_PER_BLOCK).step_by(self.slot_words()) {
+            self.set_slot(&mut buf, w, self.identity_bits());
+        }
+        buf
+    }
+
+    /// Combines one operand `bits` into the slot at word `w` of an
+    /// accumulator and marks the slot's words in `dirty`.
+    ///
+    /// # Panics
+    /// Panics if `w` is not the first word of an 8-byte slot.
+    pub fn accumulate(self, data: &mut BlockBuf, dirty: &mut WordMask, w: usize, bits: u64) {
+        let n = self.slot_words();
+        assert!(w.is_multiple_of(n), "unaligned f64 reduction at word {w}");
+        self.set_slot(data, w, self.combine_bits(self.slot(data, w), bits));
+        for i in w..w + n {
+            dirty.set(i);
+        }
+    }
+
+    /// Merges the slots of `src` selected by `src_mask` into `dst`: a
+    /// slot also in `dst_mask` combines (`dst ∘ src`), a slot only in
+    /// `src_mask` takes the source bits, and every other slot of `dst`
+    /// is left alone. Pass [`WordMask::full`] as `dst_mask` to combine
+    /// every selected slot with what `dst` holds.
+    ///
+    /// # Panics
+    /// Panics on a torn 8-byte slot: a mask naming one word of a pair.
+    pub fn combine_masked(
+        self,
+        dst: &mut BlockBuf,
+        dst_mask: WordMask,
+        src: &BlockBuf,
+        src_mask: WordMask,
+    ) {
+        let n = self.slot_words();
+        for w in (0..WORDS_PER_BLOCK).step_by(n) {
+            let (in_dst, in_src) = (dst_mask.get(w), src_mask.get(w));
+            assert!(
+                dst_mask.get(w + n - 1) == in_dst && src_mask.get(w + n - 1) == in_src,
+                "torn 8-byte reduction slot at word {w}"
+            );
+            if in_src {
+                let incoming = self.slot(src, w);
+                let merged = if in_dst {
+                    self.combine_bits(self.slot(dst, w), incoming)
+                } else {
+                    incoming
+                };
+                self.set_slot(dst, w, merged);
+            }
         }
     }
 }
@@ -312,6 +395,111 @@ mod tests {
         );
         assert_eq!(MergePolicy::KeepOne.reduce_op(), None);
         assert_eq!(MergePolicy::default(), MergePolicy::KeepOne);
+    }
+
+    fn mask_of(words: &[usize]) -> WordMask {
+        let mut m = WordMask::empty();
+        for &w in words {
+            m.set(w);
+        }
+        m
+    }
+
+    #[test]
+    fn identity_block_fills_every_slot() {
+        let b = ReduceOp::MinF32.identity_block();
+        for w in 0..WORDS_PER_BLOCK {
+            assert_eq!(b.f32(w), f32::INFINITY, "word {w}");
+        }
+        let b = ReduceOp::ProdF64.identity_block();
+        for w in (0..WORDS_PER_BLOCK).step_by(2) {
+            assert_eq!(b.f64(w), 1.0, "pair at word {w}");
+        }
+        assert_eq!(ReduceOp::AndU32.identity_block().word(7), u32::MAX);
+    }
+
+    #[test]
+    fn accumulate_combines_one_slot_and_marks_it() {
+        let op = ReduceOp::SumF32;
+        let (mut data, mut dirty) = (op.identity_block(), WordMask::empty());
+        op.accumulate(&mut data, &mut dirty, 3, f32::to_bits(1.5) as u64);
+        op.accumulate(&mut data, &mut dirty, 3, f32::to_bits(2.0) as u64);
+        assert_eq!(data.f32(3), 3.5);
+        assert_eq!(dirty, mask_of(&[3]));
+
+        let op = ReduceOp::SumF64;
+        let (mut data, mut dirty) = (op.identity_block(), WordMask::empty());
+        op.accumulate(&mut data, &mut dirty, 4, f64::to_bits(1e10));
+        op.accumulate(&mut data, &mut dirty, 4, f64::to_bits(2e10));
+        assert_eq!(data.f64(4), 3e10);
+        assert_eq!(data.f64(0), 0.0, "other slots keep the identity");
+        assert_eq!(dirty, mask_of(&[4, 5]), "both words of the pair");
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned f64 reduction")]
+    fn accumulate_rejects_an_unaligned_pair() {
+        let op = ReduceOp::SumF64;
+        let (mut data, mut dirty) = (op.identity_block(), WordMask::empty());
+        op.accumulate(&mut data, &mut dirty, 3, f64::to_bits(1.0));
+    }
+
+    #[test]
+    fn combine_masked_combines_claimed_slots_and_carries_the_rest() {
+        let op = ReduceOp::SumI32;
+        let mut dst = BlockBuf::zeroed();
+        let mut src = BlockBuf::zeroed();
+        for w in 0..WORDS_PER_BLOCK {
+            dst.set_word(w, 100 + w as u32);
+            src.set_word(w, 10 * w as u32);
+        }
+        op.combine_masked(&mut dst, mask_of(&[1, 2]), &src, mask_of(&[2, 3]));
+        assert_eq!(dst.word(1), 101, "only in dst: untouched");
+        assert_eq!(dst.word(2), 102 + 20, "in both: combined");
+        assert_eq!(dst.word(3), 30, "only in src: carried over");
+        assert_eq!(dst.word(4), 104, "in neither: untouched");
+        // A full destination mask combines every selected slot.
+        op.combine_masked(&mut dst, WordMask::full(), &src, mask_of(&[4]));
+        assert_eq!(dst.word(4), 104 + 40);
+
+        let op = ReduceOp::ProdF64;
+        let mut dst = op.identity_block();
+        dst.set_f64(0, 3.0);
+        dst.set_f64(2, 5.0);
+        let mut src = BlockBuf::zeroed();
+        src.set_f64(0, 2.0);
+        src.set_f64(2, 7.0);
+        op.combine_masked(&mut dst, mask_of(&[0, 1]), &src, mask_of(&[0, 1, 2, 3]));
+        assert_eq!(dst.f64(0), 6.0, "claimed pair combines");
+        assert_eq!(dst.f64(2), 7.0, "unclaimed pair carries over");
+        assert_eq!(dst.f64(4), 1.0);
+    }
+
+    #[test]
+    fn combining_into_the_identity_differs_from_carrying_over() {
+        // The two semantics disagree where `id ∘ x != x` bitwise.
+        let op = ReduceOp::SumF32;
+        let mut src = BlockBuf::zeroed();
+        src.set_f32(0, -0.0);
+        let mut combined = op.identity_block();
+        op.combine_masked(&mut combined, WordMask::full(), &src, mask_of(&[0]));
+        let mut carried = op.identity_block();
+        op.combine_masked(&mut carried, WordMask::empty(), &src, mask_of(&[0]));
+        assert_eq!(combined.word(0), 0x0000_0000, "0.0 + -0.0 is +0.0");
+        assert_eq!(carried.word(0), 0x8000_0000, "the bits of -0.0 as sent");
+    }
+
+    #[test]
+    #[should_panic(expected = "torn 8-byte reduction")]
+    fn combine_masked_rejects_a_torn_pair() {
+        let op = ReduceOp::SumF64;
+        let mut dst = op.identity_block();
+        op.combine_masked(
+            &mut dst,
+            WordMask::full(),
+            &BlockBuf::zeroed(),
+            mask_of(&[2]),
+        );
     }
 
     #[test]

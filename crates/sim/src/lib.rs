@@ -51,7 +51,7 @@ pub use cost::{CostModel, Knob};
 pub use fault::{
     CrashPlan, CrashPoint, DeliveryError, FaultConfig, FaultConfigError, FaultOutcome, FaultPlan,
 };
-pub use machine::{DirBackend, Machine, MachineConfig, NodeId, MAX_NODES};
+pub use machine::{Access, DirBackend, Machine, MachineConfig, NodeId, MAX_NODES};
 pub use mem::{Addr, BlockBuf, BlockId, PageId, WordMask};
 pub use par::{available_jobs, par_map, try_par_map};
 pub use profile::{CycleCat, CycleLedger, PhaseSnapshot};

@@ -15,6 +15,7 @@
 
 use crate::cost::{CostModel, Knob};
 use crate::fault::{FaultConfig, FaultPlan};
+use crate::mem::BlockId;
 use crate::profile::{CycleCat, CycleLedger, PhaseSnapshot};
 use crate::stats::NodeStats;
 use crate::topology::{Fabric, LinkUtil, Topology};
@@ -121,6 +122,16 @@ impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "node {}", self.0)
     }
+}
+
+/// The direction of a memory access: which hit and miss counters it
+/// bumps and which stall bucket its fill lands in.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Access {
+    /// A load.
+    Read,
+    /// A store.
+    Write,
 }
 
 /// Static configuration of a simulated machine.
@@ -380,14 +391,45 @@ impl Machine {
     }
 
     /// Charges `node` one cache hit (the model's `cache_hit` price, under
-    /// compute). Under capture, hits coalesce into the node's pending
-    /// [`Event::Work`] record instead of recording individually.
+    /// compute) and counts it as a read or write hit. Under capture, hits
+    /// coalesce into the node's pending [`Event::Work`] record instead of
+    /// recording individually.
     #[inline]
-    pub fn hit(&mut self, node: NodeId) {
+    pub fn hit(&mut self, node: NodeId, access: Access) {
         self.bump(node, self.cost.cache_hit, CycleCat::Compute);
         if self.capture {
             self.pending[node.index()].1 += 1;
         }
+        let s = &mut self.stats[node.index()];
+        match access {
+            Access::Read => s.read_hits += 1,
+            Access::Write => s.write_hits += 1,
+        }
+    }
+
+    /// Counts one miss of `node` on `block` under the access's local or
+    /// remote miss counter and records its `ReadMiss`/`WriteMiss` event.
+    /// The fill's cycles are the caller's to charge.
+    pub fn miss(&mut self, node: NodeId, block: BlockId, access: Access, remote: bool) {
+        let s = &mut self.stats[node.index()];
+        match (access, remote) {
+            (Access::Read, false) => s.read_miss_local += 1,
+            (Access::Read, true) => s.read_miss_remote += 1,
+            (Access::Write, false) => s.write_miss_local += 1,
+            (Access::Write, true) => s.write_miss_remote += 1,
+        }
+        self.record(match access {
+            Access::Read => Event::ReadMiss {
+                node,
+                block,
+                remote,
+            },
+            Access::Write => Event::WriteMiss {
+                node,
+                block,
+                remote,
+            },
+        });
     }
 
     /// True while the machine is recording a re-priceable capture stream.
@@ -932,7 +974,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::new(2).with_trace(64));
         assert!(!m.capture_enabled());
         m.advance(NodeId(0), 10);
-        m.hit(NodeId(0));
+        m.hit(NodeId(0), Access::Read);
         m.charge(NodeId(1), CycleCat::ReadStallRemote, Knob::RemoteMiss, 1);
         m.advance_as(NodeId(1), 5, CycleCat::RetryBackoff);
         m.network_transfer(NodeId(0), NodeId(1), 48);
@@ -951,8 +993,10 @@ mod tests {
         let mut m = Machine::new(MachineConfig::new(2).with_capture(64));
         assert!(m.capture_enabled());
         m.advance(NodeId(0), 10);
-        m.hit(NodeId(0));
-        m.hit(NodeId(0));
+        m.hit(NodeId(0), Access::Read);
+        m.hit(NodeId(0), Access::Write);
+        let s = m.stats(NodeId(0));
+        assert_eq!((s.read_hits, s.write_hits), (1, 1), "hits count by access");
         let charged = m.charge(NodeId(1), CycleCat::ReadStallRemote, Knob::RemoteMiss, 2);
         assert_eq!(charged, 2 * cost.remote_miss);
         m.advance_as(NodeId(1), 5, CycleCat::RetryBackoff);

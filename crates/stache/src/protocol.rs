@@ -22,7 +22,7 @@ use crate::sharers::{SharerSet, MAX_NODES};
 use lcm_rsm::{CheckpointImage, MemoryProtocol, PolicyTable};
 use lcm_sim::mem::{Addr, BlockId, BLOCK_BYTES};
 use lcm_sim::trace::Event;
-use lcm_sim::{CycleCat, Knob, MachineConfig, NodeId};
+use lcm_sim::{Access, CycleCat, Knob, MachineConfig, NodeId};
 use lcm_tempest::{MsgKind, Tag, Tempest};
 
 /// The baseline sequentially-consistent memory system.
@@ -123,13 +123,13 @@ impl Stache {
             if tag == Tag::Invalid || victim == block {
                 continue; // stale queue entry, or never evict the block just filled
             }
-            self.evict(node, victim, tag);
+            self.evict(node, victim);
         }
     }
 
     /// Evicts one valid block from `node`: tag cleared, directory
     /// updated, writeback accounted for exclusive victims.
-    fn evict(&mut self, node: NodeId, victim: BlockId, _tag: Tag) {
+    fn evict(&mut self, node: NodeId, victim: BlockId) {
         let home = self.t.home_of(victim);
         self.t.tags[node.index()].set(victim, Tag::Invalid);
         self.resident[node.index()] -= 1;
@@ -300,18 +300,12 @@ impl Stache {
     /// tag cleared, handler and ack accounted — without touching the
     /// directory. Exposed for protocol composition: LCM invalidates the
     /// outstanding copies of reconciled blocks through this path.
-    pub fn invalidate_copy(&mut self, home: NodeId, sharer: NodeId, block: BlockId) {
-        self.invalidate_one(home, sharer, block);
-    }
-
-    /// Sends one invalidation from `home` to `sharer` and processes it:
-    /// tag cleared, handler + ack accounted.
     ///
     /// Idempotent: a re-delivered invalidation (the original's ack was
     /// lost and the home's transaction retried) finds the tag already
     /// Invalid and is acked again without double-counting the
     /// invalidation or re-clearing anything.
-    fn invalidate_one(&mut self, home: NodeId, sharer: NodeId, block: BlockId) {
+    pub fn invalidate_copy(&mut self, home: NodeId, sharer: NodeId, block: BlockId) {
         if self.t.tags[sharer.index()].get(block) == Tag::Invalid {
             self.t
                 .net
@@ -327,32 +321,7 @@ impl Stache {
             return;
         }
         self.note_invalidate(sharer, block);
-        self.t.net.count_only(
-            &mut self.t.machine,
-            home,
-            sharer,
-            MsgKind::Invalidate,
-            false,
-        );
-        self.t
-            .net
-            .count_only(&mut self.t.machine, sharer, home, MsgKind::Ack, false);
-        if home != sharer {
-            self.t
-                .machine
-                .charge(sharer, CycleCat::MsgOverhead, Knob::MsgRecv, 1);
-            self.t
-                .machine
-                .charge(sharer, CycleCat::MsgOverhead, Knob::Invalidate, 1);
-            // The ack.
-            self.t
-                .machine
-                .charge(home, CycleCat::MsgOverhead, Knob::MsgRecv, 1);
-        } else {
-            self.t
-                .machine
-                .charge(sharer, CycleCat::MsgOverhead, Knob::Invalidate, 1);
-        }
+        self.invalidation_round(home, sharer);
         self.t.tags[sharer.index()].set(block, Tag::Invalid);
         self.t.machine.stats_mut(home).invalidations_sent += 1;
         self.t.machine.stats_mut(sharer).invalidations_recv += 1;
@@ -362,44 +331,30 @@ impl Stache {
         });
     }
 
-    /// Sends one invalidation from `home` to a node the directory's
-    /// *representation* names but that holds no copy — the
-    /// over-invalidation cost of an overflowed or coarse entry. The
-    /// target's tag is already Invalid; it acks, both ends pay handler
-    /// time, and the home's `spurious_invals` counter records the waste.
-    fn spurious_invalidate(&mut self, home: NodeId, target: NodeId, _block: BlockId) {
-        self.t.net.count_only(
-            &mut self.t.machine,
-            home,
-            target,
-            MsgKind::Invalidate,
-            false,
-        );
-        self.t
-            .net
-            .count_only(&mut self.t.machine, target, home, MsgKind::Ack, false);
+    /// The message round of one invalidation from `home` to `target`:
+    /// the invalidation and its ack, the target's handler (receive and
+    /// invalidate) and the home's ack receipt. Tags and counters are the
+    /// caller's.
+    fn invalidation_round(&mut self, home: NodeId, target: NodeId) {
+        let (m, net) = (&mut self.t.machine, &mut self.t.net);
+        net.count_only(m, home, target, MsgKind::Invalidate, false);
+        net.count_only(m, target, home, MsgKind::Ack, false);
         if home != target {
-            self.t
-                .machine
-                .charge(target, CycleCat::MsgOverhead, Knob::MsgRecv, 1);
-            self.t
-                .machine
-                .charge(target, CycleCat::MsgOverhead, Knob::Invalidate, 1);
-            self.t
-                .machine
-                .charge(home, CycleCat::MsgOverhead, Knob::MsgRecv, 1);
-        } else {
-            self.t
-                .machine
-                .charge(target, CycleCat::MsgOverhead, Knob::Invalidate, 1);
+            m.charge(target, CycleCat::MsgOverhead, Knob::MsgRecv, 1);
         }
-        self.t.machine.stats_mut(home).spurious_invals += 1;
+        m.charge(target, CycleCat::MsgOverhead, Knob::Invalidate, 1);
+        if home != target {
+            m.charge(home, CycleCat::MsgOverhead, Knob::MsgRecv, 1);
+        }
     }
 
     /// Invalidates every node in `targets`: the members of `holders`
     /// through the real path (tag cleared, invalidation counted), the
-    /// rest — nodes only the representation implicates — through the
-    /// spurious path. `targets` must be a superset of `holders`.
+    /// rest — nodes only the representation implicates, whose tags are
+    /// already Invalid — through a bare invalidation round, the
+    /// over-invalidation cost of an overflowed or coarse entry that the
+    /// home's `spurious_invals` counter records. `targets` must be a
+    /// superset of `holders`.
     fn invalidate_targets(
         &mut self,
         home: NodeId,
@@ -409,9 +364,10 @@ impl Stache {
     ) {
         for s in targets.iter() {
             if holders.contains(s) {
-                self.invalidate_one(home, s, block);
+                self.invalidate_copy(home, s, block);
             } else {
-                self.spurious_invalidate(home, s, block);
+                self.invalidation_round(home, s);
+                self.t.machine.stats_mut(home).spurious_invals += 1;
             }
         }
     }
@@ -442,70 +398,26 @@ impl Stache {
                 // Three-hop recall: node -> home -> owner -> home -> node.
                 // The owner is downgraded and keeps a read-only copy.
                 let units = if node == home { 1 } else { 2 };
-                self.t
-                    .machine
-                    .charge(node, CycleCat::ReadStallRemote, Knob::RemoteMiss, units);
-                self.t
-                    .net
-                    .count_only(&mut self.t.machine, node, home, MsgKind::GetShared, false);
-                self.t
-                    .net
-                    .count_only(&mut self.t.machine, home, owner, MsgKind::Invalidate, false);
-                self.t
-                    .net
-                    .count_only(&mut self.t.machine, owner, home, MsgKind::Writeback, true);
-                self.t
-                    .net
-                    .count_only(&mut self.t.machine, home, node, MsgKind::GetShared, true);
+                let (m, net) = (&mut self.t.machine, &mut self.t.net);
+                m.charge(node, CycleCat::ReadStallRemote, Knob::RemoteMiss, units);
+                net.count_only(m, node, home, MsgKind::GetShared, false);
+                net.count_only(m, home, owner, MsgKind::Invalidate, false);
+                net.count_only(m, owner, home, MsgKind::Writeback, true);
+                net.count_only(m, home, node, MsgKind::GetShared, true);
                 if home != node {
-                    self.t
-                        .machine
-                        .charge(home, CycleCat::MsgOverhead, Knob::MsgRecv, 2);
+                    m.charge(home, CycleCat::MsgOverhead, Knob::MsgRecv, 2);
                 }
-                self.t
-                    .machine
-                    .charge(owner, CycleCat::MsgOverhead, Knob::MsgRecv, 1);
-                self.t
-                    .machine
-                    .charge(owner, CycleCat::MsgOverhead, Knob::Invalidate, 1);
+                m.charge(owner, CycleCat::MsgOverhead, Knob::MsgRecv, 1);
+                m.charge(owner, CycleCat::MsgOverhead, Knob::Invalidate, 1);
                 self.t.tags[owner.index()].set(block, Tag::ReadOnly);
                 let mut sharers = SharerSet::single(owner);
                 sharers.add(node);
                 self.set_shared(home, block, sharers);
-                self.t.machine.stats_mut(node).read_miss_remote += 1;
-                self.t.machine.record(Event::ReadMiss {
-                    node,
-                    block,
-                    remote: true,
-                });
+                self.t.machine.miss(node, block, Access::Read, true);
             }
             other => {
                 // Idle or Shared: the home's value is current.
-                if node == home {
-                    self.t
-                        .machine
-                        .charge(node, CycleCat::ReadStallLocal, Knob::LocalFill, 1);
-                    self.t.machine.stats_mut(node).read_miss_local += 1;
-                    self.t.machine.record(Event::ReadMiss {
-                        node,
-                        block,
-                        remote: false,
-                    });
-                } else {
-                    self.t.net.request_reply(
-                        &mut self.t.machine,
-                        node,
-                        home,
-                        MsgKind::GetShared,
-                        true,
-                    );
-                    self.t.machine.stats_mut(node).read_miss_remote += 1;
-                    self.t.machine.record(Event::ReadMiss {
-                        node,
-                        block,
-                        remote: true,
-                    });
-                }
+                self.t.fill(node, block, Access::Read, MsgKind::GetShared);
                 let mut sharers = other.holders();
                 sharers.add(node);
                 self.set_shared(home, block, sharers);
@@ -529,41 +441,24 @@ impl Stache {
             what: "write_fault",
             block,
         });
-        match state {
+        let upgraded = match state {
             DirState::Exclusive(owner) if owner == node => {
                 unreachable!("write fault on {block:?} while {node} holds it writable");
             }
             DirState::Exclusive(owner) => {
                 // Recall-and-invalidate the current owner.
                 let units = if node == home { 1 } else { 2 };
-                self.t
-                    .machine
-                    .charge(node, CycleCat::WriteStallRemote, Knob::RemoteMiss, units);
-                self.t.net.count_only(
-                    &mut self.t.machine,
-                    node,
-                    home,
-                    MsgKind::GetExclusive,
-                    false,
-                );
-                self.t
-                    .net
-                    .count_only(&mut self.t.machine, owner, home, MsgKind::Writeback, true);
-                self.t
-                    .net
-                    .count_only(&mut self.t.machine, home, node, MsgKind::GetExclusive, true);
+                let (m, net) = (&mut self.t.machine, &mut self.t.net);
+                m.charge(node, CycleCat::WriteStallRemote, Knob::RemoteMiss, units);
+                net.count_only(m, node, home, MsgKind::GetExclusive, false);
+                net.count_only(m, owner, home, MsgKind::Writeback, true);
+                net.count_only(m, home, node, MsgKind::GetExclusive, true);
                 if home != node {
-                    self.t
-                        .machine
-                        .charge(home, CycleCat::MsgOverhead, Knob::MsgRecv, 2);
+                    m.charge(home, CycleCat::MsgOverhead, Knob::MsgRecv, 2);
                 }
-                self.invalidate_one(home, owner, block);
-                self.t.machine.stats_mut(node).write_miss_remote += 1;
-                self.t.machine.record(Event::WriteMiss {
-                    node,
-                    block,
-                    remote: true,
-                });
+                self.invalidate_copy(home, owner, block);
+                self.t.machine.miss(node, block, Access::Write, true);
+                false
             }
             DirState::Shared(sharers) => {
                 let held = sharers.contains(node);
@@ -587,80 +482,29 @@ impl Stache {
                     self.t.machine.charge(node, CycleCat::UpgradeStall, knob, 1);
                     self.t.machine.stats_mut(node).upgrades += 1;
                     self.t.machine.record(Event::Upgrade { node, block });
-                } else if node == home {
-                    // Fill locally, but wait out the invalidations if any.
-                    let knob = if targets.is_empty() {
-                        Knob::LocalFill
-                    } else {
-                        Knob::RemoteMiss
-                    };
+                } else if node == home && !targets.is_empty() {
+                    // Fill locally, but wait out the invalidations.
                     self.t
                         .machine
-                        .charge(node, CycleCat::WriteStallLocal, knob, 1);
-                    self.t.machine.stats_mut(node).write_miss_local += 1;
-                    self.t.machine.record(Event::WriteMiss {
-                        node,
-                        block,
-                        remote: false,
-                    });
+                        .charge(node, CycleCat::WriteStallLocal, Knob::RemoteMiss, 1);
+                    self.t.machine.miss(node, block, Access::Write, false);
                 } else {
-                    self.t.net.request_reply(
-                        &mut self.t.machine,
-                        node,
-                        home,
-                        MsgKind::GetExclusive,
-                        true,
-                    );
-                    self.t.machine.stats_mut(node).write_miss_remote += 1;
-                    self.t.machine.record(Event::WriteMiss {
-                        node,
-                        block,
-                        remote: true,
-                    });
+                    self.t
+                        .fill(node, block, Access::Write, MsgKind::GetExclusive);
                 }
-                self.dir.set(block, DirState::Exclusive(node));
-                self.t.tags[node.index()].set(block, Tag::ReadWrite);
-                if !held {
-                    self.note_fill(node, block);
-                }
-                self.t.machine.record(Event::SpanEnd {
-                    node,
-                    what: "write_fault",
-                    block,
-                });
-                return;
+                held
             }
             DirState::Idle => {
-                if node == home {
-                    self.t
-                        .machine
-                        .charge(node, CycleCat::WriteStallLocal, Knob::LocalFill, 1);
-                    self.t.machine.stats_mut(node).write_miss_local += 1;
-                    self.t.machine.record(Event::WriteMiss {
-                        node,
-                        block,
-                        remote: false,
-                    });
-                } else {
-                    self.t.net.request_reply(
-                        &mut self.t.machine,
-                        node,
-                        home,
-                        MsgKind::GetExclusive,
-                        true,
-                    );
-                    self.t.machine.stats_mut(node).write_miss_remote += 1;
-                    self.t.machine.record(Event::WriteMiss {
-                        node,
-                        block,
-                        remote: true,
-                    });
-                }
+                self.t
+                    .fill(node, block, Access::Write, MsgKind::GetExclusive);
+                false
             }
-        }
+        };
         self.dir.set(block, DirState::Exclusive(node));
         self.t.tags[node.index()].set(block, Tag::ReadWrite);
-        self.note_fill(node, block);
+        if !upgraded {
+            self.note_fill(node, block);
+        }
         self.t.machine.record(Event::SpanEnd {
             node,
             what: "write_fault",
@@ -720,8 +564,7 @@ impl MemoryProtocol for Stache {
         debug_assert!(addr.is_word_aligned(), "unaligned load at {addr}");
         let block = addr.block();
         if self.t.tags[node.index()].get(block).readable() {
-            self.t.machine.hit(node);
-            self.t.machine.stats_mut(node).read_hits += 1;
+            self.t.machine.hit(node, Access::Read);
         } else {
             self.read_fault(node, block);
         }
@@ -732,8 +575,7 @@ impl MemoryProtocol for Stache {
         debug_assert!(addr.is_word_aligned(), "unaligned store at {addr}");
         let block = addr.block();
         if self.t.tags[node.index()].get(block).writable() {
-            self.t.machine.hit(node);
-            self.t.machine.stats_mut(node).write_hits += 1;
+            self.t.machine.hit(node, Access::Write);
         } else {
             self.write_fault(node, block);
         }

@@ -14,10 +14,10 @@
 //! * a **dropped** attempt never reaches the receiver; the sender waits a
 //!   [`lcm_sim::CostModel::retry_timeout`] (doubling per consecutive
 //!   loss, capped) and retransmits, up to `max_retries` times, after
-//!   which the fallible paths fail with a structured [`DeliveryError`]
-//!   and the infallible paths escalate to a node-death verdict in the
-//!   [`Membership`] view (fail-stop crash-restart: the message is then
-//!   delivered to the restarted node);
+//!   which the exhaustion (a structured [`DeliveryError`]) escalates to
+//!   a node-death verdict in the [`Membership`] view (fail-stop
+//!   crash-restart: the message is then delivered to the restarted
+//!   node);
 //! * a **duplicated** delivery is detected by the receiver's transport
 //!   (sequence numbers), charged, counted in `msgs_duplicated`, and
 //!   answered with a [`MsgKind::Nack`];
@@ -79,20 +79,9 @@ pub enum MsgKind {
 const KINDS: usize = 11;
 
 impl MsgKind {
+    /// The kind's position in [`MsgKind::all`] (its declaration order).
     fn index(self) -> usize {
-        match self {
-            MsgKind::GetShared => 0,
-            MsgKind::GetExclusive => 1,
-            MsgKind::Upgrade => 2,
-            MsgKind::Invalidate => 3,
-            MsgKind::Ack => 4,
-            MsgKind::Writeback => 5,
-            MsgKind::Flush => 6,
-            MsgKind::CleanFill => 7,
-            MsgKind::StaleRefresh => 8,
-            MsgKind::Nack => 9,
-            MsgKind::Retry => 10,
-        }
+        self as usize
     }
 
     /// The kind's stable display label.
@@ -180,9 +169,7 @@ impl Network {
     /// recorded in the [`Membership`] view (evidence: retries exhausted),
     /// the sender pays a detection timeout, and the message is then
     /// delivered to the receiver's restarted incarnation — fail-stop
-    /// crash-restart semantics instead of the structural panic this path
-    /// raised before membership existed. Use [`Network::try_send`] to
-    /// observe the exhaustion as a [`DeliveryError`] instead.
+    /// crash-restart semantics.
     pub fn send(
         &mut self,
         m: &mut Machine,
@@ -199,7 +186,7 @@ impl Network {
 
     /// [`Network::send`] returning a structured [`DeliveryError`] when the
     /// retransmission budget is exhausted.
-    pub fn try_send(
+    fn try_send(
         &mut self,
         m: &mut Machine,
         from: NodeId,
@@ -210,13 +197,12 @@ impl Network {
         if from == to {
             return Ok(());
         }
-        let cost = *m.cost();
         let mut attempt: u32 = 0;
         loop {
             let outcome = m.faults_mut().next_outcome();
             if outcome == FaultOutcome::Drop {
                 attempt += 1;
-                self.lost_attempt(m, from, &cost, attempt);
+                self.lost_attempt(m, from, attempt);
                 self.check_budget(m, from, to, kind, attempt)?;
                 continue;
             }
@@ -225,7 +211,7 @@ impl Network {
             let delivered = if attempt == 0 { kind } else { MsgKind::Retry };
             self.deliver_one_way(m, from, to, delivered, with_block);
             match outcome {
-                FaultOutcome::Duplicate => self.duplicate_delivery(m, from, to, &cost),
+                FaultOutcome::Duplicate => self.duplicate_delivery(m, from, to),
                 FaultOutcome::Delay(k) => m.advance_as(to, k, CycleCat::RetryBackoff),
                 _ => {}
             }
@@ -233,9 +219,8 @@ impl Network {
         }
     }
 
-    /// The accounting of one delivered one-way message: both ends'
-    /// cycle charges, statistics, fabric serialization, per-kind counts
-    /// and trace events.
+    /// The accounting of one delivered one-way message: both ends pay
+    /// their flat per-message overhead, then the shared delivery record.
     fn deliver_one_way(
         &mut self,
         m: &mut Machine,
@@ -244,12 +229,26 @@ impl Network {
         delivered: MsgKind,
         with_block: bool,
     ) {
-        let bytes = wire_bytes(m.cost(), with_block);
         m.charge(from, CycleCat::MsgOverhead, Knob::MsgSend, 1);
         m.charge(to, CycleCat::MsgOverhead, Knob::MsgRecv, 1);
-        // Under a finite-bandwidth fabric the delivered bytes also
-        // serialize onto (and queue behind) the from->to link path;
-        // a no-op on the default unlimited network.
+        self.account(m, from, to, delivered, with_block);
+    }
+
+    /// The record every delivered message leaves, whatever its cycle
+    /// charges (which the caller makes first): its wire bytes serialize
+    /// onto the `from -> to` fabric path (a no-op on the default
+    /// unlimited network), both ends' message statistics and the
+    /// per-kind counts grow, and a `MsgSend`/`MsgRecv` event pair is
+    /// recorded.
+    fn account(
+        &mut self,
+        m: &mut Machine,
+        from: NodeId,
+        to: NodeId,
+        kind: MsgKind,
+        with_block: bool,
+    ) {
+        let bytes = wire_bytes(m.cost(), with_block);
         m.network_transfer(from, to, bytes);
         let s = m.stats_mut(from);
         s.msgs_sent += 1;
@@ -260,19 +259,20 @@ impl Network {
         let r = m.stats_mut(to);
         r.msgs_recv += 1;
         r.bytes_recv += bytes;
-        self.by_kind[delivered.index()] += 1;
-        self.bytes_by_kind[delivered.index()] += bytes;
+        self.by_kind[kind.index()] += 1;
+        self.bytes_by_kind[kind.index()] += bytes;
         self.total += 1;
+        let kind = kind.label();
         m.record(Event::MsgSend {
             from,
             to,
-            kind: delivered.label(),
+            kind,
             bytes,
         });
         m.record(Event::MsgRecv {
             node: to,
             from,
-            kind: delivered.label(),
+            kind,
             bytes,
         });
     }
@@ -306,31 +306,9 @@ impl Network {
         transaction: MsgKind,
         stall: CycleCat,
     ) {
-        let req_bytes = wire_bytes(m.cost(), false);
         m.charge(from, stall, Knob::MsgSend, 1);
         m.charge(to, CycleCat::MsgOverhead, Knob::MsgRecv, 1);
-        m.network_transfer(from, to, req_bytes);
-        let s = m.stats_mut(from);
-        s.msgs_sent += 1;
-        s.bytes_sent += req_bytes;
-        let r = m.stats_mut(to);
-        r.msgs_recv += 1;
-        r.bytes_recv += req_bytes;
-        self.by_kind[transaction.index()] += 1;
-        self.bytes_by_kind[transaction.index()] += req_bytes;
-        self.total += 1;
-        m.record(Event::MsgSend {
-            from,
-            to,
-            kind: transaction.label(),
-            bytes: req_bytes,
-        });
-        m.record(Event::MsgRecv {
-            node: to,
-            from,
-            kind: transaction.label(),
-            bytes: req_bytes,
-        });
+        self.account(m, from, to, transaction, false);
     }
 
     /// The accounting of one delivered reply leg: the requester's wait is
@@ -344,33 +322,8 @@ impl Network {
         stall: CycleCat,
         data_reply: bool,
     ) {
-        let rep_bytes = wire_bytes(m.cost(), data_reply);
         m.charge(from, stall, Knob::RemoteMissLessSend, 1);
-        m.network_transfer(to, from, rep_bytes);
-        let r = m.stats_mut(from);
-        r.msgs_recv += 1;
-        r.bytes_recv += rep_bytes;
-        let s = m.stats_mut(to);
-        s.msgs_sent += 1;
-        s.bytes_sent += rep_bytes;
-        if data_reply {
-            s.blocks_sent += 1;
-        }
-        self.by_kind[transaction.index()] += 1;
-        self.bytes_by_kind[transaction.index()] += rep_bytes;
-        self.total += 1;
-        m.record(Event::MsgSend {
-            from: to,
-            to: from,
-            kind: transaction.label(),
-            bytes: rep_bytes,
-        });
-        m.record(Event::MsgRecv {
-            node: from,
-            from: to,
-            kind: transaction.label(),
-            bytes: rep_bytes,
-        });
+        self.account(m, to, from, transaction, data_reply);
     }
 
     /// Accounts a blocking request/reply pair: the requester pays the full
@@ -382,8 +335,7 @@ impl Network {
     ///
     /// Exhausting the retransmission budget escalates to a node-death
     /// verdict exactly as in [`Network::send`], after which the
-    /// transaction completes against the home's restarted incarnation;
-    /// see [`Network::try_request_reply`] for the fallible form.
+    /// transaction completes against the home's restarted incarnation.
     pub fn request_reply(
         &mut self,
         m: &mut Machine,
@@ -407,7 +359,7 @@ impl Network {
     /// the requester; a lost *reply* means the home already did its work
     /// — the requester times out and reissues the (idempotent)
     /// transaction, which the protocols must tolerate as a duplicate.
-    pub fn try_request_reply(
+    fn try_request_reply(
         &mut self,
         m: &mut Machine,
         from: NodeId,
@@ -418,7 +370,6 @@ impl Network {
         if from == to {
             return Ok(());
         }
-        let cost = *m.cost();
         // The requester's whole healthy wait — request send through reply
         // receipt — is one miss stall of the transaction's flavor.
         let stall = kind.stall_cat();
@@ -429,14 +380,14 @@ impl Network {
             let req = m.faults_mut().next_outcome();
             if req == FaultOutcome::Drop {
                 attempt += 1;
-                self.lost_attempt(m, from, &cost, attempt);
+                self.lost_attempt(m, from, attempt);
                 self.check_budget(m, from, to, kind, attempt)?;
                 continue;
             }
             // The request arrived and the home handles it.
             self.deliver_request(m, from, to, transaction, stall);
             match req {
-                FaultOutcome::Duplicate => self.duplicate_delivery(m, from, to, &cost),
+                FaultOutcome::Duplicate => self.duplicate_delivery(m, from, to),
                 FaultOutcome::Delay(k) => m.advance_as(to, k, CycleCat::RetryBackoff),
                 _ => {}
             }
@@ -463,7 +414,7 @@ impl Network {
             // latency (minus the request-side send already charged).
             self.deliver_reply(m, from, to, transaction, stall, data_reply);
             match rep {
-                FaultOutcome::Duplicate => self.duplicate_delivery(m, to, from, &cost),
+                FaultOutcome::Duplicate => self.duplicate_delivery(m, to, from),
                 FaultOutcome::Delay(k) => m.advance_as(from, k, CycleCat::RetryBackoff),
                 _ => {}
             }
@@ -473,7 +424,7 @@ impl Network {
 
     /// A lost attempt: the sender's send cycles are wasted and it sits
     /// out the (exponentially backed-off) retransmission timeout.
-    fn lost_attempt(&mut self, m: &mut Machine, sender: NodeId, _cost: &CostModel, attempt: u32) {
+    fn lost_attempt(&mut self, m: &mut Machine, sender: NodeId, attempt: u32) {
         m.charge(sender, CycleCat::RetryBackoff, Knob::MsgSend, 1);
         m.charge(
             sender,
@@ -515,46 +466,17 @@ impl Network {
     /// burns handler cycles, and nacks it back to `sender`. The duplicate
     /// itself is counted in `msgs_duplicated` (not `msgs_recv`); the nack
     /// is a real, counted message.
-    fn duplicate_delivery(
-        &mut self,
-        m: &mut Machine,
-        sender: NodeId,
-        receiver: NodeId,
-        cost: &CostModel,
-    ) {
+    fn duplicate_delivery(&mut self, m: &mut Machine, sender: NodeId, receiver: NodeId) {
         // Fault-recovery work end to end: the duplicate's handling and the
         // nack round both land in the retry/backoff bucket. The duplicate
         // copy carries no accepted bytes; the nack is a real header-only
-        // message.
+        // message and occupies links like one.
         m.charge(receiver, CycleCat::RetryBackoff, Knob::MsgRecv, 1);
         m.stats_mut(receiver).msgs_duplicated += 1;
         self.duplicated += 1;
-        let nack_bytes = wire_bytes(cost, false);
         m.charge(receiver, CycleCat::RetryBackoff, Knob::MsgSend, 1);
         m.charge(sender, CycleCat::RetryBackoff, Knob::MsgRecv, 1);
-        // The nack is a real wire message and occupies links like one.
-        m.network_transfer(receiver, sender, nack_bytes);
-        let r = m.stats_mut(receiver);
-        r.msgs_sent += 1;
-        r.bytes_sent += nack_bytes;
-        let s = m.stats_mut(sender);
-        s.msgs_recv += 1;
-        s.bytes_recv += nack_bytes;
-        self.by_kind[MsgKind::Nack.index()] += 1;
-        self.bytes_by_kind[MsgKind::Nack.index()] += nack_bytes;
-        self.total += 1;
-        m.record(Event::MsgSend {
-            from: receiver,
-            to: sender,
-            kind: MsgKind::Nack.label(),
-            bytes: nack_bytes,
-        });
-        m.record(Event::MsgRecv {
-            node: sender,
-            from: receiver,
-            kind: MsgKind::Nack.label(),
-            bytes: nack_bytes,
-        });
+        self.account(m, receiver, sender, MsgKind::Nack, false);
     }
 
     /// Counts a message (and its statistics) *without* charging the
@@ -577,35 +499,9 @@ impl Network {
         kind: MsgKind,
         with_block: bool,
     ) {
-        if from == to {
-            return;
+        if from != to {
+            self.account(m, from, to, kind, with_block);
         }
-        let bytes = wire_bytes(m.cost(), with_block);
-        m.network_transfer(from, to, bytes);
-        let s = m.stats_mut(from);
-        s.msgs_sent += 1;
-        s.bytes_sent += bytes;
-        if with_block {
-            s.blocks_sent += 1;
-        }
-        let r = m.stats_mut(to);
-        r.msgs_recv += 1;
-        r.bytes_recv += bytes;
-        self.by_kind[kind.index()] += 1;
-        self.bytes_by_kind[kind.index()] += bytes;
-        self.total += 1;
-        m.record(Event::MsgSend {
-            from,
-            to,
-            kind: kind.label(),
-            bytes,
-        });
-        m.record(Event::MsgRecv {
-            node: to,
-            from,
-            kind: kind.label(),
-            bytes,
-        });
     }
 
     /// Total messages delivered (dropped attempts and duplicate copies
@@ -839,6 +735,13 @@ mod tests {
         assert_eq!(s.msg_recvs, 3);
         assert_eq!(s.msg_sends, m.total_stats().msgs_sent);
         assert_eq!(s.msg_recvs, m.total_stats().msgs_recv);
+    }
+
+    #[test]
+    fn kind_index_is_the_position_in_all() {
+        for (i, kind) in MsgKind::all().into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+        }
     }
 
     #[test]

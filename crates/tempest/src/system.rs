@@ -8,11 +8,11 @@
 //! written against the Tempest interface provided by Blizzard.
 
 use crate::memory::HomeMemory;
-use crate::net::Network;
+use crate::net::{MsgKind, Network};
 use crate::segment::{AddressSpace, Placement};
 use crate::tags::{Tag, TagTable};
 use lcm_sim::mem::{Addr, BlockId};
-use lcm_sim::{Machine, MachineConfig, NodeId};
+use lcm_sim::{Access, CycleCat, Knob, Machine, MachineConfig, NodeId};
 
 /// The mechanism bundle handed to user-level protocols.
 ///
@@ -85,12 +85,35 @@ impl Tempest {
     pub fn set_tag(&mut self, node: NodeId, block: BlockId, tag: Tag) {
         self.tags[node.index()].set(block, tag);
     }
+
+    /// The fault → fetch-from-home transaction every protocol shares:
+    /// `node` obtains `block`'s home value for an `access`. At the home
+    /// it is a `local_fill` under the access's local stall bucket;
+    /// elsewhere a blocking `kind` request/reply whose reply carries the
+    /// block (stalling under `kind`'s bucket). Either way
+    /// [`Machine::miss`] counts it and records whether it crossed the
+    /// network. Tags, directories and data stay with the caller.
+    pub fn fill(&mut self, node: NodeId, block: BlockId, access: Access, kind: MsgKind) {
+        let home = self.home_of(block);
+        let remote = node != home;
+        if remote {
+            self.net
+                .request_reply(&mut self.machine, node, home, kind, true);
+        } else {
+            let cat = match access {
+                Access::Read => CycleCat::ReadStallLocal,
+                Access::Write => CycleCat::WriteStallLocal,
+            };
+            self.machine.charge(node, cat, Knob::LocalFill, 1);
+        }
+        self.machine.miss(node, block, access, remote);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcm_sim::CostModel;
+    use lcm_sim::{CostModel, Event};
 
     #[test]
     fn new_bundle_is_consistent() {
@@ -108,6 +131,51 @@ mod tests {
         t.set_tag(NodeId(1), b, Tag::ReadOnly);
         assert_eq!(t.tag(NodeId(1), b), Tag::ReadOnly);
         assert_eq!(t.tag(NodeId(0), b), Tag::Invalid, "tags are per node");
+    }
+
+    #[test]
+    fn fill_is_local_at_the_home_and_a_round_trip_elsewhere() {
+        let c = CostModel::cm5();
+        let mut t = Tempest::new(MachineConfig::new(2).with_cost(c).with_trace(16));
+        let b = t.alloc(4096, Placement::OnNode(NodeId(0)), "x").block();
+        t.fill(NodeId(0), b, Access::Read, MsgKind::GetShared);
+        assert_eq!(t.machine.clock(NodeId(0)), c.local_fill);
+        assert_eq!(
+            t.machine.ledger().get(NodeId(0), CycleCat::ReadStallLocal),
+            c.local_fill
+        );
+        assert_eq!(t.machine.stats(NodeId(0)).read_miss_local, 1);
+        // A remote write fill stalls under the request kind's bucket.
+        t.fill(NodeId(1), b, Access::Write, MsgKind::CleanFill);
+        assert_eq!(
+            t.machine.ledger().get(NodeId(1), CycleCat::ReadStallRemote),
+            c.remote_miss
+        );
+        assert_eq!(t.machine.stats(NodeId(1)).write_miss_remote, 1);
+        assert_eq!(t.net.count(MsgKind::CleanFill), 2, "request and data reply");
+        let misses: Vec<Event> = t
+            .machine
+            .trace()
+            .events()
+            .iter()
+            .map(|e| e.event)
+            .filter(|e| matches!(e, Event::ReadMiss { .. } | Event::WriteMiss { .. }))
+            .collect();
+        assert_eq!(
+            misses,
+            [
+                Event::ReadMiss {
+                    node: NodeId(0),
+                    block: b,
+                    remote: false
+                },
+                Event::WriteMiss {
+                    node: NodeId(1),
+                    block: b,
+                    remote: true
+                }
+            ]
+        );
     }
 
     #[test]

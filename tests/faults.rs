@@ -199,13 +199,14 @@ fn barrier_stalls_change_time_not_results() {
     }
 }
 
-/// The structured failure path: a hopeless network (100% drops) reports
-/// a cycle-stamped `DeliveryError` instead of hanging or silently
+/// The structured failure path: a hopeless network (100% drops) turns
+/// the exhausted retransmission budget into a node-death verdict naming
+/// the message kind and attempt count, instead of hanging or silently
 /// succeeding.
 #[test]
 fn hopeless_network_fails_structurally() {
     use lcm::sim::{FaultPlan, Machine};
-    use lcm::tempest::Network;
+    use lcm::tempest::{DeathEvidence, Network};
     let cfg = FaultConfig {
         drop_rate: 1.0,
         max_retries: 4,
@@ -213,15 +214,19 @@ fn hopeless_network_fails_structurally() {
     };
     let mut m = Machine::new(MachineConfig::new(2).with_faults(cfg));
     let mut net = Network::new();
-    let err = net
-        .try_send(&mut m, NodeId(0), NodeId(1), MsgKind::Flush, false)
-        .expect_err("every attempt drops");
-    assert_eq!(err.attempts, 5);
-    assert!(
-        err.to_string().contains("undeliverable after 5 attempts"),
-        "{err}"
+    net.send(&mut m, NodeId(0), NodeId(1), MsgKind::Flush, false);
+    let deaths = net.membership().deaths();
+    assert_eq!(deaths.len(), 1);
+    assert_eq!(deaths[0].node, NodeId(1));
+    assert_eq!(
+        deaths[0].evidence,
+        DeathEvidence::RetriesExhausted {
+            kind: "Flush",
+            attempts: 5,
+        }
     );
-    // The plan drew one outcome per attempt and nothing more.
+    // The plan drew one outcome per attempt; the escalated delivery to
+    // the restarted node consults it no further.
     assert_eq!(m.faults().decisions(), 5);
     let _ = FaultPlan::disabled(); // the disabled plan is part of the public API
     let _ = FaultOutcome::Deliver;
