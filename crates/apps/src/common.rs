@@ -10,7 +10,7 @@
 use lcm_core::{Lcm, LcmVariant};
 use lcm_cstar::{Runtime, RuntimeConfig, Strategy};
 use lcm_rsm::MemoryProtocol;
-use lcm_sim::{CycleLedger, MachineConfig, NodeStats, PhaseSnapshot, Stamped};
+use lcm_sim::{CycleLedger, MachineConfig, NodeStats, PhaseSnapshot, Trace};
 use lcm_stache::Stache;
 use lcm_tempest::MsgKind;
 use std::fmt;
@@ -164,7 +164,7 @@ impl RunResult {
                 .into_iter()
                 .map(|k| (k, t.net.bytes_of(k)))
                 .collect(),
-            trace_events: machine.trace().events().len(),
+            trace_events: machine.trace().len(),
             trace_dropped: machine.trace().dropped(),
             links: machine.link_utilization(),
         }
@@ -174,13 +174,13 @@ impl RunResult {
 /// Runs `workload` on `system` over the machine `mc`: the one place a
 /// [`SystemKind`] becomes a protocol and its compilation strategy.
 /// Returns the program output, the measurements, and the recorded event
-/// trace — empty unless `mc` enables tracing
+/// trace, still encoded — empty unless `mc` enables tracing
 /// ([`MachineConfig::with_trace`]) or capture
 /// ([`MachineConfig::with_capture`]).
 ///
 /// In capture mode the pending coalesced work records are flushed
 /// before harvest, so the events account for every charged cycle; the
-/// `lcm-replay` crate serializes that stream to a `.lcmtrace` file and
+/// `lcm-replay` crate turns that stream into a `.lcmtrace` file and
 /// re-prices it under any cost model without re-executing the program.
 /// A capture whose buffer overflowed (`trace_dropped > 0`) is unusable
 /// for replay, so size it generously.
@@ -195,17 +195,17 @@ pub fn execute<W: Workload>(
     mc: MachineConfig,
     config: RuntimeConfig,
     workload: &W,
-) -> (W::Output, RunResult, Vec<Stamped>) {
+) -> (W::Output, RunResult, Trace) {
     fn go<P: MemoryProtocol, W: Workload>(
         system: SystemKind,
         mut rt: Runtime<P>,
         workload: &W,
-    ) -> (W::Output, RunResult, Vec<Stamped>) {
+    ) -> (W::Output, RunResult, Trace) {
         let out = workload.run(&mut rt);
         rt.mem_mut().tempest_mut().machine.finish_capture();
         let result = RunResult::harvest(system, rt.mem());
-        let events = rt.mem().tempest().machine.trace().to_vec();
-        (out, result, events)
+        let trace = rt.mem_mut().tempest_mut().machine.take_trace();
+        (out, result, trace)
     }
     match system {
         SystemKind::Stache => go(

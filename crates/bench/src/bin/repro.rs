@@ -1278,7 +1278,7 @@ fn design_space(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
                 let name = format!("{}.lcmtrace", trace_name(bench, system));
                 files.push(file(&name, trace.to_bytes()));
             }
-            events += trace.events.len();
+            events += trace.event_count();
             let t1 = Instant::now();
             rows.extend(explore::explore_grid(
                 &[Arc::new(trace)],
@@ -1454,16 +1454,16 @@ fn critpath_one(
     let latency = critpath::msg_latency_rows(benchmark, system_label, &cp);
     let flow_json =
         (want_flow && benchmark == "Stencil-dyn" && system == SystemKind::LcmMcc).then(|| {
-            let cut = file.events.len().min(FLOW_EXPORT_EVENTS);
-            if cut < file.events.len() {
-                let max_seq = file.events[cut - 1].seq;
-                cp.edges
-                    .retain(|e| e.send_seq <= max_seq && e.recv_seq <= max_seq);
-            }
+            // Event `seq`s are positions, so the export keeps the edges
+            // whose ends both fall before the cut.
+            let cut = file.event_count().min(FLOW_EXPORT_EVENTS);
+            let cut_seq = cut as u64;
+            cp.edges
+                .retain(|e| e.send_seq < cut_seq && e.recv_seq < cut_seq);
             let (flows, path) = critpath::flow_annotations(&cp);
             (
-                profile::chrome_trace_json(&file.events[..cut], file.nodes, &[], &flows, &path),
-                file.events.len() - cut,
+                profile::chrome_trace_json(file.events().take(cut), file.nodes, &[], &flows, &path),
+                file.event_count() - cut,
             )
         });
     cp.edges = Vec::new();
@@ -1595,22 +1595,26 @@ fn cycle_profile(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
     // fixed system order afterwards.
     let traced = lcm_sim::par_map(ctx.jobs, SystemKind::all().to_vec(), |_, system| {
         let mc = MachineConfig::new(nodes).with_trace(2_000_000);
-        let (_, r, events) = execute(system, mc, RuntimeConfig::default(), &w);
-        (r, events)
+        let (_, r, trace) = execute(system, mc, RuntimeConfig::default(), &w);
+        (r, trace)
     });
     let cost = CostModel::cm5();
     let mut results = Vec::new();
-    for (system, (r, events)) in SystemKind::all().into_iter().zip(traced) {
-        writeln!(out, "{}", profile::profile_report(&r, &events, &cost))?;
+    for (system, (r, trace)) in SystemKind::all().into_iter().zip(traced) {
+        writeln!(
+            out,
+            "{}",
+            profile::profile_report(&r, trace.events(), &cost)
+        )?;
         if let (SystemKind::LcmMcc, Some(path)) = (system, &ctx.trace) {
             write_path(
                 path,
-                profile::chrome_trace_json(&events, nodes, &[], &[], &[]).as_bytes(),
+                profile::chrome_trace_json(trace.events(), nodes, &[], &[], &[]).as_bytes(),
             )?;
             eprintln!(
                 "Chrome-trace JSON ({} events) written to {} — load it at \
                  ui.perfetto.dev or chrome://tracing",
-                events.len(),
+                trace.len(),
                 path.display()
             );
         }
@@ -2183,7 +2187,7 @@ fn serve(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
     let mut engine = lcm_serve::ServeEngine::new();
     let mut events = 0usize;
     for (name, handle) in traces {
-        events += handle.events.len();
+        events += handle.event_count();
         engine.load(&name, handle);
     }
     let engine = Arc::new(engine);
@@ -2501,7 +2505,7 @@ fn replay_summary(path: &Path, out: &mut dyn Write) -> Res<()> {
     writeln!(
         out,
         "  events: {}   phase marks: {}",
-        file.events.len(),
+        file.event_count(),
         file.phase_index.len()
     )?;
     let r = lcm_replay::validate(&file).map_err(|e| format!("  validation FAILED: {e}"))?;

@@ -42,7 +42,7 @@ pub fn capture_workload<W: Workload>(
     capacity: usize,
 ) -> Result<TraceFile, String> {
     let (nodes, topology, cost) = (mc.nodes, mc.topology, mc.cost);
-    let (_, result, events) = execute(system, mc.with_capture(capacity), config, workload);
+    let (_, result, trace) = execute(system, mc.with_capture(capacity), config, workload);
     if result.trace_dropped > 0 {
         return Err(format!(
             "{benchmark}/{system}: capture dropped {} events (buffer of \
@@ -59,7 +59,7 @@ pub fn capture_workload<W: Workload>(
             ("system".to_string(), system.label().to_string()),
             ("scale".to_string(), scale.to_string()),
         ],
-        events,
+        trace.to_vec(),
         result.clocks.clone(),
         &result.ledger,
         result.totals.clone(),

@@ -113,7 +113,7 @@ pub struct PathSlice {
 ///   pid `nodes + 2`, so the path-resident segments read as one
 ///   highlighted lane above the node tracks.
 pub fn chrome_trace_json(
-    events: &[Stamped],
+    events: impl IntoIterator<Item = Stamped>,
     nodes: usize,
     links: &[LinkUtil],
     flows: &[FlowArrow],
@@ -337,7 +337,11 @@ pub fn cycle_breakdown_table(r: &RunResult) -> String {
 /// stream: misses and upgrades weighted by the cost model's fill
 /// latencies. Returns up to `n` `(block, stall_cycles)` pairs, hottest
 /// first. An empty result means tracing was off (or nothing missed).
-pub fn hottest_blocks(events: &[Stamped], cost: &CostModel, n: usize) -> Vec<(BlockId, u64)> {
+pub fn hottest_blocks(
+    events: impl IntoIterator<Item = Stamped>,
+    cost: &CostModel,
+    n: usize,
+) -> Vec<(BlockId, u64)> {
     let mut per_block: HashMap<BlockId, u64> = HashMap::new();
     for e in events {
         let (block, cycles) = match e.event {
@@ -396,7 +400,7 @@ pub fn message_latencies(edges: &[MsgEdge]) -> Vec<(&'static str, Vec<i64>)> {
 /// messages were not captured (e.g. a trace that filled and dropped
 /// them) show `-`. With `events` empty — traces absent — there are no
 /// latency columns.
-pub fn message_histogram(r: &RunResult, events: &[Stamped]) -> String {
+pub fn message_histogram(r: &RunResult, events: impl IntoIterator<Item = Stamped>) -> String {
     let lat = message_latencies(&lcm_replay::match_messages(events).0);
     let max = r.msg_kinds.iter().map(|&(_, n)| n).max().unwrap_or(0);
     let mut out = String::new();
@@ -460,11 +464,15 @@ pub fn hottest_links_table(r: &RunResult, n: usize) -> String {
 /// The text profile report for one run: cycle breakdown, hottest blocks,
 /// message histogram, hottest fabric links (when the contention model
 /// ran), and the trace-completeness note.
-pub fn profile_report(r: &RunResult, events: &[Stamped], cost: &CostModel) -> String {
+pub fn profile_report(
+    r: &RunResult,
+    events: impl Iterator<Item = Stamped> + Clone,
+    cost: &CostModel,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "per-node cycle breakdown ({}):", r.system.label());
     out.push_str(&cycle_breakdown_table(r));
-    let hot = hottest_blocks(events, cost, 10);
+    let hot = hottest_blocks(events.clone(), cost, 10);
     if !hot.is_empty() {
         let _ = writeln!(out, "hottest blocks by stall cycles:");
         for (block, cycles) in hot {
@@ -551,9 +559,9 @@ mod tests {
     use lcm_apps::stencil::Stencil;
     use lcm_apps::{execute, SystemKind};
     use lcm_cstar::{Partition, RuntimeConfig};
-    use lcm_sim::MachineConfig;
+    use lcm_sim::{MachineConfig, Trace};
 
-    fn traced_run(system: SystemKind) -> (RunResult, Vec<Stamped>) {
+    fn traced_run(system: SystemKind) -> (RunResult, Trace) {
         let w = Stencil {
             rows: 16,
             cols: 16,
@@ -561,9 +569,9 @@ mod tests {
             partition: Partition::Dynamic,
         };
         let mc = MachineConfig::new(4).with_trace(1 << 20);
-        let (_, r, events) = execute(system, mc, RuntimeConfig::default(), &w);
+        let (_, r, trace) = execute(system, mc, RuntimeConfig::default(), &w);
         assert_eq!(r.trace_dropped, 0, "trace capacity must hold the run");
-        (r, events)
+        (r, trace)
     }
 
     /// A minimal JSON syntax checker: enough to reject unbalanced or
@@ -601,9 +609,9 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_node_tracks_and_spans() {
-        let (_, events) = traced_run(SystemKind::LcmMcc);
-        assert!(!events.is_empty());
-        let json = chrome_trace_json(&events, 4, &[], &[], &[]);
+        let (_, trace) = traced_run(SystemKind::LcmMcc);
+        assert!(!trace.is_empty());
+        let json = chrome_trace_json(trace.events(), 4, &[], &[], &[]);
         check_json(&json);
         assert!(json.starts_with("{\"traceEvents\":["));
         for n in 0..4 {
@@ -616,8 +624,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"i\""), "instants present");
         assert!(json.contains("\"name\":\"mark\""), "LCM mark spans present");
         // Every span begin/end pair became one complete slice.
-        let begins = events
-            .iter()
+        let begins = (trace.events())
             .filter(|e| matches!(e.event, Event::SpanBegin { .. }))
             .count();
         let slices = json.matches("\"ph\":\"X\"").count();
@@ -635,7 +642,7 @@ mod tests {
                 block: BlockId(3),
             },
         }];
-        let json = chrome_trace_json(&events, 2, &[], &[], &[]);
+        let json = chrome_trace_json(events, 2, &[], &[], &[]);
         check_json(&json);
         assert!(json.contains("\"dur\":0"));
         assert!(json.contains("\"ts\":40"));
@@ -685,7 +692,7 @@ mod tests {
                 },
             },
         ];
-        let hot = hottest_blocks(&events, &cost, 10);
+        let hot = hottest_blocks(events, &cost, 10);
         assert_eq!(hot[0], (BlockId(1), cost.remote_miss));
         assert_eq!(hot[1], (BlockId(2), cost.local_fill + cost.upgrade));
     }
@@ -719,8 +726,8 @@ mod tests {
 
     #[test]
     fn report_mentions_breakdown_hot_blocks_and_drops() {
-        let (r, events) = traced_run(SystemKind::LcmMcc);
-        let report = profile_report(&r, &events, &CostModel::cm5());
+        let (r, trace) = traced_run(SystemKind::LcmMcc);
+        let report = profile_report(&r, trace.events(), &CostModel::cm5());
         assert!(report.contains("per-node cycle breakdown"));
         assert!(report.contains("hottest blocks"));
         assert!(report.contains("messages by kind"));
@@ -753,7 +760,7 @@ mod tests {
         let links = hottest_links_table(&r, 3);
         assert_eq!(links.lines().count(), 3, "truncated to n");
         assert!(links.contains("occupied"));
-        let report = profile_report(&r, &[], &CostModel::cm5());
+        let report = profile_report(&r, std::iter::empty(), &CostModel::cm5());
         assert!(report.contains("hottest fabric links:"));
     }
 
@@ -835,7 +842,7 @@ mod tests {
         let mut events = Vec::new();
         events.extend(msg_pair(0, 100, 150));
         events.extend(msg_pair(2, 200, 180)); // receiver's clock ran behind
-        let lat = message_latencies(&lcm_replay::match_messages(&events).0);
+        let lat = message_latencies(&lcm_replay::match_messages(events).0);
         assert_eq!(lat.len(), 1);
         assert_eq!(lat[0].0, "GetShared");
         assert_eq!(lat[0].1, vec![-20, 50], "sorted, signed");
@@ -843,8 +850,8 @@ mod tests {
 
     #[test]
     fn histogram_gains_latency_columns_only_with_events() {
-        let (r, events) = traced_run(SystemKind::LcmMcc);
-        let plain = message_histogram(&r, &[]);
+        let (r, trace) = traced_run(SystemKind::LcmMcc);
+        let plain = message_histogram(&r, []);
         // Traces absent: `kind count msgs bytes B  bar`, no latency.
         assert!(!plain.is_empty());
         for line in plain.lines() {
@@ -853,12 +860,12 @@ mod tests {
             assert_eq!((f[2], f[4]), ("msgs", "B"), "plain histogram row: {line}");
             assert!(line.contains(" B  #"), "plain histogram row: {line}");
         }
-        let with = message_histogram(&r, &events);
+        let with = message_histogram(&r, trace.events());
         assert_ne!(with, plain);
         assert!(with.contains("p50"), "latency columns present");
         assert!(with.contains("p99"));
         assert_eq!(with.lines().count(), plain.lines().count());
-        let report = profile_report(&r, &events, &CostModel::cm5());
+        let report = profile_report(&r, trace.events(), &CostModel::cm5());
         assert!(report.contains("p95"), "report histogram carries latency");
     }
 
@@ -878,7 +885,7 @@ mod tests {
             dur: 500,
             args: "\"epoch\":0,\"node\":1".to_string(),
         }];
-        let json = chrome_trace_json(&[], 4, &[], &flows, &path);
+        let json = chrome_trace_json([], 4, &[], &flows, &path);
         check_json(&json);
         assert!(json.contains("\"ph\":\"s\""), "flow start");
         assert!(json.contains("\"ph\":\"f\""), "flow finish");
@@ -887,7 +894,7 @@ mod tests {
         assert!(json.contains("\"tid\":1"), "message rows");
         // Without extras the export is the node and machine tracks only.
         assert_eq!(
-            chrome_trace_json(&[], 1, &[], &[], &[]),
+            chrome_trace_json([], 1, &[], &[], &[]),
             "{\"traceEvents\":[\
              {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"node 0\"}},\
              {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"machine\"}}\
@@ -898,13 +905,13 @@ mod tests {
     #[test]
     fn link_utilization_rides_a_fabric_trace_track() {
         let r = contended_run();
-        let json = chrome_trace_json(&[], 4, &r.links, &[], &[]);
+        let json = chrome_trace_json([], 4, &r.links, &[], &[]);
         check_json(&json);
         assert!(json.contains("\"name\":\"fabric\""));
         assert!(json.contains("queue_cycles"));
         // With no links there is no fabric track, so existing traces
         // stay byte-identical.
-        let plain = chrome_trace_json(&[], 4, &[], &[], &[]);
+        let plain = chrome_trace_json([], 4, &[], &[], &[]);
         assert!(!plain.contains("fabric") && !plain.contains("\"pid\":5"));
     }
 }

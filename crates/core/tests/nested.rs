@@ -194,7 +194,7 @@ fn nested_first_touches_record_miss_events_matching_their_counters() {
     m.begin_parallel_phase();
     m.begin_nested_phase(N1);
     let before = m.tempest().machine.total_stats();
-    let seen = m.tempest().machine.trace().events().len();
+    let seen = m.tempest().machine.trace().len();
     // Interleaved: block 0 homes on N0, block 1 on N1.
     m.read_f32(N0, a); // local read fill
     m.read_f32(N2, a); // remote read fill
@@ -204,7 +204,7 @@ fn nested_first_touches_record_miss_events_matching_their_counters() {
     let after = m.tempest().machine.total_stats();
     // [read local, read remote, write local, write remote]
     let mut events = [0u64; 4];
-    for s in &m.tempest().machine.trace().events()[seen..] {
+    for s in m.tempest().machine.trace().events().skip(seen) {
         match s.event {
             Event::ReadMiss { remote, .. } => events[remote as usize] += 1,
             Event::WriteMiss { remote, .. } => events[2 + remote as usize] += 1,

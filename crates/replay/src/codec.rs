@@ -1,29 +1,19 @@
 //! The byte codec shared by `.lcmtrace` files and the `lcm-serve` wire
 //! protocol: LEB128 varints, varint-length-prefixed UTF-8 strings, the
 //! 18-field cost model and the topology, written by the `put_*`
-//! functions and read back through a bounds-checked [`Cursor`].
+//! functions and read back through a bounds-checked [`Cursor`]. The
+//! varint is [`lcm_sim::codec`]'s, the one the event encoding uses.
 //!
 //! Every decode failure is a named `Err` string, never a panic, and the
 //! error text names no container format, so each caller can prefix its
 //! own context.
 
+use lcm_sim::codec::get_varint;
+pub use lcm_sim::codec::put_varint;
 use lcm_sim::{CostModel, Topology};
 
 /// Number of cost-model fields on the wire.
 pub const COST_FIELDS: usize = 18;
-
-/// Appends `v` as an LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
 
 /// Appends `s` as a varint length followed by its UTF-8 bytes.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -112,6 +102,11 @@ impl<'a> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
+    /// The cursor's offset from the start of the buffer.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
     /// Bytes left between the cursor and the end of the buffer.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -170,19 +165,7 @@ impl<'a> Cursor<'a> {
 
     /// An LEB128 varint.
     pub fn varint(&mut self) -> Result<u64, String> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err("varint overflows u64".to_string());
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+        get_varint(self.buf, &mut self.pos).map_err(|e| e.to_string())
     }
 
     /// A varint that must fit in a `u16`; `what` names the field.

@@ -311,7 +311,7 @@ impl CritPath {
 /// pending [`Event::MsgSend`] on the same `(from, to, kind)` channel.
 /// Returns the matched edges in recv order, then the number of recvs
 /// with no pending send and of sends never received.
-pub fn match_messages(events: &[Stamped]) -> (Vec<MsgEdge>, u64, u64) {
+pub fn match_messages(events: impl IntoIterator<Item = Stamped>) -> (Vec<MsgEdge>, u64, u64) {
     // Pending sends per FIFO channel: (seq, cycle, bytes) in send order.
     type Channel = (u16, u16, &'static str);
     let mut inflight: HashMap<Channel, VecDeque<(u64, u64, u64)>> = HashMap::new();
@@ -457,7 +457,7 @@ pub fn analyze(file: &TraceFile) -> CritPath {
     for i in tap.pending_label.drain(..) {
         tap.epochs[i].label = tail_label;
     }
-    let (edges, unmatched_recvs, unmatched_sends) = match_messages(&file.events);
+    let (edges, unmatched_recvs, unmatched_sends) = match_messages(file.events());
     CritPath {
         nodes,
         makespan: r.time,

@@ -33,6 +33,7 @@
 //! are fixed by the capture — so replay explores pricing, not policy.
 
 use crate::format::TraceFile;
+use lcm_sim::codec::op;
 use lcm_sim::{
     CostModel, CycleCat, CycleLedger, Event, Fabric, LinkUtil, NodeId, NodeStats, Stamped, Topology,
 };
@@ -183,7 +184,7 @@ pub(crate) fn fold(
     tap: &mut impl Tap,
 ) -> Replayed {
     let mut p = Pricer::new(file, cost, topology);
-    for ev in &file.events {
+    for ev in file.events() {
         let (node, cat, cycles) = match ev.event {
             Event::Work { node, cycles, hits } => (
                 node,
@@ -216,12 +217,12 @@ pub(crate) fn fold(
             }
             Event::PhaseMark { label } => {
                 p.phase(label);
-                tap.other(ev);
+                tap.other(&ev);
                 continue;
             }
             // Observability records: they shape statistics, not clocks.
             _ => {
-                tap.other(ev);
+                tap.other(&ev);
                 continue;
             }
         };
@@ -283,14 +284,7 @@ pub fn validate(file: &TraceFile) -> Result<Replayed, String> {
     }
     // Completeness audit: the stream must hold one record per counted
     // message and one barrier record per executed barrier.
-    let (mut sends, mut recvs) = (0u64, 0u64);
-    for ev in &file.events {
-        match ev.event {
-            Event::MsgSend { .. } => sends += 1,
-            Event::MsgRecv { .. } => recvs += 1,
-            _ => {}
-        }
-    }
+    let (sends, recvs) = (file.count_of(op::MSG_SEND), file.count_of(op::MSG_RECV));
     if sends != file.totals.msgs_sent || recvs != file.totals.msgs_recv {
         return Err(format!(
             "message records diverge from counters: stream has {sends} sends / \

@@ -16,8 +16,9 @@
 //!            phase labels); events reference strings by table index
 //! events     count, then per event: opcode byte, zigzag-varint delta
 //!            of the cycle stamp from the previous event, payload
-//! phase index one entry per PhaseMark: (label, event index, cycle) —
-//!            a seek table for consumers that want one phase
+//! phase index one entry per PhaseMark, in stream order: (label, event
+//!            index, cycle) — a seek table for consumers that want one
+//!            phase; the reader checks it against the marks
 //! footer     final per-node clocks, the per-node × per-category cycle
 //!            ledger, summed NodeStats, event count (cross-check)
 //! checksum   u64 LE   FNV-1a over every preceding byte of the file
@@ -29,13 +30,15 @@
 //! Any change that would misread an old file bumps `VERSION`; the reader
 //! rejects files whose version it does not know.
 //!
+//! The event section is [`lcm_sim::codec`]'s encoding, the same bytes a
+//! [`lcm_sim::Trace`] records into, and a loaded file keeps it as is.
 //! Varints, strings, the cost model and the topology go through
 //! [`crate::codec`], which the `lcm-serve` wire protocol shares.
 
 use crate::codec::{put_cost_model, put_str, put_topology, put_varint, Cursor};
 use crate::index::DiffIndex;
 use lcm_sim::{
-    CostModel, CycleCat, CycleLedger, Event, Knob, NodeId, NodeStats, Stamped, Topology,
+    CostModel, CycleCat, CycleLedger, Event, EventLog, Events, NodeId, NodeStats, Stamped, Topology,
 };
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -64,14 +67,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Resolves a string read from a trace file to a `&'static str`, so the
@@ -133,11 +128,15 @@ pub struct PhaseIndexEntry {
 /// configuration, plus the execution-driven outcome (clocks, ledger,
 /// summed statistics) replay validates against.
 ///
+/// The event stream stays in its file encoding, an [`EventLog`]: walks
+/// decode it through [`TraceFile::events`], so a loaded trace costs its
+/// file size, not a decoded copy.
+///
 /// The file owns its differential-pricing [`DiffIndex`], built at most
-/// once, on first use ([`TraceFile::index`]). The index summarizes
-/// `events` and the capture-time `cost.msg_header_bytes`: neither may
-/// be mutated after the index is built, or [`crate::reprice`] prices
-/// the old stream.
+/// once, on first use ([`TraceFile::index`]). The index summarizes the
+/// stream and the capture-time `cost.msg_header_bytes`; the stream
+/// cannot change, and the header size must not be mutated after the
+/// index is built, or [`crate::reprice`] prices the old trace.
 #[derive(Clone, Debug)]
 pub struct TraceFile {
     /// Number of simulated nodes.
@@ -148,8 +147,6 @@ pub struct TraceFile {
     pub cost: CostModel,
     /// Free-form (key, value) pairs: benchmark name, scale, system, …
     pub metadata: Vec<(String, String)>,
-    /// The captured event stream, in record order.
-    pub events: Vec<Stamped>,
     /// Seek table over [`Event::PhaseMark`] records.
     pub phase_index: Vec<PhaseIndexEntry>,
     /// Final per-node clocks of the execution-driven run.
@@ -158,11 +155,25 @@ pub struct TraceFile {
     pub ledger: CycleLedger,
     /// Summed protocol counters of the run.
     pub totals: NodeStats,
+    log: EventLog,
     index: OnceLock<DiffIndex>,
 }
 
+/// The seek-table entry of the phase mark `ev`, if it is one.
+fn phase_entry(ev: &Stamped) -> Option<PhaseIndexEntry> {
+    match ev.event {
+        Event::PhaseMark { label } => Some(PhaseIndexEntry {
+            label,
+            event_index: ev.seq,
+            cycle: ev.cycle,
+        }),
+        _ => None,
+    }
+}
+
 impl TraceFile {
-    /// Assembles a trace file from a finished capture.
+    /// Assembles a trace file from a finished capture, encoding the
+    /// stream once and dropping the decoded events.
     ///
     /// Fails when the stream is unusable for replay: a sequence gap
     /// means the bounded capture buffer overflowed and dropped events,
@@ -185,7 +196,9 @@ impl TraceFile {
                 clocks.len()
             ));
         }
-        for (i, ev) in events.iter().enumerate() {
+        let mut log = EventLog::with_capacity(events.len());
+        let mut phase_index = Vec::new();
+        for (i, ev) in events.into_iter().enumerate() {
             if ev.seq != i as u64 {
                 return Err(format!(
                     "capture stream has a sequence gap at event {i} (seq {}): \
@@ -195,31 +208,40 @@ impl TraceFile {
                     ev.seq
                 ));
             }
+            if let Some(mark) = phase_entry(&ev) {
+                phase_index.push(mark);
+            }
+            log.push(ev.cycle, ev.event);
         }
-        let phase_index = events
-            .iter()
-            .enumerate()
-            .filter_map(|(i, ev)| match ev.event {
-                Event::PhaseMark { label } => Some(PhaseIndexEntry {
-                    label,
-                    event_index: i as u64,
-                    cycle: ev.cycle,
-                }),
-                _ => None,
-            })
-            .collect();
         Ok(TraceFile {
             nodes,
             topology,
             cost,
             metadata,
-            events,
             phase_index,
             clocks,
             ledger: ledger.clone(),
             totals,
+            log,
             index: OnceLock::new(),
         })
+    }
+
+    /// The event stream, decoded as it is walked, in record order; each
+    /// event's `seq` is its position.
+    pub fn events(&self) -> Events<'_> {
+        self.log.iter()
+    }
+
+    /// Number of events in the stream.
+    pub fn event_count(&self) -> usize {
+        self.log.len()
+    }
+
+    /// How many events carry opcode `code` ([`lcm_sim::codec::op`]),
+    /// counted without a walk.
+    pub fn count_of(&self, code: u8) -> u64 {
+        self.log.count(code)
     }
 
     /// The differential-pricing index of this trace, built by the first
@@ -265,216 +287,30 @@ impl TraceFile {
 
     /// Serializes the file to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.events.len() * 4);
+        let mut out = Vec::with_capacity(1024 + self.log.bytes().len());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         let header = self.header_bytes();
         out.extend_from_slice(&header);
         out.extend_from_slice(&fnv1a(&header).to_le_bytes());
 
-        // String intern table, in first-use order.
-        let mut strings: Vec<&'static str> = Vec::new();
-        let index_of = |strings: &mut Vec<&'static str>, s: &'static str| -> u64 {
-            match strings.iter().position(|k| *k == s) {
-                Some(i) => i as u64,
-                None => {
-                    strings.push(s);
-                    (strings.len() - 1) as u64
-                }
-            }
-        };
-        for ev in &self.events {
-            match ev.event {
-                Event::MsgSend { kind, .. } | Event::MsgRecv { kind, .. } => {
-                    index_of(&mut strings, kind);
-                }
-                Event::SpanBegin { what, .. } | Event::SpanEnd { what, .. } => {
-                    index_of(&mut strings, what);
-                }
-                Event::PhaseMark { label } => {
-                    index_of(&mut strings, label);
-                }
-                _ => {}
-            }
-        }
-        put_varint(&mut out, strings.len() as u64);
-        for s in &strings {
+        // The label table and the event section, verbatim.
+        let labels = self.log.labels();
+        put_varint(&mut out, labels.len() as u64);
+        for s in labels {
             put_str(&mut out, s);
         }
-        let str_idx = |s: &'static str| -> u64 {
-            strings
-                .iter()
-                .position(|k| *k == s)
-                .expect("interned above") as u64
-        };
-
-        // Events: opcode, delta-encoded stamp, payload.
-        put_varint(&mut out, self.events.len() as u64);
-        let mut prev_cycle: u64 = 0;
-        for ev in &self.events {
-            let delta = zigzag(ev.cycle as i64 - prev_cycle as i64);
-            prev_cycle = ev.cycle;
-            match ev.event {
-                Event::ReadMiss {
-                    node,
-                    block,
-                    remote,
-                } => {
-                    out.push(0);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    put_varint(&mut out, block.0);
-                    out.push(u8::from(remote));
-                }
-                Event::WriteMiss {
-                    node,
-                    block,
-                    remote,
-                } => {
-                    out.push(1);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    put_varint(&mut out, block.0);
-                    out.push(u8::from(remote));
-                }
-                Event::Upgrade { node, block } => {
-                    out.push(2);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    put_varint(&mut out, block.0);
-                }
-                Event::Mark { node, block } => {
-                    out.push(3);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    put_varint(&mut out, block.0);
-                }
-                Event::CleanCopy { node, block } => {
-                    out.push(4);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    put_varint(&mut out, block.0);
-                }
-                Event::Flush { node, block } => {
-                    out.push(5);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    put_varint(&mut out, block.0);
-                }
-                Event::Reconcile { block, versions } => {
-                    out.push(6);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, block.0);
-                    put_varint(&mut out, u64::from(versions));
-                }
-                Event::Invalidate { node, block } => {
-                    out.push(7);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    put_varint(&mut out, block.0);
-                }
-                Event::WwConflict { block, word } => {
-                    out.push(8);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, block.0);
-                    out.push(word);
-                }
-                Event::RwConflict { block } => {
-                    out.push(9);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, block.0);
-                }
-                Event::Barrier { .. } => {
-                    // `at` always equals the stamp; the stamp carries it.
-                    out.push(10);
-                    put_varint(&mut out, delta);
-                }
-                Event::MsgSend {
-                    from,
-                    to,
-                    kind,
-                    bytes,
-                } => {
-                    out.push(11);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(from.0));
-                    put_varint(&mut out, u64::from(to.0));
-                    put_varint(&mut out, str_idx(kind));
-                    put_varint(&mut out, bytes);
-                }
-                Event::MsgRecv {
-                    node,
-                    from,
-                    kind,
-                    bytes,
-                } => {
-                    out.push(12);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    put_varint(&mut out, u64::from(from.0));
-                    put_varint(&mut out, str_idx(kind));
-                    put_varint(&mut out, bytes);
-                }
-                Event::SpanBegin { node, what, block } => {
-                    out.push(13);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    put_varint(&mut out, str_idx(what));
-                    put_varint(&mut out, block.0);
-                }
-                Event::SpanEnd { node, what, block } => {
-                    out.push(14);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    put_varint(&mut out, str_idx(what));
-                    put_varint(&mut out, block.0);
-                }
-                Event::Charge {
-                    node,
-                    cat,
-                    knob,
-                    units,
-                } => {
-                    out.push(15);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    out.push(cat.index() as u8);
-                    out.push(knob.index() as u8);
-                    put_varint(&mut out, u64::from(units));
-                }
-                Event::ChargeRaw { node, cat, cycles } => {
-                    out.push(16);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    out.push(cat.index() as u8);
-                    put_varint(&mut out, cycles);
-                }
-                Event::Work { node, cycles, hits } => {
-                    out.push(17);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(node.0));
-                    put_varint(&mut out, cycles);
-                    put_varint(&mut out, hits);
-                }
-                Event::Xfer { from, to, bytes } => {
-                    out.push(18);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, u64::from(from.0));
-                    put_varint(&mut out, u64::from(to.0));
-                    put_varint(&mut out, bytes);
-                }
-                Event::PhaseMark { label } => {
-                    out.push(19);
-                    put_varint(&mut out, delta);
-                    put_varint(&mut out, str_idx(label));
-                }
-            }
-        }
+        put_varint(&mut out, self.log.len() as u64);
+        out.extend_from_slice(self.log.bytes());
 
         // Phase seek table.
         put_varint(&mut out, self.phase_index.len() as u64);
         for p in &self.phase_index {
-            put_varint(&mut out, str_idx(p.label));
+            let label = labels
+                .iter()
+                .position(|k| *k == p.label)
+                .expect("phase labels are in the label table");
+            put_varint(&mut out, label as u64);
             put_varint(&mut out, p.event_index);
             put_varint(&mut out, p.cycle);
         }
@@ -491,7 +327,7 @@ impl TraceFile {
         for v in self.totals.as_array() {
             put_varint(&mut out, v);
         }
-        put_varint(&mut out, self.events.len() as u64);
+        put_varint(&mut out, self.log.len() as u64);
         let checksum = fnv1a(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
@@ -542,146 +378,55 @@ impl TraceFile {
         for _ in 0..n_strings {
             strings.push(intern(&c.string()?));
         }
-        let get_str = |i: u64| -> Result<&'static str, String> {
-            strings
-                .get(i as usize)
-                .copied()
-                .ok_or_else(|| format!("string index {i} out of range ({n_strings} interned)"))
-        };
-        let node_id = |v: u64| -> Result<NodeId, String> {
-            if (v as usize) < nodes {
-                Ok(NodeId(v as u16))
-            } else {
-                Err(format!("node id {v} out of range ({nodes} nodes)"))
-            }
-        };
-        let cat_of = |v: u8| -> Result<CycleCat, String> {
-            CycleCat::all()
-                .get(v as usize)
-                .copied()
-                .ok_or_else(|| format!("unknown cycle category index {v}"))
-        };
 
-        // Every event carries at least an opcode byte and a cycle delta.
+        // One structural pass over the events, which also derives the
+        // phase seek table the file's copy must match.
         let n_events = c.element_count(2, "event")?;
-        let mut events = Vec::with_capacity(n_events);
-        let mut prev_cycle: u64 = 0;
-        for seq in 0..n_events {
-            let op = c.u8()?;
-            let delta = unzigzag(c.varint()?);
-            let cycle = (prev_cycle as i64 + delta) as u64;
-            prev_cycle = cycle;
-            let event = match op {
-                0 => Event::ReadMiss {
-                    node: node_id(c.varint()?)?,
-                    block: lcm_sim::BlockId(c.varint()?),
-                    remote: c.u8()? != 0,
-                },
-                1 => Event::WriteMiss {
-                    node: node_id(c.varint()?)?,
-                    block: lcm_sim::BlockId(c.varint()?),
-                    remote: c.u8()? != 0,
-                },
-                2 => Event::Upgrade {
-                    node: node_id(c.varint()?)?,
-                    block: lcm_sim::BlockId(c.varint()?),
-                },
-                3 => Event::Mark {
-                    node: node_id(c.varint()?)?,
-                    block: lcm_sim::BlockId(c.varint()?),
-                },
-                4 => Event::CleanCopy {
-                    node: node_id(c.varint()?)?,
-                    block: lcm_sim::BlockId(c.varint()?),
-                },
-                5 => Event::Flush {
-                    node: node_id(c.varint()?)?,
-                    block: lcm_sim::BlockId(c.varint()?),
-                },
-                6 => Event::Reconcile {
-                    block: lcm_sim::BlockId(c.varint()?),
-                    versions: c.varint()? as u32,
-                },
-                7 => Event::Invalidate {
-                    node: node_id(c.varint()?)?,
-                    block: lcm_sim::BlockId(c.varint()?),
-                },
-                8 => Event::WwConflict {
-                    block: lcm_sim::BlockId(c.varint()?),
-                    word: c.u8()?,
-                },
-                9 => Event::RwConflict {
-                    block: lcm_sim::BlockId(c.varint()?),
-                },
-                10 => Event::Barrier { at: cycle },
-                11 => Event::MsgSend {
-                    from: node_id(c.varint()?)?,
-                    to: node_id(c.varint()?)?,
-                    kind: get_str(c.varint()?)?,
-                    bytes: c.varint()?,
-                },
-                12 => Event::MsgRecv {
-                    node: node_id(c.varint()?)?,
-                    from: node_id(c.varint()?)?,
-                    kind: get_str(c.varint()?)?,
-                    bytes: c.varint()?,
-                },
-                13 => Event::SpanBegin {
-                    node: node_id(c.varint()?)?,
-                    what: get_str(c.varint()?)?,
-                    block: lcm_sim::BlockId(c.varint()?),
-                },
-                14 => Event::SpanEnd {
-                    node: node_id(c.varint()?)?,
-                    what: get_str(c.varint()?)?,
-                    block: lcm_sim::BlockId(c.varint()?),
-                },
-                15 => Event::Charge {
-                    node: node_id(c.varint()?)?,
-                    cat: cat_of(c.u8()?)?,
-                    knob: {
-                        let i = c.u8()?;
-                        *Knob::all()
-                            .get(i as usize)
-                            .ok_or_else(|| format!("unknown knob index {i}"))?
-                    },
-                    units: c.varint()? as u32,
-                },
-                16 => Event::ChargeRaw {
-                    node: node_id(c.varint()?)?,
-                    cat: cat_of(c.u8()?)?,
-                    cycles: c.varint()?,
-                },
-                17 => Event::Work {
-                    node: node_id(c.varint()?)?,
-                    cycles: c.varint()?,
-                    hits: c.varint()?,
-                },
-                18 => Event::Xfer {
-                    from: node_id(c.varint()?)?,
-                    to: node_id(c.varint()?)?,
-                    bytes: c.varint()?,
-                },
-                19 => Event::PhaseMark {
-                    label: get_str(c.varint()?)?,
-                },
-                op => return Err(format!("unknown event opcode {op} at event {seq}")),
-            };
-            events.push(Stamped {
-                seq: seq as u64,
-                cycle,
-                event,
-            });
-        }
+        let mut marks = Vec::new();
+        let (log, end) = EventLog::decode(body, c.offset(), n_events, strings, nodes, |ev| {
+            if let Some(mark) = phase_entry(ev) {
+                marks.push(mark);
+            }
+        })
+        .map_err(|e| e.to_string())?;
+        c.take(end - c.offset())?;
 
         let n_phases = c.element_count(3, "phase-index")?;
-        let mut phase_index = Vec::with_capacity(n_phases);
-        for _ in 0..n_phases {
-            phase_index.push(PhaseIndexEntry {
-                label: get_str(c.varint()?)?,
-                event_index: c.varint()?,
-                cycle: c.varint()?,
-            });
+        for i in 0..n_phases {
+            let label = c.varint()?;
+            let (event_index, cycle) = (c.varint()?, c.varint()?);
+            let label = usize::try_from(label)
+                .ok()
+                .and_then(|l| log.labels().get(l))
+                .ok_or_else(|| {
+                    format!(
+                        "string index {label} out of range ({} interned)",
+                        log.labels().len()
+                    )
+                })?;
+            if event_index >= n_events as u64 {
+                return Err(format!(
+                    "phase index entry {i} points at event {event_index}, past the \
+                     stream's {n_events} events"
+                ));
+            }
+            let entry = PhaseIndexEntry {
+                label,
+                event_index,
+                cycle,
+            };
+            if marks.get(i) != Some(&entry) {
+                return Err(format!(
+                    "phase index entry {i} ({label:?} at event {event_index}, cycle \
+                     {cycle}) does not match the stream's phase marks"
+                ));
+            }
+        }
+        if n_phases != marks.len() {
+            return Err(format!(
+                "phase index lists {n_phases} of the stream's {} phase marks",
+                marks.len()
+            ));
         }
 
         let mut clocks = Vec::with_capacity(nodes);
@@ -699,11 +444,10 @@ impl TraceFile {
             *v = c.varint()?;
         }
         let totals = NodeStats::from_array(stats);
-        let recorded = c.varint()? as usize;
-        if recorded != events.len() {
+        let recorded = c.varint()?;
+        if recorded != n_events as u64 {
             return Err(format!(
-                "footer says {recorded} events but the stream holds {}",
-                events.len()
+                "footer says {recorded} events but the stream holds {n_events}"
             ));
         }
         if c.remaining() != 0 {
@@ -714,11 +458,11 @@ impl TraceFile {
             topology,
             cost,
             metadata,
-            events,
-            phase_index,
+            phase_index: marks,
             clocks,
             ledger,
             totals,
+            log,
             index: OnceLock::new(),
         })
     }
@@ -749,7 +493,7 @@ pub type TraceHandle = Arc<TraceFile>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcm_sim::BlockId;
+    use lcm_sim::{BlockId, Knob};
 
     fn sample_file() -> TraceFile {
         let nodes = 3;
@@ -833,7 +577,7 @@ mod tests {
         let f = sample_file();
         let bytes = f.to_bytes();
         let g = TraceFile::from_bytes(&bytes).expect("parses");
-        assert_eq!(f.events, g.events);
+        assert!(f.events().eq(g.events()));
         assert_eq!(f.clocks, g.clocks);
         assert_eq!(f.nodes, g.nodes);
         assert_eq!(f.topology, g.topology);
@@ -907,29 +651,23 @@ mod tests {
 
     #[test]
     fn dropped_captures_are_rejected() {
-        let mut f = sample_file();
+        let f = sample_file();
         // Simulate a ring-buffer overflow: the first surviving event has
         // a non-zero sequence number.
-        f.events[0].seq = 5;
+        let mut events: Vec<Stamped> = f.events().collect();
+        events[0].seq = 5;
         let err = TraceFile::from_capture(
             f.nodes,
             f.topology,
             f.cost,
             f.metadata.clone(),
-            f.events.clone(),
+            events,
             f.clocks.clone(),
             &f.ledger,
             f.totals,
         )
         .expect_err("gapped stream rejected");
         assert!(err.contains("sequence gap"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn zigzag_round_trips() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX / 2, i64::MIN / 2] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
     }
 
     #[test]

@@ -46,6 +46,7 @@
 
 use crate::engine::{Pricer, Replayed};
 use crate::format::TraceFile;
+use lcm_sim::codec::op;
 use lcm_sim::{CostModel, CycleCat, Event, Knob, NodeId, Topology};
 
 /// How a segment ends: the event that forced clocks to materialize.
@@ -247,19 +248,17 @@ impl Builder {
 }
 
 impl DiffIndex {
-    /// Builds the index from a decoded trace. One pass over the stream.
+    /// Builds the index from a trace. One decoding pass over the stream;
+    /// the transfer count that sizes the flat array comes from the
+    /// file's per-opcode counts.
     pub fn build(file: &TraceFile) -> DiffIndex {
-        let xfers = file
-            .events
-            .iter()
-            .filter(|ev| matches!(ev.event, Event::Xfer { .. }))
-            .count();
+        let xfers = file.count_of(op::XFER) as usize;
         let mut b = Builder::new(file.nodes, xfers);
         let mut segments = Vec::with_capacity(file.phase_index.len() + 1);
         let mut knob_units = [0u64; Knob::COUNT];
         let mut sum_adj_bytes = 0u64;
         let mut barriers = 0u64;
-        for ev in &file.events {
+        for ev in file.events() {
             match ev.event {
                 Event::Work { node, cycles, hits } => {
                     b.add_raw(node.0, CycleCat::Compute, cycles);

@@ -10,7 +10,8 @@
 
 use lcm_replay::{TraceFile, MAGIC, VERSION};
 use lcm_sim::{
-    CostModel, CycleCat, CycleLedger, Event, Knob, NodeId, NodeStats, Stamped, Topology,
+    BlockId, CostModel, CycleCat, CycleLedger, Event, Knob, NodeId, NodeStats, Stamped, Topology,
+    Trace,
 };
 use proptest::prelude::*;
 
@@ -88,7 +89,7 @@ fn sample_file() -> TraceFile {
             cycle: 26,
             event: Event::ReadMiss {
                 node: NodeId(2),
-                block: lcm_sim::BlockId(7),
+                block: BlockId(7),
                 remote: true,
             },
         },
@@ -209,7 +210,7 @@ fn layout_guard_parses_a_hand_rolled_file() {
     let f = TraceFile::from_bytes(&empty_file_bytes()).expect("hand-rolled layout matches reader");
     assert_eq!(f.nodes, 1);
     assert_eq!(f.topology, Topology::Flat);
-    assert!(f.events.is_empty());
+    assert_eq!(f.event_count(), 0);
 }
 
 /// A version-2 file (the pre-directory-backend format: 31 stats fields,
@@ -241,7 +242,7 @@ fn kilonode_capture_round_trips() {
             cycle: 3,
             event: Event::ReadMiss {
                 node: NodeId(1023),
-                block: lcm_sim::BlockId(9),
+                block: BlockId(9),
                 remote: true,
             },
         },
@@ -273,7 +274,7 @@ fn kilonode_capture_round_trips() {
     assert_eq!(back.nodes, nodes);
     assert_eq!(back.clocks, clocks);
     assert_eq!(back.ledger.get(NodeId(1023), CycleCat::Compute), 55);
-    assert_eq!(back.events.len(), 2);
+    assert_eq!(back.event_count(), 2);
 }
 
 /// The node bound rises with `lcm_sim::MAX_NODES`, not past it.
@@ -446,6 +447,199 @@ fn footer_cross_checks_are_enforced() {
     assert!(err.contains("trailing bytes"), "{err}");
 }
 
+/// Cycle stamps are summed from signed deltas. A file whose deltas carry
+/// a stamp past `i64::MAX` (or below zero) names the event instead of
+/// overflowing.
+#[test]
+fn cycle_stamp_overflow_is_a_named_error() {
+    for (deltas, event) in [([i64::MAX, 1], 1), ([0, -1], 1), ([-5, 0], 0)] {
+        let mut r = Raw::new(1, 2);
+        r.no_metadata();
+        r.varint(0);
+        r.varint(2);
+        for d in deltas {
+            r.byte(10); // Barrier
+            r.zigzag(d);
+        }
+        r.varint(0);
+        r.footer(1, 2);
+        let err = TraceFile::from_bytes(&r.seal()).expect_err("stamp out of range");
+        assert!(
+            err.contains(&format!("cycle stamp overflows at event {event}")),
+            "{deltas:?}: {err}"
+        );
+    }
+}
+
+/// `Charge.units` and `Reconcile.versions` are 32-bit: a wider varint is
+/// a named error, not a silent truncation that misprices the charge.
+#[test]
+fn wide_32_bit_fields_are_named_errors() {
+    let mut r = Raw::new(1, 2);
+    r.no_metadata();
+    r.varint(0);
+    r.varint(1);
+    r.byte(15); // Charge
+    r.zigzag(0);
+    r.varint(0); // node
+    r.byte(0); // category
+    r.byte(0); // knob
+    r.varint(1 << 32); // units
+    let err = TraceFile::from_bytes(&r.seal()).expect_err("wide units");
+    assert!(err.contains("charge units 4294967296 exceeds u32"), "{err}");
+
+    let mut r = Raw::new(1, 2);
+    r.no_metadata();
+    r.varint(0);
+    r.varint(1);
+    r.byte(6); // Reconcile
+    r.zigzag(0);
+    r.varint(3); // block
+    r.varint(1 << 32); // versions
+    let err = TraceFile::from_bytes(&r.seal()).expect_err("wide versions");
+    assert!(
+        err.contains("reconcile versions 4294967296 exceeds u32"),
+        "{err}"
+    );
+}
+
+/// A one-node file holding a Barrier at cycle 4 then a PhaseMark
+/// `"apply"` at cycle 9, with `entries` as its phase seek table.
+fn phase_file(entries: &[(u64, u64, u64)]) -> Vec<u8> {
+    let mut r = Raw::new(1, 2);
+    r.no_metadata();
+    r.varint(1);
+    r.string("apply");
+    r.varint(2);
+    r.byte(10); // Barrier
+    r.zigzag(4);
+    r.byte(19); // PhaseMark
+    r.zigzag(5);
+    r.varint(0); // "apply"
+    r.varint(entries.len() as u64);
+    for &(label, event, cycle) in entries {
+        r.varint(label);
+        r.varint(event);
+        r.varint(cycle);
+    }
+    r.footer(1, 2);
+    r.seal()
+}
+
+/// The phase seek table must list exactly the stream's phase marks: an
+/// entry past the stream, one that points at another event or carries
+/// another cycle, and a missing entry are named errors.
+#[test]
+fn phase_seek_table_is_checked_against_the_marks() {
+    let f = TraceFile::from_bytes(&phase_file(&[(0, 1, 9)])).expect("matching table");
+    assert_eq!(f.phase_index.len(), 1);
+    assert_eq!(
+        (f.phase_index[0].label, f.phase_index[0].event_index),
+        ("apply", 1)
+    );
+
+    let err = TraceFile::from_bytes(&phase_file(&[(0, 2, 9)])).expect_err("past the stream");
+    assert!(
+        err.contains("phase index entry 0 points at event 2, past the stream"),
+        "{err}"
+    );
+    for entry in [(0, 0, 4), (0, 1, 8)] {
+        let err = TraceFile::from_bytes(&phase_file(&[entry])).expect_err("wrong target");
+        assert!(
+            err.contains("phase index entry 0") && err.contains("does not match"),
+            "{entry:?}: {err}"
+        );
+    }
+    let err = TraceFile::from_bytes(&phase_file(&[])).expect_err("missing entry");
+    assert!(
+        err.contains("phase index lists 0 of the stream's 1 phase marks"),
+        "{err}"
+    );
+}
+
+/// Builds a valid event from random draws: node ids below `NODES`,
+/// labels from a small mixed set, and a barrier's `at` equal to its
+/// stamp (the encoding stores that value once).
+fn event_from(op: u8, cycle: u64, a: u64, b: u64) -> Event {
+    const NODES: u64 = 1024;
+    const LABELS: [&str; 4] = ["GetShared", "apply", "read_fault", "prop-only-label"];
+    let node = NodeId((a % NODES) as u16);
+    let peer = NodeId((b % NODES) as u16);
+    let label = LABELS[(b % 4) as usize];
+    let block = BlockId(b);
+    match op {
+        0 => Event::ReadMiss {
+            node,
+            block,
+            remote: a & 1 == 1,
+        },
+        1 => Event::WriteMiss {
+            node,
+            block,
+            remote: a & 2 == 2,
+        },
+        2 => Event::Upgrade { node, block },
+        3 => Event::Mark { node, block },
+        4 => Event::CleanCopy { node, block },
+        5 => Event::Flush { node, block },
+        6 => Event::Reconcile {
+            block,
+            versions: a as u32,
+        },
+        7 => Event::Invalidate { node, block },
+        8 => Event::WwConflict {
+            block,
+            word: a as u8,
+        },
+        9 => Event::RwConflict { block },
+        10 => Event::Barrier { at: cycle },
+        11 => Event::MsgSend {
+            from: node,
+            to: peer,
+            kind: label,
+            bytes: a,
+        },
+        12 => Event::MsgRecv {
+            node,
+            from: peer,
+            kind: label,
+            bytes: a,
+        },
+        13 => Event::SpanBegin {
+            node,
+            what: label,
+            block,
+        },
+        14 => Event::SpanEnd {
+            node,
+            what: label,
+            block,
+        },
+        15 => Event::Charge {
+            node,
+            cat: CycleCat::all()[(b % CycleCat::COUNT as u64) as usize],
+            knob: Knob::all()[(a % Knob::COUNT as u64) as usize],
+            units: b as u32,
+        },
+        16 => Event::ChargeRaw {
+            node,
+            cat: CycleCat::all()[(a % CycleCat::COUNT as u64) as usize],
+            cycles: b,
+        },
+        17 => Event::Work {
+            node,
+            cycles: a,
+            hits: b,
+        },
+        18 => Event::Xfer {
+            from: node,
+            to: peer,
+            bytes: b,
+        },
+        _ => Event::PhaseMark { label },
+    }
+}
+
 // ---------------------------------------------------------------------
 // Property tests: random hostility never panics the reader.
 // ---------------------------------------------------------------------
@@ -523,5 +717,58 @@ proptest! {
         if let Err(e) = TraceFile::from_bytes(&bytes) {
             prop_assert!(!e.is_empty());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Any valid stream comes back equal through both encoded paths:
+    /// recorded into a `Trace` and decoded, and assembled into a trace
+    /// file, serialized, parsed and walked. Re-serializing the parse
+    /// reproduces the bytes.
+    #[test]
+    fn random_streams_round_trip_through_both_paths(
+        draws in proptest::collection::vec(
+            (0u8..20, any::<u64>(), 0u32..64, any::<u64>(), any::<u64>()),
+            0usize..48,
+        ),
+    ) {
+        let stream: Vec<Stamped> = draws
+            .iter()
+            .enumerate()
+            .map(|(i, &(op, c, shift, a, b))| {
+                // Stamps of every magnitude up to i64::MAX, in any order.
+                let cycle = (c >> 1) >> shift;
+                Stamped {
+                    seq: i as u64,
+                    cycle,
+                    event: event_from(op, cycle, a, b),
+                }
+            })
+            .collect();
+
+        let mut trace = Trace::with_capacity(stream.len());
+        for ev in &stream {
+            trace.record_at(ev.cycle, ev.event);
+        }
+        prop_assert_eq!(trace.to_vec(), stream.clone());
+
+        let nodes = 1024;
+        let f = TraceFile::from_capture(
+            nodes,
+            Topology::Crossbar,
+            CostModel::cm5(),
+            Vec::new(),
+            stream.clone(),
+            vec![0; nodes],
+            &CycleLedger::new(nodes),
+            NodeStats::default(),
+        )
+        .expect("gap-free stream");
+        let bytes = f.to_bytes();
+        let back = TraceFile::from_bytes(&bytes).expect("a valid stream parses");
+        prop_assert_eq!(back.events().collect::<Vec<_>>(), stream);
+        prop_assert_eq!(back.to_bytes(), bytes);
     }
 }

@@ -78,15 +78,13 @@ pub fn check<P: MemoryProtocol + ?Sized>(protocol: &P) -> Result<(), Violation> 
         .and_then(|()| protocol.tempest().machine.verify_ledger())
         .map_err(|detail| {
             let m = &protocol.tempest().machine;
-            let events = m.trace().events();
-            let tail_start = events.len().saturating_sub(TRACE_TAIL);
+            let tail_start = m.trace().len().saturating_sub(TRACE_TAIL);
             Violation {
                 system: protocol.name(),
                 at_cycle: m.time(),
                 barriers: m.barriers(),
                 detail,
-                trace_tail: events
-                    .iter()
+                trace_tail: (m.trace().events())
                     .skip(tail_start)
                     .map(|e| format!("{e:?}"))
                     .collect(),

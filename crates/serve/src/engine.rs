@@ -445,7 +445,8 @@ mod tests {
                 bytes: hdr + 16,
             },
         );
-        push(&mut events, Event::Barrier { at: 0 });
+        // A barrier's `at` is its stamp: the eighth event, cycle 7.
+        push(&mut events, Event::Barrier { at: 7 });
         push(
             &mut events,
             Event::Work {
@@ -638,7 +639,7 @@ mod tests {
         use lcm_apps::{execute, threshold::Threshold, SystemKind};
         let mc = lcm_sim::MachineConfig::new(8).with_cost(CostModel::cm5());
         let (nodes, topology, cost) = (mc.nodes, mc.topology, mc.cost);
-        let (_, result, events) = execute(
+        let (_, result, trace) = execute(
             SystemKind::LcmMcc,
             mc.with_capture(1 << 20),
             lcm_cstar::RuntimeConfig::default(),
@@ -650,7 +651,7 @@ mod tests {
             topology,
             cost,
             vec![("benchmark".to_string(), "Threshold".to_string())],
-            events,
+            trace.to_vec(),
             result.clocks.clone(),
             &result.ledger,
             result.totals.clone(),

@@ -269,7 +269,7 @@ impl Knob {
     pub const COUNT: usize = 13;
 
     /// All knobs, in [`Knob::index`] order.
-    pub fn all() -> [Knob; Knob::COUNT] {
+    pub const fn all() -> [Knob; Knob::COUNT] {
         [
             Knob::CacheHit,
             Knob::LocalFill,

@@ -17,7 +17,8 @@
 //! * the parameterized [`CostModel`] (CM-5-shaped defaults);
 //! * a deterministic [`Pcg32`] generator and a fast deterministic hasher
 //!   ([`hash`]) for the hot protocol maps;
-//! * an optional protocol event [`trace`].
+//! * an optional protocol event [`trace`], stored in the `.lcmtrace`
+//!   event encoding ([`codec`]).
 //!
 //! Everything above this crate — the Tempest-like mechanism layer, the
 //! Stache baseline protocol, LCM itself, and the C\*\* runtime — charges
@@ -35,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod cost;
 pub mod fault;
 pub mod hash;
@@ -47,6 +49,7 @@ pub mod stats;
 pub mod topology;
 pub mod trace;
 
+pub use codec::{EventLog, Events};
 pub use cost::{CostModel, Knob};
 pub use fault::{
     CrashPlan, CrashPoint, DeliveryError, FaultConfig, FaultConfigError, FaultOutcome, FaultPlan,

@@ -620,6 +620,12 @@ impl Machine {
         &self.trace
     }
 
+    /// Moves the event trace out, leaving a disabled one: the hand-off
+    /// of a finished run's stream without copying it.
+    pub fn take_trace(&mut self) -> Trace {
+        std::mem::take(&mut self.trace)
+    }
+
     /// Records an event into the trace, stamped with the acting node's
     /// clock — or the machine time for global events (no-op when tracing
     /// is disabled).
@@ -817,7 +823,7 @@ mod tests {
         assert_eq!(m.time(), 0);
         assert_eq!(m.total_stats().read_hits, 0);
         assert_eq!(m.barriers(), 0);
-        assert!(m.trace().events().is_empty());
+        assert!(m.trace().is_empty());
     }
 
     #[test]
@@ -940,7 +946,7 @@ mod tests {
             block: BlockId(3),
             versions: 1,
         });
-        let ev = m.trace().events();
+        let ev = m.trace().to_vec();
         assert_eq!(ev[0].cycle, 77, "stamped with node 1's clock");
         assert_eq!(ev[0].seq, 0);
         assert_eq!(ev[1].cycle, 77, "global events use machine time");
@@ -1002,7 +1008,7 @@ mod tests {
         m.advance_as(NodeId(1), 5, CycleCat::RetryBackoff);
         m.barrier();
         m.finish_capture();
-        let kinds: Vec<&str> = m.trace().events().iter().map(|e| e.event.kind()).collect();
+        let kinds: Vec<&str> = m.trace().events().map(|e| e.event.kind()).collect();
         assert_eq!(kinds, vec!["charge", "charge_raw", "work", "barrier"]);
         let ev = m.trace().to_vec();
         assert_eq!(
@@ -1097,7 +1103,7 @@ mod tests {
         m.reset_measurements();
         m.finish_capture();
         assert!(
-            m.trace().events().is_empty(),
+            m.trace().is_empty(),
             "reset drops pending work along with the trace"
         );
     }

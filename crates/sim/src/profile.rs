@@ -71,7 +71,7 @@ impl CycleCat {
     pub const COUNT: usize = 14;
 
     /// All categories, in display order.
-    pub fn all() -> [CycleCat; CycleCat::COUNT] {
+    pub const fn all() -> [CycleCat; CycleCat::COUNT] {
         [
             CycleCat::Compute,
             CycleCat::ReadStallLocal,

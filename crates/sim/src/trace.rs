@@ -9,10 +9,13 @@
 //! recording a no-op.
 //!
 //! The buffer is bounded and keeps the opening of the run: on overflow
-//! the new event is discarded, counted in [`Trace::dropped`] and visible
-//! as a gap in the sequence numbers, so a consumer can tell an
-//! incomplete stream from a quiet one.
+//! the new event is discarded and counted in [`Trace::dropped`], so
+//! [`Trace::recorded`] exceeds the stored count and a consumer can tell
+//! an incomplete stream from a quiet one. Events are stored encoded, in
+//! the `.lcmtrace` event form ([`crate::codec`]), and read back through
+//! the [`Events`] decoding iterator.
 
+use crate::codec::{EventLog, Events};
 use crate::cost::Knob;
 use crate::machine::NodeId;
 use crate::mem::BlockId;
@@ -96,7 +99,8 @@ pub enum Event {
     },
     /// A global barrier completed at time `at`.
     Barrier {
-        /// Post-barrier simulated time.
+        /// Post-barrier simulated time. Always the record's cycle stamp:
+        /// the encoded form stores the value once.
         at: u64,
     },
     /// `from` sent a protocol message to `to` (recorded when the network
@@ -312,12 +316,13 @@ impl Event {
     }
 }
 
-/// A recorded event with its stamp: a monotonic per-trace sequence number
-/// and the cycle (acting node's clock) at record time. Sequence numbers
-/// count every record attempt, so dropped events leave visible gaps.
+/// A recorded event with its stamp: its sequence number and the cycle
+/// (acting node's clock) at record time. A trace keeps the opening of
+/// the run, so a recorded event's `seq` is its position; a stream whose
+/// numbers skip has lost events.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Stamped {
-    /// Position in the recorded stream (0-based; gaps mark drops).
+    /// Position in the recorded stream (0-based).
     pub seq: u64,
     /// Acting node's clock when recorded (machine time for global events).
     pub cycle: u64,
@@ -325,13 +330,13 @@ pub struct Stamped {
     pub event: Event,
 }
 
-/// A bounded in-memory event trace.
+/// A bounded in-memory event trace, recorded straight into an encoded
+/// [`EventLog`] (see [`crate::codec`]).
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     enabled: bool,
     capacity: usize,
-    events: Vec<Stamped>,
-    seq: u64,
+    log: EventLog,
     dropped: u64,
 }
 
@@ -347,9 +352,7 @@ impl Trace {
         Trace {
             enabled: true,
             capacity,
-            events: Vec::new(),
-            seq: 0,
-            dropped: 0,
+            ..Trace::default()
         }
     }
 
@@ -359,21 +362,14 @@ impl Trace {
     }
 
     /// Records `event` stamped with `cycle` if enabled; on overflow the
-    /// trace discards `event`. The sequence number advances either way,
-    /// so drops are visible as gaps.
+    /// trace discards `event` and counts it in [`Trace::dropped`].
     #[inline]
     pub fn record_at(&mut self, cycle: u64, event: Event) {
         if !self.enabled {
             return;
         }
-        let stamped = Stamped {
-            seq: self.seq,
-            cycle,
-            event,
-        };
-        self.seq += 1;
-        if self.events.len() < self.capacity {
-            self.events.push(stamped);
+        if self.log.len() < self.capacity {
+            self.log.push(cycle, event);
         } else {
             self.dropped += 1;
         }
@@ -387,19 +383,31 @@ impl Trace {
         self.record_at(0, event);
     }
 
-    /// The recorded events, oldest first.
-    pub fn events(&self) -> &[Stamped] {
-        &self.events
+    /// The recorded events, oldest first. Drops happen only once the
+    /// buffer is full, so the stored events are a prefix of the stream
+    /// and each one's `seq` is its position.
+    pub fn events(&self) -> Events<'_> {
+        self.log.iter()
     }
 
-    /// The recorded events copied into a vector, oldest first.
+    /// Number of stored events.
+    pub fn len(&self) -> usize {
+        self.log.len()
+    }
+
+    /// True when no event is stored.
+    pub fn is_empty(&self) -> bool {
+        self.log.is_empty()
+    }
+
+    /// The recorded events decoded into a vector, oldest first.
     pub fn to_vec(&self) -> Vec<Stamped> {
-        self.events.clone()
+        self.events().collect()
     }
 
     /// Number of record attempts so far (stored plus dropped).
     pub fn recorded(&self) -> u64 {
-        self.seq
+        self.log.len() as u64 + self.dropped
     }
 
     /// Number of events discarded after the capacity filled.
@@ -407,11 +415,10 @@ impl Trace {
         self.dropped
     }
 
-    /// Discards all recorded events and resets the sequence counter
-    /// (capacity and enablement unchanged).
+    /// Discards all recorded events and the drop count (capacity and
+    /// enablement unchanged).
     pub fn clear(&mut self) {
-        self.events.clear();
-        self.seq = 0;
+        self.log.clear();
         self.dropped = 0;
     }
 
@@ -420,7 +427,7 @@ impl Trace {
         let mut s = TraceSummary::default();
         let mut per_block: std::collections::HashMap<BlockId, u64> =
             std::collections::HashMap::new();
-        for e in &self.events {
+        for e in self.events() {
             match &e.event {
                 Event::ReadMiss { block, .. } => {
                     s.read_misses += 1;
@@ -542,8 +549,8 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
-        t.record(Event::Barrier { at: 1 });
-        assert!(t.events().is_empty());
+        t.record(Event::Barrier { at: 0 });
+        assert!(t.is_empty());
         assert_eq!(t.dropped(), 0);
         assert_eq!(t.recorded(), 0);
     }
@@ -552,12 +559,13 @@ mod tests {
     fn capacity_is_respected() {
         let mut t = Trace::with_capacity(2);
         for i in 0..5 {
-            t.record(Event::Barrier { at: i });
+            t.record_at(i, Event::Barrier { at: i });
         }
+        assert_eq!(t.len(), 2);
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 3);
         assert_eq!(t.recorded(), 5);
-        assert_eq!(t.events()[0].event, Event::Barrier { at: 0 });
+        assert_eq!(t.to_vec()[0].event, Event::Barrier { at: 0 });
     }
 
     #[test]
@@ -566,13 +574,12 @@ mod tests {
         // capacity and the stored prefix never changes.
         let mut t = Trace::with_capacity(3);
         for i in 0..10 {
-            t.record(Event::Barrier { at: i });
+            t.record_at(i, Event::Barrier { at: i });
         }
-        assert_eq!(t.events().len(), 3);
+        assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 7);
         let stored: Vec<u64> = t
             .events()
-            .iter()
             .map(|e| match e.event {
                 Event::Barrier { at } => at,
                 other => panic!("unexpected {other:?}"),
@@ -585,20 +592,20 @@ mod tests {
     fn sequence_numbers_expose_drops_as_gaps() {
         let mut t = Trace::with_capacity(2);
         for i in 0..4 {
-            t.record_at(i * 10, Event::Barrier { at: i });
+            t.record_at(i * 10, Event::Barrier { at: i * 10 });
         }
-        let seqs: Vec<u64> = t.events().iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = t.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1], "keep-first stores the opening seqs");
         assert_eq!(t.recorded(), 4);
         assert_eq!(t.dropped(), 2);
-        assert_eq!(t.events()[1].cycle, 10, "cycle stamps travel with events");
+        assert_eq!(t.to_vec()[1].cycle, 10, "cycle stamps travel with events");
     }
 
     #[test]
     fn to_vec_preserves_order() {
         let mut t = Trace::with_capacity(3);
         for i in 0..5 {
-            t.record(Event::Barrier { at: i });
+            t.record_at(i, Event::Barrier { at: i });
         }
         let v = t.to_vec();
         let ats: Vec<u64> = v
@@ -619,18 +626,23 @@ mod tests {
         let cycles = [10u64, 5, 20, 1];
         let mut t = Trace::with_capacity(8);
         for (i, &c) in cycles.iter().enumerate() {
-            t.record_at(c, Event::Barrier { at: i as u64 });
+            t.record_at(
+                c,
+                Event::RwConflict {
+                    block: BlockId(i as u64),
+                },
+            );
         }
-        let got: Vec<(u64, u64)> = t.events().iter().map(|e| (e.seq, e.cycle)).collect();
+        let got: Vec<(u64, u64)> = t.events().map(|e| (e.seq, e.cycle)).collect();
         assert_eq!(got, vec![(0, 10), (1, 5), (2, 20), (3, 1)]);
     }
 
     #[test]
     fn clear_resets() {
         let mut t = Trace::with_capacity(2);
-        t.record(Event::Barrier { at: 1 });
+        t.record(Event::Barrier { at: 0 });
         t.clear();
-        assert!(t.events().is_empty());
+        assert!(t.is_empty());
         assert!(t.is_enabled());
         assert_eq!(t.recorded(), 0);
     }
@@ -711,7 +723,7 @@ mod tests {
             block: hot,
             word: 3,
         });
-        t.record(Event::Barrier { at: 100 });
+        t.record_at(100, Event::Barrier { at: 100 });
         t.record(Event::MsgSend {
             from: NodeId(0),
             to: NodeId(1),

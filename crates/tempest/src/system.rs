@@ -157,7 +157,6 @@ mod tests {
             .machine
             .trace()
             .events()
-            .iter()
             .map(|e| e.event)
             .filter(|e| matches!(e, Event::ReadMiss { .. } | Event::WriteMiss { .. }))
             .collect();

@@ -24,7 +24,7 @@ use lcm_apps::{SystemKind, Workload};
 use lcm_bench::explore;
 use lcm_cstar::{Partition, RuntimeConfig};
 use lcm_replay::{analyze, replay, validate, CritPath, TraceFile};
-use lcm_sim::{CostModel, CycleCat, Event, FaultConfig, MachineConfig, NodeId};
+use lcm_sim::{CostModel, CycleCat, Event, FaultConfig, MachineConfig, NodeId, Stamped};
 
 const NODES: usize = 8;
 const CAPACITY: usize = 1 << 20;
@@ -170,14 +170,18 @@ fn path_edges_are_real_recorded_dependencies() {
     let file = capture("Unstructured", SystemKind::LcmMcc, &Unstructured::small());
     let cp = analyze(&file);
     assert!(!cp.edges.is_empty(), "Unstructured must exchange messages");
-    // The stream is in seq order; look each edge endpoint up by its seq
-    // stamp and demand a genuinely recorded event of the right shape.
+    // An event's seq is its position; look each edge endpoint up by it
+    // and demand a genuinely recorded event of the right shape.
+    let events: Vec<Stamped> = file.events().collect();
+    let at = |seq: u64| {
+        let ev = events
+            .get(seq as usize)
+            .unwrap_or_else(|| panic!("seq {seq} not in the stream"));
+        assert_eq!(ev.seq, seq, "seq is the position");
+        ev
+    };
     for edge in &cp.edges {
-        let send = file
-            .events
-            .binary_search_by_key(&edge.send_seq, |e| e.seq)
-            .map(|i| &file.events[i])
-            .unwrap_or_else(|_| panic!("send seq {} not in the stream", edge.send_seq));
+        let send = at(edge.send_seq);
         match send.event {
             Event::MsgSend {
                 from,
@@ -192,11 +196,7 @@ fn path_edges_are_real_recorded_dependencies() {
             }
             ref other => panic!("edge send seq {} is {other:?}", edge.send_seq),
         }
-        let recv = file
-            .events
-            .binary_search_by_key(&edge.recv_seq, |e| e.seq)
-            .map(|i| &file.events[i])
-            .unwrap_or_else(|_| panic!("recv seq {} not in the stream", edge.recv_seq));
+        let recv = at(edge.recv_seq);
         match recv.event {
             Event::MsgRecv {
                 node, from, kind, ..

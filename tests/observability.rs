@@ -79,18 +79,18 @@ fn trace_events_reconcile_with_node_stats() {
     let w = stencil();
     for s in SystemKind::all() {
         let mc = MachineConfig::new(4).with_trace(1 << 22);
-        let (_, r, events) = execute(s, mc, RuntimeConfig::default(), &w);
+        let (_, r, trace) = execute(s, mc, RuntimeConfig::default(), &w);
         let label = s.label();
         assert_eq!(r.trace_dropped, 0, "{label}: buffer must hold the run");
-        assert_eq!(r.trace_events, events.len(), "{label}: event count");
+        assert_eq!(r.trace_events, trace.len(), "{label}: event count");
 
         // Sequence numbers are the recording order, gap-free.
-        for (i, e) in events.iter().enumerate() {
+        for (i, e) in trace.events().enumerate() {
             assert_eq!(e.seq, i as u64, "{label}: seq gap at {i}");
         }
 
         let count =
-            |f: &dyn Fn(&Event) -> bool| events.iter().filter(|e| f(&e.event)).count() as u64;
+            |f: &dyn Fn(&Event) -> bool| trace.events().filter(|e| f(&e.event)).count() as u64;
         let t = &r.totals;
         assert_eq!(
             count(&|e| matches!(e, Event::ReadMiss { .. })),
@@ -153,8 +153,7 @@ fn trace_events_reconcile_with_node_stats() {
         assert_eq!(t.bytes_sent, t.bytes_recv, "{label}: byte conservation");
         let per_kind: u64 = r.msg_bytes.iter().map(|&(_, b)| b).sum();
         assert_eq!(per_kind, t.bytes_sent, "{label}: per-kind byte sum");
-        let event_bytes: u64 = events
-            .iter()
+        let event_bytes: u64 = (trace.events())
             .filter_map(|e| match e.event {
                 Event::MsgSend { bytes, .. } => Some(bytes),
                 _ => None,
@@ -185,8 +184,8 @@ fn trace_events_reconcile_with_node_stats() {
 #[test]
 fn tracing_off_records_nothing() {
     let mc = MachineConfig::new(4);
-    let (_, r, events) = execute(SystemKind::LcmMcc, mc, RuntimeConfig::default(), &stencil());
-    assert!(events.is_empty());
+    let (_, r, trace) = execute(SystemKind::LcmMcc, mc, RuntimeConfig::default(), &stencil());
+    assert!(trace.is_empty());
     assert_eq!(r.trace_events, 0);
     assert_eq!(r.trace_dropped, 0);
     // The ledger and phases still work with tracing off.

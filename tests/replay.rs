@@ -192,7 +192,7 @@ fn trace_files_round_trip_through_bytes() {
     let file = capture("Threshold", SystemKind::LcmMcc, &Threshold::small());
     let bytes = file.to_bytes();
     let parsed = TraceFile::from_bytes(&bytes).expect("parses");
-    assert_eq!(file.events, parsed.events, "event stream");
+    assert!(file.events().eq(parsed.events()), "event stream");
     assert_eq!(file.clocks, parsed.clocks, "clocks");
     assert_eq!(file.cost, parsed.cost, "cost model");
     assert_eq!(file.topology, parsed.topology, "topology");
@@ -212,7 +212,7 @@ fn trace_files_survive_disk() {
     let path = dir.join("threshold.lcmtrace");
     file.write_to(&path).expect("writes");
     let back = TraceFile::read_from(&path).expect("reads");
-    assert_eq!(file.events, back.events);
+    assert!(file.events().eq(back.events()));
     std::fs::remove_dir_all(&dir).ok();
     // Missing files name the path in the error.
     let err = TraceFile::read_from(&path).expect_err("gone");
@@ -302,4 +302,23 @@ fn replay_repricing_matches_reexecution_without_contention() {
             assert_eq!(r.clocks, exec.clocks, "{system} @ latency {lat}: clocks");
         }
     }
+}
+
+/// Pins the encoding: the bytes of one smoke-size capture must not move.
+/// A change to the event codec, the string table's numbering or any
+/// header or footer field shows up here as a new length or checksum.
+#[test]
+fn smoke_capture_bytes_are_pinned() {
+    let file = capture(
+        "Stencil-dyn",
+        SystemKind::LcmMcc,
+        &Stencil::small(Partition::Dynamic),
+    );
+    let bytes = file.to_bytes();
+    let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
+    assert_eq!(
+        (bytes.len(), checksum),
+        (2_483_205, 0x3a53_c452_7dd0_16fb),
+        "the .lcmtrace encoding moved"
+    );
 }
