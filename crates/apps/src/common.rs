@@ -132,13 +132,7 @@ impl RunResult {
     /// process — the determinism tests compare these across `--jobs`
     /// settings.
     pub fn digest(&self) -> u64 {
-        let repr = format!("{self:?}");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        lcm_sim::fnv1a(format!("{self:?}").as_bytes())
     }
 
     /// Harvests a finished run from a protocol: time, counters, per-kind

@@ -1234,16 +1234,12 @@ fn trace_name(bench: &str, system: SystemKind) -> String {
 fn capture_validated(bench: &str, scale: Scale, system: SystemKind) -> Result<TraceFile, String> {
     let label = scale.to_string();
     let mc = MachineConfig::new(scale.nodes()).with_cost(CostModel::cm5());
-    let (config, cap) = (RuntimeConfig::default(), explore::CAPTURE_CAPACITY);
     let file = match bench {
         "Reduction" => {
             let w = ReductionSum(reduction_worksize(scale));
-            explore::capture_workload(bench, &label, system, mc, config, &w, cap)
+            explore::capture_workload(bench, &label, system, mc, &w)
         }
-        _ => {
-            let w = stencil_dyn(scale);
-            explore::capture_workload(bench, &label, system, mc, config, &w, cap)
-        }
+        _ => explore::capture_workload(bench, &label, system, mc, &stencil_dyn(scale)),
     }?;
     lcm_replay::validate(&file)
         .map_err(|e| format!("capture {bench}/{system} failed validation: {e}"))?;
@@ -1353,49 +1349,13 @@ fn critpath_one(
 ) -> Result<CritOut, String> {
     let cost = CostModel::cm5().with_link_bandwidth(CRITPATH_BANDWIDTH);
     let mc = MachineConfig::new(scale.nodes()).with_cost(cost);
-    let (label, config, cap) = (
-        scale.to_string(),
-        RuntimeConfig::default(),
-        explore::CAPTURE_CAPACITY,
-    );
-    let (benchmark, file) = match bench {
-        0 => (
-            "Stencil-dyn",
-            explore::capture_workload(
-                "Stencil-dyn",
-                &label,
-                system,
-                mc,
-                config,
-                &stencil_dyn(scale),
-                cap,
-            )?,
-        ),
-        1 => (
-            "Threshold",
-            explore::capture_workload(
-                "Threshold",
-                &label,
-                system,
-                mc,
-                config,
-                &threshold(scale),
-                cap,
-            )?,
-        ),
-        _ => (
-            "Unstructured",
-            explore::capture_workload(
-                "Unstructured",
-                &label,
-                system,
-                mc,
-                config,
-                &unstructured(scale),
-                cap,
-            )?,
-        ),
-    };
+    let label = scale.to_string();
+    let benchmark = ["Stencil-dyn", "Threshold", "Unstructured"][bench.min(2)];
+    let file = match bench {
+        0 => explore::capture_workload(benchmark, &label, system, mc, &stencil_dyn(scale)),
+        1 => explore::capture_workload(benchmark, &label, system, mc, &threshold(scale)),
+        _ => explore::capture_workload(benchmark, &label, system, mc, &unstructured(scale)),
+    }?;
     let system_label = system.label();
     lcm_replay::validate(&file)
         .map_err(|e| format!("{benchmark}/{system_label}: capture failed validation: {e}"))?;
@@ -1628,15 +1588,9 @@ fn cycle_profile(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
         out,
         "-- critical-path drill-down (LCM-mcc, captured execution) --"
     )?;
-    match explore::capture_workload(
-        "Stencil-dyn",
-        &ctx.scale.to_string(),
-        SystemKind::LcmMcc,
-        MachineConfig::new(nodes).with_cost(CostModel::cm5()),
-        RuntimeConfig::default(),
-        &w,
-        explore::CAPTURE_CAPACITY,
-    ) {
+    let mc = MachineConfig::new(nodes).with_cost(CostModel::cm5());
+    let label = ctx.scale.to_string();
+    match explore::capture_workload("Stencil-dyn", &label, SystemKind::LcmMcc, mc, &w) {
         Ok(file) => {
             let cp = lcm_replay::analyze(&file);
             write!(out, "{}", critpath::drilldown_table(&cp))?;
@@ -2369,15 +2323,6 @@ fn serve(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
     Ok(Vec::new())
 }
 
-/// Percentile of a sorted latency sample (nearest-rank).
-fn percentile_us(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// The `serve --bench` load generator: per-query engine-path costs plus
 /// a closed-loop TCP sweep across client counts, written to
 /// `BENCH_serve.json`. Every timing goes to stderr and the JSON.
@@ -2458,8 +2403,8 @@ fn serve_bench(
         all_lat.sort_unstable();
         let total = clients * reqs_per_client;
         let qps = total as f64 / wall;
-        let p50 = percentile_us(&all_lat, 50.0);
-        let p99 = percentile_us(&all_lat, 99.0);
+        let p50 = profile::percentile(&all_lat, 50);
+        let p99 = profile::percentile(&all_lat, 99);
         eprintln!(
             "  {clients} client(s): {total} requests in {wall:.2}s   {qps:>8.0} q/s   \
              p50 {p50}us   p99 {p99}us"
@@ -2506,7 +2451,7 @@ fn replay_summary(path: &Path, out: &mut dyn Write) -> Res<()> {
         out,
         "  events: {}   phase marks: {}",
         file.event_count(),
-        file.phase_index.len()
+        file.phases().len()
     )?;
     let r = lcm_replay::validate(&file).map_err(|e| format!("  validation FAILED: {e}"))?;
     writeln!(

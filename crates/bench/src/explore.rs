@@ -21,49 +21,38 @@ use lcm_serve::{Query, ServeEngine};
 use lcm_sim::{CostModel, CycleCat, CycleLedger, DirBackend, MachineConfig, NodeId};
 use std::sync::Arc;
 
-/// Default capture buffer: generous enough for the medium-scale
-/// benchmarks (a dropped event makes a capture useless for replay).
-/// The trace grows on demand, so an unused cap costs nothing.
+/// The capture buffer: generous enough for the medium-scale benchmarks
+/// (a dropped event makes a capture useless for replay). The trace grows
+/// on demand, so an unused cap costs nothing.
 pub const CAPTURE_CAPACITY: usize = 1 << 24;
 
 /// Captures one (benchmark, system) execution on the machine `mc` as a
 /// replayable trace file — under a finite-bandwidth cost model too,
-/// whose contention charges replay must also reproduce.
+/// whose contention charges replay must also reproduce. The file adopts
+/// the capture's encoded log as recorded.
 ///
-/// Fails if the capture buffer of `capacity` events overflowed — a
-/// truncated stream cannot account for every charged cycle.
+/// Fails if the capture buffer ([`CAPTURE_CAPACITY`] events) overflowed
+/// — a truncated stream cannot account for every charged cycle.
 pub fn capture_workload<W: Workload>(
     benchmark: &str,
     scale: &str,
     system: SystemKind,
     mc: MachineConfig,
-    config: RuntimeConfig,
     workload: &W,
-    capacity: usize,
 ) -> Result<TraceFile, String> {
     let (nodes, topology, cost) = (mc.nodes, mc.topology, mc.cost);
-    let (_, result, trace) = execute(system, mc.with_capture(capacity), config, workload);
-    if result.trace_dropped > 0 {
-        return Err(format!(
-            "{benchmark}/{system}: capture dropped {} events (buffer of \
-             {capacity}); recapture with a larger buffer",
-            result.trace_dropped
-        ));
-    }
-    TraceFile::from_capture(
-        nodes,
-        topology,
-        cost,
-        vec![
-            ("benchmark".to_string(), benchmark.to_string()),
-            ("system".to_string(), system.label().to_string()),
-            ("scale".to_string(), scale.to_string()),
-        ],
-        trace.to_vec(),
-        result.clocks.clone(),
-        &result.ledger,
-        result.totals.clone(),
+    let mc = mc.with_capture(CAPTURE_CAPACITY);
+    let (_, result, trace) = execute(system, mc, RuntimeConfig::default(), workload);
+    let metadata = vec![
+        ("benchmark".to_string(), benchmark.to_string()),
+        ("system".to_string(), system.label().to_string()),
+        ("scale".to_string(), scale.to_string()),
+    ];
+    let (clocks, ledger, totals) = (result.clocks, result.ledger, result.totals);
+    TraceFile::from_trace(
+        nodes, topology, cost, metadata, trace, clocks, ledger, totals,
     )
+    .map_err(|e| format!("{benchmark}/{system}: {e}"))
 }
 
 /// One re-priced grid point.

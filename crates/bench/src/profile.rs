@@ -367,7 +367,7 @@ pub fn hottest_blocks(
 /// Nearest-rank percentile of an ascending-sorted sample: the smallest
 /// element with at least `p`% of the sample at or below it. `sorted`
 /// must be non-empty.
-pub fn percentile(sorted: &[i64], p: u64) -> i64 {
+pub fn percentile<T: Copy>(sorted: &[T], p: u64) -> T {
     let rank = (p * sorted.len() as u64).div_ceil(100).max(1) as usize;
     sorted[rank.min(sorted.len()) - 1]
 }

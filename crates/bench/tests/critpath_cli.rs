@@ -6,7 +6,6 @@
 use lcm_apps::unstructured::Unstructured;
 use lcm_apps::SystemKind;
 use lcm_bench::explore;
-use lcm_cstar::RuntimeConfig;
 use lcm_sim::{CostModel, MachineConfig};
 use std::path::PathBuf;
 use std::process::Command;
@@ -28,9 +27,7 @@ fn write_capture(path: &std::path::Path) {
         "smoke",
         SystemKind::LcmMcc,
         MachineConfig::new(4).with_cost(CostModel::cm5()),
-        RuntimeConfig::default(),
         &Unstructured::small(),
-        1 << 20,
     )
     .expect("capture holds the whole stream");
     file.write_to(path).expect("writes");
@@ -119,9 +116,7 @@ fn degenerate_fat_tree_is_a_named_error_not_a_panic() {
         "smoke",
         SystemKind::LcmMcc,
         MachineConfig::new(4).with_cost(CostModel::cm5()),
-        RuntimeConfig::default(),
         &Unstructured::small(),
-        1 << 20,
     )
     .expect("capture holds the whole stream");
     file.topology = lcm_sim::Topology::FatTree { arity: 1 };

@@ -86,7 +86,7 @@ impl Pricer {
                 barriers: 0,
                 totals,
                 links: Vec::new(),
-                phases: Vec::with_capacity(file.phase_index.len()),
+                phases: Vec::with_capacity(file.phases().len()),
             },
             fabric: (cost.link_bandwidth_bytes_per_cycle > 0)
                 .then(|| Fabric::new(topology, nodes, cost)),

@@ -18,7 +18,8 @@
 //!            of the cycle stamp from the previous event, payload
 //! phase index one entry per PhaseMark, in stream order: (label, event
 //!            index, cycle) — a seek table for consumers that want one
-//!            phase; the reader checks it against the marks
+//!            phase; the event log keeps it, and the reader checks the
+//!            file's copy against the marks
 //! footer     final per-node clocks, the per-node × per-category cycle
 //!            ledger, summed NodeStats, event count (cross-check)
 //! checksum   u64 LE   FNV-1a over every preceding byte of the file
@@ -30,15 +31,18 @@
 //! Any change that would misread an old file bumps `VERSION`; the reader
 //! rejects files whose version it does not know.
 //!
-//! The event section is [`lcm_sim::codec`]'s encoding, the same bytes a
-//! [`lcm_sim::Trace`] records into, and a loaded file keeps it as is.
+//! The event section and the phase seek table are [`lcm_sim::codec`]'s
+//! [`EventLog`], the log a [`lcm_sim::Trace`] records into: a capture
+//! becomes a file by adopting that log ([`TraceFile::from_trace`]), and a
+//! loaded file keeps the section as is.
 //! Varints, strings, the cost model and the topology go through
 //! [`crate::codec`], which the `lcm-serve` wire protocol shares.
 
 use crate::codec::{put_cost_model, put_str, put_topology, put_varint, Cursor};
 use crate::index::DiffIndex;
 use lcm_sim::{
-    CostModel, CycleCat, CycleLedger, Event, EventLog, Events, NodeId, NodeStats, Stamped, Topology,
+    fnv1a, CostModel, CycleCat, CycleLedger, EventLog, Events, NodeId, NodeStats, PhaseEntry,
+    Stamped, Topology, Trace,
 };
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -59,18 +63,8 @@ pub const MAGIC: &[u8; 8] = b"LCMTRACE";
 ///   to 1024.
 pub const VERSION: u16 = 3;
 
-/// FNV-1a over a byte slice (the repo's standard fingerprint hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Resolves a string read from a trace file to a `&'static str`, so the
-/// deserialized [`Event`]s are the same type the machine records.
+/// deserialized [`lcm_sim::Event`]s are the same type the machine records.
 ///
 /// Labels the simulator is known to emit (message kinds, the runtime's
 /// phase names, protocol span names) resolve to the program's own static
@@ -112,25 +106,14 @@ fn intern(s: &str) -> &'static str {
     s
 }
 
-/// One entry of the phase seek table: where a phase boundary sits in the
-/// event stream.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PhaseIndexEntry {
-    /// The phase label.
-    pub label: &'static str,
-    /// Index of the [`Event::PhaseMark`] in the event stream.
-    pub event_index: u64,
-    /// Machine time at the mark.
-    pub cycle: u64,
-}
-
 /// An in-memory `.lcmtrace`: the captured charge stream with its machine
 /// configuration, plus the execution-driven outcome (clocks, ledger,
 /// summed statistics) replay validates against.
 ///
 /// The event stream stays in its file encoding, an [`EventLog`]: walks
 /// decode it through [`TraceFile::events`], so a loaded trace costs its
-/// file size, not a decoded copy.
+/// file size, not a decoded copy. The log also holds the phase seek
+/// table ([`TraceFile::phases`]).
 ///
 /// The file owns its differential-pricing [`DiffIndex`], built at most
 /// once, on first use ([`TraceFile::index`]). The index summarizes the
@@ -147,8 +130,6 @@ pub struct TraceFile {
     pub cost: CostModel,
     /// Free-form (key, value) pairs: benchmark name, scale, system, …
     pub metadata: Vec<(String, String)>,
-    /// Seek table over [`Event::PhaseMark`] records.
-    pub phase_index: Vec<PhaseIndexEntry>,
     /// Final per-node clocks of the execution-driven run.
     pub clocks: Vec<u64>,
     /// Per-node, per-category cycle attribution of the run.
@@ -159,26 +140,60 @@ pub struct TraceFile {
     index: OnceLock<DiffIndex>,
 }
 
-/// The seek-table entry of the phase mark `ev`, if it is one.
-fn phase_entry(ev: &Stamped) -> Option<PhaseIndexEntry> {
-    match ev.event {
-        Event::PhaseMark { label } => Some(PhaseIndexEntry {
-            label,
-            event_index: ev.seq,
-            cycle: ev.cycle,
-        }),
-        _ => None,
-    }
-}
-
 impl TraceFile {
-    /// Assembles a trace file from a finished capture, encoding the
-    /// stream once and dropping the decoded events.
+    /// Assembles a trace file from a finished capture, adopting the
+    /// trace's encoded log — events, label table and phase seek table —
+    /// as is: the stream is neither decoded nor encoded again.
     ///
-    /// Fails when the stream is unusable for replay: a sequence gap
-    /// means the bounded capture buffer overflowed and dropped events,
-    /// and a replay of an incomplete stream would silently underprice
-    /// the run.
+    /// Fails when the trace dropped events: its bounded buffer
+    /// overflowed, and a replay of an incomplete stream would silently
+    /// underprice the run.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_trace(
+        nodes: usize,
+        topology: Topology,
+        cost: CostModel,
+        metadata: Vec<(String, String)>,
+        trace: Trace,
+        clocks: Vec<u64>,
+        ledger: CycleLedger,
+        totals: NodeStats,
+    ) -> Result<TraceFile, String> {
+        if clocks.len() != nodes {
+            return Err(format!(
+                "capture has {} clocks for {nodes} nodes",
+                clocks.len()
+            ));
+        }
+        if trace.dropped() > 0 {
+            return Err(format!(
+                "capture dropped {} events: the capture buffer overflowed, so \
+                 the stream cannot account for every charged cycle — recapture \
+                 with a larger buffer",
+                trace.dropped()
+            ));
+        }
+        Ok(TraceFile {
+            nodes,
+            topology,
+            cost,
+            metadata,
+            clocks,
+            ledger,
+            totals,
+            log: trace.into_log(),
+            index: OnceLock::new(),
+        })
+    }
+
+    /// An adapter for callers that hold a decoded stream: records
+    /// `events` into a [`Trace`] and adopts it ([`TraceFile::from_trace`]).
+    /// A sequence gap means the stream lost events, and fails as a
+    /// dropped capture does.
+    ///
+    /// Only the host benchmark still calls this; delete it when that
+    /// benchmark next changes and captures through
+    /// [`TraceFile::from_trace`].
     #[allow(clippy::too_many_arguments)]
     pub fn from_capture(
         nodes: usize,
@@ -190,14 +205,7 @@ impl TraceFile {
         ledger: &CycleLedger,
         totals: NodeStats,
     ) -> Result<TraceFile, String> {
-        if clocks.len() != nodes {
-            return Err(format!(
-                "capture has {} clocks for {nodes} nodes",
-                clocks.len()
-            ));
-        }
-        let mut log = EventLog::with_capacity(events.len());
-        let mut phase_index = Vec::new();
+        let mut trace = Trace::with_capacity(events.len());
         for (i, ev) in events.into_iter().enumerate() {
             if ev.seq != i as u64 {
                 return Err(format!(
@@ -208,23 +216,12 @@ impl TraceFile {
                     ev.seq
                 ));
             }
-            if let Some(mark) = phase_entry(&ev) {
-                phase_index.push(mark);
-            }
-            log.push(ev.cycle, ev.event);
+            trace.record_at(ev.cycle, ev.event);
         }
-        Ok(TraceFile {
-            nodes,
-            topology,
-            cost,
-            metadata,
-            phase_index,
-            clocks,
-            ledger: ledger.clone(),
-            totals,
-            log,
-            index: OnceLock::new(),
-        })
+        let ledger = ledger.clone();
+        TraceFile::from_trace(
+            nodes, topology, cost, metadata, trace, clocks, ledger, totals,
+        )
     }
 
     /// The event stream, decoded as it is walked, in record order; each
@@ -236,6 +233,12 @@ impl TraceFile {
     /// Number of events in the stream.
     pub fn event_count(&self) -> usize {
         self.log.len()
+    }
+
+    /// The phase seek table: one entry per [`lcm_sim::Event::PhaseMark`],
+    /// in stream order.
+    pub fn phases(&self) -> &[PhaseEntry] {
+        self.log.phases()
     }
 
     /// How many events carry opcode `code` ([`lcm_sim::codec::op`]),
@@ -304,14 +307,10 @@ impl TraceFile {
         out.extend_from_slice(self.log.bytes());
 
         // Phase seek table.
-        put_varint(&mut out, self.phase_index.len() as u64);
-        for p in &self.phase_index {
-            let label = labels
-                .iter()
-                .position(|k| *k == p.label)
-                .expect("phase labels are in the label table");
-            put_varint(&mut out, label as u64);
-            put_varint(&mut out, p.event_index);
+        put_varint(&mut out, self.phases().len() as u64);
+        for p in self.phases() {
+            put_varint(&mut out, p.label);
+            put_varint(&mut out, p.event);
             put_varint(&mut out, p.cycle);
         }
 
@@ -379,23 +378,19 @@ impl TraceFile {
             strings.push(intern(&c.string()?));
         }
 
-        // One structural pass over the events, which also derives the
+        // One structural pass over the events, which also records the
         // phase seek table the file's copy must match.
         let n_events = c.element_count(2, "event")?;
-        let mut marks = Vec::new();
-        let (log, end) = EventLog::decode(body, c.offset(), n_events, strings, nodes, |ev| {
-            if let Some(mark) = phase_entry(ev) {
-                marks.push(mark);
-            }
-        })
-        .map_err(|e| e.to_string())?;
+        let (log, end) = EventLog::decode(body, c.offset(), n_events, strings, nodes)
+            .map_err(|e| e.to_string())?;
         c.take(end - c.offset())?;
 
+        let marks = log.phases();
         let n_phases = c.element_count(3, "phase-index")?;
         for i in 0..n_phases {
             let label = c.varint()?;
             let (event_index, cycle) = (c.varint()?, c.varint()?);
-            let label = usize::try_from(label)
+            let name = usize::try_from(label)
                 .ok()
                 .and_then(|l| log.labels().get(l))
                 .ok_or_else(|| {
@@ -410,14 +405,14 @@ impl TraceFile {
                      stream's {n_events} events"
                 ));
             }
-            let entry = PhaseIndexEntry {
-                label,
-                event_index,
+            let entry = PhaseEntry {
+                event: event_index,
                 cycle,
+                label,
             };
             if marks.get(i) != Some(&entry) {
                 return Err(format!(
-                    "phase index entry {i} ({label:?} at event {event_index}, cycle \
+                    "phase index entry {i} ({name:?} at event {event_index}, cycle \
                      {cycle}) does not match the stream's phase marks"
                 ));
             }
@@ -458,7 +453,6 @@ impl TraceFile {
             topology,
             cost,
             metadata,
-            phase_index: marks,
             clocks,
             ledger,
             totals,
@@ -493,7 +487,7 @@ pub type TraceHandle = Arc<TraceFile>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcm_sim::{BlockId, Knob};
+    use lcm_sim::{BlockId, Event, Knob};
 
     fn sample_file() -> TraceFile {
         let nodes = 3;
@@ -583,7 +577,7 @@ mod tests {
         assert_eq!(f.topology, g.topology);
         assert_eq!(f.cost, g.cost);
         assert_eq!(f.metadata, g.metadata);
-        assert_eq!(f.phase_index, g.phase_index);
+        assert_eq!(f.phases(), g.phases());
         assert_eq!(f.totals, g.totals);
         for n in 0..f.nodes {
             for cat in CycleCat::all() {
@@ -600,10 +594,55 @@ mod tests {
     #[test]
     fn phase_index_points_at_the_marks() {
         let f = sample_file();
-        assert_eq!(f.phase_index.len(), 1);
-        assert_eq!(f.phase_index[0].label, "apply");
-        assert_eq!(f.phase_index[0].event_index, 4);
-        assert_eq!(f.phase_index[0].cycle, 20);
+        assert_eq!(f.phases().len(), 1);
+        let mark = f.phases()[0];
+        assert_eq!((mark.event, mark.cycle), (4, 20));
+        let ev = f.events().nth(mark.event as usize).expect("in the stream");
+        assert_eq!(ev.event, Event::PhaseMark { label: "apply" });
+    }
+
+    /// The adapter and the adopting constructor build the same file,
+    /// byte for byte, from the same stream.
+    #[test]
+    fn adapter_and_adoption_serialize_identically() {
+        let f = sample_file();
+        let mut trace = Trace::with_capacity(f.event_count());
+        for ev in f.events() {
+            trace.record_at(ev.cycle, ev.event);
+        }
+        let (clocks, ledger) = (f.clocks.clone(), f.ledger.clone());
+        let (meta, totals) = (f.metadata.clone(), f.totals.clone());
+        let g = TraceFile::from_trace(
+            f.nodes, f.topology, f.cost, meta, trace, clocks, ledger, totals,
+        )
+        .expect("a complete trace");
+        assert_eq!(g.to_bytes(), f.to_bytes());
+    }
+
+    #[test]
+    fn overflowed_traces_are_rejected() {
+        let f = sample_file();
+        let mut trace = Trace::with_capacity(1);
+        for ev in f.events() {
+            trace.record_at(ev.cycle, ev.event);
+        }
+        let (clocks, ledger) = (f.clocks.clone(), f.ledger.clone());
+        let totals = f.totals.clone();
+        let err = TraceFile::from_trace(
+            f.nodes,
+            f.topology,
+            f.cost,
+            Vec::new(),
+            trace,
+            clocks,
+            ledger,
+            totals,
+        )
+        .expect_err("dropped events");
+        assert!(
+            err.contains("capture dropped 6 events"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

@@ -154,11 +154,12 @@ impl Builder {
         if self.raw_acc[i] == 0 {
             self.raw_touched.push(i as u32);
         }
-        self.raw_acc[i] += cycles;
+        self.raw_acc[i] = self.raw_acc[i].saturating_add(cycles);
         if self.pend_raw[node as usize] == 0 && self.pend_sym_clean(node) {
             self.pend_dirty.push(node);
         }
-        self.pend_raw[node as usize] += cycles;
+        let pend = &mut self.pend_raw[node as usize];
+        *pend = pend.saturating_add(cycles);
     }
 
     fn add_sym(&mut self, node: u16, cat: CycleCat, knob: Knob, units: u64) {
@@ -169,11 +170,12 @@ impl Builder {
         if self.sym_acc[i] == 0 {
             self.sym_touched.push(i as u32);
         }
-        self.sym_acc[i] += units;
+        self.sym_acc[i] = self.sym_acc[i].saturating_add(units);
         if self.pend_raw[node as usize] == 0 && self.pend_sym_clean(node) {
             self.pend_dirty.push(node);
         }
-        self.pend_sym[node as usize * Knob::COUNT + knob.index()] += units;
+        let pend = &mut self.pend_sym[node as usize * Knob::COUNT + knob.index()];
+        *pend = pend.saturating_add(units);
     }
 
     fn pend_sym_clean(&self, node: u16) -> bool {
@@ -254,7 +256,7 @@ impl DiffIndex {
     pub fn build(file: &TraceFile) -> DiffIndex {
         let xfers = file.count_of(op::XFER) as usize;
         let mut b = Builder::new(file.nodes, xfers);
-        let mut segments = Vec::with_capacity(file.phase_index.len() + 1);
+        let mut segments = Vec::with_capacity(file.phases().len() + 1);
         let mut knob_units = [0u64; Knob::COUNT];
         let mut sum_adj_bytes = 0u64;
         let mut barriers = 0u64;
@@ -264,7 +266,8 @@ impl DiffIndex {
                     b.add_raw(node.0, CycleCat::Compute, cycles);
                     if hits > 0 {
                         b.add_sym(node.0, CycleCat::Compute, Knob::CacheHit, hits);
-                        knob_units[Knob::CacheHit.index()] += hits;
+                        let k = &mut knob_units[Knob::CacheHit.index()];
+                        *k = k.saturating_add(hits);
                     }
                 }
                 Event::Charge {
@@ -274,7 +277,8 @@ impl DiffIndex {
                     units,
                 } => {
                     b.add_sym(node.0, cat, knob, u64::from(units));
-                    knob_units[knob.index()] += u64::from(units);
+                    let k = &mut knob_units[knob.index()];
+                    *k = k.saturating_add(u64::from(units));
                 }
                 Event::ChargeRaw { node, cat, cycles } => {
                     b.add_raw(node.0, cat, cycles);
@@ -282,7 +286,7 @@ impl DiffIndex {
                 Event::Xfer { from, to, bytes } => {
                     let adj = bytes.saturating_sub(file.cost.msg_header_bytes);
                     b.push_xfer(from.0, to.0, adj);
-                    sum_adj_bytes += adj;
+                    sum_adj_bytes = sum_adj_bytes.saturating_add(adj);
                 }
                 Event::Barrier { .. } => {
                     segments.push(b.finish_segment(SegEnd::Barrier));

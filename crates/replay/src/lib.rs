@@ -40,5 +40,5 @@ mod index;
 
 pub use critpath::{analyze, match_messages, CritPath, EpochSeg, MsgEdge, PhaseRow};
 pub use engine::{compare_replayed, replay, validate, Replayed};
-pub use format::{PhaseIndexEntry, TraceFile, TraceHandle, MAGIC, VERSION};
+pub use format::{TraceFile, TraceHandle, MAGIC, VERSION};
 pub use index::{reprice, DiffIndex};

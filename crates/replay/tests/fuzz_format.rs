@@ -8,7 +8,7 @@
 //! *reseal* the checksum after mutating, forcing the mutation through
 //! the deeper validators.
 
-use lcm_replay::{TraceFile, MAGIC, VERSION};
+use lcm_replay::{compare_replayed, replay, reprice, TraceFile, MAGIC, VERSION};
 use lcm_sim::{
     BlockId, CostModel, CycleCat, CycleLedger, Event, Knob, NodeId, NodeStats, Stamped, Topology,
     Trace,
@@ -532,10 +532,11 @@ fn phase_file(entries: &[(u64, u64, u64)]) -> Vec<u8> {
 #[test]
 fn phase_seek_table_is_checked_against_the_marks() {
     let f = TraceFile::from_bytes(&phase_file(&[(0, 1, 9)])).expect("matching table");
-    assert_eq!(f.phase_index.len(), 1);
+    assert_eq!(f.phases().len(), 1);
+    let ev = f.events().nth(f.phases()[0].event as usize);
     assert_eq!(
-        (f.phase_index[0].label, f.phase_index[0].event_index),
-        ("apply", 1)
+        ev.map(|ev| ev.event),
+        Some(Event::PhaseMark { label: "apply" })
     );
 
     let err = TraceFile::from_bytes(&phase_file(&[(0, 2, 9)])).expect_err("past the stream");
@@ -557,9 +558,78 @@ fn phase_seek_table_is_checked_against_the_marks() {
     );
 }
 
+/// A two-node file whose events are `write` over an empty label table.
+fn two_node_file(events: u64, write: impl FnOnce(&mut Raw)) -> Vec<u8> {
+    let mut r = Raw::new(2, 2);
+    r.no_metadata();
+    r.varint(0);
+    r.varint(events);
+    write(&mut r);
+    r.varint(0);
+    r.footer(2, events);
+    r.seal()
+}
+
+/// Senders short-circuit self-sends, so a transfer from a node to
+/// itself never crosses the network; the contention fabric cannot route
+/// one. The reader names it instead of handing it to replay.
+#[test]
+fn self_transfer_is_a_named_error() {
+    let bytes = two_node_file(2, |r| {
+        for (from, to) in [(0, 1), (1, 1)] {
+            r.byte(18); // Xfer
+            r.zigzag(0);
+            r.varint(from);
+            r.varint(to);
+            r.varint(8); // bytes
+        }
+    });
+    let err = TraceFile::from_bytes(&bytes).expect_err("self-transfer");
+    assert!(err.contains("self-transfer at event 1"), "{err}");
+}
+
+/// Differential pricing equals full pricing on every file that parses,
+/// even where the index's sums pass `u64::MAX`: transfer sizes, work
+/// cycles and cache hits that together overflow saturate on both paths.
+#[test]
+fn index_sums_saturate_like_full_pricing() {
+    const HALF: u64 = 1 << 63;
+    let bytes = two_node_file(6, |r| {
+        for _ in 0..2 {
+            r.byte(18); // Xfer 0 -> 1
+            r.zigzag(0);
+            r.varint(0);
+            r.varint(1);
+            r.varint(HALF);
+            r.byte(17); // Work on node 0
+            r.zigzag(0);
+            r.varint(0);
+            r.varint(HALF); // cycles
+            r.varint(HALF); // hits
+        }
+        r.byte(10); // Barrier
+        r.zigzag(0);
+        r.byte(17); // Work on node 1
+        r.zigzag(0);
+        r.varint(1);
+        r.varint(HALF);
+        r.varint(HALF);
+    });
+    let f = TraceFile::from_bytes(&bytes).expect("a well-formed file");
+    for cost in [f.cost, CostModel::cm5(), CostModel::cm5_grid(16, 3000)] {
+        let (diff, full) = (
+            reprice(&f, &cost, f.topology),
+            replay(&f, &cost, f.topology),
+        );
+        assert_eq!(full.totals.bytes_sent, u64::MAX, "the full walk saturates");
+        compare_replayed(&diff, &full).expect("differential == full");
+    }
+}
+
 /// Builds a valid event from random draws: node ids below `NODES`,
-/// labels from a small mixed set, and a barrier's `at` equal to its
-/// stamp (the encoding stores that value once).
+/// labels from a small mixed set, a barrier's `at` equal to its stamp
+/// (the encoding stores that value once), and transfers between two
+/// distinct nodes.
 fn event_from(op: u8, cycle: u64, a: u64, b: u64) -> Event {
     const NODES: u64 = 1024;
     const LABELS: [&str; 4] = ["GetShared", "apply", "read_fault", "prop-only-label"];
@@ -633,7 +703,11 @@ fn event_from(op: u8, cycle: u64, a: u64, b: u64) -> Event {
         },
         18 => Event::Xfer {
             from: node,
-            to: peer,
+            to: if peer == node {
+                NodeId((node.0 + 1) % NODES as u16)
+            } else {
+                peer
+            },
             bytes: b,
         },
         _ => Event::PhaseMark { label },

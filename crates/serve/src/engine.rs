@@ -152,22 +152,6 @@ impl QueryResult {
         }
         NodeStats::from_array(a)
     }
-
-    /// Renders the result as one `explore.csv`-format row under the
-    /// queried cost model (which supplies the grid coordinates).
-    pub fn csv_row(&self, cost: &CostModel) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{}\n",
-            self.benchmark,
-            self.system,
-            cost.link_bandwidth_bytes_per_cycle,
-            cost.remote_miss,
-            self.time,
-            self.cat_total(CycleCat::NetContention),
-            self.cat_total(CycleCat::BarrierWait),
-            self.totals().bytes_sent,
-        )
-    }
 }
 
 /// How the engine satisfied one query. Classes are advisory (a batch
@@ -645,18 +629,17 @@ mod tests {
             lcm_cstar::RuntimeConfig::default(),
             &Threshold::small(),
         );
-        assert_eq!(result.trace_dropped, 0, "the buffer holds the stream");
-        let file = TraceFile::from_capture(
+        let file = TraceFile::from_trace(
             nodes,
             topology,
             cost,
             vec![("benchmark".to_string(), "Threshold".to_string())],
-            trace.to_vec(),
-            result.clocks.clone(),
-            &result.ledger,
-            result.totals.clone(),
+            trace,
+            result.clocks,
+            result.ledger,
+            result.totals,
         )
-        .expect("gap-free stream");
+        .expect("the buffer holds the stream");
         Arc::new(file)
     }
 

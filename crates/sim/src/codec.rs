@@ -6,10 +6,12 @@
 //! zigzag-varint delta of the cycle stamp from the previous event, then
 //! the payload as LEB128 varints and single bytes. String fields
 //! (message kinds, span and phase labels) are indices into the log's
-//! label table, numbered in first-use order. The bounded
-//! [`crate::Trace`] records into a log and `lcm-replay`'s trace file
-//! keeps one, so a captured stream costs its encoded size — about seven
-//! bytes an event — rather than a 48-byte [`Stamped`] per event.
+//! label table, numbered in first-use order. The log also keeps the
+//! file's phase seek table: one [`PhaseEntry`] per [`Event::PhaseMark`].
+//! The bounded [`crate::Trace`] records into a log, and `lcm-replay`'s
+//! trace file adopts that log as is, so a captured stream costs its
+//! encoded size — about seven bytes an event — rather than a 48-byte
+//! [`Stamped`] per event, from the machine to the `.lcmtrace` file.
 //!
 //! Every walk decodes through the [`Events`] iterator. Its hot loop
 //! reads one-byte varints on a fast path, checks every range with
@@ -162,6 +164,12 @@ pub enum DecodeError {
         /// Position of the event in the stream.
         event: u64,
     },
+    /// An [`Event::Xfer`] from a node to itself: senders short-circuit
+    /// self-sends, so none crosses the network.
+    SelfTransfer {
+        /// Position of the event in the stream.
+        event: u64,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -188,6 +196,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::CycleOverflow { event } => {
                 write!(f, "cycle stamp overflows at event {event}")
             }
+            DecodeError::SelfTransfer { event } => write!(f, "self-transfer at event {event}"),
         }
     }
 }
@@ -208,6 +217,8 @@ struct Decoder<'a> {
     nodes: usize,
     seq: u64,
     cycle: u64,
+    /// The index of the last label read.
+    label: u64,
     err: Option<DecodeError>,
 }
 
@@ -223,6 +234,7 @@ impl<'a> Decoder<'a> {
             nodes,
             seq: 0,
             cycle: 0,
+            label: 0,
             err: None,
         }
     }
@@ -277,6 +289,7 @@ impl<'a> Decoder<'a> {
     #[inline(always)]
     fn label(&mut self) -> &'static str {
         let index = self.varint();
+        self.label = index;
         if index < self.labels.len() as u64 {
             self.labels[index as usize]
         } else {
@@ -527,12 +540,25 @@ impl Scratch {
     }
 }
 
+/// One entry of a log's phase seek table: where an
+/// [`Event::PhaseMark`] sits in the stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PhaseEntry {
+    /// Position of the mark in the stream.
+    pub event: u64,
+    /// The mark's cycle stamp.
+    pub cycle: u64,
+    /// The mark's label, an index into [`EventLog::labels`].
+    pub label: u64,
+}
+
 /// An encoded event stream: the `.lcmtrace` event section, its label
-/// table, and per-opcode counts (module docs).
+/// table, its phase seek table, and per-opcode counts (module docs).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventLog {
     bytes: Vec<u8>,
     labels: Vec<&'static str>,
+    phases: Vec<PhaseEntry>,
     len: usize,
     last_cycle: u64,
     counts: [u64; op::COUNT],
@@ -570,6 +596,12 @@ impl EventLog {
         &self.labels
     }
 
+    /// The phase seek table: one entry per [`Event::PhaseMark`], in
+    /// stream order.
+    pub fn phases(&self) -> &[PhaseEntry] {
+        &self.phases
+    }
+
     /// How many events carry opcode `code` (see [`op`]).
     pub fn count(&self, code: u8) -> u64 {
         self.counts[usize::from(code)]
@@ -587,6 +619,7 @@ impl EventLog {
     pub fn clear(&mut self) {
         self.bytes.clear();
         self.labels.clear();
+        self.phases.clear();
         self.len = 0;
         self.last_cycle = 0;
         self.counts = [0; op::COUNT];
@@ -594,8 +627,9 @@ impl EventLog {
 
     /// Appends `event` stamped with `cycle`.
     ///
-    /// Stamps are at most `i64::MAX`, and a [`Event::Barrier`]'s `at`
-    /// must equal its stamp: the encoding stores that value once.
+    /// Stamps are at most `i64::MAX`, a [`Event::Barrier`]'s `at` must
+    /// equal its stamp (the encoding stores that value once), and an
+    /// [`Event::Xfer`] joins two distinct nodes.
     #[inline]
     pub fn push(&mut self, cycle: u64, event: Event) {
         debug_assert!(cycle <= i64::MAX as u64, "cycle stamp {cycle} exceeds i64");
@@ -711,12 +745,19 @@ impl EventLog {
                 op::WORK
             }
             Event::Xfer { from, to, bytes } => {
+                debug_assert_ne!(from, to, "self-sends never cross the network");
                 e.varints(&[u64::from(from.0), u64::from(to.0), bytes]);
                 op::XFER
             }
             Event::PhaseMark { label } => {
                 let label = self.label(label);
                 e.varint(label);
+                let event = self.len as u64;
+                self.phases.push(PhaseEntry {
+                    event,
+                    cycle,
+                    label,
+                });
                 op::PHASE_MARK
             }
         };
@@ -743,20 +784,22 @@ impl EventLog {
 
     /// Validates `n` encoded events starting at `buf[start]` — opcodes,
     /// node ids below `nodes`, label indices into `labels`, categories,
-    /// knobs, 32-bit fields and cycle stamps — showing each decoded
-    /// event to `visit`. Returns the log, holding one copy of the
-    /// section, and the offset just past it. Allocates nothing per
-    /// event; error offsets count from the start of `buf`.
+    /// knobs, 32-bit fields, cycle stamps, and transfers between two
+    /// distinct nodes — and records the phase seek table as [`push`]
+    /// does. Returns the log, holding one copy of the section, and the
+    /// offset just past it. Error offsets count from the start of `buf`.
+    ///
+    /// [`push`]: EventLog::push
     pub fn decode(
         buf: &[u8],
         start: usize,
         n: usize,
         labels: Vec<&'static str>,
         nodes: usize,
-        mut visit: impl FnMut(&Stamped),
     ) -> Result<(EventLog, usize), DecodeError> {
         let mut dec = Decoder::new(buf, start, &labels, nodes.min(NODE_IDS));
         let mut counts = [0u64; op::COUNT];
+        let mut phases = Vec::new();
         for _ in 0..n {
             let code = buf.get(dec.pos).copied().unwrap_or_default();
             let ev = dec.next_event();
@@ -764,12 +807,23 @@ impl EventLog {
                 return Err(e);
             }
             counts[usize::from(code)] += 1;
-            visit(&ev);
+            match ev.event {
+                Event::Xfer { from, to, .. } if from == to => {
+                    return Err(DecodeError::SelfTransfer { event: ev.seq });
+                }
+                Event::PhaseMark { .. } => phases.push(PhaseEntry {
+                    event: ev.seq,
+                    cycle: ev.cycle,
+                    label: dec.label,
+                }),
+                _ => {}
+            }
         }
         let (end, last_cycle) = (dec.pos, dec.cycle);
         let log = EventLog {
             bytes: buf[start..end].to_vec(),
             labels,
+            phases,
             len: n,
             last_cycle,
             counts,
@@ -848,6 +902,12 @@ mod tests {
             assert_eq!((ev.seq, ev.cycle, ev.event), (i as u64, cycle, event));
         }
         assert_eq!(log.labels(), ["init", "GetShared"]);
+        let init = PhaseEntry {
+            event: 0,
+            cycle: 7,
+            label: 0,
+        };
+        assert_eq!(log.phases(), [init]);
         assert_eq!(log.count(op::BARRIER), 1);
         assert_eq!(log.count(op::XFER), 0);
         assert_eq!(log.iter().len(), 4, "exact size");
@@ -876,14 +936,13 @@ mod tests {
         log.push(6, Event::PhaseMark { label: "apply" });
         let mut buf = vec![0xAA];
         buf.extend_from_slice(log.bytes());
-        let mut seen = 0;
-        let (back, end) =
-            EventLog::decode(&buf, 1, 2, vec!["apply"], 4, |_| seen += 1).expect("valid");
-        assert_eq!((seen, end), (2, buf.len()));
-        assert_eq!(back, log);
-        let err = EventLog::decode(&buf, 1, 2, vec!["apply"], 3, |_| {}).expect_err("node 3");
+        let (back, end) = EventLog::decode(&buf, 1, 2, vec!["apply"], 4).expect("valid");
+        assert_eq!(end, buf.len());
+        assert_eq!(back, log, "bytes, labels, phase table and counts");
+        assert_eq!(back.phases()[0].event, 1);
+        let err = EventLog::decode(&buf, 1, 2, vec!["apply"], 3).expect_err("node 3");
         assert_eq!(err.to_string(), "node id 3 out of range (3 nodes)");
-        let err = EventLog::decode(&buf, 1, 2, Vec::new(), 4, |_| {}).expect_err("no labels");
+        let err = EventLog::decode(&buf, 1, 2, Vec::new(), 4).expect_err("no labels");
         assert_eq!(err.to_string(), "string index 0 out of range (0 interned)");
     }
 }

@@ -26,6 +26,17 @@ pub type FastSet<K> = std::collections::HashSet<K, FastBuild>;
 
 const GOLDEN: u64 = 0x9e3779b97f4a7c15;
 
+/// 64-bit FNV-1a over a byte slice: the repo's standard fingerprint
+/// hash. `.lcmtrace` headers and checksums use it, so it is wire format.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 impl Hasher for FastHasher {
     #[inline]
     fn finish(&self) -> u64 {

@@ -49,11 +49,12 @@ pub mod stats;
 pub mod topology;
 pub mod trace;
 
-pub use codec::{EventLog, Events};
+pub use codec::{EventLog, Events, PhaseEntry};
 pub use cost::{CostModel, Knob};
 pub use fault::{
     CrashPlan, CrashPoint, DeliveryError, FaultConfig, FaultConfigError, FaultOutcome, FaultPlan,
 };
+pub use hash::fnv1a;
 pub use machine::{Access, DirBackend, Machine, MachineConfig, NodeId, MAX_NODES};
 pub use mem::{Addr, BlockBuf, BlockId, PageId, WordMask};
 pub use par::{available_jobs, par_map, try_par_map};
@@ -61,4 +62,4 @@ pub use profile::{CycleCat, CycleLedger, PhaseSnapshot};
 pub use rng::Pcg32;
 pub use stats::NodeStats;
 pub use topology::{Fabric, LinkUtil, Topology};
-pub use trace::{Event, Stamped, Trace, TraceSummary};
+pub use trace::{Event, Stamped, Trace};

@@ -422,123 +422,11 @@ impl Trace {
         self.dropped = 0;
     }
 
-    /// Aggregates the recorded events into a [`TraceSummary`].
-    pub fn summarize(&self) -> TraceSummary {
-        let mut s = TraceSummary::default();
-        let mut per_block: std::collections::HashMap<BlockId, u64> =
-            std::collections::HashMap::new();
-        for e in self.events() {
-            match &e.event {
-                Event::ReadMiss { block, .. } => {
-                    s.read_misses += 1;
-                    *per_block.entry(*block).or_default() += 1;
-                }
-                Event::WriteMiss { block, .. } => {
-                    s.write_misses += 1;
-                    *per_block.entry(*block).or_default() += 1;
-                }
-                Event::Upgrade { block, .. } => {
-                    s.upgrades += 1;
-                    *per_block.entry(*block).or_default() += 1;
-                }
-                Event::Mark { .. } => s.marks += 1,
-                Event::CleanCopy { .. } => s.clean_copies += 1,
-                Event::Flush { .. } => s.flushes += 1,
-                Event::Reconcile { .. } => s.reconciles += 1,
-                Event::Invalidate { block, .. } => {
-                    s.invalidations += 1;
-                    *per_block.entry(*block).or_default() += 1;
-                }
-                Event::WwConflict { .. } | Event::RwConflict { .. } => s.conflicts += 1,
-                Event::Barrier { .. } => s.barriers += 1,
-                Event::MsgSend { .. } => s.msg_sends += 1,
-                Event::MsgRecv { .. } => s.msg_recvs += 1,
-                Event::SpanBegin { .. } => s.spans += 1,
-                // Capture-mode pricing records are accounting detail, not
-                // protocol activity; the summary ignores them.
-                Event::SpanEnd { .. }
-                | Event::Charge { .. }
-                | Event::ChargeRaw { .. }
-                | Event::Work { .. }
-                | Event::Xfer { .. }
-                | Event::PhaseMark { .. } => {}
-            }
-        }
-        let mut hot: Vec<(BlockId, u64)> = per_block.into_iter().collect();
-        hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        hot.truncate(8);
-        s.hottest_blocks = hot;
-        s
-    }
-}
-
-/// Aggregate view of a [`Trace`]: per-kind event counts and the blocks
-/// with the most coherence activity — a quick answer to "where is this
-/// program's protocol traffic coming from?".
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceSummary {
-    /// Load faults recorded.
-    pub read_misses: u64,
-    /// Store faults recorded.
-    pub write_misses: u64,
-    /// Ownership upgrades recorded.
-    pub upgrades: u64,
-    /// `mark_modification` directives recorded.
-    pub marks: u64,
-    /// Clean-copy creations recorded.
-    pub clean_copies: u64,
-    /// Flushes recorded.
-    pub flushes: u64,
-    /// Block reconciliations recorded.
-    pub reconciles: u64,
-    /// Invalidations recorded.
-    pub invalidations: u64,
-    /// Conflicts (write-write + read-write) recorded.
-    pub conflicts: u64,
-    /// Barriers recorded.
-    pub barriers: u64,
-    /// Message sends recorded.
-    pub msg_sends: u64,
-    /// Message receipts recorded.
-    pub msg_recvs: u64,
-    /// Spans opened.
-    pub spans: u64,
-    /// Up to eight blocks with the most miss/upgrade/invalidate events,
-    /// busiest first.
-    pub hottest_blocks: Vec<(BlockId, u64)>,
-}
-
-impl std::fmt::Display for TraceSummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "misses: {} read / {} write / {} upgrade; marks {}, clean copies {}, flushes {}",
-            self.read_misses,
-            self.write_misses,
-            self.upgrades,
-            self.marks,
-            self.clean_copies,
-            self.flushes
-        )?;
-        writeln!(
-            f,
-            "reconciles {}, invalidations {}, conflicts {}, barriers {}, msgs {} sent / {} recv, {} spans",
-            self.reconciles,
-            self.invalidations,
-            self.conflicts,
-            self.barriers,
-            self.msg_sends,
-            self.msg_recvs,
-            self.spans
-        )?;
-        if !self.hottest_blocks.is_empty() {
-            write!(f, "hottest blocks:")?;
-            for (b, n) in &self.hottest_blocks {
-                write!(f, " {b:?}x{n}")?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
+    /// The recorded log, ending the trace: the encoded events as a
+    /// `.lcmtrace` file holds them, with their label and phase seek
+    /// tables.
+    pub fn into_log(self) -> EventLog {
+        self.log
     }
 }
 
@@ -679,100 +567,6 @@ mod tests {
             .block(),
             Some(BlockId(1))
         );
-    }
-
-    #[test]
-    fn summary_counts_by_kind_and_finds_hot_blocks() {
-        use crate::machine::NodeId;
-        let mut t = Trace::with_capacity(64);
-        let hot = BlockId(7);
-        let cold = BlockId(9);
-        for _ in 0..3 {
-            t.record(Event::ReadMiss {
-                node: NodeId(0),
-                block: hot,
-                remote: true,
-            });
-        }
-        t.record(Event::WriteMiss {
-            node: NodeId(1),
-            block: cold,
-            remote: false,
-        });
-        t.record(Event::Upgrade {
-            node: NodeId(1),
-            block: hot,
-        });
-        t.record(Event::Mark {
-            node: NodeId(1),
-            block: hot,
-        });
-        t.record(Event::Flush {
-            node: NodeId(1),
-            block: hot,
-        });
-        t.record(Event::Reconcile {
-            block: hot,
-            versions: 2,
-        });
-        t.record(Event::Invalidate {
-            node: NodeId(0),
-            block: hot,
-        });
-        t.record(Event::WwConflict {
-            block: hot,
-            word: 3,
-        });
-        t.record_at(100, Event::Barrier { at: 100 });
-        t.record(Event::MsgSend {
-            from: NodeId(0),
-            to: NodeId(1),
-            kind: "GetShared",
-            bytes: 16,
-        });
-        t.record(Event::MsgRecv {
-            node: NodeId(1),
-            from: NodeId(0),
-            kind: "GetShared",
-            bytes: 16,
-        });
-        t.record(Event::SpanBegin {
-            node: NodeId(0),
-            what: "read_fault",
-            block: hot,
-        });
-        t.record(Event::SpanEnd {
-            node: NodeId(0),
-            what: "read_fault",
-            block: hot,
-        });
-        let s = t.summarize();
-        assert_eq!(s.read_misses, 3);
-        assert_eq!(s.write_misses, 1);
-        assert_eq!(s.upgrades, 1);
-        assert_eq!(s.marks, 1);
-        assert_eq!(s.flushes, 1);
-        assert_eq!(s.reconciles, 1);
-        assert_eq!(s.invalidations, 1);
-        assert_eq!(s.conflicts, 1);
-        assert_eq!(s.barriers, 1);
-        assert_eq!(s.msg_sends, 1);
-        assert_eq!(s.msg_recvs, 1);
-        assert_eq!(s.spans, 1);
-        assert_eq!(
-            s.hottest_blocks[0],
-            (hot, 5),
-            "3 reads + upgrade + invalidate"
-        );
-        assert_eq!(s.hottest_blocks[1], (cold, 1));
-        assert!(!s.to_string().is_empty());
-    }
-
-    #[test]
-    fn summary_of_empty_trace_is_zeroed() {
-        let s = Trace::disabled().summarize();
-        assert_eq!(s, TraceSummary::default());
-        assert!(s.hottest_blocks.is_empty());
     }
 
     #[test]

@@ -730,11 +730,17 @@ mod tests {
         let mut net = Network::new();
         net.send(&mut m, NodeId(0), NodeId(1), MsgKind::Flush, true);
         net.request_reply(&mut m, NodeId(2), NodeId(3), MsgKind::GetShared, true);
-        let s = m.trace().summarize();
-        assert_eq!(s.msg_sends, 3, "one-way + request + reply");
-        assert_eq!(s.msg_recvs, 3);
-        assert_eq!(s.msg_sends, m.total_stats().msgs_sent);
-        assert_eq!(s.msg_recvs, m.total_stats().msgs_recv);
+        let count = |kind| {
+            m.trace()
+                .events()
+                .filter(|e| e.event.kind() == kind)
+                .count() as u64
+        };
+        let (sends, recvs) = (count("msg_send"), count("msg_recv"));
+        assert_eq!(sends, 3, "one-way + request + reply");
+        assert_eq!(recvs, 3);
+        assert_eq!(sends, m.total_stats().msgs_sent);
+        assert_eq!(recvs, m.total_stats().msgs_recv);
     }
 
     #[test]

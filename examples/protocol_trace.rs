@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Runs a tiny stencil step under LCM-mcc with event tracing enabled and
-//! prints the raw event stream of one invocation plus an aggregate
-//! summary — useful for understanding (or debugging) what `mark` /
+//! prints the raw event stream of one invocation plus its per-kind
+//! counts — useful for understanding (or debugging) what `mark` /
 //! `flush` / `reconcile` actually do to the memory system.
 
 use lcm::prelude::*;
@@ -42,5 +42,9 @@ fn main() {
     for e in mem.tempest().machine.trace().events() {
         println!("  {e:?}");
     }
-    println!("\nsummary:\n{}", mem.tempest().machine.trace().summarize());
+    let mut kinds = std::collections::BTreeMap::new();
+    for e in mem.tempest().machine.trace().events() {
+        *kinds.entry(e.event.kind()).or_insert(0) += 1;
+    }
+    println!("\nevents by kind: {kinds:?}");
 }

@@ -74,7 +74,6 @@ pub mod prelude {
     pub use lcm_sim::{
         Addr, BlockId, CostModel, CrashPlan, CycleCat, CycleLedger, DeliveryError, DirBackend,
         FaultConfig, Machine, MachineConfig, NodeId, NodeStats, Pcg32, PhaseSnapshot, Stamped,
-        TraceSummary,
     };
     pub use lcm_stache::Stache;
     pub use lcm_tempest::{Placement, Tag, Tempest};

@@ -22,12 +22,11 @@ use lcm_apps::threshold::Threshold;
 use lcm_apps::unstructured::Unstructured;
 use lcm_apps::{SystemKind, Workload};
 use lcm_bench::explore;
-use lcm_cstar::{Partition, RuntimeConfig};
+use lcm_cstar::Partition;
 use lcm_replay::{analyze, replay, validate, CritPath, TraceFile};
 use lcm_sim::{CostModel, CycleCat, Event, FaultConfig, MachineConfig, NodeId, Stamped};
 
 const NODES: usize = 8;
-const CAPACITY: usize = 1 << 20;
 
 fn capture<W: Workload>(benchmark: &str, system: SystemKind, w: &W) -> TraceFile {
     explore::capture_workload(
@@ -35,9 +34,7 @@ fn capture<W: Workload>(benchmark: &str, system: SystemKind, w: &W) -> TraceFile
         "smoke",
         system,
         MachineConfig::new(NODES).with_cost(CostModel::cm5()),
-        RuntimeConfig::default(),
         w,
-        CAPACITY,
     )
     .expect("capture holds the whole stream")
 }
@@ -104,9 +101,7 @@ fn path_holds_under_finite_bandwidth_and_whatif_is_exact() {
             "smoke",
             system,
             MachineConfig::new(NODES).with_cost(cost),
-            RuntimeConfig::default(),
             &Stencil::small(Partition::Dynamic),
-            CAPACITY,
         )
         .expect("capture holds the whole stream");
         let cp = assert_path_identity(&file, &format!("Stencil-dyn/{system} @ 8 B/cycle"));
@@ -144,9 +139,7 @@ fn path_holds_on_a_faulty_capture() {
         "smoke",
         SystemKind::LcmMcc,
         MachineConfig::new(NODES).with_faults(FaultConfig::drops(0.05, 42)),
-        RuntimeConfig::default(),
         &Threshold::small(),
-        CAPACITY,
     )
     .expect("capture holds the whole stream");
     let cp = assert_path_identity(&file, "Threshold/LCM-mcc @ 5% drops");

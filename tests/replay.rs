@@ -25,10 +25,9 @@ use lcm_apps::{SystemKind, Workload};
 use lcm_bench::explore;
 use lcm_cstar::{Partition, RuntimeConfig};
 use lcm_replay::{compare_replayed, replay, reprice, validate, TraceFile};
-use lcm_sim::{CostModel, CycleCat, MachineConfig, NodeId, Topology};
+use lcm_sim::{CostModel, CycleCat, Event, MachineConfig, NodeId, Topology, Trace};
 
 const NODES: usize = 8;
-const CAPACITY: usize = 1 << 20;
 
 fn capture<W: Workload>(benchmark: &str, system: SystemKind, w: &W) -> TraceFile {
     explore::capture_workload(
@@ -36,9 +35,7 @@ fn capture<W: Workload>(benchmark: &str, system: SystemKind, w: &W) -> TraceFile
         "smoke",
         system,
         MachineConfig::new(NODES).with_cost(CostModel::cm5()),
-        RuntimeConfig::default(),
         w,
-        CAPACITY,
     )
     .expect("capture holds the whole stream")
 }
@@ -99,9 +96,7 @@ fn replay_is_exact_under_a_finite_bandwidth_capture() {
             "smoke",
             system,
             MachineConfig::new(NODES).with_cost(cost),
-            RuntimeConfig::default(),
             &Stencil::small(Partition::Dynamic),
-            CAPACITY,
         )
         .expect("capture holds the whole stream");
         let contention: u64 = (0..file.nodes)
@@ -197,7 +192,7 @@ fn trace_files_round_trip_through_bytes() {
     assert_eq!(file.cost, parsed.cost, "cost model");
     assert_eq!(file.topology, parsed.topology, "topology");
     assert_eq!(file.metadata, parsed.metadata, "metadata");
-    assert_eq!(file.phase_index, parsed.phase_index, "phase index");
+    assert_eq!(file.phases(), parsed.phases(), "phase index");
     assert_eq!(file.totals, parsed.totals, "totals");
     assert_eq!(file.fingerprint(), parsed.fingerprint(), "fingerprint");
     assert_eq!(bytes, parsed.to_bytes(), "re-serialization is stable");
@@ -321,4 +316,78 @@ fn smoke_capture_bytes_are_pinned() {
         (2_483_205, 0x3a53_c452_7dd0_16fb),
         "the .lcmtrace encoding moved"
     );
+}
+
+/// The adapter over a decoded stream and the constructor that adopts
+/// the capture's log build the same file, byte for byte.
+#[test]
+fn adapter_and_adoption_agree_on_the_smoke_capture() {
+    let mc = MachineConfig::new(NODES).with_cost(CostModel::cm5());
+    let (nodes, topology, cost) = (mc.nodes, mc.topology, mc.cost);
+    let (_, r, trace) = lcm_apps::execute(
+        SystemKind::LcmMcc,
+        mc.with_capture(explore::CAPTURE_CAPACITY),
+        RuntimeConfig::default(),
+        &Stencil::small(Partition::Dynamic),
+    );
+    let meta = vec![("benchmark".to_string(), "Stencil-dyn".to_string())];
+    let (clocks, ledger, totals) = (r.clocks.clone(), r.ledger.clone(), r.totals.clone());
+    let events = trace.to_vec();
+    let adapted = TraceFile::from_capture(
+        nodes,
+        topology,
+        cost,
+        meta.clone(),
+        events,
+        clocks,
+        &ledger,
+        totals,
+    )
+    .expect("a complete stream");
+    let adopted = TraceFile::from_trace(
+        nodes, topology, cost, meta, trace, r.clocks, r.ledger, r.totals,
+    )
+    .expect("a complete trace");
+    assert!(!adopted.phases().is_empty(), "the capture marks phases");
+    assert_eq!(adapted.to_bytes(), adopted.to_bytes());
+}
+
+/// Validation checks the events, not only the footer: one event's
+/// payload changed to another valid value, the checksum resealed,
+/// parses and then fails validation.
+#[test]
+fn a_tampered_event_fails_validation() {
+    let file = capture("Threshold", SystemKind::LcmMcc, &Threshold::small());
+    // Bump the first work record whose cycle count's low 7-bit group
+    // has room, so exactly one varint byte changes.
+    let mut tampered = false;
+    let mut trace = Trace::with_capacity(file.event_count());
+    for ev in file.events() {
+        let event = match ev.event {
+            Event::Work { node, cycles, hits } if !tampered && cycles % 128 != 127 => {
+                tampered = true;
+                let cycles = cycles + 1;
+                Event::Work { node, cycles, hits }
+            }
+            event => event,
+        };
+        trace.record_at(ev.cycle, event);
+    }
+    assert!(tampered, "the capture holds a work record");
+    let (meta, clocks) = (file.metadata.clone(), file.clocks.clone());
+    let (ledger, totals) = (file.ledger.clone(), file.totals.clone());
+    let (nodes, topology, cost) = (file.nodes, file.topology, file.cost);
+    let forged = TraceFile::from_trace(nodes, topology, cost, meta, trace, clocks, ledger, totals)
+        .expect("a complete trace");
+    let (good, bad) = (file.to_bytes(), forged.to_bytes());
+    assert_eq!(good.len(), bad.len());
+    let body = good.len() - 8;
+    let moved = (0..body).filter(|&i| good[i] != bad[i]).count();
+    assert_eq!(
+        moved, 1,
+        "one payload byte differs, then the resealed checksum"
+    );
+    let parsed = TraceFile::from_bytes(&bad).expect("the tampered file is well formed");
+    let err = validate(&parsed).expect_err("the tampered event is caught");
+    assert!(err.contains("diverge"), "unexpected error: {err}");
 }

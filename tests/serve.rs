@@ -26,7 +26,6 @@
 use lcm_apps::threshold::Threshold;
 use lcm_apps::{SystemKind, Workload};
 use lcm_bench::explore;
-use lcm_cstar::RuntimeConfig;
 use lcm_replay::{TraceFile, TraceHandle};
 use lcm_serve::{query, CacheKey, Client, Query, QueryClass, ServeEngine, Server};
 use lcm_sim::{
@@ -36,7 +35,6 @@ use lcm_sim::{
 use std::sync::Arc;
 
 const NODES: usize = 8;
-const CAPACITY: usize = 1 << 20;
 
 fn capture<W: Workload>(benchmark: &str, system: SystemKind, w: &W) -> TraceHandle {
     Arc::new(
@@ -45,9 +43,7 @@ fn capture<W: Workload>(benchmark: &str, system: SystemKind, w: &W) -> TraceHand
             "smoke",
             system,
             MachineConfig::new(NODES).with_cost(CostModel::cm5()),
-            RuntimeConfig::default(),
             w,
-            CAPACITY,
         )
         .expect("capture holds the whole stream"),
     )
