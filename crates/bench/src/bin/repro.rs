@@ -2123,7 +2123,8 @@ fn query_label(q: &lcm_serve::Query) -> String {
 /// * default — a self-check: batched == sequential, differential ==
 ///   full replay on every grid point, cached rerun byte-identical, and
 ///   a real TCP roundtrip (including a corrupt frame answered with a
-///   named error) agreeing with the in-process engine.
+///   named error, and two pipelined frames answered in order) agreeing
+///   with the in-process engine.
 /// * `--bench` — a closed-loop load generator writing
 ///   `BENCH_serve.json` (per-query cold/differential/cached costs and
 ///   qps + p50/p99 across client counts).
@@ -2309,6 +2310,38 @@ fn serve(ctx: &Ctx, out: &mut dyn Write) -> Res<Files> {
             }
         }
     }
+    // Two QUERY frames in one write: both answered, in order, each
+    // byte-identical to the in-process engine.
+    {
+        use lcm_serve::proto::{encode_query_request, read_frame, write_frame};
+        use std::io::Write as _;
+        let probe_err = |e: String| format!("serve: pipelined-frames probe: {e}");
+        let picks = [0, queries.len() - 1];
+        let mut both = Vec::new();
+        for &i in &picks {
+            write_frame(&mut both, &encode_query_request(&queries[i..=i])).map_err(probe_err)?;
+        }
+        let mut raw = std::net::TcpStream::connect(&addr).map_err(|e| probe_err(e.to_string()))?;
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .and_then(|()| raw.write_all(&both))
+            .map_err(|e| probe_err(e.to_string()))?;
+        for &i in &picks {
+            let frame = read_frame(&mut raw)
+                .map_err(probe_err)?
+                .ok_or_else(|| probe_err("connection closed before both answers".into()))?;
+            let wire = lcm_serve::proto::decode_query_response(&frame).map_err(probe_err)?;
+            if wire.len() != 1 || wire[0].result != *batched[i].0 {
+                return Err(
+                    failed("pipelined answer diverges from in-process", &queries[i]).into(),
+                );
+            }
+        }
+        writeln!(
+            out,
+            "   pipelined frames: 2 QUERY frames in one write, answered in order, \
+             byte-identical to in-process"
+        )?;
+    }
     client
         .shutdown()
         .map_err(|e| format!("serve: SHUTDOWN failed: {e}"))?;
@@ -2384,7 +2417,7 @@ fn serve_bench(
                 .map(|i| {
                     let t = Instant::now();
                     cl.query(&queries[(c + i) % n])?;
-                    Ok(t.elapsed().as_micros() as u64)
+                    Ok(t.elapsed().as_nanos() as u64)
                 })
                 .collect()
         };
@@ -2403,25 +2436,30 @@ fn serve_bench(
         all_lat.sort_unstable();
         let total = clients * reqs_per_client;
         let qps = total as f64 / wall;
-        let p50 = profile::percentile(&all_lat, 50);
-        let p99 = profile::percentile(&all_lat, 99);
+        // Nanosecond samples, reported in fractional microseconds: at
+        // ~16us a whole-microsecond step would be 6%.
+        let p50 = profile::percentile(&all_lat, 50) as f64 / 1e3;
+        let p99 = profile::percentile(&all_lat, 99) as f64 / 1e3;
         eprintln!(
             "  {clients} client(s): {total} requests in {wall:.2}s   {qps:>8.0} q/s   \
-             p50 {p50}us   p99 {p99}us"
+             p50 {p50:.1}us   p99 {p99:.1}us"
         );
         sweep_rows.push(format!(
             "    {{\"clients\": {clients}, \"requests\": {total}, \"qps\": {qps:.1}, \
-             \"p50_us\": {p50}, \"p99_us\": {p99}}}"
+             \"p50_us\": {p50:.3}, \"p99_us\": {p99:.3}}}"
         ));
     }
     server.stop();
     let (cached, neighbor, differential) = engine.stats.snapshot();
+    let host_cores = lcm_sim::available_jobs();
     let json = format!(
-        "{{\n  \"scale\": \"{scale}\",\n  \"jobs\": {jobs},\n  \"traces\": {},\n  \
+        "{{\n  \"scale\": \"{scale}\",\n  \"jobs_requested\": {jobs},\n  \
+         \"jobs_effective\": {},\n  \"host_cores\": {host_cores},\n  \"traces\": {},\n  \
          \"grid_points\": {n},\n  \"per_query_us\": {{\"cold_full\": {cold_full_us:.1}, \
          \"differential\": {differential_us:.1}, \"cached\": {cached_us:.2}}},\n  \
          \"engine_counters\": {{\"cached\": {cached}, \"neighbor\": {neighbor}, \
          \"differential\": {differential}}},\n  \"closed_loop\": [\n{}\n  ]\n}}\n",
+        jobs.min(host_cores).max(1),
         engine.traces().len(),
         sweep_rows.join(",\n"),
     );

@@ -8,6 +8,7 @@
 //! *reseal* the checksum after mutating, forcing the mutation through
 //! the deeper validators.
 
+use lcm_replay::codec::cost_from_fields;
 use lcm_replay::{compare_replayed, replay, reprice, TraceFile, MAGIC, VERSION};
 use lcm_sim::{
     BlockId, CostModel, CycleCat, CycleLedger, Event, Knob, NodeId, NodeStats, Stamped, Topology,
@@ -626,15 +627,14 @@ fn index_sums_saturate_like_full_pricing() {
     }
 }
 
-/// Builds a valid event from random draws: node ids below `NODES`,
+/// Builds a valid event from random draws: node ids below `nodes`,
 /// labels from a small mixed set, a barrier's `at` equal to its stamp
 /// (the encoding stores that value once), and transfers between two
 /// distinct nodes.
-fn event_from(op: u8, cycle: u64, a: u64, b: u64) -> Event {
-    const NODES: u64 = 1024;
+fn event_from(nodes: u16, op: u8, cycle: u64, a: u64, b: u64) -> Event {
     const LABELS: [&str; 4] = ["GetShared", "apply", "read_fault", "prop-only-label"];
-    let node = NodeId((a % NODES) as u16);
-    let peer = NodeId((b % NODES) as u16);
+    let node = NodeId((a % u64::from(nodes)) as u16);
+    let peer = NodeId((b % u64::from(nodes)) as u16);
     let label = LABELS[(b % 4) as usize];
     let block = BlockId(b);
     match op {
@@ -704,7 +704,7 @@ fn event_from(op: u8, cycle: u64, a: u64, b: u64) -> Event {
         18 => Event::Xfer {
             from: node,
             to: if peer == node {
-                NodeId((node.0 + 1) % NODES as u16)
+                NodeId((node.0 + 1) % nodes)
             } else {
                 peer
             },
@@ -817,7 +817,7 @@ proptest! {
                 Stamped {
                     seq: i as u64,
                     cycle,
-                    event: event_from(op, cycle, a, b),
+                    event: event_from(1024, op, cycle, a, b),
                 }
             })
             .collect();
@@ -845,4 +845,82 @@ proptest! {
         prop_assert_eq!(back.events().collect::<Vec<_>>(), stream);
         prop_assert_eq!(back.to_bytes(), bytes);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The pricing identity on streams nobody wrote by hand: on a
+    /// 16-node machine, under random capture and query cost models
+    /// (link bandwidth 0, 1 or past 2^63, any price up to `u64::MAX`)
+    /// and on every topology, differential re-pricing equals the full
+    /// event walk field for field.
+    #[test]
+    fn random_streams_reprice_like_the_full_walk(
+        draws in proptest::collection::vec(
+            (0u8..40, any::<u64>(), (0u32..96, 0u32..96), any::<u64>(), any::<u64>()),
+            0usize..96,
+        ),
+        cost_seed in any::<u64>(),
+    ) {
+        const NODES: u16 = 16;
+        // Half the draws are priced events (charges, work, transfers),
+        // so a node's charges often precede its own send in a segment.
+        // Two independent shifts spread an event's two magnitudes (work
+        // cycles and hits, say) from a few bits to the full word, a
+        // third of them full words, so sums of two overflow often.
+        let stream: Vec<Stamped> = draws
+            .iter()
+            .enumerate()
+            .map(|(i, &(op, c, (sa, sb), a, b))| {
+                let op = if op < 20 { op } else { 15 + op % 4 };
+                let (sa, sb) = (sa.saturating_sub(32), sb.saturating_sub(32));
+                let cycle = (c >> 1) >> sa;
+                Stamped {
+                    seq: i as u64,
+                    cycle,
+                    event: event_from(NODES, op, cycle, a >> sa, b >> sb),
+                }
+            })
+            .collect();
+        let mut rng = lcm_sim::Pcg32::new(cost_seed, 0);
+        let nodes = usize::from(NODES);
+        let f = TraceFile::from_capture(
+            nodes,
+            Topology::Crossbar,
+            random_cost(&mut rng),
+            Vec::new(),
+            stream,
+            vec![0; nodes],
+            &CycleLedger::new(nodes),
+            NodeStats::default(),
+        )
+        .expect("gap-free stream");
+        for _ in 0..4 {
+            let cost = random_cost(&mut rng);
+            for topology in [Topology::FatTree { arity: 4 }, Topology::Crossbar, Topology::Flat] {
+                let (diff, full) = (reprice(&f, &cost, topology), replay(&f, &cost, topology));
+                if let Err(e) = compare_replayed(&diff, &full) {
+                    prop_assert!(false, "{topology} under {cost:?}: {e}");
+                }
+            }
+        }
+    }
+}
+
+/// A random cost model: each price tiny (so one unit of an overflowed
+/// count does not saturate), large, random or `u64::MAX`, and the link
+/// bandwidth 0 (no fabric), 1, 2^63 or `u64::MAX`.
+fn random_cost(rng: &mut lcm_sim::Pcg32) -> CostModel {
+    let mut fields = [0u64; COST_FIELDS];
+    for f in &mut fields {
+        *f = match rng.below(4) {
+            0 => rng.below(4),
+            1 => rng.below(1 << 20),
+            2 => u64::MAX,
+            _ => rng.next_u64(),
+        };
+    }
+    fields[15] = [0, 1, 1 << 63, u64::MAX][rng.below(4) as usize];
+    cost_from_fields(&fields)
 }

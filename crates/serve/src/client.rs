@@ -2,15 +2,17 @@
 //! synchronous request/response frames.
 
 use crate::proto::{
-    decode_list_response, decode_ok_response, decode_query_response, encode_request, read_frame,
-    write_frame, Request, TraceInfo, WireResult,
+    decode_list_response, decode_ok_response, decode_query_response, encode_query_request,
+    encode_request, read_frame, write_frame, Request, TraceInfo, WireResult,
 };
 use crate::Query;
+use std::io::BufReader;
 use std::net::TcpStream;
 
 /// One connection to a running `lcm-serve` server.
 pub struct Client {
-    stream: TcpStream,
+    /// Buffered, so a response that arrived whole is one read syscall.
+    conn: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -20,24 +22,26 @@ impl Client {
         stream
             .set_nodelay(true)
             .map_err(|e| format!("setting TCP_NODELAY: {e}"))?;
-        Ok(Client { stream })
+        Ok(Client {
+            conn: BufReader::new(stream),
+        })
     }
 
-    fn roundtrip(&mut self, req: &Request) -> Result<Vec<u8>, String> {
-        write_frame(&mut self.stream, &encode_request(req))?;
-        read_frame(&mut self.stream)?
+    fn roundtrip(&mut self, request: &[u8]) -> Result<Vec<u8>, String> {
+        write_frame(self.conn.get_mut(), request)?;
+        read_frame(&mut self.conn)?
             .ok_or_else(|| "server closed the connection mid-request".to_string())
     }
 
     /// Lists the traces loaded into the server.
     pub fn list(&mut self) -> Result<Vec<TraceInfo>, String> {
-        let resp = self.roundtrip(&Request::List)?;
+        let resp = self.roundtrip(&encode_request(&Request::List))?;
         decode_list_response(&resp)
     }
 
     /// Prices a batch of queries; answers come back in request order.
     pub fn query_batch(&mut self, queries: &[Query]) -> Result<Vec<WireResult>, String> {
-        let resp = self.roundtrip(&Request::Query(queries.to_vec()))?;
+        let resp = self.roundtrip(&encode_query_request(queries))?;
         decode_query_response(&resp)
     }
 
@@ -51,7 +55,7 @@ impl Client {
 
     /// Asks the server to shut down (acknowledged before it stops).
     pub fn shutdown(&mut self) -> Result<(), String> {
-        let resp = self.roundtrip(&Request::Shutdown)?;
+        let resp = self.roundtrip(&encode_request(&Request::Shutdown))?;
         decode_ok_response(&resp)
     }
 }

@@ -331,7 +331,7 @@ impl ServeEngine {
         jobs: usize,
         queries: &[Query],
     ) -> Vec<Result<(Arc<QueryResult>, QueryClass), String>> {
-        par_map(jobs, queries.to_vec(), |_, q| self.query(&q))
+        par_map(jobs, queries.iter().collect(), |_, q| self.query(q))
     }
 }
 

@@ -123,17 +123,19 @@ fn get_query(c: &mut Cursor) -> Result<Query, String> {
 
 /// Encodes a request payload (without the frame length prefix).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut buf = Vec::new();
     match req {
-        Request::List => buf.push(OP_LIST),
-        Request::Query(queries) => {
-            buf.push(OP_QUERY);
-            put_varint(&mut buf, queries.len() as u64);
-            for q in queries {
-                put_query(&mut buf, q);
-            }
-        }
-        Request::Shutdown => buf.push(OP_SHUTDOWN),
+        Request::List => vec![OP_LIST],
+        Request::Query(queries) => encode_query_request(queries),
+        Request::Shutdown => vec![OP_SHUTDOWN],
+    }
+}
+
+/// Encodes a QUERY request payload straight from a borrowed batch.
+pub fn encode_query_request(queries: &[Query]) -> Vec<u8> {
+    let mut buf = vec![OP_QUERY];
+    put_varint(&mut buf, queries.len() as u64);
+    for q in queries {
+        put_query(&mut buf, q);
     }
     buf
 }
@@ -165,8 +167,7 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, String> {
 
 // ------------------------------------------------------------- responses
 
-fn put_result(buf: &mut Vec<u8>, w: &WireResult) {
-    let r = &w.result;
+fn put_result(buf: &mut Vec<u8>, r: &QueryResult, class: QueryClass) {
     put_str(buf, &r.benchmark);
     put_str(buf, &r.system);
     put_varint(buf, r.nodes as u64);
@@ -187,7 +188,7 @@ fn put_result(buf: &mut Vec<u8>, w: &WireResult) {
         put_str(buf, label);
         put_varint(buf, *t);
     }
-    buf.push(match w.class {
+    buf.push(match class {
         QueryClass::Cached => 0,
         QueryClass::Neighbor => 1,
         QueryClass::Differential => 2,
@@ -207,18 +208,18 @@ fn get_result(c: &mut Cursor) -> Result<WireResult, String> {
     }
     let time = c.varint()?;
     let barriers = c.varint()?;
-    let clocks = (0..nodes).map(|_| c.varint()).collect::<Result<_, _>>()?;
-    let cells = nodes * lcm_sim::CycleCat::COUNT;
-    let ledger = (0..cells).map(|_| c.varint()).collect::<Result<_, _>>()?;
+    let clocks = get_varints(c, nodes)?;
+    let ledger = get_varints(c, nodes * lcm_sim::CycleCat::COUNT)?;
     let nstats = c.varint()? as usize;
     if nstats > 256 {
         return Err(format!("stats vector of {nstats} is malformed"));
     }
-    let stats = (0..nstats).map(|_| c.varint()).collect::<Result<_, _>>()?;
+    let stats = get_varints(c, nstats)?;
     let nphases = list_len(c, 2, "phase list")?;
-    let phases = (0..nphases)
-        .map(|_| Ok((c.string()?, c.varint()?)))
-        .collect::<Result<_, String>>()?;
+    let mut phases = Vec::with_capacity(nphases);
+    for _ in 0..nphases {
+        phases.push((c.string()?, c.varint()?));
+    }
     let class = match c.u8()? {
         0 => QueryClass::Cached,
         1 => QueryClass::Neighbor,
@@ -241,14 +242,33 @@ fn get_result(c: &mut Cursor) -> Result<WireResult, String> {
     })
 }
 
-/// Encodes an OK query response.
-pub fn encode_query_ok(results: &[WireResult]) -> Vec<u8> {
+/// `n` varints into a vector allocated once. A varint takes at least a
+/// byte, so the rest of the frame caps what a corrupt `n` can reserve.
+fn get_varints(c: &mut Cursor, n: usize) -> Result<Vec<u64>, String> {
+    let mut v = Vec::with_capacity(n.min(c.remaining()));
+    for _ in 0..n {
+        v.push(c.varint()?);
+    }
+    Ok(v)
+}
+
+/// Encodes an OK query response from borrowed answers, such as the
+/// engine's cached results: nothing is copied before encoding.
+pub fn encode_answers<'a>(
+    answers: impl ExactSizeIterator<Item = (&'a QueryResult, QueryClass)>,
+) -> Vec<u8> {
     let mut buf = vec![ST_OK];
-    put_varint(&mut buf, results.len() as u64);
-    for r in results {
-        put_result(&mut buf, r);
+    put_varint(&mut buf, answers.len() as u64);
+    for (r, class) in answers {
+        put_result(&mut buf, r, class);
     }
     buf
+}
+
+/// Encodes an OK query response of wire results, the inverse of
+/// [`decode_query_response`].
+pub fn encode_query_ok(results: &[WireResult]) -> Vec<u8> {
+    encode_answers(results.iter().map(|w| (&w.result, w.class)))
 }
 
 /// Encodes an OK listing response.
@@ -315,7 +335,9 @@ pub fn decode_ok_response(buf: &[u8]) -> Result<(), String> {
 
 // ---------------------------------------------------------------- frames
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single write: on a
+/// `TCP_NODELAY` socket a separate length write goes out as its own
+/// segment, and the peer wakes once for it and again for the payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), String> {
     if payload.len() > MAX_FRAME {
         return Err(format!(
@@ -323,14 +345,18 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), String> {
             payload.len()
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())
-        .and_then(|()| w.write_all(payload))
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(|e| format!("writing frame: {e}"))
 }
 
 /// Reads one length-prefixed frame. `Ok(None)` is a clean EOF at a
-/// frame boundary (the peer hung up between requests).
+/// frame boundary (the peer hung up between requests). Over a socket,
+/// pass a buffered reader: a frame that arrived whole then costs one
+/// read syscall, not one for the length and one for the payload.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, String> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {

@@ -5,11 +5,11 @@
 
 use crate::engine::ServeEngine;
 use crate::proto::{
-    decode_request, encode_err, encode_list_ok, encode_ok, encode_query_ok, write_frame, Request,
-    TraceInfo, WireResult, MAX_FRAME,
+    decode_request, encode_answers, encode_err, encode_list_ok, encode_ok, write_frame, Request,
+    TraceInfo, MAX_FRAME,
 };
-use std::io::Read;
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -20,11 +20,51 @@ use std::time::Duration;
 /// complete even while other clients hold open, silent connections.
 const STOP_POLL: Duration = Duration::from_millis(50);
 
+/// How long the accept loop backs off after a failed `accept` (out of
+/// descriptors, say), so a persistent error does not spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// The server's stop flag, and the address that wakes its accept loop
+/// out of a blocking `accept`.
+struct Stop {
+    raised: AtomicBool,
+    wake: SocketAddr,
+}
+
+impl Stop {
+    fn new(bound: SocketAddr) -> Stop {
+        // A listener on the unspecified address is reached over loopback.
+        let mut wake = bound;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match bound {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Stop {
+            raised: AtomicBool::new(false),
+            wake,
+        }
+    }
+
+    fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::SeqCst)
+    }
+
+    /// Raises the flag, then connects once to the listener so a blocked
+    /// `accept` returns and sees it. The connection fails harmlessly
+    /// when the listener is already gone.
+    fn raise(&self) {
+        self.raised.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+}
+
 /// A running server: the bound address and the handle to stop it.
 pub struct Server {
     /// The address the listener actually bound (resolves `:0`).
     pub addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     accept_thread: Option<thread::JoinHandle<()>>,
 }
 
@@ -37,16 +77,18 @@ impl Server {
         let bound = listener
             .local_addr()
             .map_err(|e| format!("resolving bound address: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("setting nonblocking accept: {e}"))?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::new(bound));
         let accept_stop = Arc::clone(&stop);
         let accept_thread = thread::spawn(move || {
             let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
-            while !accept_stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
+            // `accept` blocks: a new connection is served at once, and an
+            // idle server never wakes until `Stop::raise` connects.
+            for stream in listener.incoming() {
+                if accept_stop.is_raised() {
+                    break;
+                }
+                match stream {
+                    Ok(stream) => {
                         // Responses are one frame: never trade latency
                         // for coalescing (Nagle + delayed ACK stalls
                         // every roundtrip by tens of milliseconds).
@@ -58,10 +100,7 @@ impl Server {
                             serve_connection(stream, &engine, jobs, &stop);
                         }));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => thread::sleep(Duration::from_millis(5)),
+                    Err(_) => thread::sleep(ACCEPT_BACKOFF),
                 }
                 conns.retain(|h| !h.is_finished());
             }
@@ -90,8 +129,8 @@ impl Server {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
+            self.stop.raise();
             let _ = h.join();
         }
     }
@@ -106,19 +145,23 @@ impl Drop for Server {
 /// Serves one connection until EOF, an unrecoverable I/O error, or
 /// SHUTDOWN. Decode failures answer with a named error and keep the
 /// connection open — a corrupt frame must not take the server down.
-fn serve_connection(mut stream: TcpStream, engine: &ServeEngine, jobs: usize, stop: &AtomicBool) {
+/// Reads are buffered, so a frame that arrived whole costs one read
+/// syscall, and frames pipelined behind it are answered in order
+/// from the buffer.
+fn serve_connection(stream: TcpStream, engine: &ServeEngine, jobs: usize, stop: &Stop) {
+    let mut conn = BufReader::new(stream);
     loop {
-        if stop.load(Ordering::SeqCst) {
+        if stop.is_raised() {
             return;
         }
-        let payload = match read_frame_polling(&mut stream, stop) {
+        let payload = match read_frame_polling(&mut conn, stop) {
             Ok(Some(p)) => p,
             Ok(None) => return, // clean EOF between requests, or shutdown while idle
             Err(e) => {
                 // A frame-layer error (oversized length, mid-frame EOF)
                 // is answered if the socket still works, then the
                 // connection is dropped: framing is no longer trusted.
-                let _ = write_frame(&mut stream, &encode_err(&e));
+                let _ = write_frame(conn.get_mut(), &encode_err(&e));
                 return;
             }
         };
@@ -137,28 +180,24 @@ fn serve_connection(mut stream: TcpStream, engine: &ServeEngine, jobs: usize, st
                 encode_list_ok(&traces)
             }
             Ok(Request::Query(queries)) => {
-                let answers = engine.query_batch(jobs, &queries);
-                match answers
+                // Answers are encoded straight from the engine's shared
+                // results: a cache hit copies nothing before the wire.
+                match engine
+                    .query_batch(jobs, &queries)
                     .into_iter()
-                    .map(|a| {
-                        a.map(|(result, class)| WireResult {
-                            result: (*result).clone(),
-                            class,
-                        })
-                    })
                     .collect::<Result<Vec<_>, String>>()
                 {
-                    Ok(results) => encode_query_ok(&results),
+                    Ok(answers) => encode_answers(answers.iter().map(|(r, class)| (&**r, *class))),
                     Err(e) => encode_err(&e),
                 }
             }
             Ok(Request::Shutdown) => {
-                let _ = write_frame(&mut stream, &encode_ok());
-                stop.store(true, Ordering::SeqCst);
+                let _ = write_frame(conn.get_mut(), &encode_ok());
+                stop.raise();
                 return;
             }
         };
-        if write_frame(&mut stream, &response).is_err() {
+        if write_frame(conn.get_mut(), &response).is_err() {
             return;
         }
     }
@@ -180,12 +219,9 @@ enum Fill {
 /// on clean EOF at a frame boundary or when `stop` is raised while no
 /// frame is in flight; shutdown mid-frame is an error (the server is
 /// stopping — the request is abandoned, not half-read).
-fn read_frame_polling(
-    stream: &mut TcpStream,
-    stop: &AtomicBool,
-) -> Result<Option<Vec<u8>>, String> {
+fn read_frame_polling(conn: &mut impl Read, stop: &Stop) -> Result<Option<Vec<u8>>, String> {
     let mut header = [0u8; 4];
-    match read_exact_polling(stream, &mut header, stop)? {
+    match read_exact_polling(conn, &mut header, stop)? {
         Fill::Eof | Fill::Stopped => return Ok(None),
         Fill::Full => {}
     }
@@ -196,7 +232,7 @@ fn read_frame_polling(
         ));
     }
     let mut payload = vec![0u8; len];
-    match read_exact_polling(stream, &mut payload, stop)? {
+    match read_exact_polling(conn, &mut payload, stop)? {
         Fill::Full => Ok(Some(payload)),
         Fill::Eof => Err("connection closed mid-frame".to_string()),
         Fill::Stopped => Err("server shutting down mid-frame".to_string()),
@@ -207,14 +243,10 @@ fn read_frame_polling(
 /// short-circuits as [`Fill::Eof`]; a raised stop flag at any timeout
 /// short-circuits as [`Fill::Stopped`] (a stalled half-frame sender
 /// must not pin shutdown either); EOF mid-way is a framing error.
-fn read_exact_polling(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-) -> Result<Fill, String> {
+fn read_exact_polling(conn: &mut impl Read, buf: &mut [u8], stop: &Stop) -> Result<Fill, String> {
     let mut got = 0usize;
     while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
+        match conn.read(&mut buf[got..]) {
             Ok(0) if got == 0 => return Ok(Fill::Eof),
             Ok(0) => return Err("connection closed mid-frame".to_string()),
             Ok(n) => got += n,
@@ -223,7 +255,7 @@ fn read_exact_polling(
                     || e.kind() == std::io::ErrorKind::TimedOut
                     || e.kind() == std::io::ErrorKind::Interrupted =>
             {
-                if stop.load(Ordering::SeqCst) {
+                if stop.is_raised() {
                     return Ok(Fill::Stopped);
                 }
             }

@@ -17,7 +17,9 @@
 //! * **Protocol robustness** — a real TCP roundtrip agrees with the
 //!   in-process engine, corrupt frames come back as named errors, and
 //!   a link bandwidth of 2^63 or more, or a price of `u64::MAX`, gets
-//!   an answer.
+//!   an answer. A frame is one write; pipelined frames are answered in
+//!   order and a request trickled in a byte at a time is answered;
+//!   `Server::stop` wakes an accept loop blocked on an idle listener.
 //!
 //! Two structural checks ride along: the cache keys a trace by its load,
 //! not its header, and a trace's differential index is built once, at
@@ -497,4 +499,160 @@ fn engines_loading_one_handle_share_its_index_built_at_load() {
             "every engine prices through the one index built at the first load"
         );
     }
+}
+
+/// A `Write` that counts the calls it receives.
+#[derive(Default)]
+struct CountingWrite {
+    writes: usize,
+    bytes: Vec<u8>,
+}
+
+impl std::io::Write for CountingWrite {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_frame_is_one_write_of_length_and_payload() {
+    let payload = lcm_serve::proto::encode_query_request(&[query("t", CostModel::cm5())]);
+    let mut w = CountingWrite::default();
+    lcm_serve::proto::write_frame(&mut w, &payload).expect("write");
+    assert_eq!(w.writes, 1, "length and payload go out in one write");
+    let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+    want.extend_from_slice(&payload);
+    assert_eq!(w.bytes, want, "the frame is len || payload");
+}
+
+/// A raw connection whose reads fail after a while instead of hanging
+/// a test whose server never answers.
+fn raw_connect(addr: std::net::SocketAddr) -> std::net::TcpStream {
+    let raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    raw
+}
+
+/// One length-prefixed QUERY frame for `queries`.
+fn query_frame(queries: &[Query]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    lcm_serve::proto::write_frame(&mut frame, &lcm_serve::proto::encode_query_request(queries))
+        .expect("frame");
+    frame
+}
+
+/// Reads one response frame and checks it is byte-identical to the
+/// in-process engine's full replay of `q`, served under the class the
+/// server reported.
+fn expect_answer(raw: &mut std::net::TcpStream, engine: &ServeEngine, q: &Query) {
+    let frame = lcm_serve::proto::read_frame(raw)
+        .expect("a response, not a timeout")
+        .expect("a frame, not EOF");
+    let wire = lcm_serve::proto::decode_query_response(&frame).expect("an OK response");
+    assert_eq!(wire.len(), 1);
+    let local = lcm_serve::proto::WireResult {
+        result: engine.query_full(q).expect("full"),
+        class: wire[0].class,
+    };
+    assert_eq!(
+        frame,
+        lcm_serve::proto::encode_query_ok(&[local]),
+        "{}: wire answer diverges from in-process",
+        q.trace
+    );
+}
+
+#[test]
+fn pipelined_frames_are_answered_in_order() {
+    use std::io::Write as _;
+    let engine = Arc::new(engine());
+    let server = Server::start("127.0.0.1:0", Arc::clone(&engine), 2).expect("bind");
+    let names: Vec<String> = engine.traces().iter().map(|t| t.name.clone()).collect();
+    let first = query(&names[0], CostModel::cm5_grid(16, 3_000));
+    let second = query(&names[1], CostModel::cm5_grid(64, 500));
+    // Both frames in one write: the server reads them in one buffer and
+    // must answer the second from what is left after the first.
+    let mut both = query_frame(std::slice::from_ref(&first));
+    both.extend(query_frame(std::slice::from_ref(&second)));
+    let mut raw = raw_connect(server.addr);
+    raw.write_all(&both).expect("write");
+    expect_answer(&mut raw, &engine, &first);
+    expect_answer(&mut raw, &engine, &second);
+    drop(raw);
+    server.stop();
+}
+
+#[test]
+fn a_request_sent_one_byte_per_write_is_answered() {
+    use std::io::Write as _;
+    let engine = Arc::new(engine());
+    let server = Server::start("127.0.0.1:0", Arc::clone(&engine), 2).expect("bind");
+    let q = query(&engine.traces()[0].name, CostModel::cm5_grid(4, 12_000));
+    let mut raw = raw_connect(server.addr);
+    for b in query_frame(std::slice::from_ref(&q)) {
+        raw.write_all(&[b]).expect("write");
+    }
+    expect_answer(&mut raw, &engine, &q);
+    drop(raw);
+    server.stop();
+}
+
+#[test]
+fn frame_errors_are_answered_then_the_connection_drops() {
+    use std::io::Write as _;
+    let engine = Arc::new(engine());
+    let server = Server::start("127.0.0.1:0", Arc::clone(&engine), 2).expect("bind");
+    let named_error_then_eof = |raw: &mut std::net::TcpStream, want: &str| {
+        let frame = lcm_serve::proto::read_frame(raw)
+            .expect("a response")
+            .expect("a frame");
+        let err = lcm_serve::proto::decode_query_response(&frame).expect_err("named error");
+        assert!(err.contains(want), "unexpected: {err}");
+        assert_eq!(
+            lcm_serve::proto::read_frame(raw).expect("EOF, not a timeout"),
+            None,
+            "the server drops a connection whose framing broke"
+        );
+    };
+
+    let mut oversized = raw_connect(server.addr);
+    oversized.write_all(&u32::MAX.to_le_bytes()).expect("len");
+    named_error_then_eof(&mut oversized, "exceeds");
+
+    // Ten bytes promised, three sent, then the write side closes.
+    let mut cut = raw_connect(server.addr);
+    cut.write_all(&10u32.to_le_bytes()).expect("len");
+    cut.write_all(&[lcm_serve::proto::OP_QUERY, 1, 0])
+        .expect("part");
+    cut.shutdown(std::net::Shutdown::Write).expect("half-close");
+    named_error_then_eof(&mut cut, "closed mid-frame");
+    server.stop();
+}
+
+#[test]
+fn stop_wakes_an_accept_loop_blocked_on_an_idle_listener() {
+    let engine = Arc::new(engine());
+    let server = Server::start("127.0.0.1:0", engine, 2).expect("bind");
+    let mut client = Client::connect(&server.addr.to_string()).expect("connect");
+    assert_eq!(client.list().expect("LIST").len(), 3);
+    drop(client);
+    // The accept loop now blocks with no connection pending; stopping
+    // must wake it rather than wait for a client that never comes.
+    let (done, stopped) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.stop();
+        let _ = done.send(());
+    });
+    stopped
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("Server::stop returns while no client connects");
+    stopper.join().expect("stopper");
 }
