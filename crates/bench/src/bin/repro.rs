@@ -2404,12 +2404,15 @@ fn serve_bench(
     let server =
         lcm_serve::Server::start("127.0.0.1:0", Arc::clone(engine), jobs).map_err(bench_err)?;
     let addr = server.addr.to_string();
-    let reqs_per_client = match scale {
-        Scale::Smoke => 60,
-        _ => 240,
+    // Each row takes at least this many samples, so its p99 stands on
+    // the ~1% of them (20 at medium) that lie beyond it.
+    let samples_per_row = match scale {
+        Scale::Smoke => 500usize,
+        _ => 2000,
     };
     let mut sweep_rows = Vec::new();
     for clients in [1usize, 2, 4, 8] {
+        let reqs_per_client = samples_per_row.div_ceil(clients);
         let t = Instant::now();
         let client = |c: usize| -> Result<Vec<u64>, String> {
             let mut cl = lcm_serve::Client::connect(&addr)?;
@@ -2439,14 +2442,16 @@ fn serve_bench(
         // Nanosecond samples, reported in fractional microseconds: at
         // ~16us a whole-microsecond step would be 6%.
         let p50 = profile::percentile(&all_lat, 50) as f64 / 1e3;
-        let p99 = profile::percentile(&all_lat, 99) as f64 / 1e3;
+        let p99_ns = profile::percentile(&all_lat, 99);
+        let p99 = p99_ns as f64 / 1e3;
+        let beyond_p99 = total - all_lat.partition_point(|&ns| ns <= p99_ns);
         eprintln!(
             "  {clients} client(s): {total} requests in {wall:.2}s   {qps:>8.0} q/s   \
-             p50 {p50:.1}us   p99 {p99:.1}us"
+             p50 {p50:.1}us   p99 {p99:.1}us ({beyond_p99} beyond)"
         );
         sweep_rows.push(format!(
             "    {{\"clients\": {clients}, \"requests\": {total}, \"qps\": {qps:.1}, \
-             \"p50_us\": {p50:.3}, \"p99_us\": {p99:.3}}}"
+             \"p50_us\": {p50:.3}, \"p99_us\": {p99:.3}, \"beyond_p99\": {beyond_p99}}}"
         ));
     }
     server.stop();

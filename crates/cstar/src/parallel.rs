@@ -554,12 +554,6 @@ mod tests {
         assert!(s1.crashes > 0, "rate 0.6 over 4x7 phases crashes someone");
         assert!(s1.checkpoints > 0 && s1.checkpoint_bytes > 0);
         assert!(t1 > t0, "recovery costs cycles");
-        // The death log carries one Scheduled verdict per crash.
-        let deaths = m1.tempest().net.membership().deaths();
-        assert_eq!(deaths.len() as u64, s1.crashes);
-        assert!(deaths
-            .iter()
-            .all(|d| matches!(d.evidence, lcm_tempest::DeathEvidence::Scheduled { .. })));
         // New categories stay conservation-checked.
         m1.tempest()
             .machine

@@ -15,7 +15,7 @@ use crate::scalar::Scalar;
 use lcm_rsm::{MemoryProtocol, MergePolicy, ReduceOp, RegionPolicy, ValueWidth};
 use lcm_sim::mem::{Addr, BlockId, BLOCK_BYTES};
 use lcm_sim::{CrashPlan, CycleCat, Knob, NodeId, Pcg32};
-use lcm_tempest::{DeathEvidence, Placement};
+use lcm_tempest::Placement;
 use std::ops::Range;
 
 /// How the "compiler" implements C\*\* semantics.
@@ -216,11 +216,6 @@ impl<P: MemoryProtocol> Runtime<P> {
         self.phase
     }
 
-    /// The crash schedule in force.
-    pub fn crash_plan(&self) -> CrashPlan {
-        self.crash
-    }
-
     /// Closes a profiler phase and, when a crash schedule is active,
     /// captures a checkpoint every `checkpoint_every`-th boundary.
     /// With the default (inactive) plan this is exactly the old
@@ -267,8 +262,8 @@ impl<P: MemoryProtocol> Runtime<P> {
     /// * every survivor: one retry-timeout detection window under
     ///   [`CycleCat::CrashDetect`];
     ///
-    /// then posts the death verdict to the membership log and
-    /// resynchronizes with a barrier (survivors wait for the restart).
+    /// ticks the victim's `crashes` counter, then resynchronizes with a
+    /// barrier (survivors wait for the restart).
     pub(crate) fn process_crashes(&mut self) {
         if !self.crash.is_active() {
             return;
@@ -281,9 +276,6 @@ impl<P: MemoryProtocol> Runtime<P> {
         for (node, point) in scheduled {
             let t = self.mem.tempest_mut();
             let at = t.machine.clock(node);
-            t.net
-                .membership_mut()
-                .record(node, DeathEvidence::Scheduled { phase: self.phase }, at);
             t.machine.stats_mut(node).crashes += 1;
             for i in 0..nodes {
                 let peer = NodeId(i as u16);

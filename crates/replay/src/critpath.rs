@@ -206,17 +206,6 @@ impl CritPath {
             .sum()
     }
 
-    /// Per-node slack summed over all epochs.
-    pub fn node_slack(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.nodes];
-        for e in &self.epochs {
-            for (n, s) in out.iter_mut().enumerate() {
-                *s += e.slack(n);
-            }
-        }
-        out
-    }
-
     /// Every per-epoch, per-node slack value (the critical node's zeros
     /// included), in epoch-major order — histogram input.
     pub fn slack_values(&self) -> Vec<u64> {

@@ -627,6 +627,43 @@ fn index_sums_saturate_like_full_pricing() {
     }
 }
 
+/// A sender's cache hits between two of its transfers that sum past
+/// `u64::MAX` saturate its pending delta as the full walk saturates its
+/// clock. Priced at one cache-hit cycle each on a one-byte-per-cycle
+/// fabric: the saturated sender sends its second transfer long after
+/// the first one's backlog drained, where a wrapped sum would send it
+/// five cycles later, into that backlog.
+#[test]
+fn a_senders_hit_sum_saturates_between_its_transfers() {
+    const HALF: u64 = 1 << 63;
+    let xfer = |r: &mut Raw, bytes: u64| {
+        r.byte(18); // Xfer 0 -> 1
+        r.zigzag(0);
+        r.varint(0);
+        r.varint(1);
+        r.varint(bytes);
+    };
+    let bytes = two_node_file(4, |r| {
+        xfer(r, 1 << 16);
+        for hits in [HALF, HALF + 5] {
+            r.byte(17); // Work on node 0
+            r.zigzag(0);
+            r.varint(0);
+            r.varint(0); // cycles
+            r.varint(hits);
+        }
+        xfer(r, 8);
+    });
+    let f = TraceFile::from_bytes(&bytes).expect("a well-formed file");
+    let mut cost = CostModel::cm5();
+    cost.cache_hit = 1;
+    cost.link_bandwidth_bytes_per_cycle = 1;
+    for topology in [Topology::Crossbar, Topology::FatTree { arity: 4 }] {
+        let (diff, full) = (reprice(&f, &cost, topology), replay(&f, &cost, topology));
+        compare_replayed(&diff, &full).expect("differential == full");
+    }
+}
+
 /// Builds a valid event from random draws: node ids below `nodes`,
 /// labels from a small mixed set, a barrier's `at` equal to its stamp
 /// (the encoding stores that value once), and transfers between two

@@ -354,16 +354,27 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), String> {
 }
 
 /// Reads one length-prefixed frame. `Ok(None)` is a clean EOF at a
-/// frame boundary (the peer hung up between requests). Over a socket,
-/// pass a buffered reader: a frame that arrived whole then costs one
-/// read syscall, not one for the length and one for the payload.
+/// frame boundary (the peer hung up between requests); EOF anywhere
+/// after a frame's first byte is the error "connection closed
+/// mid-frame". Over a socket, pass a buffered reader: a frame that
+/// arrived whole then costs one read syscall, not one for the length
+/// and one for the payload.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, String> {
+    let cut = |e: std::io::Error, what: &str| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            "connection closed mid-frame".to_string()
+        } else {
+            format!("reading {what}: {e}")
+        }
+    };
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
+    match r.read_exact(&mut len[..1]) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(format!("reading frame length: {e}")),
     }
+    r.read_exact(&mut len[1..])
+        .map_err(|e| cut(e, "frame length"))?;
     let len = u32::from_le_bytes(len) as usize;
     if len > MAX_FRAME {
         return Err(format!(
@@ -372,7 +383,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, String> {
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)
-        .map_err(|e| format!("reading {len}-byte frame: {e}"))?;
+        .map_err(|e| cut(e, &format!("{len}-byte frame")))?;
     Ok(Some(payload))
 }
 
@@ -454,6 +465,19 @@ mod tests {
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
         let err = read_frame(&mut &buf[..]).expect_err("rejected");
         assert!(err.contains("exceeds"), "unexpected: {err}");
+    }
+
+    #[test]
+    fn eof_is_clean_only_at_a_frame_boundary() {
+        assert_eq!(read_frame(&mut &[][..]), Ok(None));
+        let mut frame = 3u32.to_le_bytes().to_vec();
+        frame.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(read_frame(&mut &frame[..]), Ok(Some(vec![1, 2, 3])));
+        // Cut inside the length, then inside the payload.
+        for cut in [1, 3, 5] {
+            let err = read_frame(&mut &frame[..cut]).expect_err("cut frame");
+            assert_eq!(err, "connection closed mid-frame", "cut at {cut}");
+        }
     }
 
     #[test]

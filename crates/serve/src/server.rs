@@ -5,20 +5,15 @@
 
 use crate::engine::ServeEngine;
 use crate::proto::{
-    decode_request, encode_answers, encode_err, encode_list_ok, encode_ok, write_frame, Request,
-    TraceInfo, MAX_FRAME,
+    decode_request, encode_answers, encode_err, encode_list_ok, encode_ok, read_frame, write_frame,
+    Request, TraceInfo,
 };
-use std::io::{BufReader, Read};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::BufReader;
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread;
 use std::time::Duration;
-
-/// How often an idle connection wakes to check the stop flag. Idle
-/// connections must not pin a shutting-down server: SHUTDOWN has to
-/// complete even while other clients hold open, silent connections.
-const STOP_POLL: Duration = Duration::from_millis(50);
 
 /// How long the accept loop backs off after a failed `accept` (out of
 /// descriptors, say), so a persistent error does not spin a core.
@@ -80,7 +75,9 @@ impl Server {
         let stop = Arc::new(Stop::new(bound));
         let accept_stop = Arc::clone(&stop);
         let accept_thread = thread::spawn(move || {
-            let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
+            // Each live connection's thread, with a handle on its socket
+            // (weak: the socket closes when its thread drops it).
+            let mut conns: Vec<(thread::JoinHandle<()>, Weak<TcpStream>)> = Vec::new();
             // `accept` blocks: a new connection is served at once, and an
             // idle server never wakes until `Stop::raise` connects.
             for stream in listener.incoming() {
@@ -93,18 +90,25 @@ impl Server {
                         // for coalescing (Nagle + delayed ACK stalls
                         // every roundtrip by tens of milliseconds).
                         let _ = stream.set_nodelay(true);
-                        let _ = stream.set_read_timeout(Some(STOP_POLL));
+                        let stream = Arc::new(stream);
+                        let handle = Arc::downgrade(&stream);
                         let engine = Arc::clone(&engine);
                         let stop = Arc::clone(&accept_stop);
-                        conns.push(thread::spawn(move || {
-                            serve_connection(stream, &engine, jobs, &stop);
-                        }));
+                        let h = thread::spawn(move || {
+                            serve_connection(&stream, &engine, jobs, &stop);
+                        });
+                        conns.push((h, handle));
                     }
                     Err(_) => thread::sleep(ACCEPT_BACKOFF),
                 }
-                conns.retain(|h| !h.is_finished());
+                conns.retain(|(h, _)| !h.is_finished());
             }
-            for h in conns {
+            // Connection threads block in reads: shutting their sockets
+            // down wakes each one with EOF (or fails its next write).
+            for stream in conns.iter().filter_map(|(_, s)| s.upgrade()) {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            for (h, _) in conns {
                 let _ = h.join();
             }
         });
@@ -115,7 +119,8 @@ impl Server {
         })
     }
 
-    /// Stops accepting, waits for in-flight connections to drain.
+    /// Stops accepting, shuts down every live connection, and waits for
+    /// their threads to exit.
     pub fn stop(mut self) {
         self.shutdown();
     }
@@ -147,14 +152,15 @@ impl Drop for Server {
 /// connection open — a corrupt frame must not take the server down.
 /// Reads are buffered, so a frame that arrived whole costs one read
 /// syscall, and frames pipelined behind it are answered in order
-/// from the buffer.
-fn serve_connection(stream: TcpStream, engine: &ServeEngine, jobs: usize, stop: &Stop) {
+/// from the buffer. Reads block; a stopping server wakes them by
+/// shutting the socket down.
+fn serve_connection(stream: &TcpStream, engine: &ServeEngine, jobs: usize, stop: &Stop) {
     let mut conn = BufReader::new(stream);
     loop {
         if stop.is_raised() {
             return;
         }
-        let payload = match read_frame_polling(&mut conn, stop) {
+        let payload = match read_frame(&mut conn) {
             Ok(Some(p)) => p,
             Ok(None) => return, // clean EOF between requests, or shutdown while idle
             Err(e) => {
@@ -201,66 +207,4 @@ fn serve_connection(stream: TcpStream, engine: &ServeEngine, jobs: usize, stop: 
             return;
         }
     }
-}
-
-/// What [`read_exact_polling`] observed while filling a buffer.
-enum Fill {
-    /// The buffer was filled completely.
-    Full,
-    /// EOF arrived before the first byte (clean only at a frame boundary).
-    Eof,
-    /// The stop flag was raised before the fill completed.
-    Stopped,
-}
-
-/// [`crate::proto::read_frame`] for a stream with a read timeout: a
-/// timed-out read between frames loops back to check `stop`, so an idle
-/// connection can never pin a shutting-down server. Returns `Ok(None)`
-/// on clean EOF at a frame boundary or when `stop` is raised while no
-/// frame is in flight; shutdown mid-frame is an error (the server is
-/// stopping — the request is abandoned, not half-read).
-fn read_frame_polling(conn: &mut impl Read, stop: &Stop) -> Result<Option<Vec<u8>>, String> {
-    let mut header = [0u8; 4];
-    match read_exact_polling(conn, &mut header, stop)? {
-        Fill::Eof | Fill::Stopped => return Ok(None),
-        Fill::Full => {}
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME {
-        return Err(format!(
-            "frame length {len} exceeds the {MAX_FRAME}-byte limit"
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    match read_exact_polling(conn, &mut payload, stop)? {
-        Fill::Full => Ok(Some(payload)),
-        Fill::Eof => Err("connection closed mid-frame".to_string()),
-        Fill::Stopped => Err("server shutting down mid-frame".to_string()),
-    }
-}
-
-/// Fills `buf`, retrying timed-out reads. EOF before the first byte
-/// short-circuits as [`Fill::Eof`]; a raised stop flag at any timeout
-/// short-circuits as [`Fill::Stopped`] (a stalled half-frame sender
-/// must not pin shutdown either); EOF mid-way is a framing error.
-fn read_exact_polling(conn: &mut impl Read, buf: &mut [u8], stop: &Stop) -> Result<Fill, String> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        match conn.read(&mut buf[got..]) {
-            Ok(0) if got == 0 => return Ok(Fill::Eof),
-            Ok(0) => return Err("connection closed mid-frame".to_string()),
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                if stop.is_raised() {
-                    return Ok(Fill::Stopped);
-                }
-            }
-            Err(e) => return Err(format!("reading frame: {e}")),
-        }
-    }
-    Ok(Fill::Full)
 }

@@ -366,36 +366,6 @@ impl Default for CrashPlan {
     }
 }
 
-/// A message delivery that exhausted its retransmission budget.
-///
-/// Carried as a structured error (instead of silently succeeding or
-/// aborting) so the delivery layer can surface a cycle-stamped diagnostic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeliveryError {
-    /// The sending node.
-    pub from: NodeId,
-    /// The intended receiver.
-    pub to: NodeId,
-    /// The message kind's label (e.g. `"GetShared"`).
-    pub kind: &'static str,
-    /// Delivery attempts made (first try plus retransmissions).
-    pub attempts: u32,
-    /// The sender's clock when delivery was abandoned.
-    pub at_cycle: u64,
-}
-
-impl fmt::Display for DeliveryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} message {} -> {} undeliverable after {} attempts (sender cycle {})",
-            self.kind, self.from, self.to, self.attempts, self.at_cycle
-        )
-    }
-}
-
-impl std::error::Error for DeliveryError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,20 +530,5 @@ mod tests {
     #[should_panic(expected = "crash_rate 2 outside [0, 1]")]
     fn crash_plan_rejects_bad_rates() {
         CrashPlan::new(2.0, 0);
-    }
-
-    #[test]
-    fn delivery_error_is_cycle_stamped() {
-        let e = DeliveryError {
-            from: NodeId(1),
-            to: NodeId(2),
-            kind: "GetShared",
-            attempts: 11,
-            at_cycle: 98765,
-        };
-        let text = e.to_string();
-        assert!(text.contains("GetShared"), "{text}");
-        assert!(text.contains("11 attempts"), "{text}");
-        assert!(text.contains("98765"), "{text}");
     }
 }

@@ -51,9 +51,7 @@ pub mod trace;
 
 pub use codec::{EventLog, Events, PhaseEntry};
 pub use cost::{CostModel, Knob};
-pub use fault::{
-    CrashPlan, CrashPoint, DeliveryError, FaultConfig, FaultConfigError, FaultOutcome, FaultPlan,
-};
+pub use fault::{CrashPlan, CrashPoint, FaultConfig, FaultConfigError, FaultOutcome, FaultPlan};
 pub use hash::fnv1a;
 pub use machine::{Access, DirBackend, Machine, MachineConfig, NodeId, MAX_NODES};
 pub use mem::{Addr, BlockBuf, BlockId, PageId, WordMask};

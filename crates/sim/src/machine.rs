@@ -207,13 +207,6 @@ impl MachineConfig {
         self
     }
 
-    /// Replaces the network topology (effective only under a finite
-    /// link bandwidth).
-    pub fn with_topology(mut self, topology: Topology) -> MachineConfig {
-        self.topology = topology;
-        self
-    }
-
     /// Enables capture mode with a trace of `capacity` events: the run
     /// records a complete, re-priceable charge stream for the replay
     /// engine. The capacity must be generous — a capture that drops

@@ -30,14 +30,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod membership;
 pub mod memory;
 pub mod net;
 pub mod segment;
 pub mod system;
 pub mod tags;
 
-pub use membership::{DeathEvidence, Membership, MembershipView, NodeDeath};
 pub use memory::HomeMemory;
 pub use net::{MsgKind, Network};
 pub use segment::{AddressSpace, Placement, Segment};

@@ -14,10 +14,10 @@
 //! * a **dropped** attempt never reaches the receiver; the sender waits a
 //!   [`lcm_sim::CostModel::retry_timeout`] (doubling per consecutive
 //!   loss, capped) and retransmits, up to `max_retries` times, after
-//!   which the exhaustion (a structured [`DeliveryError`]) escalates to
-//!   a node-death verdict in the [`Membership`] view (fail-stop
-//!   crash-restart: the message is then delivered to the restarted
-//!   node);
+//!   which the sender judges the receiver dead: it pays a `crash_detect`
+//!   timeout, the receiver's `crashes` counter ticks, and (fail-stop
+//!   crash-restart) the message is delivered to the restarted node as a
+//!   [`MsgKind::Retry`];
 //! * a **duplicated** delivery is detected by the receiver's transport
 //!   (sequence numbers), charged, counted in `msgs_duplicated`, and
 //!   answered with a [`MsgKind::Nack`];
@@ -42,10 +42,9 @@
 //! touch links. With the default unlimited bandwidth none of this runs
 //! and delivery charges are byte-identical to the flat model above.
 
-use crate::membership::{DeathEvidence, Membership};
 use lcm_sim::fault::BACKOFF_DOUBLING_CAP;
 use lcm_sim::mem::BLOCK_BYTES;
-use lcm_sim::{CostModel, CycleCat, DeliveryError, Event, FaultOutcome, Knob, Machine, NodeId};
+use lcm_sim::{CostModel, CycleCat, Event, FaultOutcome, Knob, Machine, NodeId};
 
 /// Protocol message kinds, for per-kind counting and traces.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -148,7 +147,6 @@ pub struct Network {
     total: u64,
     dropped: u64,
     duplicated: u64,
-    membership: Membership,
 }
 
 impl Network {
@@ -165,11 +163,10 @@ impl Network {
     /// uncounted — Tempest protocols short-circuit local operations.
     ///
     /// If fault injection exhausts the retransmission budget, the sender
-    /// escalates to a node-death verdict: the unreachable receiver is
-    /// recorded in the [`Membership`] view (evidence: retries exhausted),
-    /// the sender pays a detection timeout, and the message is then
-    /// delivered to the receiver's restarted incarnation — fail-stop
-    /// crash-restart semantics.
+    /// judges the receiver dead: it pays a `crash_detect` timeout, the
+    /// receiver's `crashes` counter ticks, and the message is then
+    /// delivered, as a [`MsgKind::Retry`], to the receiver's restarted
+    /// incarnation — fail-stop crash-restart semantics.
     pub fn send(
         &mut self,
         m: &mut Machine,
@@ -178,24 +175,8 @@ impl Network {
         kind: MsgKind,
         with_block: bool,
     ) {
-        if let Err(e) = self.try_send(m, from, to, kind, with_block) {
-            self.declare_dead(m, from, &e);
-            self.deliver_one_way(m, from, to, MsgKind::Retry, with_block);
-        }
-    }
-
-    /// [`Network::send`] returning a structured [`DeliveryError`] when the
-    /// retransmission budget is exhausted.
-    fn try_send(
-        &mut self,
-        m: &mut Machine,
-        from: NodeId,
-        to: NodeId,
-        kind: MsgKind,
-        with_block: bool,
-    ) -> Result<(), DeliveryError> {
         if from == to {
-            return Ok(());
+            return;
         }
         let mut attempt: u32 = 0;
         loop {
@@ -203,8 +184,10 @@ impl Network {
             if outcome == FaultOutcome::Drop {
                 attempt += 1;
                 self.lost_attempt(m, from, attempt);
-                self.check_budget(m, from, to, kind, attempt)?;
-                continue;
+                if Network::may_retry(m, from, attempt) {
+                    continue;
+                }
+                break;
             }
             // Delivered. The first attempt counts under its own kind; a
             // retransmission counts under Retry.
@@ -215,8 +198,10 @@ impl Network {
                 FaultOutcome::Delay(k) => m.advance_as(to, k, CycleCat::RetryBackoff),
                 _ => {}
             }
-            return Ok(());
+            return;
         }
+        Network::declare_dead(m, from, to);
+        self.deliver_one_way(m, from, to, MsgKind::Retry, with_block);
     }
 
     /// The accounting of one delivered one-way message: both ends pay
@@ -280,20 +265,11 @@ impl Network {
     /// Escalates an exhausted retransmission budget into a node-death
     /// verdict: `observer` pays the detection timeout that converts
     /// suspicion into a verdict (the backoff waits themselves are already
-    /// on its clock under `retry_backoff`), the unreachable node's death
-    /// is logged in the membership view, and its crash counter ticks.
-    fn declare_dead(&mut self, m: &mut Machine, observer: NodeId, e: &DeliveryError) {
+    /// on its clock under `retry_backoff`), and the unreachable node's
+    /// crash counter ticks.
+    fn declare_dead(m: &mut Machine, observer: NodeId, dead: NodeId) {
         m.charge(observer, CycleCat::CrashDetect, Knob::RetryTimeout, 1);
-        m.stats_mut(e.to).crashes += 1;
-        let at = m.clock(observer);
-        self.membership.record(
-            e.to,
-            DeathEvidence::RetriesExhausted {
-                kind: e.kind,
-                attempts: e.attempts,
-            },
-            at,
-        );
+        m.stats_mut(dead).crashes += 1;
     }
 
     /// The accounting of one delivered request leg: the requester's send
@@ -333,9 +309,14 @@ impl Network {
     ///
     /// Local round-trips (`from == to`) are free and uncounted.
     ///
-    /// Exhausting the retransmission budget escalates to a node-death
-    /// verdict exactly as in [`Network::send`], after which the
-    /// transaction completes against the home's restarted incarnation.
+    /// Either leg can fail independently: a lost *request* retries from
+    /// the requester; a lost *reply* means the home already did its work
+    /// — the requester times out and reissues the (idempotent)
+    /// transaction, which the protocols must tolerate as a duplicate.
+    /// Exhausting the retransmission budget escalates exactly as in
+    /// [`Network::send`], after which the transaction completes (both
+    /// legs as [`MsgKind::Retry`]) against the home's restarted
+    /// incarnation.
     pub fn request_reply(
         &mut self,
         m: &mut Machine,
@@ -344,31 +325,8 @@ impl Network {
         kind: MsgKind,
         data_reply: bool,
     ) {
-        if let Err(e) = self.try_request_reply(m, from, to, kind, data_reply) {
-            self.declare_dead(m, from, &e);
-            let stall = kind.stall_cat();
-            self.deliver_request(m, from, to, MsgKind::Retry, stall);
-            self.deliver_reply(m, from, to, MsgKind::Retry, stall, data_reply);
-        }
-    }
-
-    /// [`Network::request_reply`] returning a structured [`DeliveryError`]
-    /// when the retransmission budget is exhausted.
-    ///
-    /// Either leg can fail independently: a lost *request* retries from
-    /// the requester; a lost *reply* means the home already did its work
-    /// — the requester times out and reissues the (idempotent)
-    /// transaction, which the protocols must tolerate as a duplicate.
-    fn try_request_reply(
-        &mut self,
-        m: &mut Machine,
-        from: NodeId,
-        to: NodeId,
-        kind: MsgKind,
-        data_reply: bool,
-    ) -> Result<(), DeliveryError> {
         if from == to {
-            return Ok(());
+            return;
         }
         // The requester's whole healthy wait — request send through reply
         // receipt — is one miss stall of the transaction's flavor.
@@ -381,8 +339,10 @@ impl Network {
             if req == FaultOutcome::Drop {
                 attempt += 1;
                 self.lost_attempt(m, from, attempt);
-                self.check_budget(m, from, to, kind, attempt)?;
-                continue;
+                if Network::may_retry(m, from, attempt) {
+                    continue;
+                }
+                break;
             }
             // The request arrived and the home handles it.
             self.deliver_request(m, from, to, transaction, stall);
@@ -407,8 +367,10 @@ impl Network {
                     backoff_units(attempt),
                 );
                 m.stats_mut(from).timeouts += 1;
-                self.check_budget(m, from, to, kind, attempt)?;
-                continue;
+                if Network::may_retry(m, from, attempt) {
+                    continue;
+                }
+                break;
             }
             // Reply delivered: the requester's wait is the round-trip
             // latency (minus the request-side send already charged).
@@ -418,8 +380,11 @@ impl Network {
                 FaultOutcome::Delay(k) => m.advance_as(from, k, CycleCat::RetryBackoff),
                 _ => {}
             }
-            return Ok(());
+            return;
         }
+        Network::declare_dead(m, from, to);
+        self.deliver_request(m, from, to, MsgKind::Retry, stall);
+        self.deliver_reply(m, from, to, MsgKind::Retry, stall, data_reply);
     }
 
     /// A lost attempt: the sender's send cycles are wasted and it sits
@@ -438,27 +403,15 @@ impl Network {
         self.dropped += 1;
     }
 
-    /// Errors out once `attempt` exceeds the configured retry budget;
-    /// otherwise counts the upcoming retransmission.
-    fn check_budget(
-        &mut self,
-        m: &mut Machine,
-        from: NodeId,
-        to: NodeId,
-        kind: MsgKind,
-        attempt: u32,
-    ) -> Result<(), DeliveryError> {
+    /// Whether `from` may retransmit after losing `attempt` attempts:
+    /// false once `attempt` exceeds the configured retry budget,
+    /// otherwise true, counting the upcoming retransmission.
+    fn may_retry(m: &mut Machine, from: NodeId, attempt: u32) -> bool {
         if attempt > m.faults().config().max_retries {
-            return Err(DeliveryError {
-                from,
-                to,
-                kind: kind.label(),
-                attempts: attempt,
-                at_cycle: m.clock(from),
-            });
+            return false;
         }
         m.stats_mut(from).retries += 1;
-        Ok(())
+        true
     }
 
     /// A duplicate copy of a just-delivered message arrives at
@@ -541,19 +494,6 @@ impl Network {
     /// Duplicate deliveries detected (and nacked) under fault injection.
     pub fn duplicated(&self) -> u64 {
         self.duplicated
-    }
-
-    /// The membership view: node-death verdicts recorded by this
-    /// network's escalation paths (and by the runtime's barrier
-    /// detection, which posts through [`Network::membership_mut`]).
-    pub fn membership(&self) -> &Membership {
-        &self.membership
-    }
-
-    /// Mutable access to the membership view (for the runtime's
-    /// barrier-timeout and scheduled-crash verdicts).
-    pub fn membership_mut(&mut self) -> &mut Membership {
-        &mut self.membership
     }
 
     /// Resets all counters.
@@ -891,41 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retries_yield_a_structured_error() {
-        let always_drop = FaultConfig {
-            drop_rate: 1.0,
-            max_retries: 3,
-            ..FaultConfig::default()
-        };
-        let mut m = faulty_machine(always_drop);
-        let mut net = Network::new();
-        let err = net
-            .try_send(&mut m, NodeId(0), NodeId(1), MsgKind::Invalidate, false)
-            .expect_err("nothing can be delivered");
-        assert_eq!(err.attempts, 4, "initial attempt + 3 retries");
-        assert_eq!(err.kind, "Invalidate");
-        assert_eq!(err.from, NodeId(0));
-        assert_eq!(err.to, NodeId(1));
-        assert!(
-            err.at_cycle > 0,
-            "the sender's wasted waiting is on its clock"
-        );
-        assert_eq!(m.stats(NodeId(0)).retries, 3);
-        assert_eq!(m.stats(NodeId(0)).timeouts, 4);
-        assert_eq!(m.stats(NodeId(0)).msgs_sent, 0, "nothing delivered");
-        assert_eq!(net.total(), 0);
-        assert_conserved(&m, &net);
-
-        let err2 = net
-            .try_request_reply(&mut m, NodeId(2), NodeId(3), MsgKind::GetShared, true)
-            .expect_err("request can never arrive");
-        assert_eq!(err2.kind, "GetShared");
-        assert_eq!(err2.attempts, 4);
-    }
-
-    #[test]
     fn infallible_send_escalates_to_a_death_verdict_and_delivers() {
-        use crate::membership::DeathEvidence;
         use lcm_sim::CycleCat;
         let always_drop = FaultConfig {
             drop_rate: 1.0,
@@ -936,21 +842,14 @@ mod tests {
         let mut net = Network::new();
         net.send(&mut m, NodeId(0), NodeId(1), MsgKind::Flush, false);
         // The receiver was judged dead on retry exhaustion...
-        let deaths = net.membership().deaths();
-        assert_eq!(deaths.len(), 1);
-        assert_eq!(deaths[0].node, NodeId(1));
-        assert_eq!(deaths[0].epoch, 1);
-        assert_eq!(
-            deaths[0].evidence,
-            DeathEvidence::RetriesExhausted {
-                kind: "Flush",
-                attempts: 3,
-            }
-        );
         assert_eq!(m.stats(NodeId(1)).crashes, 1);
-        assert_eq!(net.membership().view(4).incarnations, vec![0, 1, 0, 0]);
+        let crashes: Vec<u64> = m.node_ids().map(|n| m.stats(n).crashes).collect();
+        assert_eq!(crashes, vec![0, 1, 0, 0]);
         // ...the sender paid a detection timeout...
-        assert!(m.ledger().get(NodeId(0), CycleCat::CrashDetect) > 0);
+        assert_eq!(
+            m.ledger().get(NodeId(0), CycleCat::CrashDetect),
+            CostModel::cm5().retry_timeout
+        );
         // ...and the message still reached the restarted node.
         assert_eq!(m.stats(NodeId(1)).msgs_recv, 1);
         assert_eq!(net.count(MsgKind::Retry), 1);
@@ -959,10 +858,68 @@ mod tests {
         // The blocking shape recovers the same way: verdict plus a
         // completed round trip against the restarted home.
         net.request_reply(&mut m, NodeId(2), NodeId(3), MsgKind::GetShared, true);
-        assert_eq!(net.membership().epoch(), 2);
-        assert_eq!(net.membership().deaths()[1].node, NodeId(3));
+        assert_eq!(m.total_stats().crashes, 2);
+        assert_eq!(m.stats(NodeId(3)).crashes, 1);
         assert_eq!(m.stats(NodeId(2)).msgs_recv, 1, "reply delivered");
         assert_eq!(m.stats(NodeId(3)).blocks_sent, 1);
+        assert_conserved(&m, &net);
+    }
+
+    /// Pins both escalation shapes cycle for cycle: with every attempt
+    /// dropped and `max_retries: 2`, the sender loses three attempts
+    /// (backoff 1 + 2 + 4 timeouts), pays one `crash_detect` timeout, the
+    /// receiver's crash counter ticks, and the message (both legs of a
+    /// request/reply) is delivered as `Retry`.
+    #[test]
+    fn exhausted_budget_escalation_is_pinned_per_node() {
+        use lcm_sim::CycleCat;
+        let always_drop = FaultConfig {
+            drop_rate: 1.0,
+            max_retries: 2,
+            ..FaultConfig::default()
+        };
+        let mut m = faulty_machine(always_drop);
+        let mut net = Network::new();
+        net.send(&mut m, NodeId(0), NodeId(1), MsgKind::Flush, false);
+        net.request_reply(&mut m, NodeId(2), NodeId(3), MsgKind::GetShared, true);
+
+        let c = CostModel::cm5();
+        let (send, recv, rt) = (c.msg_send, c.msg_recv, c.retry_timeout);
+        // Three lost attempts: each wastes a send and backs off 1, 2, 4
+        // timeouts.
+        let lost = 3 * send + 7 * rt;
+        // (clock, crash_detect, retry_backoff, msg_overhead, retries,
+        //  timeouts, crashes, msgs_sent, msgs_recv) per node.
+        let expected = [
+            (lost + rt + send, rt, lost, send, 2, 3, 0, 1, 0),
+            (recv, 0, 0, recv, 0, 0, 1, 0, 1),
+            // The requester's two delivered legs are one read stall.
+            (lost + rt + c.remote_miss, rt, lost, 0, 2, 3, 0, 1, 1),
+            (recv, 0, 0, recv, 0, 0, 1, 1, 1),
+        ];
+        for (i, want) in expected.into_iter().enumerate() {
+            let n = NodeId(i as u16);
+            let s = m.stats(n);
+            let got = (
+                m.clock(n),
+                m.ledger().get(n, CycleCat::CrashDetect),
+                m.ledger().get(n, CycleCat::RetryBackoff),
+                m.ledger().get(n, CycleCat::MsgOverhead),
+                s.retries,
+                s.timeouts,
+                s.crashes,
+                s.msgs_sent,
+                s.msgs_recv,
+            );
+            assert_eq!(got, want, "node {i}");
+        }
+        assert_eq!(
+            m.ledger().get(NodeId(2), CycleCat::ReadStallRemote),
+            c.remote_miss
+        );
+        assert_eq!(net.count(MsgKind::Retry), 3, "one-way + request + reply");
+        assert_eq!(net.total(), 3);
+        assert_eq!(net.dropped(), 6);
         assert_conserved(&m, &net);
     }
 

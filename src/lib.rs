@@ -72,8 +72,8 @@ pub mod prelude {
         NestedProtocol, PolicyTable, ReduceOp, RegionPolicy,
     };
     pub use lcm_sim::{
-        Addr, BlockId, CostModel, CrashPlan, CycleCat, CycleLedger, DeliveryError, DirBackend,
-        FaultConfig, Machine, MachineConfig, NodeId, NodeStats, Pcg32, PhaseSnapshot, Stamped,
+        Addr, BlockId, CostModel, CrashPlan, CycleCat, CycleLedger, DirBackend, FaultConfig,
+        Machine, MachineConfig, NodeId, NodeStats, Pcg32, PhaseSnapshot, Stamped,
     };
     pub use lcm_stache::Stache;
     pub use lcm_tempest::{Placement, Tag, Tempest};

@@ -363,8 +363,8 @@ fn corrupt_frames_get_named_errors_not_panics() {
 
     // All three probe connections deliberately stay open until the end
     // of the test: shutdown must complete even while idle clients hold
-    // silent connections (the server polls its stop flag rather than
-    // blocking forever in a read).
+    // silent connections (stopping shuts their sockets down, waking the
+    // connection threads blocked in reads).
 
     // Unknown opcode.
     let mut raw1 = std::net::TcpStream::connect(&addr).expect("connect");
@@ -655,4 +655,28 @@ fn stop_wakes_an_accept_loop_blocked_on_an_idle_listener() {
         .recv_timeout(std::time::Duration::from_secs(10))
         .expect("Server::stop returns while no client connects");
     stopper.join().expect("stopper");
+}
+
+#[test]
+fn stop_returns_while_a_silent_client_holds_a_connection() {
+    let engine = Arc::new(engine());
+    let server = Server::start("127.0.0.1:0", engine, 2).expect("bind");
+    // Connected, never sends a byte: its connection thread blocks in a
+    // read that only the server's own socket shutdown can end.
+    let silent = raw_connect(server.addr);
+    // Connections are accepted in order: once a later one is answered,
+    // the silent one has its own connection thread.
+    let mut client = Client::connect(&server.addr.to_string()).expect("connect");
+    assert_eq!(client.list().expect("LIST").len(), 3);
+    drop(client);
+    let (done, stopped) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.stop();
+        let _ = done.send(());
+    });
+    stopped
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("Server::stop returns while a silent client stays connected");
+    stopper.join().expect("stopper");
+    drop(silent);
 }
