@@ -5,9 +5,11 @@
 //! private to that node's current invocation. The block's home tracks the
 //! phase in a [`CowEntry`]: who holds clean read-only copies, who has
 //! written, the merged value of all flushed versions, and enough per-word
-//! provenance to detect conflicting claims.
+//! provenance to detect conflicting claims. The phase's entries live in
+//! a `PhaseTable`.
 
 use lcm_rsm::{ConflictKind, ConflictRecord, KeepOrder, MergePolicy, RegionPolicy};
+use lcm_sim::hash::FastMap;
 use lcm_sim::mem::{BlockBuf, BlockId, WordMask, WORDS_PER_BLOCK};
 use lcm_sim::NodeId;
 use lcm_stache::SharerSet;
@@ -160,6 +162,84 @@ impl CowEntry {
                 0 // reductions combine; concurrent contributions are not conflicts
             }
         }
+    }
+}
+
+/// The copy-on-write entries of the open phase: a block-to-slot index
+/// over a slab of [`CowEntry`]s.
+///
+/// An entry is over 500 bytes, so the hash index holds 4-byte slots and
+/// the entries never move once pushed. Reconcile reads the entries in
+/// block order and then clears both containers, which keep their
+/// capacity: the next phase refills them without regrowing or rehashing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PhaseTable {
+    slots: FastMap<BlockId, u32>,
+    entries: Vec<CowEntry>,
+    /// Reusable `(block, slot)` buffer for [`PhaseTable::in_block_order`].
+    order: Vec<(BlockId, u32)>,
+}
+
+impl PhaseTable {
+    /// Number of live entries.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when no block has an entry.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The entry of `block`, if it has one.
+    pub(crate) fn get(&self, block: BlockId) -> Option<&CowEntry> {
+        let slot = *self.slots.get(&block)?;
+        Some(&self.entries[slot as usize])
+    }
+
+    /// The entry of `block`, mutably, if it has one.
+    pub(crate) fn get_mut(&mut self, block: BlockId) -> Option<&mut CowEntry> {
+        let slot = *self.slots.get(&block)?;
+        Some(&mut self.entries[slot as usize])
+    }
+
+    /// The entry of `block`, created by `new` if the block has none yet.
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        block: BlockId,
+        new: impl FnOnce() -> CowEntry,
+    ) -> &mut CowEntry {
+        let entries = &mut self.entries;
+        let slot = *self.slots.entry(block).or_insert_with(|| {
+            let slot = u32::try_from(entries.len()).expect("under 2^32 entries per phase");
+            entries.push(new());
+            slot
+        });
+        &mut self.entries[slot as usize]
+    }
+
+    /// Every entry, in unspecified order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockId, &CowEntry)> + '_ {
+        self.slots
+            .iter()
+            .map(|(&block, &slot)| (block, &self.entries[slot as usize]))
+    }
+
+    /// Every entry, in ascending block order: the order reconcile applies
+    /// them in.
+    pub(crate) fn in_block_order(&mut self) -> impl Iterator<Item = (BlockId, &CowEntry)> + '_ {
+        self.order.clear();
+        self.order.extend(self.slots.iter().map(|(&b, &s)| (b, s)));
+        self.order.sort_unstable_by_key(|&(block, _)| block);
+        self.order
+            .iter()
+            .map(|&(block, slot)| (block, &self.entries[slot as usize]))
+    }
+
+    /// Drops every entry, keeping the containers' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.entries.clear();
     }
 }
 

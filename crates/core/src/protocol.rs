@@ -24,7 +24,7 @@
 //! phases — are handled by the embedded [`Stache`] protocol, mirroring how
 //! the real LCM was built by extending the user-level Stache handlers.
 
-use crate::cow::{CowEntry, PrivCopy};
+use crate::cow::{CowEntry, PhaseTable, PrivCopy};
 use crate::nested::NestedPhase;
 use crate::stale::StaleState;
 use lcm_rsm::{
@@ -75,7 +75,7 @@ pub struct Lcm {
     in_phase: bool,
     privs: Vec<FastMap<BlockId, PrivCopy>>,
     priv_order: Vec<Vec<BlockId>>,
-    cow: FastMap<BlockId, CowEntry>,
+    cow: PhaseTable,
     conflicts: Vec<ConflictRecord>,
     stale: StaleState,
     tree_reconcile: bool,
@@ -90,7 +90,6 @@ pub struct Lcm {
     // Reusable scratch buffers: cleared (capacity kept) after each use so
     // the per-reconcile/per-flush paths allocate nothing in steady state.
     reduce_scratch: Vec<(BlockId, NodeId, PrivCopy)>,
-    block_scratch: Vec<BlockId>,
     retain_scratch: Vec<BlockId>,
 }
 
@@ -105,7 +104,7 @@ impl Lcm {
             in_phase: false,
             privs: (0..nodes).map(|_| FastMap::default()).collect(),
             priv_order: (0..nodes).map(|_| Vec::new()).collect(),
-            cow: FastMap::default(),
+            cow: PhaseTable::default(),
             conflicts: Vec::new(),
             stale: StaleState::new(nodes),
             tree_reconcile: false,
@@ -113,7 +112,6 @@ impl Lcm {
             nested: None,
             reconciled_words: vec![0; nodes],
             reduce_scratch: Vec::new(),
-            block_scratch: Vec::new(),
             retain_scratch: Vec::new(),
         }
     }
@@ -344,7 +342,7 @@ impl Lcm {
                         "{node}: private copy of {block:?} without a writable tag"
                     ));
                 }
-                match self.cow.get(block) {
+                match self.cow.get(*block) {
                     None => {
                         return Err(format!(
                             "{node}: private copy of {block:?} has no phase entry"
@@ -357,7 +355,7 @@ impl Lcm {
                 }
             }
         }
-        for (block, entry) in &self.cow {
+        for (block, entry) in self.cow.iter() {
             if entry.home_clean == entry.writers.is_empty() {
                 return Err(format!(
                     "{block:?}: home clean copy {} but writers {:?}",
@@ -377,12 +375,11 @@ impl Lcm {
     /// Ensures a phase entry exists for `block`, absorbing the block's
     /// pre-phase holders from the Stache directory on creation.
     fn ensure_entry<'a>(
-        cow: &'a mut FastMap<BlockId, CowEntry>,
+        cow: &'a mut PhaseTable,
         inner: &mut Stache,
         block: BlockId,
     ) -> &'a mut CowEntry {
-        cow.entry(block)
-            .or_insert_with(|| CowEntry::new(inner.absorb_block(block)))
+        cow.get_or_insert_with(block, || CowEntry::new(inner.absorb_block(block)))
     }
 
     /// Creates `node`'s private copy of `block` if it does not already
@@ -463,7 +460,7 @@ impl Lcm {
             if detecting {
                 // Record the reference so a read that hits a pre-phase
                 // copy still counts as *actual* for §7.2 detection.
-                if let Some(entry) = self.cow.get_mut(&block) {
+                if let Some(entry) = self.cow.get_mut(block) {
                     entry.readers.add(node);
                 }
             }
@@ -503,7 +500,7 @@ impl Lcm {
 
     /// Applies one reconciled entry to global state and invalidates the
     /// outstanding copies of the block.
-    fn apply_entry(&mut self, block: BlockId, entry: CowEntry, policy: RegionPolicy) {
+    fn apply_entry(&mut self, block: BlockId, entry: &CowEntry, policy: RegionPolicy) {
         let home = self.inner.tempest().home_of(block);
         if entry.is_unwritten() {
             let holders = entry.absorbed.union(entry.readers);
@@ -942,7 +939,7 @@ impl MemoryProtocol for Lcm {
             };
             let entry = self
                 .cow
-                .get_mut(&block)
+                .get_mut(block)
                 .expect("private copy has a phase entry");
             let t = self.inner.tempest_mut();
 
@@ -1010,13 +1007,11 @@ impl MemoryProtocol for Lcm {
         for n in 0..self.privs.len() {
             self.flush_copies(NodeId(n as u16));
         }
-        // …then the homes reconcile and the system-wide invalidations run.
-        let mut blocks = std::mem::take(&mut self.block_scratch);
-        debug_assert!(blocks.is_empty());
-        blocks.extend(self.cow.keys().copied());
-        blocks.sort_unstable();
-        for &block in &blocks {
-            let entry = self.cow.remove(&block).expect("collected key");
+        // …then the homes reconcile and the system-wide invalidations run,
+        // in block order. The table is cleared, not drained, so the next
+        // phase reuses its capacity.
+        let mut table = std::mem::take(&mut self.cow);
+        for (block, entry) in table.in_block_order() {
             let policy = self.policies.get(block);
             let home = self.inner.tempest().home_of(block);
             self.inner.tempest_mut().machine.record(Event::SpanBegin {
@@ -1031,8 +1026,8 @@ impl MemoryProtocol for Lcm {
                 block,
             });
         }
-        blocks.clear();
-        self.block_scratch = blocks;
+        table.clear();
+        self.cow = table;
         self.inner.tempest_mut().machine.barrier();
     }
 

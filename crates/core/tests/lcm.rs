@@ -4,7 +4,8 @@
 
 use lcm_core::{Lcm, LcmVariant};
 use lcm_rsm::{KeepOrder, MemoryProtocol, MergePolicy, ReduceOp};
-use lcm_sim::mem::Addr;
+use lcm_sim::mem::{Addr, BlockId, BLOCK_BYTES};
+use lcm_sim::trace::Event;
 use lcm_sim::{MachineConfig, NodeId};
 use lcm_tempest::Placement;
 
@@ -559,4 +560,50 @@ fn checkpoint_rejects_open_phases() {
     let (mut m, _a) = system(LcmVariant::Mcc);
     m.begin_parallel_phase();
     m.checkpoint();
+}
+
+/// Reconcile applies a phase's entries in ascending block order, phase
+/// after phase on one system whose phase table is cleared and reused, and
+/// leaves no entry behind. Each phase writes a different, scrambled set
+/// of blocks, so an unsorted walk of the table would show.
+#[test]
+fn reconcile_order_holds_across_phase_table_reuse() {
+    let bytes = 8 * 4096;
+    let mut m = Lcm::new(MachineConfig::new(4).with_trace(1 << 20), LcmVariant::Mcc);
+    let a = m.tempest_mut().alloc(bytes, Placement::Interleaved, "data");
+    m.register_cow_region(a, bytes, MergePolicy::KeepOne);
+    let blocks = bytes / BLOCK_BYTES as u64;
+    let mut seen = 0;
+    for phase in 0..6u64 {
+        let writes = 40 + 70 * phase;
+        m.begin_parallel_phase();
+        for i in 0..writes {
+            // 397 is odd, so the first `blocks` steps visit distinct blocks.
+            let block = (i * 397 + phase * 131) % blocks;
+            let node = NodeId((i % 4) as u16);
+            m.write_f32(node, a.offset(block * BLOCK_BYTES as u64), i as f32);
+        }
+        m.reconcile_copies();
+        assert_eq!(m.live_cow_entries(), 0, "phase {phase}: entries outlive it");
+        let trace = m.tempest().machine.trace();
+        assert_eq!(trace.dropped(), 0);
+        let reconciled: Vec<BlockId> = trace
+            .events()
+            .skip(seen)
+            .filter_map(|s| match s.event {
+                Event::SpanBegin {
+                    what: "reconcile",
+                    block,
+                    ..
+                } => Some(block),
+                _ => None,
+            })
+            .collect();
+        seen = trace.len();
+        assert_eq!(reconciled.len() as u64, writes, "phase {phase}");
+        assert!(
+            reconciled.windows(2).all(|w| w[0] < w[1]),
+            "phase {phase}: reconcile visited blocks out of order: {reconciled:?}"
+        );
+    }
 }

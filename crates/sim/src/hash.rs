@@ -1,8 +1,8 @@
 //! A fast, deterministic hasher for the hot protocol maps.
 //!
-//! Tag tables, directories and copy tables are keyed by block/page ids and
-//! are consulted on *every* simulated memory access, so the default SipHash
-//! is needless overhead. `FastHasher` is a Fibonacci-multiply finalizer —
+//! Directories and copy tables are keyed by block ids and are consulted
+//! on *every* simulated memory access, so the default SipHash is needless
+//! overhead. `FastHasher` is a Fibonacci-multiply finalizer —
 //! plenty for ids that are already well-distributed — and, unlike
 //! `RandomState`, is deterministic, which keeps iteration-order-independent
 //! code honest and traces reproducible.

@@ -27,6 +27,7 @@ use crate::sharers::SharerSet;
 use lcm_sim::hash::FastMap;
 use lcm_sim::mem::BlockId;
 use lcm_sim::{DirBackend, NodeId};
+use std::collections::hash_map;
 
 /// Directory state of one block.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -51,13 +52,36 @@ impl DirState {
     }
 }
 
+/// One non-idle directory entry. The limited-pointer overflow flag is
+/// folded into the variant, so an entry is no larger than a [`DirState`].
+#[derive(Copy, Clone, Debug)]
+enum Entry {
+    Shared(SharerSet),
+    /// Shared, with a limited-pointer representation that has overflowed
+    /// to broadcast. Never used under other backends.
+    Overflowed(SharerSet),
+    Exclusive(NodeId),
+}
+
+impl Entry {
+    fn state(self) -> DirState {
+        match self {
+            Entry::Shared(s) | Entry::Overflowed(s) => DirState::Shared(s),
+            Entry::Exclusive(n) => DirState::Exclusive(n),
+        }
+    }
+
+    fn is_overflowed(self) -> bool {
+        matches!(self, Entry::Overflowed(_))
+    }
+}
+
 /// The (logically distributed, physically one-map) directory.
 #[derive(Clone, Debug)]
 pub struct Directory {
-    entries: FastMap<BlockId, DirState>,
-    /// Shared entries whose limited-pointer representation has
-    /// overflowed to broadcast. Always empty under other backends.
-    overflowed: FastMap<BlockId, ()>,
+    entries: FastMap<BlockId, Entry>,
+    /// Number of `Overflowed` entries.
+    overflowed: usize,
     backend: DirBackend,
     nodes: usize,
 }
@@ -81,7 +105,7 @@ impl Directory {
     pub fn with_backend(backend: DirBackend, nodes: usize) -> Directory {
         Directory {
             entries: FastMap::default(),
-            overflowed: FastMap::default(),
+            overflowed: 0,
             backend,
             nodes,
         }
@@ -95,7 +119,9 @@ impl Directory {
     /// The state of `block`.
     #[inline]
     pub fn state(&self, block: BlockId) -> DirState {
-        self.entries.get(&block).copied().unwrap_or(DirState::Idle)
+        self.entries
+            .get(&block)
+            .map_or(DirState::Idle, |e| e.state())
     }
 
     /// Sets the state of `block`. Storing `Idle` removes the entry.
@@ -111,47 +137,46 @@ impl Directory {
     /// Panics (in debug builds) if a `Shared` state has no sharers.
     #[inline]
     pub fn set(&mut self, block: BlockId, state: DirState) -> bool {
-        if let DirState::Shared(s) = state {
-            debug_assert!(!s.is_empty(), "Shared state must have sharers");
-        }
-        match state {
+        let entry = match state {
             DirState::Idle => {
-                self.entries.remove(&block);
-                self.overflowed.remove(&block);
-                false
+                self.take(block);
+                return false;
             }
             DirState::Shared(s) => {
-                let was_shared = matches!(self.entries.get(&block), Some(DirState::Shared(_)));
-                let was_over = was_shared && self.overflowed.contains_key(&block);
+                debug_assert!(!s.is_empty(), "Shared state must have sharers");
                 let fits = match self.backend {
                     DirBackend::LimitedPtr { ptrs } => s.count() <= u32::from(ptrs),
                     _ => true,
                 };
-                let now_over = was_over || !fits;
-                self.entries.insert(block, state);
-                if now_over {
-                    self.overflowed.insert(block, ());
+                if fits {
+                    Entry::Shared(s)
                 } else {
-                    self.overflowed.remove(&block);
+                    Entry::Overflowed(s)
                 }
-                now_over && !was_over
             }
-            DirState::Exclusive(_) => {
-                self.entries.insert(block, state);
-                self.overflowed.remove(&block);
-                false
-            }
-        }
+            DirState::Exclusive(n) => Entry::Exclusive(n),
+        };
+        // One probe. Overflow is sticky while the entry stays shared.
+        let slot = self.entries.entry(block);
+        let was_over = matches!(&slot, hash_map::Entry::Occupied(o) if o.get().is_overflowed());
+        let entry = match entry {
+            Entry::Shared(s) if was_over => Entry::Overflowed(s),
+            e => e,
+        };
+        slot.insert_entry(entry);
+        let now_over = entry.is_overflowed();
+        self.overflowed = self.overflowed + usize::from(now_over) - usize::from(was_over);
+        now_over && !was_over
     }
 
     /// True when `block`'s representation has overflowed to broadcast.
     pub fn is_overflowed(&self, block: BlockId) -> bool {
-        self.overflowed.contains_key(&block)
+        self.entries.get(&block).is_some_and(|e| e.is_overflowed())
     }
 
     /// Number of entries currently in representation overflow.
     pub fn overflowed_entries(&self) -> usize {
-        self.overflowed.len()
+        self.overflowed
     }
 
     /// The nodes an invalidation of `block` must be sent to under this
@@ -184,14 +209,19 @@ impl Directory {
     /// copy-on-write phase. Clears any representation overflow — the
     /// entry is rebuilt from scratch on its next use.
     pub fn take(&mut self, block: BlockId) -> DirState {
-        self.overflowed.remove(&block);
-        self.entries.remove(&block).unwrap_or(DirState::Idle)
+        match self.entries.remove(&block) {
+            Some(e) => {
+                self.overflowed -= usize::from(e.is_overflowed());
+                e.state()
+            }
+            None => DirState::Idle,
+        }
     }
 
     /// Every non-idle entry, in map (unspecified) order. Consumers that
     /// need determinism must accumulate order-independent sums.
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, DirState)> + '_ {
-        self.entries.iter().map(|(b, s)| (*b, *s))
+        self.entries.iter().map(|(b, e)| (*b, e.state()))
     }
 
     /// Number of non-idle entries.

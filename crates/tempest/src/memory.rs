@@ -3,9 +3,9 @@
 //! Each block's *home value* — the value the memory holds between coherent
 //! epochs — lives here. Cached and private copies live in protocol-private
 //! structures; this store is what a reconciliation updates and what fills
-//! are served from. Storage is lazily materialized in zeroed 4 KB pages.
+//! are served from. Storage is lazily materialized in zeroed 4 KB pages,
+//! held in a vector indexed by page number.
 
-use lcm_sim::hash::FastMap;
 use lcm_sim::mem::{
     Addr, BlockBuf, BlockId, PageId, WordMask, BLOCK_BYTES, PAGE_BYTES, WORD_BYTES,
 };
@@ -17,6 +17,11 @@ use lcm_sim::mem::{
 /// map — a block's home node is a property of the address space, not of
 /// where the host process stores the data.
 ///
+/// The store is a dense vector of pages indexed by page number; the
+/// address space hands out pages contiguously from page 1. Absent pages,
+/// and pages past the end, read as zero; the first write to a page
+/// materializes it.
+///
 /// ```
 /// use lcm_tempest::HomeMemory;
 /// use lcm_sim::mem::Addr;
@@ -27,7 +32,7 @@ use lcm_sim::mem::{
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct HomeMemory {
-    pages: FastMap<PageId, Box<[u8; PAGE_BYTES]>>,
+    pages: Vec<Option<Box<[u8; PAGE_BYTES]>>>,
 }
 
 impl HomeMemory {
@@ -38,14 +43,16 @@ impl HomeMemory {
 
     #[inline]
     fn page(&self, page: PageId) -> Option<&[u8; PAGE_BYTES]> {
-        self.pages.get(&page).map(|b| &**b)
+        self.pages.get(page.0 as usize)?.as_deref()
     }
 
     #[inline]
     fn page_mut(&mut self, page: PageId) -> &mut [u8; PAGE_BYTES] {
-        self.pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0; PAGE_BYTES]))
+        let index = page.0 as usize;
+        if index >= self.pages.len() {
+            self.pages.resize_with(index + 1, || None);
+        }
+        self.pages[index].get_or_insert_with(|| Box::new([0; PAGE_BYTES]))
     }
 
     /// Raw bits of the word at `addr` (low two address bits ignored).
@@ -134,7 +141,7 @@ impl HomeMemory {
 
     /// Number of materialized pages (storage footprint; for tests).
     pub fn pages_touched(&self) -> usize {
-        self.pages.len()
+        self.pages.iter().flatten().count()
     }
 }
 

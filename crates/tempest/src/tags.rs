@@ -3,11 +3,11 @@
 //! Tempest's defining mechanism (and Blizzard-E's): every node holds an
 //! access tag per 32-byte block. A load to an `Invalid` block or a store to
 //! an `Invalid`/`ReadOnly` block *faults* into a user-level protocol
-//! handler. Tags are stored in page-grained tables, mirroring Blizzard's
-//! page-in/tag-per-block organization.
+//! handler. Tags are stored in page-grained tables indexed by page number,
+//! mirroring Blizzard's page-in/tag-per-block organization: a lookup is
+//! two array indexings, with no hashing on the access path.
 
-use lcm_sim::hash::FastMap;
-use lcm_sim::mem::{BlockId, PageId, BLOCKS_PER_PAGE};
+use lcm_sim::mem::{BlockId, BLOCKS_PER_PAGE};
 
 /// Access tag of one block on one node.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -37,7 +37,11 @@ impl Tag {
 
 /// One node's access-tag table.
 ///
-/// Absent pages read as all-`Invalid`; pages materialize on first `set`.
+/// A dense vector of pages indexed by page number. The address space
+/// hands out pages contiguously from page 1, so the vector is as long as
+/// the highest page this node has tagged. Absent pages, and pages past
+/// the end, read as all-`Invalid`; pages materialize on the first `set`
+/// of a non-`Invalid` tag.
 ///
 /// ```
 /// use lcm_tempest::{Tag, TagTable};
@@ -50,7 +54,7 @@ impl Tag {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TagTable {
-    pages: FastMap<PageId, Box<[Tag; BLOCKS_PER_PAGE]>>,
+    pages: Vec<Option<Box<[Tag; BLOCKS_PER_PAGE]>>>,
 }
 
 impl TagTable {
@@ -62,22 +66,24 @@ impl TagTable {
     /// The tag of `block`.
     #[inline]
     pub fn get(&self, block: BlockId) -> Tag {
-        match self.pages.get(&block.page()) {
-            Some(page) => page[block.index_in_page()],
-            None => Tag::Invalid,
+        match self.pages.get(block.page().0 as usize) {
+            Some(Some(page)) => page[block.index_in_page()],
+            _ => Tag::Invalid,
         }
     }
 
     /// Sets the tag of `block`, materializing its page if needed.
     #[inline]
     pub fn set(&mut self, block: BlockId, tag: Tag) {
-        if tag == Tag::Invalid && !self.pages.contains_key(&block.page()) {
+        let index = block.page().0 as usize;
+        if tag == Tag::Invalid && !matches!(self.pages.get(index), Some(Some(_))) {
             return; // avoid materializing a page just to store Invalid
         }
-        let page = self
-            .pages
-            .entry(block.page())
-            .or_insert_with(|| Box::new([Tag::Invalid; BLOCKS_PER_PAGE]));
+        if index >= self.pages.len() {
+            self.pages.resize_with(index + 1, || None);
+        }
+        let page =
+            self.pages[index].get_or_insert_with(|| Box::new([Tag::Invalid; BLOCKS_PER_PAGE]));
         page[block.index_in_page()] = tag;
     }
 
@@ -85,7 +91,8 @@ impl TagTable {
     /// assertions, not hot paths).
     pub fn count(&self, tag: Tag) -> usize {
         self.pages
-            .values()
+            .iter()
+            .flatten()
             .map(|p| p.iter().filter(|&&t| t == tag).count())
             .sum()
     }
@@ -95,14 +102,19 @@ impl TagTable {
         self.pages.clear();
     }
 
-    /// Iterates over all blocks whose tag is not `Invalid`.
+    /// Iterates over all blocks whose tag is not `Invalid`, in ascending
+    /// block order.
     pub fn iter_valid(&self) -> impl Iterator<Item = (BlockId, Tag)> + '_ {
-        self.pages.iter().flat_map(|(page, tags)| {
-            let first = page.first_block().0;
-            tags.iter().enumerate().filter_map(move |(i, &t)| {
-                (t != Tag::Invalid).then_some((BlockId(first + i as u64), t))
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(|(index, page)| Some((index, page.as_deref()?)))
+            .flat_map(|(index, tags)| {
+                let first = (index * BLOCKS_PER_PAGE) as u64;
+                tags.iter().enumerate().filter_map(move |(i, &t)| {
+                    (t != Tag::Invalid).then_some((BlockId(first + i as u64), t))
+                })
             })
-        })
     }
 }
 
@@ -150,8 +162,7 @@ mod tests {
         t.set(BlockId(200), Tag::ReadWrite); // different page
         assert_eq!(t.count(Tag::ReadOnly), 1);
         assert_eq!(t.count(Tag::ReadWrite), 1);
-        let mut valid: Vec<_> = t.iter_valid().collect();
-        valid.sort_by_key(|(b, _)| *b);
+        let valid: Vec<_> = t.iter_valid().collect();
         assert_eq!(
             valid,
             vec![(BlockId(0), Tag::ReadOnly), (BlockId(200), Tag::ReadWrite)]

@@ -1,8 +1,14 @@
-//! Property tests for the address space and home-value store.
+//! Property tests for the address space, the tag tables and the
+//! home-value store. The page-indexed tables are checked against a
+//! `BTreeMap` model, including which pages they materialize and what they
+//! read past their last page.
 
-use lcm_sim::mem::{Addr, BlockBuf, BlockId, WordMask, PAGE_BYTES};
-use lcm_tempest::{AddressSpace, HomeMemory, Placement};
+use lcm_sim::mem::{
+    Addr, BlockBuf, BlockId, WordMask, BLOCKS_PER_PAGE, PAGE_BYTES, WORDS_PER_BLOCK,
+};
+use lcm_tempest::{AddressSpace, HomeMemory, Placement, Tag, TagTable};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn placements() -> impl Strategy<Value = Placement> {
     prop_oneof![
@@ -60,25 +66,6 @@ proptest! {
         }
     }
 
-    /// The home store behaves like a flat array of words: random writes
-    /// then reads agree with a reference model.
-    #[test]
-    fn home_memory_matches_reference(
-        writes in proptest::collection::vec((0u64..512, any::<u32>()), 0..64),
-    ) {
-        let mut mem = HomeMemory::new();
-        let mut reference = std::collections::HashMap::new();
-        for (word_idx, value) in &writes {
-            let addr = Addr(0x4000 + word_idx * 4);
-            mem.write_word(addr, *value);
-            reference.insert(*word_idx, *value);
-        }
-        for w in 0..512u64 {
-            let addr = Addr(0x4000 + w * 4);
-            prop_assert_eq!(mem.read_word(addr), reference.get(&w).copied().unwrap_or(0));
-        }
-    }
-
     /// Block-level and word-level views of the home store agree, and a
     /// masked merge touches exactly the masked words.
     #[test]
@@ -100,6 +87,135 @@ proptest! {
         for w in 0..8 {
             let expect = if WordMask(mask).get(w) { incoming[w] } else { initial[w] };
             prop_assert_eq!(mem.read_word(block.word_addr(w)), expect);
+        }
+    }
+}
+
+/// Operations touch the first `PAGES` pages; reads go two pages further.
+const PAGES: u64 = 5;
+const BLOCKS: u64 = PAGES * BLOCKS_PER_PAGE as u64;
+const READ_BLOCKS: u64 = BLOCKS + 2 * BLOCKS_PER_PAGE as u64;
+const WORDS: u64 = WORDS_PER_BLOCK as u64;
+
+fn tag_of(code: u8) -> Tag {
+    match code {
+        0 => Tag::Invalid,
+        1 => Tag::ReadOnly,
+        _ => Tag::ReadWrite,
+    }
+}
+
+fn page_of(block: u64) -> u64 {
+    block / BLOCKS_PER_PAGE as u64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `set`/`get`/`clear` on a tag table match a map of the non-`Invalid`
+    /// tags: an `Invalid` set materializes no page, `iter_valid` yields
+    /// the valid blocks in ascending order, and blocks past the last page
+    /// read `Invalid`.
+    #[test]
+    fn tag_table_matches_a_btree_model(
+        ops in proptest::collection::vec((0u8..32, 0u64..BLOCKS, 0u8..3), 0..200),
+    ) {
+        let mut table = TagTable::new();
+        let mut model: BTreeMap<u64, Tag> = BTreeMap::new();
+        let mut pages: BTreeSet<u64> = BTreeSet::new();
+        for &(op, block, code) in &ops {
+            if op == 0 {
+                table.clear();
+                model.clear();
+                pages.clear();
+                continue;
+            }
+            let tag = tag_of(code);
+            table.set(BlockId(block), tag);
+            if tag == Tag::Invalid {
+                model.remove(&block);
+            } else {
+                model.insert(block, tag);
+                pages.insert(page_of(block));
+            }
+            prop_assert_eq!(table.get(BlockId(block)), tag);
+        }
+        for block in 0..READ_BLOCKS {
+            let expect = model.get(&block).copied().unwrap_or(Tag::Invalid);
+            prop_assert_eq!(table.get(BlockId(block)), expect, "block {}", block);
+        }
+        let valid: Vec<(BlockId, Tag)> = table.iter_valid().collect();
+        let expect: Vec<(BlockId, Tag)> = model.iter().map(|(&b, &t)| (BlockId(b), t)).collect();
+        prop_assert_eq!(valid, expect);
+        for tag in [Tag::ReadOnly, Tag::ReadWrite] {
+            prop_assert_eq!(table.count(tag), model.values().filter(|&&t| t == tag).count());
+        }
+        // Every materialized page holds BLOCKS_PER_PAGE tags, so the
+        // Invalid count pins which pages exist.
+        prop_assert_eq!(
+            table.count(Tag::Invalid),
+            pages.len() * BLOCKS_PER_PAGE - model.len()
+        );
+    }
+
+    /// Word writes, block writes and masked merges on the home store
+    /// match a map of written words: pages materialize on their first
+    /// write (an empty merge writes nothing), and every word past the
+    /// last page reads zero.
+    #[test]
+    fn home_memory_matches_reference(
+        ops in proptest::collection::vec(
+            (0u8..3, 0u64..BLOCKS * WORDS, any::<u32>(), any::<u8>()),
+            0..120,
+        ),
+    ) {
+        let mut mem = HomeMemory::new();
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut pages: BTreeSet<u64> = BTreeSet::new();
+        for &(op, word, value, mask) in &ops {
+            let block = word / WORDS;
+            // A block whose word w holds value + w.
+            let mut buf = BlockBuf::zeroed();
+            for w in 0..WORDS_PER_BLOCK {
+                buf.set_word(w, value.wrapping_add(w as u32));
+            }
+            let written = match op {
+                0 => {
+                    mem.write_word(Addr(word * 4), value);
+                    model.insert(word, value);
+                    true
+                }
+                1 => {
+                    mem.write_block(BlockId(block), &buf);
+                    for w in 0..WORDS {
+                        model.insert(block * WORDS + w, buf.word(w as usize));
+                    }
+                    true
+                }
+                _ => {
+                    let mask = WordMask(mask);
+                    mem.merge_block(BlockId(block), &buf, mask);
+                    for w in mask.iter_set() {
+                        model.insert(block * WORDS + w as u64, buf.word(w));
+                    }
+                    !mask.is_empty()
+                }
+            };
+            if written {
+                pages.insert(page_of(block));
+            }
+        }
+        prop_assert_eq!(mem.pages_touched(), pages.len());
+        for word in 0..READ_BLOCKS * WORDS {
+            let expect = model.get(&word).copied().unwrap_or(0);
+            prop_assert_eq!(mem.read_word(Addr(word * 4)), expect, "word {}", word);
+        }
+        for block in 0..READ_BLOCKS {
+            let got = mem.read_block(BlockId(block));
+            for w in 0..WORDS {
+                let expect = model.get(&(block * WORDS + w)).copied().unwrap_or(0);
+                prop_assert_eq!(got.word(w as usize), expect);
+            }
         }
     }
 }

@@ -21,6 +21,9 @@
 //!   order and a request trickled in a byte at a time is answered;
 //!   `Server::stop` wakes an accept loop blocked on an idle listener.
 //!
+//! A fixed-seed property drives all three serving tiers with random
+//! query sequences and checks each answer and counter against a model.
+//!
 //! Two structural checks ride along: the cache keys a trace by its load,
 //! not its header, and a trace's differential index is built once, at
 //! the first load, and shared by every engine that loads the handle.
@@ -28,13 +31,16 @@
 use lcm_apps::threshold::Threshold;
 use lcm_apps::{SystemKind, Workload};
 use lcm_bench::explore;
+use lcm_replay::codec::cost_fields;
 use lcm_replay::{TraceFile, TraceHandle};
 use lcm_serve::{query, CacheKey, Client, Query, QueryClass, ServeEngine, Server};
 use lcm_sim::{
     CostModel, CycleCat, CycleLedger, DirBackend, Event, MachineConfig, NodeId, NodeStats, Stamped,
     Topology,
 };
-use std::sync::Arc;
+use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
 const NODES: usize = 8;
 
@@ -679,4 +685,124 @@ fn stop_returns_while_a_silent_client_holds_a_connection() {
         .expect("Server::stop returns while a silent client stays connected");
     stopper.join().expect("stopper");
     drop(silent);
+}
+
+/// The two smoke traces the tier property serves, captured once.
+fn tier_traces() -> &'static [(&'static str, TraceHandle); 2] {
+    static TRACES: OnceLock<[(&'static str, TraceHandle); 2]> = OnceLock::new();
+    TRACES.get_or_init(|| {
+        [SystemKind::Stache, SystemKind::LcmMcc].map(|system| {
+            (
+                system.label(),
+                capture("Threshold", system, &Threshold::small()),
+            )
+        })
+    })
+}
+
+/// The index of the one cost field that `bump` changes.
+fn field_of(bump: fn(&mut CostModel)) -> usize {
+    let base = CostModel::cm5();
+    let mut bumped = base;
+    bump(&mut bumped);
+    let (a, b) = (cost_fields(&base), cost_fields(&bumped));
+    let changed: Vec<usize> = (0..a.len()).filter(|&i| a[i] != b[i]).collect();
+    assert_eq!(changed.len(), 1, "the bump changes exactly one field");
+    changed[0]
+}
+
+const BANDWIDTHS: [u64; 4] = [0, 64, 16, 4];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random sequences of repeats, `retry_timeout`-only changes and fresh
+    /// bandwidth/latency queries over two smoke traces: every answer
+    /// equals a cold full replay, and the engine's per-tier counters equal
+    /// the classes a model of the sequence implies. The model: a query
+    /// seen before is a cache hit; one that differs from an earlier query
+    /// only in `retry_timeout`, which a fault-free trace never charges, is
+    /// a neighbor hit; anything else is re-priced differentially.
+    #[test]
+    fn serve_tiers_match_a_model_on_random_query_sequences(
+        ops in proptest::collection::vec(
+            (0u8..10, 0usize..2, 0usize..4, 500u64..12_000, any::<u64>()),
+            1..40,
+        ),
+    ) {
+        let traces = tier_traces();
+        let retry = field_of(|c| c.retry_timeout += 1);
+        let latency = field_of(|c| c.remote_miss += 1);
+        let bandwidth = field_of(|c| c.link_bandwidth_bytes_per_cycle += 1);
+        let mut e = ServeEngine::new();
+        for (name, handle) in traces {
+            // The model's premises: retry_timeout is unobservable, while
+            // latency and bandwidth tell queries apart.
+            let idx = handle.index();
+            for bw in BANDWIDTHS {
+                prop_assert!(!idx.field_sensitive(retry, bw), "{}: retries charged", name);
+                prop_assert!(idx.field_sensitive(latency, bw), "{}: latency unseen", name);
+                prop_assert!(idx.field_sensitive(bandwidth, bw), "{}: no transfers", name);
+            }
+            e.load(name, Arc::clone(handle));
+        }
+
+        let mut history: Vec<Query> = Vec::new();
+        let mut seen: HashSet<CacheKey> = HashSet::new();
+        let mut seen_canonical: HashSet<CacheKey> = HashSet::new();
+        let mut full: HashMap<CacheKey, lcm_serve::QueryResult> = HashMap::new();
+        let mut expect = (0u64, 0u64, 0u64);
+        for &(kind, trace, bw, lat, pick) in &ops {
+            let q = match kind {
+                0..=5 if !history.is_empty() => {
+                    history[(pick % history.len() as u64) as usize].clone()
+                }
+                6..=7 if !history.is_empty() => {
+                    let mut q = history[(pick % history.len() as u64) as usize].clone();
+                    q.cost.retry_timeout = 1 + pick % 100_000;
+                    q
+                }
+                _ => query(traces[trace].0, CostModel::cm5_grid(BANDWIDTHS[bw], lat)),
+            };
+            let raw = CacheKey::new(trace_id(&e, &q), &q);
+            let mut canonical_query = q.clone();
+            canonical_query.cost.retry_timeout = 0;
+            let canonical = CacheKey::new(trace_id(&e, &q), &canonical_query);
+            let class = if seen.contains(&raw) {
+                QueryClass::Cached
+            } else if seen_canonical.contains(&canonical) {
+                QueryClass::Neighbor
+            } else {
+                QueryClass::Differential
+            };
+            match class {
+                QueryClass::Cached => expect.0 += 1,
+                QueryClass::Neighbor => expect.1 += 1,
+                QueryClass::Differential => expect.2 += 1,
+            }
+            seen.insert(raw);
+            seen_canonical.insert(canonical);
+
+            let (got, got_class) = e.query(&q).expect("a loaded trace answers");
+            prop_assert_eq!(got_class, class, "query {:?}", q);
+            let want = full
+                .entry(raw)
+                .or_insert_with(|| e.query_full(&q).expect("full replay"));
+            prop_assert!(
+                *got == *want,
+                "{:?}: served answer diverges from a cold full replay",
+                q
+            );
+            history.push(q);
+        }
+        prop_assert_eq!(e.stats.snapshot(), expect);
+    }
+}
+
+/// A stand-in trace id for the model's keys: the trace's load position.
+fn trace_id(e: &ServeEngine, q: &Query) -> u64 {
+    e.traces()
+        .iter()
+        .position(|t| t.name == q.trace)
+        .expect("query names a loaded trace") as u64
 }
