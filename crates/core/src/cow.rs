@@ -5,8 +5,12 @@
 //! private to that node's current invocation. The block's home tracks the
 //! phase in a [`CowEntry`]: who holds clean read-only copies, who has
 //! written, the merged value of all flushed versions, and enough per-word
-//! provenance to detect conflicting claims. The phase's entries live in
-//! a `PhaseTable`.
+//! provenance to detect conflicting claims.
+//!
+//! Both live in a `BlockTable`, the one block-keyed container of LCM's
+//! phase state: a node's private copies in insertion (mark) order, with
+//! one drain that every flush and reconcile goes through, and the
+//! phase's entries, which reconcile walks in block order.
 
 use lcm_rsm::{ConflictKind, ConflictRecord, KeepOrder, MergePolicy, RegionPolicy};
 use lcm_sim::hash::FastMap;
@@ -165,81 +169,120 @@ impl CowEntry {
     }
 }
 
-/// The copy-on-write entries of the open phase: a block-to-slot index
-/// over a slab of [`CowEntry`]s.
+/// A block-keyed slab: a block-to-slot index over a `Vec` of
+/// `(block, value)` pairs kept in insertion order.
 ///
-/// An entry is over 500 bytes, so the hash index holds 4-byte slots and
-/// the entries never move once pushed. Reconcile reads the entries in
-/// block order and then clears both containers, which keep their
-/// capacity: the next phase refills them without regrowing or rehashing.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct PhaseTable {
+/// LCM keeps all of its phase state in tables of this one type: each
+/// node's private copies, the phase's [`CowEntry`]s, and the same two
+/// for an open nested phase. Values never move on insert, so the hash
+/// index holds 4-byte slots however large the value (an entry is over
+/// 500 bytes). [`BlockTable::drain`] hands copies out in insertion
+/// order — the order a node marked them, which is the order its flushes
+/// ship them — and [`BlockTable::clear`] keeps capacity, so the next
+/// invocation or phase refills the table without regrowing or
+/// rehashing it.
+#[derive(Clone, Debug)]
+pub(crate) struct BlockTable<T> {
     slots: FastMap<BlockId, u32>,
-    entries: Vec<CowEntry>,
-    /// Reusable `(block, slot)` buffer for [`PhaseTable::in_block_order`].
+    items: Vec<(BlockId, T)>,
+    /// Reusable `(block, slot)` buffer for [`BlockTable::in_block_order`].
     order: Vec<(BlockId, u32)>,
 }
 
-impl PhaseTable {
-    /// Number of live entries.
+impl<T> Default for BlockTable<T> {
+    fn default() -> Self {
+        BlockTable {
+            slots: FastMap::default(),
+            items: Vec::new(),
+            order: Vec::new(),
+        }
+    }
+}
+
+impl<T> BlockTable<T> {
+    /// Number of blocks with a value.
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.items.len()
     }
 
-    /// True when no block has an entry.
+    /// True when no block has a value.
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.items.is_empty()
     }
 
-    /// The entry of `block`, if it has one.
-    pub(crate) fn get(&self, block: BlockId) -> Option<&CowEntry> {
+    /// True when `block` has a value.
+    pub(crate) fn contains(&self, block: BlockId) -> bool {
+        self.slots.contains_key(&block)
+    }
+
+    /// The value of `block`, if it has one.
+    pub(crate) fn get(&self, block: BlockId) -> Option<&T> {
         let slot = *self.slots.get(&block)?;
-        Some(&self.entries[slot as usize])
+        Some(&self.items[slot as usize].1)
     }
 
-    /// The entry of `block`, mutably, if it has one.
-    pub(crate) fn get_mut(&mut self, block: BlockId) -> Option<&mut CowEntry> {
+    /// The value of `block`, mutably, if it has one.
+    pub(crate) fn get_mut(&mut self, block: BlockId) -> Option<&mut T> {
         let slot = *self.slots.get(&block)?;
-        Some(&mut self.entries[slot as usize])
+        Some(&mut self.items[slot as usize].1)
     }
 
-    /// The entry of `block`, created by `new` if the block has none yet.
-    pub(crate) fn get_or_insert_with(
-        &mut self,
-        block: BlockId,
-        new: impl FnOnce() -> CowEntry,
-    ) -> &mut CowEntry {
-        let entries = &mut self.entries;
+    /// The value of `block`, created by `new` (and appended to the
+    /// insertion order) if the block has none yet.
+    pub(crate) fn get_or_insert_with(&mut self, block: BlockId, new: impl FnOnce() -> T) -> &mut T {
+        let items = &mut self.items;
         let slot = *self.slots.entry(block).or_insert_with(|| {
-            let slot = u32::try_from(entries.len()).expect("under 2^32 entries per phase");
-            entries.push(new());
+            let slot = u32::try_from(items.len()).expect("under 2^32 blocks per table");
+            items.push((block, new()));
             slot
         });
-        &mut self.entries[slot as usize]
+        &mut self.items[slot as usize].1
     }
 
-    /// Every entry, in unspecified order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockId, &CowEntry)> + '_ {
-        self.slots
-            .iter()
-            .map(|(&block, &slot)| (block, &self.entries[slot as usize]))
+    /// Every value, in insertion order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockId, &T)> + '_ {
+        self.items.iter().map(|(block, value)| (*block, value))
     }
 
-    /// Every entry, in ascending block order: the order reconcile applies
-    /// them in.
-    pub(crate) fn in_block_order(&mut self) -> impl Iterator<Item = (BlockId, &CowEntry)> + '_ {
+    /// Every value, in ascending block order: the order reconciles apply
+    /// phase entries in.
+    pub(crate) fn in_block_order(&mut self) -> impl Iterator<Item = (BlockId, &T)> + '_ {
         self.order.clear();
         self.order.extend(self.slots.iter().map(|(&b, &s)| (b, s)));
         self.order.sort_unstable_by_key(|&(block, _)| block);
         self.order
             .iter()
-            .map(|&(block, slot)| (block, &self.entries[slot as usize]))
+            .map(|&(block, slot)| (block, &self.items[slot as usize].1))
     }
 
-    /// Drops every entry, keeping the containers' capacity.
+    /// Removes, in insertion order, every value that `keep` does not
+    /// retain and hands it to `take`. Retained values stay in their
+    /// relative order, ahead of whatever is inserted next.
+    pub(crate) fn drain(
+        &mut self,
+        mut keep: impl FnMut(BlockId, &T) -> bool,
+        mut take: impl FnMut(BlockId, T),
+    ) {
+        let before = self.items.len();
+        for (block, value) in self
+            .items
+            .extract_if(.., |(block, value)| !keep(*block, value))
+        {
+            take(block, value);
+        }
+        if self.items.len() == before {
+            return; // nothing moved, so the index still holds
+        }
+        self.slots.clear();
+        for (slot, &(block, _)) in self.items.iter().enumerate() {
+            self.slots.insert(block, slot as u32);
+        }
+    }
+
+    /// Drops every value, keeping the containers' capacity.
     pub(crate) fn clear(&mut self) {
         self.slots.clear();
-        self.entries.clear();
+        self.items.clear();
     }
 }
 
@@ -452,6 +495,71 @@ mod tests {
             assert!(p.contains(NodeId(i)));
         }
         assert_eq!(p.count(), 4);
+    }
+
+    fn table_of(blocks: &[u64]) -> BlockTable<u64> {
+        let mut t = BlockTable::default();
+        for &b in blocks {
+            *t.get_or_insert_with(BlockId(b), || 0) += b;
+        }
+        t
+    }
+
+    fn blocks_of(t: &BlockTable<u64>) -> Vec<u64> {
+        t.iter().map(|(b, _)| b.0).collect()
+    }
+
+    #[test]
+    fn table_walks_in_insertion_and_block_order() {
+        let mut t = table_of(&[9, 2, 7, 2, 4]);
+        assert_eq!(t.len(), 4, "a repeated block keeps its one slot");
+        assert_eq!(t.get(BlockId(2)), Some(&4));
+        assert_eq!(blocks_of(&t), [9, 2, 7, 4]);
+        let sorted: Vec<u64> = t.in_block_order().map(|(b, _)| b.0).collect();
+        assert_eq!(sorted, [2, 4, 7, 9]);
+        assert_eq!(
+            blocks_of(&t),
+            [9, 2, 7, 4],
+            "a sorted walk reorders nothing"
+        );
+    }
+
+    #[test]
+    fn drain_takes_in_insertion_order_and_keeps_the_rest_in_theirs() {
+        let mut t = table_of(&[5, 8, 1, 6, 3, 4]);
+        let mut taken = Vec::new();
+        t.drain(|b, _| b.0 % 2 == 0, |b, v| taken.push((b.0, v)));
+        assert_eq!(taken, [(5, 5), (1, 1), (3, 3)]);
+        assert_eq!(blocks_of(&t), [8, 6, 4]);
+        // The index follows the survivors to their new slots.
+        for b in [8, 6, 4] {
+            assert_eq!(t.get(BlockId(b)), Some(&b));
+        }
+        for b in [5, 1, 3] {
+            assert!(!t.contains(BlockId(b)));
+        }
+        // New values land after the survivors.
+        *t.get_or_insert_with(BlockId(5), || 50) += 1;
+        *t.get_mut(BlockId(6)).unwrap() += 1;
+        assert_eq!(blocks_of(&t), [8, 6, 4, 5]);
+        assert_eq!(
+            (t.get(BlockId(5)), t.get(BlockId(6))),
+            (Some(&51), Some(&7))
+        );
+        t.drain(|_, _| false, |_, _| {});
+        assert!(t.is_empty() && t.get(BlockId(8)).is_none());
+    }
+
+    #[test]
+    fn clear_keeps_capacity() {
+        let mut t = table_of(&[3, 1, 2]);
+        let cap = t.items.capacity();
+        t.clear();
+        assert!(t.is_empty() && !t.contains(BlockId(1)));
+        assert_eq!(t.items.capacity(), cap);
+        *t.get_or_insert_with(BlockId(2), || 10) += 1;
+        assert_eq!(blocks_of(&t), [2]);
+        assert_eq!(t.get(BlockId(2)), Some(&11));
     }
 
     #[test]

@@ -24,14 +24,13 @@
 //! phases — are handled by the embedded [`Stache`] protocol, mirroring how
 //! the real LCM was built by extending the user-level Stache handlers.
 
-use crate::cow::{CowEntry, PhaseTable, PrivCopy};
+use crate::cow::{BlockTable, CowEntry, PrivCopy};
 use crate::nested::NestedPhase;
 use crate::stale::StaleState;
 use lcm_rsm::{
     CheckpointImage, CoherenceKind, ConflictKind, ConflictRecord, MemoryProtocol, MergePolicy,
     NestedProtocol, PolicyTable, ReduceOp, RegionPolicy,
 };
-use lcm_sim::hash::FastMap;
 use lcm_sim::mem::{Addr, BlockId, WordMask, WORD_BYTES};
 use lcm_sim::trace::Event;
 use lcm_sim::{Access, CycleCat, Knob, MachineConfig, NodeId};
@@ -73,9 +72,9 @@ pub struct Lcm {
     variant: LcmVariant,
     policies: PolicyTable,
     in_phase: bool,
-    privs: Vec<FastMap<BlockId, PrivCopy>>,
-    priv_order: Vec<Vec<BlockId>>,
-    cow: PhaseTable,
+    /// Each node's private copies, in mark order.
+    privs: Vec<BlockTable<PrivCopy>>,
+    cow: BlockTable<CowEntry>,
     conflicts: Vec<ConflictRecord>,
     stale: StaleState,
     tree_reconcile: bool,
@@ -87,10 +86,10 @@ pub struct Lcm {
     /// globally-visible state changes — which makes LCM's checkpoint
     /// incremental (see [`MemoryProtocol::checkpoint`]).
     reconciled_words: Vec<u64>,
-    // Reusable scratch buffers: cleared (capacity kept) after each use so
-    // the per-reconcile/per-flush paths allocate nothing in steady state.
+    /// Reusable gather buffer of `tree_combine_reductions`: cleared
+    /// (capacity kept) after each use so reconcile allocates nothing in
+    /// steady state.
     reduce_scratch: Vec<(BlockId, NodeId, PrivCopy)>,
-    retain_scratch: Vec<BlockId>,
 }
 
 impl Lcm {
@@ -102,9 +101,8 @@ impl Lcm {
             variant,
             policies: PolicyTable::new(),
             in_phase: false,
-            privs: (0..nodes).map(|_| FastMap::default()).collect(),
-            priv_order: (0..nodes).map(|_| Vec::new()).collect(),
-            cow: PhaseTable::default(),
+            privs: (0..nodes).map(|_| BlockTable::default()).collect(),
+            cow: BlockTable::default(),
             conflicts: Vec::new(),
             stale: StaleState::new(nodes),
             tree_reconcile: false,
@@ -112,7 +110,6 @@ impl Lcm {
             nested: None,
             reconciled_words: vec![0; nodes],
             reduce_scratch: Vec::new(),
-            retain_scratch: Vec::new(),
         }
     }
 
@@ -157,30 +154,18 @@ impl Lcm {
     /// which is then shipped home like an ordinary flush. Runs during
     /// `reconcile_copies`, before the per-node drain.
     fn tree_combine_reductions(&mut self) {
-        // Gather (block, node, contribution) triples over all nodes, in
-        // node order, into the reusable scratch; a stable sort by block
-        // then yields blocks ascending with each block's contributions
-        // still in node order — the exact iteration a per-call
-        // `BTreeMap<BlockId, Vec<(NodeId, PrivCopy)>>` used to produce,
-        // without rebuilding a tree and per-block vectors every
-        // reconcile.
+        // Drain (block, node, contribution) triples over all nodes, in
+        // node order, into the reusable scratch; keep-one copies stay for
+        // the normal drain. A stable sort by block then yields blocks
+        // ascending with each block's contributions still in node order.
         let mut scratch = std::mem::take(&mut self.reduce_scratch);
         debug_assert!(scratch.is_empty());
-        for n in 0..self.privs.len() {
+        for (n, privs) in self.privs.iter_mut().enumerate() {
             let node = NodeId(n as u16);
-            let mut order = std::mem::take(&mut self.priv_order[n]);
-            order.retain(|&block| {
-                let policy = self.policies.get(block);
-                if policy.merge.reduce_op().is_none() {
-                    return true; // keep-one blocks stay for the normal drain
-                }
-                let p = self.privs[n]
-                    .remove(&block)
-                    .expect("ordered private copy exists");
-                scratch.push((block, node, p));
-                false
-            });
-            self.priv_order[n] = order;
+            privs.drain(
+                |block, _| self.policies.get(block).merge.reduce_op().is_none(),
+                |block, p| scratch.push((block, node, p)),
+            );
         }
         scratch.sort_by_key(|(block, _, _)| *block);
         let mut i = 0;
@@ -290,11 +275,10 @@ impl Lcm {
     /// first violation found. Intended for tests (walks all phase state).
     ///
     /// Invariants:
-    /// 1. outside a phase there is no private copy, no ordering log, and
-    ///    no live copy-on-write entry;
-    /// 2. every private copy belongs to a copy-on-write region, is listed
-    ///    exactly once in its node's ordering log, is backed by a
-    ///    ReadWrite tag, and is registered as a writer in the block's
+    /// 1. outside a phase there is no private copy and no live
+    ///    copy-on-write entry;
+    /// 2. every private copy belongs to a copy-on-write region, is backed
+    ///    by a ReadWrite tag, and is registered as a writer in the block's
     ///    phase entry;
     /// 3. a phase entry has a home clean copy iff the block has writers;
     /// 4. node-local clean copies only exist under the mcc variant, and
@@ -303,9 +287,6 @@ impl Lcm {
         if !self.in_phase {
             if self.privs.iter().any(|m| !m.is_empty()) {
                 return Err("private copies outlive the phase".into());
-            }
-            if self.priv_order.iter().any(|o| !o.is_empty()) {
-                return Err("ordering log outlives the phase".into());
             }
             if !self.cow.is_empty() {
                 return Err(format!(
@@ -317,32 +298,19 @@ impl Lcm {
         }
         for (n, privs) in self.privs.iter().enumerate() {
             let node = NodeId(n as u16);
-            let order = &self.priv_order[n];
-            if order.len() != privs.len() {
-                return Err(format!(
-                    "{node}: {} ordered vs {} private copies",
-                    order.len(),
-                    privs.len()
-                ));
-            }
-            for block in order {
-                if !privs.contains_key(block) {
-                    return Err(format!("{node}: ordered {block:?} has no private copy"));
-                }
-            }
-            for block in privs.keys() {
-                let policy = self.policies.get(*block);
+            for (block, _) in privs.iter() {
+                let policy = self.policies.get(block);
                 if policy.coherence != CoherenceKind::CopyOnWrite {
                     return Err(format!(
                         "{node}: private copy of non-copy-on-write {block:?}"
                     ));
                 }
-                if self.inner.tempest().tag(node, *block) != Tag::ReadWrite {
+                if self.inner.tempest().tag(node, block) != Tag::ReadWrite {
                     return Err(format!(
                         "{node}: private copy of {block:?} without a writable tag"
                     ));
                 }
-                match self.cow.get(*block) {
+                match self.cow.get(block) {
                     None => {
                         return Err(format!(
                             "{node}: private copy of {block:?} has no phase entry"
@@ -375,19 +343,21 @@ impl Lcm {
     /// Ensures a phase entry exists for `block`, absorbing the block's
     /// pre-phase holders from the Stache directory on creation.
     fn ensure_entry<'a>(
-        cow: &'a mut PhaseTable,
+        cow: &'a mut BlockTable<CowEntry>,
         inner: &mut Stache,
         block: BlockId,
     ) -> &'a mut CowEntry {
         cow.get_or_insert_with(block, || CowEntry::new(inner.absorb_block(block)))
     }
 
-    /// Creates `node`'s private copy of `block` if it does not already
-    /// exist, together with clean-copy bookkeeping. This is the heart of
-    /// `mark_modification` and of write faults on copy-on-write blocks.
-    fn mark_block(&mut self, node: NodeId, block: BlockId, policy: RegionPolicy) {
-        if self.privs[node.index()].contains_key(&block) {
-            return; // already private this interval
+    /// Returns `node`'s private copy of `block`, creating it, together
+    /// with clean-copy bookkeeping, if it does not already exist. This is
+    /// the heart of `mark_modification` and of write faults on
+    /// copy-on-write blocks.
+    fn mark_block(&mut self, node: NodeId, block: BlockId, policy: RegionPolicy) -> &mut PrivCopy {
+        if self.privs[node.index()].contains(block) {
+            // Already private this interval.
+            return self.privs[node.index()].get_mut(block).expect("contained");
         }
         let entry = Self::ensure_entry(&mut self.cow, &mut self.inner, block);
         entry.writers.add(node);
@@ -441,13 +411,12 @@ impl Lcm {
             block,
         });
         t.tags[node.index()].set(block, Tag::ReadWrite);
-        self.privs[node.index()].insert(block, PrivCopy::new(init));
-        self.priv_order[node.index()].push(block);
+        self.privs[node.index()].get_or_insert_with(block, || PrivCopy::new(init))
     }
 
     /// Load from a copy-on-write block during a phase.
     fn cow_read(&mut self, node: NodeId, addr: Addr, block: BlockId, detecting: bool) -> u32 {
-        if let Some(p) = self.privs[node.index()].get(&block) {
+        if let Some(p) = self.privs[node.index()].get(block) {
             // An invocation sees its own modifications.
             let t = self.inner.tempest_mut();
             t.machine.hit(node, Access::Read);
@@ -483,15 +452,9 @@ impl Lcm {
             policy.merge.reduce_op().is_none(),
             "plain store to a reduction region at {addr}; use MemoryProtocol::reduce"
         );
-        let block = addr.block();
-        if !self.privs[node.index()].contains_key(&block) {
-            // The compiler marks possibly-conflicting stores; the memory
-            // system itself catches the rest (copy *at the reference*).
-            self.mark_block(node, block, policy);
-        }
-        let p = self.privs[node.index()]
-            .get_mut(&block)
-            .expect("just marked");
+        // The compiler marks possibly-conflicting stores; the memory
+        // system itself catches the rest (copy *at the reference*).
+        let p = self.mark_block(node, addr.block(), policy);
         let w = addr.word_in_block();
         p.data.set_word(w, bits);
         p.dirty.set(w);
@@ -611,7 +574,7 @@ impl Lcm {
     /// value.
     fn nested_base(&self, block: BlockId) -> lcm_sim::BlockBuf {
         let parent = self.nested.as_ref().expect("nested phase open").parent;
-        match self.privs[parent.index()].get(&block) {
+        match self.privs[parent.index()].get(block) {
             Some(pp) => pp.data,
             None => self.inner.tempest().mem.read_block(block),
         }
@@ -621,7 +584,7 @@ impl Lcm {
     fn nested_read(&mut self, node: NodeId, addr: Addr, block: BlockId) -> u32 {
         let w = addr.word_in_block();
         if let Some(p) =
-            self.nested.as_ref().expect("nested phase open").privs[node.index()].get(&block)
+            self.nested.as_ref().expect("nested phase open").privs[node.index()].get(block)
         {
             let word = p.data.word(w);
             self.inner.tempest_mut().machine.hit(node, Access::Read);
@@ -631,13 +594,14 @@ impl Lcm {
         self.nested_base(block).word(w)
     }
 
-    /// Ensures `node` has an inner private copy of `block`, initialized
-    /// from the layered pre-call state (or the operator identity for
-    /// reductions).
-    fn nested_mark(&mut self, node: NodeId, block: BlockId, policy: RegionPolicy) {
-        if self.nested.as_ref().expect("nested phase open").privs[node.index()].contains_key(&block)
-        {
-            return;
+    /// Returns `node`'s inner private copy of `block`, creating it from
+    /// the layered pre-call state (or the operator identity for
+    /// reductions) if it does not already exist.
+    fn nested_mark(&mut self, node: NodeId, block: BlockId, policy: RegionPolicy) -> &mut PrivCopy {
+        let np = self.nested.as_ref().expect("nested phase open");
+        if np.privs[node.index()].contains(block) {
+            let np = self.nested.as_mut().expect("nested phase open");
+            return np.privs[node.index()].get_mut(block).expect("contained");
         }
         self.nested_touch_cost(node, block, Access::Write);
         let init = match policy.merge.reduce_op() {
@@ -650,8 +614,7 @@ impl Lcm {
             .charge(node, CycleCat::FlushReconcile, Knob::CleanCopyCreate, 1);
         t.machine.record(Event::Mark { node, block });
         let np = self.nested.as_mut().expect("nested phase open");
-        np.privs[node.index()].insert(block, PrivCopy::new(init));
-        np.order[node.index()].push(block);
+        np.privs[node.index()].get_or_insert_with(block, || PrivCopy::new(init))
     }
 
     /// Store to a copy-on-write block during a nested phase.
@@ -660,10 +623,7 @@ impl Lcm {
             policy.merge.reduce_op().is_none(),
             "plain store to a reduction region at {addr}; use MemoryProtocol::reduce"
         );
-        let block = addr.block();
-        self.nested_mark(node, block, policy);
-        let np = self.nested.as_mut().expect("nested phase open");
-        let p = np.privs[node.index()].get_mut(&block).expect("just marked");
+        let p = self.nested_mark(node, addr.block(), policy);
         let w = addr.word_in_block();
         p.data.set_word(w, bits);
         p.dirty.set(w);
@@ -685,64 +645,35 @@ impl Lcm {
             "reduction operator mismatch at {addr}: region registered with {:?}",
             policy.merge
         );
-        let block = addr.block();
-        self.nested_mark(node, block, policy);
-        let np = self.nested.as_mut().expect("nested phase open");
-        let p = np.privs[node.index()].get_mut(&block).expect("just marked");
+        let p = self.nested_mark(node, addr.block(), policy);
         op.accumulate(&mut p.data, &mut p.dirty, addr.word_in_block(), bits);
         self.inner.tempest_mut().machine.hit(node, Access::Write);
     }
 
-    /// Ships one inner version home and merges it into the nested entry.
-    fn nested_merge_one(
-        &mut self,
-        node: NodeId,
-        block: BlockId,
-        p: PrivCopy,
-        policy: RegionPolicy,
-    ) {
-        let np = self.nested.as_mut().expect("nested phase open");
-        np.entries
-            .entry(block)
-            .or_insert_with(|| CowEntry::new(SharerSet::empty()));
-        let home = flush_home(self.inner.tempest_mut(), node, block);
-        let np = self.nested.as_mut().expect("nested phase open");
-        let entry = np.entries.get_mut(&block).expect("just inserted");
-        let ww = entry.merge_version(node, &p.data, p.dirty, policy, block, &mut self.conflicts);
-        if ww > 0 {
-            self.inner
-                .tempest_mut()
-                .machine
-                .stats_mut(home)
-                .ww_conflicts += ww;
-        }
-    }
-
     /// Returns `node`'s modified inner copies to their homes for merging
-    /// into the nested entries (skipping retained reduction accumulators).
-    fn nested_flush(&mut self, node: NodeId) {
+    /// into the nested entries. Reduction accumulators stay cached, as in
+    /// the outer phase, unless `all` (the nested reconcile) drains them.
+    fn nested_flush(&mut self, node: NodeId, all: bool) {
         let np = self.nested.as_mut().expect("nested phase open");
-        if np.order[node.index()].is_empty() {
-            return;
-        }
-        let order = std::mem::take(&mut np.order[node.index()]);
-        for block in order {
-            let policy = self.policies.get(block);
-            if policy.merge.reduce_op().is_some() {
-                // As in the outer phase, accumulators stay until the
-                // nested reconcile.
-                self.nested.as_mut().expect("nested phase open").order[node.index()].push(block);
-                continue;
-            }
-            let Some(p) =
-                self.nested.as_mut().expect("nested phase open").privs[node.index()].remove(&block)
-            else {
-                continue;
-            };
-            self.nested_merge_one(node, block, p, policy);
-            // The node may fetch the layered state again on its next touch.
-            self.nested.as_mut().expect("nested phase open").touched[node.index()].remove(&block);
-        }
+        let t = self.inner.tempest_mut();
+        np.privs[node.index()].drain(
+            |block, _| !all && self.policies.get(block).merge.reduce_op().is_some(),
+            |block, p| {
+                let entry = np
+                    .entries
+                    .get_or_insert_with(block, || CowEntry::new(SharerSet::empty()));
+                let home = flush_home(t, node, block);
+                let policy = self.policies.get(block);
+                let ww =
+                    entry.merge_version(node, &p.data, p.dirty, policy, block, &mut self.conflicts);
+                if ww > 0 {
+                    t.machine.stats_mut(home).ww_conflicts += ww;
+                }
+                // The node may fetch the layered state again on its next
+                // touch.
+                np.touched[node.index()].remove(&block);
+            },
+        );
     }
 }
 
@@ -762,35 +693,19 @@ impl NestedProtocol for Lcm {
         // Drain every node's remaining inner copies, including the
         // retained reduction accumulators.
         for n in 0..self.privs.len() {
-            let node = NodeId(n as u16);
-            let order =
-                std::mem::take(&mut self.nested.as_mut().expect("nested phase open").order[n]);
-            for block in order {
-                let policy = self.policies.get(block);
-                let Some(p) =
-                    self.nested.as_mut().expect("nested phase open").privs[n].remove(&block)
-                else {
-                    continue;
-                };
-                self.nested_merge_one(node, block, p, policy);
-            }
+            self.nested_flush(NodeId(n as u16), true);
         }
-        // Apply the merged inner state into the parent's private copies:
-        // the parent invocation now (privately) owns these modifications.
-        let np = self.nested.take().expect("nested phase open");
+        // Apply the merged inner state into the parent's private copies,
+        // in block order: the parent invocation now (privately) owns these
+        // modifications.
+        let mut np = self.nested.take().expect("nested phase open");
         let parent = np.parent;
-        let mut blocks: Vec<BlockId> = np.entries.keys().copied().collect();
-        blocks.sort_unstable();
-        for block in blocks {
-            let entry = &np.entries[&block];
+        for (block, entry) in np.entries.in_block_order() {
             if entry.pending_mask.is_empty() {
                 continue;
             }
             let policy = self.policies.get(block);
-            self.mark_block(parent, block, policy);
-            let pp = self.privs[parent.index()]
-                .get_mut(&block)
-                .expect("just marked");
+            let pp = self.mark_block(parent, block, policy);
             match policy.merge.reduce_op() {
                 None => pp.data.merge_words(&entry.pending, entry.pending_mask),
                 Some(op) => op.combine_masked(
@@ -914,73 +829,55 @@ impl MemoryProtocol for Lcm {
 
     fn flush_copies(&mut self, node: NodeId) {
         if self.nested.is_some() {
-            self.nested_flush(node);
+            self.nested_flush(node, false);
             return;
         }
-        if self.priv_order[node.index()].is_empty() {
-            return;
-        }
-        let mut order = std::mem::take(&mut self.priv_order[node.index()]);
-        let mut retained = std::mem::take(&mut self.retain_scratch);
-        debug_assert!(retained.is_empty());
-        for &block in &order {
-            let policy = self.policies.get(block);
-            if policy.merge.reduce_op().is_some() && self.in_phase {
-                // Reduction accumulators stay cached across invocations —
-                // "the locally cached accumulators are reconciled into a
-                // single value" when the parallel call completes (§7.1).
-                // A new invocation seeing the accumulator is harmless:
-                // contributions combine regardless of where they gather.
-                retained.push(block);
-                continue;
-            }
-            let Some(p) = self.privs[node.index()].remove(&block) else {
-                continue; // duplicate order entry (defensive; not expected)
-            };
-            let entry = self
-                .cow
-                .get_mut(block)
-                .expect("private copy has a phase entry");
-            let t = self.inner.tempest_mut();
+        let t = self.inner.tempest_mut();
+        self.privs[node.index()].drain(
+            // Reduction accumulators stay cached across invocations — "the
+            // locally cached accumulators are reconciled into a single
+            // value" when the parallel call completes (§7.1). A new
+            // invocation seeing the accumulator is harmless: contributions
+            // combine regardless of where they gather.
+            |block, _| self.in_phase && self.policies.get(block).merge.reduce_op().is_some(),
+            |block, p| {
+                let policy = self.policies.get(block);
+                let entry = self
+                    .cow
+                    .get_mut(block)
+                    .expect("private copy has a phase entry");
 
-            // Ship the version home and merge it there.
-            t.machine.record(Event::SpanBegin {
-                node,
-                what: "flush",
-                block,
-            });
-            let home = flush_home(t, node, block);
-            t.machine.record(Event::Flush { node, block });
-            let ww =
-                entry.merge_version(node, &p.data, p.dirty, policy, block, &mut self.conflicts);
-            if ww > 0 {
-                let t = self.inner.tempest_mut();
-                t.machine.stats_mut(home).ww_conflicts += ww;
-                t.machine.record(Event::WwConflict { block, word: 0 });
-            }
+                // Ship the version home and merge it there.
+                t.machine.record(Event::SpanBegin {
+                    node,
+                    what: "flush",
+                    block,
+                });
+                let home = flush_home(t, node, block);
+                t.machine.record(Event::Flush { node, block });
+                let ww =
+                    entry.merge_version(node, &p.data, p.dirty, policy, block, &mut self.conflicts);
+                if ww > 0 {
+                    t.machine.stats_mut(home).ww_conflicts += ww;
+                    t.machine.record(Event::WwConflict { block, word: 0 });
+                }
 
-            // Local transition: mcc reinitializes from the local clean
-            // copy; scc drops the copy entirely.
-            let has_local_clean = self.variant == LcmVariant::Mcc && entry.mcc_clean.contains(node);
-            let t = self.inner.tempest_mut();
-            if has_local_clean {
-                t.machine
-                    .charge(node, CycleCat::FlushReconcile, Knob::LocalRefill, 1);
-                t.tags[node.index()].set(block, Tag::ReadOnly);
-            } else {
-                t.tags[node.index()].set(block, Tag::Invalid);
-            }
-            t.machine.record(Event::SpanEnd {
-                node,
-                what: "flush",
-                block,
-            });
-        }
-        order.clear();
-        order.extend(&retained);
-        retained.clear();
-        self.retain_scratch = retained;
-        self.priv_order[node.index()] = order;
+                // Local transition: mcc reinitializes from the local clean
+                // copy; scc drops the copy entirely.
+                if self.variant == LcmVariant::Mcc && entry.mcc_clean.contains(node) {
+                    t.machine
+                        .charge(node, CycleCat::FlushReconcile, Knob::LocalRefill, 1);
+                    t.tags[node.index()].set(block, Tag::ReadOnly);
+                } else {
+                    t.tags[node.index()].set(block, Tag::Invalid);
+                }
+                t.machine.record(Event::SpanEnd {
+                    node,
+                    what: "flush",
+                    block,
+                });
+            },
+        );
     }
 
     fn begin_parallel_phase(&mut self) {
@@ -1050,10 +947,7 @@ impl MemoryProtocol for Lcm {
             "reduction operator mismatch at {addr}: region registered with {:?}",
             policy.merge
         );
-        self.mark_block(node, block, policy);
-        let p = self.privs[node.index()]
-            .get_mut(&block)
-            .expect("just marked");
+        let p = self.mark_block(node, block, policy);
         op.accumulate(&mut p.data, &mut p.dirty, addr.word_in_block(), bits);
         self.inner.tempest_mut().machine.hit(node, Access::Write);
     }

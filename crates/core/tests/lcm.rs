@@ -607,3 +607,108 @@ fn reconcile_order_holds_across_phase_table_reuse() {
         );
     }
 }
+
+/// A copy-on-write touch in [`flushes_follow_each_nodes_mark_order`]:
+/// a keep-one store or a reduction into the block of that index.
+#[derive(Copy, Clone)]
+enum Touch {
+    Keep(u64),
+    Red(u64),
+}
+
+/// Each node's flushes follow the order it marked its blocks in: keep-one
+/// copies leave at every `flush_copies`, reduction accumulators stay
+/// cached across invocations and leave at `reconcile_copies`, in the
+/// order of their first mark. Two nodes mark scrambled blocks over two
+/// invocations, so a drain that reordered the copies would show.
+#[test]
+fn flushes_follow_each_nodes_mark_order() {
+    use Touch::{Keep, Red};
+    let plan: [(NodeId, [&[Touch]; 2]); 2] = [
+        (
+            N1,
+            [
+                &[Keep(5), Red(6), Keep(2), Red(1), Keep(9)],
+                &[Red(3), Keep(14), Red(1), Keep(0), Red(4), Keep(3)],
+            ],
+        ),
+        (
+            N2,
+            [
+                &[Red(2), Keep(7), Keep(1), Red(7), Keep(12)],
+                &[Keep(2), Red(5), Keep(11), Red(2), Keep(6)],
+            ],
+        ),
+    ];
+    let flushes_since = |m: &Lcm, seen: usize, node: NodeId| -> Vec<BlockId> {
+        m.tempest()
+            .machine
+            .trace()
+            .events()
+            .skip(seen)
+            .filter_map(|s| match s.event {
+                Event::SpanBegin {
+                    node: n,
+                    what: "flush",
+                    block,
+                } if n == node => Some(block),
+                _ => None,
+            })
+            .collect()
+    };
+    for variant in [LcmVariant::Scc, LcmVariant::Mcc] {
+        let mut m = Lcm::new(MachineConfig::new(4).with_trace(1 << 16), variant);
+        let bytes = 16 * BLOCK_BYTES as u64;
+        let data = m.tempest_mut().alloc(bytes, Placement::Interleaved, "data");
+        m.register_cow_region(data, bytes, MergePolicy::KeepOne);
+        let sums = m.tempest_mut().alloc(bytes, Placement::Interleaved, "sums");
+        m.register_cow_region(sums, bytes, MergePolicy::Reduce(ReduceOp::SumI32));
+        let keep_block = |i: u64| data.offset(i * BLOCK_BYTES as u64);
+        let red_block = |i: u64| sums.offset(i * BLOCK_BYTES as u64);
+
+        m.begin_parallel_phase();
+        let mut reductions: Vec<Vec<BlockId>> = vec![Vec::new(); plan.len()];
+        for inv in 0..2 {
+            for (k, (node, invocations)) in plan.iter().enumerate() {
+                let mut keeps = Vec::new();
+                for &touch in invocations[inv] {
+                    match touch {
+                        Keep(i) => {
+                            m.mark_modification(*node, keep_block(i));
+                            m.write_f32(*node, keep_block(i), (10 * inv as u64 + i) as f32);
+                            keeps.push(keep_block(i).block());
+                        }
+                        Red(i) => {
+                            m.mark_modification(*node, red_block(i));
+                            m.reduce_i32(*node, red_block(i), ReduceOp::SumI32, 1);
+                            if !reductions[k].contains(&red_block(i).block()) {
+                                reductions[k].push(red_block(i).block());
+                            }
+                        }
+                    }
+                }
+                let seen = m.tempest().machine.trace().len();
+                m.flush_copies(*node);
+                assert_eq!(
+                    flushes_since(&m, seen, *node),
+                    keeps,
+                    "{variant:?} {node} invocation {inv}: keep-one flushes follow mark order"
+                );
+            }
+        }
+        let seen = m.tempest().machine.trace().len();
+        m.reconcile_copies();
+        for (k, (node, _)) in plan.iter().enumerate() {
+            assert_eq!(
+                flushes_since(&m, seen, *node),
+                reductions[k],
+                "{variant:?} {node}: accumulators flush at reconcile in first-mark order"
+            );
+        }
+        assert_eq!(m.tempest().machine.trace().dropped(), 0);
+        assert_eq!(m.live_cow_entries(), 0);
+        m.verify_phase_invariants().expect("clean after reconcile");
+        assert_eq!(m.read_i32(N0, red_block(1)), 2, "N1 reduced block 1 twice");
+        assert_eq!(m.read_i32(N0, red_block(2)), 2, "N2 reduced block 2 twice");
+    }
+}

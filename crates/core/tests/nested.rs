@@ -222,3 +222,116 @@ fn nested_first_touches_record_miss_events_matching_their_counters() {
     m.reconcile_nested();
     m.reconcile_copies();
 }
+
+/// Inner flushes follow each node's nested mark order (reduction
+/// accumulators wait for `reconcile_nested`, in first-mark order), and
+/// `reconcile_nested` marks the parent's new private copies in ascending
+/// block order. On 8 nodes with interleaved homes every block a node
+/// flushes has its own home, so the `Flush` sends name the blocks.
+#[test]
+fn nested_flushes_follow_mark_order_and_parent_marks_ascend() {
+    use lcm_sim::mem::{BlockId, BLOCK_BYTES};
+    use lcm_sim::Event;
+    let mut m = Lcm::new(MachineConfig::new(8).with_trace(1 << 16), LcmVariant::Mcc);
+    let bytes = 8 * BLOCK_BYTES as u64;
+    let data = m.tempest_mut().alloc(bytes, Placement::Interleaved, "data");
+    m.register_cow_region(data, bytes, MergePolicy::KeepOne);
+    let sums = m.tempest_mut().alloc(bytes, Placement::Interleaved, "sums");
+    m.register_cow_region(sums, bytes, MergePolicy::Reduce(ReduceOp::SumI32));
+    let keep = |i: u64| data.offset(i * BLOCK_BYTES as u64);
+    let red = |i: u64| sums.offset(i * BLOCK_BYTES as u64);
+    let flush_homes_since = |m: &Lcm, seen: usize, node: NodeId| -> Vec<NodeId> {
+        m.tempest()
+            .machine
+            .trace()
+            .events()
+            .skip(seen)
+            .filter_map(|s| match s.event {
+                Event::MsgSend {
+                    from,
+                    to,
+                    kind: "Flush",
+                    ..
+                } if from == node => Some(to),
+                _ => None,
+            })
+            .collect()
+    };
+    let homes = |m: &Lcm, addrs: &[Addr]| -> Vec<NodeId> {
+        addrs
+            .iter()
+            .map(|a| m.tempest().home_of(a.block()))
+            .collect()
+    };
+
+    m.begin_parallel_phase();
+    m.write_f32(N0, keep(3), 1.0); // the parent already owns block 3
+    m.begin_nested_phase(N0);
+    // Invocation 1 on N1 and N2.
+    m.write_f32(N1, keep(6), 6.0);
+    m.write_f32(N1, keep(3), 3.0);
+    m.reduce_i32(N1, red(2), ReduceOp::SumI32, 1);
+    m.write_f32(N1, keep(5), 5.0);
+    let seen = m.tempest().machine.trace().len();
+    m.flush_copies(N1);
+    assert_eq!(
+        flush_homes_since(&m, seen, N1),
+        homes(&m, &[keep(6), keep(3), keep(5)])
+    );
+    m.write_f32(N2, keep(4), 4.0);
+    m.write_f32(N2, keep(0), 0.5);
+    let seen = m.tempest().machine.trace().len();
+    m.flush_copies(N2);
+    assert_eq!(
+        flush_homes_since(&m, seen, N2),
+        homes(&m, &[keep(4), keep(0)])
+    );
+    // Invocation 2.
+    m.reduce_i32(N1, red(7), ReduceOp::SumI32, 1);
+    m.write_f32(N1, keep(4), 4.5);
+    m.reduce_i32(N1, red(2), ReduceOp::SumI32, 1);
+    let seen = m.tempest().machine.trace().len();
+    m.flush_copies(N1);
+    assert_eq!(flush_homes_since(&m, seen, N1), homes(&m, &[keep(4)]));
+    m.reduce_i32(N2, red(3), ReduceOp::SumI32, 1);
+    m.write_f32(N2, keep(6), 6.5);
+    m.write_f32(N2, keep(1), 1.5);
+    let seen = m.tempest().machine.trace().len();
+    m.flush_copies(N2);
+    assert_eq!(
+        flush_homes_since(&m, seen, N2),
+        homes(&m, &[keep(6), keep(1)])
+    );
+
+    let seen = m.tempest().machine.trace().len();
+    m.reconcile_nested();
+    assert_eq!(
+        flush_homes_since(&m, seen, N1),
+        homes(&m, &[red(2), red(7)])
+    );
+    assert_eq!(flush_homes_since(&m, seen, N2), homes(&m, &[red(3)]));
+    let parent_marks: Vec<BlockId> = m
+        .tempest()
+        .machine
+        .trace()
+        .events()
+        .skip(seen)
+        .filter_map(|s| match s.event {
+            Event::Mark { node: N0, block } => Some(block),
+            _ => None,
+        })
+        .collect();
+    let mut expect: Vec<BlockId> = [keep(6), keep(5), keep(4), keep(0), keep(1)]
+        .iter()
+        .chain(&[red(2), red(7), red(3)])
+        .map(|a| a.block())
+        .collect();
+    expect.sort_unstable();
+    assert_eq!(parent_marks, expect, "parent marks ascend by block");
+    assert_eq!(m.tempest().machine.trace().dropped(), 0);
+
+    m.reconcile_copies();
+    assert_eq!(m.live_cow_entries(), 0);
+    assert_eq!(m.read_f32(N3, keep(3)), 3.0);
+    assert_eq!(m.read_i32(N3, red(2)), 2);
+}

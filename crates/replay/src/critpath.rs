@@ -75,12 +75,12 @@ pub struct EpochSeg {
 impl EpochSeg {
     /// Total cycles node `n` accrued inside this epoch.
     pub fn node_work(&self, n: usize) -> u64 {
-        self.work[n].iter().sum()
+        self.work[n].iter().fold(0, |a, &v| a.saturating_add(v))
     }
 
     /// Node `n`'s arrival time at the epoch's close.
     pub fn arrival(&self, n: usize) -> u64 {
-        self.start + self.node_work(n)
+        self.start.saturating_add(self.node_work(n))
     }
 
     /// How far node `n` finished ahead of the slowest node — the cycles
@@ -154,12 +154,14 @@ pub struct CritPath {
 impl CritPath {
     /// Length of the extracted critical path: per epoch, the slowest
     /// node's work plus the joining barrier's cost. Equals
-    /// [`CritPath::makespan`] bit-for-bit — the module's contract.
+    /// [`CritPath::makespan`] bit-for-bit — the module's contract. Like
+    /// every sum along the path (and like the replay clocks), it
+    /// saturates at `u64::MAX`.
     pub fn path_length(&self) -> u64 {
-        self.epochs
-            .iter()
-            .map(|e| (e.end - e.start) + e.barrier_cost)
-            .sum()
+        self.epochs.iter().fold(0, |t, e| {
+            t.saturating_add(e.end - e.start)
+                .saturating_add(e.barrier_cost)
+        })
     }
 
     /// Per-category cycles *on* the critical path: the path-resident
@@ -281,7 +283,7 @@ impl CritPath {
                         .iter()
                         .enumerate()
                         .map(|(i, &v)| if scaled[i] { scale(v) } else { v })
-                        .sum::<u64>()
+                        .fold(0u64, |a, v| a.saturating_add(v))
                 })
                 .max()
                 .unwrap_or(0);
@@ -290,7 +292,7 @@ impl CritPath {
             } else {
                 e.barrier_cost
             };
-            t += longest + bc;
+            t = t.saturating_add(longest).saturating_add(bc);
         }
         t
     }
@@ -394,15 +396,18 @@ impl Epochs {
 
 impl Tap for Epochs {
     fn charge(&mut self, node: NodeId, cat: CycleCat, cycles: u64) {
-        self.work[node.index()][cat.index()] += cycles;
+        let w = &mut self.work[node.index()][cat.index()];
+        *w = w.saturating_add(cycles);
         if let Some(&b) = self.spans[node.index()].last() {
-            *self.blocks.entry((node.0, b)).or_default() += cycles;
+            let c = self.blocks.entry((node.0, b)).or_default();
+            *c = c.saturating_add(cycles);
         }
     }
 
     fn barrier(&mut self, clocks: &[u64], cost: u64) {
         self.close(clocks, cost, true);
-        self.start = self.epochs.last().expect("just closed").end + cost;
+        let end = self.epochs.last().expect("just closed").end;
+        self.start = end.saturating_add(cost);
     }
 
     fn other(&mut self, ev: &Stamped) {

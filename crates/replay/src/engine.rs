@@ -263,7 +263,9 @@ pub fn validate(file: &TraceFile) -> Result<Replayed, String> {
     )?;
     for (n, &clock) in r.clocks.iter().enumerate() {
         let node = NodeId(n as u16);
-        let sum: u64 = CycleCat::all().iter().map(|&c| r.ledger.get(node, c)).sum();
+        let sum = CycleCat::all()
+            .iter()
+            .fold(0u64, |a, &c| a.saturating_add(r.ledger.get(node, c)));
         if sum != clock {
             return Err(format!(
                 "node {n} ledger does not conserve cycles: categories sum to \

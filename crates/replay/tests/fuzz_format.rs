@@ -9,7 +9,7 @@
 //! the deeper validators.
 
 use lcm_replay::codec::cost_from_fields;
-use lcm_replay::{compare_replayed, replay, reprice, TraceFile, MAGIC, VERSION};
+use lcm_replay::{analyze, compare_replayed, replay, reprice, validate, TraceFile, MAGIC, VERSION};
 use lcm_sim::{
     BlockId, CostModel, CycleCat, CycleLedger, Event, Knob, NodeId, NodeStats, Stamped, Topology,
     Trace,
@@ -664,6 +664,33 @@ fn a_senders_hit_sum_saturates_between_its_transfers() {
     }
 }
 
+/// A capture whose clocks saturate keeps the critical-path identities.
+/// The replay clocks and ledger saturate at `u64::MAX`; the epoch walk
+/// used to add plainly, so the barrier after a saturated epoch
+/// overflowed (a panic in debug builds, a wrapped path in release), and
+/// validation's conservation sum overflowed on the saturated ledger.
+#[test]
+fn saturated_clocks_keep_the_critical_path_identities() {
+    let raw = |node: u16, cat: CycleCat, cycles: u64| Event::ChargeRaw {
+        node: NodeId(node),
+        cat,
+        cycles,
+    };
+    let mut stream = Vec::new();
+    push(&mut stream, 1, raw(0, CycleCat::Compute, u64::MAX - 5));
+    push(&mut stream, 1, raw(1, CycleCat::Compute, 7));
+    push(&mut stream, 2, raw(0, CycleCat::RetryBackoff, 9));
+    push(&mut stream, 3, Event::Barrier { at: 3 });
+    push(&mut stream, 4, raw(1, CycleCat::Compute, 3));
+    let f = self_validating_file(2, Topology::Crossbar, CostModel::cm5(), stream, 0);
+    let valid = validate(&f).expect("a saturated capture validates");
+    let cp = analyze(&f);
+    assert_eq!(valid.time, u64::MAX);
+    assert_eq!(cp.makespan, valid.time);
+    assert_eq!(cp.path_length(), cp.makespan);
+    assert_eq!(cp.whatif(&[], 100), cp.makespan);
+}
+
 /// Builds a valid event from random draws: node ids below `nodes`,
 /// labels from a small mixed set, a barrier's `at` equal to its stamp
 /// (the encoding stores that value once), and transfers between two
@@ -943,6 +970,168 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The critical-path identities on streams nobody wrote by hand,
+    /// with `MsgSend`/`MsgRecv` pairs matched FIFO among the charges,
+    /// transfers, spans, barriers and phase marks of an 8-node machine.
+    /// Under the file's own cost model and topology every pair becomes
+    /// one message edge, and the extracted path length equals the
+    /// analyzed makespan and the validated replay time. Half the cases
+    /// price at CM-5 rates with magnitudes up to 2^32; the other half
+    /// draw a random cost model and full-word magnitudes, so clocks
+    /// saturate.
+    #[test]
+    fn random_streams_with_messages_keep_the_critical_path_identities(
+        draws in proptest::collection::vec(
+            (0u8..16, any::<u64>(), 0u32..96, any::<u64>(), any::<u64>()),
+            0usize..96,
+        ),
+        cost_seed in any::<u64>(),
+    ) {
+        const NODES: u16 = 8;
+        const KINDS: [&str; 3] = ["GetShared", "Flush", "Inval"];
+        let mut rng = lcm_sim::Pcg32::new(cost_seed, 0);
+        let hostile = rng.below(2) == 1;
+        let cost = if hostile {
+            random_cost(&mut rng)
+        } else {
+            let mut cost = CostModel::cm5();
+            cost.link_bandwidth_bytes_per_cycle = rng.below(3);
+            cost
+        };
+        let topology = [Topology::FatTree { arity: 4 }, Topology::Crossbar, Topology::Flat]
+            [rng.below(3) as usize];
+        let mut stream: Vec<Stamped> = Vec::new();
+        let mut inflight = Inflight::new();
+        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        for &(op, c, shift, a, b) in &draws {
+            // Hostile: a third of the draws are full words, so sums
+            // overflow often.
+            let shift = if hostile { shift.saturating_sub(32) } else { 32 + shift % 32 };
+            let (a, b) = (a >> shift, b >> shift);
+            let cycle = (c >> 1) >> shift;
+            let n = u64::from(NODES);
+            let from = NodeId((c % n) as u16);
+            let to = NodeId(((u64::from(from.0) + 1 + a % (n - 1)) % n) as u16);
+            match op {
+                0..=2 => {
+                    let kind = KINDS[(b % 3) as usize];
+                    let bytes = b >> 48;
+                    let send = push(&mut stream, cycle, Event::MsgSend { from, to, kind, bytes });
+                    inflight.push_back((send, from, to, kind, bytes));
+                }
+                3 | 4 => pairs.extend(recv_oldest(&mut stream, &mut inflight, cycle)),
+                5 => {
+                    push(&mut stream, cycle, Event::Barrier { at: cycle });
+                }
+                6 => {
+                    let label = KINDS[(b % 3) as usize];
+                    push(&mut stream, cycle, Event::PhaseMark { label });
+                }
+                // Spans open and close on random nodes; events 13 and 14.
+                7 => {
+                    let span = event_from(NODES, 13 + (b & 1) as u8, cycle, a, b % 4);
+                    push(&mut stream, cycle, span);
+                }
+                8 => {
+                    push(&mut stream, cycle, event_from(NODES, 18, cycle, a, b));
+                }
+                // Charges, raw charges and work: events 15 to 17.
+                _ => {
+                    push(&mut stream, cycle, event_from(NODES, 15 + op % 3, cycle, a, b));
+                }
+            }
+        }
+        while let Some(pair) = recv_oldest(&mut stream, &mut inflight, u64::MAX >> 1) {
+            pairs.push(pair);
+        }
+        let f = self_validating_file(usize::from(NODES), topology, cost, stream, pairs.len());
+
+        let cp = analyze(&f);
+        prop_assert_eq!((cp.unmatched_sends, cp.unmatched_recvs), (0, 0));
+        let edges: Vec<(u64, u64)> = cp.edges.iter().map(|e| (e.send_seq, e.recv_seq)).collect();
+        prop_assert_eq!(edges, pairs);
+        let time = validate(&f).map(|r| r.time);
+        prop_assert!(time.is_ok(), "{topology} under {cost:?}: {time:?}");
+        prop_assert_eq!(cp.path_length(), cp.makespan);
+        prop_assert_eq!(Ok(cp.makespan), time);
+        prop_assert_eq!(cp.whatif(&[], 100), cp.makespan);
+    }
+}
+
+/// A trace file of `stream` (holding `pairs` send/recv pairs) whose
+/// footer is its own replay's outcome, so it validates.
+fn self_validating_file(
+    nodes: usize,
+    topology: Topology,
+    cost: CostModel,
+    stream: Vec<Stamped>,
+    pairs: usize,
+) -> TraceFile {
+    let capture = |clocks: Vec<u64>, ledger: &CycleLedger, totals: NodeStats| {
+        TraceFile::from_capture(
+            nodes,
+            topology,
+            cost,
+            Vec::new(),
+            stream.clone(),
+            clocks,
+            ledger,
+            totals,
+        )
+        .expect("gap-free stream")
+    };
+    let draft = capture(
+        vec![0; nodes],
+        &CycleLedger::new(nodes),
+        NodeStats::default(),
+    );
+    let r = replay(&draft, &cost, topology);
+    let totals = NodeStats {
+        msgs_sent: pairs as u64,
+        msgs_recv: pairs as u64,
+        bytes_sent: r.totals.bytes_sent,
+        bytes_recv: r.totals.bytes_recv,
+        barriers: nodes as u64 * r.barriers,
+        ..NodeStats::default()
+    };
+    capture(r.clocks, &r.ledger, totals)
+}
+
+/// Sends not yet received, oldest first: `(seq, from, to, kind, bytes)`.
+type Inflight = std::collections::VecDeque<(u64, NodeId, NodeId, &'static str, u64)>;
+
+/// Appends `event` to `stream` at the next sequence number, returned.
+fn push(stream: &mut Vec<Stamped>, cycle: u64, event: Event) -> u64 {
+    let seq = stream.len() as u64;
+    stream.push(Stamped { seq, cycle, event });
+    seq
+}
+
+/// Receives the oldest send still in flight, returning the pair's
+/// `(send, recv)` sequence numbers. Receiving in global send order
+/// keeps every `(from, to, kind)` channel FIFO.
+fn recv_oldest(
+    stream: &mut Vec<Stamped>,
+    inflight: &mut Inflight,
+    cycle: u64,
+) -> Option<(u64, u64)> {
+    let (send, from, to, kind, bytes) = inflight.pop_front()?;
+    let recv = push(
+        stream,
+        cycle,
+        Event::MsgRecv {
+            node: to,
+            from,
+            kind,
+            bytes,
+        },
+    );
+    Some((send, recv))
 }
 
 /// A random cost model: each price tiny (so one unit of an overflowed

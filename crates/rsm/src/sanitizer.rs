@@ -16,7 +16,7 @@
 //! * **sharer-list agreement** — every valid tag is backed by a directory
 //!   entry naming the node, and vice versa;
 //! * **no stale clean copy past reconciliation** — LCM phase state
-//!   (private copies, clean copies, ordering logs) is empty outside a
+//!   (private copies, clean copies, phase entries) is empty outside a
 //!   phase and consistent inside one;
 //! * **cycle-ledger conservation** — on every node the per-category
 //!   cycle attributions ([`lcm_sim::CycleLedger`]) sum exactly to the
