@@ -13,8 +13,7 @@
 //! phase's entries, which reconcile walks in block order.
 
 use lcm_rsm::{ConflictKind, ConflictRecord, KeepOrder, MergePolicy, RegionPolicy};
-use lcm_sim::hash::FastMap;
-use lcm_sim::mem::{BlockBuf, BlockId, WordMask, WORDS_PER_BLOCK};
+use lcm_sim::mem::{BlockBuf, BlockId, BlockMap, WordMask, WORDS_PER_BLOCK};
 use lcm_sim::NodeId;
 use lcm_stache::SharerSet;
 
@@ -169,21 +168,23 @@ impl CowEntry {
     }
 }
 
-/// A block-keyed slab: a block-to-slot index over a `Vec` of
-/// `(block, value)` pairs kept in insertion order.
+/// A block-keyed slab: a page-indexed block-to-slot index (a
+/// [`BlockMap`]) over a `Vec` of `(block, value)` pairs kept in
+/// insertion order.
 ///
 /// LCM keeps all of its phase state in tables of this one type: each
 /// node's private copies, the phase's [`CowEntry`]s, and the same two
-/// for an open nested phase. Values never move on insert, so the hash
-/// index holds 4-byte slots however large the value (an entry is over
-/// 500 bytes). [`BlockTable::drain`] hands copies out in insertion
-/// order — the order a node marked them, which is the order its flushes
-/// ship them — and [`BlockTable::clear`] keeps capacity, so the next
-/// invocation or phase refills the table without regrowing or
-/// rehashing it.
+/// for an open nested phase. Values never move on insert, so the index
+/// holds 4-byte slots however large the value (an entry is over 500
+/// bytes); slot 0 means "no value", so a block's slot is its position
+/// plus one. [`BlockTable::drain`] hands copies out in insertion order:
+/// the order a node marked them, which is the order its flushes ship
+/// them. `drain` and [`BlockTable::clear`] reset only the slots of the
+/// blocks they remove, in O(len), and keep the index's pages, so the
+/// next invocation or phase refills the table without regrowing it.
 #[derive(Clone, Debug)]
 pub(crate) struct BlockTable<T> {
-    slots: FastMap<BlockId, u32>,
+    slots: BlockMap<u32>,
     items: Vec<(BlockId, T)>,
     /// Reusable `(block, slot)` buffer for [`BlockTable::in_block_order`].
     order: Vec<(BlockId, u32)>,
@@ -192,7 +193,7 @@ pub(crate) struct BlockTable<T> {
 impl<T> Default for BlockTable<T> {
     fn default() -> Self {
         BlockTable {
-            slots: FastMap::default(),
+            slots: BlockMap::default(),
             items: Vec::new(),
             order: Vec::new(),
         }
@@ -210,33 +211,38 @@ impl<T> BlockTable<T> {
         self.items.is_empty()
     }
 
+    /// Index into `items` of `block`'s value, if it has one.
+    #[inline]
+    fn index(&self, block: BlockId) -> Option<usize> {
+        (*self.slots.get(block) as usize).checked_sub(1)
+    }
+
     /// True when `block` has a value.
     pub(crate) fn contains(&self, block: BlockId) -> bool {
-        self.slots.contains_key(&block)
+        self.index(block).is_some()
     }
 
     /// The value of `block`, if it has one.
     pub(crate) fn get(&self, block: BlockId) -> Option<&T> {
-        let slot = *self.slots.get(&block)?;
-        Some(&self.items[slot as usize].1)
+        Some(&self.items[self.index(block)?].1)
     }
 
     /// The value of `block`, mutably, if it has one.
     pub(crate) fn get_mut(&mut self, block: BlockId) -> Option<&mut T> {
-        let slot = *self.slots.get(&block)?;
-        Some(&mut self.items[slot as usize].1)
+        let index = self.index(block)?;
+        Some(&mut self.items[index].1)
     }
 
     /// The value of `block`, created by `new` (and appended to the
     /// insertion order) if the block has none yet.
     pub(crate) fn get_or_insert_with(&mut self, block: BlockId, new: impl FnOnce() -> T) -> &mut T {
-        let items = &mut self.items;
-        let slot = *self.slots.entry(block).or_insert_with(|| {
-            let slot = u32::try_from(items.len()).expect("under 2^32 blocks per table");
-            items.push((block, new()));
-            slot
-        });
-        &mut self.items[slot as usize].1
+        let slot = self.slots.get_mut(block);
+        if *slot == 0 {
+            self.items.push((block, new()));
+            *slot = u32::try_from(self.items.len()).expect("under 2^32 blocks per table");
+        }
+        let index = *slot as usize - 1;
+        &mut self.items[index].1
     }
 
     /// Every value, in insertion order.
@@ -248,11 +254,12 @@ impl<T> BlockTable<T> {
     /// phase entries in.
     pub(crate) fn in_block_order(&mut self) -> impl Iterator<Item = (BlockId, &T)> + '_ {
         self.order.clear();
-        self.order.extend(self.slots.iter().map(|(&b, &s)| (b, s)));
+        self.order
+            .extend(self.items.iter().map(|(block, _)| *block).zip(0..));
         self.order.sort_unstable_by_key(|&(block, _)| block);
         self.order
             .iter()
-            .map(|&(block, slot)| (block, &self.items[slot as usize].1))
+            .map(|&(block, index)| (block, &self.items[index as usize].1))
     }
 
     /// Removes, in insertion order, every value that `keep` does not
@@ -263,25 +270,24 @@ impl<T> BlockTable<T> {
         mut keep: impl FnMut(BlockId, &T) -> bool,
         mut take: impl FnMut(BlockId, T),
     ) {
-        let before = self.items.len();
-        for (block, value) in self
-            .items
-            .extract_if(.., |(block, value)| !keep(*block, value))
-        {
+        let slots = &mut self.slots;
+        let mut kept = 0;
+        let removed = self.items.extract_if(.., |(block, value)| {
+            let retain = keep(*block, value);
+            kept += u32::from(retain);
+            *slots.get_mut(*block) = if retain { kept } else { 0 };
+            !retain
+        });
+        for (block, value) in removed {
             take(block, value);
-        }
-        if self.items.len() == before {
-            return; // nothing moved, so the index still holds
-        }
-        self.slots.clear();
-        for (slot, &(block, _)) in self.items.iter().enumerate() {
-            self.slots.insert(block, slot as u32);
         }
     }
 
-    /// Drops every value, keeping the containers' capacity.
+    /// Drops every value, keeping the containers' capacity and pages.
     pub(crate) fn clear(&mut self) {
-        self.slots.clear();
+        for &(block, _) in &self.items {
+            self.slots.set(block, 0);
+        }
         self.items.clear();
     }
 }
@@ -290,6 +296,8 @@ impl<T> BlockTable<T> {
 mod tests {
     use super::*;
     use lcm_rsm::ReduceOp;
+    use lcm_sim::mem::BLOCKS_PER_PAGE;
+    use proptest::prelude::*;
 
     fn buf_with(words: &[(usize, u32)]) -> BlockBuf {
         let mut b = BlockBuf::zeroed();
@@ -552,14 +560,80 @@ mod tests {
 
     #[test]
     fn clear_keeps_capacity() {
-        let mut t = table_of(&[3, 1, 2]);
+        let mut t = table_of(&[3, 1, 2, 300]);
         let cap = t.items.capacity();
         t.clear();
         assert!(t.is_empty() && !t.contains(BlockId(1)));
         assert_eq!(t.items.capacity(), cap);
+        assert_eq!(t.slots.pages(), 2, "the index keeps its pages");
         *t.get_or_insert_with(BlockId(2), || 10) += 1;
         assert_eq!(blocks_of(&t), [2]);
         assert_eq!(t.get(BlockId(2)), Some(&11));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One table reused across random inserts, lookups, drains and
+        /// clears matches a `Vec` of `(block, value)` in insertion order:
+        /// iteration keeps that order, `in_block_order` sorts it, a drain
+        /// takes in it and keeps the survivors in it, and no drained or
+        /// cleared block is found again.
+        #[test]
+        fn table_matches_an_insertion_ordered_vec(
+            ops in proptest::collection::vec((0u8..8, 0u64..3, 0u64..6, any::<u8>()), 0..200),
+        ) {
+            let mut t: BlockTable<u64> = BlockTable::default();
+            let mut model: Vec<(BlockId, u64)> = Vec::new();
+            let mut next = 0u64;
+            for &(op, page, slot, salt) in &ops {
+                let block = BlockId(page * BLOCKS_PER_PAGE as u64 + slot * 25);
+                match op {
+                    0 => {
+                        t.clear();
+                        model.clear();
+                    }
+                    1 => {
+                        let keep = |b: BlockId, v: u64| !(b.0 + v + u64::from(salt)).is_multiple_of(3);
+                        let mut taken = Vec::new();
+                        t.drain(|b, &v| keep(b, v), |b, v| taken.push((b, v)));
+                        let expect: Vec<(BlockId, u64)> =
+                            model.iter().copied().filter(|&(b, v)| !keep(b, v)).collect();
+                        model.retain(|&(b, v)| keep(b, v));
+                        prop_assert_eq!(taken, expect);
+                    }
+                    2 => {
+                        let expect = model.iter().find(|e| e.0 == block).map(|e| e.1);
+                        prop_assert_eq!(t.get(block).copied(), expect);
+                        prop_assert_eq!(t.contains(block), expect.is_some());
+                    }
+                    _ => {
+                        next += 1;
+                        let v = *t.get_or_insert_with(block, || next);
+                        match model.iter().find(|e| e.0 == block) {
+                            Some(&(_, old)) => prop_assert_eq!(v, old),
+                            None => {
+                                prop_assert_eq!(v, next);
+                                model.push((block, next));
+                            }
+                        }
+                    }
+                }
+                let listed: Vec<(BlockId, u64)> = t.iter().map(|(b, &v)| (b, v)).collect();
+                prop_assert_eq!(&listed, &model);
+                prop_assert_eq!(t.len(), model.len());
+                let mut sorted = model.clone();
+                sorted.sort_unstable();
+                let walked: Vec<(BlockId, u64)> =
+                    t.in_block_order().map(|(b, &v)| (b, v)).collect();
+                prop_assert_eq!(walked, sorted);
+            }
+            for key in 0..5 * BLOCKS_PER_PAGE as u64 {
+                let block = BlockId(key);
+                let expect = model.iter().find(|e| e.0 == block).map(|e| e.1);
+                prop_assert_eq!(t.get(block).copied(), expect, "block {}", key);
+            }
+        }
     }
 
     #[test]

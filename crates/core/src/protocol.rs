@@ -219,7 +219,7 @@ impl Lcm {
         let has_local_clean = self.variant == LcmVariant::Mcc;
         let t = self.inner.tempest_mut();
         for n in 0..self.privs.len() {
-            if t.tags[n].get(block) == Tag::ReadWrite {
+            if *t.tags[n].get(block) == Tag::ReadWrite {
                 t.tags[n].set(
                     block,
                     if has_local_clean {

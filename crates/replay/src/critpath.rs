@@ -172,9 +172,10 @@ impl CritPath {
         let mut out = [0u64; CycleCat::COUNT];
         for e in &self.epochs {
             for (i, v) in e.work[e.critical].iter().enumerate() {
-                out[i] += v;
+                out[i] = out[i].saturating_add(*v);
             }
-            out[CycleCat::BarrierWait.index()] += e.barrier_cost;
+            let wait = &mut out[CycleCat::BarrierWait.index()];
+            *wait = wait.saturating_add(e.barrier_cost);
         }
         out
     }
@@ -188,12 +189,15 @@ impl CritPath {
         for e in &self.epochs {
             for w in &e.work {
                 for (i, v) in w.iter().enumerate() {
-                    out[i] += v;
+                    out[i] = out[i].saturating_add(*v);
                 }
             }
             if e.closed_by_barrier {
+                let wait = &mut out[CycleCat::BarrierWait.index()];
                 for n in 0..self.nodes {
-                    out[CycleCat::BarrierWait.index()] += e.slack(n) + e.barrier_cost;
+                    *wait = wait
+                        .saturating_add(e.slack(n))
+                        .saturating_add(e.barrier_cost);
                 }
             }
         }
@@ -202,10 +206,11 @@ impl CritPath {
 
     /// Total slack over all epochs and nodes.
     pub fn total_slack(&self) -> u64 {
-        self.epochs
+        let slacks = self
+            .epochs
             .iter()
-            .map(|e| (0..self.nodes).map(|n| e.slack(n)).sum::<u64>())
-            .sum()
+            .flat_map(|e| (0..self.nodes).map(|n| e.slack(n)));
+        slacks.fold(0, u64::saturating_add)
     }
 
     /// Every per-epoch, per-node slack value (the critical node's zeros
@@ -235,8 +240,11 @@ impl CritPath {
                 }
             });
             row.epochs += 1;
-            row.path_cycles += (e.end - e.start) + e.barrier_cost;
-            row.slack += (0..self.nodes).map(|n| e.slack(n)).sum::<u64>();
+            row.path_cycles = row
+                .path_cycles
+                .saturating_add(e.end - e.start)
+                .saturating_add(e.barrier_cost);
+            row.slack = (0..self.nodes).fold(row.slack, |t, n| t.saturating_add(e.slack(n)));
         }
         order.into_iter().map(|l| rows.remove(l).unwrap()).collect()
     }

@@ -669,6 +669,8 @@ fn a_senders_hit_sum_saturates_between_its_transfers() {
 /// used to add plainly, so the barrier after a saturated epoch
 /// overflowed (a panic in debug builds, a wrapped path in release), and
 /// validation's conservation sum overflowed on the saturated ledger.
+/// The per-category and per-phase sums (`total_by_cat`,
+/// `on_path_by_cat`, `total_slack`, `phase_summary`) saturate too.
 #[test]
 fn saturated_clocks_keep_the_critical_path_identities() {
     let raw = |node: u16, cat: CycleCat, cycles: u64| Event::ChargeRaw {
@@ -689,6 +691,17 @@ fn saturated_clocks_keep_the_critical_path_identities() {
     assert_eq!(cp.makespan, valid.time);
     assert_eq!(cp.path_length(), cp.makespan);
     assert_eq!(cp.whatif(&[], 100), cp.makespan);
+    // The per-category and per-phase sums saturate like the clocks.
+    let totals = cp.total_by_cat();
+    assert_eq!(totals[CycleCat::Compute.index()], u64::MAX);
+    for (on, total) in cp.on_path_by_cat().iter().zip(&totals) {
+        assert!(on <= total, "on-path cycles exceed the total");
+    }
+    let phases = cp.phase_summary();
+    let path: Vec<u64> = phases.iter().map(|p| p.path_cycles).collect();
+    let slack: Vec<u64> = phases.iter().map(|p| p.slack).collect();
+    assert_eq!(path, [cp.makespan]);
+    assert_eq!(slack, [cp.total_slack()]);
 }
 
 /// Builds a valid event from random draws: node ids below `nodes`,

@@ -1,11 +1,12 @@
-//! A fast, deterministic hasher for the hot protocol maps.
+//! A fast, deterministic hasher for the protocol maps.
 //!
-//! Directories and copy tables are keyed by block ids and are consulted
-//! on *every* simulated memory access, so the default SipHash is needless
-//! overhead. `FastHasher` is a Fibonacci-multiply finalizer —
-//! plenty for ids that are already well-distributed — and, unlike
-//! `RandomState`, is deterministic, which keeps iteration-order-independent
-//! code honest and traces reproducible.
+//! The tables consulted on every simulated access are page-indexed
+//! ([`crate::mem::BlockMap`]). The maps that remain (stale-data snapshots
+//! and nested-phase touch sets) are keyed by block ids, for which the
+//! default SipHash is needless overhead. `FastHasher` is a
+//! Fibonacci-multiply finalizer — plenty for ids that are already
+//! well-distributed — and, unlike `RandomState`, is deterministic, which
+//! keeps iteration-order-independent code honest and traces reproducible.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

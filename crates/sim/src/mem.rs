@@ -144,6 +144,88 @@ impl PageId {
     }
 }
 
+/// One value per block, in pages of [`BLOCKS_PER_PAGE`] values indexed by
+/// page number, as Blizzard's per-block tables are: a lookup is two array
+/// indexings, with no hashing. The address space hands out pages
+/// contiguously from page 1, so the page vector is as long as the highest
+/// page that holds a value. Absent pages, and pages past the end, read as
+/// `T::default()`; [`BlockMap::get_mut`] materializes a page, and a
+/// [`BlockMap::set`] of the default value materializes nothing.
+///
+/// ```
+/// use lcm_sim::mem::{BlockId, BlockMap};
+/// let mut m: BlockMap<u8> = BlockMap::default();
+/// m.set(BlockId(300), 7);
+/// *m.get_mut(BlockId(2)) += 1;
+/// assert_eq!(*m.get(BlockId(300)), 7);
+/// assert_eq!(*m.get(BlockId(1 << 40)), 0);
+/// assert_eq!(m.iter().collect::<Vec<_>>(), vec![(BlockId(2), &1), (BlockId(300), &7)]);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct BlockMap<T> {
+    pages: Vec<Option<Box<[T; BLOCKS_PER_PAGE]>>>,
+    /// What every block of an absent page reads as.
+    default: T,
+}
+
+impl<T: Copy + Default + PartialEq> BlockMap<T> {
+    /// The value of `block`.
+    #[inline]
+    pub fn get(&self, block: BlockId) -> &T {
+        match self.pages.get(block.page().0 as usize) {
+            Some(Some(page)) => &page[block.index_in_page()],
+            _ => &self.default,
+        }
+    }
+
+    /// The value of `block`, mutably, materializing its page if needed.
+    #[inline]
+    pub fn get_mut(&mut self, block: BlockId) -> &mut T {
+        let index = block.page().0 as usize;
+        if index >= self.pages.len() {
+            self.pages.resize_with(index + 1, || None);
+        }
+        let page =
+            self.pages[index].get_or_insert_with(|| Box::new([T::default(); BLOCKS_PER_PAGE]));
+        &mut page[block.index_in_page()]
+    }
+
+    /// Stores `value` for `block` and returns the value it replaces.
+    /// Storing the default value in an absent page materializes nothing.
+    #[inline]
+    pub fn set(&mut self, block: BlockId, value: T) -> T {
+        if value == self.default
+            && !matches!(self.pages.get(block.page().0 as usize), Some(Some(_)))
+        {
+            return value;
+        }
+        std::mem::replace(self.get_mut(block), value)
+    }
+
+    /// Every block whose value is not the default, in ascending block
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (BlockId, &T)> + '_ {
+        let firsts = (0..).step_by(BLOCKS_PER_PAGE);
+        let pages = self.pages.iter().zip(firsts);
+        pages
+            .filter_map(|(page, first)| Some((first, page.as_deref()?)))
+            .flat_map(move |(first, values)| {
+                let blocks = (first..).map(BlockId).zip(values);
+                blocks.filter(move |(_, v)| **v != self.default)
+            })
+    }
+
+    /// Number of materialized pages: the table's storage footprint.
+    pub fn pages(&self) -> usize {
+        self.pages.iter().flatten().count()
+    }
+
+    /// Resets every block to the default and releases the pages.
+    pub fn clear(&mut self) {
+        self.pages.clear();
+    }
+}
+
 /// A bitmask over the eight words of one block.
 ///
 /// LCM records, per private copy, which words have been stored to; the
@@ -403,6 +485,25 @@ mod tests {
         assert_eq!(b.page(), PageId(1));
         assert_eq!(b.index_in_page(), 0);
         assert_eq!(PageId(1).first_block(), BlockId(128));
+    }
+
+    #[test]
+    fn block_map_reads_default_outside_its_pages() {
+        let mut m: BlockMap<u32> = BlockMap::default();
+        assert_eq!(m.set(BlockId(5), 0), 0);
+        assert_eq!(m.pages(), 0, "a default set materializes nothing");
+        assert_eq!(m.set(BlockId(130), 4), 0);
+        *m.get_mut(BlockId(1)) += 2;
+        assert_eq!(m.set(BlockId(130), 6), 4, "set returns the old value");
+        assert_eq!(m.pages(), 2);
+        assert_eq!(*m.get(BlockId(3 * 128)), 0, "past the last page");
+        assert_eq!(*m.get(BlockId(2)), 0, "inside a page");
+        m.set(BlockId(1), 0);
+        assert_eq!(m.pages(), 2, "pages stay once materialized");
+        let all: Vec<(BlockId, u32)> = m.iter().map(|(b, &v)| (b, v)).collect();
+        assert_eq!(all, vec![(BlockId(130), 6)]);
+        m.clear();
+        assert_eq!((m.pages(), *m.get(BlockId(130))), (0, 0));
     }
 
     #[test]

@@ -24,10 +24,8 @@
 //! cycles, which is exactly the scalability trade the backends model.
 
 use crate::sharers::SharerSet;
-use lcm_sim::hash::FastMap;
-use lcm_sim::mem::BlockId;
+use lcm_sim::mem::{BlockId, BlockMap};
 use lcm_sim::{DirBackend, NodeId};
-use std::collections::hash_map;
 
 /// Directory state of one block.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -52,10 +50,12 @@ impl DirState {
     }
 }
 
-/// One non-idle directory entry. The limited-pointer overflow flag is
-/// folded into the variant, so an entry is no larger than a [`DirState`].
-#[derive(Copy, Clone, Debug)]
+/// One directory entry. The limited-pointer overflow flag is folded into
+/// the variant, so an entry is no larger than a [`DirState`].
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 enum Entry {
+    #[default]
+    Idle,
     Shared(SharerSet),
     /// Shared, with a limited-pointer representation that has overflowed
     /// to broadcast. Never used under other backends.
@@ -64,22 +64,26 @@ enum Entry {
 }
 
 impl Entry {
-    fn state(self) -> DirState {
-        match self {
+    fn state(&self) -> DirState {
+        match *self {
+            Entry::Idle => DirState::Idle,
             Entry::Shared(s) | Entry::Overflowed(s) => DirState::Shared(s),
             Entry::Exclusive(n) => DirState::Exclusive(n),
         }
     }
 
-    fn is_overflowed(self) -> bool {
+    fn is_overflowed(&self) -> bool {
         matches!(self, Entry::Overflowed(_))
     }
 }
 
-/// The (logically distributed, physically one-map) directory.
+/// The (logically distributed, physically one-table) directory: a
+/// [`BlockMap`] of entries, so a lookup is two array indexings.
 #[derive(Clone, Debug)]
 pub struct Directory {
-    entries: FastMap<BlockId, Entry>,
+    entries: BlockMap<Entry>,
+    /// Number of non-`Idle` entries.
+    live: usize,
     /// Number of `Overflowed` entries.
     overflowed: usize,
     backend: DirBackend,
@@ -104,7 +108,8 @@ impl Directory {
     /// machine of `nodes` nodes.
     pub fn with_backend(backend: DirBackend, nodes: usize) -> Directory {
         Directory {
-            entries: FastMap::default(),
+            entries: BlockMap::default(),
+            live: 0,
             overflowed: 0,
             backend,
             nodes,
@@ -119,9 +124,7 @@ impl Directory {
     /// The state of `block`.
     #[inline]
     pub fn state(&self, block: BlockId) -> DirState {
-        self.entries
-            .get(&block)
-            .map_or(DirState::Idle, |e| e.state())
+        self.entries.get(block).state()
     }
 
     /// Sets the state of `block`. Storing `Idle` removes the entry.
@@ -156,22 +159,23 @@ impl Directory {
             }
             DirState::Exclusive(n) => Entry::Exclusive(n),
         };
-        // One probe. Overflow is sticky while the entry stays shared.
-        let slot = self.entries.entry(block);
-        let was_over = matches!(&slot, hash_map::Entry::Occupied(o) if o.get().is_overflowed());
-        let entry = match entry {
+        // One lookup. Overflow is sticky while the entry stays shared.
+        let slot = self.entries.get_mut(block);
+        let was_idle = matches!(slot, Entry::Idle);
+        let was_over = slot.is_overflowed();
+        *slot = match entry {
             Entry::Shared(s) if was_over => Entry::Overflowed(s),
             e => e,
         };
-        slot.insert_entry(entry);
-        let now_over = entry.is_overflowed();
+        let now_over = slot.is_overflowed();
+        self.live += usize::from(was_idle);
         self.overflowed = self.overflowed + usize::from(now_over) - usize::from(was_over);
         now_over && !was_over
     }
 
     /// True when `block`'s representation has overflowed to broadcast.
     pub fn is_overflowed(&self, block: BlockId) -> bool {
-        self.entries.get(&block).is_some_and(|e| e.is_overflowed())
+        self.entries.get(block).is_overflowed()
     }
 
     /// Number of entries currently in representation overflow.
@@ -184,22 +188,16 @@ impl Directory {
     /// whenever the representation is imprecise, equal to them under
     /// full-map (and under the other backends while they are precise).
     pub fn inval_targets(&self, block: BlockId) -> SharerSet {
-        match self.state(block) {
-            DirState::Idle => SharerSet::empty(),
-            DirState::Exclusive(n) => SharerSet::single(n),
-            DirState::Shared(s) => match self.backend {
-                DirBackend::FullMap => s,
-                DirBackend::LimitedPtr { .. } => {
-                    if self.is_overflowed(block) {
-                        SharerSet::all_below(self.nodes)
-                    } else {
-                        s
-                    }
-                }
+        match *self.entries.get(block) {
+            Entry::Idle => SharerSet::empty(),
+            Entry::Exclusive(n) => SharerSet::single(n),
+            Entry::Overflowed(_) => SharerSet::all_below(self.nodes),
+            Entry::Shared(s) => match self.backend {
                 DirBackend::CoarseVec { bits } => {
                     let group = self.nodes.div_ceil(usize::from(bits.max(1)));
                     s.expand_groups(group, self.nodes)
                 }
+                _ => s,
             },
         }
     }
@@ -209,29 +207,25 @@ impl Directory {
     /// copy-on-write phase. Clears any representation overflow — the
     /// entry is rebuilt from scratch on its next use.
     pub fn take(&mut self, block: BlockId) -> DirState {
-        match self.entries.remove(&block) {
-            Some(e) => {
-                self.overflowed -= usize::from(e.is_overflowed());
-                e.state()
-            }
-            None => DirState::Idle,
-        }
+        let old = self.entries.set(block, Entry::Idle);
+        self.live -= usize::from(!matches!(old, Entry::Idle));
+        self.overflowed -= usize::from(old.is_overflowed());
+        old.state()
     }
 
-    /// Every non-idle entry, in map (unspecified) order. Consumers that
-    /// need determinism must accumulate order-independent sums.
+    /// Every non-idle entry, in ascending block order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, DirState)> + '_ {
-        self.entries.iter().map(|(b, e)| (*b, e.state()))
+        self.entries.iter().map(|(b, e)| (b, e.state()))
     }
 
     /// Number of non-idle entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// True when every block is idle.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 }
 

@@ -119,7 +119,7 @@ impl Stache {
             let victim = self.fifo[node.index()]
                 .pop_front()
                 .expect("resident blocks are queued");
-            let tag = self.t.tags[node.index()].get(victim);
+            let tag = *self.t.tags[node.index()].get(victim);
             if tag == Tag::Invalid || victim == block {
                 continue; // stale queue entry, or never evict the block just filled
             }
@@ -163,7 +163,7 @@ impl Stache {
     /// Notes that `node` lost its copy of `block` (invalidation), for
     /// residency accounting.
     fn note_invalidate(&mut self, node: NodeId, block: BlockId) {
-        if self.capacity.is_some() && self.t.tags[node.index()].get(block) != Tag::Invalid {
+        if self.capacity.is_some() && *self.t.tags[node.index()].get(block) != Tag::Invalid {
             self.resident[node.index()] = self.resident[node.index()].saturating_sub(1);
         }
     }
@@ -189,7 +189,7 @@ impl Stache {
     pub fn verify_coherence_invariants(&self) -> Result<(), String> {
         // Directory → tags.
         for node in self.t.machine.node_ids() {
-            for (block, tag) in self.t.tags[node.index()].iter_valid() {
+            for (block, &tag) in self.t.tags[node.index()].iter() {
                 match (self.dir.state(block), tag) {
                     (DirState::Exclusive(owner), Tag::ReadWrite) if owner == node => {}
                     (DirState::Exclusive(owner), Tag::ReadOnly) => {
@@ -213,7 +213,7 @@ impl Stache {
                             "{node} holds {block:?} ({tag:?}) but the directory is idle"
                         ));
                     }
-                    (_, Tag::Invalid) => unreachable!("iter_valid yields valid tags"),
+                    (_, Tag::Invalid) => unreachable!("iter yields valid tags"),
                 }
             }
         }
@@ -288,7 +288,7 @@ impl Stache {
             return;
         }
         for s in sharers.iter() {
-            if self.t.tags[s.index()].get(block) == Tag::ReadWrite {
+            if *self.t.tags[s.index()].get(block) == Tag::ReadWrite {
                 self.t.tags[s.index()].set(block, Tag::ReadOnly);
             }
         }
@@ -306,7 +306,7 @@ impl Stache {
     /// Invalid and is acked again without double-counting the
     /// invalidation or re-clearing anything.
     pub fn invalidate_copy(&mut self, home: NodeId, sharer: NodeId, block: BlockId) {
-        if self.t.tags[sharer.index()].get(block) == Tag::Invalid {
+        if *self.t.tags[sharer.index()].get(block) == Tag::Invalid {
             self.t
                 .net
                 .count_only(&mut self.t.machine, sharer, home, MsgKind::Ack, false);

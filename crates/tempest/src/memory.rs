@@ -6,9 +6,7 @@
 //! are served from. Storage is lazily materialized in zeroed 4 KB pages,
 //! held in a vector indexed by page number.
 
-use lcm_sim::mem::{
-    Addr, BlockBuf, BlockId, PageId, WordMask, BLOCK_BYTES, PAGE_BYTES, WORD_BYTES,
-};
+use lcm_sim::mem::{Addr, BlockBuf, BlockId, BlockMap, WordMask, WORD_BYTES};
 
 /// The home-value store for the whole global address space.
 ///
@@ -17,10 +15,8 @@ use lcm_sim::mem::{
 /// map — a block's home node is a property of the address space, not of
 /// where the host process stores the data.
 ///
-/// The store is a dense vector of pages indexed by page number; the
-/// address space hands out pages contiguously from page 1. Absent pages,
-/// and pages past the end, read as zero; the first write to a page
-/// materializes it.
+/// The store is a [`BlockMap`] of blocks: absent pages, and pages past
+/// the end, read as zero; the first write to a page materializes it.
 ///
 /// ```
 /// use lcm_tempest::HomeMemory;
@@ -32,7 +28,7 @@ use lcm_sim::mem::{
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct HomeMemory {
-    pages: Vec<Option<Box<[u8; PAGE_BYTES]>>>,
+    blocks: BlockMap<BlockBuf>,
 }
 
 impl HomeMemory {
@@ -41,40 +37,18 @@ impl HomeMemory {
         HomeMemory::default()
     }
 
-    #[inline]
-    fn page(&self, page: PageId) -> Option<&[u8; PAGE_BYTES]> {
-        self.pages.get(page.0 as usize)?.as_deref()
-    }
-
-    #[inline]
-    fn page_mut(&mut self, page: PageId) -> &mut [u8; PAGE_BYTES] {
-        let index = page.0 as usize;
-        if index >= self.pages.len() {
-            self.pages.resize_with(index + 1, || None);
-        }
-        self.pages[index].get_or_insert_with(|| Box::new([0; PAGE_BYTES]))
-    }
-
     /// Raw bits of the word at `addr` (low two address bits ignored).
     #[inline]
     pub fn read_word(&self, addr: Addr) -> u32 {
-        let block = addr.block();
-        match self.page(block.page()) {
-            Some(page) => {
-                let o = block.index_in_page() * BLOCK_BYTES + addr.word_in_block() * WORD_BYTES;
-                u32::from_le_bytes([page[o], page[o + 1], page[o + 2], page[o + 3]])
-            }
-            None => 0,
-        }
+        self.blocks.get(addr.block()).word(addr.word_in_block())
     }
 
     /// Stores raw bits `v` into the word at `addr`.
     #[inline]
     pub fn write_word(&mut self, addr: Addr, v: u32) {
-        let block = addr.block();
-        let o = block.index_in_page() * BLOCK_BYTES + addr.word_in_block() * WORD_BYTES;
-        let page = self.page_mut(block.page());
-        page[o..o + WORD_BYTES].copy_from_slice(&v.to_le_bytes());
+        self.blocks
+            .get_mut(addr.block())
+            .set_word(addr.word_in_block(), v);
     }
 
     /// The word at `addr` as an `f32`.
@@ -107,22 +81,12 @@ impl HomeMemory {
 
     /// Copies the home value of `block` into a buffer.
     pub fn read_block(&self, block: BlockId) -> BlockBuf {
-        match self.page(block.page()) {
-            Some(page) => {
-                let o = block.index_in_page() * BLOCK_BYTES;
-                let mut bytes = [0u8; BLOCK_BYTES];
-                bytes.copy_from_slice(&page[o..o + BLOCK_BYTES]);
-                BlockBuf::from_bytes(bytes)
-            }
-            None => BlockBuf::zeroed(),
-        }
+        *self.blocks.get(block)
     }
 
     /// Replaces the home value of `block`.
     pub fn write_block(&mut self, block: BlockId, buf: &BlockBuf) {
-        let o = block.index_in_page() * BLOCK_BYTES;
-        let page = self.page_mut(block.page());
-        page[o..o + BLOCK_BYTES].copy_from_slice(buf.as_bytes());
+        *self.blocks.get_mut(block) = *buf;
     }
 
     /// Merges the words of `src` selected by `mask` into the home value of
@@ -131,17 +95,12 @@ impl HomeMemory {
         if mask.is_empty() {
             return;
         }
-        let base = block.index_in_page() * BLOCK_BYTES;
-        let page = self.page_mut(block.page());
-        for w in mask.iter_set() {
-            let o = base + w * WORD_BYTES;
-            page[o..o + WORD_BYTES].copy_from_slice(&src.word(w).to_le_bytes());
-        }
+        self.blocks.get_mut(block).merge_words(src, mask);
     }
 
     /// Number of materialized pages (storage footprint; for tests).
     pub fn pages_touched(&self) -> usize {
-        self.pages.iter().flatten().count()
+        self.blocks.pages()
     }
 }
 

@@ -33,6 +33,9 @@ pub struct Segment {
     base: Addr,
     blocks: u64,
     placement: Placement,
+    /// Blocks per node under [`Placement::Blocked`], fixed at allocation
+    /// so a home lookup divides once.
+    chunk: u64,
     name: String,
 }
 
@@ -83,10 +86,7 @@ impl Segment {
         let p = nodes as u64;
         let node = match self.placement {
             Placement::Interleaved => off % p,
-            Placement::Blocked => {
-                let chunk = self.blocks.div_ceil(p).max(1);
-                (off / chunk).min(p - 1)
-            }
+            Placement::Blocked => (off / self.chunk).min(p - 1),
             Placement::OnNode(n) => return n,
             Placement::PageInterleaved => {
                 let page_off = off / (PAGE_BYTES / BLOCK_BYTES) as u64;
@@ -160,6 +160,7 @@ impl AddressSpace {
             base,
             blocks,
             placement,
+            chunk: blocks.div_ceil(self.nodes as u64).max(1),
             name: name.to_string(),
         });
         base

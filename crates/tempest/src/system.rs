@@ -53,7 +53,7 @@ impl Tempest {
             machine: Machine::new(config),
             space: AddressSpace::new(nodes),
             mem: HomeMemory::new(),
-            tags: (0..nodes).map(|_| TagTable::new()).collect(),
+            tags: (0..nodes).map(|_| TagTable::default()).collect(),
             net: Network::new(),
         }
     }
@@ -77,7 +77,7 @@ impl Tempest {
     /// Convenience: the tag `node` holds for `block`.
     #[inline]
     pub fn tag(&self, node: NodeId, block: BlockId) -> Tag {
-        self.tags[node.index()].get(block)
+        *self.tags[node.index()].get(block)
     }
 
     /// Convenience: sets the tag `node` holds for `block`.
